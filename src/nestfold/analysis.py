@@ -15,7 +15,18 @@ import string
 from dataclasses import dataclass, field
 
 from .diagnostics import AnalysisError, Diagnostic
-from .parser import Constructor, CtxApp, CtxBase, Program, TApp, TVar, TypeCtx, TypeDecl, TypeExpr
+from .parser import (
+    Constructor,
+    CtxApp,
+    CtxBase,
+    Program,
+    TApp,
+    TVar,
+    TypeCtx,
+    TypeDecl,
+    TypeExpr,
+    spine_shape,
+)
 
 
 @dataclass(frozen=True)
@@ -85,10 +96,10 @@ class GroupContext:
 
 
 def well_formed(program: Program) -> list[Diagnostic]:
-    """Re-check name resolution and the result-shape rule, collecting all errors.
+    """Check names, arities and the result-shape rule, collecting all errors.
 
-    parse_program already enforces most of this; programs built directly as
-    ASTs come through unchecked, so everything is verified again here.
+    This is the only validator: parse_program checks syntax alone, and
+    analyze and every command run this before anything else.
     """
     out: list[Diagnostic] = []
 
@@ -120,19 +131,17 @@ def well_formed(program: Program) -> list[Diagnostic]:
 
     ctor_owner: dict[str, str] = {}
     for d in program.decls:
-        if len(set(d.params)) != len(d.params):
-            report(f"duplicate type parameter in {d.name}", d.pos)
+        for p in sorted({p for p in d.params if d.params.count(p) > 1}):
+            report(f"duplicate type parameter {p!r} in {d.name}", d.pos)
         if not d.ctors:
             report(f"declaration {d.name} has no constructors", d.pos)
         expected = TApp(d.name, tuple(TVar(p) for p in d.params))
         for c in d.ctors:
-            if c.name in ctor_owner:
-                report(
-                    f"constructor {c.name!r} already declared by {ctor_owner[c.name]}",
-                    c.pos,
-                )
-            else:
-                ctor_owner[c.name] = d.name
+            owner = ctor_owner.setdefault(c.name, d.name)
+            if c is not d.ctor(c.name):
+                report(f"duplicate constructor {c.name!r} in {d.name}", c.pos)
+            elif owner != d.name:
+                report(f"constructor {c.name!r} already declared by {owner}", c.pos)
             for t in c.args:
                 check_type(t, d)
             check_type(c.result, d)
@@ -276,7 +285,7 @@ def type_to_index(
         case TApp(head, args):
             if head not in members:
                 raise AnalysisError("cross-group nesting not supported in v1")
-            return IApp(head + "C", tuple(type_to_index(a, params, members) for a in args))
+            return IApp(members[head], tuple(type_to_index(a, params, members) for a in args))
     raise AssertionError
 
 
@@ -287,7 +296,7 @@ def group_context(program: Program, group: MutualGroup) -> GroupContext:
         d = program.decl(n)
         assert d is not None
         decls[n] = d
-    app_ctor = {n: n + "C" for n in group.decls}
+    app_ctor = {n: c for n, (c, _) in zip(group.decls, spec.app_ctors)}
     decl_of_app = {v: k for k, v in app_ctor.items()}
     owner: dict[str, str] = {}
     templates: dict[str, tuple[IndexExpr, ...]] = {}
@@ -358,21 +367,31 @@ def enumerate_indices(spec: IndexTypeSpec, max_depth: int) -> list[IndexExpr]:
     return [e for tier in by_depth for e in tier]
 
 
-def bush_shape(ctx: GroupContext) -> tuple[str, str] | None:
-    """(nullary ctor, cons ctor) when the group is a single self-nesting
-    list-of-bushes declaration; None otherwise."""
+def nat_index(dc: str, n: int) -> IndexExpr:
+    """The index constructor dc applied n times to the first base slot."""
+    idx: IndexExpr = IVar(0)
+    for _ in range(n):
+        idx = IApp(dc, (idx,))
+    return idx
+
+
+def group_spine_shape(ctx: GroupContext) -> tuple[str, str] | None:
+    """spine_shape of a group's only declaration; None for larger groups."""
     if len(ctx.group.decls) != 1:
         return None
-    decl = ctx.decls[ctx.group.decls[0]]
-    if len(decl.params) != 1 or len(decl.ctors) != 2:
+    return spine_shape(ctx.decls[ctx.group.decls[0]])
+
+
+def bush_shape(ctx: GroupContext) -> tuple[str, str] | None:
+    """(nullary ctor, cons ctor) when the group is a single self-nesting
+    list-of-bushes declaration: a spine whose cons takes a bush of bushes."""
+    shape = group_spine_shape(ctx)
+    if shape is None or ctx.group.base_var_count != 1:
         return None
-    nils = [c for c in decl.ctors if ctx.arg_templates[c.name] == ()]
-    dc = ctx.app_ctor[decl.name]
-    deep = (IVar(0), IApp(dc, (IApp(dc, (IVar(0),)),)))
-    conses = [c for c in decl.ctors if ctx.arg_templates[c.name] == deep]
-    if len(nils) == 1 and len(conses) == 1:
-        return nils[0].name, conses[0].name
-    return None
+    dc = ctx.app_ctor[ctx.group.decls[0]]
+    if ctx.arg_templates[shape[1]] != (IVar(0), nat_index(dc, 2)):
+        return None
+    return shape
 
 
 def context_to_index(

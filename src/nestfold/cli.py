@@ -11,17 +11,9 @@ import argparse
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import (
-    GroupContext,
-    analyze,
-    classify,
-    context_to_index,
-    group_context,
-    well_formed,
-)
+from .analysis import GroupContext, analyze, context_to_index, well_formed
 from .derivation import derive_group, nat_index_eligible
 from .diagnostics import NestfoldError, ParseError
 from .emitter import emit_agda, module_for_group
@@ -36,28 +28,22 @@ from .properties import run_suite
 from .runtime import RNat, RTree, catalogue, eval_nfold, typecheck_value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    decls: Path
-    value: Path | None = None
-    out: Path = Path(".")
-    max_size: int = 6
-    nat_index: bool = False
-    algebra: str = "sum"
-    backend: str = "agda"
-    target: str | None = None
-
-
-def _load_program(path: Path):
-    text = path.read_text()
-    return parse_program(text, source=str(path))
-
-
 def _report(diags) -> bool:
     for d in diags:
         print(d.render(), file=sys.stderr)
     return bool(diags)
+
+
+def _load(path: Path) -> list[GroupContext] | None:
+    """Parse and validate a declaration file, then analyze every group.
+
+    Returns None once the diagnostics are reported.  Nothing is printed to
+    stdout before every group is analyzed.
+    """
+    program = parse_program(path.read_text(), source=str(path))
+    if _report(well_formed(program)):
+        return None
+    return analyze(program)
 
 
 def _describe_group(ctx: GroupContext) -> str:
@@ -73,24 +59,24 @@ def _describe_group(ctx: GroupContext) -> str:
     return f"{names}: {', '.join(bits)}"
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    program = _load_program(cfg.decls)
-    if _report(well_formed(program)):
+def cmd_check(args: argparse.Namespace) -> int:
+    ctxs = _load(args.decls)
+    if ctxs is None:
         return 1
-    for group in classify(program):
-        print(_describe_group(group_context(program, group)))
+    for ctx in ctxs:
+        print(_describe_group(ctx))
     return 0
 
 
-def cmd_derive(cfg: RunConfig) -> int:
-    program = _load_program(cfg.decls)
-    if _report(well_formed(program)):
+def cmd_derive(args: argparse.Namespace) -> int:
+    ctxs = _load(args.decls)
+    if ctxs is None:
         return 1
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for ctx in analyze(program):
-        group = derive_group(ctx, nat_index=cfg.nat_index)
-        path = cfg.out / f"{group.name}.agda"
+    for ctx in ctxs:
+        group = derive_group(ctx, nat_index=args.nat_index)
+        path = args.out / f"{group.name}.agda"
         path.write_text(emit_agda(module_for_group(group)))
         written.append(path)
         source = set(ctx.decls)
@@ -123,29 +109,30 @@ def _default_target(program) -> str:
     return " ".join([decl.name] + ["Nat"] * len(decl.params))
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    program = _load_program(cfg.decls)
-    if _report(well_formed(program)):
+def cmd_eval(args: argparse.Namespace) -> int:
+    ctxs = _load(args.decls)
+    if ctxs is None:
         return 1
-    target = cfg.target or _default_target(program)
+    program = ctxs[0].program
+    target = args.target or _default_target(program)
     tctx = parse_type_context(target, program)
     if not isinstance(tctx, CtxApp):
         print(f"error: target {target!r} must name a declaration", file=sys.stderr)
         return 2
-    ctx = next(c for c in analyze(program) if tctx.head in c.group.decls)
+    ctx = next(c for c in ctxs if tctx.head in c.group.decls)
     idx, universes = context_to_index(tctx, ctx)
-    v = parse_value_literal(cfg.value.read_text(), program, target)
+    v = parse_value_literal(args.value.read_text(), program, target)
     if _report(typecheck_value(ctx, idx, universes, v)):
         return 1
     algs = catalogue(ctx)
-    if cfg.algebra not in algs:
+    if args.algebra not in algs:
         options = ", ".join(algs)
         print(
-            f"error: unknown algebra {cfg.algebra!r} (available: {options})",
+            f"error: unknown algebra {args.algebra!r} (available: {options})",
             file=sys.stderr,
         )
         return 2
-    result = eval_nfold(ctx, algs[cfg.algebra], idx, v)
+    result = eval_nfold(ctx, algs[args.algebra], idx, v)
     match result:
         case RNat(n):
             print(n)
@@ -154,17 +141,17 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_test(cfg: RunConfig) -> int:
-    if cfg.max_size < 1:
+def cmd_test(args: argparse.Namespace) -> int:
+    if args.max_size < 1:
         print("error: --max-size must be at least 1", file=sys.stderr)
         return 2
-    program = _load_program(cfg.decls)
-    if _report(well_formed(program)):
+    ctxs = _load(args.decls)
+    if ctxs is None:
         return 1
     failed = False
-    for ctx in analyze(program):
-        report = run_suite(ctx, cfg.max_size)
-        print(f"{ctx.name}: property suite at max size {cfg.max_size}")
+    for ctx in ctxs:
+        report = run_suite(ctx, args.max_size)
+        print(f"{ctx.name}: property suite at max size {args.max_size}")
         for r in report.results:
             status = "ok" if r.ok else "FAIL"
             print(
@@ -209,7 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="present the index universe as Nat (single self-nesting declaration)",
     )
-    d.add_argument("--backend", choices=["agda"], default="agda")
 
     e = sub.add_parser("eval", help="run a catalogue algebra over a value literal")
     e.add_argument("decls", type=Path, help="declaration file (.ndt)")
@@ -228,32 +214,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        decls=args.decls,
-        value=getattr(args, "value", None),
-        out=getattr(args, "out", Path(".")),
-        max_size=getattr(args, "max_size", 6),
-        nat_index=getattr(args, "nat_index", False),
-        algebra=getattr(args, "algebra", "sum"),
-        backend=getattr(args, "backend", "agda"),
-        target=getattr(args, "target", None),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    cfg = _config(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ParseError as e:
+        print(e.diagnostic.render(), file=sys.stderr)
+        return 1
     except NestfoldError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

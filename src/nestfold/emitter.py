@@ -221,10 +221,6 @@ def _clause_lines(name: str, cl: Clause, base: int) -> list[str]:
     return lines
 
 
-def _ctor_lines(name: str, ty: Term) -> list[str]:
-    return _sig_lines(name, ty, 2)
-
-
 def _data_header(d: DerivedDef) -> str:
     assert d.data is not None
     if d.data.params:
@@ -232,19 +228,11 @@ def _data_header(d: DerivedDef) -> str:
     return f"data {d.name} : Set"
 
 
-def _data_lines(d: DerivedDef) -> list[str]:
-    lines = [_data_header(d) + " where"]
+def _data_lines(header: str, d: DerivedDef) -> list[str]:
+    """A data block: the header line, then one signature per constructor."""
+    lines = [header + " where"]
     for cn, ct in d.data.ctors:
-        lines += _ctor_lines(cn, ct)
-    return lines
-
-
-def _data_body_lines(d: DerivedDef) -> list[str]:
-    assert d.data is not None
-    head = " ".join(["data", d.name, *d.data.params])
-    lines = [head + " where"]
-    for cn, ct in d.data.ctors:
-        lines += _ctor_lines(cn, ct)
+        lines += _sig_lines(cn, ct, 2)
     return lines
 
 
@@ -385,9 +373,11 @@ def emit_agda(module: EmitModule) -> str:
                 k += 1
                 run.append(defs[k])
             blocks.append([_data_header(x) for x in run])
-            blocks.extend(_data_body_lines(x) for x in run)
+            blocks.extend(
+                _data_lines(" ".join(["data", x.name, *x.data.params]), x) for x in run
+            )
         elif d.data is not None:
-            blocks.append(_data_lines(d))
+            blocks.append(_data_lines(_data_header(d), d))
         else:
             blocks.append(_def_lines(d))
         k += 1

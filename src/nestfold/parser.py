@@ -6,8 +6,9 @@ The surface syntax is a small Agda-like language:
       leaf : Bush a
       cons : a -> Bush (Bush a) -> Bush a
 
-Declarations may reference each other in any order; names and arities are
-resolved in a second pass over the whole file.  Value literals are either
+Declarations may reference each other in any order.  Parsing checks syntax
+only; names, arities and the result-shape rule are checked by
+``analysis.well_formed``.  Value literals are either
 explicit constructor applications (``cons 4 leaf``), naturals, quoted atoms
 (``'x``), or bracket lists ``[ 4, [ 8 ] ]`` which desugar to the target
 declaration's nil/cons-style constructors.
@@ -68,6 +69,16 @@ class TypeDecl:
             if c.name == name:
                 return c
         return None
+
+
+def spine_shape(decl: TypeDecl) -> tuple[str, str] | None:
+    """(nullary ctor, binary ctor) when decl has exactly those two
+    constructors, as lists and bushes do; None otherwise."""
+    nils = [c.name for c in decl.ctors if not c.args]
+    twos = [c.name for c in decl.ctors if len(c.args) == 2]
+    if len(decl.ctors) == 2 and len(nils) == len(twos) == 1:
+        return nils[0], twos[0]
+    return None
 
 
 @dataclass(frozen=True)
@@ -270,7 +281,7 @@ class _Cursor:
 
 
 def parse_program(text: str, source: str = "<input>") -> Program:
-    """Parse a full .ndt file and resolve all type references."""
+    """Parse a full .ndt file; names and arities are left unchecked."""
     cur = _Cursor(_lex(text, source, keep_newlines=True), source)
     decls: list[TypeDecl] = []
     cur.skip_newlines()
@@ -279,9 +290,7 @@ def parse_program(text: str, source: str = "<input>") -> Program:
         cur.skip_newlines()
     if not decls:
         raise cur.error("expected at least one data declaration")
-    program = Program(tuple(decls), source)
-    _resolve(program)
-    return program
+    return Program(tuple(decls), source)
 
 
 def _parse_decl(cur: _Cursor) -> TypeDecl:
@@ -314,21 +323,11 @@ def _parse_decl(cur: _Cursor) -> TypeDecl:
     cur.expect("newline", what="a line break after 'where'")
     cur.skip_newlines()
 
-    seen = set()
-    for p in params:
-        if p in seen:
-            raise ParseError(
-                f"duplicate type parameter {p!r}", name_tok.line, name_tok.col, cur.file
-            )
-        seen.add(p)
-
     ctors: list[Constructor] = []
     # constructor lines run until the next 'data' keyword or end of file
     while (cur.at("ident") or cur.at("uident")) and cur.tok.text != "data":
         ctors.append(_parse_ctor(cur))
         cur.skip_newlines()
-    if not ctors:
-        raise cur.error(f"declaration {name_tok.text} has no constructors")
     return TypeDecl(
         name_tok.text, tuple(params), tuple(ctors), (start.line, start.col)
     )
@@ -401,64 +400,6 @@ def _parse_type_atom(cur: _Cursor) -> TypeExpr:
     raise cur.error(f"expected a type, found {_Cursor._describe(t)}")
 
 
-def _resolve(program: Program) -> None:
-    """Second pass: check declaration names, references and arities."""
-    arity: dict[str, int] = {}
-    for d in program.decls:
-        if d.name in arity:
-            raise ParseError(
-                f"duplicate declaration name {d.name!r}", d.pos[0], d.pos[1], program.source
-            )
-        arity[d.name] = len(d.params)
-    ctor_owner: dict[str, str] = {}
-    for d in program.decls:
-        names = set()
-        for c in d.ctors:
-            if c.name in names:
-                raise ParseError(
-                    f"duplicate constructor {c.name!r} in {d.name}",
-                    c.pos[0],
-                    c.pos[1],
-                    program.source,
-                )
-            names.add(c.name)
-            if c.name in ctor_owner:
-                raise ParseError(
-                    f"constructor {c.name!r} already declared by {ctor_owner[c.name]}",
-                    c.pos[0],
-                    c.pos[1],
-                    program.source,
-                )
-            ctor_owner[c.name] = d.name
-            for t in c.args + (c.result,):
-                _resolve_type(t, d, arity, program.source)
-
-
-def _resolve_type(
-    t: TypeExpr, decl: TypeDecl, arity: dict[str, int], source: str
-) -> None:
-    match t:
-        case TVar(name, _):
-            if name not in decl.params:
-                raise ParseError(
-                    f"unknown type parameter {name!r}", t.pos[0], t.pos[1], source
-                )
-        case TApp(head, args, _):
-            if head not in arity:
-                raise ParseError(
-                    f"unknown type constructor {head}", t.pos[0], t.pos[1], source
-                )
-            if len(args) != arity[head]:
-                raise ParseError(
-                    f"{head} expects {arity[head]} argument(s), got {len(args)}",
-                    t.pos[0],
-                    t.pos[1],
-                    source,
-                )
-            for a in args:
-                _resolve_type(a, decl, arity, source)
-
-
 # ---------------------------------------------------------------------------
 # Value literals
 
@@ -482,21 +423,6 @@ def parse_value_literal(text: str, program: Program, target: str) -> Value:
     return v
 
 
-def _sugar_ctors(decl: TypeDecl, where: Token, file: str | None) -> tuple[str, str]:
-    """The (nil-like, cons-like) constructor pair bracket sugar expands to."""
-    nils = [c for c in decl.ctors if len(c.args) == 0]
-    conses = [c for c in decl.ctors if len(c.args) == 2]
-    if len(decl.ctors) != 2 or len(nils) != 1 or len(conses) != 1:
-        raise ParseError(
-            f"bracket sugar needs {decl.name} to have exactly one nullary and "
-            "one binary constructor",
-            where.line,
-            where.col,
-            file,
-        )
-    return nils[0].name, conses[0].name
-
-
 def _parse_value(
     cur: _Cursor, arities: dict[str, int], decl: TypeDecl, allow_args: bool
 ) -> Value:
@@ -509,7 +435,14 @@ def _parse_value(
         return VBase(Atom(t.text), (t.line, t.col))
     if cur.at("punct", "["):
         open_tok = cur.advance()
-        nil_name, cons_name = _sugar_ctors(decl, open_tok, cur.file)
+        shape = spine_shape(decl)
+        if shape is None:
+            raise cur.error(
+                f"bracket sugar needs {decl.name} to have exactly one nullary and "
+                "one binary constructor",
+                open_tok,
+            )
+        nil_name, cons_name = shape
         elems: list[Value] = []
         if not cur.at("punct", "]"):
             elems.append(_parse_value(cur, arities, decl, allow_args=True))

@@ -13,11 +13,11 @@ from typing import Callable
 
 from .analysis import (
     GroupContext,
-    IApp,
     IndexExpr,
-    IVar,
     bush_shape,
     enumerate_indices,
+    group_spine_shape,
+    nat_index,
     render_index,
 )
 from .derivation import nat_index_eligible
@@ -123,17 +123,10 @@ def _pool(ctx: GroupContext) -> dict[int, tuple[Value, ...]]:
     }
 
 
-def _nat_index(ctx: GroupContext, depth: int) -> IndexExpr:
-    idx: IndexExpr = IVar(0)
-    dc = ctx.app_ctor[ctx.group.decls[0]]
-    for _ in range(depth):
-        idx = IApp(dc, (idx,))
-    return idx
-
-
 def _suite_indices(ctx: GroupContext, max_depth: int) -> list[IndexExpr]:
     if nat_index_eligible(ctx):
-        return [_nat_index(ctx, d) for d in range(max_depth + 1)]
+        (dc,) = ctx.app_ctor.values()
+        return [nat_index(dc, d) for d in range(max_depth + 1)]
     return enumerate_indices(ctx.spec, max_depth)
 
 
@@ -207,8 +200,9 @@ def check_equivalence(ctx: GroupContext, max_size: int) -> PropertyResult:
     sweep = _Sweep("nfold-vs-nfold-prime")
     pool = _pool(ctx)
     algs = catalogue(ctx)
+    (dc,) = ctx.app_ctor.values()
     for depth in range(4):
-        idx = _nat_index(ctx, depth)
+        idx = nat_index(dc, depth)
         shown = render_index(idx, ctx.spec)
         for v in enumerate_values(ctx, idx, pool, max_size):
             for alg in algs.values():
@@ -248,11 +242,12 @@ def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Mapping once at depth m+n equals mapping at m with an inner depth-n map."""
     sweep = _Sweep("map-composition")
     pool = _pool(ctx)
+    (dc,) = ctx.app_ctor.values()
     for m in range(5):
         for n in range(5 - m):
-            whole = _nat_index(ctx, m + n)
-            outer = _nat_index(ctx, m)
-            inner = _nat_index(ctx, n)
+            whole = nat_index(dc, m + n)
+            outer = nat_index(dc, m)
+            inner = nat_index(dc, n)
             shown = f"{render_index(whole, ctx.spec)} split {m}+{n}"
             for v in enumerate_values(ctx, whole, pool, max_size):
                 for fname, f in MAP_FNS:
@@ -279,7 +274,7 @@ def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The fold-backed higher-order fold matches the literal recursion."""
     sweep = _Sweep("hfold-conformance")
     decl = ctx.group.decls[0]
-    idx = _nat_index(ctx, 1)
+    idx = nat_index(ctx.app_ctor[decl], 1)
     shown = render_index(idx, ctx.spec)
     halgs = halg_catalogue(ctx)
     for v in enumerate_values(ctx, idx, _pool(ctx), max_size):
@@ -303,7 +298,7 @@ def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
     sweep = _Sweep("hfold-leaf-equation")
     decl = ctx.group.decls[0]
     nil, _ = bush_shape(ctx)
-    shown = render_index(_nat_index(ctx, 1), ctx.spec)
+    shown = render_index(nat_index(ctx.app_ctor[decl], 1), ctx.spec)
     v = VCon(nil)
     for halg in halg_catalogue(ctx).values():
         lhs = halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v))
@@ -323,7 +318,8 @@ def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
 def check_hmap_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The one-layer map derived from the fold matches the direct recursion."""
     sweep = _Sweep("hmap-agreement")
-    idx = _nat_index(ctx, 1)
+    (dc,) = ctx.app_ctor.values()
+    idx = nat_index(dc, 1)
     shown = render_index(idx, ctx.spec)
     for v in enumerate_values(ctx, idx, _pool(ctx), max_size):
         for fname, f in MAP_FNS:
@@ -340,7 +336,8 @@ def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The one-layer map satisfies its defining equation on both constructors."""
     sweep = _Sweep("hmap-cons-equation")
     nil, cons = bush_shape(ctx)
-    idx = _nat_index(ctx, 1)
+    (dc,) = ctx.app_ctor.values()
+    idx = nat_index(dc, 1)
     shown = render_index(idx, ctx.spec)
     for v in enumerate_values(ctx, idx, _pool(ctx), max_size):
         for fname, f in MAP_FNS:
@@ -386,9 +383,7 @@ def check_ind_agreement(
 def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The derived fold on an ordinary list type matches a hand-written fold."""
     sweep = _Sweep("spine-fold-agreement")
-    decl = ctx.decls[ctx.group.decls[0]]
-    nil = next(c.name for c in decl.ctors if not c.args)
-    cons = next(c.name for c in decl.ctors if len(c.args) == 2)
+    nil, cons = group_spine_shape(ctx)
 
     def fold_list(base, step, v: Value):
         match v:
@@ -402,7 +397,8 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
         "sum": (0, lambda x, r: x + r),
         "length": (0, lambda x, r: 1 + r),
     }
-    idx = _nat_index(ctx, 1)
+    (dc,) = ctx.app_ctor.values()
+    idx = nat_index(dc, 1)
     shown = render_index(idx, ctx.spec)
     algs = catalogue(ctx)
     for v in enumerate_values(ctx, idx, _pool(ctx), max_size):
@@ -480,7 +476,7 @@ def run_suite(
         results.append(check_hmap_agreement(ctx, max_size))
         results.append(check_hmap_cons(ctx, max_size))
     results.append(check_ind_agreement(ctx, max_size, max_depth))
-    if not ctx.group.nested and "length" in catalogue(ctx):
+    if not ctx.group.nested and group_spine_shape(ctx) is not None:
         results.append(check_spine_fold_agreement(ctx, max_size))
     results.append(check_call_counter(ctx, max_size, max_depth))
     return SuiteReport(ctx.name, max_size, tuple(results))

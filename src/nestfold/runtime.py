@@ -23,7 +23,9 @@ from .analysis import (
     IndexExpr,
     IVar,
     bush_shape,
+    group_spine_shape,
     index_depth,
+    nat_index,
     subst_index,
 )
 from .diagnostics import Diagnostic, EvalError, GuardExceeded
@@ -110,7 +112,6 @@ class Algebra:
     """Methods receive (index arguments, folded argument results)."""
 
     name: str
-    result_type: str  # "nat" | "tree" | "fun"
     bases: dict[int, Callable[[Value], RuntimeResult]] = field(compare=False)
     methods: dict[
         str, Callable[[tuple[IndexExpr, ...], tuple[RuntimeResult, ...]], RuntimeResult]
@@ -248,7 +249,6 @@ def eval_map(
     """The derived map: the fold whose methods rebuild their constructor."""
     alg = Algebra(
         "map",
-        "tree",
         bases={k: (lambda g: lambda w: RTree(g(w)))(g) for k, g in fs.items()},
         methods={
             c.name: (lambda name: lambda iargs, rs: RTree(
@@ -294,23 +294,6 @@ def eval_ind(
 # Higher-order folds: the derived route and the direct oracles
 
 
-_bush_shape = bush_shape
-
-
-def _spine_shape(ctx: GroupContext) -> tuple[str, str] | None:
-    """(nullary ctor, binary ctor) for list- or bush-shaped single decls."""
-    if len(ctx.group.decls) != 1:
-        return None
-    decl = ctx.decls[ctx.group.decls[0]]
-    if len(decl.ctors) != 2:
-        return None
-    nils = [c for c in decl.ctors if len(c.args) == 0]
-    twos = [c for c in decl.ctors if len(c.args) == 2]
-    if len(nils) == 1 and len(twos) == 1:
-        return nils[0].name, twos[0].name
-    return None
-
-
 def default_guard(v: Value, idx_depth: int = 0) -> int:
     return 10 * (value_size(v) + idx_depth) + 100
 
@@ -333,7 +316,6 @@ def eval_hfold_via_nfold(
     decl = ctx.decls[decl_name]
     alg = Algebra(
         f"hfold-{halg.name}",
-        "fun",
         bases={k: wrap for k in range(ctx.spec.base_var_count)},
         methods={
             c.name: (lambda m: lambda iargs, rs: m(*rs))(halg.methods[c.name])
@@ -348,7 +330,7 @@ def eval_hfold_direct(
     ctx: GroupContext, halg: HAlgebra, v: Value, guard: int | None = None
 ) -> RuntimeResult:
     """The introduction's non-structural recursion, transcribed literally."""
-    shape = _bush_shape(ctx)
+    shape = bush_shape(ctx)
     if shape is None:
         raise EvalError("the direct higher-order fold needs a bush-shaped declaration")
     nil, cons = shape
@@ -393,7 +375,7 @@ def eval_hmap_direct(
     ctx: GroupContext, f: Callable[[Value], Value], v: Value, guard: int | None = None
 ) -> Value:
     """First-order direct map: hmap f (cons x xs) = cons (f x) (hmap (hmap f) xs)."""
-    shape = _bush_shape(ctx)
+    shape = bush_shape(ctx)
     if shape is None:
         raise EvalError("the direct map needs a bush-shaped declaration")
     nil, cons = shape
@@ -425,13 +407,13 @@ def eval_nfold_prime(
     into such functions, and the projection peels them off level by level.
     """
     check_algebra(ctx, alg)
-    shape = _bush_shape(ctx)
+    shape = bush_shape(ctx)
     if shape is None:
         raise EvalError("the function-space route needs a bush-shaped declaration")
     nil, cons = shape
     dc = ctx.app_ctor[ctx.group.decls[0]]
     depth = index_depth(idx)
-    if idx != _nat_to_index(dc, depth):
+    if idx != nat_index(dc, depth):
         raise EvalError("index must be an iterated application over the base slot")
     limit = default_guard(v, depth)
 
@@ -444,7 +426,7 @@ def eval_nfold_prime(
             case VCon(c, ()) if c == nil:
                 return RFun(
                     lambda n: RFun(
-                        lambda tr: method(nil, (_nat_to_index(dc, nat_of(n)),), ())
+                        lambda tr: method(nil, (nat_index(dc, nat_of(n)),), ())
                     )
                 )
             case VCon(c, (x, xs)) if c == cons:
@@ -461,7 +443,7 @@ def eval_nfold_prime(
                             apply_result(xs_r, RNat(nat_succ(nat_of(n)))),
                             RFun(lambda f: apply_result(apply_result(f, n), tr)),
                         )
-                        return method(cons, (_nat_to_index(dc, nat_of(n)),), (r1, deeper))
+                        return method(cons, (nat_index(dc, nat_of(n)),), (r1, deeper))
 
                     return RFun(with_continuation)
 
@@ -489,13 +471,6 @@ def eval_nfold_prime(
 
 def _as_slot(x):
     return _HWrap(x) if isinstance(x, (RNat, RTree, RFun)) else x
-
-
-def _nat_to_index(dc: str, n: int) -> IndexExpr:
-    idx: IndexExpr = IVar(0)
-    for _ in range(n):
-        idx = IApp(dc, (idx,))
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +549,6 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
 
     algs["sum"] = Algebra(
         "sum",
-        "nat",
         bases={k: nat_base for k in every_var},
         methods={
             c.name: lambda iargs, rs: RNat(
@@ -586,7 +560,6 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
 
     algs["depth"] = Algebra(
         "depth",
-        "nat",
         bases={k: (lambda v: RNat(0)) for k in every_var},
         methods={
             c.name: lambda iargs, rs: RNat(
@@ -598,7 +571,6 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
 
     algs["trace"] = Algebra(
         "trace",
-        "tree",
         bases={
             k: (lambda k: lambda v: RTree(VCon("@" + ctx.spec.var_ctors[k], (v,))))(k)
             for k in every_var
@@ -615,12 +587,11 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
         },
     )
 
-    spine = _spine_shape(ctx)
+    spine = group_spine_shape(ctx)
     if spine is not None:
         nil, two = spine
         algs["length"] = Algebra(
             "length",
-            "nat",
             bases={k: (lambda v: RNat(0)) for k in every_var},
             methods={
                 nil: lambda iargs, rs: RNat(0),
@@ -639,7 +610,7 @@ def _fold_nat_add(ns) -> int:
 
 def halg_catalogue(ctx: GroupContext) -> dict[str, HAlgebra]:
     """Higher-order algebras for the conformance checks (bush shape only)."""
-    shape = _bush_shape(ctx)
+    shape = bush_shape(ctx)
     if shape is None:
         return {}
     nil, cons = shape

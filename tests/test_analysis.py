@@ -100,6 +100,77 @@ def test_examples_are_well_formed():
         assert well_formed(parse_program(src)) == []
 
 
+@pytest.mark.parametrize(
+    "src, message, pos",
+    [
+        pytest.param(
+            "data T a where\n  k : T a\ndata T a where\n  j : T a\n",
+            "duplicate declaration name 'T'",
+            (3, 1),
+            id="duplicate-declaration",
+        ),
+        pytest.param(
+            "data T a where\n  k : T a\n  k : a -> T a\n",
+            "duplicate constructor 'k' in T",
+            (3, 3),
+            id="duplicate-constructor",
+        ),
+        pytest.param(
+            "data T a where\n  k : T a\ndata U a where\n  k : U a\n",
+            "constructor 'k' already declared by T",
+            (4, 3),
+            id="constructor-already-declared",
+        ),
+        pytest.param(
+            "data T a where\n  k : Wrong a -> T a\n",
+            "unknown type constructor Wrong",
+            (2, 7),
+            id="unknown-type-constructor",
+        ),
+        pytest.param(
+            "data T a where\n  k : b -> T a\n",
+            "unknown type parameter 'b'",
+            (2, 7),
+            id="unknown-type-parameter",
+        ),
+        pytest.param(
+            "data T a where\n  k : T -> T a\n",
+            "T expects 1 argument(s), got 0",
+            (2, 7),
+            id="too-few-arguments",
+        ),
+        pytest.param(
+            "data T a where\n  k : T a a -> T a\n",
+            "T expects 1 argument(s), got 2",
+            (2, 7),
+            id="too-many-arguments",
+        ),
+        pytest.param(
+            "data T a where\n",
+            "declaration T has no constructors",
+            (1, 1),
+            id="no-constructors",
+        ),
+        pytest.param(
+            "data T a a where\n  k : T a a\n",
+            "duplicate type parameter 'a' in T",
+            (1, 1),
+            id="duplicate-type-parameter",
+        ),
+    ],
+)
+def test_resolution_errors(src, message, pos):
+    (d,) = well_formed(parse_program(src))
+    assert d.message == message
+    assert (d.line, d.col) == pos
+
+
+def test_error_carries_position():
+    (d,) = well_formed(parse_program("data T a where\n  k : Wrong -> T a\n", "t.ndt"))
+    assert (d.line, d.col) == (2, 7)
+    assert d.render() == "t.ndt:2:7: error: unknown type constructor Wrong"
+
+
 def test_result_shape_rule():
     diags = well_formed(parse_program("data T a where\n  k : T (T a)\n"))
     assert len(diags) == 1

@@ -46,6 +46,46 @@ def test_check_arity_error(capsys):
     assert out == ""
 
 
+def test_check_reports_every_error_once(capsys, tmp_path):
+    src = tmp_path / "multi.ndt"
+    src.write_text("data T a where\n  k : Wrong a -> T a\n  j : b -> T a\n  k : T a\n")
+    code, out, err = run(capsys, "check", src)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"{src}:2:7: error: unknown type constructor Wrong",
+        f"{src}:3:7: error: unknown type parameter 'b'",
+        f"{src}:4:3: error: duplicate constructor 'k' in T",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["data T a where\n  k : T a - T a\n", (SAMPLES / "bad-arity.ndt").read_text()],
+    ids=["parse-error", "well-formedness-error"],
+)
+def test_error_prefix_is_printed_once(capsys, tmp_path, text):
+    src = tmp_path / "bad.ndt"
+    src.write_text(text)
+    code, _, err = run(capsys, "check", src)
+    assert code == 1
+    (line,) = err.splitlines()
+    assert line.startswith(f"{src}:2:")
+    assert line.count("error:") == 1
+
+
+def test_check_analyzes_every_group_before_printing(capsys, tmp_path):
+    src = tmp_path / "mixed.ndt"
+    src.write_text(
+        (SAMPLES / "list.ndt").read_text()
+        + "\ndata Rose a where\n  rose : List (Rose a) -> Rose a\n"
+    )
+    code, out, err = run(capsys, "check", src)
+    assert code == 1
+    assert out == ""
+    assert "cross-group nesting" in err
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "no-such-file.ndt")
     assert code == 2
