@@ -8,6 +8,7 @@ inputs and flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -34,13 +35,21 @@ def _report(diags) -> bool:
     return bool(diags)
 
 
+def _read(path: Path) -> str:
+    """An input file's text; bytes that are not UTF-8 are an I/O error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise OSError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
+
+
 def _load(path: Path) -> list[GroupContext] | None:
     """Parse and validate a declaration file, then analyze every group.
 
     Returns None once the diagnostics are reported.  Nothing is printed to
     stdout before every group is analyzed.
     """
-    program = parse_program(path.read_text(), source=str(path))
+    program = parse_program(_read(path), source=str(path))
     if _report(well_formed(program)):
         return None
     return analyze(program)
@@ -121,8 +130,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return 2
     ctx = next(c for c in ctxs if tctx.head in c.group.decls)
     idx, universes = context_to_index(tctx, ctx)
-    v = parse_value_literal(args.value.read_text(), program, target)
-    if _report(typecheck_value(ctx, idx, universes, v)):
+    source = str(args.value)
+    v = parse_value_literal(_read(args.value), program, target, source)
+    diags = typecheck_value(ctx, idx, universes, v)
+    if _report([dataclasses.replace(d, file=source) for d in diags]):
         return 1
     algs = catalogue(ctx)
     if args.algebra not in algs:
@@ -230,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except NestfoldError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nests too deeply (recursion limit reached)", file=sys.stderr)
         return 1
 
 

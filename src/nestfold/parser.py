@@ -404,7 +404,9 @@ def _parse_type_atom(cur: _Cursor) -> TypeExpr:
 # Value literals
 
 
-def parse_value_literal(text: str, program: Program, target: str) -> Value:
+def parse_value_literal(
+    text: str, program: Program, target: str, source: str = "<value>"
+) -> Value:
     """Parse one value literal; `target` is a type context such as "Bush Nat".
 
     Only the context's head declaration matters here: it supplies the
@@ -417,7 +419,7 @@ def parse_value_literal(text: str, program: Program, target: str) -> Value:
     decl = program.decl(ctx.head)
     assert decl is not None
     arities = {c.name: len(c.args) for d in program.decls for c in d.ctors}
-    cur = _Cursor(_lex(text, "<value>", keep_newlines=False), "<value>")
+    cur = _Cursor(_lex(text, source, keep_newlines=False), source)
     v = _parse_value(cur, arities, decl, allow_args=True)
     cur.expect("eof", what="end of input")
     return v

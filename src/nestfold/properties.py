@@ -9,7 +9,7 @@ reports it as a replayable counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .analysis import (
     GroupContext,
@@ -26,9 +26,9 @@ from .runtime import (
     Algebra,
     CallCounter,
     DepAlgebra,
+    RFun,
     RNat,
     RTree,
-    RuntimeResult,
     catalogue,
     enumerate_values,
     eval_hfold_direct,
@@ -73,7 +73,7 @@ class Counterexample:
 class PropertyResult:
     name: str
     cases: int  # comparisons performed
-    distinct: int  # distinct (value literal, algebra) pairs exercised
+    distinct: int  # distinct (value, label) pairs exercised
     counterexample: Counterexample | None = None
 
     @property
@@ -116,13 +116,6 @@ MAP_FNS: tuple[tuple[str, Callable[[Value], Value]], ...] = (
 )
 
 
-def _pool(ctx: GroupContext) -> dict[int, tuple[Value, ...]]:
-    return {
-        k: tuple(VBase(n) for n in BASE_POOL)
-        for k in range(ctx.spec.base_var_count)
-    }
-
-
 def _suite_indices(ctx: GroupContext, max_depth: int) -> list[IndexExpr]:
     if nat_index_eligible(ctx):
         (dc,) = ctx.app_ctor.values()
@@ -130,54 +123,64 @@ def _suite_indices(ctx: GroupContext, max_depth: int) -> list[IndexExpr]:
     return enumerate_indices(ctx.spec, max_depth)
 
 
-def _result_str(r: RuntimeResult) -> str:
+def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
+    """Yield (idx, shown index, value) for every value at every index."""
+    pool = {
+        k: tuple(VBase(n) for n in BASE_POOL) for k in range(ctx.spec.base_var_count)
+    }
+    for idx in indices:
+        shown = render_index(idx, ctx.spec)
+        for v in enumerate_values(ctx, idx, pool, max_size):
+            yield idx, shown, v
+
+
+def _own_values(ctx: GroupContext, max_size: int):
+    """_values at the single declaration applied to its own parameter."""
+    (dc,) = ctx.app_ctor.values()
+    return _values(ctx, [nat_index(dc, 1)], max_size)
+
+
+def _agree(lhs: object, rhs: object) -> bool:
+    """Naturals, trees and values agree when equal; functions never do."""
+    if isinstance(lhs, RFun) or isinstance(rhs, RFun):
+        return False
+    return lhs == rhs
+
+
+def _show(r: object) -> str:
     match r:
         case RNat(n):
             return str(n)
         case RTree(v):
             return render_value(v)
-    return "<function>"
+        case VBase() | VCon():
+            return render_value(r)
+        case RFun():
+            return "<function>"
+    return str(r)
 
 
-def _results_equal(a: RuntimeResult, b: RuntimeResult) -> bool:
-    if isinstance(a, RNat) and isinstance(b, RNat):
-        return a.n == b.n
-    if isinstance(a, RTree) and isinstance(b, RTree):
-        return a.value == b.value
-    return False
+def _sweep(
+    name: str,
+    cases: Iterable[tuple[str, Value, str, object, object]],
+    agree: Callable[[object, object], bool] = _agree,
+    show: Callable[[object, object], tuple[str, str]] = (
+        lambda lhs, rhs: (_show(lhs), _show(rhs))
+    ),
+) -> PropertyResult:
+    """Count the (index, value, label, lhs, rhs) cases up to the first disagreement.
 
-
-class _Sweep:
-    """Case counting plus first-failure capture for one property."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.seen: set[tuple[str, str]] = set()
-        self.failure: Counterexample | None = None
-
-    def check(
-        self,
-        index: str,
-        value: Value,
-        algebra: str,
-        equal: bool,
-        lhs: str,
-        rhs: str,
-    ) -> bool:
-        """Record one comparison; returns False once the sweep should stop."""
-        self.cases += 1
-        literal = render_value(value)
-        self.seen.add((literal, algebra))
-        if not equal:
-            self.failure = Counterexample(
-                self.name, index, literal, algebra, lhs, rhs
-            )
-            return False
-        return True
-
-    def result(self) -> PropertyResult:
-        return PropertyResult(self.name, self.cases, len(self.seen), self.failure)
+    Only that case is rendered; passing cases are told apart by value.
+    """
+    count = 0
+    seen: set[tuple[Value, str]] = set()
+    for index, value, label, lhs, rhs in cases:
+        count += 1
+        seen.add((value, label))
+        if not agree(lhs, rhs):
+            ce = Counterexample(name, index, render_value(value), label, *show(lhs, rhs))
+            return PropertyResult(name, count, len(seen), ce)
+    return PropertyResult(name, count, len(seen))
 
 
 def _ignore_values(alg: Algebra) -> DepAlgebra:
@@ -197,192 +200,115 @@ def _ignore_values(alg: Algebra) -> DepAlgebra:
 
 def check_equivalence(ctx: GroupContext, max_size: int) -> PropertyResult:
     """eval_nfold and the function-space route agree on every case."""
-    sweep = _Sweep("nfold-vs-nfold-prime")
-    pool = _pool(ctx)
-    algs = catalogue(ctx)
+    algs = catalogue(ctx).values()
     (dc,) = ctx.app_ctor.values()
-    for depth in range(4):
-        idx = nat_index(dc, depth)
-        shown = render_index(idx, ctx.spec)
-        for v in enumerate_values(ctx, idx, pool, max_size):
-            for alg in algs.values():
-                lhs = eval_nfold(ctx, alg, idx, v)
-                rhs = eval_nfold_prime(ctx, alg, idx, v)
-                if not sweep.check(
-                    shown,
-                    v,
-                    alg.name,
-                    _results_equal(lhs, rhs),
-                    _result_str(lhs),
-                    _result_str(rhs),
-                ):
-                    return sweep.result()
-    return sweep.result()
+    indices = [nat_index(dc, depth) for depth in range(4)]
+    return _sweep("nfold-vs-nfold-prime", (
+        (shown, v, alg.name, eval_nfold(ctx, alg, idx, v),
+         eval_nfold_prime(ctx, alg, idx, v))
+        for idx, shown, v in _values(ctx, indices, max_size)
+        for alg in algs
+    ))
 
 
 def check_map_identity(
     ctx: GroupContext, max_size: int, max_depth: int
 ) -> PropertyResult:
     """Mapping the identity over every slot returns the value unchanged."""
-    sweep = _Sweep("map-identity")
-    pool = _pool(ctx)
     fs = {k: (lambda v: v) for k in range(ctx.spec.base_var_count)}
-    for idx in _suite_indices(ctx, max_depth):
-        shown = render_index(idx, ctx.spec)
-        for v in enumerate_values(ctx, idx, pool, max_size):
-            out = eval_map(ctx, fs, idx, v)
-            if not sweep.check(
-                shown, v, "identity", out == v, render_value(out), render_value(v)
-            ):
-                return sweep.result()
-    return sweep.result()
+    return _sweep("map-identity", (
+        (shown, v, "identity", eval_map(ctx, fs, idx, v), v)
+        for idx, shown, v in _values(ctx, _suite_indices(ctx, max_depth), max_size)
+    ))
 
 
 def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Mapping once at depth m+n equals mapping at m with an inner depth-n map."""
-    sweep = _Sweep("map-composition")
-    pool = _pool(ctx)
     (dc,) = ctx.app_ctor.values()
-    for m in range(5):
-        for n in range(5 - m):
-            whole = nat_index(dc, m + n)
-            outer = nat_index(dc, m)
-            inner = nat_index(dc, n)
-            shown = f"{render_index(whole, ctx.spec)} split {m}+{n}"
-            for v in enumerate_values(ctx, whole, pool, max_size):
-                for fname, f in MAP_FNS:
-                    lhs = eval_map(ctx, {0: f}, whole, v)
-                    rhs = eval_map(
-                        ctx,
-                        {0: lambda w: eval_map(ctx, {0: f}, inner, w)},
-                        outer,
-                        v,
-                    )
-                    if not sweep.check(
-                        shown,
-                        v,
-                        fname,
-                        lhs == rhs,
-                        render_value(lhs),
-                        render_value(rhs),
-                    ):
-                        return sweep.result()
-    return sweep.result()
+
+    def cases():
+        for m in range(5):
+            for n in range(5 - m):
+                outer, inner = nat_index(dc, m), nat_index(dc, n)
+                for whole, shown, v in _values(ctx, [nat_index(dc, m + n)], max_size):
+                    for fname, f in MAP_FNS:
+                        lhs = eval_map(ctx, {0: f}, whole, v)
+                        inner_map = lambda w: eval_map(ctx, {0: f}, inner, w)
+                        rhs = eval_map(ctx, {0: inner_map}, outer, v)
+                        yield f"{shown} split {m}+{n}", v, fname, lhs, rhs
+
+    return _sweep("map-composition", cases())
 
 
 def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The fold-backed higher-order fold matches the literal recursion."""
-    sweep = _Sweep("hfold-conformance")
     decl = ctx.group.decls[0]
-    idx = nat_index(ctx.app_ctor[decl], 1)
-    shown = render_index(idx, ctx.spec)
-    halgs = halg_catalogue(ctx)
-    for v in enumerate_values(ctx, idx, _pool(ctx), max_size):
-        for halg in halgs.values():
-            lhs = halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v))
-            rhs = halg.finish(eval_hfold_direct(ctx, halg, v))
-            if not sweep.check(
-                shown,
-                v,
-                halg.name,
-                _results_equal(lhs, rhs),
-                _result_str(lhs),
-                _result_str(rhs),
-            ):
-                return sweep.result()
-    return sweep.result()
+    halgs = halg_catalogue(ctx).values()
+    return _sweep("hfold-conformance", (
+        (shown, v, halg.name,
+         halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v)),
+         halg.finish(eval_hfold_direct(ctx, halg, v)))
+        for _, shown, v in _own_values(ctx, max_size)
+        for halg in halgs
+    ))
 
 
 def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
     """On the nullary constructor the higher-order fold is its nil method."""
-    sweep = _Sweep("hfold-leaf-equation")
     decl = ctx.group.decls[0]
     nil, _ = bush_shape(ctx)
     shown = render_index(nat_index(ctx.app_ctor[decl], 1), ctx.spec)
     v = VCon(nil)
-    for halg in halg_catalogue(ctx).values():
-        lhs = halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v))
-        rhs = halg.finish(halg.methods[nil]())
-        if not sweep.check(
-            shown,
-            v,
-            halg.name,
-            _results_equal(lhs, rhs),
-            _result_str(lhs),
-            _result_str(rhs),
-        ):
-            return sweep.result()
-    return sweep.result()
+    return _sweep("hfold-leaf-equation", (
+        (shown, v, halg.name,
+         halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v)),
+         halg.finish(halg.methods[nil]()))
+        for halg in halg_catalogue(ctx).values()
+    ))
 
 
 def check_hmap_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The one-layer map derived from the fold matches the direct recursion."""
-    sweep = _Sweep("hmap-agreement")
-    (dc,) = ctx.app_ctor.values()
-    idx = nat_index(dc, 1)
-    shown = render_index(idx, ctx.spec)
-    for v in enumerate_values(ctx, idx, _pool(ctx), max_size):
-        for fname, f in MAP_FNS:
-            lhs = eval_map(ctx, {0: f}, idx, v)
-            rhs = eval_hmap_direct(ctx, f, v)
-            if not sweep.check(
-                shown, v, fname, lhs == rhs, render_value(lhs), render_value(rhs)
-            ):
-                return sweep.result()
-    return sweep.result()
+    return _sweep("hmap-agreement", (
+        (shown, v, fname, eval_map(ctx, {0: f}, idx, v), eval_hmap_direct(ctx, f, v))
+        for idx, shown, v in _own_values(ctx, max_size)
+        for fname, f in MAP_FNS
+    ))
 
 
 def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The one-layer map satisfies its defining equation on both constructors."""
-    sweep = _Sweep("hmap-cons-equation")
     nil, cons = bush_shape(ctx)
-    (dc,) = ctx.app_ctor.values()
-    idx = nat_index(dc, 1)
-    shown = render_index(idx, ctx.spec)
-    for v in enumerate_values(ctx, idx, _pool(ctx), max_size):
-        for fname, f in MAP_FNS:
-            lhs = eval_map(ctx, {0: f}, idx, v)
-            if isinstance(v, VCon) and v.ctor == cons:
-                x, xs = v.args
-                hmap_f = lambda s: eval_map(ctx, {0: f}, idx, s)
-                rhs = VCon(cons, (f(x), eval_map(ctx, {0: hmap_f}, idx, xs)))
-            else:
-                rhs = v
-            if not sweep.check(
-                shown, v, fname, lhs == rhs, render_value(lhs), render_value(rhs)
-            ):
-                return sweep.result()
-    return sweep.result()
+
+    def unfolded(f, idx, v: Value) -> Value:
+        if isinstance(v, VCon) and v.ctor == cons:
+            x, xs = v.args
+            hmap_f = lambda s: eval_map(ctx, {0: f}, idx, s)
+            return VCon(cons, (f(x), eval_map(ctx, {0: hmap_f}, idx, xs)))
+        return v
+
+    return _sweep("hmap-cons-equation", (
+        (shown, v, fname, eval_map(ctx, {0: f}, idx, v), unfolded(f, idx, v))
+        for idx, shown, v in _own_values(ctx, max_size)
+        for fname, f in MAP_FNS
+    ))
 
 
 def check_ind_agreement(
     ctx: GroupContext, max_size: int, max_depth: int
 ) -> PropertyResult:
     """Induction with value-ignoring methods computes exactly the fold."""
-    sweep = _Sweep("ind-agreement")
-    pool = _pool(ctx)
-    algs = catalogue(ctx)
-    for idx in _suite_indices(ctx, max_depth):
-        shown = render_index(idx, ctx.spec)
-        for v in enumerate_values(ctx, idx, pool, max_size):
-            for alg in algs.values():
-                lhs = eval_ind(ctx, _ignore_values(alg), idx, v)
-                rhs = eval_nfold(ctx, alg, idx, v)
-                if not sweep.check(
-                    shown,
-                    v,
-                    alg.name,
-                    _results_equal(lhs, rhs),
-                    _result_str(lhs),
-                    _result_str(rhs),
-                ):
-                    return sweep.result()
-    return sweep.result()
+    algs = catalogue(ctx).values()
+    return _sweep("ind-agreement", (
+        (shown, v, alg.name, eval_ind(ctx, _ignore_values(alg), idx, v),
+         eval_nfold(ctx, alg, idx, v))
+        for idx, shown, v in _values(ctx, _suite_indices(ctx, max_depth), max_size)
+        for alg in algs
+    ))
 
 
 def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The derived fold on an ordinary list type matches a hand-written fold."""
-    sweep = _Sweep("spine-fold-agreement")
     nil, cons = group_spine_shape(ctx)
 
     def fold_list(base, step, v: Value):
@@ -397,52 +323,42 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
         "sum": (0, lambda x, r: x + r),
         "length": (0, lambda x, r: 1 + r),
     }
-    (dc,) = ctx.app_ctor.values()
-    idx = nat_index(dc, 1)
-    shown = render_index(idx, ctx.spec)
     algs = catalogue(ctx)
-    for v in enumerate_values(ctx, idx, _pool(ctx), max_size):
-        for name, (base, step) in oracles.items():
-            lhs = nat_of(eval_nfold(ctx, algs[name], idx, v))
-            rhs = fold_list(base, step, v)
-            if not sweep.check(shown, v, name, lhs == rhs, str(lhs), str(rhs)):
-                return sweep.result()
-    return sweep.result()
+    return _sweep("spine-fold-agreement", (
+        (shown, v, name, nat_of(eval_nfold(ctx, algs[name], idx, v)),
+         fold_list(base, step, v))
+        for idx, shown, v in _own_values(ctx, max_size)
+        for name, (base, step) in oracles.items()
+    ))
 
 
 def check_call_counter(
     ctx: GroupContext, max_size: int, max_depth: int
 ) -> PropertyResult:
     """Every evaluator makes at most size(v) recursive calls on values."""
-    sweep = _Sweep("call-counter-bound")
-    pool = _pool(ctx)
-    algs = catalogue(ctx)
+    sum_alg = catalogue(ctx)["sum"]
+    sum_dep = _ignore_values(sum_alg)
     fs = {k: (lambda v: v) for k in range(ctx.spec.base_var_count)}
-    for idx in _suite_indices(ctx, max_depth):
-        shown = render_index(idx, ctx.spec)
-        for v in enumerate_values(ctx, idx, pool, max_size):
+    runs = (
+        ("nfold", lambda idx, v, c: eval_nfold(ctx, sum_alg, idx, v, c)),
+        ("nmap", lambda idx, v, c: eval_map(ctx, fs, idx, v, c)),
+        ("ind", lambda idx, v, c: eval_ind(ctx, sum_dep, idx, v, c)),
+    )
+
+    def cases():
+        for idx, shown, v in _values(ctx, _suite_indices(ctx, max_depth), max_size):
             bound = value_size(v)
-            runs = (
-                ("nfold", lambda c: eval_nfold(ctx, algs["sum"], idx, v, c)),
-                ("nmap", lambda c: eval_map(ctx, fs, idx, v, c)),
-                (
-                    "ind",
-                    lambda c: eval_ind(ctx, _ignore_values(algs["sum"]), idx, v, c),
-                ),
-            )
             for label, run in runs:
                 counter = CallCounter()
-                run(counter)
-                if not sweep.check(
-                    shown,
-                    v,
-                    label,
-                    counter.calls <= bound,
-                    f"{counter.calls} calls",
-                    f"size bound {bound}",
-                ):
-                    return sweep.result()
-    return sweep.result()
+                run(idx, v, counter)
+                yield shown, v, label, counter.calls, bound
+
+    return _sweep(
+        "call-counter-bound",
+        cases(),
+        agree=lambda calls, bound: calls <= bound,
+        show=lambda calls, bound: (f"{calls} calls", f"size bound {bound}"),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,61 @@ def test_eval_mutual_sum(capsys, tmp_path):
     assert out.strip() == "15"
 
 
+def test_eval_syntax_error_names_the_value_file(capsys, tmp_path):
+    lit = tmp_path / "x.ndv"
+    lit.write_text("[ 1, ( ]")
+    code, _, err = run(capsys, "eval", SAMPLES / "bush.ndt", lit)
+    assert code == 1
+    assert err.splitlines() == [f"{lit}:1:8: error: expected a value, found ']'"]
+
+
+def test_eval_typing_error_names_the_value_file(capsys):
+    value = SAMPLES / "bush1.ndv"
+    code, _, err = run(capsys, "eval", SAMPLES / "bush.ndt", value, "--type", "Bush Atom")
+    assert code == 1
+    lines = err.splitlines()
+    assert lines[0] == f"{value}:1:3: error: expected an atom, found 4"
+    assert all(line.startswith(f"{value}:1:") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# no input prints a traceback
+
+
+def _one_error_line(err):
+    (line,) = err.splitlines()
+    assert "error:" in line
+    assert "Traceback" not in err
+    return line
+
+
+def test_check_non_utf8_declarations(capsys, tmp_path):
+    src = tmp_path / "bad.ndt"
+    src.write_bytes(b"data T a where\n  k : T a\xff\n")
+    code, out, err = run(capsys, "check", src)
+    assert code == 2
+    assert out == ""
+    assert str(src) in _one_error_line(err)
+
+
+def test_eval_non_utf8_value(capsys, tmp_path):
+    lit = tmp_path / "bad.ndv"
+    lit.write_bytes(b"[ 1 \xff ]")
+    code, out, err = run(capsys, "eval", SAMPLES / "bush.ndt", lit)
+    assert code == 2
+    assert out == ""
+    assert str(lit) in _one_error_line(err)
+
+
+def test_eval_too_deep_value(capsys, tmp_path):
+    lit = tmp_path / "big.ndv"
+    lit.write_text("[ " + ", ".join(["1"] * 3000) + " ]\n")
+    code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit, "--type", "List Nat")
+    assert code == 1
+    assert out == ""
+    assert "too deeply" in _one_error_line(err)
+
+
 # ---------------------------------------------------------------------------
 # test
 
@@ -289,6 +344,14 @@ def test_test_mutual_group(capsys):
     code, out, _ = run(capsys, "test", SAMPLES / "bobdylan.ndt", "--max-size", "4")
     assert code == 0
     assert "ind-agreement: ok" in out
+
+
+@pytest.mark.parametrize("sample, size", [("list", 4), ("bush", 6), ("bobdylan", 3)])
+def test_test_report_matches_the_reference(capsys, sample, size):
+    code, out, err = run(capsys, "test", SAMPLES / f"{sample}.ndt", "--max-size", size)
+    assert code == 0
+    assert err == ""
+    assert out == (ROOT / "bench" / "reference" / f"{sample}@{size}.txt").read_text()
 
 
 def test_test_max_size_zero_is_a_usage_error(capsys):

@@ -210,6 +210,20 @@ def test_failure_stops_the_sweep_early(bush, monkeypatch):
     assert r.cases == 1
 
 
+def test_passing_suites_render_nothing(bush, lists, bobdylan, monkeypatch):
+    calls = []
+    real = properties.render_value
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "render_value", counted)
+    for ctx, size in ((bush, 6), (lists, 4), (bobdylan, 3)):
+        assert run_suite(ctx, size).ok
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Cross-checks against hand-held expectations
 
@@ -224,3 +238,130 @@ def test_spine_fold_matches_a_worked_example(lists, bush_report):
 def test_reports_are_frozen_dataclasses(bush_report):
     with pytest.raises(AttributeError):
         bush_report.results[0].cases = 0
+
+
+# ---------------------------------------------------------------------------
+# Every property's failure path, each made to fail by one sabotaged name
+
+
+def _leaf_instead(real):
+    """Evaluate the empty bush wherever the value argument was a bush."""
+    return lambda ctx, alg, idx, v: real(
+        ctx, alg, idx, VCon("leaf") if isinstance(v, VCon) else v
+    )
+
+
+def _zero_bases(real):
+    """A map that sends every base value to 0, whatever it was asked to do."""
+    return lambda ctx, fs, idx, v, counter=None: real(
+        ctx, {k: (lambda w: VBase(0)) for k in fs}, idx, v, counter
+    )
+
+
+def _corrupt_inner_map(real):
+    """A map that is right at the top level and off by one when nested."""
+    depth = [0]
+
+    def fake(ctx, fs, idx, v, counter=None):
+        depth[0] += 1
+        try:
+            out = real(ctx, fs, idx, v, counter)
+        finally:
+            depth[0] -= 1
+        if depth[0] > 0 and isinstance(out, VBase):
+            return VBase(out.payload + 1)
+        return out
+
+    return fake
+
+
+SABOTAGE = [
+    pytest.param(
+        "bush", "check_equivalence", (5,), "eval_nfold_prime", _leaf_instead,
+        18, Counterexample(
+            "nfold-vs-nfold-prime", "BushC varA", "cons 0 leaf", "depth", "1", "0"
+        ),
+        id="nfold-vs-nfold-prime",
+    ),
+    pytest.param(
+        "bobdylan", "check_map_identity", (4, 2), "eval_map", _zero_bases,
+        2, Counterexample("map-identity", "varA", "1", "identity", "0", "1"),
+        id="map-identity",
+    ),
+    pytest.param(
+        "bush", "check_map_composition", (5,), "eval_map", _corrupt_inner_map,
+        1, Counterexample("map-composition", "varA split 0+0", "0", "add1", "1", "2"),
+        id="map-composition",
+    ),
+    pytest.param(
+        "bush", "check_hfold_conformance", (5,), "eval_hfold_direct",
+        lambda real: lambda ctx, halg, v: real(ctx, halg, VCon("leaf")),
+        5, Counterexample(
+            "hfold-conformance", "BushC varA", "cons 0 leaf", "rebuild",
+            "cons 0 leaf", "leaf",
+        ),
+        id="hfold-conformance",
+    ),
+    pytest.param(
+        "bush", "check_hfold_leaf", (), "eval_hfold_via_nfold",
+        lambda real: lambda ctx, halg, decl, v: real(
+            ctx, halg, decl, VCon("cons", (VBase(1), VCon("leaf")))
+        ),
+        1, Counterexample(
+            "hfold-leaf-equation", "BushC varA", "leaf", "sum-naive", "1", "0"
+        ),
+        id="hfold-leaf-equation",
+    ),
+    pytest.param(
+        "bush", "check_hmap_agreement", (5,), "eval_hmap_direct",
+        lambda real: lambda ctx, f, v: real(ctx, lambda x: x, v),
+        3, Counterexample(
+            "hmap-agreement", "BushC varA", "cons 0 leaf", "add1",
+            "cons 1 leaf", "cons 0 leaf",
+        ),
+        id="hmap-agreement",
+    ),
+    pytest.param(
+        "bush", "check_hmap_cons", (5,), "eval_map",
+        lambda real: lambda ctx, fs, idx, v, counter=None: v,
+        3, Counterexample(
+            "hmap-cons-equation", "BushC varA", "cons 0 leaf", "add1",
+            "cons 0 leaf", "cons 1 leaf",
+        ),
+        id="hmap-cons-equation",
+    ),
+    pytest.param(
+        "bobdylan", "check_ind_agreement", (4, 2), "eval_ind",
+        lambda real: lambda ctx, dep, idx, v, counter=None: RNat(0),
+        3, Counterexample("ind-agreement", "varA", "0", "trace", "0", "@varA 0"),
+        id="ind-agreement",
+    ),
+    pytest.param(
+        "lists", "check_spine_fold_agreement", (4,), "eval_nfold",
+        lambda real: lambda ctx, alg, idx, v, counter=None: RNat(0),
+        4, Counterexample(
+            "spine-fold-agreement", "ListC varA", "cc 0 nil", "length", "0", "1"
+        ),
+        id="spine-fold-agreement",
+    ),
+    pytest.param(
+        "lists", "check_call_counter", (4, 2), "value_size",
+        lambda real: lambda v: -1,
+        1, Counterexample(
+            "call-counter-bound", "varA", "0", "nfold", "0 calls", "size bound -1"
+        ),
+        id="call-counter-bound",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "group, check, args, name, sabotage, cases, expected", SABOTAGE
+)
+def test_every_property_reports_its_first_failure(
+    request, monkeypatch, group, check, args, name, sabotage, cases, expected
+):
+    ctx = request.getfixturevalue(group)
+    monkeypatch.setattr(properties, name, sabotage(getattr(properties, name)))
+    r = getattr(properties, check)(ctx, *args)
+    assert (r.name, r.cases, r.counterexample) == (expected.prop, cases, expected)
