@@ -239,17 +239,17 @@ def derive_index_decl(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
     return DerivedDef(name=nm.index_name, role=role, data=DataDecl((), tuple(ctors)))
 
 
-def _type_term(t: TypeExpr) -> Term:
+def _carrier_type(t: TypeExpr, carrier: dict[str, str]) -> Term:
     match t:
         case TVar(name):
             return Var(name)
         case TApp(head, args):
-            return _v(head, *(_type_term(a) for a in args))
+            return _v(carrier.get(head, head), *(_carrier_type(a, carrier) for a in args))
     raise AssertionError
 
 
 def _ctor_type(c: Constructor) -> Term:
-    return _arrow([_type_term(a) for a in c.args] + [_type_term(c.result)])
+    return _arrow([_carrier_type(a, {}) for a in c.args] + [_carrier_type(c.result, {})])
 
 
 def derive_data_decls(ctx: GroupContext) -> list[DerivedDef]:
@@ -338,20 +338,24 @@ def _nfold_signature(ctx: GroupContext, nm: _Names) -> Pi:
     return Pi(tuple(segs))
 
 
-def derive_nfold(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
-    nm = _names(ctx, nat_index)
-    sig = _nfold_signature(ctx, nm)
-    lead_names = (
-        ["p"]
-        + [nm.method[c.name] for _, c in ctx.ctors()]
-        + list(nm.base_types)
-        + list(nm.base_fns)
-    )
+def _fold_clauses(
+    ctx: GroupContext,
+    nm: _Names,
+    name: str,
+    lead_names: list[str],
+    base_fns: tuple[str, ...],
+    val: str,
+    pass_values: bool,
+) -> tuple[Clause, ...]:
+    """The clauses of nfold and ind: a base clause per index variable, then
+    one clause per constructor that recurses as `name` into every argument.
+    With pass_values the method also receives the examined value variables."""
     lead = tuple(PVar(v) for v in lead_names)
     args = tuple(Var(v) for v in lead_names)
-    clauses = []
-    for k, vc in enumerate(nm.var_ctors):
-        clauses.append(Clause(lead + (nm.var_pattern(k), PVar("x")), _v(nm.base_fns[k], Var("x"))))
+    clauses = [
+        Clause(lead + (nm.var_pattern(k), PVar(val)), _v(bf, Var(val)))
+        for k, bf in enumerate(base_fns)
+    ]
     for d, c in ctx.ctors():
         ivs = nm.ivars(len(d.params))
         env = {k: Var(v) for k, v in enumerate(ivs)}
@@ -361,13 +365,26 @@ def derive_nfold(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
             PCon(c.name, tuple(PVar(v) for v in vvs)),
         )
         recs = [
-            _v("nfold", *args, nm.index_term(t, env), Var(v))
+            _v(name, *args, nm.index_term(t, env), Var(v))
             for t, v in zip(ctx.arg_templates[c.name], vvs)
         ]
-        body = _v(nm.method[c.name], *(Var(v) for v in ivs), *recs)
-        clauses.append(Clause(pats, body))
+        passed = ivs + vvs if pass_values else ivs
+        clauses.append(Clause(pats, _v(nm.method[c.name], *(Var(v) for v in passed), *recs)))
+    return tuple(clauses)
+
+
+def derive_nfold(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
+    nm = _names(ctx, nat_index)
+    sig = _nfold_signature(ctx, nm)
+    lead_names = (
+        ["p"]
+        + [nm.method[c.name] for _, c in ctx.ctors()]
+        + list(nm.base_types)
+        + list(nm.base_fns)
+    )
+    clauses = _fold_clauses(ctx, nm, "nfold", lead_names, nm.base_fns, "x", False)
     role = "dependently typed fold over every indexed instance"
-    return DerivedDef("nfold", role, sig, tuple(clauses))
+    return DerivedDef("nfold", role, sig, clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -428,27 +445,9 @@ def derive_ind(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
         lead_names = ["base"] + [nm.method[c.name] for _, c in ctx.ctors()]
     else:
         lead_names = [nm.method[c.name] for _, c in ctx.ctors()] + list(base_fns)
-    lead = tuple(PVar(v) for v in lead_names)
-    args = tuple(Var(v) for v in lead_names)
-    clauses = []
-    for k in range(len(nm.var_ctors)):
-        clauses.append(Clause(lead + (nm.var_pattern(k), PVar(val)), _v(base_fns[k], Var(val))))
-    for d, c in ctx.ctors():
-        ivs = nm.ivars(len(d.params))
-        env = {k: Var(v) for k, v in enumerate(ivs)}
-        vvs = nm.value_vars(len(c.args))
-        pats = lead + (
-            nm.index_pattern(d.name, ivs),
-            PCon(c.name, tuple(PVar(v) for v in vvs)),
-        )
-        recs = [
-            _v("ind", *args, nm.index_term(t, env), Var(v))
-            for t, v in zip(ctx.arg_templates[c.name], vvs)
-        ]
-        body = _v(nm.method[c.name], *(Var(v) for v in ivs), *(Var(v) for v in vvs), *recs)
-        clauses.append(Clause(pats, body))
+    clauses = _fold_clauses(ctx, nm, "ind", lead_names, base_fns, val, True)
     role = "induction principle generalizing nfold"
-    return DerivedDef("ind", role, sig, tuple(clauses))
+    return DerivedDef("ind", role, sig, clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +516,6 @@ def _derive_hmap(ctx: GroupContext, nat_index: bool) -> DerivedDef:
 
 # ---------------------------------------------------------------------------
 # Higher-order folds
-
-
-def _carrier_type(t: TypeExpr, carrier: dict[str, str]) -> Term:
-    match t:
-        case TVar(name):
-            return Var(name)
-        case TApp(head, args):
-            return _v(carrier.get(head, head), *(_carrier_type(a, carrier) for a in args))
-    raise AssertionError
 
 
 def derive_hfold(ctx: GroupContext, nat_index: bool = False) -> list[DerivedDef]:
@@ -676,8 +666,8 @@ def derive_ps_bridge(ctx: GroupContext, nat_index: bool = False) -> list[Derived
         ),
     )
 
-    leaf_decl = next(c for _, c in ctx.ctors() if c.name == leaf_ctor)
-    cons_decl = next(c for _, c in ctx.ctors() if c.name == cons_ctor)
+    leaf_decl = own.ctor(leaf_ctor)
+    cons_decl = own.ctor(cons_ctor)
     x1, x2 = nm.value_vars(2)
     foldps_sig = Pi(
         (

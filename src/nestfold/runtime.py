@@ -5,10 +5,15 @@ functions.  Functions are only ever observed by application — equality
 checks must drive them to a first-order result first.
 
 The two *direct* evaluators (eval_hfold_direct, eval_hmap_direct) transcribe
-the non-structural recursions verbatim and exist purely as oracles for the
-derived routes; they work on hybrid trees whose payload slots may already
-hold carrier results, and they carry a depth guard so that an implementation
-bug shows up as GuardExceeded instead of a hang.
+the non-structural recursions verbatim and serve as oracles for the derived
+routes.  Each recursion exists once (_hfold, _hybrid_map) and works on hybrid
+trees: a payload slot holds either a value or a carrier result, told apart by
+type, and wrap turns either into a result.  Both carry a depth guard so that
+an implementation bug shows up as GuardExceeded instead of a hang.
+
+nfold' runs as the PS bridge derives it: PS-to-P . liftNTimes hmap fold-PS,
+where fold-PS is the one direct hfold at the PS carrier and liftNTimes hmap
+is the one direct hmap.
 """
 
 from __future__ import annotations
@@ -298,15 +303,11 @@ def default_guard(v: Value, idx_depth: int = 0) -> int:
     return 10 * (value_size(v) + idx_depth) + 100
 
 
-@dataclass(frozen=True)
-class _HWrap:
-    """A carrier result sitting in a payload slot of a hybrid tree."""
-
-    result: RuntimeResult
-
-
-def _slot_result(x) -> RuntimeResult:
-    return x.result if isinstance(x, _HWrap) else wrap(x)
+def _bush(ctx: GroupContext, what: str) -> tuple[str, str]:
+    shape = bush_shape(ctx)
+    if shape is None:
+        raise EvalError(f"{what} needs a bush-shaped declaration")
+    return shape
 
 
 def eval_hfold_via_nfold(
@@ -330,26 +331,25 @@ def eval_hfold_direct(
     ctx: GroupContext, halg: HAlgebra, v: Value, guard: int | None = None
 ) -> RuntimeResult:
     """The introduction's non-structural recursion, transcribed literally."""
-    shape = bush_shape(ctx)
-    if shape is None:
-        raise EvalError("the direct higher-order fold needs a bush-shaped declaration")
-    nil, cons = shape
+    nil, cons = _bush(ctx, "the direct higher-order fold")
     limit = default_guard(v) if guard is None else guard
-    lm, cm = halg.methods[nil], halg.methods[cons]
+    return _hfold(halg.methods[nil], halg.methods[cons], v, nil, cons, 0, limit)
 
-    def go(t, depth: int) -> RuntimeResult:
-        _tick(depth, limit)
-        match t:
-            case VCon(c, ()) if c == nil:
-                return lm()
-            case VCon(c, (x, xs)) if c == cons:
-                mapped = _hybrid_map(
-                    lambda s: _HWrap(go(s, depth + 1)), xs, nil, cons, depth + 1, limit
-                )
-                return cm(_slot_result(x), go(mapped, depth + 1))
-        raise EvalError(f"direct fold met a foreign node {t!r}")
 
-    return go(v, 0)
+def _hfold(leaf, node, t, nil, cons, depth, limit):
+    """hfold l n (cons x xs) = n x (hfold l n (hmap (hfold l n) xs)).
+
+    A payload slot of t holds a value or, once mapped, a carrier result;
+    wrap tells the two apart by type."""
+    _tick(depth, limit)
+    match t:
+        case VCon(c, ()) if c == nil:
+            return leaf()
+        case VCon(c, (x, xs)) if c == cons:
+            fold = lambda s: _hfold(leaf, node, s, nil, cons, depth + 1, limit)
+            mapped = _hybrid_map(fold, xs, nil, cons, depth + 1, limit)
+            return node(wrap(x), _hfold(leaf, node, mapped, nil, cons, depth + 1, limit))
+    raise EvalError(f"direct fold met a foreign node {t!r}")
 
 
 def _hybrid_map(f, t, nil, cons, depth, limit):
@@ -375,22 +375,9 @@ def eval_hmap_direct(
     ctx: GroupContext, f: Callable[[Value], Value], v: Value, guard: int | None = None
 ) -> Value:
     """First-order direct map: hmap f (cons x xs) = cons (f x) (hmap (hmap f) xs)."""
-    shape = bush_shape(ctx)
-    if shape is None:
-        raise EvalError("the direct map needs a bush-shaped declaration")
-    nil, cons = shape
+    nil, cons = _bush(ctx, "the direct map")
     limit = default_guard(v) if guard is None else guard
-
-    def go(g: Callable[[Value], Value], t: Value, depth: int) -> Value:
-        _tick(depth, limit)
-        match t:
-            case VCon(c, ()) if c == nil:
-                return t
-            case VCon(c, (x, xs)) if c == cons:
-                return VCon(cons, (g(x), go(lambda s: go(g, s, depth + 1), xs, depth + 1)))
-        raise EvalError(f"direct map met a foreign node {t!r}")
-
-    return go(f, v, 0)
+    return _hybrid_map(f, v, nil, cons, 0, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -400,77 +387,55 @@ def eval_hmap_direct(
 def eval_nfold_prime(
     ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value
 ) -> RuntimeResult:
-    """Evaluate by lifting into the function-space carrier and projecting out.
+    """nfold' = PS-to-P . liftNTimes hmap fold-PS, as the PS bridge derives it.
 
-    The carrier for one level is a function taking a level number and a
-    continuation for the level below; lifting folds every level of the value
-    into such functions, and the projection peels them off level by level.
+    fold-PS is the direct hfold at the PS carrier: a function taking a level
+    number and a continuation for the level below.  Lifting maps fold-PS
+    through every level of the value, and PS-to-P peels the levels off.
     """
     check_algebra(ctx, alg)
-    shape = bush_shape(ctx)
-    if shape is None:
-        raise EvalError("the function-space route needs a bush-shaped declaration")
-    nil, cons = shape
+    nil, cons = _bush(ctx, "the function-space route")
     dc = ctx.app_ctor[ctx.group.decls[0]]
     depth = index_depth(idx)
     if idx != nat_index(dc, depth):
         raise EvalError("index must be an iterated application over the base slot")
     limit = default_guard(v, depth)
 
-    def method(name, iargs, rs):
-        return alg.methods[name](iargs, rs)
+    def leaf() -> RuntimeResult:
+        # λ i tr → leaf' i
+        return RFun(
+            lambda n: RFun(lambda tr: alg.methods[nil]((nat_index(dc, nat_of(n)),), ()))
+        )
 
-    def fold_ps(t, d: int) -> RuntimeResult:
-        _tick(d, limit)
-        match t:
-            case VCon(c, ()) if c == nil:
-                return RFun(
-                    lambda n: RFun(
-                        lambda tr: method(nil, (nat_index(dc, nat_of(n)),), ())
-                    )
+    def node(x: RuntimeResult, xs: RuntimeResult) -> RuntimeResult:
+        # λ x xs i tr → cons' i (tr x) (xs (succ i) (λ f → f i tr))
+        def at_level(n):
+            def with_continuation(tr):
+                r1 = apply_result(tr, x)
+                deeper = apply_result(
+                    apply_result(xs, RNat(nat_succ(nat_of(n)))),
+                    RFun(lambda f: apply_result(apply_result(f, n), tr)),
                 )
-            case VCon(c, (x, xs)) if c == cons:
-                mapped = _hybrid_map(
-                    lambda s: _HWrap(fold_ps(s, d + 1)), xs, nil, cons, d + 1, limit
-                )
-                xs_r = fold_ps(mapped, d + 1)
-                x_slot = x
+                return alg.methods[cons]((nat_index(dc, nat_of(n)),), (r1, deeper))
 
-                def at_level(n):
-                    def with_continuation(tr):
-                        r1 = apply_result(tr, _slot_result(x_slot))
-                        deeper = apply_result(
-                            apply_result(xs_r, RNat(nat_succ(nat_of(n)))),
-                            RFun(lambda f: apply_result(apply_result(f, n), tr)),
-                        )
-                        return method(cons, (nat_index(dc, nat_of(n)),), (r1, deeper))
+            return RFun(with_continuation)
 
-                    return RFun(with_continuation)
-
-                return RFun(at_level)
-        raise EvalError(f"function-space fold met a foreign node {t!r}")
+        return RFun(at_level)
 
     def lift(d: int, t):
         if d == 0:
             return t
-        mapped = _hybrid_map(
-            lambda s: _as_slot(lift(d - 1, s)), t, nil, cons, 1, limit
-        )
-        return fold_ps(mapped, 0)
+        mapped = _hybrid_map(lambda s: lift(d - 1, s), t, nil, cons, 1, limit)
+        return _hfold(leaf, node, mapped, nil, cons, 0, limit)
 
     def ps_to_p(m: int, x) -> RuntimeResult:
         if m == 0:
-            return alg.bases[0](as_value(_slot_result(x)))
-        hyp = _slot_result(x)
+            return alg.bases[0](as_value(x))
         return apply_result(
-            apply_result(hyp, RNat(m - 1)), RFun(lambda r: ps_to_p(m - 1, r))
+            apply_result(x, RNat(m - 1)), RFun(lambda r: ps_to_p(m - 1, r))
         )
 
     return ps_to_p(depth, lift(depth, v))
-
-
-def _as_slot(x):
-    return _HWrap(x) if isinstance(x, (RNat, RTree, RFun)) else x
 
 
 # ---------------------------------------------------------------------------

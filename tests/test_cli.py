@@ -1,5 +1,8 @@
 """End-to-end CLI tests, run in-process through main()."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,19 @@ def test_check_bush(capsys):
     code, out, _ = run(capsys, "check", SAMPLES / "bush.ndt")
     assert code == 0
     assert out.strip() == "Bush: nested, index ≅ Nat"
+
+
+def test_check_as_a_module_warns_nothing():
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestfold.cli", "check", str(SAMPLES / "bush.ndt")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "Bush: nested, index ≅ Nat"
+    assert proc.stderr == ""
 
 
 def test_check_list(capsys):
@@ -117,7 +133,9 @@ def test_derive_bobdylan_matches_golden_and_reports_skip(capsys, tmp_path):
 def test_derive_list_reports_skip(capsys, tmp_path):
     code, out, _ = run(capsys, "derive", SAMPLES / "list.ndt", "-o", tmp_path)
     assert code == 0
-    assert (tmp_path / "List.agda").exists()
+    assert (tmp_path / "List.agda").read_bytes() == (
+        ROOT / "bench" / "reference" / "List.agda"
+    ).read_bytes()
     assert "hfold-list" in out
     assert "PS bridge: skipped" in out
 

@@ -400,6 +400,8 @@ def test_guard_converts_runaway_recursion_into_an_error(bush, bush1):
     halg = halg_catalogue(bush)["sum-naive"]
     with pytest.raises(GuardExceeded):
         eval_hfold_direct(bush, halg, bush1, guard=1)
+    with pytest.raises(GuardExceeded):
+        eval_hmap_direct(bush, add_one, bush1, guard=1)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +428,21 @@ def test_nfold_prime_agrees_with_nfold_on_a_sample(bush):
                 )
 
 
-def test_nfold_prime_rejects_non_bush_shapes(bobdylan):
-    alg = catalogue(bobdylan)["sum"]
-    v = VCon("robert", (VBase(1),))
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda ctx, v: eval_nfold_prime(
+            ctx, catalogue(ctx)["sum"], IApp("BobC", (IVar(0),)), v
+        ),
+        # the shape check comes before the algebra is looked at
+        lambda ctx, v: eval_hfold_direct(ctx, None, v),
+        lambda ctx, v: eval_hmap_direct(ctx, add_one, v),
+    ],
+    ids=["eval_nfold_prime", "eval_hfold_direct", "eval_hmap_direct"],
+)
+def test_nfold_prime_rejects_non_bush_shapes(bobdylan, evaluate):
     with pytest.raises(EvalError, match="bush-shaped"):
-        eval_nfold_prime(bobdylan, alg, IApp("BobC", (IVar(0),)), v)
+        evaluate(bobdylan, VCon("robert", (VBase(1),)))
 
 
 # ---------------------------------------------------------------------------
