@@ -79,8 +79,10 @@ class GroupContext:
     decls: dict[str, TypeDecl] = field(compare=False)
     app_ctor: dict[str, str] = field(compare=False)  # decl name -> index ctor
     decl_of_app: dict[str, str] = field(compare=False)  # index ctor -> decl name
-    owner: dict[str, str] = field(compare=False)  # value ctor -> decl name
     arg_templates: dict[str, tuple[IndexExpr, ...]] = field(compare=False)
+    _ctors_at: dict[IApp, dict[str, tuple[IndexExpr, ...]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def name(self) -> str:
@@ -89,6 +91,22 @@ class GroupContext:
     def ctors(self) -> list[tuple[TypeDecl, Constructor]]:
         """All (decl, constructor) pairs, declaration order then source order."""
         return [(d, c) for n in self.group.decls for d in [self.decls[n]] for c in d.ctors]
+
+    def ctors_at(self, idx: IApp) -> dict[str, tuple[IndexExpr, ...]]:
+        """The typing rule: each constructor of idx's declaration, in source
+        order, mapped to the indices of its arguments at idx.  Kept per index."""
+        table = self._ctors_at.get(idx)
+        if table is None:
+            d = self.decls[self.decl_of_app[idx.ctor]]
+            table = self._ctors_at[idx] = {
+                c.name: tuple(subst_index(t, idx.args) for t in self.arg_templates[c.name])
+                for c in d.ctors
+            }
+        return table
+
+    def own_index(self, name: str) -> IApp:
+        """The declaration's own index: name applied to its parameters' slots."""
+        return IApp(self.app_ctor[name], tuple(IVar(k) for k in range(len(self.decls[name].params))))
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +316,12 @@ def group_context(program: Program, group: MutualGroup) -> GroupContext:
         decls[n] = d
     app_ctor = {n: c for n, (c, _) in zip(group.decls, spec.app_ctors)}
     decl_of_app = {v: k for k, v in app_ctor.items()}
-    owner: dict[str, str] = {}
-    templates: dict[str, tuple[IndexExpr, ...]] = {}
-    for n in group.decls:
-        d = decls[n]
-        for c in d.ctors:
-            owner[c.name] = n
-            templates[c.name] = tuple(
-                type_to_index(t, d.params, app_ctor) for t in c.args
-            )
-    return GroupContext(program, group, spec, decls, app_ctor, decl_of_app, owner, templates)
+    templates = {
+        c.name: tuple(type_to_index(t, d.params, app_ctor) for t in c.args)
+        for d in decls.values()
+        for c in d.ctors
+    }
+    return GroupContext(program, group, spec, decls, app_ctor, decl_of_app, templates)
 
 
 def analyze(program: Program) -> list[GroupContext]:

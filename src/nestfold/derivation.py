@@ -207,8 +207,7 @@ class _Names:
         return _v("I", *carriers, *bases, ix)
 
     def result_index(self, decl: TypeDecl, env: dict[int, Term]) -> Term:
-        tmpl = IApp(self.ctx.app_ctor[decl.name], tuple(IVar(k) for k in range(len(decl.params))))
-        return self.index_term(tmpl, env)
+        return self.index_term(self.ctx.own_index(decl.name), env)
 
 
 def _names(ctx: GroupContext, nat: bool) -> _Names:
@@ -501,7 +500,7 @@ def derive_map(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
 def _derive_hmap(ctx: GroupContext, nat_index: bool) -> DerivedDef:
     nm = _names(ctx, nat_index)
     dn = ctx.group.decls[0]
-    one = nm.index_term(IApp(ctx.app_ctor[dn], (IVar(0),)), {0: Var(nm.var_ctors[0])})
+    one = nm.index_term(ctx.own_index(dn), {0: Var(nm.var_ctors[0])})
     sig = Pi(
         (
             Binder(("a", "b"), SET, implicit=True),

@@ -136,8 +136,7 @@ def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
 
 def _own_values(ctx: GroupContext, max_size: int):
     """_values at the single declaration applied to its own parameter."""
-    (dc,) = ctx.app_ctor.values()
-    return _values(ctx, [nat_index(dc, 1)], max_size)
+    return _values(ctx, [ctx.own_index(ctx.group.decls[0])], max_size)
 
 
 def _agree(lhs: object, rhs: object) -> bool:
@@ -257,7 +256,7 @@ def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
     """On the nullary constructor the higher-order fold is its nil method."""
     decl = ctx.group.decls[0]
     nil, _ = bush_shape(ctx)
-    shown = render_index(nat_index(ctx.app_ctor[decl], 1), ctx.spec)
+    shown = render_index(ctx.own_index(decl), ctx.spec)
     v = VCon(nil)
     return _sweep("hfold-leaf-equation", (
         (shown, v, halg.name,

@@ -1,8 +1,10 @@
 """Execute derived folds on concrete values.
 
-Carriers are represented by RuntimeResult: naturals, value trees, or opaque
-functions.  Functions are only ever observed by application — equality
-checks must drive them to a first-order result first.
+Typing, nfold, ind and enumeration place constructor arguments at their
+indices by one rule, GroupContext.ctors_at.  Carriers are represented by
+RuntimeResult: naturals, value trees, or opaque functions.  Functions are
+only ever observed by application — equality checks must drive them to a
+first-order result first.
 
 The two *direct* evaluators (eval_hfold_direct, eval_hmap_direct) transcribe
 the non-structural recursions verbatim and serve as oracles for the derived
@@ -31,7 +33,6 @@ from .analysis import (
     group_spine_shape,
     index_depth,
     nat_index,
-    subst_index,
 )
 from .diagnostics import Diagnostic, EvalError, GuardExceeded
 from .parser import NAT_MAX, Atom, Value, VBase, VCon, render_value, value_size
@@ -180,31 +181,25 @@ def typecheck_value(
     def go(i: IndexExpr, w: Value) -> None:
         match i:
             case IVar(k):
-                kind = universes.get(k, "nat")
+                nat = universes.get(k, "nat") == "nat"
+                what = "a natural" if nat else "an atom"
                 match w:
-                    case VBase(payload):
-                        is_nat = isinstance(payload, int)
-                        if kind == "nat" and not is_nat:
-                            report(f"expected a natural, found {payload}", w)
-                        elif kind == "atom" and is_nat:
-                            report(f"expected an atom, found {payload}", w)
+                    case VBase(payload) if isinstance(payload, int) != nat:
+                        report(f"expected {what}, found {payload}", w)
                     case VCon(c, _):
-                        report(
-                            f"expected a base value at {ctx.spec.var_ctors[k]}, "
-                            f"found constructor {c!r}",
-                            w,
-                        )
-            case IApp(ic, iargs):
+                        report(f"expected {what}, found constructor {c!r}", w)
+            case IApp(ic, _):
                 decl = ctx.decl_of_app[ic]
                 match w:
                     case VBase(payload):
                         report(f"expected a {decl} constructor, found base value {payload}", w)
                     case VCon(c, args):
-                        if ctx.owner.get(c) != decl:
+                        at = ctx.ctors_at(i).get(c)
+                        if at is None:
                             report(f"expected a {decl} constructor, found {c!r}", w)
                             return
-                        for tmpl, sub in zip(ctx.arg_templates[c], args):
-                            go(subst_index(tmpl, iargs), sub)
+                        for t, sub in zip(at, args):
+                            go(t, sub)
 
     go(idx, v)
     return out
@@ -229,19 +224,23 @@ def _nfold(ctx, alg, idx, v, counter):
     match idx:
         case IVar(k):
             return alg.bases[k](v)
-        case IApp(ic, iargs):
-            decl = ctx.decl_of_app[ic]
-            if not isinstance(v, VCon) or ctx.owner.get(v.ctor) != decl:
-                raise EvalError(
-                    f"value {render_value(v)} does not inhabit a {decl} index"
-                )
+        case IApp(_, iargs):
             rs = []
-            for tmpl, sub in zip(ctx.arg_templates[v.ctor], v.args):
+            for t, sub in zip(_args_at(ctx, idx, v), v.args):
                 if counter is not None and isinstance(sub, VCon):
                     counter.calls += 1
-                rs.append(_nfold(ctx, alg, subst_index(tmpl, iargs), sub, counter))
+                rs.append(_nfold(ctx, alg, t, sub, counter))
             return alg.methods[v.ctor](iargs, tuple(rs))
     raise AssertionError
+
+
+def _args_at(ctx: GroupContext, idx: IApp, v: Value) -> tuple[IndexExpr, ...]:
+    """The indices of v's arguments at idx, or the error that v is not there."""
+    at = ctx.ctors_at(idx).get(v.ctor) if isinstance(v, VCon) else None
+    if at is None:
+        decl = ctx.decl_of_app[idx.ctor]
+        raise EvalError(f"value {render_value(v)} does not inhabit a {decl} index")
+    return at
 
 
 def eval_map(
@@ -278,17 +277,12 @@ def eval_ind(
         match i:
             case IVar(k):
                 return dep.bases[k](w)
-            case IApp(ic, iargs):
-                decl = ctx.decl_of_app[ic]
-                if not isinstance(w, VCon) or ctx.owner.get(w.ctor) != decl:
-                    raise EvalError(
-                        f"value {render_value(w)} does not inhabit a {decl} index"
-                    )
+            case IApp(_, iargs):
                 rs = []
-                for tmpl, sub in zip(ctx.arg_templates[w.ctor], w.args):
+                for t, sub in zip(_args_at(ctx, i, w), w.args):
                     if counter is not None and isinstance(sub, VCon):
                         counter.calls += 1
-                    rs.append(go(subst_index(tmpl, iargs), sub))
+                    rs.append(go(t, sub))
                 return dep.methods[w.ctor](iargs, w.args, tuple(rs))
         raise AssertionError
 
@@ -314,7 +308,6 @@ def eval_hfold_via_nfold(
     ctx: GroupContext, halg: HAlgebra, decl_name: str, v: Value
 ) -> RuntimeResult:
     """hfold as nfold at the declaration's own index with identity bases."""
-    decl = ctx.decls[decl_name]
     alg = Algebra(
         f"hfold-{halg.name}",
         bases={k: wrap for k in range(ctx.spec.base_var_count)},
@@ -323,8 +316,7 @@ def eval_hfold_via_nfold(
             for _, c in ctx.ctors()
         },
     )
-    idx = IApp(ctx.app_ctor[decl_name], tuple(IVar(k) for k in range(len(decl.params))))
-    return eval_nfold(ctx, alg, idx, v)
+    return eval_nfold(ctx, alg, ctx.own_index(decl_name), v)
 
 
 def eval_hfold_direct(
@@ -461,17 +453,13 @@ def enumerate_values(
             case IVar(k):
                 if size == 0:
                     out.extend(pool[k])
-            case IApp(ic, iargs):
+            case IApp():
                 if size > 0:
-                    decl = ctx.decl_of_app[ic]
-                    for c in ctx.decls[decl].ctors:
-                        templates = [
-                            subst_index(t, iargs) for t in ctx.arg_templates[c.name]
-                        ]
-                        for split in _splits(size - 1, len(templates)):
-                            pools = [exact(t, s) for t, s in zip(templates, split)]
+                    for c, at in ctx.ctors_at(i).items():
+                        for split in _splits(size - 1, len(at)):
+                            pools = [exact(t, s) for t, s in zip(at, split)]
                             for combo in itertools.product(*pools):
-                                out.append(VCon(c.name, combo))
+                                out.append(VCon(c, combo))
         memo[key] = tuple(out)
         return memo[key]
 

@@ -271,7 +271,15 @@ def test_arg_templates_cover_every_constructor(bobdylan_ctx):
         IApp("BobC", (IVar(0),)),
         IApp("BobC", (IVar(1),)),
     )
-    assert bobdylan_ctx.owner["minnesota"] == "Dylan"
+
+
+def test_ctors_at_places_arguments_at_their_indices(bobdylan_ctx):
+    a, b = IVar(0), IVar(1)
+    bob = lambda i: IApp("BobC", (i,))
+    at = bobdylan_ctx.ctors_at(IApp("DylanC", (bob(a), b)))
+    assert list(at) == ["duluth", "minnesota"]
+    assert at["duluth"] == (bob(bob(a)), bob(b))
+    assert at["minnesota"] == (IApp("DylanC", (bob(bob(a)), bob(b))),)
 
 
 # ---------------------------------------------------------------------------

@@ -260,7 +260,18 @@ def test_eval_ill_typed_value(capsys, tmp_path):
     lit.write_text("[ [ 1 ] ]\n")  # an element must be a plain natural at Bush Nat
     code, _, err = run(capsys, "eval", SAMPLES / "bush.ndt", lit, "--algebra", "sum")
     assert code == 1
-    assert "expected a base value" in err
+    assert "1:3: error: expected a natural, found constructor 'cons'" in err
+
+
+def test_eval_names_the_universe_not_the_index_slot(capsys):
+    code, _, err = run(
+        capsys, "eval", SAMPLES / "list.ndt", SAMPLES / "bush1.ndv",
+        "--type", "List (List Nat)",
+    )
+    assert code == 1
+    lines = err.splitlines()
+    assert f"{SAMPLES / 'bush1.ndv'}:1:11: error: expected a natural, found constructor 'cc'" in lines
+    assert "varA" not in err
 
 
 def test_eval_unknown_algebra(capsys):
@@ -364,7 +375,10 @@ def test_test_mutual_group(capsys):
     assert "ind-agreement: ok" in out
 
 
-@pytest.mark.parametrize("sample, size", [("list", 4), ("bush", 6), ("bobdylan", 3)])
+@pytest.mark.parametrize(
+    "sample, size",
+    [("list", 4), ("list", 6), ("bush", 6), ("bush", 8), ("bobdylan", 3), ("bobdylan", 4)],
+)
 def test_test_report_matches_the_reference(capsys, sample, size):
     code, out, err = run(capsys, "test", SAMPLES / f"{sample}.ndt", "--max-size", size)
     assert code == 0

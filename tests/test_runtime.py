@@ -155,7 +155,7 @@ def test_typecheck_rejects_base_at_constructor_index(bush):
 
 def test_typecheck_rejects_constructor_at_base_index(bush):
     diags = typecheck_value(bush, IVar(0), NAT_KINDS, VCon("leaf"))
-    assert len(diags) == 1 and "expected a base value" in diags[0].message
+    assert [d.message for d in diags] == ["expected a natural, found constructor 'leaf'"]
 
 
 def test_typecheck_universe_kinds(bush):
@@ -347,6 +347,41 @@ def test_ind_sees_the_examined_subvalues(bush, bush1):
 def test_ind_base_case_applies_base_directly(bush):
     dep = _const_dep(catalogue(bush)["sum"])
     assert eval_ind(bush, dep, IVar(0), VBase(6)) == RNat(6)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda ctx, v: eval_nfold(ctx, catalogue(ctx)["sum"], bushc(1), v),
+        lambda ctx, v: eval_ind(ctx, _const_dep(catalogue(ctx)["sum"]), bushc(1), v),
+    ],
+    ids=["eval_nfold", "eval_ind"],
+)
+@pytest.mark.parametrize(
+    "v, shown",
+    [(VCon("robert", (VBase(1),)), "robert 1"), (VBase(4), "4")],
+    ids=["foreign-constructor", "base-value"],
+)
+def test_a_value_off_its_index_is_one_error(bush, evaluate, v, shown):
+    with pytest.raises(EvalError, match=f"^value {shown} does not inhabit a Bush index$"):
+        evaluate(bush, v)
+
+
+def test_a_second_fold_substitutes_no_index(bush1, monkeypatch):
+    import nestfold.analysis as analysis
+
+    (ctx,) = analyze(parse_program(BUSH))
+    alg = catalogue(ctx)["sum"]
+    calls = []
+    real = analysis.subst_index
+    monkeypatch.setattr(
+        analysis, "subst_index", lambda e, iargs: calls.append(e) or real(e, iargs)
+    )
+    assert eval_nfold(ctx, alg, bushc(1), bush1) == RNat(34)
+    assert calls
+    calls.clear()
+    assert eval_nfold(ctx, alg, bushc(1), bush1) == RNat(34)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
