@@ -83,6 +83,10 @@ class GroupContext:
     _ctors_at: dict[IApp, dict[str, tuple[IndexExpr, ...]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    #: Exact-size value pools per base pool and (index, size); see enumerate_values.
+    pools: dict[tuple, dict[tuple[IndexExpr, int], tuple]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def name(self) -> str:
@@ -92,17 +96,17 @@ class GroupContext:
         """All (decl, constructor) pairs, declaration order then source order."""
         return [(d, c) for n in self.group.decls for d in [self.decls[n]] for c in d.ctors]
 
-    def ctors_at(self, idx: IApp) -> dict[str, tuple[IndexExpr, ...]]:
-        """The typing rule: each constructor of idx's declaration, in source
-        order, mapped to the indices of its arguments at idx.  Kept per index."""
+    def ctors_at(self, idx: IApp, c: str) -> tuple[IndexExpr, ...] | None:
+        """The typing rule: the indices of constructor c's arguments at idx,
+        or None when c is not a constructor of idx's declaration.  Kept per
+        (index, constructor) and substituted on first use."""
         table = self._ctors_at.get(idx)
         if table is None:
-            d = self.decls[self.decl_of_app[idx.ctor]]
-            table = self._ctors_at[idx] = {
-                c.name: tuple(subst_index(t, idx.args) for t in self.arg_templates[c.name])
-                for c in d.ctors
-            }
-        return table
+            table = self._ctors_at[idx] = {}
+        at = table.get(c)
+        if at is None and self.decls[self.decl_of_app[idx.ctor]].ctor(c) is not None:
+            at = table[c] = tuple(subst_index(t, idx.args) for t in self.arg_templates[c])
+        return at
 
     def own_index(self, name: str) -> IApp:
         """The declaration's own index: name applied to its parameters' slots."""
@@ -123,7 +127,7 @@ def well_formed(program: Program) -> list[Diagnostic]:
 
     def report(msg: str, pos: tuple[int, int] | None) -> None:
         line, col = pos if pos else (None, None)
-        out.append(Diagnostic(msg, "error", line, col, program.source))
+        out.append(Diagnostic(msg, line, col, program.source))
 
     arity: dict[str, int] = {}
     for d in program.decls:
@@ -404,6 +408,19 @@ def bush_shape(ctx: GroupContext) -> tuple[str, str] | None:
         return None
     dc = ctx.app_ctor[ctx.group.decls[0]]
     if ctx.arg_templates[shape[1]] != (IVar(0), nat_index(dc, 2)):
+        return None
+    return shape
+
+
+def list_shape(ctx: GroupContext) -> tuple[str, str] | None:
+    """(nil ctor, cons ctor) when the group is a single list declaration: a
+    spine whose binary constructor takes a base value and the declaration
+    at its own index, in that order."""
+    shape = group_spine_shape(ctx)
+    if shape is None:
+        return None
+    own = ctx.own_index(ctx.group.decls[0])
+    if ctx.arg_templates[shape[1]] != (IVar(0), own):
         return None
     return shape
 

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """A single `file:line:col: severity: message` report."""
+    """A single `file:line:col: error: message` report."""
 
     message: str
-    severity: str = "error"
     line: int | None = None
     col: int | None = None
     file: str | None = None
@@ -20,7 +19,7 @@ class Diagnostic:
             where = f"{self.file or '<input>'}:{self.line}:{self.col}: "
         else:
             where = ""
-        return f"{where}{self.severity}: {self.message}"
+        return f"{where}error: {self.message}"
 
 
 class NestfoldError(Exception):
@@ -39,7 +38,7 @@ class ParseError(NestfoldError):
 
     @property
     def diagnostic(self) -> Diagnostic:
-        return Diagnostic(self.message, "error", self.line, self.col, self.file)
+        return Diagnostic(self.message, self.line, self.col, self.file)
 
     def __str__(self) -> str:
         return self.diagnostic.render()

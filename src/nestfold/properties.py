@@ -16,7 +16,7 @@ from .analysis import (
     IndexExpr,
     bush_shape,
     enumerate_indices,
-    group_spine_shape,
+    list_shape,
     nat_index,
     render_index,
 )
@@ -116,11 +116,14 @@ MAP_FNS: tuple[tuple[str, Callable[[Value], Value]], ...] = (
 )
 
 
-def _suite_indices(ctx: GroupContext, max_depth: int) -> list[IndexExpr]:
+def _suite_indices(ctx: GroupContext) -> list[IndexExpr]:
+    """The index family: depths up to 3 when the index universe is a copy of
+    the naturals, up to 2 otherwise (multi-variable index universes grow too
+    quickly for an exhaustive deeper sweep)."""
     if nat_index_eligible(ctx):
         (dc,) = ctx.app_ctor.values()
-        return [nat_index(dc, d) for d in range(max_depth + 1)]
-    return enumerate_indices(ctx.spec, max_depth)
+        return [nat_index(dc, d) for d in range(4)]
+    return enumerate_indices(ctx.spec, 2)
 
 
 def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
@@ -200,24 +203,20 @@ def _ignore_values(alg: Algebra) -> DepAlgebra:
 def check_equivalence(ctx: GroupContext, max_size: int) -> PropertyResult:
     """eval_nfold and the function-space route agree on every case."""
     algs = catalogue(ctx).values()
-    (dc,) = ctx.app_ctor.values()
-    indices = [nat_index(dc, depth) for depth in range(4)]
     return _sweep("nfold-vs-nfold-prime", (
         (shown, v, alg.name, eval_nfold(ctx, alg, idx, v),
          eval_nfold_prime(ctx, alg, idx, v))
-        for idx, shown, v in _values(ctx, indices, max_size)
+        for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size)
         for alg in algs
     ))
 
 
-def check_map_identity(
-    ctx: GroupContext, max_size: int, max_depth: int
-) -> PropertyResult:
+def check_map_identity(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Mapping the identity over every slot returns the value unchanged."""
     fs = {k: (lambda v: v) for k in range(ctx.spec.base_var_count)}
     return _sweep("map-identity", (
         (shown, v, "identity", eval_map(ctx, fs, idx, v), v)
-        for idx, shown, v in _values(ctx, _suite_indices(ctx, max_depth), max_size)
+        for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size)
     ))
 
 
@@ -293,22 +292,19 @@ def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
     ))
 
 
-def check_ind_agreement(
-    ctx: GroupContext, max_size: int, max_depth: int
-) -> PropertyResult:
+def check_ind_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Induction with value-ignoring methods computes exactly the fold."""
-    algs = catalogue(ctx).values()
+    algs = [(alg, _ignore_values(alg)) for alg in catalogue(ctx).values()]
     return _sweep("ind-agreement", (
-        (shown, v, alg.name, eval_ind(ctx, _ignore_values(alg), idx, v),
-         eval_nfold(ctx, alg, idx, v))
-        for idx, shown, v in _values(ctx, _suite_indices(ctx, max_depth), max_size)
-        for alg in algs
+        (shown, v, alg.name, eval_ind(ctx, dep, idx, v), eval_nfold(ctx, alg, idx, v))
+        for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size)
+        for alg, dep in algs
     ))
 
 
 def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The derived fold on an ordinary list type matches a hand-written fold."""
-    nil, cons = group_spine_shape(ctx)
+    nil, cons = list_shape(ctx)
 
     def fold_list(base, step, v: Value):
         match v:
@@ -331,9 +327,7 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
     ))
 
 
-def check_call_counter(
-    ctx: GroupContext, max_size: int, max_depth: int
-) -> PropertyResult:
+def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Every evaluator makes at most size(v) recursive calls on values."""
     sum_alg = catalogue(ctx)["sum"]
     sum_dep = _ignore_values(sum_alg)
@@ -345,7 +339,7 @@ def check_call_counter(
     )
 
     def cases():
-        for idx, shown, v in _values(ctx, _suite_indices(ctx, max_depth), max_size):
+        for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size):
             bound = value_size(v)
             for label, run in runs:
                 counter = CallCounter()
@@ -364,25 +358,16 @@ def check_call_counter(
 # The suite
 
 
-def run_suite(
-    ctx: GroupContext, max_size: int, max_depth: int | None = None
-) -> SuiteReport:
-    """Run every property applicable to the group, deterministically.
-
-    max_depth bounds the index family; it defaults to 3 for groups whose
-    index universe is a copy of the naturals and 2 otherwise (multi-variable
-    index universes grow too quickly for an exhaustive deeper sweep).
-    """
+def run_suite(ctx: GroupContext, max_size: int) -> SuiteReport:
+    """Run every property applicable to the group, deterministically."""
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    if max_depth is None:
-        max_depth = 3 if nat_index_eligible(ctx) else 2
 
     results: list[PropertyResult] = []
     bushy = bush_shape(ctx) is not None
     if bushy:
         results.append(check_equivalence(ctx, max_size))
-    results.append(check_map_identity(ctx, max_size, max_depth))
+    results.append(check_map_identity(ctx, max_size))
     if nat_index_eligible(ctx):
         results.append(check_map_composition(ctx, max_size))
     if bushy:
@@ -390,8 +375,8 @@ def run_suite(
         results.append(check_hfold_leaf(ctx))
         results.append(check_hmap_agreement(ctx, max_size))
         results.append(check_hmap_cons(ctx, max_size))
-    results.append(check_ind_agreement(ctx, max_size, max_depth))
-    if not ctx.group.nested and group_spine_shape(ctx) is not None:
+    results.append(check_ind_agreement(ctx, max_size))
+    if list_shape(ctx) is not None:
         results.append(check_spine_fold_agreement(ctx, max_size))
-    results.append(check_call_counter(ctx, max_size, max_depth))
+    results.append(check_call_counter(ctx, max_size))
     return SuiteReport(ctx.name, max_size, tuple(results))

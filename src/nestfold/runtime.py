@@ -1,7 +1,10 @@
 """Execute derived folds on concrete values.
 
 Typing, nfold, ind and enumeration place constructor arguments at their
-indices by one rule, GroupContext.ctors_at.  Carriers are represented by
+indices by one rule, GroupContext.ctors_at, which substitutes each (index,
+constructor) pair once, when it is first met.  Enumeration keeps its
+exact-size pools on the GroupContext, so each (index, size) pool of a base
+pool is built once per context.  Carriers are represented by
 RuntimeResult: naturals, value trees, or opaque functions.  Functions are
 only ever observed by application — equality checks must drive them to a
 first-order result first.
@@ -176,7 +179,7 @@ def typecheck_value(
 
     def report(msg: str, at: Value) -> None:
         line, col = at.pos if at.pos else (None, None)
-        out.append(Diagnostic(msg, "error", line, col))
+        out.append(Diagnostic(msg, line, col))
 
     def go(i: IndexExpr, w: Value) -> None:
         match i:
@@ -194,7 +197,7 @@ def typecheck_value(
                     case VBase(payload):
                         report(f"expected a {decl} constructor, found base value {payload}", w)
                     case VCon(c, args):
-                        at = ctx.ctors_at(i).get(c)
+                        at = ctx.ctors_at(i, c)
                         if at is None:
                             report(f"expected a {decl} constructor, found {c!r}", w)
                             return
@@ -236,7 +239,7 @@ def _nfold(ctx, alg, idx, v, counter):
 
 def _args_at(ctx: GroupContext, idx: IApp, v: Value) -> tuple[IndexExpr, ...]:
     """The indices of v's arguments at idx, or the error that v is not there."""
-    at = ctx.ctors_at(idx).get(v.ctor) if isinstance(v, VCon) else None
+    at = ctx.ctors_at(idx, v.ctor) if isinstance(v, VCon) else None
     if at is None:
         decl = ctx.decl_of_app[idx.ctor]
         raise EvalError(f"value {render_value(v)} does not inhabit a {decl} index")
@@ -441,8 +444,9 @@ def enumerate_values(
     max_size: int,
 ) -> list[Value]:
     """Every value of idx with at most max_size constructor nodes,
-    sizes ascending, then constructor order, then argument order."""
-    memo: dict[tuple[IndexExpr, int], tuple[Value, ...]] = {}
+    sizes ascending, then constructor order, then argument order.  The
+    exact-size pools are kept on ctx, one set per base pool."""
+    memo = ctx.pools.setdefault(tuple(sorted(pool.items())), {})
 
     def exact(i: IndexExpr, size: int) -> tuple[Value, ...]:
         key = (i, size)
@@ -455,11 +459,12 @@ def enumerate_values(
                     out.extend(pool[k])
             case IApp():
                 if size > 0:
-                    for c, at in ctx.ctors_at(i).items():
+                    for c in ctx.decls[ctx.decl_of_app[i.ctor]].ctors:
+                        at = ctx.ctors_at(i, c.name)
                         for split in _splits(size - 1, len(at)):
                             pools = [exact(t, s) for t, s in zip(at, split)]
                             for combo in itertools.product(*pools):
-                                out.append(VCon(c, combo))
+                                out.append(VCon(c.name, combo))
         memo[key] = tuple(out)
         return memo[key]
 

@@ -276,10 +276,10 @@ def test_arg_templates_cover_every_constructor(bobdylan_ctx):
 def test_ctors_at_places_arguments_at_their_indices(bobdylan_ctx):
     a, b = IVar(0), IVar(1)
     bob = lambda i: IApp("BobC", (i,))
-    at = bobdylan_ctx.ctors_at(IApp("DylanC", (bob(a), b)))
-    assert list(at) == ["duluth", "minnesota"]
-    assert at["duluth"] == (bob(bob(a)), bob(b))
-    assert at["minnesota"] == (IApp("DylanC", (bob(bob(a)), bob(b))),)
+    at = IApp("DylanC", (bob(a), b))
+    assert bobdylan_ctx.ctors_at(at, "duluth") == (bob(bob(a)), bob(b))
+    assert bobdylan_ctx.ctors_at(at, "minnesota") == (IApp("DylanC", (bob(bob(a)), bob(b))),)
+    assert bobdylan_ctx.ctors_at(at, "robert") is None
 
 
 # ---------------------------------------------------------------------------

@@ -163,11 +163,12 @@ def test_derive_is_deterministic(capsys, tmp_path):
     assert (a / "Bush.agda").read_bytes() == (b / "Bush.agda").read_bytes()
 
 
-def test_derive_backend_choice_is_validated(capsys, tmp_path):
+def test_derive_rejects_an_unknown_option(capsys, tmp_path):
     code, _, err = run(
         capsys, "derive", SAMPLES / "bush.ndt", "--backend", "coq", "-o", tmp_path
     )
     assert code == 2
+    assert "unrecognized arguments: --backend coq" in err
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +385,19 @@ def test_test_report_matches_the_reference(capsys, sample, size):
     assert code == 0
     assert err == ""
     assert out == (ROOT / "bench" / "reference" / f"{sample}@{size}.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "binary",
+    ["k1 : T a -> T a -> T a", "k1 : a -> a -> T a"],
+    ids=["tree", "pair"],
+)
+def test_test_runs_no_list_oracle_off_the_list_shape(capsys, tmp_path, binary):
+    src = tmp_path / "t.ndt"
+    src.write_text(f"data T (a : Set) : Set where\n  k0 : T a\n  {binary}\n")
+    code, out, err = run(capsys, "test", src, "--max-size", "5")
+    assert (code, err) == (0, "")
+    assert "spine-fold-agreement" not in out
 
 
 def test_test_max_size_zero_is_a_usage_error(capsys):

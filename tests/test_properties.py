@@ -149,6 +149,23 @@ def test_suite_is_deterministic(bush):
     assert run_suite(bush, 5) == run_suite(bush, 5)
 
 
+@pytest.mark.parametrize(
+    "src, size", [(BUSH, 5), (LIST, 4), (BOBDYLAN, 3)], ids=["bush", "list", "bobdylan"]
+)
+def test_a_second_suite_builds_no_pool(monkeypatch, src, size):
+    import nestfold.runtime as runtime
+
+    (ctx,) = analyze(parse_program(src))
+    calls = []
+    real = runtime._splits
+    monkeypatch.setattr(runtime, "_splits", lambda *a: calls.append(a) or real(*a))
+    first = run_suite(ctx, size)
+    assert calls
+    calls.clear()
+    assert run_suite(ctx, size) == first
+    assert calls == []
+
+
 def test_result_lookup_by_name(bush_report):
     assert bush_report.result("map-identity").name == "map-identity"
     with pytest.raises(KeyError):
@@ -195,11 +212,11 @@ def test_broken_map_is_caught(bush, monkeypatch):
         "eval_map",
         lambda ctx, fs, idx, v, counter=None: VCon("leaf"),
     )
-    r = check_map_identity(bush, 4, 2)
+    r = check_map_identity(bush, 4)
     assert not r.ok
     assert r.counterexample.lhs == "leaf"
     monkeypatch.setattr(properties, "eval_map", real)
-    assert check_map_identity(bush, 4, 2).ok
+    assert check_map_identity(bush, 4).ok
 
 
 def test_failure_stops_the_sweep_early(bush, monkeypatch):
@@ -284,7 +301,7 @@ SABOTAGE = [
         id="nfold-vs-nfold-prime",
     ),
     pytest.param(
-        "bobdylan", "check_map_identity", (4, 2), "eval_map", _zero_bases,
+        "bobdylan", "check_map_identity", (4,), "eval_map", _zero_bases,
         2, Counterexample("map-identity", "varA", "1", "identity", "0", "1"),
         id="map-identity",
     ),
@@ -331,7 +348,7 @@ SABOTAGE = [
         id="hmap-cons-equation",
     ),
     pytest.param(
-        "bobdylan", "check_ind_agreement", (4, 2), "eval_ind",
+        "bobdylan", "check_ind_agreement", (4,), "eval_ind",
         lambda real: lambda ctx, dep, idx, v, counter=None: RNat(0),
         3, Counterexample("ind-agreement", "varA", "0", "trace", "0", "@varA 0"),
         id="ind-agreement",
@@ -345,7 +362,7 @@ SABOTAGE = [
         id="spine-fold-agreement",
     ),
     pytest.param(
-        "lists", "check_call_counter", (4, 2), "value_size",
+        "lists", "check_call_counter", (4,), "value_size",
         lambda real: lambda v: -1,
         1, Counterexample(
             "call-counter-bound", "varA", "0", "nfold", "0 calls", "size bound -1"

@@ -384,6 +384,21 @@ def test_a_second_fold_substitutes_no_index(bush1, monkeypatch):
     assert calls == []
 
 
+def test_a_fold_substitutes_only_the_constructors_it_meets(monkeypatch):
+    import nestfold.analysis as analysis
+
+    (ctx,) = analyze(parse_program(BOBDYLAN))
+    alg = catalogue(ctx)["sum"]
+    calls = []
+    real = analysis.subst_index
+    monkeypatch.setattr(
+        analysis, "subst_index", lambda e, iargs: calls.append(e) or real(e, iargs)
+    )
+    robert = VCon("robert", (VBase(1),))
+    assert eval_nfold(ctx, alg, IApp("BobC", (IVar(0),)), robert) == RNat(1)
+    assert calls == list(ctx.arg_templates["robert"])
+
+
 # ---------------------------------------------------------------------------
 # Higher-order folds
 
@@ -557,6 +572,16 @@ def test_enumeration_mutual_group(bobdylan):
     assert pool and all(v.ctor in ("robert", "zimmerman") for v in pool)
     for v in pool:
         assert typecheck_value(bobdylan, idx, {0: "nat", 1: "nat"}, v) == []
+
+
+def test_enumeration_keeps_each_base_pool_apart():
+    (ctx,) = analyze(parse_program(BUSH))
+    dot = {0: (VBase(Atom("dot")),)}
+    got = [enumerate_values(ctx, bushc(2), pool, 4) for pool in (POOL3, dot)]
+    assert got[0] != got[1]
+    for pool, values in zip((POOL3, dot), got):
+        (fresh,) = analyze(parse_program(BUSH))
+        assert values == enumerate_values(fresh, bushc(2), pool, 4)
 
 
 # ---------------------------------------------------------------------------
