@@ -14,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from .analysis import GroupContext, analyze, context_to_index, well_formed
+from .analysis import GroupContext, classify, context_to_index, group_context, well_formed
 from .derivation import derive_group, nat_index_eligible
 from .diagnostics import NestfoldError, ParseError
 from .emitter import emit_agda, module_for_group
@@ -26,7 +26,7 @@ from .parser import (
     render_value,
 )
 from .properties import run_suite
-from .runtime import RNat, RTree, catalogue, eval_nfold, typecheck_value
+from .runtime import catalogue, eval_nfold, typecheck_value
 
 
 def _report(diags) -> bool:
@@ -44,15 +44,15 @@ def _read(path: Path) -> str:
 
 
 def _load(path: Path) -> list[GroupContext] | None:
-    """Parse and validate a declaration file, then analyze every group.
+    """Parse and validate a declaration file, then build every group's context.
 
-    Returns None once the diagnostics are reported.  Nothing is printed to
-    stdout before every group is analyzed.
+    The program is validated once; returns None once the diagnostics are
+    reported.  Nothing is printed to stdout before every group is built.
     """
     program = parse_program(_read(path), source=str(path))
     if _report(well_formed(program)):
         return None
-    return analyze(program)
+    return [group_context(program, g) for g in classify(program)]
 
 
 def _describe_group(ctx: GroupContext) -> str:
@@ -144,11 +144,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         return 2
     result = eval_nfold(ctx, algs[args.algebra], idx, v)
-    match result:
-        case RNat(n):
-            print(n)
-        case RTree(value):
-            print(render_value(value))
+    print(result if isinstance(result, int) else render_value(result))
     return 0
 
 

@@ -112,16 +112,8 @@ class DerivedGroup:
 SET = Var("Set")
 
 
-def _ap(fn: Term, *args: Term) -> Term:
-    if not args:
-        return fn
-    if isinstance(fn, App):
-        return App(fn.fn, fn.args + tuple(args))
-    return App(fn, tuple(args))
-
-
 def _v(name: str, *args: Term) -> Term:
-    return _ap(Var(name), *args)
+    return App(Var(name), args) if args else Var(name)
 
 
 def _arrow(tys: list[Term]) -> Term:

@@ -27,8 +27,6 @@ from .runtime import (
     CallCounter,
     DepAlgebra,
     RFun,
-    RNat,
-    RTree,
     catalogue,
     enumerate_values,
     eval_hfold_direct,
@@ -151,10 +149,6 @@ def _agree(lhs: object, rhs: object) -> bool:
 
 def _show(r: object) -> str:
     match r:
-        case RNat(n):
-            return str(n)
-        case RTree(v):
-            return render_value(v)
         case VBase() | VCon():
             return render_value(r)
         case RFun():

@@ -4,17 +4,21 @@ Typing, nfold, ind and enumeration place constructor arguments at their
 indices by one rule, GroupContext.ctors_at, which substitutes each (index,
 constructor) pair once, when it is first met.  Enumeration keeps its
 exact-size pools on the GroupContext, so each (index, size) pool of a base
-pool is built once per context.  Carriers are represented by
-RuntimeResult: naturals, value trees, or opaque functions.  Functions are
-only ever observed by application — equality checks must drive them to a
-first-order result first.
+pool is built once per context.  A fold result (RuntimeResult) has one
+representation per carrier: a natural is a Python int, a value tree is the
+Value itself, and a function is an RFun.  Functions are only ever observed
+by application — equality checks must drive them to a first-order result
+first.
 
 The two *direct* evaluators (eval_hfold_direct, eval_hmap_direct) transcribe
 the non-structural recursions verbatim and serve as oracles for the derived
 routes.  Each recursion exists once (_hfold, _hybrid_map) and works on hybrid
-trees: a payload slot holds either a value or a carrier result, told apart by
-type, and wrap turns either into a result.  Both carry a depth guard so that
-an implementation bug shows up as GuardExceeded instead of a hang.
+trees: a payload slot holds either a value or a carrier result, and wrap
+turns either into a result.  A natural base value VBase(n) in a slot reads
+as the natural n; every other slot content is its own result.  No shipped
+algebra puts a VBase tree result into a hybrid slot, so the reading is
+unambiguous.  Both carry a depth guard so that an implementation bug shows
+up as GuardExceeded instead of a hang.
 
 nfold' runs as the PS bridge derives it: PS-to-P . liftNTimes hmap fold-PS,
 where fold-PS is the one direct hfold at the PS carrier and liftNTimes hmap
@@ -45,16 +49,6 @@ from .parser import NAT_MAX, Atom, Value, VBase, VCon, render_value, value_size
 # Results and naturals
 
 
-@dataclass(frozen=True)
-class RNat:
-    n: int
-
-
-@dataclass(frozen=True)
-class RTree:
-    value: Value
-
-
 @dataclass(frozen=True, eq=False)
 class RFun:
     fn: Callable
@@ -65,7 +59,7 @@ class RFun:
     __hash__ = None
 
 
-RuntimeResult = RNat | RTree | RFun
+RuntimeResult = int | Value | RFun
 
 
 def nat_add(m: int, n: int) -> int:
@@ -80,24 +74,18 @@ def nat_succ(n: int) -> int:
 
 
 def wrap(x: Value | RuntimeResult) -> RuntimeResult:
-    if isinstance(x, (RNat, RTree, RFun)):
-        return x
+    """A natural payload reads as a natural; everything else is itself."""
     if isinstance(x, VBase) and isinstance(x.payload, int):
-        return RNat(x.payload)
-    return RTree(x)
+        return x.payload
+    return x
 
 
-def as_value(r: Value | RuntimeResult) -> Value:
-    match r:
-        case RNat(n):
-            return VBase(n)
-        case RTree(v):
-            return v
-        case RFun():
-            raise EvalError("a function result has no value form; apply it first")
-        case VBase() | VCon():
-            return r
-    raise AssertionError
+def as_value(r: RuntimeResult) -> Value:
+    if isinstance(r, int):
+        return VBase(r)
+    if isinstance(r, RFun):
+        raise EvalError("a function result has no value form; apply it first")
+    return r
 
 
 def apply_result(f: RuntimeResult, x: RuntimeResult) -> RuntimeResult:
@@ -107,9 +95,9 @@ def apply_result(f: RuntimeResult, x: RuntimeResult) -> RuntimeResult:
 
 
 def nat_of(r: RuntimeResult) -> int:
-    if not isinstance(r, RNat):
+    if not isinstance(r, int):
         raise EvalError("expected a natural-valued result")
-    return r.n
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +244,13 @@ def eval_map(
     """The derived map: the fold whose methods rebuild their constructor."""
     alg = Algebra(
         "map",
-        bases={k: (lambda g: lambda w: RTree(g(w)))(g) for k, g in fs.items()},
+        bases=fs,
         methods={
-            c.name: (lambda name: lambda iargs, rs: RTree(
-                VCon(name, tuple(as_value(r) for r in rs))
-            ))(c.name)
+            c.name: (lambda name: lambda iargs, rs: VCon(name, rs))(c.name)
             for _, c in ctx.ctors()
         },
     )
-    return as_value(eval_nfold(ctx, alg, idx, v, counter))
+    return eval_nfold(ctx, alg, idx, v, counter)
 
 
 def eval_ind(
@@ -408,7 +394,7 @@ def eval_nfold_prime(
             def with_continuation(tr):
                 r1 = apply_result(tr, x)
                 deeper = apply_result(
-                    apply_result(xs, RNat(nat_succ(nat_of(n)))),
+                    apply_result(xs, nat_succ(nat_of(n))),
                     RFun(lambda f: apply_result(apply_result(f, n), tr)),
                 )
                 return alg.methods[cons]((nat_index(dc, nat_of(n)),), (r1, deeper))
@@ -427,7 +413,7 @@ def eval_nfold_prime(
         if m == 0:
             return alg.bases[0](as_value(x))
         return apply_result(
-            apply_result(x, RNat(m - 1)), RFun(lambda r: ps_to_p(m - 1, r))
+            apply_result(x, m - 1), RFun(lambda r: ps_to_p(m - 1, r))
         )
 
     return ps_to_p(depth, lift(depth, v))
@@ -503,24 +489,22 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
     def nat_base(v: Value) -> RuntimeResult:
         if not (isinstance(v, VBase) and isinstance(v.payload, int)):
             raise EvalError(f"sum needs a natural at a base slot, found {render_value(v)}")
-        return RNat(v.payload)
+        return v.payload
 
     algs["sum"] = Algebra(
         "sum",
         bases={k: nat_base for k in every_var},
         methods={
-            c.name: lambda iargs, rs: RNat(
-                _fold_nat_add(nat_of(r) for r in rs)
-            )
+            c.name: lambda iargs, rs: _fold_nat_add(nat_of(r) for r in rs)
             for _, c in ctx.ctors()
         },
     )
 
     algs["depth"] = Algebra(
         "depth",
-        bases={k: (lambda v: RNat(0)) for k in every_var},
+        bases={k: (lambda v: 0) for k in every_var},
         methods={
-            c.name: lambda iargs, rs: RNat(
+            c.name: lambda iargs, rs: (
                 nat_succ(max((nat_of(r) for r in rs), default=0)) if rs else 0
             )
             for _, c in ctx.ctors()
@@ -530,16 +514,12 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
     algs["trace"] = Algebra(
         "trace",
         bases={
-            k: (lambda k: lambda v: RTree(VCon("@" + ctx.spec.var_ctors[k], (v,))))(k)
+            k: (lambda k: lambda v: VCon("@" + ctx.spec.var_ctors[k], (v,)))(k)
             for k in every_var
         },
         methods={
-            c.name: (lambda name: lambda iargs, rs: RTree(
-                VCon(
-                    "@" + name,
-                    tuple(_encode_index(i, ctx) for i in iargs)
-                    + tuple(as_value(r) for r in rs),
-                )
+            c.name: (lambda name: lambda iargs, rs: VCon(
+                "@" + name, tuple(_encode_index(i, ctx) for i in iargs) + rs
             ))(c.name)
             for _, c in ctx.ctors()
         },
@@ -550,10 +530,10 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
         nil, two = spine
         algs["length"] = Algebra(
             "length",
-            bases={k: (lambda v: RNat(0)) for k in every_var},
+            bases={k: (lambda v: 0) for k in every_var},
             methods={
-                nil: lambda iargs, rs: RNat(0),
-                two: lambda iargs, rs: RNat(nat_succ(nat_of(rs[1]))),
+                nil: lambda iargs, rs: 0,
+                two: lambda iargs, rs: nat_succ(nat_of(rs[1])),
             },
         )
     return algs
@@ -577,8 +557,8 @@ def halg_catalogue(ctx: GroupContext) -> dict[str, HAlgebra]:
     out["sum-naive"] = HAlgebra(
         "sum-naive",
         methods={
-            nil: lambda: RNat(0),
-            cons: lambda x, r: RNat(nat_add(nat_of(x), nat_of(r))),
+            nil: lambda: 0,
+            cons: lambda x, r: nat_add(nat_of(x), nat_of(r)),
         },
         finish=lambda r: r,
     )
@@ -586,27 +566,23 @@ def halg_catalogue(ctx: GroupContext) -> dict[str, HAlgebra]:
     out["rebuild"] = HAlgebra(
         "rebuild",
         methods={
-            nil: lambda: RTree(VCon(nil)),
-            cons: lambda x, r: RTree(VCon(cons, (as_value(x), as_value(r)))),
+            nil: lambda: VCon(nil),
+            cons: lambda x, r: VCon(cons, (as_value(x), r)),
         },
         finish=lambda r: r,
     )
 
     def cps_cons(x, xs):
         return RFun(
-            lambda k: RNat(
-                nat_add(
-                    nat_of(apply_result(k, x)),
-                    nat_of(
-                        apply_result(xs, RFun(lambda r: apply_result(r, k)))
-                    ),
-                )
+            lambda k: nat_add(
+                nat_of(apply_result(k, x)),
+                nat_of(apply_result(xs, RFun(lambda r: apply_result(r, k)))),
             )
         )
 
     out["cps-sum"] = HAlgebra(
         "cps-sum",
-        methods={nil: lambda: RFun(lambda k: RNat(0)), cons: cps_cons},
+        methods={nil: lambda: RFun(lambda k: 0), cons: cps_cons},
         finish=lambda r: apply_result(r, RFun(lambda x: x)),
     )
     return out

@@ -26,7 +26,7 @@ from nestfold.properties import (
     check_map_identity,
     check_spine_fold_agreement,
 )
-from nestfold.runtime import RNat, eval_hfold_via_nfold, halg_catalogue
+from nestfold.runtime import eval_hfold_via_nfold, halg_catalogue
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -154,7 +154,7 @@ def test_criterion_6_concrete_figures(bush, capsys):
     _verdict(
         6,
         "sum prints 34, length prints 4, and the continuation route sums to 34",
-        all(c == 0 for c in codes) and all(prints) and via_cps == RNat(34),
+        all(c == 0 for c in codes) and all(prints) and via_cps == 34,
     )
 
 

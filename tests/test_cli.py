@@ -1,13 +1,22 @@
 """End-to-end CLI tests, run in-process through main()."""
 
+import contextlib
+import functools
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nestfold.analysis as analysis
+import nestfold.cli as cli
+from nestfold.analysis import analyze, context_to_index
 from nestfold.cli import main
+from nestfold.parser import Atom, VBase, parse_program, parse_type_context, render_value
+from nestfold.runtime import enumerate_values
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -100,6 +109,29 @@ def test_check_analyzes_every_group_before_printing(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "cross-group nesting" in err
+
+
+@pytest.mark.parametrize("command", ["check", "derive", "eval", "test"])
+def test_each_command_validates_the_program_once(capsys, tmp_path, monkeypatch, command):
+    real = analysis.well_formed
+    calls = []
+
+    def counted(program):
+        calls.append(program)
+        return real(program)
+
+    monkeypatch.setattr(analysis, "well_formed", counted)
+    monkeypatch.setattr(cli, "well_formed", counted)
+    monkeypatch.delenv("NESTFOLD_AGDA", raising=False)
+    extra = {
+        "check": [],
+        "derive": ["--out", tmp_path],
+        "eval": [SAMPLES / "bush1.ndv"],
+        "test": ["--max-size", "3"],
+    }[command]
+    code, _, _ = run(capsys, command, SAMPLES / "bush.ndt", *extra)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_check_missing_file(capsys):
@@ -353,6 +385,85 @@ def test_eval_too_deep_value(capsys, tmp_path):
     assert "too deeply" in _one_error_line(err)
 
 
+#: Well-typed targets per sample; their literals come from enumeration.
+_EVAL_TARGETS = {
+    "bush.ndt": ("Bush Nat", "Bush (Bush Nat)", "Bush Atom"),
+    "list.ndt": ("List Nat", "List (List Atom)"),
+    "bobdylan.ndt": ("Bob Nat", "Dylan Nat Atom"),
+}
+
+
+@functools.cache
+def _typed_literals() -> dict[str, list[tuple[str, str]]]:
+    """(target, rendered literal) pairs of size at most 3 for every sample."""
+    out = {}
+    for sample, targets in _EVAL_TARGETS.items():
+        (ctx,) = analyze(parse_program((SAMPLES / sample).read_text()))
+        out[sample] = []
+        for target in targets:
+            idx, universes = context_to_index(parse_type_context(target, ctx.program), ctx)
+            pool = {
+                k: (VBase(1), VBase(2)) if kind == "nat" else (VBase(Atom("q")),)
+                for k, kind in universes.items()
+            }
+            for v in enumerate_values(ctx, idx, pool, 3):
+                out[sample].append((target, render_value(v)))
+    return out
+
+
+_TYPE_WORDS = ("Bush", "List", "Bob", "Dylan", "Nat", "Atom", "nat", "Rose", "3", "(", ")", "->")
+
+
+def _type_strings():
+    """Words of the type-context language and junk, juxtaposed and bracketed."""
+    apply = lambda terms: st.lists(terms, min_size=1, max_size=3).map(" ".join)
+    term = st.recursive(
+        st.sampled_from(_TYPE_WORDS), lambda inner: apply(inner).map("({})".format)
+    )
+    return apply(term)
+
+
+@st.composite
+def _mutated(draw, text):
+    at = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 3))
+    insert = draw(st.text(alphabet="[](),' 0123456789abcqxyz-\n", max_size=3))
+    return text[:at] + insert + text[at + cut:]
+
+
+@st.composite
+def _eval_calls(draw):
+    sample = draw(st.sampled_from(sorted(_EVAL_TARGETS)))
+    target, text = draw(st.sampled_from(_typed_literals()[sample]))
+    # keep the well-typed target and literal about half the time each
+    target = draw(st.sampled_from((target, target, None, draw(_type_strings()))))
+    text = draw(st.sampled_from((text, draw(_mutated(text)))))
+    algebra = draw(st.sampled_from(("sum", "depth", "trace", "length", "nope")))
+    return sample, target, text, algebra
+
+
+@pytest.fixture(scope="module")
+def literal_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("eval") / "v.ndv"
+
+
+@settings(max_examples=120, deadline=None)
+@given(call=_eval_calls())
+def test_eval_keeps_the_exit_code_contract(literal_file, call):
+    sample, target, text, algebra = call
+    literal_file.write_text(text)
+    argv = ["eval", str(SAMPLES / sample), str(literal_file), "--algebra", algebra]
+    if target is not None:
+        argv += ["--type", target]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n")
+
+
 # ---------------------------------------------------------------------------
 # test
 
@@ -408,11 +519,8 @@ def test_test_max_size_zero_is_a_usage_error(capsys):
 
 def test_counterexample_is_printed_on_failure(capsys, monkeypatch):
     import nestfold.properties as properties
-    from nestfold.runtime import RNat
 
-    monkeypatch.setattr(
-        properties, "eval_nfold_prime", lambda ctx, alg, idx, v: RNat(10**9)
-    )
+    monkeypatch.setattr(properties, "eval_nfold_prime", lambda ctx, alg, idx, v: 10**9)
     code, out, err = run(capsys, "test", SAMPLES / "bush.ndt", "--max-size", "3")
     assert code == 1
     assert "nfold-vs-nfold-prime: FAIL" in out

@@ -20,7 +20,6 @@ from nestfold.properties import (
     run_suite,
 )
 import nestfold.properties as properties
-from nestfold.runtime import RNat
 
 from test_parser import BOBDYLAN, BUSH, LIST
 
@@ -193,7 +192,7 @@ def test_counterexample_lines_are_labelled():
 
 def test_broken_evaluator_yields_a_replayable_counterexample(bush, monkeypatch):
     monkeypatch.setattr(
-        properties, "eval_nfold_prime", lambda ctx, alg, idx, v: RNat(10**9)
+        properties, "eval_nfold_prime", lambda ctx, alg, idx, v: 10**9
     )
     r = check_equivalence(bush, 4)
     assert not r.ok
@@ -221,7 +220,7 @@ def test_broken_map_is_caught(bush, monkeypatch):
 
 def test_failure_stops_the_sweep_early(bush, monkeypatch):
     monkeypatch.setattr(
-        properties, "eval_nfold_prime", lambda ctx, alg, idx, v: RNat(10**9)
+        properties, "eval_nfold_prime", lambda ctx, alg, idx, v: 10**9
     )
     r = check_equivalence(bush, 7)
     assert r.cases == 1
@@ -349,13 +348,13 @@ SABOTAGE = [
     ),
     pytest.param(
         "bobdylan", "check_ind_agreement", (4,), "eval_ind",
-        lambda real: lambda ctx, dep, idx, v, counter=None: RNat(0),
+        lambda real: lambda ctx, dep, idx, v, counter=None: 0,
         3, Counterexample("ind-agreement", "varA", "0", "trace", "0", "@varA 0"),
         id="ind-agreement",
     ),
     pytest.param(
         "lists", "check_spine_fold_agreement", (4,), "eval_nfold",
-        lambda real: lambda ctx, alg, idx, v, counter=None: RNat(0),
+        lambda real: lambda ctx, alg, idx, v, counter=None: 0,
         4, Counterexample(
             "spine-fold-agreement", "ListC varA", "cc 0 nil", "length", "0", "1"
         ),

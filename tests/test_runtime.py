@@ -26,8 +26,6 @@ from nestfold.runtime import (
     CallCounter,
     DepAlgebra,
     RFun,
-    RNat,
-    RTree,
     apply_result,
     as_value,
     catalogue,
@@ -41,6 +39,7 @@ from nestfold.runtime import (
     eval_nfold_prime,
     halg_catalogue,
     nat_add,
+    nat_of,
     typecheck_value,
     wrap,
 )
@@ -189,29 +188,29 @@ def test_typecheck_mutual(bobdylan):
 def test_sum_of_the_deep_literal_is_34(bush, bush1):
     alg = catalogue(bush)["sum"]
     assert flatten_add(bush1) == 34
-    assert eval_nfold(bush, alg, bushc(1), bush1) == RNat(34)
+    assert eval_nfold(bush, alg, bushc(1), bush1) == 34
 
 
 def test_length_of_the_deep_literal_is_4(bush, bush1):
     alg = catalogue(bush)["length"]
     assert top_spine_length(bush1) == 4
-    assert eval_nfold(bush, alg, bushc(1), bush1) == RNat(4)
+    assert eval_nfold(bush, alg, bushc(1), bush1) == 4
 
 
 def test_sum_of_the_empty_bush_is_0(bush):
     v = parse_value_literal("[ ]", bush.program, "Bush Nat")
-    assert eval_nfold(bush, catalogue(bush)["sum"], bushc(1), v) == RNat(0)
+    assert eval_nfold(bush, catalogue(bush)["sum"], bushc(1), v) == 0
 
 
 def test_base_index_dispatches_to_the_base_function(bush):
     alg = catalogue(bush)["sum"]
-    assert eval_nfold(bush, alg, IVar(0), VBase(5)) == RNat(5)
+    assert eval_nfold(bush, alg, IVar(0), VBase(5)) == 5
 
 
 def test_depth_of_the_deep_literal_is_9(bush, bush1):
     alg = catalogue(bush)["depth"]
     assert naive_depth(bush1) == 9
-    assert eval_nfold(bush, alg, bushc(1), bush1) == RNat(9)
+    assert eval_nfold(bush, alg, bushc(1), bush1) == 9
 
 
 def test_trace_discriminates_values(bush):
@@ -237,7 +236,7 @@ def test_sum_on_a_mutual_value(bobdylan):
     assert typecheck_value(bobdylan, idx, {0: "nat", 1: "nat"}, v) == []
     alg = catalogue(bobdylan)["sum"]
     assert flatten_add(v) == 15
-    assert eval_nfold(bobdylan, alg, idx, v) == RNat(15)
+    assert eval_nfold(bobdylan, alg, idx, v) == 15
 
 
 def test_catalogue_contents(bush, lists, bobdylan):
@@ -251,7 +250,7 @@ def test_derived_fold_on_lists_agrees_with_foldlist(lists):
     alg = catalogue(lists)["sum"]
     for v in enumerate_values(lists, idx, POOL3, 6):
         expected = fold_list(0, lambda x, r: x.payload + r, v)
-        assert eval_nfold(lists, alg, idx, v) == RNat(expected)
+        assert eval_nfold(lists, alg, idx, v) == expected
 
 
 def test_overflow_is_an_error_not_a_wrap(bush):
@@ -326,7 +325,7 @@ def _const_dep(alg):
 def test_ind_with_value_blind_methods_equals_nfold(bush, bush1):
     alg = catalogue(bush)["sum"]
     dep = _const_dep(alg)
-    assert eval_ind(bush, dep, bushc(1), bush1) == RNat(34)
+    assert eval_ind(bush, dep, bushc(1), bush1) == 34
     for v in enumerate_values(bush, bushc(2), POOL3, 4):
         assert eval_ind(bush, dep, bushc(2), v) == eval_nfold(
             bush, alg, bushc(2), v
@@ -335,18 +334,18 @@ def test_ind_with_value_blind_methods_equals_nfold(bush, bush1):
 
 def test_ind_sees_the_examined_subvalues(bush, bush1):
     rebuild = DepAlgebra(
-        bases={0: lambda v: RTree(v)},
+        bases={0: lambda v: v},
         methods={
-            "leaf": lambda iargs, subs, rs: RTree(VCon("leaf")),
-            "cons": lambda iargs, subs, rs: RTree(VCon("cons", subs)),
+            "leaf": lambda iargs, subs, rs: VCon("leaf"),
+            "cons": lambda iargs, subs, rs: VCon("cons", subs),
         },
     )
-    assert eval_ind(bush, rebuild, bushc(1), bush1) == RTree(bush1)
+    assert eval_ind(bush, rebuild, bushc(1), bush1) == bush1
 
 
 def test_ind_base_case_applies_base_directly(bush):
     dep = _const_dep(catalogue(bush)["sum"])
-    assert eval_ind(bush, dep, IVar(0), VBase(6)) == RNat(6)
+    assert eval_ind(bush, dep, IVar(0), VBase(6)) == 6
 
 
 @pytest.mark.parametrize(
@@ -377,10 +376,10 @@ def test_a_second_fold_substitutes_no_index(bush1, monkeypatch):
     monkeypatch.setattr(
         analysis, "subst_index", lambda e, iargs: calls.append(e) or real(e, iargs)
     )
-    assert eval_nfold(ctx, alg, bushc(1), bush1) == RNat(34)
+    assert eval_nfold(ctx, alg, bushc(1), bush1) == 34
     assert calls
     calls.clear()
-    assert eval_nfold(ctx, alg, bushc(1), bush1) == RNat(34)
+    assert eval_nfold(ctx, alg, bushc(1), bush1) == 34
     assert calls == []
 
 
@@ -395,7 +394,7 @@ def test_a_fold_substitutes_only_the_constructors_it_meets(monkeypatch):
         analysis, "subst_index", lambda e, iargs: calls.append(e) or real(e, iargs)
     )
     robert = VCon("robert", (VBase(1),))
-    assert eval_nfold(ctx, alg, IApp("BobC", (IVar(0),)), robert) == RNat(1)
+    assert eval_nfold(ctx, alg, IApp("BobC", (IVar(0),)), robert) == 1
     assert calls == list(ctx.arg_templates["robert"])
 
 
@@ -406,17 +405,17 @@ def test_a_fold_substitutes_only_the_constructors_it_meets(monkeypatch):
 def test_cps_sum_of_the_deep_literal_is_34(bush, bush1):
     halg = halg_catalogue(bush)["cps-sum"]
     r = eval_hfold_direct(bush, halg, bush1)
-    assert halg.finish(r) == RNat(34)
+    assert halg.finish(r) == 34
 
 
 def test_hfold_direct_on_leaf_is_the_leaf_method(bush):
     halg = halg_catalogue(bush)["sum-naive"]
-    assert eval_hfold_direct(bush, halg, VCon("leaf")) == RNat(0)
+    assert eval_hfold_direct(bush, halg, VCon("leaf")) == 0
 
 
 def test_hfold_rebuild_is_identity(bush, bush1):
     halg = halg_catalogue(bush)["rebuild"]
-    assert eval_hfold_direct(bush, halg, bush1) == RTree(bush1)
+    assert eval_hfold_direct(bush, halg, bush1) == bush1
 
 
 def test_hfold_via_nfold_matches_direct(bush, bush1):
@@ -460,12 +459,12 @@ def test_guard_converts_runaway_recursion_into_an_error(bush, bush1):
 
 def test_nfold_prime_sum_is_34(bush, bush1):
     alg = catalogue(bush)["sum"]
-    assert eval_nfold_prime(bush, alg, bushc(1), bush1) == RNat(34)
+    assert eval_nfold_prime(bush, alg, bushc(1), bush1) == 34
 
 
 def test_nfold_prime_at_base_index_equals_nfold(bush):
     alg = catalogue(bush)["sum"]
-    assert eval_nfold_prime(bush, alg, IVar(0), VBase(3)) == RNat(3)
+    assert eval_nfold_prime(bush, alg, IVar(0), VBase(3)) == 3
 
 
 def test_nfold_prime_agrees_with_nfold_on_a_sample(bush):
@@ -589,18 +588,34 @@ def test_enumeration_keeps_each_base_pool_apart():
 
 
 def test_wrap_and_as_value_are_inverse():
-    assert wrap(VBase(3)) == RNat(3)
-    assert as_value(RNat(3)) == VBase(3)
+    assert wrap(VBase(3)) == 3
+    assert as_value(3) == VBase(3)
     leafy = VCon("leaf")
-    assert wrap(leafy) == RTree(leafy)
-    assert as_value(RTree(leafy)) == leafy
+    assert wrap(leafy) == leafy
+    assert as_value(leafy) == leafy
     atom = VBase(Atom("q"))
     assert as_value(wrap(atom)) == atom
 
 
+def test_each_carrier_has_one_representation(bush, bush1):
+    assert type(eval_nfold(bush, catalogue(bush)["sum"], bushc(1), bush1)) is int
+    assert type(eval_map(bush, {0: add_one}, bushc(1), bush1)) is VCon
+    assert type(eval_nfold(bush, catalogue(bush)["trace"], bushc(1), bush1)) is VCon
+    rebuild = halg_catalogue(bush)["rebuild"]
+    assert eval_hfold_via_nfold(bush, rebuild, "Bush", bush1) == bush1
+    assert eval_hfold_direct(bush, rebuild, bush1) == bush1
+    assert wrap(VBase(3)) == 3 and type(wrap(VBase(3))) is int
+    atom = VBase(Atom("q"))
+    assert wrap(atom) is atom
+    with pytest.raises(EvalError):
+        nat_of(VBase(3))
+    with pytest.raises(EvalError):
+        RFun(lambda r: r) == RFun(lambda r: r)
+
+
 def test_functions_are_only_observed_by_application():
-    f = RFun(lambda r: RNat(r.n + 1))
-    assert apply_result(f, RNat(4)) == RNat(5)
+    f = RFun(lambda r: r + 1)
+    assert apply_result(f, 4) == 5
     with pytest.raises(EvalError):
         as_value(f)
 
@@ -616,7 +631,7 @@ def test_map_then_sum_shifts_by_payload_count(seed_depth, pick):
     alg = catalogue(ctx)["sum"]
     plain = eval_nfold(ctx, alg, idx, v)
     bumped = eval_nfold(ctx, alg, idx, eval_map(ctx, {0: add_one}, idx, v))
-    assert bumped.n - plain.n == _payload_count(v)
+    assert bumped - plain == _payload_count(v)
 
 
 def _payload_count(v):
