@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .diagnostics import AnalysisError, Diagnostic
 from .parser import (
@@ -38,10 +39,20 @@ class IVar:
 
 @dataclass(frozen=True)
 class IApp:
-    """An index application constructor, e.g. BushC i or DylanC i j."""
+    """An index application constructor, e.g. BushC i or DylanC i j.
+
+    The hash is computed once, at construction, from the arguments' own
+    (cached) hashes, so hashing never walks the expression."""
 
     ctor: str
     args: tuple["IndexExpr", ...] = ()
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.ctor, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 IndexExpr = IVar | IApp
@@ -83,6 +94,10 @@ class GroupContext:
     _ctors_at: dict[IApp, dict[str, tuple[IndexExpr, ...]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    #: Each index canonical has been asked about, as its own key.
+    _canonical: dict[IndexExpr, IndexExpr] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
     #: Exact-size value pools per base pool and (index, size); see enumerate_values.
     pools: dict[tuple, dict[tuple[IndexExpr, int], tuple]] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -96,21 +111,42 @@ class GroupContext:
         """All (decl, constructor) pairs, declaration order then source order."""
         return [(d, c) for n in self.group.decls for d in [self.decls[n]] for c in d.ctors]
 
+    @cached_property
+    def ctor_names(self) -> frozenset[str]:
+        """The names of every constructor of the group."""
+        return frozenset(c.name for _, c in self.ctors())
+
+    @cached_property
+    def base_slots(self) -> frozenset[int]:
+        """The index variables' numbers, 0 .. base_var_count - 1."""
+        return frozenset(range(self.spec.base_var_count))
+
     def ctors_at(self, idx: IApp, c: str) -> tuple[IndexExpr, ...] | None:
         """The typing rule: the indices of constructor c's arguments at idx,
         or None when c is not a constructor of idx's declaration.  Kept per
-        (index, constructor) and substituted on first use."""
+        (index, constructor) and substituted on first use.
+
+        The indices handed out are canonical: equal indices are one object,
+        and the table is keyed by those objects, so that a fold passing them
+        back is found by identity."""
         table = self._ctors_at.get(idx)
         if table is None:
-            table = self._ctors_at[idx] = {}
+            table = self._ctors_at[self.canonical(idx)] = {}
         at = table.get(c)
         if at is None and self.decls[self.decl_of_app[idx.ctor]].ctor(c) is not None:
-            at = table[c] = tuple(subst_index(t, idx.args) for t in self.arg_templates[c])
+            at = table[c] = tuple(
+                self.canonical(subst_index(t, idx.args)) for t in self.arg_templates[c]
+            )
         return at
+
+    def canonical(self, idx: IndexExpr) -> IndexExpr:
+        """The one object of this context that equals idx."""
+        return self._canonical.setdefault(idx, idx)
 
     def own_index(self, name: str) -> IApp:
         """The declaration's own index: name applied to its parameters' slots."""
-        return IApp(self.app_ctor[name], tuple(IVar(k) for k in range(len(self.decls[name].params))))
+        params = range(len(self.decls[name].params))
+        return self.canonical(IApp(self.app_ctor[name], tuple(IVar(k) for k in params)))
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
     pool = {
         k: tuple(VBase(n) for n in BASE_POOL) for k in range(ctx.spec.base_var_count)
     }
-    for idx in indices:
+    for idx in map(ctx.canonical, indices):
         shown = render_index(idx, ctx.spec)
         for v in enumerate_values(ctx, idx, pool, max_size):
             yield idx, shown, v
@@ -179,6 +179,11 @@ def _sweep(
     return PropertyResult(name, count, len(seen))
 
 
+def _mapper(ctx: GroupContext, fs, idx: IndexExpr, memo: dict) -> Callable[[Value], Value]:
+    """The derived map of fs at idx, through memo, as a base function."""
+    return lambda v: eval_map(ctx, fs, idx, v, memo=memo)
+
+
 def _ignore_values(alg: Algebra) -> DepAlgebra:
     """Lift an Algebra to a DepAlgebra whose methods drop the sub-values."""
     return DepAlgebra(
@@ -196,37 +201,49 @@ def _ignore_values(alg: Algebra) -> DepAlgebra:
 
 def check_equivalence(ctx: GroupContext, max_size: int) -> PropertyResult:
     """eval_nfold and the function-space route agree on every case."""
-    algs = catalogue(ctx).values()
+    algs = [(alg, {}) for alg in catalogue(ctx).values()]
     return _sweep("nfold-vs-nfold-prime", (
-        (shown, v, alg.name, eval_nfold(ctx, alg, idx, v),
+        (shown, v, alg.name, eval_nfold(ctx, alg, idx, v, memo=memo),
          eval_nfold_prime(ctx, alg, idx, v))
         for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size)
-        for alg in algs
+        for alg, memo in algs
     ))
 
 
 def check_map_identity(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Mapping the identity over every slot returns the value unchanged."""
     fs = {k: (lambda v: v) for k in range(ctx.spec.base_var_count)}
+    memo = {}
     return _sweep("map-identity", (
-        (shown, v, "identity", eval_map(ctx, fs, idx, v), v)
+        (shown, v, "identity", eval_map(ctx, fs, idx, v, memo=memo), v)
         for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size)
     ))
 
 
 def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
-    """Mapping once at depth m+n equals mapping at m with an inner depth-n map."""
+    """Mapping once at depth m+n equals mapping at m with an inner depth-n map.
+
+    The map of f has one memo, which its inner maps share.  The outer map's
+    base is the inner map, so it has one memo per (f, split)."""
     (dc,) = ctx.app_ctor.values()
+    at = lambda d: ctx.canonical(nat_index(dc, d))
+    maps = [(fname, {0: f}, {}) for fname, f in MAP_FNS]
+    inner_maps = {
+        (fname, n): {0: _mapper(ctx, fs, at(n), memo)}
+        for fname, fs, memo in maps
+        for n in range(5)
+    }
 
     def cases():
         for m in range(5):
             for n in range(5 - m):
-                outer, inner = nat_index(dc, m), nat_index(dc, n)
-                for whole, shown, v in _values(ctx, [nat_index(dc, m + n)], max_size):
-                    for fname, f in MAP_FNS:
-                        lhs = eval_map(ctx, {0: f}, whole, v)
-                        inner_map = lambda w: eval_map(ctx, {0: f}, inner, w)
-                        rhs = eval_map(ctx, {0: inner_map}, outer, v)
+                outer_memos = {fname: {} for fname, _, _ in maps}
+                for whole, shown, v in _values(ctx, [at(m + n)], max_size):
+                    for fname, fs, memo in maps:
+                        lhs = eval_map(ctx, fs, whole, v, memo=memo)
+                        rhs = eval_map(
+                            ctx, inner_maps[fname, n], at(m), v, memo=outer_memos[fname]
+                        )
                         yield f"{shown} split {m}+{n}", v, fname, lhs, rhs
 
     return _sweep("map-composition", cases())
@@ -235,13 +252,13 @@ def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
 def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The fold-backed higher-order fold matches the literal recursion."""
     decl = ctx.group.decls[0]
-    halgs = halg_catalogue(ctx).values()
+    halgs = [(halg, {}) for halg in halg_catalogue(ctx).values()]
     return _sweep("hfold-conformance", (
         (shown, v, halg.name,
-         halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v)),
+         halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v, memo=memo)),
          halg.finish(eval_hfold_direct(ctx, halg, v)))
         for _, shown, v in _own_values(ctx, max_size)
-        for halg in halgs
+        for halg, memo in halgs
     ))
 
 
@@ -261,38 +278,47 @@ def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
 
 def check_hmap_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The one-layer map derived from the fold matches the direct recursion."""
+    maps = [(fname, f, {0: f}, {}) for fname, f in MAP_FNS]
     return _sweep("hmap-agreement", (
-        (shown, v, fname, eval_map(ctx, {0: f}, idx, v), eval_hmap_direct(ctx, f, v))
+        (shown, v, fname, eval_map(ctx, fs, idx, v, memo=memo), eval_hmap_direct(ctx, f, v))
         for idx, shown, v in _own_values(ctx, max_size)
-        for fname, f in MAP_FNS
+        for fname, f, fs, memo in maps
     ))
 
 
 def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
-    """The one-layer map satisfies its defining equation on both constructors."""
-    nil, cons = bush_shape(ctx)
+    """The one-layer map satisfies its defining equation on both constructors.
 
-    def unfolded(f, idx, v: Value) -> Value:
+    hmap f has one memo, shared by both sides; hmap (hmap f) has its own."""
+    nil, cons = bush_shape(ctx)
+    idx = ctx.own_index(ctx.group.decls[0])
+    maps = []
+    for fname, f in MAP_FNS:
+        fs, memo = {0: f}, {}
+        maps.append((fname, f, fs, memo, {0: _mapper(ctx, fs, idx, memo)}, {}))
+
+    def unfolded(f, hmap_fs, hmap_memo, v: Value) -> Value:
         if isinstance(v, VCon) and v.ctor == cons:
             x, xs = v.args
-            hmap_f = lambda s: eval_map(ctx, {0: f}, idx, s)
-            return VCon(cons, (f(x), eval_map(ctx, {0: hmap_f}, idx, xs)))
+            return VCon(cons, (f(x), eval_map(ctx, hmap_fs, idx, xs, memo=hmap_memo)))
         return v
 
     return _sweep("hmap-cons-equation", (
-        (shown, v, fname, eval_map(ctx, {0: f}, idx, v), unfolded(f, idx, v))
-        for idx, shown, v in _own_values(ctx, max_size)
-        for fname, f in MAP_FNS
+        (shown, v, fname, eval_map(ctx, fs, idx, v, memo=memo),
+         unfolded(f, hmap_fs, hmap_memo, v))
+        for _, shown, v in _own_values(ctx, max_size)
+        for fname, f, fs, memo, hmap_fs, hmap_memo in maps
     ))
 
 
 def check_ind_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Induction with value-ignoring methods computes exactly the fold."""
-    algs = [(alg, _ignore_values(alg)) for alg in catalogue(ctx).values()]
+    algs = [(alg, {}, _ignore_values(alg), {}) for alg in catalogue(ctx).values()]
     return _sweep("ind-agreement", (
-        (shown, v, alg.name, eval_ind(ctx, dep, idx, v), eval_nfold(ctx, alg, idx, v))
+        (shown, v, alg.name, eval_ind(ctx, dep, idx, v, memo=dep_memo),
+         eval_nfold(ctx, alg, idx, v, memo=memo))
         for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size)
-        for alg, dep in algs
+        for alg, memo, dep, dep_memo in algs
     ))
 
 
@@ -313,8 +339,9 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
         "length": (0, lambda x, r: 1 + r),
     }
     algs = catalogue(ctx)
+    memos = {name: {} for name in oracles}
     return _sweep("spine-fold-agreement", (
-        (shown, v, name, nat_of(eval_nfold(ctx, algs[name], idx, v)),
+        (shown, v, name, nat_of(eval_nfold(ctx, algs[name], idx, v, memo=memos[name])),
          fold_list(base, step, v))
         for idx, shown, v in _own_values(ctx, max_size)
         for name, (base, step) in oracles.items()

@@ -10,6 +10,17 @@ Value itself, and a function is an RFun.  Functions are only ever observed
 by application — equality checks must drive them to a first-order result
 first.
 
+eval_nfold, eval_ind, eval_map and eval_hfold_via_nfold take an optional
+memo, so that a sub-value shared by many enumerated values is folded once.
+Its key is (index, id(sub-value)) and its entry is (sub-value, result): the
+entry keeps the sub-value alive, so its id cannot be reused while the memo
+lives, and a hit counts only when the entry's sub-value is the value asked
+about.  Base positions apply their base function directly.  A memo is sound
+only for one algebra whose bases and methods are pure: two different
+algebras, or two maps of different functions, must not share one.  A call
+that is given a CallCounter neither reads nor writes its memo, so the count
+is always the fold's real number of recursive calls.
+
 The two *direct* evaluators (eval_hfold_direct, eval_hmap_direct) transcribe
 the non-structural recursions verbatim and serve as oracles for the derived
 routes.  Each recursion exists once (_hfold, _hybrid_map) and works on hybrid
@@ -60,6 +71,10 @@ class RFun:
 
 
 RuntimeResult = int | Value | RFun
+
+#: A fold's memo: (index, id(sub-value)) -> (sub-value, result).  See the
+#: module docstring for when one may be shared.
+Memo = dict[tuple[IndexExpr, int], tuple[Value, RuntimeResult]]
 
 
 def nat_add(m: int, n: int) -> int:
@@ -147,6 +162,8 @@ class CallCounter:
 
 
 def check_algebra(ctx: GroupContext, alg: Algebra | DepAlgebra) -> None:
+    if ctx.base_slots <= alg.bases.keys() and ctx.ctor_names <= alg.methods.keys():
+        return
     missing = [k for k in range(ctx.spec.base_var_count) if k not in alg.bases]
     if missing:
         raise EvalError(f"algebra is missing base functions for slots {missing}")
@@ -206,23 +223,29 @@ def eval_nfold(
     idx: IndexExpr,
     v: Value,
     counter: CallCounter | None = None,
+    memo: Memo | None = None,
 ) -> RuntimeResult:
     check_algebra(ctx, alg)
-    return _nfold(ctx, alg, idx, v, counter)
+    return _nfold(ctx, alg, idx, v, counter, None if counter is not None else memo)
 
 
-def _nfold(ctx, alg, idx, v, counter):
-    match idx:
-        case IVar(k):
-            return alg.bases[k](v)
-        case IApp(_, iargs):
-            rs = []
-            for t, sub in zip(_args_at(ctx, idx, v), v.args):
-                if counter is not None and isinstance(sub, VCon):
-                    counter.calls += 1
-                rs.append(_nfold(ctx, alg, t, sub, counter))
-            return alg.methods[v.ctor](iargs, tuple(rs))
-    raise AssertionError
+def _nfold(ctx, alg, idx, v, counter, memo):
+    if isinstance(idx, IVar):
+        return alg.bases[idx.k](v)
+    if memo is not None:
+        key = (idx, id(v))
+        hit = memo.get(key)
+        if hit is not None and hit[0] is v:
+            return hit[1]
+    rs = []
+    for t, sub in zip(_args_at(ctx, idx, v), v.args):
+        if counter is not None and isinstance(sub, VCon):
+            counter.calls += 1
+        rs.append(_nfold(ctx, alg, t, sub, counter, memo))
+    r = alg.methods[v.ctor](idx.args, tuple(rs))
+    if memo is not None:
+        memo[key] = (v, r)
+    return r
 
 
 def _args_at(ctx: GroupContext, idx: IApp, v: Value) -> tuple[IndexExpr, ...]:
@@ -240,6 +263,7 @@ def eval_map(
     idx: IndexExpr,
     v: Value,
     counter: CallCounter | None = None,
+    memo: Memo | None = None,
 ) -> Value:
     """The derived map: the fold whose methods rebuild their constructor."""
     alg = Algebra(
@@ -250,7 +274,7 @@ def eval_map(
             for _, c in ctx.ctors()
         },
     )
-    return eval_nfold(ctx, alg, idx, v, counter)
+    return eval_nfold(ctx, alg, idx, v, counter, memo)
 
 
 def eval_ind(
@@ -259,21 +283,29 @@ def eval_ind(
     idx: IndexExpr,
     v: Value,
     counter: CallCounter | None = None,
+    memo: Memo | None = None,
 ) -> RuntimeResult:
     check_algebra(ctx, dep)
+    if counter is not None:
+        memo = None
 
     def go(i: IndexExpr, w: Value) -> RuntimeResult:
-        match i:
-            case IVar(k):
-                return dep.bases[k](w)
-            case IApp(_, iargs):
-                rs = []
-                for t, sub in zip(_args_at(ctx, i, w), w.args):
-                    if counter is not None and isinstance(sub, VCon):
-                        counter.calls += 1
-                    rs.append(go(t, sub))
-                return dep.methods[w.ctor](iargs, w.args, tuple(rs))
-        raise AssertionError
+        if isinstance(i, IVar):
+            return dep.bases[i.k](w)
+        if memo is not None:
+            key = (i, id(w))
+            hit = memo.get(key)
+            if hit is not None and hit[0] is w:
+                return hit[1]
+        rs = []
+        for t, sub in zip(_args_at(ctx, i, w), w.args):
+            if counter is not None and isinstance(sub, VCon):
+                counter.calls += 1
+            rs.append(go(t, sub))
+        r = dep.methods[w.ctor](i.args, w.args, tuple(rs))
+        if memo is not None:
+            memo[key] = (w, r)
+        return r
 
     return go(idx, v)
 
@@ -294,7 +326,7 @@ def _bush(ctx: GroupContext, what: str) -> tuple[str, str]:
 
 
 def eval_hfold_via_nfold(
-    ctx: GroupContext, halg: HAlgebra, decl_name: str, v: Value
+    ctx: GroupContext, halg: HAlgebra, decl_name: str, v: Value, memo: Memo | None = None
 ) -> RuntimeResult:
     """hfold as nfold at the declaration's own index with identity bases."""
     alg = Algebra(
@@ -305,7 +337,7 @@ def eval_hfold_via_nfold(
             for _, c in ctx.ctors()
         },
     )
-    return eval_nfold(ctx, alg, ctx.own_index(decl_name), v)
+    return eval_nfold(ctx, alg, ctx.own_index(decl_name), v, memo=memo)
 
 
 def eval_hfold_direct(
@@ -381,12 +413,19 @@ def eval_nfold_prime(
     if idx != nat_index(dc, depth):
         raise EvalError("index must be an iterated application over the base slot")
     limit = default_guard(v, depth)
+    levels: dict[int, tuple[IndexExpr]] = {}
+
+    def level(n: RuntimeResult) -> tuple[IndexExpr]:
+        """The index arguments of a method at level n, built once per call."""
+        n = nat_of(n)
+        at = levels.get(n)
+        if at is None:
+            at = levels[n] = (nat_index(dc, n),)
+        return at
 
     def leaf() -> RuntimeResult:
         # λ i tr → leaf' i
-        return RFun(
-            lambda n: RFun(lambda tr: alg.methods[nil]((nat_index(dc, nat_of(n)),), ()))
-        )
+        return RFun(lambda n: RFun(lambda tr: alg.methods[nil](level(n), ())))
 
     def node(x: RuntimeResult, xs: RuntimeResult) -> RuntimeResult:
         # λ x xs i tr → cons' i (tr x) (xs (succ i) (λ f → f i tr))
@@ -397,7 +436,7 @@ def eval_nfold_prime(
                     apply_result(xs, nat_succ(nat_of(n))),
                     RFun(lambda f: apply_result(apply_result(f, n), tr)),
                 )
-                return alg.methods[cons]((nat_index(dc, nat_of(n)),), (r1, deeper))
+                return alg.methods[cons](level(n), (r1, deeper))
 
             return RFun(with_continuation)
 

@@ -282,6 +282,49 @@ def test_ctors_at_places_arguments_at_their_indices(bobdylan_ctx):
     assert bobdylan_ctx.ctors_at(at, "robert") is None
 
 
+def test_ctors_at_hands_out_one_object_per_index(monkeypatch):
+    (ctx,) = analyze(parse_program(BUSH))
+    bushc = lambda i: IApp("BushC", (i,))
+    one = bushc(IVar(0))
+    # BushC (BushC varA) as cons's second argument at depth 1, and as its
+    # first argument at depth 3
+    _, two = ctx.ctors_at(one, "cons")
+    three = ctx.ctors_at(two, "cons")[1]
+    assert three == bushc(bushc(bushc(IVar(0))))
+    two_again, four = ctx.ctors_at(three, "cons")
+    assert two_again is two
+    # the first object asked about stands for its index from then on
+    assert ctx.ctors_at(two, "cons")[0] is ctx.own_index("Bush") is one
+    assert ctx.ctors_at(one, "cons")[0] is ctx.canonical(IVar(0))
+
+    # the table is keyed by the objects it hands out: once filled, no
+    # lookup compares indices by structure
+    filled = {idx: ctx.ctors_at(idx, "cons") for idx in (two, three, four)}
+
+    def no_compare(self, other):
+        raise AssertionError("an index was compared by structure")
+
+    monkeypatch.setattr(IApp, "__eq__", no_compare)
+    for idx, at in filled.items():
+        assert ctx.ctors_at(idx, "cons") is at
+
+
+def test_an_index_is_hashed_once_at_construction():
+    hashed = []
+
+    class Probe:
+        def __hash__(self):
+            hashed.append(self)
+            return 7
+
+    e = IApp("BushC", (Probe(),))
+    assert len(hashed) == 1
+    assert hash(e) == hash(e) == hash(("BushC", e.args))
+    assert {e: 1}[e] == 1
+    assert len(hashed) == 2  # only the explicit hash of the argument tuple above
+    assert repr(IApp("BushC", (IVar(0),))) == "IApp(ctor='BushC', args=(IVar(k=0),))"
+
+
 # ---------------------------------------------------------------------------
 # Index expressions
 

@@ -544,3 +544,64 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "check" in out and "derive" in out
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract on declaration text
+
+
+@st.composite
+def _type_arg(draw, params, arity, depth):
+    """A parameter, or a declaration of the group applied to smaller types."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(params))
+    head = draw(st.sampled_from(sorted(arity)))
+    args = [draw(_type_arg(params, arity, depth - 1)) for _ in range(arity[head])]
+    return f"({head} {' '.join(args)})"
+
+
+@st.composite
+def _groups(draw):
+    """One or two declarations of one or two parameters, each with one or
+    two constructors of at most two arguments nested at most two deep."""
+    names = ("T", "U")[: draw(st.integers(1, 2))]
+    arity = {n: draw(st.sampled_from((1, 1, 1, 2))) for n in names}
+    ctors = iter(range(4))
+    lines = []
+    for n in names:
+        params = ("a", "b")[: arity[n]]
+        own = " ".join((n, *params))
+        lines.append(f"data {own} where")
+        for _ in range(draw(st.integers(1, 2))):
+            args = draw(st.lists(_type_arg(params, arity, 2), max_size=2))
+            lines.append(f"  k{next(ctors)} : {' -> '.join([*args, own])}")
+    return "\n".join(lines) + "\n"
+
+
+def _declaration_texts():
+    samples = [(SAMPLES / f"{s}.ndt").read_text() for s in ("list", "bush", "bobdylan")]
+    return st.one_of(_groups(), st.sampled_from(samples).flatmap(_mutated))
+
+
+@pytest.fixture(scope="module")
+def decls_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("decls")
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=_declaration_texts())
+def test_every_command_keeps_the_exit_code_contract_on_declaration_text(decls_dir, text):
+    src = decls_dir / "t.ndt"
+    src.write_text(text)
+    out_dir = str(decls_dir / "out")
+    for argv in (
+        ["check", str(src)],
+        ["derive", str(src), "--out", out_dir],
+        ["derive", str(src), "--out", out_dir, "--nat-index"],
+        ["test", str(src), "--max-size", "3"],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()

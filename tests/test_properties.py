@@ -209,7 +209,7 @@ def test_broken_map_is_caught(bush, monkeypatch):
     monkeypatch.setattr(
         properties,
         "eval_map",
-        lambda ctx, fs, idx, v, counter=None: VCon("leaf"),
+        lambda ctx, fs, idx, v, counter=None, memo=None: VCon("leaf"),
     )
     r = check_map_identity(bush, 4)
     assert not r.ok
@@ -269,8 +269,8 @@ def _leaf_instead(real):
 
 def _zero_bases(real):
     """A map that sends every base value to 0, whatever it was asked to do."""
-    return lambda ctx, fs, idx, v, counter=None: real(
-        ctx, {k: (lambda w: VBase(0)) for k in fs}, idx, v, counter
+    return lambda ctx, fs, idx, v, counter=None, memo=None: real(
+        ctx, {k: (lambda w: VBase(0)) for k in fs}, idx, v, counter, memo
     )
 
 
@@ -278,10 +278,10 @@ def _corrupt_inner_map(real):
     """A map that is right at the top level and off by one when nested."""
     depth = [0]
 
-    def fake(ctx, fs, idx, v, counter=None):
+    def fake(ctx, fs, idx, v, counter=None, memo=None):
         depth[0] += 1
         try:
-            out = real(ctx, fs, idx, v, counter)
+            out = real(ctx, fs, idx, v, counter, memo)
         finally:
             depth[0] -= 1
         if depth[0] > 0 and isinstance(out, VBase):
@@ -339,7 +339,7 @@ SABOTAGE = [
     ),
     pytest.param(
         "bush", "check_hmap_cons", (5,), "eval_map",
-        lambda real: lambda ctx, fs, idx, v, counter=None: v,
+        lambda real: lambda ctx, fs, idx, v, counter=None, memo=None: v,
         3, Counterexample(
             "hmap-cons-equation", "BushC varA", "cons 0 leaf", "add1",
             "cons 0 leaf", "cons 1 leaf",
@@ -348,13 +348,13 @@ SABOTAGE = [
     ),
     pytest.param(
         "bobdylan", "check_ind_agreement", (4,), "eval_ind",
-        lambda real: lambda ctx, dep, idx, v, counter=None: 0,
+        lambda real: lambda ctx, dep, idx, v, counter=None, memo=None: 0,
         3, Counterexample("ind-agreement", "varA", "0", "trace", "0", "@varA 0"),
         id="ind-agreement",
     ),
     pytest.param(
         "lists", "check_spine_fold_agreement", (4,), "eval_nfold",
-        lambda real: lambda ctx, alg, idx, v, counter=None: 0,
+        lambda real: lambda ctx, alg, idx, v, counter=None, memo=None: 0,
         4, Counterexample(
             "spine-fold-agreement", "ListC varA", "cc 0 nil", "length", "0", "1"
         ),

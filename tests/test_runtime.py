@@ -399,6 +399,68 @@ def test_a_fold_substitutes_only_the_constructors_it_meets(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Memoized folds
+
+
+def _ind(ctx, alg, idx, v, counter=None, memo=None):
+    """eval_ind with alg's methods, blind to the sub-values."""
+    return eval_ind(ctx, _const_dep(alg), idx, v, counter, memo)
+
+
+FOLDS = [eval_nfold, _ind]
+
+
+@pytest.mark.parametrize("fold", FOLDS, ids=["eval_nfold", "eval_ind"])
+def test_the_memo_is_keyed_by_index(lists, fold):
+    # trace records the index it met, so one nil differs at each index
+    trace = catalogue(lists)["trace"]
+    nil = VCon("nil")
+    one = IApp("ListC", (IVar(0),))
+    two = IApp("ListC", (one,))
+    memo = {}
+    got = [fold(lists, trace, idx, nil, memo=memo) for idx in (one, two, one)]
+    want = [fold(lists, trace, idx, nil) for idx in (one, two, one)]
+    assert got == want
+    assert want[0] != want[1]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda ctx, *a: eval_nfold(ctx, catalogue(ctx)["sum"], bushc(1), *a),
+        lambda ctx, *a: _ind(ctx, catalogue(ctx)["sum"], bushc(1), *a),
+        lambda ctx, *a: eval_map(ctx, {0: add_one}, bushc(1), *a),
+    ],
+    ids=["eval_nfold", "eval_ind", "eval_map"],
+)
+def test_a_counter_counts_past_the_memo(bush, bush1, run):
+    plain = CallCounter()
+    run(bush, bush1, plain)
+    memo = {}
+    for _ in range(2):
+        counter = CallCounter()
+        run(bush, bush1, counter, memo)
+        assert counter.calls == plain.calls == value_size(bush1) - 1
+    assert memo == {}
+
+
+@pytest.mark.parametrize("src", [BUSH, LIST, BOBDYLAN], ids=["bush", "list", "bobdylan"])
+def test_a_shared_memo_changes_no_result(src):
+    from nestfold.properties import MAP_FNS, _suite_indices, _values
+
+    (ctx,) = analyze(parse_program(src))
+    slots = range(ctx.spec.base_var_count)
+    runs = [(fold, alg) for fold in FOLDS for alg in catalogue(ctx).values()]
+    runs += [(eval_map, {k: f for k in slots}) for _, f in MAP_FNS]
+    cases = list(_values(ctx, _suite_indices(ctx), 4))
+    for fold, alg in runs:
+        memo = {}
+        for idx, _, v in cases:
+            assert fold(ctx, alg, idx, v, memo=memo) == fold(ctx, alg, idx, v)
+        assert memo
+
+
+# ---------------------------------------------------------------------------
 # Higher-order folds
 
 
