@@ -1,4 +1,14 @@
-"""nestfold: derive and execute dependently typed folds for nested data types."""
+"""nestfold: derive and execute dependently typed folds for nested data types.
+
+Parsing and analysis load with the package.  The names of the runtime,
+derivation, emitter and properties modules load their module on first
+access (PEP 562), so a caller that only parses and analyzes never imports
+them.  They are looked up afresh on every access rather than cached here:
+a tool that rebinds a name in its home module is then seen through the
+package too.
+"""
+
+from importlib import import_module
 
 from .analysis import (
     GroupContext,
@@ -8,16 +18,9 @@ from .analysis import (
     bush_shape,
     classify,
     enumerate_indices,
+    nat_index_eligible,
     render_index,
     well_formed,
-)
-from .derivation import (
-    DerivedDef,
-    DerivedGroup,
-    derive_group,
-    ind_erases_to_nfold,
-    nat_index_eligible,
-    recursion_witnesses,
 )
 from .diagnostics import (
     AnalysisError,
@@ -30,7 +33,6 @@ from .diagnostics import (
     ParseError,
     PsBridgeError,
 )
-from .emitter import EmitModule, emit_agda, module_for_group
 from .parser import (
     Atom,
     Constructor,
@@ -44,22 +46,47 @@ from .parser import (
     render_program,
     render_value,
 )
-from .properties import Counterexample, PropertyResult, SuiteReport, run_suite
-from .runtime import (
-    Algebra,
-    CallCounter,
-    DepAlgebra,
-    HAlgebra,
-    RFun,
-    catalogue,
-    enumerate_values,
-    eval_ind,
-    eval_map,
-    eval_nfold,
-    eval_nfold_prime,
-    halg_catalogue,
-    typecheck_value,
-)
+
+#: The names that load their home module on first access, per module.
+_LAZY_MODULES = {
+    "derivation": (
+        "DerivedDef",
+        "DerivedGroup",
+        "derive_group",
+        "ind_erases_to_nfold",
+        "recursion_witnesses",
+    ),
+    "emitter": ("EmitModule", "emit_agda", "module_for_group"),
+    "properties": ("Counterexample", "PropertyResult", "SuiteReport", "run_suite"),
+    "runtime": (
+        "Algebra",
+        "CallCounter",
+        "DepAlgebra",
+        "HAlgebra",
+        "RFun",
+        "catalogue",
+        "enumerate_values",
+        "eval_ind",
+        "eval_map",
+        "eval_nfold",
+        "eval_nfold_prime",
+        "halg_catalogue",
+        "typecheck_value",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "Algebra",

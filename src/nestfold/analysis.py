@@ -98,6 +98,10 @@ class GroupContext:
     _canonical: dict[IndexExpr, IndexExpr] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    #: The canonical indices of level(0), level(1), ...
+    _levels: list[IndexExpr] = field(
+        default_factory=list, init=False, compare=False, repr=False
+    )
     #: Exact-size value pools per base pool and (index, size); see enumerate_values.
     pools: dict[tuple, dict[tuple[IndexExpr, int], tuple]] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -142,6 +146,19 @@ class GroupContext:
     def canonical(self, idx: IndexExpr) -> IndexExpr:
         """The one object of this context that equals idx."""
         return self._canonical.setdefault(idx, idx)
+
+    def level(self, n: int) -> IndexExpr:
+        """The canonical index n levels deep: the index constructor of the
+        group's first declaration applied n times to the first base slot.
+        Each level is built once per context."""
+        levels = self._levels
+        if n >= len(levels):
+            dc = self.app_ctor[self.group.decls[0]]
+            if not levels:
+                levels.append(self.canonical(IVar(0)))
+            while len(levels) <= n:
+                levels.append(self.canonical(IApp(dc, (levels[-1],))))
+        return levels[n]
 
     def own_index(self, name: str) -> IApp:
         """The declaration's own index: name applied to its parameters' slots."""
@@ -421,12 +438,10 @@ def enumerate_indices(spec: IndexTypeSpec, max_depth: int) -> list[IndexExpr]:
     return [e for tier in by_depth for e in tier]
 
 
-def nat_index(dc: str, n: int) -> IndexExpr:
-    """The index constructor dc applied n times to the first base slot."""
-    idx: IndexExpr = IVar(0)
-    for _ in range(n):
-        idx = IApp(dc, (idx,))
-    return idx
+def nat_index_eligible(ctx: GroupContext) -> bool:
+    """Nat mode collapses the index algebra to depths; that needs one
+    declaration with one base slot."""
+    return len(ctx.group.decls) == 1 and ctx.group.base_var_count == 1
 
 
 def group_spine_shape(ctx: GroupContext) -> tuple[str, str] | None:
@@ -442,8 +457,7 @@ def bush_shape(ctx: GroupContext) -> tuple[str, str] | None:
     shape = group_spine_shape(ctx)
     if shape is None or ctx.group.base_var_count != 1:
         return None
-    dc = ctx.app_ctor[ctx.group.decls[0]]
-    if ctx.arg_templates[shape[1]] != (IVar(0), nat_index(dc, 2)):
+    if ctx.arg_templates[shape[1]] != (IVar(0), ctx.level(2)):
         return None
     return shape
 

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 domain failure (diagnostics or a counterexample),
 2 usage or I/O trouble.  All payload output is deterministic for fixed
 inputs and flags.
+
+Every command parses and analyzes, so parsing, analysis and diagnostics load
+with this module.  Each command imports the rest of what it runs when it
+runs: eval the runtime, derive the derivation and the emitter, test the
+property suite, and the agda hook subprocess.  `check` loads nothing more.
 """
 
 from __future__ import annotations
@@ -10,14 +15,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import subprocess
 import sys
 from pathlib import Path
 
-from .analysis import GroupContext, classify, context_to_index, group_context, well_formed
-from .derivation import derive_group, nat_index_eligible
+from .analysis import (
+    GroupContext,
+    classify,
+    context_to_index,
+    group_context,
+    nat_index_eligible,
+    well_formed,
+)
 from .diagnostics import NestfoldError, ParseError
-from .emitter import emit_agda, module_for_group
 from .parser import (
     CtxApp,
     parse_program,
@@ -25,8 +34,6 @@ from .parser import (
     parse_value_literal,
     render_value,
 )
-from .properties import run_suite
-from .runtime import catalogue, eval_nfold, typecheck_value
 
 
 def _report(diags) -> bool:
@@ -78,6 +85,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    from .derivation import derive_group
+    from .emitter import emit_agda, module_for_group
+
     ctxs = _load(args.decls)
     if ctxs is None:
         return 1
@@ -103,6 +113,8 @@ def _agda_hook(paths: list[Path]) -> int:
     if not agda:
         print("note: external agda check skipped (NESTFOLD_AGDA is not set)")
         return 0
+    import subprocess
+
     for path in paths:
         proc = subprocess.run([agda, str(path)], capture_output=True, text=True)
         if proc.returncode != 0:
@@ -119,6 +131,8 @@ def _default_target(program) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .runtime import catalogue, eval_nfold, typecheck_value
+
     ctxs = _load(args.decls)
     if ctxs is None:
         return 1
@@ -152,6 +166,8 @@ def cmd_test(args: argparse.Namespace) -> int:
     if args.max_size < 1:
         print("error: --max-size must be at least 1", file=sys.stderr)
         return 2
+    from .properties import run_suite
+
     ctxs = _load(args.decls)
     if ctxs is None:
         return 1

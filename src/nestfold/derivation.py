@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import GroupContext, IApp, IndexExpr, IVar, bush_shape
+from .analysis import GroupContext, IApp, IndexExpr, IVar, bush_shape, nat_index_eligible
 from .diagnostics import DerivationError, PsBridgeError
 from .parser import Constructor, TApp, TVar, TypeDecl, TypeExpr
 
@@ -122,12 +122,6 @@ def _arrow(tys: list[Term]) -> Term:
 
 # ---------------------------------------------------------------------------
 # Naming and index-translation tables, per (group, mode)
-
-
-def nat_index_eligible(ctx: GroupContext) -> bool:
-    """Nat mode collapses the index algebra to depths; that needs one
-    declaration with one base slot."""
-    return len(ctx.group.decls) == 1 and ctx.group.base_var_count == 1
 
 
 # short names the nat mode hands out elsewhere, so single-letter method

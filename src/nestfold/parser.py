@@ -154,6 +154,12 @@ class Token:
 
 _PUNCT = {"(": "(", ")": ")", "[": "[", "]": "]", ",": ",", ":": ":"}
 
+#: A natural literal is a run of ASCII digits.  Past its leading zeros, a
+#: run longer than NAT_MAX's digits is out of range without int() reading it
+#: (int() refuses more than 4300 digits).
+_DIGITS = frozenset("0123456789")
+_NAT_MAX_LEN = len(str(NAT_MAX))
+
 
 def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
     toks: list[Token] = []
@@ -202,14 +208,15 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             lit = text[i:j]
-            if int(lit) > NAT_MAX:
+            digits = lit.lstrip("0") or "0"
+            if len(digits) > _NAT_MAX_LEN or int(digits) > NAT_MAX:
                 raise err(f"natural literal {lit} exceeds the 64-bit range", line, col)
-            toks.append(Token("nat", lit, line, col))
+            toks.append(Token("nat", digits, line, col))
             col += j - i
             i = j
             continue

@@ -17,10 +17,9 @@ from .analysis import (
     bush_shape,
     enumerate_indices,
     list_shape,
-    nat_index,
+    nat_index_eligible,
     render_index,
 )
-from .derivation import nat_index_eligible
 from .parser import VBase, VCon, Value, render_value, value_size
 from .runtime import (
     Algebra,
@@ -119,8 +118,7 @@ def _suite_indices(ctx: GroupContext) -> list[IndexExpr]:
     the naturals, up to 2 otherwise (multi-variable index universes grow too
     quickly for an exhaustive deeper sweep)."""
     if nat_index_eligible(ctx):
-        (dc,) = ctx.app_ctor.values()
-        return [nat_index(dc, d) for d in range(4)]
+        return [ctx.level(d) for d in range(4)]
     return enumerate_indices(ctx.spec, 2)
 
 
@@ -147,8 +145,13 @@ def _agree(lhs: object, rhs: object) -> bool:
     return lhs == rhs
 
 
-def _show(r: object) -> str:
+def _show(r: object, atom: bool = False) -> str:
+    """One side of a failing case.  A broken evaluator can put a number or a
+    function in a constructor slot, so slots are shown by this rule too."""
     match r:
+        case VCon(ctor, args, _) if args:
+            s = " ".join([ctor] + [_show(a, atom=True) for a in args])
+            return f"({s})" if atom else s
         case VBase() | VCon():
             return render_value(r)
         case RFun():
@@ -225,8 +228,7 @@ def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
 
     The map of f has one memo, which its inner maps share.  The outer map's
     base is the inner map, so it has one memo per (f, split)."""
-    (dc,) = ctx.app_ctor.values()
-    at = lambda d: ctx.canonical(nat_index(dc, d))
+    at = ctx.level
     maps = [(fname, {0: f}, {}) for fname, f in MAP_FNS]
     inner_maps = {
         (fname, n): {0: _mapper(ctx, fs, at(n), memo)}

@@ -50,7 +50,6 @@ from .analysis import (
     bush_shape,
     group_spine_shape,
     index_depth,
-    nat_index,
 )
 from .diagnostics import Diagnostic, EvalError, GuardExceeded
 from .parser import NAT_MAX, Atom, Value, VBase, VCon, render_value, value_size
@@ -408,20 +407,14 @@ def eval_nfold_prime(
     """
     check_algebra(ctx, alg)
     nil, cons = _bush(ctx, "the function-space route")
-    dc = ctx.app_ctor[ctx.group.decls[0]]
     depth = index_depth(idx)
-    if idx != nat_index(dc, depth):
+    if idx != ctx.level(depth):
         raise EvalError("index must be an iterated application over the base slot")
     limit = default_guard(v, depth)
-    levels: dict[int, tuple[IndexExpr]] = {}
 
     def level(n: RuntimeResult) -> tuple[IndexExpr]:
-        """The index arguments of a method at level n, built once per call."""
-        n = nat_of(n)
-        at = levels.get(n)
-        if at is None:
-            at = levels[n] = (nat_index(dc, n),)
-        return at
+        """The index arguments of a method at level n."""
+        return (ctx.level(nat_of(n)),)
 
     def leaf() -> RuntimeResult:
         # λ i tr → leaf' i

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import nestfold.analysis as analysis
 import nestfold.cli as cli
+import nestfold.runtime as runtime
 from nestfold.analysis import analyze, context_to_index
 from nestfold.cli import main
 from nestfold.parser import Atom, VBase, parse_program, parse_type_context, render_value
@@ -385,6 +386,31 @@ def test_eval_too_deep_value(capsys, tmp_path):
     assert "too deeply" in _one_error_line(err)
 
 
+@pytest.mark.parametrize(
+    "command, name, text, at",
+    [
+        ("check", "bad.ndt", "data T : Set where\n  j : \u00b9 -> T\n", "2:7"),
+        ("eval", "bad.ndv", "[1, \u00b2]\n", "1:5"),
+        ("eval", "bad.ndv", "[" + "9" * 5000 + "]\n", "1:2"),
+    ],
+    ids=["superscript-in-a-declaration", "superscript-in-a-value", "5000-digit-natural"],
+)
+def test_a_literal_int_cannot_read_is_one_parse_error(capsys, tmp_path, command, name, text, at):
+    src = tmp_path / name
+    src.write_text(text, encoding="utf-8")
+    argv = [command, src] if command == "check" else [command, SAMPLES / "list.ndt", src]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert _one_error_line(err).startswith(f"{src}:{at}: error: ")
+
+
+def test_eval_leading_zeros_past_the_digit_limit(capsys, tmp_path):
+    lit = tmp_path / "zeros.ndv"
+    lit.write_text("[" + "0" * 4999 + "1]\n")
+    code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit)
+    assert (code, out, err) == (0, "1\n", "")
+
+
 #: Well-typed targets per sample; their literals come from enumeration.
 _EVAL_TARGETS = {
     "bush.ndt": ("Bush Nat", "Bush (Bush Nat)", "Bush Atom"),
@@ -427,7 +453,7 @@ def _type_strings():
 def _mutated(draw, text):
     at = draw(st.integers(0, len(text)))
     cut = draw(st.integers(0, 3))
-    insert = draw(st.text(alphabet="[](),' 0123456789abcqxyz-\n", max_size=3))
+    insert = draw(st.text(alphabet="[](),' 0123456789\u00b2\u0663abcqxyz-\n", max_size=3))
     return text[:at] + insert + text[at + cut:]
 
 
@@ -526,6 +552,24 @@ def test_counterexample_is_printed_on_failure(capsys, monkeypatch):
     assert "nfold-vs-nfold-prime: FAIL" in out
     assert "counterexample for nfold-vs-nfold-prime" in err
     assert "algebra:" in err
+
+
+def _reversed_nfold(ctx, alg, idx, v, counter, memo):
+    """A broken _nfold: every node's method gets its argument results reversed."""
+    if isinstance(idx, analysis.IVar):
+        return alg.bases[idx.k](v)
+    at = runtime._args_at(ctx, idx, v)
+    rs = [runtime._nfold(ctx, alg, t, sub, counter, None) for t, sub in zip(at, v.args)]
+    return alg.methods[v.ctor](idx.args, tuple(reversed(rs)))
+
+
+def test_a_counterexample_with_results_in_its_slots_is_rendered(capsys, monkeypatch):
+    monkeypatch.setattr(runtime, "_nfold", _reversed_nfold)
+    code, out, err = run(capsys, "test", SAMPLES / "bush.ndt", "--max-size", "6")
+    assert code == 1
+    assert "hfold-conformance: FAIL" in out
+    assert err.startswith("counterexample for nfold-vs-nfold-prime:\n")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

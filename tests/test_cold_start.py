@@ -1,0 +1,98 @@
+"""Cold start: the package and each command load only the layers they run.
+
+Every case runs in a fresh interpreter started with -S, as a command would
+start, and lists the nestfold modules it loaded.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nestfold
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
+
+#: What `from nestfold import analyze, parse_program` loads.
+SURFACE = {"nestfold", "nestfold.analysis", "nestfold.diagnostics", "nestfold.parser"}
+
+_LIST_LOADED = (
+    "import sys\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'nestfold')))\n"
+)
+
+
+def _loaded(code: str) -> set[str]:
+    """The nestfold modules loaded after running code in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code + "\n" + _LIST_LOADED],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_parse_and_analyze_load_only_the_surface():
+    assert _loaded("from nestfold import analyze, parse_program") == SURFACE
+
+
+def _command(*argv) -> set[str]:
+    """The modules loaded by one command, which must exit 0."""
+    return _loaded(
+        "from nestfold.cli import main\n"
+        f"assert main({[str(a) for a in argv]!r}) == 0\n"
+    )
+
+
+def test_check_adds_only_the_cli():
+    assert _command("check", SAMPLES / "bush.ndt") == SURFACE | {"nestfold.cli"}
+
+
+def test_eval_adds_the_runtime(tmp_path):
+    value = tmp_path / "v.ndv"
+    value.write_text("[1, 2]\n")
+    loaded = _command("eval", SAMPLES / "list.ndt", value)
+    assert loaded == SURFACE | {"nestfold.cli", "nestfold.runtime"}
+
+
+def test_test_adds_the_runtime_and_the_properties():
+    loaded = _command("test", SAMPLES / "list.ndt", "--max-size", "2")
+    assert loaded == SURFACE | {"nestfold.cli", "nestfold.runtime", "nestfold.properties"}
+
+
+def test_derive_adds_the_derivation_and_the_emitter(tmp_path):
+    loaded = _command("derive", SAMPLES / "list.ndt", "--out", tmp_path)
+    assert loaded == SURFACE | {"nestfold.cli", "nestfold.derivation", "nestfold.emitter"}
+
+
+def test_each_public_name_is_its_home_modules_object():
+    for name in nestfold.__all__:
+        obj = getattr(nestfold, name)
+        assert obj.__module__.startswith("nestfold."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+
+def test_a_name_rebound_in_its_home_module_is_seen_through_the_package(monkeypatch):
+    import nestfold.runtime as runtime
+
+    rebound = object()
+    monkeypatch.setattr(runtime, "eval_nfold", rebound)
+    assert nestfold.eval_nfold is rebound
+
+
+def test_dir_lists_every_public_name():
+    assert set(nestfold.__all__) <= set(dir(nestfold))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        nestfold.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from nestfold import no_such_name  # noqa: F401

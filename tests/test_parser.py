@@ -208,6 +208,9 @@ def test_mixed_group_constructors(bobdylan):
         ("cons 4 leaf )", "expected end of input"),
         ("'", "expected a name after the atom quote"),
         (str(NAT_MAX + 1), "exceeds the 64-bit range"),
+        ("0" + str(NAT_MAX + 1), "exceeds the 64-bit range"),
+        ("\u00b2", "unexpected character '\u00b2'"),
+        ("cons \u0663 leaf", "unexpected character '\u0663'"),
     ],
 )
 def test_value_errors(bush, text, msg):
@@ -217,6 +220,11 @@ def test_value_errors(bush, text, msg):
 
 def test_largest_natural_accepted(bush):
     v = parse_value_literal(f"cons {NAT_MAX} leaf", bush, "Bush Nat")
+    assert v.args[0] == VBase(NAT_MAX)
+
+
+def test_leading_zeros_do_not_count_toward_the_range(bush):
+    v = parse_value_literal(f"cons {'0' * 5000}{NAT_MAX} leaf", bush, "Bush Nat")
     assert v.args[0] == VBase(NAT_MAX)
 
 
@@ -328,7 +336,7 @@ def test_render_program_round_trip_generated(decls):
         ]
 
 
-@given(st.text(alphabet="datawhere:->()[],'0123456789ab \n-_", max_size=80))
+@given(st.text(alphabet="datawhere:->()[],'0123456789\u00b9\u00b2\u0663ab \n-_", max_size=80))
 def test_parser_totality_on_noise(text):
     try:
         parse_program(text)
@@ -336,7 +344,7 @@ def test_parser_totality_on_noise(text):
         pass
 
 
-@given(st.text(alphabet="consleaf()[],'0123456789 \n-", max_size=40))
+@given(st.text(alphabet="consleaf()[],'0123456789\u00b9\u00b2\u0663 \n-", max_size=40))
 def test_value_parser_totality_on_noise(text):
     program = parse_program(BUSH)
     try:

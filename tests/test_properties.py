@@ -20,6 +20,7 @@ from nestfold.properties import (
     run_suite,
 )
 import nestfold.properties as properties
+from nestfold.runtime import RFun
 
 from test_parser import BOBDYLAN, BUSH, LIST
 
@@ -238,6 +239,18 @@ def test_passing_suites_render_nothing(bush, lists, bobdylan, monkeypatch):
     for ctx, size in ((bush, 6), (lists, 4), (bobdylan, 3)):
         assert run_suite(ctx, size).ok
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "side, shown",
+    [
+        (VCon("cons", (VCon("cons", (3, VCon("leaf"))), 4)), "cons (cons 3 leaf) 4"),
+        (VCon("cons", (RFun(abs), VCon("leaf"))), "cons <function> leaf"),
+    ],
+    ids=["naturals-in-slots", "function-in-a-slot"],
+)
+def test_a_counterexample_side_renders_whatever_its_slots_hold(side, shown):
+    assert properties._show(side) == shown
 
 
 # ---------------------------------------------------------------------------

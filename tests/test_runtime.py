@@ -10,7 +10,7 @@ from going unnoticed.
 import pytest
 from hypothesis import given, strategies as st
 
-from nestfold.analysis import IApp, IVar, analyze
+from nestfold.analysis import IApp, IVar, analyze, index_depth
 from nestfold.diagnostics import EvalError, GuardExceeded
 from nestfold.parser import (
     Atom,
@@ -522,6 +522,26 @@ def test_guard_converts_runaway_recursion_into_an_error(bush, bush1):
 def test_nfold_prime_sum_is_34(bush, bush1):
     alg = catalogue(bush)["sum"]
     assert eval_nfold_prime(bush, alg, bushc(1), bush1) == 34
+
+
+def test_nfold_prime_hands_out_the_contexts_levels(bush1):
+    (ctx,) = analyze(parse_program(BUSH))
+    total = catalogue(ctx)["sum"]
+    seen = []
+    spy = Algebra(
+        "spy",
+        bases=total.bases,
+        methods={
+            c: (lambda m: lambda iargs, rs: seen.append(iargs[0]) or m(iargs, rs))(m)
+            for c, m in total.methods.items()
+        },
+    )
+    assert eval_nfold_prime(ctx, spy, bushc(1), bush1) == 34
+    first = list(seen)
+    seen.clear()
+    assert eval_nfold_prime(ctx, spy, bushc(1), bush1) == 34
+    assert len(seen) == len(first) and all(a is b for a, b in zip(seen, first))
+    assert all(i is ctx.level(index_depth(i)) for i in first)
 
 
 def test_nfold_prime_at_base_index_equals_nfold(bush):
