@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -198,7 +199,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    on it, so each main() call gets a fresh namespace from the same parser."""
     p = argparse.ArgumentParser(
         prog="nestfold",
         description=(

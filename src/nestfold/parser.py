@@ -144,12 +144,18 @@ TypeCtx = CtxBase | CtxApp
 # Lexer
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # one of: ident, uident, nat, atom, punct, newline, eof
-    text: str
-    line: int
-    col: int
+    """One lexeme at its 1-based line and column.  A plain slotted class: a
+    literal of thousands of tokens builds each one without dataclass
+    machinery."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # one of: ident, uident, nat, atom, punct, newline, eof
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 _PUNCT = {"(": "(", ")": ")", "[": "[", "]": "]", ",": ",", ":": ":"}
@@ -159,6 +165,10 @@ _PUNCT = {"(": "(", ")": ")", "[": "[", "]": "]", ",": ",", ":": ":"}
 #: (int() refuses more than 4300 digits).
 _DIGITS = frozenset("0123456789")
 _NAT_MAX_LEN = len(str(NAT_MAX))
+
+#: An out-of-range literal longer than this is named by its first digits and
+#: its length, so that its error stays one short line.
+_SHOWN_DIGITS = 24
 
 
 def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
@@ -215,6 +225,8 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
             lit = text[i:j]
             digits = lit.lstrip("0") or "0"
             if len(digits) > _NAT_MAX_LEN or int(digits) > NAT_MAX:
+                if len(lit) > _SHOWN_DIGITS:
+                    lit = f"{lit[:_SHOWN_DIGITS]}... ({len(lit)} digits)"
                 raise err(f"natural literal {lit} exceeds the 64-bit range", line, col)
             toks.append(Token("nat", digits, line, col))
             col += j - i
@@ -427,65 +439,81 @@ def parse_value_literal(
     assert decl is not None
     arities = {c.name: len(c.args) for d in program.decls for c in d.ctors}
     cur = _Cursor(_lex(text, source, keep_newlines=False), source)
-    v = _parse_value(cur, arities, decl, allow_args=True)
+    v = _parse_value(cur, arities, decl, spine_shape(decl), allow_args=True)
     cur.expect("eof", what="end of input")
     return v
 
 
+#: Token kinds that can start a constructor argument, besides "(" and "[".
+_ARG_KINDS = frozenset({"nat", "atom", "ident"})
+
+
 def _parse_value(
-    cur: _Cursor, arities: dict[str, int], decl: TypeDecl, allow_args: bool
+    cur: _Cursor,
+    arities: dict[str, int],
+    decl: TypeDecl,
+    shape: tuple[str, str] | None,
+    allow_args: bool,
 ) -> Value:
-    t = cur.tok
-    if t.kind == "nat":
-        cur.advance()
-        return VBase(int(t.text), (t.line, t.col))
-    if t.kind == "atom":
-        cur.advance()
-        return VBase(Atom(t.text), (t.line, t.col))
-    if cur.at("punct", "["):
-        open_tok = cur.advance()
-        shape = spine_shape(decl)
+    # Reads cur.toks directly: a literal has one call here per node.  Only
+    # punctuation tokens have punctuation text, so text alone tells them.
+    toks = cur.toks
+    t = toks[cur.i]
+    kind, text = t.kind, t.text
+    if kind == "nat":
+        cur.i += 1
+        return VBase(int(text), (t.line, t.col))
+    if kind == "atom":
+        cur.i += 1
+        return VBase(Atom(text), (t.line, t.col))
+    if text == "[":
+        cur.i += 1
         if shape is None:
             raise cur.error(
                 f"bracket sugar needs {decl.name} to have exactly one nullary and "
                 "one binary constructor",
-                open_tok,
+                t,
             )
         nil_name, cons_name = shape
         elems: list[Value] = []
-        if not cur.at("punct", "]"):
-            elems.append(_parse_value(cur, arities, decl, allow_args=True))
-            while cur.at("punct", ","):
-                cur.advance()
-                elems.append(_parse_value(cur, arities, decl, allow_args=True))
+        if toks[cur.i].text != "]":
+            elems.append(_parse_value(cur, arities, decl, shape, allow_args=True))
+            while toks[cur.i].text == ",":
+                cur.i += 1
+                elems.append(_parse_value(cur, arities, decl, shape, allow_args=True))
         cur.expect("punct", "]")
-        spine: Value = VCon(nil_name, (), (open_tok.line, open_tok.col))
+        pos = (t.line, t.col)
+        spine: Value = VCon(nil_name, (), pos)
         for e in reversed(elems):
-            spine = VCon(cons_name, (e, spine), (open_tok.line, open_tok.col))
+            spine = VCon(cons_name, (e, spine), pos)
         return spine
-    if cur.at("punct", "("):
-        cur.advance()
-        v = _parse_value(cur, arities, decl, allow_args=True)
+    if text == "(":
+        cur.i += 1
+        v = _parse_value(cur, arities, decl, shape, allow_args=True)
         cur.expect("punct", ")")
         return v
-    if t.kind == "ident" and t.text not in KEYWORDS:
-        cur.advance()
-        if t.text not in arities:
-            raise cur.error(f"unknown constructor {t.text!r}", t)
+    if kind == "ident" and text not in KEYWORDS:
+        cur.i += 1
+        arity = arities.get(text)
+        if arity is None:
+            raise cur.error(f"unknown constructor {text!r}", t)
         args: list[Value] = []
         if allow_args:
-            while cur.tok.kind in ("nat", "atom", "ident") or cur.at("punct", "(") or cur.at("punct", "["):
-                if cur.tok.kind == "ident" and cur.tok.text in KEYWORDS:
+            while True:
+                a = toks[cur.i]
+                if a.kind == "ident" and a.text in KEYWORDS:
                     break
-                args.append(_parse_value(cur, arities, decl, allow_args=False))
-        if len(args) != arities[t.text]:
+                if a.kind not in _ARG_KINDS and a.text != "(" and a.text != "[":
+                    break
+                args.append(_parse_value(cur, arities, decl, shape, allow_args=False))
+        if len(args) != arity:
             raise ParseError(
-                f"{t.text} takes {arities[t.text]} argument(s), got {len(args)}",
+                f"{text} takes {arity} argument(s), got {len(args)}",
                 t.line,
                 t.col,
                 cur.file,
             )
-        return VCon(t.text, tuple(args), (t.line, t.col))
+        return VCon(text, tuple(args), (t.line, t.col))
     raise cur.error(f"expected a value, found {_Cursor._describe(t)}")
 
 

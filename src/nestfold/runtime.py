@@ -543,6 +543,16 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
         },
     )
 
+    # Every node at one index shares its index-argument tuple, so each tuple
+    # is encoded once per catalogue, not once per node.
+    encoded: dict[tuple[IndexExpr, ...], tuple[Value, ...]] = {}
+
+    def encode(iargs: tuple[IndexExpr, ...]) -> tuple[Value, ...]:
+        enc = encoded.get(iargs)
+        if enc is None:
+            enc = encoded[iargs] = tuple(_encode_index(i, ctx) for i in iargs)
+        return enc
+
     algs["trace"] = Algebra(
         "trace",
         bases={
@@ -550,9 +560,9 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
             for k in every_var
         },
         methods={
-            c.name: (lambda name: lambda iargs, rs: VCon(
-                "@" + name, tuple(_encode_index(i, ctx) for i in iargs) + rs
-            ))(c.name)
+            c.name: (lambda tag: lambda iargs, rs: VCon(tag, encode(iargs) + rs))(
+                "@" + c.name
+            )
             for _, c in ctx.ctors()
         },
     )

@@ -331,6 +331,69 @@ def test_eval_mutual_sum(capsys, tmp_path):
     assert out.strip() == "15"
 
 
+#: `eval --algebra trace` output, frozen: the trace algebra encodes each
+#: node's index arguments, and no other test pins those bytes.
+_TRACE_BUSH1 = (
+    "@cons 'varA (@varA 4) (@cons (@BushC 'varA) (@cons 'varA (@varA 8) "
+    "(@cons (@BushC 'varA) (@cons 'varA (@varA 5) (@leaf (@BushC 'varA))) "
+    "(@cons (@BushC (@BushC 'varA)) (@cons (@BushC 'varA) (@cons 'varA (@varA"
+    " 3) (@leaf (@BushC 'varA))) (@leaf (@BushC (@BushC 'varA)))) (@leaf "
+    "(@BushC (@BushC (@BushC 'varA))))))) (@cons (@BushC (@BushC 'varA)) "
+    "(@cons (@BushC 'varA) (@cons 'varA (@varA 7) (@leaf (@BushC 'varA))) "
+    "(@cons (@BushC (@BushC 'varA)) (@leaf (@BushC 'varA)) (@cons (@BushC "
+    "(@BushC (@BushC 'varA))) (@cons (@BushC (@BushC 'varA)) (@cons (@BushC "
+    "'varA) (@cons 'varA (@varA 7) (@leaf (@BushC 'varA))) (@leaf (@BushC "
+    "(@BushC 'varA)))) (@leaf (@BushC (@BushC (@BushC 'varA))))) (@leaf "
+    "(@BushC (@BushC (@BushC (@BushC 'varA)))))))) (@cons (@BushC (@BushC "
+    "(@BushC 'varA))) (@cons (@BushC (@BushC 'varA)) (@cons (@BushC 'varA) "
+    "(@leaf 'varA) (@cons (@BushC (@BushC 'varA)) (@cons (@BushC 'varA) "
+    "(@cons 'varA (@varA 0) (@leaf (@BushC 'varA))) (@leaf (@BushC (@BushC "
+    "'varA)))) (@leaf (@BushC (@BushC (@BushC 'varA)))))) (@leaf (@BushC "
+    "(@BushC (@BushC 'varA))))) (@leaf (@BushC (@BushC (@BushC (@BushC "
+    "'varA))))))))"
+)
+_TRACE_LIST_LIST = (
+    "@cc (@ListC 'varA) (@cc 'varA (@varA 1) (@cc 'varA (@varA 2) (@nil "
+    "'varA))) (@cc (@ListC 'varA) (@nil 'varA) (@cc (@ListC 'varA) (@cc 'varA"
+    " (@varA 3) (@nil 'varA)) (@nil (@ListC 'varA))))"
+)
+_TRACE_BOB = (
+    "@zimmerman 'varA (@duluth (@BobC (@DylanC 'varA (@BobC 'varA))) (@BobC "
+    "'varA) (@robert (@BobC (@DylanC 'varA (@BobC 'varA))) (@robert (@DylanC "
+    "'varA (@BobC 'varA)) (@duluth 'varA (@BobC 'varA) (@robert 'varA (@varA "
+    "1)) (@robert (@BobC 'varA) (@robert 'varA (@varA 2)))))) (@robert (@BobC"
+    " 'varA) (@robert 'varA (@varA 3)))) (@robert (@DylanC 'varA 'varA) "
+    "(@duluth 'varA 'varA (@robert 'varA (@varA 4)) (@robert 'varA (@varA "
+    "5))))"
+)
+
+
+@pytest.mark.parametrize(
+    "decls, literal, target, want",
+    [
+        ("bush.ndt", None, "Bush Nat", _TRACE_BUSH1),
+        ("list.ndt", "[[1, 2], [], [3]]", "List (List Nat)", _TRACE_LIST_LIST),
+        (
+            "bobdylan.ndt",
+            "zimmerman (duluth (robert (robert (duluth (robert 1) (robert (robert 2)))))"
+            " (robert (robert 3))) (robert (duluth (robert 4) (robert 5)))",
+            "Bob Nat",
+            _TRACE_BOB,
+        ),
+    ],
+    ids=["bush1", "list-of-lists", "bob"],
+)
+def test_eval_trace_prints_the_frozen_bytes(capsys, tmp_path, decls, literal, target, want):
+    value = SAMPLES / "bush1.ndv"
+    if literal is not None:
+        value = tmp_path / "v.ndv"
+        value.write_text(literal + "\n")
+    result = run(
+        capsys, "eval", SAMPLES / decls, value, "--type", target, "--algebra", "trace"
+    )
+    assert result == (0, want + "\n", "")
+
+
 def test_eval_syntax_error_names_the_value_file(capsys, tmp_path):
     lit = tmp_path / "x.ndv"
     lit.write_text("[ 1, ( ]")
@@ -402,6 +465,19 @@ def test_a_literal_int_cannot_read_is_one_parse_error(capsys, tmp_path, command,
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert _one_error_line(err).startswith(f"{src}:{at}: error: ")
+
+
+def test_a_long_natural_literal_is_named_in_one_short_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("long.ndv").write_text("[" + "9" * 5000 + "]\n")
+    code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", "long.ndv")
+    assert (code, out) == (1, "")
+    line = _one_error_line(err)
+    assert line == (
+        "long.ndv:1:2: error: natural literal 999999999999999999999999... "
+        "(5000 digits) exceeds the 64-bit range"
+    )
+    assert len(line) < 120
 
 
 def test_eval_leading_zeros_past_the_digit_limit(capsys, tmp_path):
@@ -588,6 +664,39 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "check" in out and "derive" in out
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(
+    capsys, tmp_path, monkeypatch
+):
+    assert cli._build_parser() is cli._build_parser()
+    bush = (SAMPLES / "bush.ndt", SAMPLES / "bush1.ndv")
+    assert run(capsys, "eval", *bush, "--algebra", "nope")[0] == 2
+    assert run(capsys, "eval", *bush) == (0, "34\n", "")
+
+    code, out, err = run(capsys, "test")
+    assert (code, out) == (2, "") and "usage:" in err
+    argv = ["test", str(SAMPLES / "list.ndt"), "--max-size", "2"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "nestfold.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert fresh.returncode == 0
+    assert run(capsys, *argv) == (0, fresh.stdout, "")
+
+    a, b, c = tmp_path / "A", tmp_path / "B", tmp_path / "C"
+    c.mkdir()
+    assert run(capsys, "derive", SAMPLES / "bush.ndt", "--nat-index", "--out", a)[0] == 0
+    assert run(capsys, "derive", SAMPLES / "bush.ndt", "--out", b)[0] == 0
+    monkeypatch.chdir(c)
+    assert run(capsys, "derive", SAMPLES / "bush.ndt")[0] == 0
+    assert (a / "Bush.agda").read_text() == (GOLDEN / "Bush.agda").read_text()
+    assert (b / "Bush.agda").read_text() == (c / "Bush.agda").read_text()
+    assert (b / "Bush.agda").read_text() != (a / "Bush.agda").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A", "B", "C"]
 
 
 # ---------------------------------------------------------------------------

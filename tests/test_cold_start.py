@@ -43,6 +43,30 @@ def test_parse_and_analyze_load_only_the_surface():
     assert _loaded("from nestfold import analyze, parse_program") == SURFACE
 
 
+def test_parse_and_analyze_do_not_load_typing():
+    # typing costs a few milliseconds of every command's start-up.
+    samples = [str(SAMPLES / f"{s}.ndt") for s in ("list", "bush", "bobdylan")]
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys\n"
+            "from nestfold import analyze, parse_program\n"
+            "for f in sys.argv[1:]:\n"
+            "    analyze(parse_program(open(f).read(), source=f))\n"
+            "print('typing' in sys.modules)\n",
+            *samples,
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def _command(*argv) -> set[str]:
     """The modules loaded by one command, which must exit 0."""
     return _loaded(
