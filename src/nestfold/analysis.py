@@ -26,6 +26,7 @@ from .parser import (
     TypeCtx,
     TypeDecl,
     TypeExpr,
+    VCon,
     spine_shape,
 )
 
@@ -106,6 +107,10 @@ class GroupContext:
     pools: dict[tuple, dict[tuple[IndexExpr, int], tuple]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    #: The one object of every enumerated value; see enumerate_values.
+    interned: dict[tuple, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def name(self) -> str:
@@ -124,6 +129,15 @@ class GroupContext:
     def base_slots(self) -> frozenset[int]:
         """The index variables' numbers, 0 .. base_var_count - 1."""
         return frozenset(range(self.spec.base_var_count))
+
+    @cached_property
+    def rebuild_methods(self) -> dict:
+        """The derived map's methods, by constructor name: each rebuilds its
+        constructor from its arguments' results."""
+        return {
+            c.name: (lambda name: lambda iargs, rs: VCon(name, rs))(c.name)
+            for _, c in self.ctors()
+        }
 
     def ctors_at(self, idx: IApp, c: str) -> tuple[IndexExpr, ...] | None:
         """The typing rule: the indices of constructor c's arguments at idx,

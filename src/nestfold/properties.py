@@ -169,13 +169,16 @@ def _sweep(
 ) -> PropertyResult:
     """Count the (index, value, label, lhs, rhs) cases up to the first disagreement.
 
-    Only that case is rendered; passing cases are told apart by value.
+    Only that case is rendered; passing cases are told apart by identity.
+    Every case value comes from enumerate_values (the pools outlive the
+    sweep), and two enumerated values are equal exactly when they are one
+    object, so counting ids counts distinct values.
     """
     count = 0
-    seen: set[tuple[Value, str]] = set()
+    seen: set[tuple[int, str]] = set()
     for index, value, label, lhs, rhs in cases:
         count += 1
-        seen.add((value, label))
+        seen.add((id(value), label))
         if not agree(lhs, rhs):
             ce = Counterexample(name, index, render_value(value), label, *show(lhs, rhs))
             return PropertyResult(name, count, len(seen), ce)
@@ -268,8 +271,7 @@ def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
     """On the nullary constructor the higher-order fold is its nil method."""
     decl = ctx.group.decls[0]
     nil, _ = bush_shape(ctx)
-    shown = render_index(ctx.own_index(decl), ctx.spec)
-    v = VCon(nil)
+    _, shown, v = next(case for case in _own_values(ctx, 1) if case[2].ctor == nil)
     return _sweep("hfold-leaf-equation", (
         (shown, v, halg.name,
          halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v)),

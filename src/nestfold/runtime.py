@@ -12,14 +12,20 @@ first.
 
 eval_nfold, eval_ind, eval_map and eval_hfold_via_nfold take an optional
 memo, so that a sub-value shared by many enumerated values is folded once.
-Its key is (index, id(sub-value)) and its entry is (sub-value, result): the
-entry keeps the sub-value alive, so its id cannot be reused while the memo
-lives, and a hit counts only when the entry's sub-value is the value asked
-about.  Base positions apply their base function directly.  A memo is sound
-only for one algebra whose bases and methods are pure: two different
-algebras, or two maps of different functions, must not share one.  A call
-that is given a CallCounter neither reads nor writes its memo, so the count
-is always the fold's real number of recursive calls.
+Its key is (index, id(sub-value)) and its entry is the bare result; base
+positions apply their base function directly.  The memo does not keep its
+sub-values alive, so its caller guarantees two things:
+
+- every value folded through a memo, and so every sub-value keyed in it,
+  outlives the memo, so that no id in it is reused.  Enumerated values do:
+  the intern table of their context (see enumerate_values) holds them for
+  the context's life, and a memo lives for one property;
+- the memo serves one algebra whose bases and methods are pure: two
+  different algebras, or two maps of different functions, must not share
+  one.
+
+A call that is given a CallCounter neither reads nor writes its memo, so the
+count is always the fold's real number of recursive calls.
 
 The two *direct* evaluators (eval_hfold_direct, eval_hmap_direct) transcribe
 the non-structural recursions verbatim and serve as oracles for the derived
@@ -71,9 +77,9 @@ class RFun:
 
 RuntimeResult = int | Value | RFun
 
-#: A fold's memo: (index, id(sub-value)) -> (sub-value, result).  See the
-#: module docstring for when one may be shared.
-Memo = dict[tuple[IndexExpr, int], tuple[Value, RuntimeResult]]
+#: A fold's memo: (index, id(sub-value)) -> result.  See the module
+#: docstring for what its caller guarantees.
+Memo = dict[tuple[IndexExpr, int], RuntimeResult]
 
 
 def nat_add(m: int, n: int) -> int:
@@ -233,9 +239,9 @@ def _nfold(ctx, alg, idx, v, counter, memo):
         return alg.bases[idx.k](v)
     if memo is not None:
         key = (idx, id(v))
-        hit = memo.get(key)
-        if hit is not None and hit[0] is v:
-            return hit[1]
+        r = memo.get(key)
+        if r is not None:
+            return r
     rs = []
     for t, sub in zip(_args_at(ctx, idx, v), v.args):
         if counter is not None and isinstance(sub, VCon):
@@ -243,7 +249,7 @@ def _nfold(ctx, alg, idx, v, counter, memo):
         rs.append(_nfold(ctx, alg, t, sub, counter, memo))
     r = alg.methods[v.ctor](idx.args, tuple(rs))
     if memo is not None:
-        memo[key] = (v, r)
+        memo[key] = r
     return r
 
 
@@ -265,15 +271,7 @@ def eval_map(
     memo: Memo | None = None,
 ) -> Value:
     """The derived map: the fold whose methods rebuild their constructor."""
-    alg = Algebra(
-        "map",
-        bases=fs,
-        methods={
-            c.name: (lambda name: lambda iargs, rs: VCon(name, rs))(c.name)
-            for _, c in ctx.ctors()
-        },
-    )
-    return eval_nfold(ctx, alg, idx, v, counter, memo)
+    return eval_nfold(ctx, Algebra("map", fs, ctx.rebuild_methods), idx, v, counter, memo)
 
 
 def eval_ind(
@@ -293,9 +291,9 @@ def eval_ind(
             return dep.bases[i.k](w)
         if memo is not None:
             key = (i, id(w))
-            hit = memo.get(key)
-            if hit is not None and hit[0] is w:
-                return hit[1]
+            r = memo.get(key)
+            if r is not None:
+                return r
         rs = []
         for t, sub in zip(_args_at(ctx, i, w), w.args):
             if counter is not None and isinstance(sub, VCon):
@@ -303,7 +301,7 @@ def eval_ind(
             rs.append(go(t, sub))
         r = dep.methods[w.ctor](i.args, w.args, tuple(rs))
         if memo is not None:
-            memo[key] = (w, r)
+            memo[key] = r
         return r
 
     return go(idx, v)
@@ -463,8 +461,15 @@ def enumerate_values(
 ) -> list[Value]:
     """Every value of idx with at most max_size constructor nodes,
     sizes ascending, then constructor order, then argument order.  The
-    exact-size pools are kept on ctx, one set per base pool."""
+    exact-size pools are kept on ctx, one set per base pool.
+
+    Every value is built through ctx.interned (hash-consing): a base value
+    is keyed by its payload's type and the payload, a constructor node by
+    its name and its arguments' ids.  So two enumerated values of one
+    context are equal exactly when they are one object, across every index
+    and base pool, and the table keeps each of them alive with the context."""
     memo = ctx.pools.setdefault(tuple(sorted(pool.items())), {})
+    interned = ctx.interned
 
     def exact(i: IndexExpr, size: int) -> tuple[Value, ...]:
         key = (i, size)
@@ -474,15 +479,22 @@ def enumerate_values(
         match i:
             case IVar(k):
                 if size == 0:
-                    out.extend(pool[k])
+                    out.extend(
+                        interned.setdefault((type(b.payload), b.payload), b) for b in pool[k]
+                    )
             case IApp():
                 if size > 0:
                     for c in ctx.decls[ctx.decl_of_app[i.ctor]].ctors:
-                        at = ctx.ctors_at(i, c.name)
+                        name = c.name
+                        at = ctx.ctors_at(i, name)
                         for split in _splits(size - 1, len(at)):
                             pools = [exact(t, s) for t, s in zip(at, split)]
                             for combo in itertools.product(*pools):
-                                out.append(VCon(c.name, combo))
+                                node = (name, *map(id, combo))
+                                v = interned.get(node)
+                                if v is None:
+                                    v = interned[node] = VCon(name, combo)
+                                out.append(v)
         memo[key] = tuple(out)
         return memo[key]
 

@@ -166,6 +166,37 @@ def test_a_second_suite_builds_no_pool(monkeypatch, src, size):
     assert calls == []
 
 
+@pytest.mark.parametrize("src", [BUSH, LIST, BOBDYLAN], ids=["bush", "list", "bobdylan"])
+def test_distinct_by_identity_is_distinct_by_value(monkeypatch, src):
+    # _sweep counts (id(value), label) pairs; recount the same case stream by
+    # value equality, and check that every case value is an interned one.
+    (ctx,) = analyze(parse_program(src))
+    real = properties._sweep
+    recounts = {}
+
+    def recounting(name, cases, *args, **kwargs):
+        values = []
+
+        def tee():
+            for case in cases:
+                values.append(case[1])
+                recounts[name].add((case[1], case[2]))
+                yield case
+
+        recounts[name] = set()
+        result = real(name, tee(), *args, **kwargs)
+        interned = {id(v) for v in ctx.interned.values()}
+        assert all(id(v) in interned for v in values), name
+        return result
+
+    monkeypatch.setattr(properties, "_sweep", recounting)
+    report = run_suite(ctx, 5)
+    assert report.ok
+    assert set(recounts) == {r.name for r in report.results}
+    for r in report.results:
+        assert r.distinct == len(recounts[r.name]), r.name
+
+
 def test_result_lookup_by_name(bush_report):
     assert bush_report.result("map-identity").name == "map-identity"
     with pytest.raises(KeyError):

@@ -452,12 +452,14 @@ def test_a_shared_memo_changes_no_result(src):
     slots = range(ctx.spec.base_var_count)
     runs = [(fold, alg) for fold in FOLDS for alg in catalogue(ctx).values()]
     runs += [(eval_map, {k: f for k in slots}) for _, f in MAP_FNS]
-    cases = list(_values(ctx, _suite_indices(ctx), 4))
+    cases = list(_values(ctx, _suite_indices(ctx), 5))
     for fold, alg in runs:
         memo = {}
         for idx, _, v in cases:
             assert fold(ctx, alg, idx, v, memo=memo) == fold(ctx, alg, idx, v)
         assert memo
+        # an entry is the bare result; the pools, not the memo, pin the value
+        assert all(isinstance(r, (int, VBase, VCon)) for r in memo.values())
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +655,29 @@ def test_enumeration_mutual_group(bobdylan):
     assert pool and all(v.ctor in ("robert", "zimmerman") for v in pool)
     for v in pool:
         assert typecheck_value(bobdylan, idx, {0: "nat", 1: "nat"}, v) == []
+
+
+@pytest.mark.parametrize("src", [BUSH, LIST, BOBDYLAN], ids=["bush", "list", "bobdylan"])
+def test_enumerated_values_are_equal_exactly_when_identical(src):
+    # Every value reachable from the suite's enumeration, sub-values and base
+    # values included, once per object, compared pairwise.
+    from nestfold.properties import _suite_indices, _values
+
+    (ctx,) = analyze(parse_program(src))
+    reachable = {}
+    todo = [v for _, _, v in _values(ctx, _suite_indices(ctx), 5)]
+    while todo:
+        v = todo.pop()
+        if id(v) not in reachable:
+            reachable[id(v)] = v
+            if isinstance(v, VCon):
+                todo.extend(v.args)
+    values = list(reachable.values())
+    assert any(isinstance(v, VBase) for v in values)
+    for a in values:
+        for b in values:
+            assert (a == b) == (a is b)
+    assert reachable.keys() <= {id(v) for v in ctx.interned.values()}
 
 
 def test_enumeration_keeps_each_base_pool_apart():
