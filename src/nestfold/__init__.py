@@ -70,6 +70,7 @@ _LAZY_MODULES = {
         "eval_map",
         "eval_nfold",
         "eval_nfold_prime",
+        "fold_tape",
         "halg_catalogue",
         "typecheck_value",
     ),
@@ -130,6 +131,7 @@ __all__ = [
     "eval_map",
     "eval_nfold",
     "eval_nfold_prime",
+    "fold_tape",
     "halg_catalogue",
     "ind_erases_to_nfold",
     "module_for_group",

@@ -132,7 +132,7 @@ def _default_target(program) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .runtime import catalogue, eval_nfold, typecheck_value
+    from .runtime import catalogue, fold_tape, typecheck_value
 
     ctxs = _load(args.decls)
     if ctxs is None:
@@ -147,7 +147,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     idx, universes = context_to_index(tctx, ctx)
     source = str(args.value)
     v = parse_value_literal(_read(args.value), program, target, source)
-    diags = typecheck_value(ctx, idx, universes, v)
+    diags, tape = typecheck_value(ctx, idx, universes, v)
     if _report([dataclasses.replace(d, file=source) for d in diags]):
         return 1
     algs = catalogue(ctx)
@@ -158,7 +158,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    result = eval_nfold(ctx, algs[args.algebra], idx, v)
+    result = fold_tape(ctx, algs[args.algebra], tape)
     print(result if isinstance(result, int) else render_value(result))
     return 0
 

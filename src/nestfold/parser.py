@@ -590,16 +590,43 @@ def render_program(program: Program) -> str:
     return "\n\n".join(chunks) + "\n"
 
 
+#: render_value's stack entry for a closing parenthesis.
+_CLOSE = object()
+
+
 def render_value(v: Value, atom: bool = False) -> str:
-    match v:
-        case VBase(payload, _):
-            return str(payload)
-        case VCon(ctor, (), _):
-            return ctor
-        case VCon(ctor, args, _):
-            s = " ".join([ctor] + [render_value(a, atom=True) for a in args])
-            return f"({s})" if atom else s
-    raise AssertionError
+    """A value's literal text: a constructor and its arguments, an argument
+    that has arguments itself in parentheses (and v too, if atom).
+
+    Written from an explicit stack, so that a value as deep as a long list
+    renders without recursion."""
+    out: list[str] = []
+    write = out.append
+    todo: list = []  # arguments still to write, and closing parentheses, last first
+    pop, push, extend = todo.pop, todo.append, todo.extend
+    while True:
+        if v.__class__ is VCon:
+            if not v.args:
+                write(v.ctor)
+            else:
+                if atom:
+                    write("(")
+                    push(_CLOSE)
+                write(v.ctor)
+                extend(reversed(v.args))
+        elif v.__class__ is VBase:
+            write(str(v.payload))
+        else:
+            raise AssertionError
+        atom = True
+        while todo:
+            v = pop()
+            if v is not _CLOSE:
+                write(" ")
+                break
+            write(")")
+        else:
+            return "".join(out)
 
 
 def value_size(v: Value) -> int:

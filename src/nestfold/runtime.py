@@ -10,6 +10,16 @@ Value itself, and a function is an RFun.  Functions are only ever observed
 by application — equality checks must drive them to a first-order result
 first.
 
+`nestfold eval` places each node of its value once.  typecheck_value is one
+explicit-stack walk: it types every node and lists every (index, node) pair,
+base positions included, on a tape in left-to-right post-order.  fold_tape
+folds that tape in one loop over a result stack.  Neither recurses, so a
+literal as deep as a long list evaluates under the default recursion limit.
+The suite's folds (eval_nfold, eval_ind, eval_map) stay recursive: the
+values they fold are enumerated, so --max-size bounds their depth, and their
+memo folds a sub-value that many values share once, where a tape would list
+it, and fold it, at every occurrence.
+
 eval_nfold, eval_ind, eval_map and eval_hfold_via_nfold take an optional
 memo, so that a sub-value shared by many enumerated values is folded once.
 Its key is (index, id(sub-value)) and its entry is the bare result; base
@@ -181,41 +191,81 @@ def check_algebra(ctx: GroupContext, alg: Algebra | DepAlgebra) -> None:
 # Value typing
 
 
+#: A value's placement: every (index, node) pair of it, base positions
+#: included, in left-to-right post-order.
+Tape = list[tuple[IndexExpr, Value]]
+
+#: Marks a node's second visit on typecheck_value's stack.
+_PLACED = object()
+
+
 def typecheck_value(
     ctx: GroupContext, idx: IndexExpr, universes: dict[int, str], v: Value
-) -> list[Diagnostic]:
-    """Check that v inhabits the interpretation of idx."""
+) -> tuple[list[Diagnostic], Tape]:
+    """Check that v inhabits the interpretation of idx, and place its nodes.
+
+    One explicit-stack walk.  A node is typed on its first visit, so the
+    diagnostics come in left-to-right pre-order; it joins the tape on its
+    second visit, after every node below it.  Nothing below an ill-typed
+    node is placed, so the tape is whole only when there are no
+    diagnostics."""
     out: list[Diagnostic] = []
+    tape: Tape = []
+    place = tape.append
+    stack: list = [(idx, v)]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    ctors_at = ctx.ctors_at
 
     def report(msg: str, at: Value) -> None:
         line, col = at.pos if at.pos else (None, None)
         out.append(Diagnostic(msg, line, col))
 
-    def go(i: IndexExpr, w: Value) -> None:
-        match i:
-            case IVar(k):
-                nat = universes.get(k, "nat") == "nat"
-                what = "a natural" if nat else "an atom"
-                match w:
-                    case VBase(payload) if isinstance(payload, int) != nat:
-                        report(f"expected {what}, found {payload}", w)
-                    case VCon(c, _):
-                        report(f"expected {what}, found constructor {c!r}", w)
-            case IApp(ic, _):
-                decl = ctx.decl_of_app[ic]
-                match w:
-                    case VBase(payload):
-                        report(f"expected a {decl} constructor, found base value {payload}", w)
-                    case VCon(c, args):
-                        at = ctx.ctors_at(i, c)
-                        if at is None:
-                            report(f"expected a {decl} constructor, found {c!r}", w)
-                            return
-                        for t, sub in zip(at, args):
-                            go(t, sub)
+    while stack:
+        entry = pop()
+        i, w = entry
+        if w is _PLACED:
+            place(i)
+        elif i.__class__ is IVar:
+            nat = universes.get(i.k, "nat") == "nat"
+            if w.__class__ is VBase and isinstance(w.payload, int) == nat:
+                place(entry)
+            else:
+                found = w.payload if w.__class__ is VBase else f"constructor {w.ctor!r}"
+                report(f"expected {'a natural' if nat else 'an atom'}, found {found}", w)
+        elif w.__class__ is VCon:
+            at = ctors_at(i, w.ctor)
+            if at is None:
+                report(f"expected a {ctx.decl_of_app[i.ctor]} constructor, found {w.ctor!r}", w)
+            else:
+                push((entry, _PLACED))
+                extend(zip(reversed(at), reversed(w.args), strict=True))
+        else:
+            report(
+                f"expected a {ctx.decl_of_app[i.ctor]} constructor, found base value {w.payload}", w
+            )
+    return out, tape
 
-    go(idx, v)
-    return out
+
+def fold_tape(ctx: GroupContext, alg: Algebra, tape: Tape) -> RuntimeResult:
+    """nfold over a whole tape (see typecheck_value): one loop over a result
+    stack.  A base position pushes its base function's result; a constructor
+    node pops its arguments' results and pushes its method's.  Bases and
+    methods run in the order eval_nfold runs them, so the first error is
+    the same."""
+    check_algebra(ctx, alg)
+    bases, methods = alg.bases, alg.methods
+    rs: list[RuntimeResult] = []
+    push = rs.append
+    for i, w in tape:
+        if i.__class__ is IVar:
+            push(bases[i.k](w))
+        else:
+            k = len(rs) - len(w.args)
+            args = tuple(rs[k:])
+            del rs[k:]
+            push(methods[w.ctor](i.args, args))
+    (r,) = rs
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -440,12 +440,52 @@ def test_eval_non_utf8_value(capsys, tmp_path):
     assert str(lit) in _one_error_line(err)
 
 
-def test_eval_too_deep_value(capsys, tmp_path):
-    lit = tmp_path / "big.ndv"
-    lit.write_text("[ " + ", ".join(["1"] * 3000) + " ]\n")
+@pytest.fixture
+def default_recursion_limit():
+    """Run a test under CPython's default recursion limit, whatever the
+    runner set."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+def _long_list(tmp_path, n):
+    lit = tmp_path / "long.ndv"
+    lit.write_text("[ " + ", ".join(["1"] * n) + " ]\n")
+    return lit
+
+
+def test_eval_sums_a_100000_element_list(capsys, tmp_path, default_recursion_limit):
+    lit = _long_list(tmp_path, 100_000)
     code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit, "--type", "List Nat")
-    assert code == 1
-    assert out == ""
+    assert (code, out, err) == (0, "100000\n", "")
+
+
+@pytest.mark.parametrize("algebra", ["length", "trace"])
+def test_eval_folds_a_20000_element_list(capsys, tmp_path, default_recursion_limit, algebra):
+    n = 20_000
+    lit = _long_list(tmp_path, n)
+    code, out, err = run(
+        capsys, "eval", SAMPLES / "list.ndt", lit, "--type", "List Nat", "--algebra", algebra
+    )
+    assert (code, err) == (0, "")
+    if algebra == "length":
+        assert out == f"{n}\n"
+        return
+    cell = "@cc 'varA (@varA 1) "
+    assert out.startswith(cell + "(" + cell + "(")
+    assert out.endswith(cell + "(@nil 'varA)" + ")" * (n - 1) + "\n")
+    assert len(out) == len(cell) * n + len("(@nil 'varA)") + 2 * (n - 1) + 1
+
+
+def test_eval_too_deeply_parenthesized_value(capsys, tmp_path, default_recursion_limit):
+    # Parentheses nest through the value parser's recursion, so this literal
+    # is still refused, in one line.
+    lit = tmp_path / "deep.ndv"
+    lit.write_text("(" * 3000 + "[ 1 ]" + ")" * 3000 + "\n")
+    code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit, "--type", "List Nat")
+    assert (code, out) == (1, "")
     assert "too deeply" in _one_error_line(err)
 
 

@@ -18,6 +18,7 @@ from nestfold.parser import (
     VCon,
     parse_program,
     parse_value_literal,
+    render_value,
     value_size,
 )
 from nestfold.runtime import (
@@ -37,6 +38,7 @@ from nestfold.runtime import (
     eval_map,
     eval_nfold,
     eval_nfold_prime,
+    fold_tape,
     halg_catalogue,
     nat_add,
     nat_of,
@@ -44,7 +46,7 @@ from nestfold.runtime import (
     wrap,
 )
 
-from test_parser import BOBDYLAN, BUSH, DEEP_BUSH, LIST
+from test_parser import BOBDYLAN, BUSH, DEEP_BUSH, LIST, _bush_values
 
 
 @pytest.fixture(scope="module")
@@ -144,22 +146,22 @@ def bump_every_natural(v):
 
 
 def test_typecheck_accepts_the_deep_literal(bush, bush1):
-    assert typecheck_value(bush, bushc(1), NAT_KINDS, bush1) == []
+    assert typecheck_value(bush, bushc(1), NAT_KINDS, bush1)[0] == []
 
 
 def test_typecheck_rejects_base_at_constructor_index(bush):
-    diags = typecheck_value(bush, bushc(1), NAT_KINDS, VBase(4))
+    diags, _ = typecheck_value(bush, bushc(1), NAT_KINDS, VBase(4))
     assert len(diags) == 1 and "expected a Bush constructor" in diags[0].message
 
 
 def test_typecheck_rejects_constructor_at_base_index(bush):
-    diags = typecheck_value(bush, IVar(0), NAT_KINDS, VCon("leaf"))
+    diags, _ = typecheck_value(bush, IVar(0), NAT_KINDS, VCon("leaf"))
     assert [d.message for d in diags] == ["expected a natural, found constructor 'leaf'"]
 
 
 def test_typecheck_universe_kinds(bush):
-    assert typecheck_value(bush, IVar(0), {0: "atom"}, VBase(Atom("x"))) == []
-    diags = typecheck_value(bush, IVar(0), {0: "atom"}, VBase(3))
+    assert typecheck_value(bush, IVar(0), {0: "atom"}, VBase(Atom("x")))[0] == []
+    diags, _ = typecheck_value(bush, IVar(0), {0: "atom"}, VBase(3))
     assert diags and "atom" in diags[0].message
 
 
@@ -167,7 +169,7 @@ def test_typecheck_walks_every_slot(bush):
     v = VCon("cons", (VCon("leaf"), VCon("cons", (VBase(1), VCon("leaf")))))
     # payload slot is wrong (leaf at varA) and the tail's payload slot is
     # wrong too (a bare natural where a Bush Nat belongs)
-    diags = typecheck_value(bush, bushc(1), NAT_KINDS, v)
+    diags, _ = typecheck_value(bush, bushc(1), NAT_KINDS, v)
     assert len(diags) == 2
 
 
@@ -176,9 +178,121 @@ def test_typecheck_mutual(bobdylan):
         "duluth (robert 1) (robert 'x)", bobdylan.program, "Dylan Nat Atom"
     )
     idx = IApp("DylanC", (IVar(0), IVar(1)))
-    assert typecheck_value(bobdylan, idx, {0: "nat", 1: "atom"}, v) == []
+    assert typecheck_value(bobdylan, idx, {0: "nat", 1: "atom"}, v)[0] == []
     flipped = IApp("DylanC", (IVar(1), IVar(0)))
-    assert typecheck_value(bobdylan, flipped, {0: "nat", 1: "atom"}, v) != []
+    assert typecheck_value(bobdylan, flipped, {0: "nat", 1: "atom"}, v)[0] != []
+
+
+@pytest.mark.parametrize(
+    "src, target, idx, kinds, text, expected",
+    [
+        (
+            BUSH,
+            "Bush Nat",
+            IApp("BushC", (IVar(0),)),
+            NAT_KINDS,
+            "[ [ 1 ], 2,\n  [ 'x, [ 3 ], leaf ],\n  cons 4 leaf, 'y ]\n",
+            [
+                ("expected a natural, found constructor 'cons'", 1, 3),
+                ("expected a Bush constructor, found base value 2", 1, 10),
+                ("expected a Bush constructor, found base value 'x", 2, 5),
+                ("expected a Bush constructor, found base value 3", 2, 11),
+                ("expected a Bush constructor, found base value 4", 3, 8),
+                ("expected a Bush constructor, found base value 'y", 3, 16),
+            ],
+        ),
+        (
+            BOBDYLAN,
+            "Dylan Nat Atom",
+            IApp("DylanC", (IVar(0), IVar(1))),
+            {0: "nat", 1: "atom"},
+            "duluth\n  (robert (duluth 1 2))\n  (zimmerman (robert 1) (minnesota (robert 3)))\n",
+            [
+                ("expected a natural, found constructor 'duluth'", 2, 12),
+                ("expected a Dylan constructor, found 'robert'", 3, 15),
+                ("expected a Bob constructor, found 'minnesota'", 3, 26),
+            ],
+        ),
+        (
+            BOBDYLAN,
+            "Dylan Nat Atom",
+            IApp("DylanC", (IVar(0), IVar(1))),
+            {0: "nat", 1: "atom"},
+            "duluth (robert 'a) (robert 7)",
+            [("expected a natural, found 'a", 1, 16), ("expected an atom, found 7", 1, 28)],
+        ),
+    ],
+    ids=["bush", "bobdylan-constructors", "bobdylan-universes"],
+)
+def test_typecheck_reports_every_error_in_pre_order(src, target, idx, kinds, text, expected):
+    (ctx,) = analyze(parse_program(src))
+    v = parse_value_literal(text, ctx.program, target)
+    diags, _ = typecheck_value(ctx, idx, kinds, v)
+    assert [(d.message, d.line, d.col) for d in diags] == expected
+
+
+def test_tape_lists_every_node_in_post_order(bush):
+    v = parse_value_literal("[ 1, [ 2 ] ]", bush.program, "Bush Nat")
+    diags, tape = typecheck_value(bush, bushc(1), NAT_KINDS, v)
+    assert diags == []
+    assert [(i, render_value(w)) for i, w in tape] == [
+        (bushc(0), "1"),
+        (bushc(0), "2"),
+        (bushc(2), "leaf"),
+        (bushc(1), "cons 2 leaf"),
+        (bushc(3), "leaf"),
+        (bushc(2), "cons (cons 2 leaf) leaf"),
+        (bushc(1), "cons 1 (cons (cons 2 leaf) leaf)"),
+    ]
+
+
+def test_fold_tape_reports_the_leftmost_overflow_first(lists):
+    # Both the head and the tail overflow, by different operands: the head's
+    # methods run first, as in eval_nfold.
+    top = NAT_MAX
+    v = parse_value_literal(f"[[{top}, 1], [{top}, 2]]", lists.program, "List (List Nat)")
+    idx = IApp("ListC", (IApp("ListC", (IVar(0),)),))
+    diags, tape = typecheck_value(lists, idx, NAT_KINDS, v)
+    assert diags == []
+    msg = f"natural overflow: {top} \\+ 1 exceeds 64 bits"
+    with pytest.raises(EvalError, match=msg):
+        eval_nfold(lists, catalogue(lists)["sum"], idx, v)
+    with pytest.raises(EvalError, match=msg):
+        fold_tape(lists, catalogue(lists)["sum"], tape)
+
+
+@pytest.mark.parametrize("src", [BUSH, LIST, BOBDYLAN], ids=["bush", "list", "bobdylan"])
+def test_fold_tape_agrees_with_eval_nfold(src):
+    from nestfold.properties import _suite_indices, _values
+
+    (ctx,) = analyze(parse_program(src))
+    kinds = {k: "nat" for k in range(ctx.spec.base_var_count)}
+    algs = catalogue(ctx).values()
+    cases = 0
+    for idx, _, v in _values(ctx, _suite_indices(ctx), 5):
+        diags, tape = typecheck_value(ctx, idx, kinds, v)
+        assert diags == []
+        for alg in algs:
+            assert fold_tape(ctx, alg, tape) == eval_nfold(ctx, alg, idx, v)
+            cases += 1
+    assert cases > 100
+
+
+def _render_reference(v, atom=False):
+    """render_value as one recursion, the definition it must keep."""
+    match v:
+        case VBase(payload):
+            return str(payload)
+        case VCon(ctor, ()):
+            return ctor
+        case VCon(ctor, args):
+            s = " ".join([ctor] + [_render_reference(a, atom=True) for a in args])
+            return f"({s})" if atom else s
+
+
+@given(_bush_values, st.booleans())
+def test_render_value_agrees_with_the_recursive_reference(v, atom):
+    assert render_value(v, atom) == _render_reference(v, atom)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +347,7 @@ def test_sum_on_a_mutual_value(bobdylan):
         "Bob Nat",
     )
     idx = IApp("BobC", (IVar(0),))
-    assert typecheck_value(bobdylan, idx, {0: "nat", 1: "nat"}, v) == []
+    assert typecheck_value(bobdylan, idx, {0: "nat", 1: "nat"}, v)[0] == []
     alg = catalogue(bobdylan)["sum"]
     assert flatten_add(v) == 15
     assert eval_nfold(bobdylan, alg, idx, v) == 15
@@ -607,7 +721,7 @@ def test_enumeration_is_exhaustive_well_typed_and_deterministic(bush):
     assert sizes == sorted(sizes)
     assert all(value_size(v) <= 5 for v in pool)
     for v in pool:
-        assert typecheck_value(bush, bushc(2), NAT_KINDS, v) == []
+        assert typecheck_value(bush, bushc(2), NAT_KINDS, v)[0] == []
 
 
 def _count(ctx, idx, pool_sizes, size):
@@ -654,7 +768,7 @@ def test_enumeration_mutual_group(bobdylan):
     pool = enumerate_values(bobdylan, idx, {0: (VBase(0),), 1: (VBase(1),)}, 4)
     assert pool and all(v.ctor in ("robert", "zimmerman") for v in pool)
     for v in pool:
-        assert typecheck_value(bobdylan, idx, {0: "nat", 1: "nat"}, v) == []
+        assert typecheck_value(bobdylan, idx, {0: "nat", 1: "nat"}, v)[0] == []
 
 
 @pytest.mark.parametrize("src", [BUSH, LIST, BOBDYLAN], ids=["bush", "list", "bobdylan"])
