@@ -145,11 +145,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return 2
     ctx = next(c for c in ctxs if tctx.head in c.group.decls)
     idx, universes = context_to_index(tctx, ctx)
-    source = str(args.value)
-    v = parse_value_literal(_read(args.value), program, target, source)
-    diags, tape = typecheck_value(ctx, idx, universes, v)
-    if _report([dataclasses.replace(d, file=source) for d in diags]):
-        return 1
     algs = catalogue(ctx)
     if args.algebra not in algs:
         options = ", ".join(algs)
@@ -158,8 +153,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    result = fold_tape(ctx, algs[args.algebra], tape)
-    print(result if isinstance(result, int) else render_value(result))
+    source = str(args.value)
+    v = parse_value_literal(_read(args.value), program, target, source)
+    diags, tape = typecheck_value(ctx, idx, universes, v)
+    if _report([dataclasses.replace(d, file=source) for d in diags]):
+        return 1
+    print(render_value(fold_tape(ctx, algs[args.algebra], tape)))
     return 0
 
 

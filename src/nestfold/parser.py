@@ -594,12 +594,14 @@ def render_program(program: Program) -> str:
 _CLOSE = object()
 
 
-def render_value(v: Value, atom: bool = False) -> str:
+def render_value(v: object, atom: bool = False) -> str:
     """A value's literal text: a constructor and its arguments, an argument
     that has arguments itself in parentheses (and v too, if atom).
 
-    Written from an explicit stack, so that a value as deep as a long list
-    renders without recursion."""
+    Anything that is not a Value, whole or in a constructor slot, is written
+    as its str(): a fold's natural or function, or whatever a broken
+    evaluator put in a slot.  Written from an explicit stack, so that a value
+    as deep as a long list renders without recursion."""
     out: list[str] = []
     write = out.append
     todo: list = []  # arguments still to write, and closing parentheses, last first
@@ -617,7 +619,7 @@ def render_value(v: Value, atom: bool = False) -> str:
         elif v.__class__ is VBase:
             write(str(v.payload))
         else:
-            raise AssertionError
+            write(str(v))
         atom = True
         while todo:
             v = pop()

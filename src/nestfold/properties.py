@@ -145,26 +145,12 @@ def _agree(lhs: object, rhs: object) -> bool:
     return lhs == rhs
 
 
-def _show(r: object, atom: bool = False) -> str:
-    """One side of a failing case.  A broken evaluator can put a number or a
-    function in a constructor slot, so slots are shown by this rule too."""
-    match r:
-        case VCon(ctor, args, _) if args:
-            s = " ".join([ctor] + [_show(a, atom=True) for a in args])
-            return f"({s})" if atom else s
-        case VBase() | VCon():
-            return render_value(r)
-        case RFun():
-            return "<function>"
-    return str(r)
-
-
 def _sweep(
     name: str,
     cases: Iterable[tuple[str, Value, str, object, object]],
     agree: Callable[[object, object], bool] = _agree,
     show: Callable[[object, object], tuple[str, str]] = (
-        lambda lhs, rhs: (_show(lhs), _show(rhs))
+        lambda lhs, rhs: (render_value(lhs), render_value(rhs))
     ),
 ) -> PropertyResult:
     """Count the (index, value, label, lhs, rhs) cases up to the first disagreement.

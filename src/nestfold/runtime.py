@@ -45,7 +45,8 @@ turns either into a result.  A natural base value VBase(n) in a slot reads
 as the natural n; every other slot content is its own result.  No shipped
 algebra puts a VBase tree result into a hybrid slot, so the reading is
 unambiguous.  Both carry a depth guard so that an implementation bug shows
-up as GuardExceeded instead of a hang.
+up as GuardExceeded instead of a hang; default_guard, sized from the value
+(and the index depth, for nfold'), is the one budget of every guarded walk.
 
 nfold' runs as the PS bridge derives it: PS-to-P . liftNTimes hmap fold-PS,
 where fold-PS is the one direct hfold at the PS carrier and liftNTimes hmap
@@ -83,6 +84,9 @@ class RFun:
         raise EvalError("function results are only compared after application")
 
     __hash__ = None
+
+    def __str__(self) -> str:
+        return "<function>"
 
 
 RuntimeResult = int | Value | RFun
@@ -387,13 +391,10 @@ def eval_hfold_via_nfold(
     return eval_nfold(ctx, alg, ctx.own_index(decl_name), v, memo=memo)
 
 
-def eval_hfold_direct(
-    ctx: GroupContext, halg: HAlgebra, v: Value, guard: int | None = None
-) -> RuntimeResult:
+def eval_hfold_direct(ctx: GroupContext, halg: HAlgebra, v: Value) -> RuntimeResult:
     """The introduction's non-structural recursion, transcribed literally."""
     nil, cons = _bush(ctx, "the direct higher-order fold")
-    limit = default_guard(v) if guard is None else guard
-    return _hfold(halg.methods[nil], halg.methods[cons], v, nil, cons, 0, limit)
+    return _hfold(halg.methods[nil], halg.methods[cons], v, nil, cons, 0, default_guard(v))
 
 
 def _hfold(leaf, node, t, nil, cons, depth, limit):
@@ -431,13 +432,10 @@ def _tick(depth: int, limit: int) -> None:
         )
 
 
-def eval_hmap_direct(
-    ctx: GroupContext, f: Callable[[Value], Value], v: Value, guard: int | None = None
-) -> Value:
+def eval_hmap_direct(ctx: GroupContext, f: Callable[[Value], Value], v: Value) -> Value:
     """First-order direct map: hmap f (cons x xs) = cons (f x) (hmap (hmap f) xs)."""
     nil, cons = _bush(ctx, "the direct map")
-    limit = default_guard(v) if guard is None else guard
-    return _hybrid_map(f, v, nil, cons, 0, limit)
+    return _hybrid_map(f, v, nil, cons, 0, default_guard(v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
-"""The benchmark's per-layer tracer names functions of nestfold by string.
+"""The benchmark names functions of nestfold by string and by import.
 
 bench/layers.py rebinds every (module, function) pair in TIMED and COUNTED;
 renaming or deleting one of them would break `bench/run.py --trace 1`.
+bench/harness.py and bench/test_bench.py import names from the package and
+call `nestfold.<name>`; the package's name table must keep each of them.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+import nestfold
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+LAYERS = BENCH / "layers.py"
+IMPORTERS = [BENCH / "harness.py", BENCH / "test_bench.py"]
 
 
 def test_every_traced_name_resolves():
@@ -21,3 +28,46 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(f"nestfold.{module}"), fn, None))
     ]
     assert missing == []
+
+
+def _package_names(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for every `from nestfold[.module] import name` and
+    every `nestfold.name` attribute in one file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nestfold":
+            names |= {(node.module, alias.name) for alias in node.names}
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "nestfold"
+        ):
+            names.add(("nestfold", node.attr))
+    return names
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether `from module import name` succeeds: an attribute of the
+    module, or else one of its submodules."""
+    home = importlib.import_module(module)
+    if hasattr(home, name):
+        return True
+    return importlib.util.find_spec(f"{module}.{name}") is not None
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    names = set().union(*map(_package_names, IMPORTERS))
+    assert {name for module, name in names if module == "nestfold"} >= {
+        "analyze",
+        "parse_program",
+        "derive_group",
+        "emit_agda",
+        "module_for_group",
+    }
+    missing = sorted(f"{module}.{name}" for module, name in names if not _resolves(module, name))
+    assert missing == []
+
+
+def test_the_check_catches_a_name_the_package_dropped(monkeypatch):
+    monkeypatch.delitem(nestfold._HOME, "emit_agda")
+    assert not _resolves("nestfold", "emit_agda")

@@ -316,6 +316,16 @@ def test_eval_unknown_algebra(capsys):
     assert "available: sum, depth, trace, length" in err
 
 
+def test_eval_checks_the_algebra_before_reading_the_literal(capsys, tmp_path):
+    lit = tmp_path / "bad.ndv"
+    lit.write_text("[1, x]\n")
+    code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit, "--algebra", "nope")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: unknown algebra 'nope' (available: sum, depth, trace, length)"
+    ]
+
+
 def test_eval_mutual_sum(capsys, tmp_path):
     lit = tmp_path / "bob.ndv"
     lit.write_text(

@@ -39,6 +39,10 @@ def _loaded(code: str) -> set[str]:
     return set(proc.stdout.splitlines()[-1].split())
 
 
+def test_the_package_alone_loads_no_module():
+    assert _loaded("import nestfold") == {"nestfold"}
+
+
 def test_parse_and_analyze_load_only_the_surface():
     assert _loaded("from nestfold import analyze, parse_program") == SURFACE
 

@@ -9,7 +9,7 @@ the bush sweep at size <= 7 across index depths 0..3 yields 74 values.
 import pytest
 
 from nestfold.analysis import analyze
-from nestfold.parser import VBase, VCon, parse_program, parse_value_literal
+from nestfold.parser import VBase, VCon, parse_program, parse_value_literal, render_value
 from nestfold.properties import (
     Counterexample,
     PropertyResult,
@@ -277,11 +277,13 @@ def test_passing_suites_render_nothing(bush, lists, bobdylan, monkeypatch):
     [
         (VCon("cons", (VCon("cons", (3, VCon("leaf"))), 4)), "cons (cons 3 leaf) 4"),
         (VCon("cons", (RFun(abs), VCon("leaf"))), "cons <function> leaf"),
+        (7, "7"),
+        (RFun(abs), "<function>"),
     ],
-    ids=["naturals-in-slots", "function-in-a-slot"],
+    ids=["naturals-in-slots", "function-in-a-slot", "a-natural", "a-function"],
 )
 def test_a_counterexample_side_renders_whatever_its_slots_hold(side, shown):
-    assert properties._show(side) == shown
+    assert render_value(side) == shown
 
 
 # ---------------------------------------------------------------------------

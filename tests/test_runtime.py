@@ -45,6 +45,7 @@ from nestfold.runtime import (
     typecheck_value,
     wrap,
 )
+import nestfold.runtime as runtime
 
 from test_parser import BOBDYLAN, BUSH, DEEP_BUSH, LIST, _bush_values
 
@@ -276,6 +277,34 @@ def test_fold_tape_agrees_with_eval_nfold(src):
             assert fold_tape(ctx, alg, tape) == eval_nfold(ctx, alg, idx, v)
             cases += 1
     assert cases > 100
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [
+        ("base", "algebra is missing base functions for slots [0]"),
+        ("method", "algebra is missing a method for constructor cons"),
+    ],
+)
+def test_an_incomplete_algebra_is_rejected_by_every_fold(bush, bush1, drop, message):
+    full = catalogue(bush)["sum"]
+    bases, methods = dict(full.bases), dict(full.methods)
+    if drop == "base":
+        del bases[0]
+    else:
+        del methods["cons"]
+    alg = Algebra("partial", bases=bases, methods=methods)
+    diags, tape = typecheck_value(bush, bushc(1), NAT_KINDS, bush1)
+    assert diags == []
+    folds = [
+        lambda: eval_nfold(bush, alg, bushc(1), bush1),
+        lambda: eval_ind(bush, _const_dep(alg), bushc(1), bush1),
+        lambda: fold_tape(bush, alg, tape),
+    ]
+    for fold in folds:
+        with pytest.raises(EvalError) as raised:
+            fold()
+        assert str(raised.value) == message
 
 
 def _render_reference(v, atom=False):
@@ -623,12 +652,13 @@ def test_hmap_direct_matches_map(bush, bush1):
     )
 
 
-def test_guard_converts_runaway_recursion_into_an_error(bush, bush1):
+def test_guard_converts_runaway_recursion_into_an_error(bush, bush1, monkeypatch):
+    monkeypatch.setattr(runtime, "default_guard", lambda v, idx_depth=0: 1)
     halg = halg_catalogue(bush)["sum-naive"]
     with pytest.raises(GuardExceeded):
-        eval_hfold_direct(bush, halg, bush1, guard=1)
+        eval_hfold_direct(bush, halg, bush1)
     with pytest.raises(GuardExceeded):
-        eval_hmap_direct(bush, add_one, bush1, guard=1)
+        eval_hmap_direct(bush, add_one, bush1)
 
 
 # ---------------------------------------------------------------------------
