@@ -17,13 +17,11 @@ from functools import cached_property
 
 from .diagnostics import AnalysisError, Diagnostic
 from .parser import (
+    BASE_TYPES,
     Constructor,
-    CtxApp,
-    CtxBase,
     Program,
     TApp,
     TVar,
-    TypeCtx,
     TypeDecl,
     TypeExpr,
     VCon,
@@ -284,6 +282,13 @@ def _heads(t: TypeExpr) -> list[str]:
     raise AssertionError
 
 
+def _vars(t: TypeExpr) -> list[str]:
+    """t's type variables, left to right, repeats included."""
+    if isinstance(t, TVar):
+        return [t.name]
+    return [v for a in t.args for v in _vars(a)]
+
+
 def _is_nested(decls: list[TypeDecl], members: set[str]) -> bool:
     """A group is nested iff some constructor argument applies a member to
     anything but exactly that member's own parameter list."""
@@ -490,37 +495,21 @@ def list_shape(ctx: GroupContext) -> tuple[str, str] | None:
 
 
 def context_to_index(
-    ctx: TypeCtx, group_ctx: GroupContext
+    t: TApp, group_ctx: GroupContext
 ) -> tuple[IndexExpr, dict[int, str]]:
-    """Translate a type context to (index, base-universe assignment).
+    """Translate a target (parser.parse_type_context) to (index, base-universe
+    assignment) with type_to_index, its base universes as the parameters.
 
     Distinct base universes are assigned to index variables in order of
     first appearance; unused variables default to naturals.
     """
-    spec = group_ctx.spec
-    assignment: dict[str, int] = {}
-
-    def go(c: TypeCtx) -> IndexExpr:
-        match c:
-            case CtxBase(kind):
-                if kind not in assignment:
-                    if len(assignment) >= spec.base_var_count:
-                        raise AnalysisError(
-                            f"target type uses more than {spec.base_var_count} "
-                            "distinct base universes"
-                        )
-                    assignment[kind] = len(assignment)
-                return IVar(assignment[kind])
-            case CtxApp(head, args):
-                if head not in group_ctx.app_ctor:
-                    raise AnalysisError(
-                        f"type {head} does not belong to group {group_ctx.name}"
-                    )
-                return IApp(group_ctx.app_ctor[head], tuple(go(a) for a in args))
-        raise AssertionError
-
-    idx = go(ctx)
-    universes = {v: k for k, v in assignment.items()}
-    for k in range(spec.base_var_count):
-        universes.setdefault(k, "nat")
-    return idx, universes
+    foreign = [h for h in _heads(t) if h not in group_ctx.app_ctor]
+    if foreign:
+        raise AnalysisError(f"type {foreign[0]} does not belong to group {group_ctx.name}")
+    count = group_ctx.spec.base_var_count
+    kinds = tuple(dict.fromkeys(_vars(t)))
+    if len(kinds) > count:
+        raise AnalysisError(f"target type uses more than {count} distinct base universes")
+    names = kinds + ("Nat",) * (count - len(kinds))
+    universes = {k: BASE_TYPES[name] for k, name in enumerate(names)}
+    return type_to_index(t, kinds, group_ctx.app_ctor), universes

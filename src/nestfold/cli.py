@@ -29,7 +29,6 @@ from .analysis import (
 )
 from .diagnostics import NestfoldError, ParseError
 from .parser import (
-    CtxApp,
     parse_program,
     parse_type_context,
     parse_value_literal,
@@ -138,11 +137,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if ctxs is None:
         return 1
     program = ctxs[0].program
-    target = args.target or _default_target(program)
+    target = _default_target(program) if args.target is None else args.target
     tctx = parse_type_context(target, program)
-    if not isinstance(tctx, CtxApp):
-        print(f"error: target {target!r} must name a declaration", file=sys.stderr)
-        return 2
     ctx = next(c for c in ctxs if tctx.head in c.group.decls)
     idx, universes = context_to_index(tctx, ctx)
     algs = catalogue(ctx)

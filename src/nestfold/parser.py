@@ -12,10 +12,15 @@ only; names, arities and the result-shape rule are checked by
 explicit constructor applications (``cons 4 leaf``), naturals, quoted atoms
 (``'x``), or bracket lists ``[ 4, [ 8 ] ]`` which desugar to the target
 declaration's nil/cons-style constructors.
+
+An eval target (``Bush (Bush Nat)``) is a type expression parsed by the
+same parser, whose base universes ``Nat`` and ``Atom`` become type variables:
+``Bush (Bush a)`` with ``a := Nat``.  Names are ASCII, as the emitted module is.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 
 from .diagnostics import ParseError
@@ -122,24 +127,6 @@ class VCon:
 Value = VBase | VCon
 
 
-@dataclass(frozen=True)
-class CtxBase:
-    """A base universe in a type context: naturals or named atoms."""
-
-    kind: str  # "nat" | "atom"
-
-
-@dataclass(frozen=True)
-class CtxApp:
-    """A declared type applied to contexts, e.g. Bush (Bush Nat)."""
-
-    head: str
-    args: tuple["TypeCtx", ...] = ()
-
-
-TypeCtx = CtxBase | CtxApp
-
-
 # ---------------------------------------------------------------------------
 # Lexer
 
@@ -165,6 +152,11 @@ _PUNCT = {"(": "(", ")": ")", "[": "[", "]": "]", ",": ",", ":": ":"}
 #: (int() refuses more than 4300 digits).
 _DIGITS = frozenset("0123456789")
 _NAT_MAX_LEN = len(str(NAT_MAX))
+
+#: A name is ASCII, as the emitted module is: a letter or "_", then letters,
+#: digits, "_" and "'".  An atom is a quote and the name's characters.
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS | {"'"}
 
 #: An out-of-range literal longer than this is named by its first digits and
 #: its length, so that its error stays one short line.
@@ -210,7 +202,7 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
             continue
         if ch == "'":
             j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             if j == i + 1:
                 raise err("expected a name after the atom quote '", line, col)
@@ -232,9 +224,9 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             word = text[i:j]
             kind = "uident" if word[0].isupper() else "ident"
@@ -409,7 +401,7 @@ def _parse_type_atom(cur: _Cursor) -> TypeExpr:
         inner = _parse_atom_seq(cur)
         if cur.at("punct", "->"):
             raise ParseError(
-                "function types are not permitted in constructor arguments",
+                "function types are not permitted inside a type",
                 open_tok.line,
                 open_tok.col,
                 cur.file,
@@ -432,11 +424,7 @@ def parse_value_literal(
     constructors that bracket sugar expands to.  Typing the result against
     the full context is the runtime's job.
     """
-    ctx = parse_type_context(target, program)
-    if not isinstance(ctx, CtxApp):
-        raise ParseError("target type context must name a declaration", 1, 1, "<target>")
-    decl = program.decl(ctx.head)
-    assert decl is not None
+    decl = program.decl(parse_type_context(target, program).head)
     arities = {c.name: len(c.args) for d in program.decls for c in d.ctors}
     cur = _Cursor(_lex(text, source, keep_newlines=False), source)
     v = _parse_value(cur, arities, decl, spine_shape(decl), allow_args=True)
@@ -518,48 +506,39 @@ def _parse_value(
 
 
 # ---------------------------------------------------------------------------
-# Type contexts ("Bush Nat", "Dylan (Bob Nat) Atom", ...)
+# Targets ("Bush Nat", "Dylan (Bob Nat) Atom", ...)
+
+#: The base universes a target may name, and the runtime's word for each.
+BASE_TYPES = {"Nat": "nat", "Atom": "atom"}
 
 
-def parse_type_context(text: str, program: Program) -> TypeCtx:
-    """Parse a type context: a declared type applied to base universes."""
+def parse_type_context(text: str, program: Program) -> TApp:
+    """Parse an eval target: a declaration applied to type expressions over
+    the declarations and BASE_TYPES, each base universe a TVar of its name.
+    Every rule a target obeys is checked here, as a ParseError at <target>."""
     cur = _Cursor(_lex(text, "<target>", keep_newlines=False), "<target>")
-    ctx = _parse_ctx_app(cur, program)
+    t = _parse_atom_seq(cur)
     cur.expect("eof", what="end of target type")
-    return ctx
+    arity = {d.name: len(d.params) for d in program.decls} | dict.fromkeys(BASE_TYPES, 0)
+    t = _check_target(t, arity)
+    if not isinstance(t, TApp):
+        raise ParseError("target type context must name a declaration", 1, 1, "<target>")
+    return t
 
 
-def _parse_ctx_atom(cur: _Cursor, program: Program) -> TypeCtx:
-    t = cur.tok
-    if t.kind == "uident":
-        if t.text in ("Nat", "Atom"):
-            cur.advance()
-            return CtxBase("nat" if t.text == "Nat" else "atom")
-        decl = program.decl(t.text)
-        if decl is None:
-            raise cur.error(f"unknown type {t.text} in target context")
-        cur.advance()
-        if decl.params:
-            raise cur.error(f"{t.text} expects {len(decl.params)} argument(s)", t)
-        return CtxApp(t.text, ())
-    if cur.at("punct", "("):
-        cur.advance()
-        inner = _parse_ctx_app(cur, program)
-        cur.expect("punct", ")")
-        return inner
-    raise cur.error(f"expected a type context, found {_Cursor._describe(t)}")
-
-
-def _parse_ctx_app(cur: _Cursor, program: Program) -> TypeCtx:
-    t = cur.tok
-    if t.kind == "uident" and t.text not in ("Nat", "Atom"):
-        decl = program.decl(t.text)
-        if decl is None:
-            raise cur.error(f"unknown type {t.text} in target context")
-        cur.advance()
-        args = [_parse_ctx_atom(cur, program) for _ in decl.params]
-        return CtxApp(t.text, tuple(args))
-    return _parse_ctx_atom(cur, program)
+def _check_target(t: TypeExpr, arity: dict[str, int]) -> TypeExpr:
+    """t with its base universes made variables, or its first error."""
+    if isinstance(t, TVar):
+        msg = f"expected a type context, found {t.name!r}"
+    elif t.head not in arity:
+        msg = f"unknown type {t.head} in target context"
+    elif len(t.args) != arity[t.head]:
+        msg = f"{t.head} expects {arity[t.head]} argument(s)"
+    elif t.head in BASE_TYPES:
+        return TVar(t.head, t.pos)
+    else:
+        return TApp(t.head, tuple(_check_target(a, arity) for a in t.args), t.pos)
+    raise ParseError(msg, *t.pos, "<target>")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ bench/layers.py rebinds every (module, function) pair in TIMED and COUNTED;
 renaming or deleting one of them would break `bench/run.py --trace 1`.
 bench/harness.py and bench/test_bench.py import names from the package and
 call `nestfold.<name>`; the package's name table must keep each of them.
+bench/harness.py names eval targets by string; each must stay a target the
+package accepts for its sample.
 """
 
 import ast
@@ -11,9 +13,14 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import nestfold
+import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+import nestfold
+from nestfold.analysis import analyze, context_to_index
+from nestfold.parser import parse_program, parse_type_context
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 LAYERS = BENCH / "layers.py"
 IMPORTERS = [BENCH / "harness.py", BENCH / "test_bench.py"]
 
@@ -71,3 +78,26 @@ def test_every_name_the_benchmark_imports_resolves():
 def test_the_check_catches_a_name_the_package_dropped(monkeypatch):
     monkeypatch.delitem(nestfold._HOME, "emit_agda")
     assert not _resolves("nestfold", "emit_agda")
+
+
+def _value_specs(path: Path) -> list[tuple[str, str]]:
+    """(sample, target) of every `Values(sample, target, ...)` in one file."""
+    return [
+        (node.args[0].value, node.args[1].value)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Values"
+    ]
+
+
+def test_the_benchmark_has_eval_targets():
+    assert len(set(_value_specs(BENCH / "harness.py"))) >= 3
+
+
+@pytest.mark.parametrize("sample, target", sorted(set(_value_specs(BENCH / "harness.py"))))
+def test_every_benchmark_target_translates_in_its_sample(sample, target):
+    program = parse_program((ROOT / "samples" / f"{sample}.ndt").read_text())
+    t = parse_type_context(target, program)
+    (ctx,) = [c for c in analyze(program) if t.head in c.group.decls]
+    context_to_index(t, ctx)

@@ -421,6 +421,51 @@ def test_eval_typing_error_names_the_value_file(capsys):
     assert all(line.startswith(f"{value}:1:") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "target, line",
+    [
+        ("", "<target>:1:1: error: expected a type, found end of input"),
+        ("Nat", "<target>:1:1: error: target type context must name a declaration"),
+        ("Atom", "<target>:1:1: error: target type context must name a declaration"),
+        ("List Nat Nat", "<target>:1:1: error: List expects 1 argument(s)"),
+        ("List (List)", "<target>:1:7: error: List expects 1 argument(s)"),
+        ("List a", "<target>:1:6: error: expected a type context, found 'a'"),
+    ],
+)
+def test_eval_rejects_a_malformed_target_in_one_line(capsys, tmp_path, target, line):
+    lit = tmp_path / "v.ndv"
+    lit.write_text("[1, 2]\n")
+    code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit, "--type", target)
+    assert (code, out, err.splitlines()) == (1, "", [line])
+
+
+@pytest.mark.parametrize("sample", ["bush.ndt", "list.ndt", "bobdylan.ndt"])
+def test_the_default_target_is_the_first_declaration_over_naturals(sample):
+    (ctx,) = analyze(parse_program((SAMPLES / sample).read_text()))
+    target = parse_type_context(cli._default_target(ctx.program), ctx.program)
+    idx, universes = context_to_index(target, ctx)
+    assert idx == ctx.own_index(ctx.group.decls[0])
+    assert universes == {k: "nat" for k in range(ctx.spec.base_var_count)}
+
+
+@pytest.mark.parametrize(
+    "text, at",
+    [
+        ("data B\u00fcsh a where\n  leaf : B\u00fcsh a\n", "1:7: error: unexpected character '\u00fc'"),
+        ("data T a where\n  k\u00b2 : T a\n", "2:4: error: unexpected character '\u00b2'"),
+    ],
+    ids=["type-name", "constructor-name"],
+)
+@pytest.mark.parametrize("command", ["check", "derive"])
+def test_a_non_ascii_name_is_refused_where_it_is_read(capsys, tmp_path, text, at, command):
+    src = tmp_path / "u.ndt"
+    src.write_text(text)
+    extra = ["--out", tmp_path] if command == "derive" else []
+    code, out, err = run(capsys, command, src, *extra)
+    assert (code, out, err.splitlines()) == (1, "", [f"{src}:{at}"])
+    assert not list(tmp_path.glob("*.agda"))
+
+
 # ---------------------------------------------------------------------------
 # no input prints a traceback
 

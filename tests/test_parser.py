@@ -1,12 +1,14 @@
 """Parser tests: declarations, value literals, type contexts, round-trips."""
 
+import itertools
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from nestfold.parser import (
     Atom,
-    CtxApp,
-    CtxBase,
+    BASE_TYPES,
     NAT_MAX,
     ParseError,
     TApp,
@@ -17,9 +19,12 @@ from nestfold.parser import (
     parse_type_context,
     parse_value_literal,
     render_program,
+    render_type_expr,
     render_value,
     value_size,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 BUSH = """\
 -- a list whose entries get bushier at every step
@@ -112,6 +117,26 @@ def test_comments_and_blank_lines_ignored():
 def test_declaration_errors(src, msg):
     with pytest.raises(ParseError, match=msg):
         parse_program(src)
+
+
+@pytest.mark.parametrize(
+    "src, rendered",
+    [
+        ("data B\u00fcsh a where\n  leaf : B\u00fcsh a\n", "<input>:1:7: error: unexpected character '\u00fc'"),
+        ("data T a where\n  k\u00b2 : T a\n", "<input>:2:4: error: unexpected character '\u00b2'"),
+        ("data T \u03b1 where\n  k : T \u03b1\n", "<input>:1:8: error: unexpected character '\u03b1'"),
+    ],
+)
+def test_names_are_ascii(src, rendered):
+    with pytest.raises(ParseError) as e:
+        parse_program(src)
+    assert e.value.diagnostic.render() == rendered
+
+
+def test_atom_names_are_ascii(bush):
+    with pytest.raises(ParseError) as e:
+        parse_value_literal("cons 'x\u00e9 leaf", bush, "Bush Atom")
+    assert e.value.diagnostic.render() == "<value>:1:8: error: unexpected character '\u00e9'"
 
 
 def test_parse_program_checks_syntax_only():
@@ -233,27 +258,74 @@ def test_leading_zeros_do_not_count_toward_the_range(bush):
 
 
 def test_type_context_shapes(bush, bobdylan):
-    nat = CtxBase("nat")
-    assert parse_type_context("Bush Nat", bush) == CtxApp("Bush", (nat,))
-    assert parse_type_context("Bush (Bush Nat)", bush) == CtxApp(
-        "Bush", (CtxApp("Bush", (nat,)),)
+    nat = TVar("Nat")
+    assert parse_type_context("Bush Nat", bush) == TApp("Bush", (nat,))
+    assert parse_type_context("Bush (Bush Nat)", bush) == TApp(
+        "Bush", (TApp("Bush", (nat,)),)
     )
-    assert parse_type_context("Dylan (Bob Nat) Atom", bobdylan) == CtxApp(
-        "Dylan", (CtxApp("Bob", (nat,)), CtxBase("atom"))
+    assert parse_type_context("Dylan (Bob Nat) Atom", bobdylan) == TApp(
+        "Dylan", (TApp("Bob", (nat,)), TVar("Atom"))
     )
+
+
+@pytest.fixture(scope="module")
+def bush_and_list():
+    return parse_program(BUSH + "\n" + LIST)
 
 
 @pytest.mark.parametrize(
     "text, msg",
     [
         ("Shrub Nat", "unknown type Shrub"),
-        ("Bush Nat Nat", "expected end of target type"),
+        ("Bush Nat Nat", "Bush expects 1 argument"),
         ("Nat", "must name a declaration"),
+        ("List", "List expects 1 argument"),
+        ("List a", "expected a type context, found 'a'"),
+        ("(Nat)", "must name a declaration"),
     ],
 )
-def test_type_context_errors(bush, text, msg):
+def test_type_context_errors(bush_and_list, text, msg):
     with pytest.raises(ParseError, match=msg):
-        parse_value_literal("leaf", bush, text)
+        parse_value_literal("leaf", bush_and_list, text)
+
+
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        ("List (Bush Nat Atom)", "<target>:1:7: error: Bush expects 1 argument(s)"),
+        ("Bush (Nat Nat)", "<target>:1:7: error: Nat expects 0 argument(s)"),
+        ("List (Shrub Nat)", "<target>:1:7: error: unknown type Shrub in target context"),
+        ("Bush (List b)", "<target>:1:12: error: expected a type context, found 'b'"),
+        ("Bush (Nat -> Nat)", "<target>:1:6: error: function types are not permitted inside a type"),
+        ("Bush Nat -> Nat", "<target>:1:10: error: expected end of target type, found '->'"),
+    ],
+)
+def test_a_target_error_points_at_what_is_wrong(bush_and_list, text, rendered):
+    with pytest.raises(ParseError) as e:
+        parse_type_context(text, bush_and_list)
+    assert e.value.diagnostic.render() == rendered
+
+
+def _type_exprs(program, depth: int) -> list:
+    """Every correct-arity type expression over program's declarations and
+    the base universes, at most depth applications deep."""
+    exprs = [TVar(b) for b in BASE_TYPES]
+    for _ in range(depth):
+        exprs = [TVar(b) for b in BASE_TYPES] + [
+            TApp(d.name, args)
+            for d in program.decls
+            for args in itertools.product(exprs, repeat=len(d.params))
+        ]
+    return exprs
+
+
+@pytest.mark.parametrize("sample", ["bush.ndt", "list.ndt", "bobdylan.ndt"])
+def test_targets_and_declarations_share_one_grammar(sample):
+    program = parse_program((SAMPLES / sample).read_text())
+    targets = [t for t in _type_exprs(program, 2) if isinstance(t, TApp)]
+    assert len(targets) > len(program.decls)
+    for t in targets:
+        assert parse_type_context(render_type_expr(t), program) == t
 
 
 # ---------------------------------------------------------------------------
