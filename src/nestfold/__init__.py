@@ -33,9 +33,9 @@ _HOMES = {
     ),
     "properties": ("Counterexample", "PropertyResult", "SuiteReport", "run_suite"),
     "runtime": (
-        "Algebra", "CallCounter", "DepAlgebra", "HAlgebra", "RFun", "catalogue",
-        "enumerate_values", "eval_ind", "eval_map", "eval_nfold", "eval_nfold_prime",
-        "fold_tape", "halg_catalogue", "typecheck_value",
+        "Algebra", "HAlgebra", "RFun", "catalogue", "enumerate_values", "eval_ind",
+        "eval_map", "eval_nfold", "eval_nfold_prime", "fold_tape", "halg_catalogue",
+        "typecheck_value",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

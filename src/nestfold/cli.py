@@ -91,12 +91,26 @@ def cmd_derive(args: argparse.Namespace) -> int:
     ctxs = _load(args.decls)
     if ctxs is None:
         return 1
+    # A group's module, and so its file, is named ctx.name.
+    owner: dict[str, GroupContext] = {}
+    for ctx in ctxs:
+        if ctx.name in owner:
+            print(
+                f"error: groups ({', '.join(owner[ctx.name].group.decls)}) and "
+                f"({', '.join(ctx.group.decls)}) would both be written to {ctx.name}.agda",
+                file=sys.stderr,
+            )
+            return 1
+        owner[ctx.name] = ctx
+    # Every group is derived and emitted before a file is written or a line
+    # printed, so a failure leaves no partial output.
+    groups = [derive_group(ctx, nat_index=args.nat_index) for ctx in ctxs]
+    texts = [emit_agda(module_for_group(group)) for group in groups]
     args.out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for ctx in ctxs:
-        group = derive_group(ctx, nat_index=args.nat_index)
+    for ctx, group, text in zip(ctxs, groups, texts):
         path = args.out / f"{group.name}.agda"
-        path.write_text(emit_agda(module_for_group(group)))
+        path.write_text(text)
         written.append(path)
         source = set(ctx.decls)
         derived = [d.name for d in group.defs if d.name not in source]

@@ -11,12 +11,15 @@ byte-identical across runs.  Layout is rule-driven, never heuristic:
   application atoms greedily and recursing into atoms that still overflow.
 
 Every definition is scope-checked before rendering; an unbound name is an
-internal error (EmitError), not something to quietly render anyway.
+internal error (EmitError), not something to quietly render anyway.  So is a
+top-level name bound twice, which a source name that collides with a derived
+one produces.
 """
 
 from __future__ import annotations
 
 import textwrap
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 from .derivation import (
@@ -299,7 +302,7 @@ def _pattern_vars(patterns: tuple[Pattern, ...], ctors: set[str], where: str) ->
     return out
 
 
-def _check_term(t: Term, bound: frozenset[str], known: set[str], where: str) -> None:
+def _check_term(t: Term, bound: frozenset[str], known: AbstractSet[str], where: str) -> None:
     free: set[str] = set()
     _free_vars(t, bound, free)
     loose = sorted(free - known)
@@ -308,13 +311,24 @@ def _check_term(t: Term, bound: frozenset[str], known: set[str], where: str) -> 
 
 
 def _validate(module: EmitModule) -> None:
-    known: set[str] = {"Set"}
+    """Every top-level data type, constructor and definition name is bound
+    once, and every term mentions only names in scope."""
+    roles: dict[str, str] = {"Set": "the universe"}
+
+    def bind(name: str, role: str) -> None:
+        if name in roles:
+            raise EmitError(
+                f"module {module.name} binds {name!r} twice: as {roles[name]} and as {role}"
+            )
+        roles[name] = role
+
+    known = roles.keys()  # every name bound so far
     ctors: set[str] = set()
     for d in module.defs:
         if d.data is not None:
-            known.add(d.name)
+            bind(d.name, "a data type")
             for cn, _ in d.data.ctors:
-                known.add(cn)
+                bind(cn, f"a constructor of {d.name}")
                 ctors.add(cn)
     for d in module.defs:
         if d.data is not None:
@@ -322,7 +336,7 @@ def _validate(module: EmitModule) -> None:
             for _, ct in d.data.ctors:
                 _check_term(ct, env, known, d.name)
             continue
-        known.add(d.name)
+        bind(d.name, "a definition")
         _check_term(d.signature, frozenset(), known, d.name)
         for cl in d.clauses:
             pv = _pattern_vars(cl.patterns, ctors, d.name)

@@ -23,8 +23,6 @@ from .analysis import (
 from .parser import VBase, VCon, Value, render_value, value_size
 from .runtime import (
     Algebra,
-    CallCounter,
-    DepAlgebra,
     RFun,
     catalogue,
     enumerate_values,
@@ -36,6 +34,7 @@ from .runtime import (
     eval_nfold,
     eval_nfold_prime,
     halg_catalogue,
+    map_algebra,
     nat_of,
 )
 
@@ -176,14 +175,30 @@ def _mapper(ctx: GroupContext, fs, idx: IndexExpr, memo: dict) -> Callable[[Valu
     return lambda v: eval_map(ctx, fs, idx, v, memo=memo)
 
 
-def _ignore_values(alg: Algebra) -> DepAlgebra:
-    """Lift an Algebra to a DepAlgebra whose methods drop the sub-values."""
-    return DepAlgebra(
+def _ignore_values(alg: Algebra) -> Algebra:
+    """alg as an induction algebra whose methods drop the sub-values."""
+    return Algebra(
+        alg.name,
         bases=alg.bases,
         methods={
             name: (lambda m: lambda iargs, vals, rs: m(iargs, rs))(m)
             for name, m in alg.methods.items()
         },
+    )
+
+
+def _counted(alg: Algebra, calls: list[int]) -> Algebra:
+    """alg with every method adding one to calls[0] each time it runs."""
+
+    def count(m):
+        def counted(*args):
+            calls[0] += 1
+            return m(*args)
+
+        return counted
+
+    return Algebra(
+        alg.name, alg.bases, {name: count(m) for name, m in alg.methods.items()}
     )
 
 
@@ -339,23 +354,27 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
 
 
 def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
-    """Every evaluator makes at most size(v) recursive calls on values."""
+    """Every evaluator makes at most size(v) recursive calls on values.
+
+    A fold calls one method per constructor node it descends into, so each
+    evaluator folds a counted copy of its algebra, without a memo, and the
+    count of method calls is its count of recursive calls."""
+    calls = [0]
     sum_alg = catalogue(ctx)["sum"]
-    sum_dep = _ignore_values(sum_alg)
     fs = {k: (lambda v: v) for k in range(ctx.spec.base_var_count)}
     runs = (
-        ("nfold", lambda idx, v, c: eval_nfold(ctx, sum_alg, idx, v, c)),
-        ("nmap", lambda idx, v, c: eval_map(ctx, fs, idx, v, c)),
-        ("ind", lambda idx, v, c: eval_ind(ctx, sum_dep, idx, v, c)),
+        ("nfold", eval_nfold, _counted(sum_alg, calls)),
+        ("nmap", eval_nfold, _counted(map_algebra(ctx, fs), calls)),
+        ("ind", eval_ind, _counted(_ignore_values(sum_alg), calls)),
     )
 
     def cases():
         for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size):
             bound = value_size(v)
-            for label, run in runs:
-                counter = CallCounter()
-                run(idx, v, counter)
-                yield shown, v, label, counter.calls, bound
+            for label, fold, alg in runs:
+                calls[0] = 0
+                fold(ctx, alg, idx, v)
+                yield shown, v, label, calls[0], bound
 
     return _sweep(
         "call-counter-bound",

@@ -34,9 +34,6 @@ sub-values alive, so its caller guarantees two things:
   different algebras, or two maps of different functions, must not share
   one.
 
-A call that is given a CallCounter neither reads nor writes its memo, so the
-count is always the fold's real number of recursive calls.
-
 The two *direct* evaluators (eval_hfold_direct, eval_hmap_direct) transcribe
 the non-structural recursions verbatim and serve as oracles for the derived
 routes.  Each recursion exists once (_hfold, _hybrid_map) and works on hybrid
@@ -140,27 +137,13 @@ def nat_of(r: RuntimeResult) -> int:
 
 @dataclass(frozen=True)
 class Algebra:
-    """Methods receive (index arguments, folded argument results)."""
+    """Methods receive (index arguments, folded argument results).  The
+    methods of an induction algebra (eval_ind) also receive the examined
+    sub-values, between the two."""
 
     name: str
     bases: dict[int, Callable[[Value], RuntimeResult]] = field(compare=False)
-    methods: dict[
-        str, Callable[[tuple[IndexExpr, ...], tuple[RuntimeResult, ...]], RuntimeResult]
-    ] = field(compare=False)
-
-
-@dataclass(frozen=True)
-class DepAlgebra:
-    """Induction methods additionally receive the examined sub-values."""
-
-    bases: dict[int, Callable[[Value], RuntimeResult]] = field(compare=False)
-    methods: dict[
-        str,
-        Callable[
-            [tuple[IndexExpr, ...], tuple[Value, ...], tuple[RuntimeResult, ...]],
-            RuntimeResult,
-        ],
-    ] = field(compare=False)
+    methods: dict[str, Callable[..., RuntimeResult]] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -173,14 +156,7 @@ class HAlgebra:
     finish: Callable[[RuntimeResult], RuntimeResult] = field(compare=False)
 
 
-@dataclass
-class CallCounter:
-    """Counts recursive fold calls that descend into a constructor node."""
-
-    calls: int = 0
-
-
-def check_algebra(ctx: GroupContext, alg: Algebra | DepAlgebra) -> None:
+def check_algebra(ctx: GroupContext, alg: Algebra) -> None:
     if ctx.base_slots <= alg.bases.keys() and ctx.ctor_names <= alg.methods.keys():
         return
     missing = [k for k in range(ctx.spec.base_var_count) if k not in alg.bases]
@@ -277,18 +253,13 @@ def fold_tape(ctx: GroupContext, alg: Algebra, tape: Tape) -> RuntimeResult:
 
 
 def eval_nfold(
-    ctx: GroupContext,
-    alg: Algebra,
-    idx: IndexExpr,
-    v: Value,
-    counter: CallCounter | None = None,
-    memo: Memo | None = None,
+    ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value, memo: Memo | None = None
 ) -> RuntimeResult:
     check_algebra(ctx, alg)
-    return _nfold(ctx, alg, idx, v, counter, None if counter is not None else memo)
+    return _nfold(ctx, alg, idx, v, memo)
 
 
-def _nfold(ctx, alg, idx, v, counter, memo):
+def _nfold(ctx, alg, idx, v, memo):
     if isinstance(idx, IVar):
         return alg.bases[idx.k](v)
     if memo is not None:
@@ -298,9 +269,7 @@ def _nfold(ctx, alg, idx, v, counter, memo):
             return r
     rs = []
     for t, sub in zip(_args_at(ctx, idx, v), v.args):
-        if counter is not None and isinstance(sub, VCon):
-            counter.calls += 1
-        rs.append(_nfold(ctx, alg, t, sub, counter, memo))
+        rs.append(_nfold(ctx, alg, t, sub, memo))
     r = alg.methods[v.ctor](idx.args, tuple(rs))
     if memo is not None:
         memo[key] = r
@@ -316,33 +285,31 @@ def _args_at(ctx: GroupContext, idx: IApp, v: Value) -> tuple[IndexExpr, ...]:
     return at
 
 
+def map_algebra(ctx: GroupContext, fs: dict[int, Callable[[Value], Value]]) -> Algebra:
+    """The derived map of fs as a fold: its methods rebuild their constructor."""
+    return Algebra("map", fs, ctx.rebuild_methods)
+
+
 def eval_map(
     ctx: GroupContext,
     fs: dict[int, Callable[[Value], Value]],
     idx: IndexExpr,
     v: Value,
-    counter: CallCounter | None = None,
     memo: Memo | None = None,
 ) -> Value:
-    """The derived map: the fold whose methods rebuild their constructor."""
-    return eval_nfold(ctx, Algebra("map", fs, ctx.rebuild_methods), idx, v, counter, memo)
+    """The derived map: nfold at map_algebra(ctx, fs)."""
+    return eval_nfold(ctx, map_algebra(ctx, fs), idx, v, memo)
 
 
 def eval_ind(
-    ctx: GroupContext,
-    dep: DepAlgebra,
-    idx: IndexExpr,
-    v: Value,
-    counter: CallCounter | None = None,
-    memo: Memo | None = None,
+    ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value, memo: Memo | None = None
 ) -> RuntimeResult:
-    check_algebra(ctx, dep)
-    if counter is not None:
-        memo = None
+    """Induction: nfold whose methods also receive the examined sub-values."""
+    check_algebra(ctx, alg)
 
     def go(i: IndexExpr, w: Value) -> RuntimeResult:
         if isinstance(i, IVar):
-            return dep.bases[i.k](w)
+            return alg.bases[i.k](w)
         if memo is not None:
             key = (i, id(w))
             r = memo.get(key)
@@ -350,10 +317,8 @@ def eval_ind(
                 return r
         rs = []
         for t, sub in zip(_args_at(ctx, i, w), w.args):
-            if counter is not None and isinstance(sub, VCon):
-                counter.calls += 1
             rs.append(go(t, sub))
-        r = dep.methods[w.ctor](i.args, w.args, tuple(rs))
+        r = alg.methods[w.ctor](i.args, w.args, tuple(rs))
         if memo is not None:
             memo[key] = r
         return r

@@ -173,6 +173,75 @@ def test_derive_list_reports_skip(capsys, tmp_path):
     assert "PS bridge: skipped" in out
 
 
+def _assert_refused(capsys, out_dir, *argv):
+    """derive exits 1 with one error line, prints nothing and writes nothing;
+    returns the error line."""
+    code, out, err = run(capsys, "derive", *argv, "-o", out_dir)
+    assert (code, out) == (1, "")
+    assert not out_dir.exists()
+    (line,) = err.splitlines()
+    return line
+
+
+def test_derive_writes_nothing_when_a_later_group_fails(capsys, tmp_path):
+    src = tmp_path / "two.ndt"
+    src.write_text((SAMPLES / "list.ndt").read_text() + (SAMPLES / "bobdylan.ndt").read_text())
+    line = _assert_refused(capsys, tmp_path / "out", src, "--nat-index")
+    assert line.startswith("error: nat-index mode needs exactly one declaration")
+
+
+def test_derive_refuses_two_groups_with_one_file_name(capsys, tmp_path):
+    src = tmp_path / "ab.ndt"
+    src.write_text(
+        "data A (a : Set) : Set where\n  ka : B a -> A a\n  kz : A a\n"
+        "data B (a : Set) : Set where\n  kb : A a -> B a\n"
+        "data AB (a : Set) : Set where\n  kab : AB a\n"
+    )
+    line = _assert_refused(capsys, tmp_path / "out", src)
+    assert line == "error: groups (A, B) and (AB) would both be written to AB.agda"
+
+
+@pytest.mark.parametrize(
+    "decls, flags, message",
+    [
+        (
+            "data L (a : Set) : Set where\n  zero : L a\n  cc : a -> L a -> L a\n",
+            ["--nat-index"],
+            "module L binds 'zero' twice: as a constructor of Nat and as a constructor of L",
+        ),
+        (
+            "data L (a : Set) : Set where\n  z : L a\n  nfold : a -> L a -> L a\n",
+            [],
+            "module L binds 'nfold' twice: as a constructor of L and as a definition",
+        ),
+        (
+            "data T (a : Set) : Set where\n  t0 : T a\n  t1 : TC a -> T (T a) -> T a\n"
+            "data TC (a : Set) : Set where\n  tc : T a -> TC a\n",
+            [],
+            "module TTC binds 'TC' twice: as a constructor of TTCIndex and as a data type",
+        ),
+        (
+            "data Nat (a : Set) : Set where\n  z : Nat a\n  c : a -> Nat (Nat a) -> Nat a\n",
+            ["--nat-index"],
+            "module Nat binds 'Nat' twice: as a data type and as a data type",
+        ),
+        (
+            "data L (a : Set) : Set where\n  z : L a\n  Set : a -> L a -> L a\n",
+            [],
+            "module L binds 'Set' twice: as the universe and as a constructor of L",
+        ),
+    ],
+    ids=[
+        "constructor-constructor", "constructor-definition", "constructor-data", "data-data",
+        "constructor-universe",
+    ],
+)
+def test_derive_refuses_a_module_that_binds_a_name_twice(capsys, tmp_path, decls, flags, message):
+    src = tmp_path / "clash.ndt"
+    src.write_text(decls)
+    assert _assert_refused(capsys, tmp_path / "out", src, *flags) == f"error: {message}"
+
+
 def test_derive_missing_file(capsys):
     code, _, err = run(capsys, "derive", "missing.ndt")
     assert code == 2
@@ -692,7 +761,7 @@ def test_test_report_matches_the_reference(capsys, sample, size):
     code, out, err = run(capsys, "test", SAMPLES / f"{sample}.ndt", "--max-size", size)
     assert code == 0
     assert err == ""
-    assert out == (ROOT / "bench" / "reference" / f"{sample}@{size}.txt").read_text()
+    assert out.encode() == (ROOT / "bench" / "reference" / f"{sample}@{size}.txt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -725,12 +794,12 @@ def test_counterexample_is_printed_on_failure(capsys, monkeypatch):
     assert "algebra:" in err
 
 
-def _reversed_nfold(ctx, alg, idx, v, counter, memo):
+def _reversed_nfold(ctx, alg, idx, v, memo):
     """A broken _nfold: every node's method gets its argument results reversed."""
     if isinstance(idx, analysis.IVar):
         return alg.bases[idx.k](v)
     at = runtime._args_at(ctx, idx, v)
-    rs = [runtime._nfold(ctx, alg, t, sub, counter, None) for t, sub in zip(at, v.args)]
+    rs = [runtime._nfold(ctx, alg, t, sub, None) for t, sub in zip(at, v.args)]
     return alg.methods[v.ctor](idx.args, tuple(reversed(rs)))
 
 

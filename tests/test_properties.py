@@ -241,7 +241,7 @@ def test_broken_map_is_caught(bush, monkeypatch):
     monkeypatch.setattr(
         properties,
         "eval_map",
-        lambda ctx, fs, idx, v, counter=None, memo=None: VCon("leaf"),
+        lambda ctx, fs, idx, v, memo=None: VCon("leaf"),
     )
     r = check_map_identity(bush, 4)
     assert not r.ok
@@ -315,8 +315,8 @@ def _leaf_instead(real):
 
 def _zero_bases(real):
     """A map that sends every base value to 0, whatever it was asked to do."""
-    return lambda ctx, fs, idx, v, counter=None, memo=None: real(
-        ctx, {k: (lambda w: VBase(0)) for k in fs}, idx, v, counter, memo
+    return lambda ctx, fs, idx, v, memo=None: real(
+        ctx, {k: (lambda w: VBase(0)) for k in fs}, idx, v, memo
     )
 
 
@@ -324,14 +324,26 @@ def _corrupt_inner_map(real):
     """A map that is right at the top level and off by one when nested."""
     depth = [0]
 
-    def fake(ctx, fs, idx, v, counter=None, memo=None):
+    def fake(ctx, fs, idx, v, memo=None):
         depth[0] += 1
         try:
-            out = real(ctx, fs, idx, v, counter, memo)
+            out = real(ctx, fs, idx, v, memo)
         finally:
             depth[0] -= 1
         if depth[0] > 0 and isinstance(out, VBase):
             return VBase(out.payload + 1)
+        return out
+
+    return fake
+
+
+def _refold_last_argument(real):
+    """A fold that folds a node's last argument once more when it is a node."""
+
+    def fake(ctx, alg, idx, v, memo=None):
+        out = real(ctx, alg, idx, v, memo)
+        if isinstance(v, VCon) and v.args and isinstance(v.args[-1], VCon):
+            real(ctx, alg, ctx.ctors_at(idx, v.ctor)[-1], v.args[-1], memo)
         return out
 
     return fake
@@ -385,7 +397,7 @@ SABOTAGE = [
     ),
     pytest.param(
         "bush", "check_hmap_cons", (5,), "eval_map",
-        lambda real: lambda ctx, fs, idx, v, counter=None, memo=None: v,
+        lambda real: lambda ctx, fs, idx, v, memo=None: v,
         3, Counterexample(
             "hmap-cons-equation", "BushC varA", "cons 0 leaf", "add1",
             "cons 0 leaf", "cons 1 leaf",
@@ -394,13 +406,13 @@ SABOTAGE = [
     ),
     pytest.param(
         "bobdylan", "check_ind_agreement", (4,), "eval_ind",
-        lambda real: lambda ctx, dep, idx, v, counter=None, memo=None: 0,
+        lambda real: lambda ctx, alg, idx, v, memo=None: 0,
         3, Counterexample("ind-agreement", "varA", "0", "trace", "0", "@varA 0"),
         id="ind-agreement",
     ),
     pytest.param(
         "lists", "check_spine_fold_agreement", (4,), "eval_nfold",
-        lambda real: lambda ctx, alg, idx, v, counter=None, memo=None: 0,
+        lambda real: lambda ctx, alg, idx, v, memo=None: 0,
         4, Counterexample(
             "spine-fold-agreement", "ListC varA", "cc 0 nil", "length", "0", "1"
         ),
@@ -413,6 +425,13 @@ SABOTAGE = [
             "call-counter-bound", "varA", "0", "nfold", "0 calls", "size bound -1"
         ),
         id="call-counter-bound",
+    ),
+    pytest.param(
+        "lists", "check_call_counter", (4,), "eval_nfold", _refold_last_argument,
+        13, Counterexample(
+            "call-counter-bound", "ListC varA", "cc 0 nil", "nfold", "3 calls", "size bound 2"
+        ),
+        id="call-counter-bound-over-recursion",
     ),
 ]
 

@@ -24,8 +24,6 @@ from nestfold.parser import (
 from nestfold.runtime import (
     NAT_MAX,
     Algebra,
-    CallCounter,
-    DepAlgebra,
     RFun,
     apply_result,
     as_value,
@@ -46,6 +44,7 @@ from nestfold.runtime import (
     wrap,
 )
 import nestfold.runtime as runtime
+from nestfold.properties import _counted, _ignore_values
 
 from test_parser import BOBDYLAN, BUSH, DEEP_BUSH, LIST, _bush_values
 
@@ -298,7 +297,7 @@ def test_an_incomplete_algebra_is_rejected_by_every_fold(bush, bush1, drop, mess
     assert diags == []
     folds = [
         lambda: eval_nfold(bush, alg, bushc(1), bush1),
-        lambda: eval_ind(bush, _const_dep(alg), bushc(1), bush1),
+        lambda: eval_ind(bush, _ignore_values(alg), bushc(1), bush1),
         lambda: fold_tape(bush, alg, tape),
     ]
     for fold in folds:
@@ -411,12 +410,15 @@ def test_overflow_is_an_error_not_a_wrap(bush):
 
 
 def test_call_counter_is_bounded_by_size(bush, bush1):
-    alg = catalogue(bush)["sum"]
-    for v in (bush1, VCon("leaf"), VCon("cons", (VBase(1), VCon("leaf")))):
-        counter = CallCounter()
-        eval_nfold(bush, alg, bushc(1), v, counter=counter)
-        assert counter.calls == value_size(v) - 1
-        assert counter.calls <= value_size(v)
+    """A fold calls one method per constructor node, so a counted algebra
+    counts exactly size(v) calls."""
+    calls = [0]
+    alg = _counted(catalogue(bush)["sum"], calls)
+    for fold in FOLDS:
+        for v in (bush1, VCon("leaf"), VCon("cons", (VBase(1), VCon("leaf")))):
+            calls[0] = 0
+            fold(bush, alg, bushc(1), v)
+            assert calls[0] == value_size(v)
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +457,9 @@ def test_map_composition_pointwise(bush):
 # eval_ind
 
 
-def _const_dep(alg):
-    return DepAlgebra(
-        bases=dict(alg.bases),
-        methods={
-            k: (lambda f: lambda iargs, subs, rs: f(iargs, rs))(m)
-            for k, m in alg.methods.items()
-        },
-    )
-
-
 def test_ind_with_value_blind_methods_equals_nfold(bush, bush1):
     alg = catalogue(bush)["sum"]
-    dep = _const_dep(alg)
+    dep = _ignore_values(alg)
     assert eval_ind(bush, dep, bushc(1), bush1) == 34
     for v in enumerate_values(bush, bushc(2), POOL3, 4):
         assert eval_ind(bush, dep, bushc(2), v) == eval_nfold(
@@ -476,7 +468,8 @@ def test_ind_with_value_blind_methods_equals_nfold(bush, bush1):
 
 
 def test_ind_sees_the_examined_subvalues(bush, bush1):
-    rebuild = DepAlgebra(
+    rebuild = Algebra(
+        "rebuild",
         bases={0: lambda v: v},
         methods={
             "leaf": lambda iargs, subs, rs: VCon("leaf"),
@@ -487,7 +480,7 @@ def test_ind_sees_the_examined_subvalues(bush, bush1):
 
 
 def test_ind_base_case_applies_base_directly(bush):
-    dep = _const_dep(catalogue(bush)["sum"])
+    dep = _ignore_values(catalogue(bush)["sum"])
     assert eval_ind(bush, dep, IVar(0), VBase(6)) == 6
 
 
@@ -495,7 +488,7 @@ def test_ind_base_case_applies_base_directly(bush):
     "evaluate",
     [
         lambda ctx, v: eval_nfold(ctx, catalogue(ctx)["sum"], bushc(1), v),
-        lambda ctx, v: eval_ind(ctx, _const_dep(catalogue(ctx)["sum"]), bushc(1), v),
+        lambda ctx, v: eval_ind(ctx, _ignore_values(catalogue(ctx)["sum"]), bushc(1), v),
     ],
     ids=["eval_nfold", "eval_ind"],
 )
@@ -545,9 +538,9 @@ def test_a_fold_substitutes_only_the_constructors_it_meets(monkeypatch):
 # Memoized folds
 
 
-def _ind(ctx, alg, idx, v, counter=None, memo=None):
+def _ind(ctx, alg, idx, v, memo=None):
     """eval_ind with alg's methods, blind to the sub-values."""
-    return eval_ind(ctx, _const_dep(alg), idx, v, counter, memo)
+    return eval_ind(ctx, _ignore_values(alg), idx, v, memo)
 
 
 FOLDS = [eval_nfold, _ind]
@@ -565,26 +558,6 @@ def test_the_memo_is_keyed_by_index(lists, fold):
     want = [fold(lists, trace, idx, nil) for idx in (one, two, one)]
     assert got == want
     assert want[0] != want[1]
-
-
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda ctx, *a: eval_nfold(ctx, catalogue(ctx)["sum"], bushc(1), *a),
-        lambda ctx, *a: _ind(ctx, catalogue(ctx)["sum"], bushc(1), *a),
-        lambda ctx, *a: eval_map(ctx, {0: add_one}, bushc(1), *a),
-    ],
-    ids=["eval_nfold", "eval_ind", "eval_map"],
-)
-def test_a_counter_counts_past_the_memo(bush, bush1, run):
-    plain = CallCounter()
-    run(bush, bush1, plain)
-    memo = {}
-    for _ in range(2):
-        counter = CallCounter()
-        run(bush, bush1, counter, memo)
-        assert counter.calls == plain.calls == value_size(bush1) - 1
-    assert memo == {}
 
 
 @pytest.mark.parametrize("src", [BUSH, LIST, BOBDYLAN], ids=["bush", "list", "bobdylan"])
