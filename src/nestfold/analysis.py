@@ -10,6 +10,7 @@ data the derived folds dispatch on.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import string
 from dataclasses import dataclass, field
@@ -186,7 +187,7 @@ def well_formed(program: Program) -> list[Diagnostic]:
     """Check names, arities and the result-shape rule, collecting all errors.
 
     This is the only validator: parse_program checks syntax alone, and
-    analyze and every command run this before anything else.
+    analyze, every command's loader, runs this before anything else.
     """
     out: list[Diagnostic] = []
 
@@ -350,10 +351,11 @@ def _sccs(names: list[str], edges: dict[str, list[str]]) -> list[list[str]]:
 
 def index_universe(program: Program, group: MutualGroup) -> IndexTypeSpec:
     if group.base_var_count > 26:
-        raise AnalysisError(
+        msg = (
             f"group {'/'.join(group.decls)} needs {group.base_var_count} index "
             "variables; only varA..varZ are available"
         )
+        raise AnalysisError(Diagnostic(msg))
     var_ctors = tuple(
         "var" + string.ascii_uppercase[i] for i in range(group.base_var_count)
     )
@@ -372,13 +374,16 @@ def type_to_index(
 
     `params` is the owning declaration's parameter list (positional), and
     `members` maps each group member to its index application constructor.
+    A head outside the group is refused at its position, with no file.
     """
     match t:
         case TVar(name):
             return IVar(params.index(name))
         case TApp(head, args):
             if head not in members:
-                raise AnalysisError("cross-group nesting not supported in v1")
+                line, col = t.pos or (None, None)
+                msg = "cross-group nesting not supported in v1"
+                raise AnalysisError(Diagnostic(msg, line, col))
             return IApp(members[head], tuple(type_to_index(a, params, members) for a in args))
     raise AssertionError
 
@@ -392,19 +397,25 @@ def group_context(program: Program, group: MutualGroup) -> GroupContext:
         decls[n] = d
     app_ctor = {n: c for n, (c, _) in zip(group.decls, spec.app_ctors)}
     decl_of_app = {v: k for k, v in app_ctor.items()}
-    templates = {
-        c.name: tuple(type_to_index(t, d.params, app_ctor) for t in c.args)
-        for d in decls.values()
-        for c in d.ctors
-    }
+    try:
+        templates = {
+            c.name: tuple(type_to_index(t, d.params, app_ctor) for t in c.args)
+            for d in decls.values()
+            for c in d.ctors
+        }
+    except AnalysisError as e:
+        (d,) = e.diagnostics
+        raise AnalysisError(dataclasses.replace(d, file=program.source)) from None
     return GroupContext(program, group, spec, decls, app_ctor, decl_of_app, templates)
 
 
 def analyze(program: Program) -> list[GroupContext]:
-    """Validate and split a program into per-group contexts."""
+    """Validate a program and split it into per-group contexts: the one
+    loader every command uses.  Raises AnalysisError with every well_formed
+    diagnostic, or with the refusal that stopped a group's context."""
     diags = well_formed(program)
     if diags:
-        raise AnalysisError("; ".join(d.render() for d in diags))
+        raise AnalysisError(*diags)
     return [group_context(program, g) for g in classify(program)]
 
 
@@ -501,15 +512,16 @@ def context_to_index(
     assignment) with type_to_index, its base universes as the parameters.
 
     Distinct base universes are assigned to index variables in order of
-    first appearance; unused variables default to naturals.
+    first appearance; unused variables default to naturals.  A target names
+    no more universes than the group has variables: a group whose widest
+    declaration has one parameter admits one leaf, and there are two
+    universes.
     """
     foreign = [h for h in _heads(t) if h not in group_ctx.app_ctor]
     if foreign:
-        raise AnalysisError(f"type {foreign[0]} does not belong to group {group_ctx.name}")
-    count = group_ctx.spec.base_var_count
+        msg = f"type {foreign[0]} does not belong to group {group_ctx.name}"
+        raise AnalysisError(Diagnostic(msg))
     kinds = tuple(dict.fromkeys(_vars(t)))
-    if len(kinds) > count:
-        raise AnalysisError(f"target type uses more than {count} distinct base universes")
-    names = kinds + ("Nat",) * (count - len(kinds))
+    names = kinds + ("Nat",) * (group_ctx.spec.base_var_count - len(kinds))
     universes = {k: BASE_TYPES[name] for k, name in enumerate(names)}
     return type_to_index(t, kinds, group_ctx.app_ctor), universes

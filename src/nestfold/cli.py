@@ -4,10 +4,15 @@ Exit codes: 0 success, 1 domain failure (diagnostics or a counterexample),
 2 usage or I/O trouble.  All payload output is deterministic for fixed
 inputs and flags.
 
-Every command parses and analyzes, so parsing, analysis and diagnostics load
-with this module.  Each command imports the rest of what it runs when it
-runs: eval the runtime, derive the derivation and the emitter, test the
+Every command loads its declarations through analysis.analyze, the one
+path from a program to its groups, and an AnalysisError's diagnostics are
+printed as they are, one line each.  So parsing, analysis and diagnostics
+load with this module.  Each command imports the rest of what it runs when
+it runs: eval the runtime, derive the derivation and the emitter, test the
 property suite, and the agda hook subprocess.  `check` loads nothing more.
+
+eval reads its --type target once, with parse_type_context, and hands the
+target's head declaration to parse_value_literal.
 """
 
 from __future__ import annotations
@@ -19,27 +24,16 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import (
-    GroupContext,
-    classify,
-    context_to_index,
-    group_context,
-    nat_index_eligible,
-    well_formed,
-)
-from .diagnostics import NestfoldError, ParseError
+from .analysis import GroupContext, analyze, context_to_index, nat_index_eligible
+from .diagnostics import AnalysisError, NestfoldError, ParseError
 from .parser import (
+    TApp,
+    check_type_context,
     parse_program,
     parse_type_context,
     parse_value_literal,
     render_value,
 )
-
-
-def _report(diags) -> bool:
-    for d in diags:
-        print(d.render(), file=sys.stderr)
-    return bool(diags)
 
 
 def _read(path: Path) -> str:
@@ -50,16 +44,10 @@ def _read(path: Path) -> str:
         raise OSError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
 
 
-def _load(path: Path) -> list[GroupContext] | None:
-    """Parse and validate a declaration file, then build every group's context.
-
-    The program is validated once; returns None once the diagnostics are
-    reported.  Nothing is printed to stdout before every group is built.
-    """
-    program = parse_program(_read(path), source=str(path))
-    if _report(well_formed(program)):
-        return None
-    return [group_context(program, g) for g in classify(program)]
+def _load(path: Path) -> list[GroupContext]:
+    """Parse a declaration file and analyze it: every group's context, built
+    before anything is printed to stdout."""
+    return analyze(parse_program(_read(path), source=str(path)))
 
 
 def _describe_group(ctx: GroupContext) -> str:
@@ -76,10 +64,7 @@ def _describe_group(ctx: GroupContext) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    ctxs = _load(args.decls)
-    if ctxs is None:
-        return 1
-    for ctx in ctxs:
+    for ctx in _load(args.decls):
         print(_describe_group(ctx))
     return 0
 
@@ -89,8 +74,6 @@ def cmd_derive(args: argparse.Namespace) -> int:
     from .emitter import emit_agda, module_for_group
 
     ctxs = _load(args.decls)
-    if ctxs is None:
-        return 1
     # A group's module, and so its file, is named ctx.name.
     owner: dict[str, GroupContext] = {}
     for ctx in ctxs:
@@ -139,22 +122,25 @@ def _agda_hook(paths: list[Path]) -> int:
     return 0
 
 
-def _default_target(program) -> str:
+def _default_target(program) -> TApp:
+    """The first declaration with every parameter over naturals, checked as
+    the typed target would be (a declaration named Nat is the universe)."""
     decl = program.decls[0]
-    return " ".join([decl.name] + ["Nat"] * len(decl.params))
+    target = TApp(decl.name, (TApp("Nat"),) * len(decl.params), (1, 1))
+    return check_type_context(target, program)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from .runtime import catalogue, fold_tape, typecheck_value
 
     ctxs = _load(args.decls)
-    if ctxs is None:
-        return 1
     program = ctxs[0].program
-    target = _default_target(program) if args.target is None else args.target
-    tctx = parse_type_context(target, program)
-    ctx = next(c for c in ctxs if tctx.head in c.group.decls)
-    idx, universes = context_to_index(tctx, ctx)
+    if args.target is None:
+        target = _default_target(program)
+    else:
+        target = parse_type_context(args.target, program)
+    ctx = next(c for c in ctxs if target.head in c.group.decls)
+    idx, universes = context_to_index(target, ctx)
     algs = catalogue(ctx)
     if args.algebra not in algs:
         options = ", ".join(algs)
@@ -164,9 +150,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         return 2
     source = str(args.value)
-    v = parse_value_literal(_read(args.value), program, target, source)
+    v = parse_value_literal(_read(args.value), program, ctx.decls[target.head], source)
     diags, tape = typecheck_value(ctx, idx, universes, v)
-    if _report([dataclasses.replace(d, file=source) for d in diags]):
+    if diags:
+        for d in diags:
+            print(dataclasses.replace(d, file=source).render(), file=sys.stderr)
         return 1
     print(render_value(fold_tape(ctx, algs[args.algebra], tape)))
     return 0
@@ -178,11 +166,8 @@ def cmd_test(args: argparse.Namespace) -> int:
         return 2
     from .properties import run_suite
 
-    ctxs = _load(args.decls)
-    if ctxs is None:
-        return 1
     failed = False
-    for ctx in ctxs:
+    for ctx in _load(args.decls):
         report = run_suite(ctx, args.max_size)
         print(f"{ctx.name}: property suite at max size {args.max_size}")
         for r in report.results:
@@ -261,8 +246,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ParseError as e:
-        print(e.diagnostic.render(), file=sys.stderr)
+    except (ParseError, AnalysisError) as e:
+        print(e, file=sys.stderr)  # each diagnostic rendered, one a line
         return 1
     except NestfoldError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -30,22 +30,17 @@ class ParseError(NestfoldError):
     """Syntax or name-resolution failure, with source position."""
 
     def __init__(self, message: str, line: int, col: int, file: str | None = None):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-        self.col = col
-        self.file = file
-
-    @property
-    def diagnostic(self) -> Diagnostic:
-        return Diagnostic(self.message, self.line, self.col, self.file)
-
-    def __str__(self) -> str:
-        return self.diagnostic.render()
+        self.diagnostic = Diagnostic(message, line, col, file)
+        super().__init__(self.diagnostic.render())
 
 
 class AnalysisError(NestfoldError):
-    """A request that the analysed program cannot satisfy (e.g. cross-group nesting)."""
+    """A program or request that analysis refuses: every well_formed
+    finding, or the one refusal that stopped it, one diagnostic a line."""
+
+    def __init__(self, *diagnostics: Diagnostic):
+        super().__init__("\n".join(d.render() for d in diagnostics))
+        self.diagnostics = diagnostics
 
 
 class DerivationError(NestfoldError):

@@ -416,15 +416,15 @@ def _parse_type_atom(cur: _Cursor) -> TypeExpr:
 
 
 def parse_value_literal(
-    text: str, program: Program, target: str, source: str = "<value>"
+    text: str, program: Program, decl: TypeDecl, source: str = "<value>"
 ) -> Value:
-    """Parse one value literal; `target` is a type context such as "Bush Nat".
+    """Parse one value literal; `decl` is the target's head declaration
+    (program.decl(parse_type_context(...).head)).
 
-    Only the context's head declaration matters here: it supplies the
-    constructors that bracket sugar expands to.  Typing the result against
-    the full context is the runtime's job.
+    The head declaration supplies the constructors that bracket sugar
+    expands to, and program every constructor's arity.  Typing the result
+    against the full target is the runtime's job.
     """
-    decl = program.decl(parse_type_context(target, program).head)
     arities = {c.name: len(c.args) for d in program.decls for c in d.ctors}
     cur = _Cursor(_lex(text, source, keep_newlines=False), source)
     v = _parse_value(cur, arities, decl, spine_shape(decl), allow_args=True)
@@ -514,11 +514,16 @@ BASE_TYPES = {"Nat": "nat", "Atom": "atom"}
 
 def parse_type_context(text: str, program: Program) -> TApp:
     """Parse an eval target: a declaration applied to type expressions over
-    the declarations and BASE_TYPES, each base universe a TVar of its name.
-    Every rule a target obeys is checked here, as a ParseError at <target>."""
+    the declarations and BASE_TYPES, each base universe a TVar of its name."""
     cur = _Cursor(_lex(text, "<target>", keep_newlines=False), "<target>")
     t = _parse_atom_seq(cur)
     cur.expect("eof", what="end of target type")
+    return check_type_context(t, program)
+
+
+def check_type_context(t: TypeExpr, program: Program) -> TApp:
+    """t as an eval target.  Every rule a target obeys is checked here, as a
+    ParseError at <target>."""
     arity = {d.name: len(d.params) for d in program.decls} | dict.fromkeys(BASE_TYPES, 0)
     t = _check_target(t, arity)
     if not isinstance(t, TApp):

@@ -147,7 +147,7 @@ def test_criterion_6_concrete_figures(bush, capsys):
         codes.append(code)
         prints.append(capsys.readouterr().out.strip() == expected)
     bush1 = parse_value_literal(
-        (SAMPLES / "bush1.ndv").read_text(), bush.program, "Bush Nat"
+        (SAMPLES / "bush1.ndv").read_text(), bush.program, bush.decls["Bush"]
     )
     cps = halg_catalogue(bush)["cps-sum"]
     via_cps = cps.finish(eval_hfold_via_nfold(bush, cps, "Bush", bush1))

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import nestfold.analysis as analysis
 import nestfold.cli as cli
+import nestfold.parser as parser
 import nestfold.runtime as runtime
 from nestfold.analysis import analyze, context_to_index
 from nestfold.cli import main
@@ -112,6 +113,38 @@ def test_check_analyzes_every_group_before_printing(capsys, tmp_path):
     assert "cross-group nesting" in err
 
 
+ROSE = (
+    "data List a where\n  nil : List a\n  cons : a -> List a -> List a\n\n"
+    "data Rose a where\n  rose : List (Rose a) -> Rose a\n"
+)
+
+
+@pytest.mark.parametrize("command", ["check", "derive", "eval", "test"])
+def test_cross_group_nesting_is_one_positioned_line(capsys, tmp_path, command):
+    src = tmp_path / "rose.ndt"
+    src.write_text(ROSE)
+    extra = {
+        "check": [],
+        "derive": ["--out", tmp_path],
+        "eval": [SAMPLES / "empty.ndv"],
+        "test": ["--max-size", "2"],
+    }[command]
+    code, out, err = run(capsys, command, src, *extra)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"{src}:6:10: error: cross-group nesting not supported in v1"]
+
+
+def test_check_prints_the_diagnostics_analyze_raises(capsys, tmp_path):
+    src = tmp_path / "multi.ndt"
+    src.write_text("data T a where\n  k : T a\n  k : T a a\n  j : List a -> T a\n")
+    with pytest.raises(analysis.AnalysisError) as e:
+        analyze(parse_program(src.read_text(), source=str(src)))
+    code, out, err = run(capsys, "check", src)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [d.render() for d in e.value.diagnostics]
+    assert len(e.value.diagnostics) == 4
+
+
 @pytest.mark.parametrize("command", ["check", "derive", "eval", "test"])
 def test_each_command_validates_the_program_once(capsys, tmp_path, monkeypatch, command):
     real = analysis.well_formed
@@ -122,7 +155,6 @@ def test_each_command_validates_the_program_once(capsys, tmp_path, monkeypatch, 
         return real(program)
 
     monkeypatch.setattr(analysis, "well_formed", counted)
-    monkeypatch.setattr(cli, "well_formed", counted)
     monkeypatch.delenv("NESTFOLD_AGDA", raising=False)
     extra = {
         "check": [],
@@ -508,11 +540,27 @@ def test_eval_rejects_a_malformed_target_in_one_line(capsys, tmp_path, target, l
     assert (code, out, err.splitlines()) == (1, "", [line])
 
 
+def test_eval_lexes_its_target_once(capsys, tmp_path, monkeypatch):
+    real = parser._lex
+    targets = []
+
+    def counted(text, file, keep_newlines):
+        if file == "<target>":
+            targets.append(text)
+        return real(text, file, keep_newlines)
+
+    monkeypatch.setattr(parser, "_lex", counted)
+    lit = tmp_path / "v.ndv"
+    lit.write_text("[1, 2]\n")
+    code, out, _ = run(capsys, "eval", SAMPLES / "list.ndt", lit, "--type", "List Nat")
+    assert (code, out) == (0, "3\n")
+    assert targets == ["List Nat"]
+
+
 @pytest.mark.parametrize("sample", ["bush.ndt", "list.ndt", "bobdylan.ndt"])
 def test_the_default_target_is_the_first_declaration_over_naturals(sample):
     (ctx,) = analyze(parse_program((SAMPLES / sample).read_text()))
-    target = parse_type_context(cli._default_target(ctx.program), ctx.program)
-    idx, universes = context_to_index(target, ctx)
+    idx, universes = context_to_index(cli._default_target(ctx.program), ctx)
     assert idx == ctx.own_index(ctx.group.decls[0])
     assert universes == {k: "nat" for k in range(ctx.spec.base_var_count)}
 

@@ -135,7 +135,7 @@ def test_names_are_ascii(src, rendered):
 
 def test_atom_names_are_ascii(bush):
     with pytest.raises(ParseError) as e:
-        parse_value_literal("cons 'x\u00e9 leaf", bush, "Bush Atom")
+        parse_value_literal("cons 'x\u00e9 leaf", bush, bush.decl("Bush"))
     assert e.value.diagnostic.render() == "<value>:1:8: error: unexpected character '\u00e9'"
 
 
@@ -160,22 +160,22 @@ def bobdylan():
 
 
 def test_constructor_application(bush):
-    v = parse_value_literal("cons 4 leaf", bush, "Bush Nat")
+    v = parse_value_literal("cons 4 leaf", bush, bush.decl("Bush"))
     assert v == VCon("cons", (VBase(4), VCon("leaf")))
 
 
 def test_nested_parens_and_atoms(bush):
-    v = parse_value_literal("cons 'x (cons (cons 'y leaf) leaf)", bush, "Bush Atom")
+    v = parse_value_literal("cons 'x (cons (cons 'y leaf) leaf)", bush, bush.decl("Bush"))
     inner = VCon("cons", (VBase(Atom("y")), VCon("leaf")))
     assert v == VCon("cons", (VBase(Atom("x")), VCon("cons", (inner, VCon("leaf")))))
 
 
 def test_empty_brackets_are_the_nullary_constructor(bush):
-    assert parse_value_literal("[ ]", bush, "Bush Nat") == VCon("leaf")
+    assert parse_value_literal("[ ]", bush, bush.decl("Bush")) == VCon("leaf")
 
 
 def test_bracket_sugar_desugars_right_nested(bush):
-    v = parse_value_literal("[ 4, [ 8 ] ]", bush, "Bush Nat")
+    v = parse_value_literal("[ 4, [ 8 ] ]", bush, bush.decl("Bush"))
     inner = VCon("cons", (VBase(8), VCon("leaf")))
     assert v == VCon("cons", (VBase(4), VCon("cons", (inner, VCon("leaf")))))
 
@@ -190,7 +190,7 @@ DEEP_BUSH = """\
 
 
 def test_deep_bracket_literal(bush):
-    v = parse_value_literal(DEEP_BUSH, bush, "Bush Nat")
+    v = parse_value_literal(DEEP_BUSH, bush, bush.decl("Bush"))
     assert value_size(v) == 38
 
     def payloads(w):
@@ -205,12 +205,12 @@ def test_deep_bracket_literal(bush):
 
 def test_bracket_sugar_needs_nil_and_cons(bobdylan):
     with pytest.raises(ParseError, match="bracket sugar"):
-        parse_value_literal("[ ]", bobdylan, "Bob Nat")
+        parse_value_literal("[ ]", bobdylan, bobdylan.decl("Bob"))
 
 
 def test_mixed_group_constructors(bobdylan):
     v = parse_value_literal(
-        "zimmerman (duluth (robert 1) (robert 2)) (robert 'q)", bobdylan, "Bob Nat"
+        "zimmerman (duluth (robert 1) (robert 2)) (robert 'q)", bobdylan, bobdylan.decl("Bob")
     )
     assert v == VCon(
         "zimmerman",
@@ -240,16 +240,16 @@ def test_mixed_group_constructors(bobdylan):
 )
 def test_value_errors(bush, text, msg):
     with pytest.raises(ParseError, match=msg):
-        parse_value_literal(text, bush, "Bush Nat")
+        parse_value_literal(text, bush, bush.decl("Bush"))
 
 
 def test_largest_natural_accepted(bush):
-    v = parse_value_literal(f"cons {NAT_MAX} leaf", bush, "Bush Nat")
+    v = parse_value_literal(f"cons {NAT_MAX} leaf", bush, bush.decl("Bush"))
     assert v.args[0] == VBase(NAT_MAX)
 
 
 def test_leading_zeros_do_not_count_toward_the_range(bush):
-    v = parse_value_literal(f"cons {'0' * 5000}{NAT_MAX} leaf", bush, "Bush Nat")
+    v = parse_value_literal(f"cons {'0' * 5000}{NAT_MAX} leaf", bush, bush.decl("Bush"))
     assert v.args[0] == VBase(NAT_MAX)
 
 
@@ -286,7 +286,7 @@ def bush_and_list():
 )
 def test_type_context_errors(bush_and_list, text, msg):
     with pytest.raises(ParseError, match=msg):
-        parse_value_literal("leaf", bush_and_list, text)
+        parse_type_context(text, bush_and_list)
 
 
 @pytest.mark.parametrize(
@@ -355,7 +355,7 @@ _bush_values = st.deferred(
 @given(_bush_values)
 def test_render_value_round_trip(v):
     program = parse_program(BUSH)
-    assert parse_value_literal(render_value(v), program, "Bush Nat") == v
+    assert parse_value_literal(render_value(v), program, program.decl("Bush")) == v
 
 
 @st.composite
@@ -420,6 +420,6 @@ def test_parser_totality_on_noise(text):
 def test_value_parser_totality_on_noise(text):
     program = parse_program(BUSH)
     try:
-        parse_value_literal(text, program, "Bush Nat")
+        parse_value_literal(text, program, program.decl("Bush"))
     except ParseError:
         pass

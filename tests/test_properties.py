@@ -232,7 +232,7 @@ def test_broken_evaluator_yields_a_replayable_counterexample(bush, monkeypatch):
     assert ce.prop == "nfold-vs-nfold-prime"
     assert ce.rhs == str(10**9)
     # the reported literal parses back to a usable value
-    v = parse_value_literal(ce.value, bush.program, "Bush Nat")
+    v = parse_value_literal(ce.value, bush.program, bush.decls["Bush"])
     assert isinstance(v, (VBase, VCon))
 
 

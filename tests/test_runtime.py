@@ -69,7 +69,7 @@ def bobdylan():
 
 @pytest.fixture(scope="module")
 def bush1(bush):
-    return parse_value_literal(DEEP_BUSH, bush.program, "Bush Nat")
+    return parse_value_literal(DEEP_BUSH, bush.program, bush.decls["Bush"])
 
 
 def bushc(k):
@@ -175,7 +175,7 @@ def test_typecheck_walks_every_slot(bush):
 
 def test_typecheck_mutual(bobdylan):
     v = parse_value_literal(
-        "duluth (robert 1) (robert 'x)", bobdylan.program, "Dylan Nat Atom"
+        "duluth (robert 1) (robert 'x)", bobdylan.program, bobdylan.decls["Dylan"]
     )
     idx = IApp("DylanC", (IVar(0), IVar(1)))
     assert typecheck_value(bobdylan, idx, {0: "nat", 1: "atom"}, v)[0] == []
@@ -184,11 +184,11 @@ def test_typecheck_mutual(bobdylan):
 
 
 @pytest.mark.parametrize(
-    "src, target, idx, kinds, text, expected",
+    "src, head, idx, kinds, text, expected",
     [
         (
             BUSH,
-            "Bush Nat",
+            "Bush",
             IApp("BushC", (IVar(0),)),
             NAT_KINDS,
             "[ [ 1 ], 2,\n  [ 'x, [ 3 ], leaf ],\n  cons 4 leaf, 'y ]\n",
@@ -203,7 +203,7 @@ def test_typecheck_mutual(bobdylan):
         ),
         (
             BOBDYLAN,
-            "Dylan Nat Atom",
+            "Dylan",
             IApp("DylanC", (IVar(0), IVar(1))),
             {0: "nat", 1: "atom"},
             "duluth\n  (robert (duluth 1 2))\n  (zimmerman (robert 1) (minnesota (robert 3)))\n",
@@ -215,7 +215,7 @@ def test_typecheck_mutual(bobdylan):
         ),
         (
             BOBDYLAN,
-            "Dylan Nat Atom",
+            "Dylan",
             IApp("DylanC", (IVar(0), IVar(1))),
             {0: "nat", 1: "atom"},
             "duluth (robert 'a) (robert 7)",
@@ -224,15 +224,15 @@ def test_typecheck_mutual(bobdylan):
     ],
     ids=["bush", "bobdylan-constructors", "bobdylan-universes"],
 )
-def test_typecheck_reports_every_error_in_pre_order(src, target, idx, kinds, text, expected):
+def test_typecheck_reports_every_error_in_pre_order(src, head, idx, kinds, text, expected):
     (ctx,) = analyze(parse_program(src))
-    v = parse_value_literal(text, ctx.program, target)
+    v = parse_value_literal(text, ctx.program, ctx.decls[head])
     diags, _ = typecheck_value(ctx, idx, kinds, v)
     assert [(d.message, d.line, d.col) for d in diags] == expected
 
 
 def test_tape_lists_every_node_in_post_order(bush):
-    v = parse_value_literal("[ 1, [ 2 ] ]", bush.program, "Bush Nat")
+    v = parse_value_literal("[ 1, [ 2 ] ]", bush.program, bush.decls["Bush"])
     diags, tape = typecheck_value(bush, bushc(1), NAT_KINDS, v)
     assert diags == []
     assert [(i, render_value(w)) for i, w in tape] == [
@@ -250,7 +250,7 @@ def test_fold_tape_reports_the_leftmost_overflow_first(lists):
     # Both the head and the tail overflow, by different operands: the head's
     # methods run first, as in eval_nfold.
     top = NAT_MAX
-    v = parse_value_literal(f"[[{top}, 1], [{top}, 2]]", lists.program, "List (List Nat)")
+    v = parse_value_literal(f"[[{top}, 1], [{top}, 2]]", lists.program, lists.decls["List"])
     idx = IApp("ListC", (IApp("ListC", (IVar(0),)),))
     diags, tape = typecheck_value(lists, idx, NAT_KINDS, v)
     assert diags == []
@@ -340,7 +340,7 @@ def test_length_of_the_deep_literal_is_4(bush, bush1):
 
 
 def test_sum_of_the_empty_bush_is_0(bush):
-    v = parse_value_literal("[ ]", bush.program, "Bush Nat")
+    v = parse_value_literal("[ ]", bush.program, bush.decls["Bush"])
     assert eval_nfold(bush, catalogue(bush)["sum"], bushc(1), v) == 0
 
 
@@ -372,7 +372,7 @@ def test_sum_on_a_mutual_value(bobdylan):
         "         (robert (robert 3)))"
         " (robert (duluth (robert 4) (robert 5)))",
         bobdylan.program,
-        "Bob Nat",
+        bobdylan.decls["Bob"],
     )
     idx = IApp("BobC", (IVar(0),))
     assert typecheck_value(bobdylan, idx, {0: "nat", 1: "nat"}, v)[0] == []
@@ -606,7 +606,7 @@ def test_hfold_via_nfold_matches_direct(bush, bush1):
 
 
 def test_hmap_direct_satisfies_the_cons_equation(bush):
-    v = parse_value_literal("[ 1, [ 2 ], [ [ 3 ] ] ]", bush.program, "Bush Nat")
+    v = parse_value_literal("[ 1, [ 2 ], [ [ 3 ] ] ]", bush.program, bush.decls["Bush"])
     x, xs = v.args
     lhs = eval_hmap_direct(bush, add_one, v)
     rhs = VCon(
