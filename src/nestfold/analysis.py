@@ -199,6 +199,8 @@ def well_formed(program: Program) -> list[Diagnostic]:
     for d in program.decls:
         if d.name in arity:
             report(f"duplicate declaration name {d.name!r}", d.pos)
+        if d.name in BASE_TYPES:
+            report(f"declaration name {d.name!r} is reserved for the base universe", d.pos)
         arity[d.name] = len(d.params)
 
     def check_type(t: TypeExpr, decl: TypeDecl) -> None:
@@ -350,12 +352,15 @@ def _sccs(names: list[str], edges: dict[str, list[str]]) -> list[list[str]]:
 
 
 def index_universe(program: Program, group: MutualGroup) -> IndexTypeSpec:
+    """The group's index universe; a group with more than 26 parameters is
+    refused at its first declaration."""
     if group.base_var_count > 26:
         msg = (
             f"group {'/'.join(group.decls)} needs {group.base_var_count} index "
             "variables; only varA..varZ are available"
         )
-        raise AnalysisError(Diagnostic(msg))
+        line, col = program.decl(group.decls[0]).pos or (None, None)
+        raise AnalysisError(Diagnostic(msg, line, col, program.source))
     var_ctors = tuple(
         "var" + string.ascii_uppercase[i] for i in range(group.base_var_count)
     )

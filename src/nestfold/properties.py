@@ -202,6 +202,34 @@ def _counted(alg: Algebra, calls: list[int]) -> Algebra:
     )
 
 
+class _ReplayMemo(dict):
+    """A fold memo that replays the method calls of each memoized sub-fold.
+
+    An entry holds the sub-fold's result and the calls it added to calls[0];
+    a hit adds them again, so a deterministic fold counts through this memo
+    exactly what it counts without one.  A miss pushes the count the
+    sub-fold starts from, and storing its result pops it.  A fold that
+    raises leaves its start counts behind: clear starts whenever calls[0] is
+    reset."""
+
+    def __init__(self, calls: list[int]):
+        super().__init__()
+        self.calls = calls
+        self.starts: list[int] = []
+
+    def get(self, key):
+        entry = dict.get(self, key)
+        if entry is None:
+            self.starts.append(self.calls[0])
+            return None
+        r, n = entry
+        self.calls[0] += n
+        return r
+
+    def __setitem__(self, key, r):
+        dict.__setitem__(self, key, (r, self.calls[0] - self.starts.pop()))
+
+
 # ---------------------------------------------------------------------------
 # The properties
 
@@ -353,27 +381,36 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
     ))
 
 
-def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
-    """Every evaluator makes at most size(v) recursive calls on values.
-
-    A fold calls one method per constructor node it descends into, so each
-    evaluator folds a counted copy of its algebra, without a memo, and the
-    count of method calls is its count of recursive calls."""
-    calls = [0]
+def _counted_runs(ctx: GroupContext, calls: list[int]):
+    """The (label, fold, algebra) of each evaluator call-counter-bound
+    counts; every algebra adds its method calls to calls[0]."""
     sum_alg = catalogue(ctx)["sum"]
     fs = {k: (lambda v: v) for k in range(ctx.spec.base_var_count)}
-    runs = (
+    return (
         ("nfold", eval_nfold, _counted(sum_alg, calls)),
         ("nmap", eval_nfold, _counted(map_algebra(ctx, fs), calls)),
         ("ind", eval_ind, _counted(_ignore_values(sum_alg), calls)),
     )
 
+
+def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
+    """Every evaluator makes at most size(v) recursive calls on values.
+
+    A fold calls one method per constructor node it descends into, so each
+    evaluator folds a counted copy of its algebra, and the count of method
+    calls is its count of recursive calls.  Each evaluator has one
+    _ReplayMemo, so a sub-value shared by many values is folded once and
+    its calls are counted at every occurrence, as if folded again."""
+    calls = [0]
+    runs = [(*run, _ReplayMemo(calls)) for run in _counted_runs(ctx, calls)]
+
     def cases():
         for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size):
             bound = value_size(v)
-            for label, fold, alg in runs:
+            for label, fold, alg, memo in runs:
                 calls[0] = 0
-                fold(ctx, alg, idx, v)
+                memo.starts.clear()
+                fold(ctx, alg, idx, v, memo=memo)
                 yield shown, v, label, calls[0], bound
 
     return _sweep(

@@ -22,8 +22,8 @@ it, and fold it, at every occurrence.
 
 eval_nfold, eval_ind, eval_map and eval_hfold_via_nfold take an optional
 memo, so that a sub-value shared by many enumerated values is folded once.
-Its key is (index, id(sub-value)) and its entry is the bare result; base
-positions apply their base function directly.  The memo does not keep its
+Its key is (index, id(sub-value)) and, in a plain dict, its entry is the
+bare result; base positions apply their base function directly.  The memo does not keep its
 sub-values alive, so its caller guarantees two things:
 
 - every value folded through a memo, and so every sub-value keyed in it,
@@ -33,6 +33,13 @@ sub-values alive, so its caller guarantees two things:
 - the memo serves one algebra whose bases and methods are pure: two
   different algebras, or two maps of different functions, must not share
   one.
+
+A memo may also be a dict subclass whose entries are not bare results.  A
+fold calls memo.get(key) once before it recurses (None means a miss) and
+sets memo[key] once after the method runs, so such a memo keeps the Memo
+contract as long as its get returns what its __setitem__ was given; the
+call counter's memo (properties.py) stores each result with the method
+calls that computed it.
 
 The two *direct* evaluators (eval_hfold_direct, eval_hmap_direct) transcribe
 the non-structural recursions verbatim and serve as oracles for the derived

@@ -145,6 +145,28 @@ def test_check_prints_the_diagnostics_analyze_raises(capsys, tmp_path):
     assert len(e.value.diagnostics) == 4
 
 
+@pytest.mark.parametrize("name", ["Nat", "Atom"])
+def test_check_refuses_a_declaration_named_after_a_base_universe(capsys, tmp_path, name):
+    src = tmp_path / "base.ndt"
+    src.write_text(f"data {name} where\n  z : {name}\n  s : {name} -> {name}\n")
+    code, out, err = run(capsys, "check", src)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"{src}:1:1: error: declaration name {name!r} is reserved for the base universe"
+    ]
+
+
+def test_check_positions_the_index_variable_refusal(capsys, tmp_path):
+    params = " ".join(f"p{i}" for i in range(27))
+    src = tmp_path / "wide.ndt"
+    src.write_text(f"data T a where\n  t : T a\n\ndata W {params} where\n  w : W {params}\n")
+    code, out, err = run(capsys, "check", src)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"{src}:4:1: error: group W needs 27 index variables; only varA..varZ are available"
+    ]
+
+
 @pytest.mark.parametrize("command", ["check", "derive", "eval", "test"])
 def test_each_command_validates_the_program_once(capsys, tmp_path, monkeypatch, command):
     real = analysis.well_formed
@@ -239,28 +261,28 @@ def test_derive_refuses_two_groups_with_one_file_name(capsys, tmp_path):
         (
             "data L (a : Set) : Set where\n  zero : L a\n  cc : a -> L a -> L a\n",
             ["--nat-index"],
-            "module L binds 'zero' twice: as a constructor of Nat and as a constructor of L",
+            "error: module L binds 'zero' twice: as a constructor of Nat and as a constructor of L",
         ),
         (
             "data L (a : Set) : Set where\n  z : L a\n  nfold : a -> L a -> L a\n",
             [],
-            "module L binds 'nfold' twice: as a constructor of L and as a definition",
+            "error: module L binds 'nfold' twice: as a constructor of L and as a definition",
         ),
         (
             "data T (a : Set) : Set where\n  t0 : T a\n  t1 : TC a -> T (T a) -> T a\n"
             "data TC (a : Set) : Set where\n  tc : T a -> TC a\n",
             [],
-            "module TTC binds 'TC' twice: as a constructor of TTCIndex and as a data type",
+            "error: module TTC binds 'TC' twice: as a constructor of TTCIndex and as a data type",
         ),
         (
             "data Nat (a : Set) : Set where\n  z : Nat a\n  c : a -> Nat (Nat a) -> Nat a\n",
             ["--nat-index"],
-            "module Nat binds 'Nat' twice: as a data type and as a data type",
+            "{src}:1:1: error: declaration name 'Nat' is reserved for the base universe",
         ),
         (
             "data L (a : Set) : Set where\n  z : L a\n  Set : a -> L a -> L a\n",
             [],
-            "module L binds 'Set' twice: as the universe and as a constructor of L",
+            "error: module L binds 'Set' twice: as the universe and as a constructor of L",
         ),
     ],
     ids=[
@@ -271,7 +293,7 @@ def test_derive_refuses_two_groups_with_one_file_name(capsys, tmp_path):
 def test_derive_refuses_a_module_that_binds_a_name_twice(capsys, tmp_path, decls, flags, message):
     src = tmp_path / "clash.ndt"
     src.write_text(decls)
-    assert _assert_refused(capsys, tmp_path / "out", src, *flags) == f"error: {message}"
+    assert _assert_refused(capsys, tmp_path / "out", src, *flags) == message.format(src=src)
 
 
 def test_derive_missing_file(capsys):

@@ -446,3 +446,41 @@ def test_every_property_reports_its_first_failure(
     monkeypatch.setattr(properties, name, sabotage(getattr(properties, name)))
     r = getattr(properties, check)(ctx, *args)
     assert (r.name, r.cases, r.counterexample) == (expected.prop, cases, expected)
+
+
+# ---------------------------------------------------------------------------
+# The call counter's replay memo
+
+
+class _HitCountingMemo(properties._ReplayMemo):
+    hits = 0
+
+    def get(self, key):
+        r = super().get(key)
+        self.hits += r is not None
+        return r
+
+
+@pytest.mark.parametrize("refold", [False, True], ids=["fold", "refold-last-argument"])
+@pytest.mark.parametrize("group, size", [("lists", 5), ("bush", 6), ("bobdylan", 3)])
+def test_the_replay_memo_counts_what_a_fold_without_one_counts(request, group, size, refold):
+    # Over-recursion (a node's last argument folded once more) must be
+    # replayed, not hidden, and the memo must hit to be worth having.
+    ctx = request.getfixturevalue(group)
+    calls = [0]
+    over_bound = 0
+    for label, fold, alg in properties._counted_runs(ctx, calls):
+        if refold:
+            fold = _refold_last_argument(fold)
+        memo = _HitCountingMemo(calls)
+        for idx, _, v in properties._values(ctx, properties._suite_indices(ctx), size):
+            counts = []
+            for m in (None, memo):
+                calls[0] = 0
+                fold(ctx, alg, idx, v, memo=m)
+                counts.append(calls[0])
+            assert counts[0] == counts[1], (label, render_value(v))
+            assert memo.starts == []
+            over_bound += counts[0] > properties.value_size(v)
+        assert memo.hits > 0, label
+    assert (over_bound > 0) == refold
