@@ -102,6 +102,10 @@ class GroupContext:
     _levels: list[IndexExpr] = field(
         default_factory=list, init=False, compare=False, repr=False
     )
+    #: Least sizes per (index constructor, argument least sizes, cap); see least_at.
+    _least: dict[tuple[str, tuple[int, ...], int], int] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
     #: Exact-size value pools per base pool and (index, size); see enumerate_values.
     pools: dict[tuple, dict[tuple[IndexExpr, int], tuple]] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -155,6 +159,43 @@ class GroupContext:
                 self.canonical(subst_index(t, idx.args)) for t in self.arg_templates[c]
             )
         return at
+
+    def least_size(self, e: IndexExpr, cap: int, slots: tuple[int, ...] = ()) -> int:
+        """The fewest constructor nodes of any value at e, or cap + 1 when
+        that is more than cap.  A base slot counts 0; when e is a template,
+        slots[k] is instead the least size of what its slot k holds.
+
+        A value at D i... is a D-structure whose slots hold values at i...,
+        so its least size depends only on D and the least sizes of i...:
+        see least_at.  Nothing here substitutes an index."""
+        if e.__class__ is IVar:
+            return slots[e.k] if slots else 0
+        if cap < 1:
+            return cap + 1
+        xs = tuple(self.least_size(a, cap - 1, slots) for a in e.args)
+        return self.least_at(e.ctor, xs, cap)
+
+    def least_at(self, app: str, xs: tuple[int, ...], cap: int) -> int:
+        """least_size of index constructor app applied to indices of least
+        sizes xs, each clipped at cap (an argument of a value of at most cap
+        nodes has fewer).  Computed from arg_templates, and kept per (app,
+        xs, cap) once enumeration first asks."""
+        key = (app, xs, cap)
+        got = self._least.get(key)
+        if got is None:
+            got = cap + 1
+            for c in self.decls[self.decl_of_app[app]].ctors:
+                if got == 1:  # every constructor counts 1: none does better
+                    break
+                total = 1
+                for t in self.arg_templates[c.name]:
+                    total += self.least_size(t, cap - 1, xs)
+                    if total >= got:
+                        break
+                else:
+                    got = total
+            self._least[key] = got
+        return got
 
     def canonical(self, idx: IndexExpr) -> IndexExpr:
         """The one object of this context that equals idx."""

@@ -14,6 +14,7 @@ from typing import Callable, Iterable
 from .analysis import (
     GroupContext,
     IndexExpr,
+    IndexTypeSpec,
     bush_shape,
     enumerate_indices,
     list_shape,
@@ -122,14 +123,13 @@ def _suite_indices(ctx: GroupContext) -> list[IndexExpr]:
 
 
 def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
-    """Yield (idx, shown index, value) for every value at every index."""
+    """Yield (idx, value) for every value at every index."""
     pool = {
         k: tuple(VBase(n) for n in BASE_POOL) for k in range(ctx.spec.base_var_count)
     }
     for idx in map(ctx.canonical, indices):
-        shown = render_index(idx, ctx.spec)
         for v in enumerate_values(ctx, idx, pool, max_size):
-            yield idx, shown, v
+            yield idx, v
 
 
 def _own_values(ctx: GroupContext, max_size: int):
@@ -146,26 +146,31 @@ def _agree(lhs: object, rhs: object) -> bool:
 
 def _sweep(
     name: str,
-    cases: Iterable[tuple[str, Value, str, object, object]],
+    cases: Iterable[tuple[object, Value, str, object, object]],
+    spec: IndexTypeSpec,
     agree: Callable[[object, object], bool] = _agree,
     show: Callable[[object, object], tuple[str, str]] = (
         lambda lhs, rhs: (render_value(lhs), render_value(rhs))
     ),
+    where: Callable[[object, IndexTypeSpec], str] = render_index,
 ) -> PropertyResult:
-    """Count the (index, value, label, lhs, rhs) cases up to the first disagreement.
+    """Count the (place, value, label, lhs, rhs) cases up to the first disagreement.
 
-    Only that case is rendered; passing cases are told apart by identity.
+    Only that case is rendered, its place by where (an index by default);
+    passing cases are told apart by identity.
     Every case value comes from enumerate_values (the pools outlive the
     sweep), and two enumerated values are equal exactly when they are one
     object, so counting ids counts distinct values.
     """
     count = 0
     seen: set[tuple[int, str]] = set()
-    for index, value, label, lhs, rhs in cases:
+    for place, value, label, lhs, rhs in cases:
         count += 1
         seen.add((id(value), label))
         if not agree(lhs, rhs):
-            ce = Counterexample(name, index, render_value(value), label, *show(lhs, rhs))
+            ce = Counterexample(
+                name, where(place, spec), render_value(value), label, *show(lhs, rhs)
+            )
             return PropertyResult(name, count, len(seen), ce)
     return PropertyResult(name, count, len(seen))
 
@@ -238,11 +243,11 @@ def check_equivalence(ctx: GroupContext, max_size: int) -> PropertyResult:
     """eval_nfold and the function-space route agree on every case."""
     algs = [(alg, {}) for alg in catalogue(ctx).values()]
     return _sweep("nfold-vs-nfold-prime", (
-        (shown, v, alg.name, eval_nfold(ctx, alg, idx, v, memo=memo),
+        (idx, v, alg.name, eval_nfold(ctx, alg, idx, v, memo=memo),
          eval_nfold_prime(ctx, alg, idx, v))
-        for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size)
+        for idx, v in _values(ctx, _suite_indices(ctx), max_size)
         for alg, memo in algs
-    ))
+    ), ctx.spec)
 
 
 def check_map_identity(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -250,9 +255,9 @@ def check_map_identity(ctx: GroupContext, max_size: int) -> PropertyResult:
     fs = {k: (lambda v: v) for k in range(ctx.spec.base_var_count)}
     memo = {}
     return _sweep("map-identity", (
-        (shown, v, "identity", eval_map(ctx, fs, idx, v, memo=memo), v)
-        for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size)
-    ))
+        (idx, v, "identity", eval_map(ctx, fs, idx, v, memo=memo), v)
+        for idx, v in _values(ctx, _suite_indices(ctx), max_size)
+    ), ctx.spec)
 
 
 def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -272,15 +277,20 @@ def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
         for m in range(5):
             for n in range(5 - m):
                 outer_memos = {fname: {} for fname, _, _ in maps}
-                for whole, shown, v in _values(ctx, [at(m + n)], max_size):
+                place = (at(m + n), m, n)
+                for whole, v in _values(ctx, [at(m + n)], max_size):
                     for fname, fs, memo in maps:
                         lhs = eval_map(ctx, fs, whole, v, memo=memo)
                         rhs = eval_map(
                             ctx, inner_maps[fname, n], at(m), v, memo=outer_memos[fname]
                         )
-                        yield f"{shown} split {m}+{n}", v, fname, lhs, rhs
+                        yield place, v, fname, lhs, rhs
 
-    return _sweep("map-composition", cases())
+    def split(place, spec: IndexTypeSpec) -> str:
+        whole, m, n = place
+        return f"{render_index(whole, spec)} split {m}+{n}"
+
+    return _sweep("map-composition", cases(), ctx.spec, where=split)
 
 
 def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -288,35 +298,35 @@ def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
     decl = ctx.group.decls[0]
     halgs = [(halg, {}) for halg in halg_catalogue(ctx).values()]
     return _sweep("hfold-conformance", (
-        (shown, v, halg.name,
+        (idx, v, halg.name,
          halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v, memo=memo)),
          halg.finish(eval_hfold_direct(ctx, halg, v)))
-        for _, shown, v in _own_values(ctx, max_size)
+        for idx, v in _own_values(ctx, max_size)
         for halg, memo in halgs
-    ))
+    ), ctx.spec)
 
 
 def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
     """On the nullary constructor the higher-order fold is its nil method."""
     decl = ctx.group.decls[0]
     nil, _ = bush_shape(ctx)
-    _, shown, v = next(case for case in _own_values(ctx, 1) if case[2].ctor == nil)
+    idx, v = next(case for case in _own_values(ctx, 1) if case[1].ctor == nil)
     return _sweep("hfold-leaf-equation", (
-        (shown, v, halg.name,
+        (idx, v, halg.name,
          halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v)),
          halg.finish(halg.methods[nil]()))
         for halg in halg_catalogue(ctx).values()
-    ))
+    ), ctx.spec)
 
 
 def check_hmap_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The one-layer map derived from the fold matches the direct recursion."""
     maps = [(fname, f, {0: f}, {}) for fname, f in MAP_FNS]
     return _sweep("hmap-agreement", (
-        (shown, v, fname, eval_map(ctx, fs, idx, v, memo=memo), eval_hmap_direct(ctx, f, v))
-        for idx, shown, v in _own_values(ctx, max_size)
+        (idx, v, fname, eval_map(ctx, fs, idx, v, memo=memo), eval_hmap_direct(ctx, f, v))
+        for idx, v in _own_values(ctx, max_size)
         for fname, f, fs, memo in maps
-    ))
+    ), ctx.spec)
 
 
 def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -337,22 +347,22 @@ def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
         return v
 
     return _sweep("hmap-cons-equation", (
-        (shown, v, fname, eval_map(ctx, fs, idx, v, memo=memo),
+        (idx, v, fname, eval_map(ctx, fs, idx, v, memo=memo),
          unfolded(f, hmap_fs, hmap_memo, v))
-        for _, shown, v in _own_values(ctx, max_size)
+        for idx, v in _own_values(ctx, max_size)
         for fname, f, fs, memo, hmap_fs, hmap_memo in maps
-    ))
+    ), ctx.spec)
 
 
 def check_ind_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Induction with value-ignoring methods computes exactly the fold."""
     algs = [(alg, {}, _ignore_values(alg), {}) for alg in catalogue(ctx).values()]
     return _sweep("ind-agreement", (
-        (shown, v, alg.name, eval_ind(ctx, dep, idx, v, memo=dep_memo),
+        (idx, v, alg.name, eval_ind(ctx, dep, idx, v, memo=dep_memo),
          eval_nfold(ctx, alg, idx, v, memo=memo))
-        for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size)
+        for idx, v in _values(ctx, _suite_indices(ctx), max_size)
         for alg, memo, dep, dep_memo in algs
-    ))
+    ), ctx.spec)
 
 
 def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -374,11 +384,11 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
     algs = catalogue(ctx)
     memos = {name: {} for name in oracles}
     return _sweep("spine-fold-agreement", (
-        (shown, v, name, nat_of(eval_nfold(ctx, algs[name], idx, v, memo=memos[name])),
+        (idx, v, name, nat_of(eval_nfold(ctx, algs[name], idx, v, memo=memos[name])),
          fold_list(base, step, v))
-        for idx, shown, v in _own_values(ctx, max_size)
+        for idx, v in _own_values(ctx, max_size)
         for name, (base, step) in oracles.items()
-    ))
+    ), ctx.spec)
 
 
 def _counted_runs(ctx: GroupContext, calls: list[int]):
@@ -405,17 +415,18 @@ def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
     runs = [(*run, _ReplayMemo(calls)) for run in _counted_runs(ctx, calls)]
 
     def cases():
-        for idx, shown, v in _values(ctx, _suite_indices(ctx), max_size):
+        for idx, v in _values(ctx, _suite_indices(ctx), max_size):
             bound = value_size(v)
             for label, fold, alg, memo in runs:
                 calls[0] = 0
                 memo.starts.clear()
                 fold(ctx, alg, idx, v, memo=memo)
-                yield shown, v, label, calls[0], bound
+                yield idx, v, label, calls[0], bound
 
     return _sweep(
         "call-counter-bound",
         cases(),
+        ctx.spec,
         agree=lambda calls, bound: calls <= bound,
         show=lambda calls, bound: (f"{calls} calls", f"size bound {bound}"),
     )

@@ -4,11 +4,17 @@ Typing, nfold, ind and enumeration place constructor arguments at their
 indices by one rule, GroupContext.ctors_at, which substitutes each (index,
 constructor) pair once, when it is first met.  Enumeration keeps its
 exact-size pools on the GroupContext, so each (index, size) pool of a base
-pool is built once per context.  A fold result (RuntimeResult) has one
-representation per carrier: a natural is a Python int, a value tree is the
-Value itself, and a function is an RFun.  Functions are only ever observed
-by application — equality checks must drive them to a first-order result
-first.
+pool is built once per context.  Before it places an index it consults
+GroupContext.least_size, a lower bound on the size of any value there,
+computed from the constructor templates: an index, a constructor or an
+argument whose bound exceeds the size left is skipped unplaced.  A lower
+bound only ever skips pools that are empty, so the values and their order
+are what the full product over every split gives.
+
+A fold result (RuntimeResult) has one representation per carrier: a
+natural is a Python int, a value tree is the Value itself, and a function is
+an RFun.  Functions are only ever observed by application — equality checks
+must drive them to a first-order result first.
 
 `nestfold eval` places each node of its value once.  typecheck_value is one
 explicit-stack walk: it types every node and lists every (index, node) pair,
@@ -487,28 +493,47 @@ def enumerate_values(
     is keyed by its payload's type and the payload, a constructor node by
     its name and its arguments' ids.  So two enumerated values of one
     context are equal exactly when they are one object, across every index
-    and base pool, and the table keeps each of them alive with the context."""
+    and base pool, and the table keeps each of them alive with the context.
+
+    An (index, size) pool is empty at once when the index's least size
+    (ctx.least_at, from its arguments' ctx.least_size) exceeds the size.  A
+    constructor is skipped before its arguments are placed when their least
+    sizes cannot fit, and a split of the size over the arguments is dropped
+    at the first argument whose size is below its least size or whose pool
+    is empty.  The bound is a lower bound, so each skip removes only an
+    empty product: the values, their order and their interning are those of
+    the full product, also when a base pool is empty."""
     memo = ctx.pools.setdefault(tuple(sorted(pool.items())), {})
     interned = ctx.interned
+    least_size, least_at = ctx.least_size, ctx.least_at
 
     def exact(i: IndexExpr, size: int) -> tuple[Value, ...]:
         key = (i, size)
         if key in memo:
             return memo[key]
         out: list[Value] = []
-        match i:
-            case IVar(k):
-                if size == 0:
-                    out.extend(
-                        interned.setdefault((type(b.payload), b.payload), b) for b in pool[k]
-                    )
-            case IApp():
-                if size > 0:
-                    for c in ctx.decls[ctx.decl_of_app[i.ctor]].ctors:
-                        name = c.name
-                        at = ctx.ctors_at(i, name)
-                        for split in _splits(size - 1, len(at)):
-                            pools = [exact(t, s) for t, s in zip(at, split)]
+        if i.__class__ is IVar:
+            if size == 0:
+                out.extend(
+                    interned.setdefault((type(b.payload), b.payload), b) for b in pool[i.k]
+                )
+        else:
+            slots = tuple(least_size(a, size - 1) for a in i.args)
+            if least_at(i.ctor, slots, size) <= size:
+                for c in ctx.decls[ctx.decl_of_app[i.ctor]].ctors:
+                    name = c.name
+                    bounds = [least_size(t, size - 1, slots) for t in ctx.arg_templates[name]]
+                    if sum(bounds) >= size:
+                        continue
+                    at = ctx.ctors_at(i, name)
+                    for split in _splits(size - 1, len(at)):
+                        pools = []
+                        for t, s, b in zip(at, split, bounds):
+                            p = exact(t, s) if s >= b else ()
+                            if not p:
+                                break
+                            pools.append(p)
+                        else:
                             for combo in itertools.product(*pools):
                                 node = (name, *map(id, combo))
                                 v = interned.get(node)

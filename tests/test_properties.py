@@ -272,6 +272,21 @@ def test_passing_suites_render_nothing(bush, lists, bobdylan, monkeypatch):
     assert calls == []
 
 
+def test_passing_suites_render_no_index(bush, lists, bobdylan, monkeypatch):
+    # An index is rendered only for a counterexample (see the SABOTAGE rows).
+    import nestfold.analysis as analysis
+
+    calls = []
+    for module in (properties, analysis):
+        real = module.render_index
+        monkeypatch.setattr(
+            module, "render_index", lambda *a, real=real, **k: calls.append(a) or real(*a, **k)
+        )
+    for ctx, size in ((bush, 6), (lists, 4), (bobdylan, 3)):
+        assert run_suite(ctx, size).ok
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "side, shown",
     [
@@ -473,7 +488,7 @@ def test_the_replay_memo_counts_what_a_fold_without_one_counts(request, group, s
         if refold:
             fold = _refold_last_argument(fold)
         memo = _HitCountingMemo(calls)
-        for idx, _, v in properties._values(ctx, properties._suite_indices(ctx), size):
+        for idx, v in properties._values(ctx, properties._suite_indices(ctx), size):
             counts = []
             for m in (None, memo):
                 calls[0] = 0

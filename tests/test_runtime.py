@@ -7,10 +7,12 @@ when this suite was written.  The frozen copies keep silent oracle drift
 from going unnoticed.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from nestfold.analysis import IApp, IVar, analyze, index_depth
+from nestfold.analysis import IApp, IVar, analyze, index_depth, subst_index
 from nestfold.diagnostics import EvalError, GuardExceeded
 from nestfold.parser import (
     Atom,
@@ -269,7 +271,7 @@ def test_fold_tape_agrees_with_eval_nfold(src):
     kinds = {k: "nat" for k in range(ctx.spec.base_var_count)}
     algs = catalogue(ctx).values()
     cases = 0
-    for idx, _, v in _values(ctx, _suite_indices(ctx), 5):
+    for idx, v in _values(ctx, _suite_indices(ctx), 5):
         diags, tape = typecheck_value(ctx, idx, kinds, v)
         assert diags == []
         for alg in algs:
@@ -571,7 +573,7 @@ def test_a_shared_memo_changes_no_result(src):
     cases = list(_values(ctx, _suite_indices(ctx), 5))
     for fold, alg in runs:
         memo = {}
-        for idx, _, v in cases:
+        for idx, v in cases:
             assert fold(ctx, alg, idx, v, memo=memo) == fold(ctx, alg, idx, v)
         assert memo
         # an entry is the bare result; the pools, not the memo, pin the value
@@ -782,7 +784,7 @@ def test_enumerated_values_are_equal_exactly_when_identical(src):
 
     (ctx,) = analyze(parse_program(src))
     reachable = {}
-    todo = [v for _, _, v in _values(ctx, _suite_indices(ctx), 5)]
+    todo = [v for _, v in _values(ctx, _suite_indices(ctx), 5)]
     while todo:
         v = todo.pop()
         if id(v) not in reachable:
@@ -805,6 +807,133 @@ def test_enumeration_keeps_each_base_pool_apart():
     for pool, values in zip((POOL3, dot), got):
         (fresh,) = analyze(parse_program(BUSH))
         assert values == enumerate_values(fresh, bushc(2), pool, 4)
+
+
+INF = """\
+data Inf (a : Set) : Set where
+  mk : Inf a -> Inf a
+"""
+
+SWAPPED = """\
+data Ping (a b : Set) : Set where
+  pa : a -> Ping a b
+  pq : Pong b a -> Ping a b
+
+data Pong (a b : Set) : Set where
+  qb : b -> Pong a b
+  qp : Ping (Pong a b) a -> Pong a b
+"""
+
+
+def _reference_values(ctx, memo, idx, pool, max_size):
+    """enumerate_values with nothing pruned: at every size, every
+    constructor, every split of the remaining size over its arguments (in
+    lexicographic order) and the product of the argument pools, each
+    argument index substituted afresh.  memo holds the exact-size pools of
+    one context and base pool."""
+
+    def exact(i, size):
+        if (i, size) not in memo:
+            out = []
+            if isinstance(i, IVar):
+                out = list(pool[i.k]) if size == 0 else []
+            elif size > 0:
+                for c in ctx.decls[ctx.decl_of_app[i.ctor]].ctors:
+                    at = [subst_index(t, i.args) for t in ctx.arg_templates[c.name]]
+                    splits = [
+                        s for s in itertools.product(range(size), repeat=len(at))
+                        if sum(s) == size - 1
+                    ]
+                    for split in splits:
+                        pools = [exact(t, s) for t, s in zip(at, split)]
+                        out.extend(VCon(c.name, combo) for combo in itertools.product(*pools))
+            memo[i, size] = out
+        return memo[i, size]
+
+    return [v for s in range(max_size + 1) for v in exact(idx, s)]
+
+
+@pytest.mark.parametrize(
+    "src, pool, max_size",
+    [
+        (BUSH, POOL3, 6),
+        (LIST, POOL3, 6),
+        (BOBDYLAN, {0: POOL3[0], 1: POOL3[0]}, 4),
+        (INF, POOL3, 6),
+        (SWAPPED, {0: POOL3[0], 1: POOL3[0]}, 4),
+        (BOBDYLAN, {0: (), 1: (VBase(1),)}, 4),
+    ],
+    ids=["bush", "list", "bobdylan", "no-finite-value", "swapped-mutual", "empty-base-pool"],
+)
+def test_pruned_enumeration_is_the_unpruned_product(src, pool, max_size):
+    # The least-size bound may only skip pools that are empty: every value,
+    # in order, at every index of the suite family and every size bound.
+    from nestfold.properties import _suite_indices
+
+    for ctx in analyze(parse_program(src)):
+        memo = {}
+        built = 0
+        for idx in map(ctx.canonical, _suite_indices(ctx)):
+            want = _reference_values(ctx, memo, idx, pool, max_size)
+            for size in range(max_size + 1):
+                got = enumerate_values(ctx, idx, pool, size)
+                assert got == [v for v in want if value_size(v) <= size], (idx, size)
+            built += isinstance(idx, IApp) and len(want)
+        assert (built == 0) == (src == INF)
+
+
+def test_least_size_is_the_fewest_nodes_up_to_the_cap(bush, bobdylan):
+    (inf,) = analyze(parse_program(INF))
+    bob = lambda i: IApp("BobC", (i,))
+    dylan = lambda i, j: IApp("DylanC", (i, j))
+    a, b = IVar(0), IVar(1)
+    assert bush.least_size(bushc(3), 5) == 1
+    assert bush.least_size(IVar(0), 5) == 0
+    assert inf.least_size(IApp("InfC", (IVar(0),)), 4) == 5
+    assert bobdylan.least_size(bob(a), 4) == 1
+    assert bobdylan.least_size(dylan(a, b), 4) == 3
+    assert bobdylan.least_size(bob(bob(bob(a))), 4) == 3
+    assert bobdylan.least_size(bob(dylan(a, dylan(a, b))), 8) == 7
+    assert bobdylan.least_size(bob(dylan(a, dylan(a, b))), 4) == 5
+    # a template reads its slots' bounds from slots
+    (robert_arg,) = bobdylan.arg_templates["robert"]
+    assert bobdylan.least_size(robert_arg, 4, (3,)) == 3
+    assert bobdylan.least_size(bob(a), 9, (3, 0)) == 4
+
+
+def test_least_size_substitutes_nothing_and_is_filled_only_on_demand(monkeypatch):
+    import nestfold.analysis as analysis
+
+    (ctx,) = analyze(parse_program(BOBDYLAN))
+    assert ctx._least == {}
+    monkeypatch.setattr(analysis, "subst_index", lambda *a: pytest.fail("substituted"))
+    monkeypatch.setattr(analysis.GroupContext, "ctors_at", lambda *a: pytest.fail("placed"))
+    deep = IVar(0)
+    for _ in range(6):
+        deep = IApp("DylanC", (IApp("BobC", (deep,)), deep))
+    assert ctx.least_size(deep, 6) == 7
+    assert ctx._least and ctx._ctors_at == {}
+
+
+@pytest.mark.parametrize("size, substitutions", [(3, 200), (4, 400)])
+def test_a_bobdylan_suite_places_few_indices(monkeypatch, size, substitutions):
+    # Nesting sends zimmerman's arguments ever deeper; almost none of those
+    # indices hold a value within the bound, so none of them is placed, and
+    # every pool built is one that the suite's index family asks for.
+    import nestfold.analysis as analysis
+    from nestfold.properties import _suite_indices, run_suite
+
+    (ctx,) = analyze(parse_program(BOBDYLAN))
+    calls = []
+    real = analysis.subst_index
+    monkeypatch.setattr(
+        analysis, "subst_index", lambda e, iargs: calls.append(e) or real(e, iargs)
+    )
+    assert run_suite(ctx, size).ok
+    assert len(ctx._ctors_at) <= 40
+    assert len(calls) < substitutions
+    (pools,) = ctx.pools.values()
+    assert len(pools) == len(_suite_indices(ctx)) * (size + 1)
 
 
 # ---------------------------------------------------------------------------
