@@ -23,8 +23,8 @@ _HOMES = {
         "recursion_witnesses",
     ),
     "diagnostics": (
-        "AnalysisError", "DerivationError", "Diagnostic", "EmitError", "EvalError",
-        "GuardExceeded", "NestfoldError", "ParseError", "PsBridgeError",
+        "AnalysisError", "DerivationError", "Diagnostic", "DiagnosticError", "EmitError",
+        "EvalError", "GuardExceeded", "NestfoldError", "ParseError", "PsBridgeError",
     ),
     "emitter": ("EmitModule", "emit_agda", "module_for_group"),
     "parser": (

@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 domain failure (diagnostics or a counterexample),
 inputs and flags.
 
 Every command loads its declarations through analysis.analyze, the one
-path from a program to its groups, and an AnalysisError's diagnostics are
-printed as they are, one line each.  So parsing, analysis and diagnostics
-load with this module.  Each command imports the rest of what it runs when
+path from a program to its groups, and the diagnostics of a ParseError or
+AnalysisError are printed as they are, one line each.  So parsing, analysis
+and diagnostics load with this module.  Each command imports the rest of what it runs when
 it runs: eval the runtime, derive the derivation and the emitter, test the
 property suite, and the agda hook subprocess.  `check` loads nothing more.
 
@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .analysis import GroupContext, analyze, context_to_index, nat_index_eligible
-from .diagnostics import AnalysisError, NestfoldError, ParseError
+from .diagnostics import DiagnosticError, NestfoldError
 from .parser import (
     TApp,
     check_type_context,
@@ -246,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ParseError, AnalysisError) as e:
+    except DiagnosticError as e:
         print(e, file=sys.stderr)  # each diagnostic rendered, one a line
         return 1
     except NestfoldError as e:

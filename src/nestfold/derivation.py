@@ -139,6 +139,11 @@ class _Names:
         self.var_ctors = ("zero",) if nat else ctx.spec.var_ctors
         self.base_types = tuple(vc[3:].lower() for vc in ctx.spec.var_ctors) if not nat else ("a",)
         self.base_fns = ("z",) if nat else tuple("base" + vc[3:] for vc in ctx.spec.var_ctors)
+        # the type-operator variable standing for each declaration in I and hfold
+        self.carriers = {
+            dn: "b" if nat else dn.lower() + "'" * (dn.lower() in self.base_types)
+            for dn in ctx.group.decls
+        }
         self.method: dict[str, str] = {}
         used = set(_NAT_TAKEN)
         for _, c in ctx.ctors():
@@ -224,17 +229,18 @@ def derive_index_decl(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
     return DerivedDef(name=nm.index_name, role=role, data=DataDecl((), tuple(ctors)))
 
 
-def _carrier_type(t: TypeExpr, carrier: dict[str, str]) -> Term:
+def _carrier_type(t: TypeExpr, carrier: dict[str, str], params: dict[str, str]) -> Term:
+    """t with its declaration heads renamed by carrier and its parameters by params."""
     match t:
         case TVar(name):
-            return Var(name)
+            return Var(params.get(name, name))
         case TApp(head, args):
-            return _v(carrier.get(head, head), *(_carrier_type(a, carrier) for a in args))
+            return _v(carrier.get(head, head), *(_carrier_type(a, carrier, params) for a in args))
     raise AssertionError
 
 
 def _ctor_type(c: Constructor) -> Term:
-    return _arrow([_carrier_type(a, {}) for a in c.args] + [_carrier_type(c.result, {})])
+    return _arrow([_carrier_type(a, {}, {}) for a in c.args + (c.result,)])
 
 
 def derive_data_decls(ctx: GroupContext) -> list[DerivedDef]:
@@ -273,7 +279,7 @@ def derive_interp(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
         role = "applies a type operator n times to a base type"
         return DerivedDef("NTimes", role, sig, clauses)
 
-    carriers = [dn.lower() for dn in ctx.group.decls]
+    carriers = [nm.carriers[dn] for dn in ctx.group.decls]
     segs: list[Binder | Term] = []
     for dn in ctx.group.decls:
         segs.append(_arrow([SET] * (len(ctx.decls[dn].params) + 1)))
@@ -505,22 +511,16 @@ def _derive_hmap(ctx: GroupContext, nat_index: bool) -> DerivedDef:
 
 def derive_hfold(ctx: GroupContext, nat_index: bool = False) -> list[DerivedDef]:
     nm = _names(ctx, nat_index)
-    if nat_index:
-        carrier = {ctx.group.decls[0]: "b"}
-    else:
-        carrier = {}
-        for dn in ctx.group.decls:
-            cand = dn.lower()
-            if any(cand in ctx.decls[d2].params for d2 in ctx.group.decls):
-                cand += "'"
-            carrier[dn] = cand
+    carrier = nm.carriers
+    # a declaration's k-th type parameter is named like nfold's k-th base type
+    params = {dn: dict(zip(ctx.decls[dn].params, nm.base_types)) for dn in ctx.group.decls}
 
     def hmethod_type(d: TypeDecl, c: Constructor) -> Term:
+        ps = params[d.name]
         segs: list[Binder | Term] = []
-        if d.params:
-            segs.append(Binder(d.params, SET if nat_index else None))
-        segs.extend(_carrier_type(a, carrier) for a in c.args)
-        segs.append(_carrier_type(c.result, carrier))
+        if ps:
+            segs.append(Binder(tuple(ps.values()), SET if nat_index else None))
+        segs.extend(_carrier_type(a, carrier, ps) for a in c.args + (c.result,))
         return _arrow(segs) if len(segs) == 1 else Pi(tuple(segs))
 
     carrier_binders: list[Binder] = []
@@ -535,16 +535,16 @@ def derive_hfold(ctx: GroupContext, nat_index: bool = False) -> list[DerivedDef]
     out = []
     for dn in ctx.group.decls:
         own = ctx.decls[dn]
+        ps = nm.base_types[: len(own.params)]
         insts = [
-            Var(own.params[k]) if k < len(own.params)
-            else (Var(own.params[-1]) if own.params else Var(carrier[dn]))
+            Var(ps[k]) if k < len(ps) else (Var(ps[-1]) if ps else Var(carrier[dn]))
             for k in range(len(nm.base_types))
         ]
         segs: list[Binder | Term] = list(carrier_binders) + list(method_binders)
-        if own.params:
-            segs.append(Binder(own.params, SET if nat_index else None))
-        segs.append(_v(dn, *(Var(p) for p in own.params)))
-        segs.append(_v(carrier[dn], *(Var(p) for p in own.params)))
+        if ps:
+            segs.append(Binder(ps, SET if nat_index else None))
+        segs.append(_v(dn, *(Var(p) for p in ps)))
+        segs.append(_v(carrier[dn], *(Var(p) for p in ps)))
         plam = Lam((nm.ivar,), nm.interp(cvars, insts, Var(nm.ivar)))
         mlams = []
         for d2, c2 in ctx.ctors():
@@ -552,7 +552,7 @@ def derive_hfold(ctx: GroupContext, nat_index: bool = False) -> list[DerivedDef]
             mlams.append(
                 Lam(ivs, _v(nm.method[c2.name], *(nm.interp(cvars, insts, Var(v)) for v in ivs)))
             )
-        env = {k: Var(nm.var_ctors[k]) for k in range(len(own.params))}
+        env = {k: Var(nm.var_ctors[k]) for k in range(len(ps))}
         body = _v(
             "nfold",
             plam,
@@ -565,7 +565,7 @@ def derive_hfold(ctx: GroupContext, nat_index: bool = False) -> list[DerivedDef]
         pats = (
             tuple(PVar(carrier[d2]) for d2 in ctx.group.decls)
             + tuple(PVar(nm.method[c2.name]) for _, c2 in ctx.ctors())
-            + tuple(PVar(p) for p in own.params)
+            + tuple(PVar(p) for p in ps)
             + (PVar("x"),)
         )
         if nat_index:

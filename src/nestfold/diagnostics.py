@@ -26,21 +26,24 @@ class NestfoldError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(NestfoldError):
-    """Syntax or name-resolution failure, with source position."""
-
-    def __init__(self, message: str, line: int, col: int, file: str | None = None):
-        self.diagnostic = Diagnostic(message, line, col, file)
-        super().__init__(self.diagnostic.render())
-
-
-class AnalysisError(NestfoldError):
-    """A program or request that analysis refuses: every well_formed
-    finding, or the one refusal that stopped it, one diagnostic a line."""
+class DiagnosticError(NestfoldError):
+    """An error reported as diagnostics; its text renders them one a line."""
 
     def __init__(self, *diagnostics: Diagnostic):
         super().__init__("\n".join(d.render() for d in diagnostics))
         self.diagnostics = diagnostics
+
+
+class ParseError(DiagnosticError):
+    """Syntax or name-resolution failure, with source position."""
+
+    def __init__(self, message: str, line: int, col: int, file: str | None = None):
+        super().__init__(Diagnostic(message, line, col, file))
+
+
+class AnalysisError(DiagnosticError):
+    """A program or request that analysis refuses: every well_formed
+    finding, or the one refusal that stopped it."""
 
 
 class DerivationError(NestfoldError):

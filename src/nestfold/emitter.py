@@ -10,10 +10,14 @@ byte-identical across runs.  Layout is rule-driven, never heuristic:
 * a clause whose body overflows puts the body on following lines, packing
   application atoms greedily and recursing into atoms that still overflow.
 
+A term is printed once, as layout pieces; its one-line text is read off the
+pieces, so the flat and the broken rendering cannot disagree.
+
 Every definition is scope-checked before rendering; an unbound name is an
 internal error (EmitError), not something to quietly render anyway.  So is a
 top-level name bound twice, which a source name that collides with a derived
-one produces.
+one produces, and a name that a signature's top-level binders or a clause's
+patterns bind twice, which Agda would reject.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import textwrap
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from itertools import groupby
 
 from .derivation import (
     App,
@@ -55,32 +60,77 @@ def module_for_group(group: DerivedGroup) -> EmitModule:
 
 
 # ---------------------------------------------------------------------------
-# One-line term and pattern rendering
+# Terms as layout pieces: the one printer
+
+
+class _Piece:
+    """One unit of layout: `open`, the inner pieces separated by single
+    spaces, then `close`.  That concatenation is the piece's one-line text.
+    A piece that does not fit breaks between its inner pieces; a piece with
+    none never breaks.  A named piece (a binder) starts its own line when a
+    signature breaks."""
+
+    __slots__ = ("open", "inner", "close", "named", "text")
+
+    def __init__(
+        self, open: str, inner: tuple["_Piece", ...] = (), close: str = "", named: bool = False
+    ):
+        self.open = open
+        self.inner = inner
+        self.close = close
+        self.named = named
+        self.text = open + " ".join([p.text for p in inner]) + close
+
+
+def _term_pieces(t: Term) -> tuple[_Piece, ...]:
+    """t's top-level pieces: an application's atoms, a function type's
+    segments, or else t as one piece."""
+    match t:
+        case App(fn, args):
+            return (_piece(fn, True), *[_piece(a, True) for a in args])
+        case Pi(segments):
+            return _segment_pieces(segments)
+    return (_piece(t, False),)
+
+
+def _piece(t: Term, atom: bool, tail: str = "") -> _Piece:
+    """t as one piece followed by tail; an atom (an argument) is
+    parenthesized unless it is a name."""
+    if isinstance(t, Var):
+        return _Piece(t.name + tail)
+    o, c = ("(", ")" + tail) if atom else ("", tail)
+    if isinstance(t, Lam):
+        return _Piece(o + "\\ " + " ".join(t.params) + " -> ", _term_pieces(t.body), c)
+    return _Piece(o, _term_pieces(t), c)
+
+
+def _sig_pieces(t: Term) -> tuple[_Piece, ...]:
+    """A type's pieces: a function type breaks only at its own arrows."""
+    if isinstance(t, Pi):
+        return _segment_pieces(t.segments)
+    return (_Piece(render_term(t)),)
+
+
+def _segment_pieces(segments: tuple[Binder | Term, ...]) -> tuple[_Piece, ...]:
+    out: list[_Piece] = []
+    last = len(segments) - 1
+    for k, seg in enumerate(segments):
+        arrow = " ->" if k < last else ""
+        if isinstance(seg, Pi):
+            out.append(_piece(seg, True, arrow))
+        elif not isinstance(seg, Binder):
+            out.append(_Piece(render_term(seg, atom=isinstance(seg, Lam)) + arrow))
+        elif seg.type is None:
+            out.append(_Piece("forall " + " ".join(seg.names) + arrow, named=True))
+        else:
+            o, c = ("{", "}") if seg.implicit else ("(", ")")
+            head = o + " ".join(seg.names) + " : "
+            out.append(_Piece(head, _sig_pieces(seg.type), c + arrow, named=True))
+    return tuple(out)
 
 
 def render_term(t: Term, atom: bool = False) -> str:
-    match t:
-        case Var(name):
-            return name
-        case App(fn, args):
-            s = " ".join([render_term(fn, atom=True)] + [render_term(a, atom=True) for a in args])
-            return f"({s})" if atom else s
-        case Lam(params, body):
-            s = "\\ " + " ".join(params) + " -> " + render_term(body)
-            return f"({s})" if atom else s
-        case Pi(segments):
-            s = " -> ".join(_segment_str(seg) for seg in segments)
-            return f"({s})" if atom else s
-    raise AssertionError
-
-
-def _segment_str(seg: Binder | Term) -> str:
-    if isinstance(seg, Binder):
-        if seg.type is None:
-            return "forall " + " ".join(seg.names)
-        o, c = ("{", "}") if seg.implicit else ("(", ")")
-        return o + " ".join(seg.names) + " : " + render_term(seg.type) + c
-    return render_term(seg, atom=isinstance(seg, (Pi, Lam)))
+    return _piece(t, atom).text
 
 
 def render_pattern(p: Pattern) -> str:
@@ -95,24 +145,7 @@ def render_pattern(p: Pattern) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Layout: pieces with optional internal structure for overflow
-
-
-@dataclass(frozen=True)
-class _Piece:
-    text: str
-    named: bool = False
-    open: str = ""
-    inner: tuple["_Piece", ...] | None = None
-    close: str = ""
-
-
-def _with_close(pieces: tuple[_Piece, ...], extra: str) -> list[_Piece]:
-    if not extra:
-        return list(pieces)
-    last = pieces[-1]
-    patched = _Piece(last.text + extra, last.named, last.open, last.inner, last.close + extra)
-    return list(pieces[:-1]) + [patched]
+# Layout
 
 
 def _layout(pieces: list[_Piece], first: str, cont: int, break_named: bool = False) -> list[str]:
@@ -128,64 +161,18 @@ def _layout(pieces: list[_Piece], first: str, cont: int, break_named: bool = Fal
             cur += " " + p.text
             placed += 1
             continue
-        if len(cur) + len(p.text) <= WIDTH or p.inner is None:
+        if len(cur) + len(p.text) <= WIDTH or not p.inner:
             cur += p.text
             placed = 1
             continue
-        lines.extend(_layout(_with_close(p.inner, p.close), cur + p.open, cont + 2))
+        *rest, last = p.inner  # the piece's close follows its last inner piece
+        inner = [*rest, _Piece(last.open, last.inner, last.close + p.close, last.named)]
+        lines.extend(_layout(inner, cur + p.open, cont + 2))
         cur = " " * cont
         placed = 0
     if placed:
         lines.append(cur)
     return lines
-
-
-def _sig_pieces(t: Term) -> list[_Piece]:
-    if not isinstance(t, Pi):
-        return [_Piece(render_term(t))]
-    out: list[_Piece] = []
-    last = len(t.segments) - 1
-    for k, seg in enumerate(t.segments):
-        arrow = " ->" if k < last else ""
-        if isinstance(seg, Binder):
-            if seg.type is None:
-                out.append(_Piece("forall " + " ".join(seg.names) + arrow, named=True))
-                continue
-            o, c = ("{", "}") if seg.implicit else ("(", ")")
-            head = o + " ".join(seg.names) + " : "
-            inner = _sig_pieces(seg.type)
-            out.append(
-                _Piece(head + render_term(seg.type) + c + arrow, True, head, tuple(inner), c + arrow)
-            )
-        elif isinstance(seg, Pi):
-            out.append(
-                _Piece(
-                    _segment_str(seg) + arrow, False, "(", tuple(_sig_pieces(seg)), ")" + arrow
-                )
-            )
-        else:
-            out.append(_Piece(_segment_str(seg) + arrow))
-    return out
-
-
-def _atom_piece(a: Term) -> _Piece:
-    text = render_term(a, atom=True)
-    match a:
-        case App():
-            return _Piece(text, False, "(", tuple(_app_pieces(a)), ")")
-        case Lam(params, body):
-            head = "(\\ " + " ".join(params) + " -> "
-            return _Piece(text, False, head, tuple(_app_pieces(body)), ")")
-        case Pi():
-            return _Piece(text, False, "(", tuple(_sig_pieces(a)), ")")
-        case _:
-            return _Piece(text)
-
-
-def _app_pieces(t: Term) -> list[_Piece]:
-    if isinstance(t, App):
-        return [_atom_piece(t.fn)] + [_atom_piece(a) for a in t.args]
-    return [_atom_piece(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,33 +181,34 @@ def _app_pieces(t: Term) -> list[_Piece]:
 
 def _sig_lines(name: str, sig: Term, base: int) -> list[str]:
     head = " " * base + name + " : "
-    one = head + render_term(sig)
+    pieces = _sig_pieces(sig)
+    one = head + " ".join([p.text for p in pieces])
     if len(one) <= WIDTH:
         return [one]
-    return _layout(_sig_pieces(sig), head, base + len(name) + 3, break_named=True)
+    return _layout(list(pieces), head, base + len(name) + 3, break_named=True)
 
 
 def _clause_lines(name: str, cl: Clause, base: int) -> list[str]:
     pad = " " * base
-    lhs_atoms = [name] + [render_pattern(p) for p in cl.patterns]
-    lhs = " ".join(lhs_atoms)
-    one = pad + lhs + " = " + render_term(cl.body)
+    lhs = _Piece("", tuple(_Piece(a) for a in [name, *map(render_pattern, cl.patterns)]), " =")
+    body = _term_pieces(cl.body)
+    one = pad + lhs.text + " " + " ".join([p.text for p in body])
     if len(one) <= WIDTH:
         lines = [one]
     else:
-        if len(pad + lhs + " =") > WIDTH:
-            pieces = [_Piece(a) for a in lhs_atoms[:-1]] + [_Piece(lhs_atoms[-1] + " =")]
-            lines = _layout(pieces, pad, base + 2)
-        else:
-            lines = [pad + lhs + " ="]
-        body_pieces = _sig_pieces(cl.body) if isinstance(cl.body, Pi) else _app_pieces(cl.body)
-        lines += _layout(body_pieces, " " * (base + 2), base + 4)
+        lines = _layout([lhs], pad, base) + _layout(list(body), pad + "  ", base + 4)
     if cl.wheres:
         lines.append(pad + "  where")
         for w in cl.wheres:
-            lines += _sig_lines(w.name, w.signature, base + 4)
-            for wcl in w.clauses:
-                lines += _clause_lines(w.name, wcl, base + 4)
+            lines += _body_lines(w, base + 4)
+    return lines
+
+
+def _body_lines(d: DerivedDef, base: int) -> list[str]:
+    """A definition's signature and clauses, indented by base."""
+    lines = _sig_lines(d.name, d.signature, base)
+    for cl in d.clauses:
+        lines += _clause_lines(d.name, cl, base)
     return lines
 
 
@@ -251,13 +239,6 @@ def _certificate(d: DerivedDef) -> list[str]:
     return ["-- " + line for line in textwrap.wrap(msg, WIDTH - 3)]
 
 
-def _def_lines(d: DerivedDef) -> list[str]:
-    lines = _certificate(d) + _sig_lines(d.name, d.signature, 0)
-    for cl in d.clauses:
-        lines += _clause_lines(d.name, cl, 0)
-    return lines
-
-
 # ---------------------------------------------------------------------------
 # Scope validation
 
@@ -284,13 +265,13 @@ def _free_vars(t: Term, bound: frozenset[str], out: set[str]) -> None:
                     _free_vars(seg, b, out)
 
 
-def _pattern_vars(patterns: tuple[Pattern, ...], ctors: set[str], where: str) -> set[str]:
-    out: set[str] = set()
+def _pattern_vars(patterns: tuple[Pattern, ...], ctors: set[str], where: str) -> list[str]:
+    out: list[str] = []
 
     def walk(p: Pattern) -> None:
         match p:
             case PVar(name, _):
-                out.add(name)
+                out.append(name)
             case PCon(head, args):
                 if head not in ctors:
                     raise EmitError(f"unknown constructor {head!r} in a pattern of {where!r}")
@@ -302,6 +283,15 @@ def _pattern_vars(patterns: tuple[Pattern, ...], ctors: set[str], where: str) ->
     return out
 
 
+def _bound_once(names: list[str], where: str, place: str) -> frozenset[str]:
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise EmitError(f"definition {where!r} binds {name!r} twice in {place}")
+        seen.add(name)
+    return frozenset(seen)
+
+
 def _check_term(t: Term, bound: frozenset[str], known: AbstractSet[str], where: str) -> None:
     free: set[str] = set()
     _free_vars(t, bound, free)
@@ -310,9 +300,26 @@ def _check_term(t: Term, bound: frozenset[str], known: AbstractSet[str], where: 
         raise EmitError(f"unscoped name {loose[0]!r} in definition {where!r}")
 
 
+def _check_def(
+    d: DerivedDef, bound: frozenset[str], known: AbstractSet[str], ctors: set[str]
+) -> None:
+    """d and its where definitions mention only names in scope, and bind
+    each top-level signature binder and each clause's pattern variable once."""
+    segs = d.signature.segments if isinstance(d.signature, Pi) else ()
+    binders = [n for seg in segs if isinstance(seg, Binder) for n in seg.names]
+    _bound_once(binders, d.name, "its signature")
+    _check_term(d.signature, bound, known, d.name)
+    for cl in d.clauses:
+        pv = bound | _bound_once(_pattern_vars(cl.patterns, ctors, d.name), d.name, "one clause")
+        scope = known | {w.name for w in cl.wheres}
+        _check_term(cl.body, pv, scope, d.name)
+        for w in cl.wheres:
+            _check_def(w, pv, scope, ctors)
+
+
 def _validate(module: EmitModule) -> None:
     """Every top-level data type, constructor and definition name is bound
-    once, and every term mentions only names in scope."""
+    once, and every definition passes _check_def."""
     roles: dict[str, str] = {"Set": "the universe"}
 
     def bind(name: str, role: str) -> None:
@@ -337,17 +344,7 @@ def _validate(module: EmitModule) -> None:
                 _check_term(ct, env, known, d.name)
             continue
         bind(d.name, "a definition")
-        _check_term(d.signature, frozenset(), known, d.name)
-        for cl in d.clauses:
-            pv = _pattern_vars(cl.patterns, ctors, d.name)
-            wnames = {w.name for w in cl.wheres}
-            scope = known | wnames
-            _check_term(cl.body, frozenset(pv), scope, d.name)
-            for w in cl.wheres:
-                _check_term(w.signature, frozenset(pv), scope, w.name)
-                for wcl in w.clauses:
-                    wpv = pv | _pattern_vars(wcl.patterns, ctors, w.name)
-                    _check_term(wcl.body, frozenset(wpv), scope, w.name)
+        _check_def(d, frozenset(), known, ctors)
 
 
 # ---------------------------------------------------------------------------
@@ -377,24 +374,17 @@ def emit_agda(module: EmitModule) -> str:
         raise EmitError("refusing to emit an empty module")
     _validate(module)
     blocks: list[list[str]] = [_header(module), [f"module {module.name} where"]]
-    k = 0
-    defs = module.defs
-    while k < len(defs):
-        d = defs[k]
-        if d.data is not None and d.data.forward:
-            run = [d]
-            while k + 1 < len(defs) and defs[k + 1].data is not None and defs[k + 1].data.forward:
-                k += 1
-                run.append(defs[k])
-            blocks.append([_data_header(x) for x in run])
-            blocks.extend(
-                _data_lines(" ".join(["data", x.name, *x.data.params]), x) for x in run
-            )
-        elif d.data is not None:
-            blocks.append(_data_lines(_data_header(d), d))
-        else:
-            blocks.append(_def_lines(d))
-        k += 1
+    for forward, run in groupby(module.defs, lambda d: d.data is not None and d.data.forward):
+        if forward:
+            run = list(run)
+            blocks.append([_data_header(d) for d in run])
+            blocks.extend(_data_lines(" ".join(["data", d.name, *d.data.params]), d) for d in run)
+            continue
+        for d in run:
+            if d.data is not None:
+                blocks.append(_data_lines(_data_header(d), d))
+            else:
+                blocks.append(_certificate(d) + _body_lines(d, 0))
     text = "\n\n".join("\n".join(b) for b in blocks) + "\n"
     for line in text.splitlines():
         if not line.isascii():

@@ -296,6 +296,27 @@ def test_derive_refuses_a_module_that_binds_a_name_twice(capsys, tmp_path, decls
     assert _assert_refused(capsys, tmp_path / "out", src, *flags) == message.format(src=src)
 
 
+def _permuting(n: int) -> str:
+    """A declaration with n parameters whose constructor reverses them."""
+    ps = " ".join("abcdefghi"[:n])
+    rev = " ".join(reversed(ps.split()))
+    return f"data M ({ps} : Set) : Set where\n  m0 : M {ps}\n  m1 : a -> M {rev} -> M {ps}\n"
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (6, "error: definition 'nmap' binds 'f' twice in one clause"),
+        (9, "error: definition 'nfold' binds 'i' twice in its signature"),
+    ],
+    ids=["six-parameters", "nine-parameters"],
+)
+def test_derive_refuses_a_definition_that_binds_a_name_twice(capsys, tmp_path, n, message):
+    src = tmp_path / "many.ndt"
+    src.write_text(_permuting(n))
+    assert _assert_refused(capsys, tmp_path / "out", src) == message
+
+
 def test_derive_missing_file(capsys):
     code, _, err = run(capsys, "derive", "missing.ndt")
     assert code == 2

@@ -6,6 +6,8 @@ load-bearing bodies (the fold's recursive calls, the bridge definitions)
 are written out in full so a drift in the builder shows up as a diff here.
 """
 
+import re
+
 import pytest
 
 from nestfold.analysis import analyze
@@ -33,6 +35,7 @@ from nestfold.derivation import (
     recursion_witnesses,
 )
 from nestfold.diagnostics import DerivationError, PsBridgeError
+from nestfold.emitter import emit_agda, module_for_group
 from nestfold.parser import parse_program
 
 from test_parser import BOBDYLAN, BUSH, LIST
@@ -679,3 +682,66 @@ def test_every_emitted_def_is_certified(bush, lists, bobdylan):
         for d in derive_group(ctx, nat_index=nat).defs:
             if d.data is None:
                 recursion_witnesses(d)  # raises on failure
+
+
+# ---------------------------------------------------------------------------
+# Source parameter names never reach the derived definitions
+
+
+def _renamed(src: str, renaming: dict[str, str]) -> str:
+    """src with its one-letter type parameters renamed (comments untouched)."""
+    return "".join(
+        line if line.startswith("--")
+        else re.sub(r"\b[a-z]\b", lambda m: renaming.get(m[0], m[0]), line)
+        for line in src.splitlines(keepends=True)
+    )
+
+
+def _module(src: str, nat: bool) -> str:
+    (ctx,) = analyze(parse_program(src))
+    return emit_agda(module_for_group(derive_group(ctx, nat_index=nat)))
+
+
+def _outside_source_data(text: str, decls: tuple[str, ...]) -> list[str]:
+    """The module's lines, without the blocks that restate the source data types."""
+    out, restating = [], False
+    for line in text.splitlines():
+        if any(line.startswith(f"data {d} ") for d in decls):
+            restating = True
+        elif not line:
+            restating = False
+        if not restating:
+            out.append(line)
+    return out
+
+
+def _assert_only_data_lines_differ(src: str, renaming: dict[str, str], nat: bool) -> None:
+    decls = tuple(d.name for d in parse_program(src).decls)
+    before, after = _module(src, nat), _module(_renamed(src, renaming), nat)
+    assert before != after
+    assert _outside_source_data(after, decls) == _outside_source_data(before, decls)
+
+
+@pytest.mark.parametrize("nat", [False, True], ids=["general", "nat"])
+@pytest.mark.parametrize("name", ["b", "x", "n", "l", "i", "p", "z", "nfold"])
+def test_bush_parameter_name_reaches_only_the_data_lines(name, nat):
+    _assert_only_data_lines_differ(BUSH, {"a": name}, nat)
+
+
+@pytest.mark.parametrize(
+    "renaming",
+    [{"a": "x", "b": "i"}, {"a": "b", "b": "a"}, {"a": "p", "b": "nfold"}],
+    ids=["x-i", "swapped", "p-nfold"],
+)
+def test_bobdylan_parameter_names_reach_only_the_data_lines(renaming):
+    _assert_only_data_lines_differ(BOBDYLAN, renaming, False)
+
+
+def test_interp_carriers_avoid_the_base_type_names():
+    (ctx,) = analyze(parse_program("data A (a : Set) : Set where\n  mk : a -> A a\n"))
+    interp = derive_interp(ctx)
+    for cl in interp.clauses:
+        bound = [p.name for p in cl.patterns if isinstance(p, PVar)]
+        assert len(bound) == len(set(bound)), cl
+    assert interp.clauses[0] == Clause((PVar("a'"), PVar("a"), PCon("varA")), Var("a"))
+    assert "I a' a varA = a\n" in _module("data A (a : Set) : Set where\n  mk : a -> A a\n", False)

@@ -7,7 +7,9 @@ import pytest
 from nestfold.analysis import analyze, classify
 from nestfold.derivation import (
     App,
+    Binder,
     Clause,
+    DataDecl,
     DerivedDef,
     Lam,
     PCon,
@@ -50,12 +52,18 @@ def list_text():
     return _emit("list.ndt", False)
 
 
-def test_bush_golden_is_byte_identical(bush_text):
-    assert bush_text == (ROOT / "golden" / "Bush.agda").read_text()
+# (sample, nat-index mode, golden file) for every golden module
+GOLDENS = {
+    "Bush-nat": ("bush.ndt", True, "Bush.agda"),
+    "BobDylan-general": ("bobdylan.ndt", False, "BobDylan.agda"),
+    "Bush-general": ("bush.ndt", False, "general/Bush.agda"),
+    "List-nat": ("list.ndt", True, "nat/List.agda"),
+}
 
 
-def test_bobdylan_golden_is_byte_identical(bobdylan_text):
-    assert bobdylan_text == (ROOT / "golden" / "BobDylan.agda").read_text()
+@pytest.mark.parametrize("sample, nat, golden", GOLDENS.values(), ids=GOLDENS)
+def test_golden_is_byte_identical(sample, nat, golden):
+    assert _emit(sample, nat) == (ROOT / "golden" / golden).read_text()
 
 
 def test_emission_is_deterministic():
@@ -149,6 +157,28 @@ def test_unknown_pattern_constructor_is_rejected():
         emit_agda(EmitModule("Broken", (bad,)))
 
 
+def _data(name: str) -> DerivedDef:
+    return DerivedDef(name=name, role="a type", data=DataDecl((), ()))
+
+
+def test_a_clause_that_binds_a_name_twice_is_rejected():
+    bad = DerivedDef(
+        name="f",
+        role="should never render",
+        signature=Pi((Var("Set"), Var("Set"), Var("Set"))),
+        clauses=(Clause((PVar("x"), PVar("x")), Var("x")),),
+    )
+    with pytest.raises(EmitError, match="^definition 'f' binds 'x' twice in one clause$"):
+        emit_agda(EmitModule("Twice", (bad,)))
+
+
+def test_a_signature_that_binds_a_name_twice_is_rejected():
+    sig = Pi((Binder(("x",), Var("A")), Binder(("x",), Var("B")), Var("C")))
+    bad = DerivedDef(name="f", role="should never render", signature=sig)
+    with pytest.raises(EmitError, match="^definition 'f' binds 'x' twice in its signature$"):
+        emit_agda(EmitModule("Twice", (_data("A"), _data("B"), _data("C"), bad)))
+
+
 def test_empty_module_is_rejected():
     with pytest.raises(EmitError, match="empty module"):
         emit_agda(EmitModule("Nothing", ()))
@@ -160,6 +190,9 @@ def test_render_term_parenthesization():
     lam = Lam(("x",), Var("x"))
     assert render_term(App(Var("f"), (lam,))) == "f (\\ x -> x)"
     assert render_term(Pi((Var("a"), Var("b"))), atom=True) == "(a -> b)"
+    assert render_term(lam) == "\\ x -> x"
+    lam_pi = Lam(("x",), Pi((Var("a"), Var("b"))))
+    assert render_term(App(Var("f"), (lam_pi,))) == "f (\\ x -> a -> b)"
 
 
 def test_render_pattern_shapes():

@@ -130,13 +130,15 @@ def test_declaration_errors(src, msg):
 def test_names_are_ascii(src, rendered):
     with pytest.raises(ParseError) as e:
         parse_program(src)
-    assert e.value.diagnostic.render() == rendered
+    assert [d.render() for d in e.value.diagnostics] == [rendered]
 
 
 def test_atom_names_are_ascii(bush):
     with pytest.raises(ParseError) as e:
         parse_value_literal("cons 'x\u00e9 leaf", bush, bush.decl("Bush"))
-    assert e.value.diagnostic.render() == "<value>:1:8: error: unexpected character '\u00e9'"
+    assert [d.render() for d in e.value.diagnostics] == [
+        "<value>:1:8: error: unexpected character '\u00e9'"
+    ]
 
 
 def test_parse_program_checks_syntax_only():
@@ -303,7 +305,7 @@ def test_type_context_errors(bush_and_list, text, msg):
 def test_a_target_error_points_at_what_is_wrong(bush_and_list, text, rendered):
     with pytest.raises(ParseError) as e:
         parse_type_context(text, bush_and_list)
-    assert e.value.diagnostic.render() == rendered
+    assert [d.render() for d in e.value.diagnostics] == [rendered]
 
 
 def _type_exprs(program, depth: int) -> list:
