@@ -2,7 +2,8 @@
 
 Every derived artifact is a small language-neutral term language (Term,
 Pattern, Clause) so the emitter can render it without re-deciding a single
-naming or shape question here.  Builders run in one of two modes:
+naming or shape question here.  Builders run in one of two modes, which
+derive_group decides once, in the one _Names it hands to every builder:
 
 * general mode indexes a group by its own free term algebra (varA, BushC...),
 * nat mode specializes one-declaration one-parameter groups to a plain
@@ -130,22 +131,31 @@ _NAT_TAKEN = frozenset("pabzfmnij") | {"x", "xs"}
 
 
 class _Names:
-    """Every name and index-rendering choice for one derivation run."""
+    """Every name and index-rendering choice for one derivation run.  Built
+    once per group and mode; every builder reads the mode from here."""
 
     def __init__(self, ctx: GroupContext, nat: bool):
+        if nat and not nat_index_eligible(ctx):
+            raise DerivationError(
+                "nat-index mode needs exactly one declaration with one parameter, "
+                f"but the {ctx.name} group has {len(ctx.group.decls)} declaration(s) "
+                f"with {ctx.group.base_var_count} base slot(s)"
+            )
         self.ctx = ctx
         self.nat = nat
         self.index_name = "Nat" if nat else ctx.spec.name
         self.var_ctors = ("zero",) if nat else ctx.spec.var_ctors
         self.base_types = tuple(vc[3:].lower() for vc in ctx.spec.var_ctors) if not nat else ("a",)
         self.base_fns = ("z",) if nat else tuple("base" + vc[3:] for vc in ctx.spec.var_ctors)
-        # the type-operator variable standing for each declaration in I and hfold
+        # the type-operator variable standing for each declaration in I and
+        # hfold, primed off the base types and hfold's value variable x
+        taken = {*self.base_types, "x"}
         self.carriers = {
-            dn: "b" if nat else dn.lower() + "'" * (dn.lower() in self.base_types)
-            for dn in ctx.group.decls
+            dn: "b" if nat else dn.lower() + "'" * (dn.lower() in taken) for dn in ctx.group.decls
         }
+        self.hfold = {dn: "hfold" if nat else "hfold-" + dn.lower() for dn in ctx.group.decls}
         self.method: dict[str, str] = {}
-        used = set(_NAT_TAKEN)
+        used = set(_NAT_TAKEN | ctx.ctor_names)
         for _, c in ctx.ctors():
             if nat:
                 cand = c.name[0]
@@ -169,6 +179,11 @@ class _Names:
     def ivar(self) -> str:
         return self.ivars(1)[0]
 
+    def index_env(self, d: TypeDecl) -> tuple[tuple[str, ...], dict[int, Term]]:
+        """d's index variables, and the environment reading its k-th slot as the k-th."""
+        ivs = self.ivars(len(d.params))
+        return ivs, {k: Var(v) for k, v in enumerate(ivs)}
+
     def value_vars(self, m: int) -> tuple[str, ...]:
         if m == 1:
             return ("x",)
@@ -176,18 +191,19 @@ class _Names:
             return ("x", "xs")
         return tuple(f"x{k + 1}" for k in range(m))
 
+    def index_head(self, app_ctor: str) -> str:
+        return "succ" if self.nat else app_ctor
+
     def index_term(self, e: IndexExpr, env: dict[int, Term]) -> Term:
         match e:
             case IVar(k):
                 return env[k]
             case IApp(ctor, args):
-                head = "succ" if self.nat else ctor
-                return _v(head, *(self.index_term(a, env) for a in args))
+                return _v(self.index_head(ctor), *(self.index_term(a, env) for a in args))
         raise AssertionError
 
     def index_pattern(self, decl: str, ivs: tuple[str, ...]) -> PCon:
-        head = "succ" if self.nat else self.ctx.app_ctor[decl]
-        return PCon(head, tuple(PVar(v) for v in ivs))
+        return PCon(self.index_head(self.ctx.app_ctor[decl]), tuple(PVar(v) for v in ivs))
 
     def var_pattern(self, k: int) -> PCon:
         return PCon(self.var_ctors[k])
@@ -197,35 +213,30 @@ class _Names:
             return _v("NTimes", ix, carriers[0], bases[0])
         return _v("I", *carriers, *bases, ix)
 
+    def own_interp(self, ix: Term, bases: tuple[str, ...] | None = None) -> Term:
+        """ix interpreted over the group's own declarations, at the base
+        types unless bases names others."""
+        decls = [Var(dn) for dn in self.ctx.group.decls]
+        return self.interp(decls, [Var(b) for b in bases or self.base_types], ix)
+
     def result_index(self, decl: TypeDecl, env: dict[int, Term]) -> Term:
         return self.index_term(self.ctx.own_index(decl.name), env)
-
-
-def _names(ctx: GroupContext, nat: bool) -> _Names:
-    if nat and not nat_index_eligible(ctx):
-        raise DerivationError(
-            "nat-index mode needs exactly one declaration with one parameter, "
-            f"but the {ctx.name} group has {len(ctx.group.decls)} declaration(s) "
-            f"with {ctx.group.base_var_count} base slot(s)"
-        )
-    return _Names(ctx, nat)
 
 
 # ---------------------------------------------------------------------------
 # Index universe and source data declarations
 
 
-def derive_index_decl(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
-    nm = _names(ctx, nat_index)
+def derive_index_decl(nm: _Names) -> DerivedDef:
+    decls = nm.ctx.group.decls
     idx = Var(nm.index_name)
-    ctors: list[tuple[str, Term]] = [(vc, idx) for vc in nm.var_ctors]
-    if nat_index:
-        ctors.append(("succ", Pi((idx, idx))))
-        role = f"index universe (nesting depth of {ctx.group.decls[0]} applications)"
+    apps = [("succ", 1)] if nm.nat else nm.ctx.spec.app_ctors
+    ctors = [(vc, idx) for vc in nm.var_ctors]
+    ctors += [(cname, Pi((idx,) * (arity + 1))) for cname, arity in apps]
+    if nm.nat:
+        role = f"index universe (nesting depth of {decls[0]} applications)"
     else:
-        for cname, arity in ctx.spec.app_ctors:
-            ctors.append((cname, Pi((idx,) * (arity + 1))))
-        role = f"index universe (type expressions over {'/'.join(ctx.group.decls)})"
+        role = f"index universe (type expressions over {'/'.join(decls)})"
     return DerivedDef(name=nm.index_name, role=role, data=DataDecl((), tuple(ctors)))
 
 
@@ -258,9 +269,9 @@ def derive_data_decls(ctx: GroupContext) -> list[DerivedDef]:
 # Interpretation of indices as types
 
 
-def derive_interp(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
-    nm = _names(ctx, nat_index)
-    if nat_index:
+def derive_interp(nm: _Names) -> DerivedDef:
+    ctx = nm.ctx
+    if nm.nat:
         sig = Pi(
             (
                 Binder(("n",), Var("Nat")),
@@ -304,33 +315,29 @@ def derive_interp(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
 # nfold
 
 
-def _method_type(ctx: GroupContext, nm: _Names, d: TypeDecl, c: Constructor) -> Term:
-    ivs = nm.ivars(len(d.params))
-    env = {k: Var(v) for k, v in enumerate(ivs)}
+def _method_type(nm: _Names, d: TypeDecl, c: Constructor) -> Term:
+    ivs, env = nm.index_env(d)
     segs: list[Binder | Term] = [Binder(ivs, Var(nm.index_name))]
-    for tmpl in ctx.arg_templates[c.name]:
+    for tmpl in nm.ctx.arg_templates[c.name]:
         segs.append(_v("p", nm.index_term(tmpl, env)))
     segs.append(_v("p", nm.result_index(d, env)))
     return Pi(tuple(segs))
 
 
-def _nfold_signature(ctx: GroupContext, nm: _Names) -> Pi:
+def _nfold_signature(nm: _Names) -> Pi:
     segs: list[Binder | Term] = [Binder(("p",), Pi((Var(nm.index_name), SET)))]
-    for d, c in ctx.ctors():
-        segs.append(Binder((nm.method[c.name],), _method_type(ctx, nm, d, c)))
+    for d, c in nm.ctx.ctors():
+        segs.append(Binder((nm.method[c.name],), _method_type(nm, d, c)))
     segs.append(Binder(nm.base_types, SET))
     for k, bf in enumerate(nm.base_fns):
         segs.append(Binder((bf,), Pi((Var(nm.base_types[k]), _v("p", Var(nm.var_ctors[k]))))))
     segs.append(Binder((nm.ivar,), Var(nm.index_name)))
-    decl_carriers = [Var(dn) for dn in ctx.group.decls]
-    base_vars = [Var(b) for b in nm.base_types]
-    segs.append(nm.interp(decl_carriers, base_vars, Var(nm.ivar)))
+    segs.append(nm.own_interp(Var(nm.ivar)))
     segs.append(_v("p", Var(nm.ivar)))
     return Pi(tuple(segs))
 
 
 def _fold_clauses(
-    ctx: GroupContext,
     nm: _Names,
     name: str,
     lead_names: list[str],
@@ -347,9 +354,8 @@ def _fold_clauses(
         Clause(lead + (nm.var_pattern(k), PVar(val)), _v(bf, Var(val)))
         for k, bf in enumerate(base_fns)
     ]
-    for d, c in ctx.ctors():
-        ivs = nm.ivars(len(d.params))
-        env = {k: Var(v) for k, v in enumerate(ivs)}
+    for d, c in nm.ctx.ctors():
+        ivs, env = nm.index_env(d)
         vvs = nm.value_vars(len(c.args))
         pats = lead + (
             nm.index_pattern(d.name, ivs),
@@ -357,23 +363,22 @@ def _fold_clauses(
         )
         recs = [
             _v(name, *args, nm.index_term(t, env), Var(v))
-            for t, v in zip(ctx.arg_templates[c.name], vvs)
+            for t, v in zip(nm.ctx.arg_templates[c.name], vvs)
         ]
         passed = ivs + vvs if pass_values else ivs
         clauses.append(Clause(pats, _v(nm.method[c.name], *(Var(v) for v in passed), *recs)))
     return tuple(clauses)
 
 
-def derive_nfold(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
-    nm = _names(ctx, nat_index)
-    sig = _nfold_signature(ctx, nm)
+def derive_nfold(nm: _Names) -> DerivedDef:
+    sig = _nfold_signature(nm)
     lead_names = (
         ["p"]
-        + [nm.method[c.name] for _, c in ctx.ctors()]
+        + [nm.method[c.name] for _, c in nm.ctx.ctors()]
         + list(nm.base_types)
         + list(nm.base_fns)
     )
-    clauses = _fold_clauses(ctx, nm, "nfold", lead_names, nm.base_fns, "x", False)
+    clauses = _fold_clauses(nm, "nfold", lead_names, nm.base_fns, "x", False)
     role = "dependently typed fold over every indexed instance"
     return DerivedDef("nfold", role, sig, clauses)
 
@@ -382,16 +387,10 @@ def derive_nfold(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
 # Induction principle
 
 
-def derive_ind(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
-    nm = _names(ctx, nat_index)
+def derive_ind(nm: _Names) -> DerivedDef:
     idx = Var(nm.index_name)
-    decl_carriers = [Var(dn) for dn in ctx.group.decls]
-    base_vars = [Var(b) for b in nm.base_types]
-
-    def interp(ix: Term) -> Term:
-        return nm.interp(decl_carriers, base_vars, ix)
-
-    base_fns = ("base",) if nat_index else nm.base_fns
+    base_fns = ("base",) if nm.nat else nm.base_fns
+    val = "xs" if nm.nat else "x"
 
     def base_type(k: int) -> Term:
         return Pi(
@@ -402,41 +401,33 @@ def derive_ind(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
         )
 
     def method_type(d: TypeDecl, c: Constructor) -> Term:
-        ivs = nm.ivars(len(d.params))
-        env = {k: Var(v) for k, v in enumerate(ivs)}
+        ivs, env = nm.index_env(d)
         vvs = nm.value_vars(len(c.args))
         segs: list[Binder | Term] = [Binder(ivs, idx)]
-        arg_ixs = [nm.index_term(t, env) for t in ctx.arg_templates[c.name]]
+        arg_ixs = [nm.index_term(t, env) for t in nm.ctx.arg_templates[c.name]]
         for ix, v in zip(arg_ixs, vvs):
-            segs.append(Binder((v,), interp(ix)))
+            segs.append(Binder((v,), nm.own_interp(ix)))
         for ix, v in zip(arg_ixs, vvs):
             segs.append(_v("p", ix, Var(v)))
         segs.append(_v("p", nm.result_index(d, env), _v(c.name, *(Var(v) for v in vvs))))
         return Pi(tuple(segs))
 
-    p_type = Pi((Binder((nm.ivar,), idx), interp(Var(nm.ivar)), SET))
-    val = "xs" if nat_index else "x"
-    segs: list[Binder | Term] = [
-        Binder(nm.base_types, SET, implicit=True),
-        Binder(("p",), p_type, implicit=True),
-    ]
-    if nat_index:
-        segs.append(Binder(("base",), base_type(0)))
-    for d, c in ctx.ctors():
-        segs.append(Binder((nm.method[c.name],), method_type(d, c)))
-    if not nat_index:
-        for k, bf in enumerate(base_fns):
-            segs.append(Binder((bf,), base_type(k)))
-    segs.append(Binder((nm.ivar,), idx))
-    segs.append(Binder((val,), interp(Var(nm.ivar))))
-    segs.append(_v("p", Var(nm.ivar), Var(val)))
-    sig = Pi(tuple(segs))
-
-    if nat_index:
-        lead_names = ["base"] + [nm.method[c.name] for _, c in ctx.ctors()]
-    else:
-        lead_names = [nm.method[c.name] for _, c in ctx.ctors()] + list(base_fns)
-    clauses = _fold_clauses(ctx, nm, "ind", lead_names, base_fns, val, True)
+    # the methods and base functions, in argument order: bases first in nat mode
+    methods = [(nm.method[c.name], method_type(d, c)) for d, c in nm.ctx.ctors()]
+    bases = [(bf, base_type(k)) for k, bf in enumerate(base_fns)]
+    leads = bases + methods if nm.nat else methods + bases
+    p_type = Pi((Binder((nm.ivar,), idx), nm.own_interp(Var(nm.ivar)), SET))
+    sig = Pi(
+        (
+            Binder(nm.base_types, SET, implicit=True),
+            Binder(("p",), p_type, implicit=True),
+            *[Binder((name,), t) for name, t in leads],
+            Binder((nm.ivar,), idx),
+            Binder((val,), nm.own_interp(Var(nm.ivar))),
+            _v("p", Var(nm.ivar), Var(val)),
+        )
+    )
+    clauses = _fold_clauses(nm, "ind", [name for name, _ in leads], base_fns, val, True)
     role = "induction principle generalizing nfold"
     return DerivedDef("ind", role, sig, clauses)
 
@@ -445,8 +436,7 @@ def derive_ind(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
 # Maps
 
 
-def derive_map(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
-    nm = _names(ctx, nat_index)
+def derive_map(nm: _Names) -> DerivedDef:
     src = nm.base_types
     if len(src) == 1:
         tgt = ("b",)
@@ -454,28 +444,25 @@ def derive_map(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
     else:
         tgt = tuple(s + "'" for s in src)
         fns = tuple("fgh"[k] if k < 3 else f"f{k + 1}" for k in range(len(src)))
-    decl_carriers = [Var(dn) for dn in ctx.group.decls]
     iv = nm.ivar
     sig = Pi(
         (
             Binder(src + tgt, SET, implicit=True),
             Binder((iv,), Var(nm.index_name)),
             *[Pi((Var(s), Var(t))) for s, t in zip(src, tgt)],
-            nm.interp(decl_carriers, [Var(s) for s in src], Var(iv)),
-            nm.interp(decl_carriers, [Var(t) for t in tgt], Var(iv)),
+            nm.own_interp(Var(iv)),
+            nm.own_interp(Var(iv), tgt),
         )
     )
-    val = "l" if nat_index else "x"
+    val = "l" if nm.nat else "x"
     pats = (
         tuple(PVar(s, implicit=True) for s in src + tgt)
         + (PVar(iv),)
         + tuple(PVar(f) for f in fns)
         + (PVar(val),)
     )
-    plam = Lam((iv,), nm.interp(decl_carriers, [Var(t) for t in tgt], Var(iv)))
-    mlams = [
-        Lam(nm.ivars(len(d.params)), Var(c.name)) for d, c in ctx.ctors()
-    ]
+    plam = Lam((iv,), nm.own_interp(Var(iv), tgt))
+    mlams = [Lam(nm.ivars(len(d.params)), Var(c.name)) for d, c in nm.ctx.ctors()]
     body = _v(
         "nfold",
         plam,
@@ -489,10 +476,9 @@ def derive_map(ctx: GroupContext, nat_index: bool = False) -> DerivedDef:
     return DerivedDef("nmap", role, sig, (Clause(pats, body),))
 
 
-def _derive_hmap(ctx: GroupContext, nat_index: bool) -> DerivedDef:
-    nm = _names(ctx, nat_index)
-    dn = ctx.group.decls[0]
-    one = nm.index_term(ctx.own_index(dn), {0: Var(nm.var_ctors[0])})
+def _derive_hmap(nm: _Names) -> DerivedDef:
+    dn = nm.ctx.group.decls[0]
+    one = nm.index_term(nm.ctx.own_index(dn), {0: Var(nm.var_ctors[0])})
     sig = Pi(
         (
             Binder(("a", "b"), SET, implicit=True),
@@ -509,9 +495,8 @@ def _derive_hmap(ctx: GroupContext, nat_index: bool) -> DerivedDef:
 # Higher-order folds
 
 
-def derive_hfold(ctx: GroupContext, nat_index: bool = False) -> list[DerivedDef]:
-    nm = _names(ctx, nat_index)
-    carrier = nm.carriers
+def derive_hfold(nm: _Names) -> list[DerivedDef]:
+    ctx, carrier = nm.ctx, nm.carriers
     # a declaration's k-th type parameter is named like nfold's k-th base type
     params = {dn: dict(zip(ctx.decls[dn].params, nm.base_types)) for dn in ctx.group.decls}
 
@@ -519,7 +504,7 @@ def derive_hfold(ctx: GroupContext, nat_index: bool = False) -> list[DerivedDef]
         ps = params[d.name]
         segs: list[Binder | Term] = []
         if ps:
-            segs.append(Binder(tuple(ps.values()), SET if nat_index else None))
+            segs.append(Binder(tuple(ps.values()), SET if nm.nat else None))
         segs.extend(_carrier_type(a, carrier, ps) for a in c.args + (c.result,))
         return _arrow(segs) if len(segs) == 1 else Pi(tuple(segs))
 
@@ -542,7 +527,7 @@ def derive_hfold(ctx: GroupContext, nat_index: bool = False) -> list[DerivedDef]
         ]
         segs: list[Binder | Term] = list(carrier_binders) + list(method_binders)
         if ps:
-            segs.append(Binder(ps, SET if nat_index else None))
+            segs.append(Binder(ps, SET if nm.nat else None))
         segs.append(_v(dn, *(Var(p) for p in ps)))
         segs.append(_v(carrier[dn], *(Var(p) for p in ps)))
         plam = Lam((nm.ivar,), nm.interp(cvars, insts, Var(nm.ivar)))
@@ -568,12 +553,11 @@ def derive_hfold(ctx: GroupContext, nat_index: bool = False) -> list[DerivedDef]
             + tuple(PVar(p) for p in ps)
             + (PVar("x"),)
         )
-        if nat_index:
-            name, role = "hfold", "higher-order fold, defined from nfold"
+        if nm.nat:
+            role = "higher-order fold, defined from nfold"
         else:
-            name = "hfold-" + dn.lower()
             role = f"higher-order fold for {dn}, defined from nfold"
-        out.append(DerivedDef(name, role, Pi(tuple(segs)), (Clause(pats, body),)))
+        out.append(DerivedDef(nm.hfold[dn], role, Pi(tuple(segs)), (Clause(pats, body),)))
     return out
 
 
@@ -581,8 +565,8 @@ def derive_hfold(ctx: GroupContext, nat_index: bool = False) -> list[DerivedDef]
 # PS bridge: rebuild nfold from hfold through a continuation carrier
 
 
-def derive_ps_bridge(ctx: GroupContext, nat_index: bool = False) -> list[DerivedDef]:
-    nm = _names(ctx, nat_index)
+def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
+    ctx = nm.ctx
     shape = bush_shape(ctx)
     if shape is None:
         raise PsBridgeError("PS bridge not derivable for this shape")
@@ -596,12 +580,10 @@ def derive_ps_bridge(ctx: GroupContext, nat_index: bool = False) -> list[Derived
     zero_t = Var(nm.var_ctors[0])
 
     def succ_t(e: Term) -> Term:
-        return _v("succ" if nat_index else ctx.app_ctor[dn], e)
+        return _v(nm.index_head(ctx.app_ctor[dn]), e)
 
     def interp(carrier: Term, ix: Term) -> Term:
         return nm.interp([carrier], [Var("a")], ix)
-
-    hfold_name = "hfold" if nat_index else "hfold-" + dn.lower()
 
     ps_sig = Pi((Binder(("p",), Pi((idx, SET))), SET, SET))
     ps_body = Pi(
@@ -657,15 +639,15 @@ def derive_ps_bridge(ctx: GroupContext, nat_index: bool = False) -> list[Derived
     foldps_sig = Pi(
         (
             Binder(("p",), Pi((idx, SET))),
-            Binder((leaf_m,), _method_type(ctx, nm, own, leaf_decl)),
-            Binder((cons_m,), _method_type(ctx, nm, own, cons_decl)),
+            Binder((leaf_m,), _method_type(nm, own, leaf_decl)),
+            Binder((cons_m,), _method_type(nm, own, cons_decl)),
             Binder(("a",), SET),
             _v(dn, Var("a")),
             _v("PS", Var("p"), Var("a")),
         )
     )
     foldps_body = _v(
-        hfold_name,
+        nm.hfold[dn],
         _v("PS", Var("p")),
         Lam(("a", iv, "tr"), _v(leaf_m, Var(iv))),
         Lam(
@@ -729,7 +711,7 @@ def derive_ps_bridge(ctx: GroupContext, nat_index: bool = False) -> list[Derived
         ),
     )
 
-    nfold_sig = _nfold_signature(ctx, nm)
+    nfold_sig = _nfold_signature(nm)
     lift_where = DerivedDef(
         "lift",
         "local helper",
@@ -776,19 +758,16 @@ def derive_ps_bridge(ctx: GroupContext, nat_index: bool = False) -> list[Derived
 
 
 def derive_group(ctx: GroupContext, nat_index: bool = False) -> DerivedGroup:
-    _names(ctx, nat_index)  # reject ineligible nat-index requests up front
-    defs: list[DerivedDef] = [derive_index_decl(ctx, nat_index)]
-    defs.extend(derive_data_decls(ctx))
-    defs.append(derive_interp(ctx, nat_index))
-    defs.append(derive_nfold(ctx, nat_index))
-    defs.append(derive_map(ctx, nat_index))
+    nm = _Names(ctx, nat_index)  # rejects ineligible nat-index requests up front
+    defs = [derive_index_decl(nm), *derive_data_decls(ctx), derive_interp(nm)]
+    defs += [derive_nfold(nm), derive_map(nm)]
     if nat_index_eligible(ctx):
-        defs.append(_derive_hmap(ctx, nat_index))
-    defs.append(derive_ind(ctx, nat_index))
-    defs.extend(derive_hfold(ctx, nat_index))
+        defs.append(_derive_hmap(nm))
+    defs.append(derive_ind(nm))
+    defs.extend(derive_hfold(nm))
     notes: list[str] = []
     try:
-        defs.extend(derive_ps_bridge(ctx, nat_index))
+        defs.extend(derive_ps_bridge(nm))
     except PsBridgeError as e:
         notes.append(f"PS bridge: skipped ({e})")
     for d in defs:

@@ -16,8 +16,9 @@ pieces, so the flat and the broken rendering cannot disagree.
 Every definition is scope-checked before rendering; an unbound name is an
 internal error (EmitError), not something to quietly render anyway.  So is a
 top-level name bound twice, which a source name that collides with a derived
-one produces, and a name that a signature's top-level binders or a clause's
-patterns bind twice, which Agda would reject.
+one produces, a name that a signature's top-level binders or a clause's
+patterns bind twice, which Agda would reject, and a pattern variable named
+like a constructor, which Agda would read as that constructor.
 """
 
 from __future__ import annotations
@@ -271,6 +272,11 @@ def _pattern_vars(patterns: tuple[Pattern, ...], ctors: set[str], where: str) ->
     def walk(p: Pattern) -> None:
         match p:
             case PVar(name, _):
+                if name in ctors:  # Agda would read it as the constructor
+                    raise EmitError(
+                        f"definition {where!r} binds constructor name {name!r} "
+                        "as a pattern variable"
+                    )
                 out.append(name)
             case PCon(head, args):
                 if head not in ctors:

@@ -317,6 +317,81 @@ def test_derive_refuses_a_definition_that_binds_a_name_twice(capsys, tmp_path, n
     assert _assert_refused(capsys, tmp_path / "out", src) == message
 
 
+# Agda reads a pattern variable named like a constructor in scope as that
+# constructor, so each of these modules would mean something else.
+@pytest.mark.parametrize(
+    "decls, flags, message",
+    [
+        (
+            "data T (a : Set) : Set where\n  b : T a\n  c : a -> T a -> T a\n",
+            [],
+            "error: definition 'nmap' binds constructor name 'b' as a pattern variable",
+        ),
+        (
+            "data T (a : Set) : Set where\n  b : T a\n  c : a -> T a -> T a\n",
+            ["--nat-index"],
+            "error: definition 'NTimes' binds constructor name 'b' as a pattern variable",
+        ),
+        (
+            "data T (a : Set) : Set where\n  x : T a\n  y : a -> T (T a) -> T a\n",
+            [],
+            "error: definition 'nfold' binds constructor name 'x' as a pattern variable",
+        ),
+        (
+            "data T (a : Set) : Set where\n  x : T a\n  y : a -> T (T a) -> T a\n",
+            ["--nat-index"],
+            "error: definition 'nfold' binds constructor name 'x' as a pattern variable",
+        ),
+        (
+            "data T (a : Set) : Set where\n  p : T a\n  q : a -> T (T a) -> T a\n",
+            [],
+            "error: definition 'nfold' binds constructor name 'p' as a pattern variable",
+        ),
+        (
+            "data T (a : Set) : Set where\n  p : T a\n  q : a -> T (T a) -> T a\n",
+            ["--nat-index"],
+            "error: definition 'nfold' binds constructor name 'p' as a pattern variable",
+        ),
+    ],
+    ids=["b-general", "b-nat", "x-general", "x-nat", "p-general", "p-nat"],
+)
+def test_derive_refuses_a_pattern_variable_named_like_a_constructor(
+    capsys, tmp_path, decls, flags, message
+):
+    src = tmp_path / "shadow.ndt"
+    src.write_text(decls)
+    assert _assert_refused(capsys, tmp_path / "out", src, *flags) == message
+
+
+_X = "data X (a : Set) : Set where\n  xn : X a\n  xk : a -> Y a -> X a\n\n"
+
+
+@pytest.mark.parametrize(
+    "decls, name, line",
+    [
+        (
+            _X + "data Y (a : Set) : Set where\n  ym : Y a\n  yj : X a -> Y a\n",
+            "XY",
+            "I x' y a varA = a",
+        ),
+        (
+            _X + "data Y (a : Set) : Set where\n  ym : Y a\n  yj : W a -> Y a\n\n"
+            "data W (a : Set) : Set where\n  wm : W a\n  wj : X (W a) -> W a\n",
+            "XYW",
+            "I x' y w a varA = a",
+        ),
+    ],
+    ids=["XY", "XYW"],
+)
+def test_derive_gives_a_declaration_named_x_a_primed_carrier(capsys, tmp_path, decls, name, line):
+    """hfold's value variable is x, so data X's carrier is x'."""
+    src = tmp_path / "x.ndt"
+    src.write_text(decls)
+    code, _, err = run(capsys, "derive", src, "-o", tmp_path)
+    assert (code, err) == (0, "")
+    assert line in (tmp_path / f"{name}.agda").read_text().splitlines()
+
+
 def test_derive_missing_file(capsys):
     code, _, err = run(capsys, "derive", "missing.ndt")
     assert code == 2

@@ -21,6 +21,7 @@ from nestfold.derivation import (
     PVar,
     Pi,
     Var,
+    _Names,
     derive_data_decls,
     derive_group,
     derive_hfold,
@@ -35,10 +36,54 @@ from nestfold.derivation import (
     recursion_witnesses,
 )
 from nestfold.diagnostics import DerivationError, PsBridgeError
-from nestfold.emitter import emit_agda, module_for_group
+from nestfold.emitter import _validate, emit_agda, module_for_group
 from nestfold.parser import parse_program
 
 from test_parser import BOBDYLAN, BUSH, LIST
+
+
+# Declarations beyond the samples that every eligible mode must derive.
+PROBES = {
+    "two-params": (
+        "data T (a b : Set) : Set where\n  tn : T a b\n"
+        "  tk : a -> T b a -> T (T a b) b -> T a b\n"
+    ),
+    "three-params": (
+        "data T (a b c : Set) : Set where\n  tn : T a b c\n"
+        "  tk : a -> T b c a -> T (T a b c) b c -> T a b c\n"
+    ),
+    "four-params": (
+        "data T (a b c d : Set) : Set where\n  tn : T a b c d\n"
+        "  tk : a -> T b c d a -> T (T a b c d) b c d -> T a b c d\n"
+    ),
+    "five-params": (
+        "data T (a b c d e : Set) : Set where\n  tn : T a b c d e\n"
+        "  tk : a -> T b c d e a -> T (T a b c d e) b c d e -> T a b c d e\n"
+    ),
+    "no-params": "data N : Set where\n  z : N\n  s : N -> N\n",
+    "XYW": (
+        "data X (a : Set) : Set where\n  xn : X a\n  xk : a -> Y a -> X a\n\n"
+        "data Y (a : Set) : Set where\n  ym : Y a\n  yj : W a -> Y a\n\n"
+        "data W (a : Set) : Set where\n  wm : W a\n  wj : X (W a) -> W a\n"
+    ),
+}
+SOURCES = {"bush": BUSH, "lists": LIST, "bobdylan": BOBDYLAN, **PROBES}
+
+
+def _ctx(which: str):
+    """The one group of a named source, or of the source text itself."""
+    (ctx,) = analyze(parse_program(SOURCES.get(which, which)))
+    return ctx
+
+
+def _modes(sources: dict[str, str]) -> list[tuple[bool, str]]:
+    """Every (nat, name) pair whose group the mode accepts."""
+    return [
+        (nat, which)
+        for which in sources
+        for nat in (False, True)
+        if not nat or nat_index_eligible(_ctx(which))
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +124,7 @@ NFOLD_BD_PREFIX = (
 
 
 def test_index_decl_bobdylan(bobdylan):
-    d = derive_index_decl(bobdylan)
+    d = derive_index_decl(_Names(bobdylan, False))
     assert d.name == "BobDylanIndex"
     assert d.data is not None and d.data.params == ()
     names = [n for n, _ in d.data.ctors]
@@ -91,17 +136,17 @@ def test_index_decl_bobdylan(bobdylan):
 
 
 def test_index_decl_bush_general_and_nat(bush):
-    d = derive_index_decl(bush)
+    d = derive_index_decl(_Names(bush, False))
     assert d.name == "BushIndex"
     assert [n for n, _ in d.data.ctors] == ["varA", "BushC"]
-    n = derive_index_decl(bush, nat_index=True)
+    n = derive_index_decl(_Names(bush, True))
     assert n.name == "Nat"
     assert [c for c, _ in n.data.ctors] == ["zero", "succ"]
     assert n.data.ctors[1][1] == Pi((Var("Nat"), Var("Nat")))
 
 
 def test_index_decl_list(lists):
-    d = derive_index_decl(lists)
+    d = derive_index_decl(_Names(lists, False))
     assert d.name == "ListIndex"
     assert [n for n, _ in d.data.ctors] == ["varA", "ListC"]
 
@@ -142,7 +187,7 @@ def test_data_decls_bobdylan_are_forward(bobdylan):
 
 
 def test_interp_nat_mode_is_ntimes(bush):
-    d = derive_interp(bush, nat_index=True)
+    d = derive_interp(_Names(bush, True))
     assert d.name == "NTimes"
     assert d.signature == Pi(
         (
@@ -160,7 +205,7 @@ def test_interp_nat_mode_is_ntimes(bush):
 
 
 def test_interp_general_bobdylan(bobdylan):
-    d = derive_interp(bobdylan)
+    d = derive_interp(_Names(bobdylan, False))
     assert d.name == "I"
     assert len(d.clauses) == 4
     rec = lambda e: _ap("I", Var("bob"), Var("dylan"), Var("a"), Var("b"), e)
@@ -177,7 +222,7 @@ def test_interp_general_bobdylan(bobdylan):
 
 
 def test_nfold_bush_nat_clauses(bush):
-    d = derive_nfold(bush, nat_index=True)
+    d = derive_nfold(_Names(bush, True))
     assert len(d.clauses) == 3
     lead = tuple(PVar(v) for v in NFOLD_BUSH_PREFIX)
     zero, leaf, cons = d.clauses
@@ -199,7 +244,7 @@ def test_nfold_bush_nat_clauses(bush):
 
 
 def test_nfold_bush_nat_signature(bush):
-    d = derive_nfold(bush, nat_index=True)
+    d = derive_nfold(_Names(bush, True))
     nat, set_ = Var("Nat"), Var("Set")
     p = lambda ix: _ap("p", ix)
     sn = _ap("succ", Var("n"))
@@ -218,7 +263,7 @@ def test_nfold_bush_nat_signature(bush):
 
 
 def test_nfold_bobdylan_methods_and_clauses(bobdylan):
-    d = derive_nfold(bobdylan)
+    d = derive_nfold(_Names(bobdylan, False))
     named = [s.names[0] for s in d.signature.segments if isinstance(s, Binder)]
     assert named == ["p", "robert'", "zimmerman'", "duluth'", "minnesota'", "a", "baseA", "baseB", "i"]
     # the zimmerman method quantifies one index and takes two results
@@ -256,7 +301,7 @@ def test_nfold_bobdylan_methods_and_clauses(bobdylan):
 
 
 def test_nfold_trailer_interprets_with_real_types(bobdylan):
-    d = derive_nfold(bobdylan)
+    d = derive_nfold(_Names(bobdylan, False))
     assert d.signature.segments[-2] == _ap(
         "I", Var("Bob"), Var("Dylan"), Var("a"), Var("b"), Var("i")
     )
@@ -264,7 +309,7 @@ def test_nfold_trailer_interprets_with_real_types(bobdylan):
 
 
 def test_nfold_list_nat_method_names_avoid_reserved(lists):
-    d = derive_nfold(lists, nat_index=True)
+    d = derive_nfold(_Names(lists, True))
     named = [s.names[0] for s in d.signature.segments if isinstance(s, Binder)]
     # "nil" starts with the reserved index variable letter, so it keeps its name
     assert named == ["p", "nil'", "c", "a", "z", "n"]
@@ -284,8 +329,8 @@ def test_nfold_list_nat_method_names_avoid_reserved(lists):
 )
 def test_clause_count_is_vars_plus_ctors(which, count, request):
     ctx = request.getfixturevalue(which)
-    assert len(derive_nfold(ctx).clauses) == count
-    assert len(derive_ind(ctx).clauses) == count
+    assert len(derive_nfold(_Names(ctx, False)).clauses) == count
+    assert len(derive_ind(_Names(ctx, False)).clauses) == count
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +338,7 @@ def test_clause_count_is_vars_plus_ctors(which, count, request):
 
 
 def test_ind_bush_nat_matches_shape(bush):
-    d = derive_ind(bush, nat_index=True)
+    d = derive_ind(_Names(bush, True))
     segs = d.signature.segments
     assert segs[0] == Binder(("a",), Var("Set"), implicit=True)
     assert isinstance(segs[1], Binder) and segs[1].names == ("p",) and segs[1].implicit
@@ -315,7 +360,7 @@ def test_ind_bush_nat_matches_shape(bush):
 
 
 def test_ind_methods_take_values_and_hypotheses(bobdylan):
-    d = derive_ind(bobdylan)
+    d = derive_ind(_Names(bobdylan, False))
     rob = next(
         s for s in d.signature.segments if isinstance(s, Binder) and s.names == ("robert'",)
     )
@@ -343,14 +388,11 @@ def test_ind_methods_take_values_and_hypotheses(bobdylan):
     )
 
 
-@pytest.mark.parametrize("which", ["bush", "lists", "bobdylan"])
-@pytest.mark.parametrize("nat", [False, True])
-def test_ind_erases_to_nfold(which, nat, request):
-    ctx = request.getfixturevalue(which)
-    if nat and not nat_index_eligible(ctx):
-        pytest.skip("nat-index needs a one-declaration one-parameter group")
-    ind = derive_ind(ctx, nat_index=nat)
-    nfold = derive_nfold(ctx, nat_index=nat)
+@pytest.mark.parametrize("nat,which", _modes(SOURCES))
+def test_ind_erases_to_nfold(which, nat):
+    ctx = _ctx(which)
+    ind = derive_ind(_Names(ctx, nat))
+    nfold = derive_nfold(_Names(ctx, nat))
     assert ind_erases_to_nfold(ctx, ind, nfold, nat_index=nat) == []
 
 
@@ -359,7 +401,7 @@ def test_ind_erases_to_nfold(which, nat, request):
 
 
 def test_nmap_bush_nat(bush):
-    d = derive_map(bush, nat_index=True)
+    d = derive_map(_Names(bush, True))
     assert d.name == "nmap"
     (clause,) = d.clauses
     assert clause.patterns == (
@@ -382,7 +424,7 @@ def test_nmap_bush_nat(bush):
 
 
 def test_nmap_bobdylan_two_functions(bobdylan):
-    d = derive_map(bobdylan)
+    d = derive_map(_Names(bobdylan, False))
     (clause,) = d.clauses
     imp = [p.name for p in clause.patterns if isinstance(p, PVar) and p.implicit]
     assert imp == ["a", "b", "a'", "b'"]
@@ -407,7 +449,7 @@ def test_nmap_bobdylan_two_functions(bobdylan):
 
 
 def test_hfold_bush_nat(bush):
-    (d,) = derive_hfold(bush, nat_index=True)
+    (d,) = derive_hfold(_Names(bush, True))
     assert d.name == "hfold"
     named = [s.names[0] for s in d.signature.segments if isinstance(s, Binder)]
     assert named == ["b", "l", "c", "a"]
@@ -427,7 +469,7 @@ def test_hfold_bush_nat(bush):
 
 
 def test_hfold_bobdylan_pair(bobdylan):
-    hb, hd = derive_hfold(bobdylan)
+    hb, hd = derive_hfold(_Names(bobdylan, False))
     assert hb.name == "hfold-bob" and hd.name == "hfold-dylan"
     # methods are read off the declarations, quantifying the decl parameters
     dul = next(
@@ -464,7 +506,7 @@ def test_hfold_bobdylan_pair(bobdylan):
 
 
 def test_hfold_bob_instantiates_missing_base_with_own_parameter(bobdylan):
-    hb, _ = derive_hfold(bobdylan)
+    hb, _ = derive_hfold(_Names(bobdylan, False))
     (clause,) = hb.clauses
     # Bob has one parameter; the group's second base slot reuses it
     assert clause.body.args[5] == Var("a")
@@ -477,7 +519,7 @@ def test_hfold_bob_instantiates_missing_base_with_own_parameter(bobdylan):
 
 
 def test_ps_bridge_bush_nat(bush):
-    defs = derive_ps_bridge(bush, nat_index=True)
+    defs = derive_ps_bridge(_Names(bush, True))
     assert [d.name for d in defs] == ["PS", "PS-to-P", "fold-PS", "liftNTimes", "nfold'"]
     ps, pstop, foldps, lift, nfoldp = defs
 
@@ -529,7 +571,7 @@ def test_ps_bridge_bush_nat(bush):
         ),
     )
 
-    assert nfoldp.signature == derive_nfold(bush, nat_index=True).signature
+    assert nfoldp.signature == derive_nfold(_Names(bush, True)).signature
     (np_clause,) = nfoldp.clauses
     assert np_clause.body == _ap(
         "PS-to-P", Var("p"), Var("a"), Var("z"), Var("n"), _ap("lift", Var("n"), Var("x"))
@@ -548,7 +590,7 @@ def test_ps_bridge_bush_nat(bush):
 
 
 def test_ps_bridge_general_mode_uses_index_constructors(bush):
-    defs = derive_ps_bridge(bush)
+    defs = derive_ps_bridge(_Names(bush, False))
     ps = defs[0]
     assert ps.clauses[0].body == Pi(
         (
@@ -565,7 +607,7 @@ def test_ps_bridge_general_mode_uses_index_constructors(bush):
 @pytest.mark.parametrize("which", ["lists", "bobdylan"])
 def test_ps_bridge_rejects_other_shapes(which, request):
     with pytest.raises(PsBridgeError, match="PS bridge not derivable for this shape"):
-        derive_ps_bridge(request.getfixturevalue(which))
+        derive_ps_bridge(_Names(request.getfixturevalue(which), False))
 
 
 # ---------------------------------------------------------------------------
@@ -573,16 +615,16 @@ def test_ps_bridge_rejects_other_shapes(which, request):
 
 
 def test_recursion_witnesses(bush, bobdylan):
-    assert recursion_witnesses(derive_nfold(bush, nat_index=True)) == ("x", "xs")
-    assert recursion_witnesses(derive_interp(bush, nat_index=True)) == ("n",)
-    assert recursion_witnesses(derive_ind(bush, nat_index=True)) == ("x", "xs")
-    assert recursion_witnesses(derive_map(bush, nat_index=True)) == ()
-    assert recursion_witnesses(derive_nfold(bobdylan)) == ("x", "x1", "x2")
-    assert recursion_witnesses(derive_interp(bobdylan)) == ("expr", "expr1", "expr2")
+    assert recursion_witnesses(derive_nfold(_Names(bush, True))) == ("x", "xs")
+    assert recursion_witnesses(derive_interp(_Names(bush, True))) == ("n",)
+    assert recursion_witnesses(derive_ind(_Names(bush, True))) == ("x", "xs")
+    assert recursion_witnesses(derive_map(_Names(bush, True))) == ()
+    assert recursion_witnesses(derive_nfold(_Names(bobdylan, False))) == ("x", "x1", "x2")
+    assert recursion_witnesses(derive_interp(_Names(bobdylan, False))) == ("expr", "expr1", "expr2")
 
 
 def test_bridge_witnesses_include_where_blocks(bush):
-    defs = derive_ps_bridge(bush, nat_index=True)
+    defs = derive_ps_bridge(_Names(bush, True))
     by_name = {d.name: d for d in defs}
     assert recursion_witnesses(by_name["PS-to-P"]) == ("n",)
     assert recursion_witnesses(by_name["liftNTimes"]) == ("n",)
@@ -677,11 +719,37 @@ def test_nat_index_rejected_for_mutual_groups(bobdylan):
         derive_group(bobdylan, nat_index=True)
 
 
-def test_every_emitted_def_is_certified(bush, lists, bobdylan):
-    for ctx, nat in [(bush, True), (bush, False), (lists, False), (bobdylan, False)]:
-        for d in derive_group(ctx, nat_index=nat).defs:
+def test_every_emitted_def_is_certified():
+    for nat, which in _modes(SOURCES):
+        for d in derive_group(_ctx(which), nat_index=nat).defs:
             if d.data is None:
                 recursion_witnesses(d)  # raises on failure
+
+
+@pytest.mark.parametrize("nat,which", _modes(PROBES))
+def test_every_probe_derives_a_valid_module(which, nat):
+    _validate(module_for_group(derive_group(_ctx(which), nat_index=nat)))
+
+
+@pytest.mark.parametrize("which", ["bush", "lists", "bobdylan"])
+def test_derive_group_builds_its_names_once(which, request, monkeypatch):
+    calls = []
+    init = _Names.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_Names, "__init__", counted)
+    derive_group(request.getfixturevalue(which))
+    assert len(calls) == 1
+
+
+def test_nat_method_names_skip_the_constructor_names():
+    src = BUSH.replace("cons", "k")
+    nm = _Names(_ctx(src), True)
+    assert nm.method == {"leaf": "l", "k": "k'"}
+    assert "nfold p l k' a z (succ n) (k x xs) =" in _module(src, True).splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +807,7 @@ def test_bobdylan_parameter_names_reach_only_the_data_lines(renaming):
 
 def test_interp_carriers_avoid_the_base_type_names():
     (ctx,) = analyze(parse_program("data A (a : Set) : Set where\n  mk : a -> A a\n"))
-    interp = derive_interp(ctx)
+    interp = derive_interp(_Names(ctx, False))
     for cl in interp.clauses:
         bound = [p.name for p in cl.patterns if isinstance(p, PVar)]
         assert len(bound) == len(set(bound)), cl

@@ -172,6 +172,20 @@ def test_a_clause_that_binds_a_name_twice_is_rejected():
         emit_agda(EmitModule("Twice", (bad,)))
 
 
+def test_a_pattern_variable_named_like_a_constructor_is_rejected():
+    t = DerivedDef(name="T", role="a type", data=DataDecl((), (("k", Var("T")),)))
+    bad = DerivedDef(
+        name="f",
+        role="should never render",
+        signature=Pi((Var("T"), Var("T"))),
+        clauses=(Clause((PVar("k"),), Var("k")),),
+    )
+    with pytest.raises(
+        EmitError, match="^definition 'f' binds constructor name 'k' as a pattern variable$"
+    ):
+        emit_agda(EmitModule("Shadow", (t, bad)))
+
+
 def test_a_signature_that_binds_a_name_twice_is_rejected():
     sig = Pi((Binder(("x",), Var("A")), Binder(("x",), Var("B")), Var("C")))
     bad = DerivedDef(name="f", role="should never render", signature=sig)
