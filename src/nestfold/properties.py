@@ -4,6 +4,10 @@ Every property sweeps enumerate_values over a fixed family of indices, so a
 report is reproducible from the declaration file and the size bound alone —
 nothing here is randomized.  A property stops at its first failing case and
 reports it as a replayable counterexample.
+
+Every property prepares its folds (runtime.prepare_*) before its sweep, once
+per algebra or map function and its memo, so no case checks or builds an
+algebra.
 """
 
 from __future__ import annotations
@@ -24,19 +28,21 @@ from .analysis import (
 from .parser import VBase, VCon, Value, render_value, value_size
 from .runtime import (
     Algebra,
+    Fold,
     RFun,
     catalogue,
     enumerate_values,
     eval_hfold_direct,
     eval_hfold_via_nfold,
     eval_hmap_direct,
-    eval_ind,
-    eval_map,
-    eval_nfold,
-    eval_nfold_prime,
     halg_catalogue,
     map_algebra,
     nat_of,
+    prepare_hfold,
+    prepare_ind,
+    prepare_map,
+    prepare_nfold,
+    prepare_nfold_prime,
 )
 
 
@@ -175,9 +181,9 @@ def _sweep(
     return PropertyResult(name, count, len(seen))
 
 
-def _mapper(ctx: GroupContext, fs, idx: IndexExpr, memo: dict) -> Callable[[Value], Value]:
-    """The derived map of fs at idx, through memo, as a base function."""
-    return lambda v: eval_map(ctx, fs, idx, v, memo=memo)
+def _mapper(fold: Fold, idx: IndexExpr) -> Callable[[Value], Value]:
+    """The prepared map fold at idx, as a base function."""
+    return lambda v: fold(idx, v)
 
 
 def _ignore_values(alg: Algebra) -> Algebra:
@@ -240,22 +246,24 @@ class _ReplayMemo(dict):
 
 
 def check_equivalence(ctx: GroupContext, max_size: int) -> PropertyResult:
-    """eval_nfold and the function-space route agree on every case."""
-    algs = [(alg, {}) for alg in catalogue(ctx).values()]
+    """nfold and the function-space route agree on every case."""
+    folds = [
+        (alg.name, prepare_nfold(ctx, alg, {}), prepare_nfold_prime(ctx, alg))
+        for alg in catalogue(ctx).values()
+    ]
     return _sweep("nfold-vs-nfold-prime", (
-        (idx, v, alg.name, eval_nfold(ctx, alg, idx, v, memo=memo),
-         eval_nfold_prime(ctx, alg, idx, v))
+        (idx, v, name, nfold(idx, v), nfold_prime(idx, v))
         for idx, v in _values(ctx, _suite_indices(ctx), max_size)
-        for alg, memo in algs
+        for name, nfold, nfold_prime in folds
     ), ctx.spec)
 
 
 def check_map_identity(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Mapping the identity over every slot returns the value unchanged."""
     fs = {k: (lambda v: v) for k in range(ctx.spec.base_var_count)}
-    memo = {}
+    identity = prepare_map(ctx, fs, {})
     return _sweep("map-identity", (
-        (idx, v, "identity", eval_map(ctx, fs, idx, v, memo=memo), v)
+        (idx, v, "identity", identity(idx, v), v)
         for idx, v in _values(ctx, _suite_indices(ctx), max_size)
     ), ctx.spec)
 
@@ -263,28 +271,23 @@ def check_map_identity(ctx: GroupContext, max_size: int) -> PropertyResult:
 def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Mapping once at depth m+n equals mapping at m with an inner depth-n map.
 
-    The map of f has one memo, which its inner maps share.  The outer map's
-    base is the inner map, so it has one memo per (f, split)."""
+    The map of f is prepared once, with one memo, and its inner maps are
+    that map at depth n.  The outer map's base is the inner map, so it is
+    prepared once per (f, split), with its own memo."""
     at = ctx.level
-    maps = [(fname, {0: f}, {}) for fname, f in MAP_FNS]
-    inner_maps = {
-        (fname, n): {0: _mapper(ctx, fs, at(n), memo)}
-        for fname, fs, memo in maps
-        for n in range(5)
-    }
+    maps = [(fname, prepare_map(ctx, {0: f}, {})) for fname, f in MAP_FNS]
 
     def cases():
         for m in range(5):
             for n in range(5 - m):
-                outer_memos = {fname: {} for fname, _, _ in maps}
+                outer = [
+                    (fname, fold, prepare_map(ctx, {0: _mapper(fold, at(n))}, {}))
+                    for fname, fold in maps
+                ]
                 place = (at(m + n), m, n)
                 for whole, v in _values(ctx, [at(m + n)], max_size):
-                    for fname, fs, memo in maps:
-                        lhs = eval_map(ctx, fs, whole, v, memo=memo)
-                        rhs = eval_map(
-                            ctx, inner_maps[fname, n], at(m), v, memo=outer_memos[fname]
-                        )
-                        yield place, v, fname, lhs, rhs
+                    for fname, fold, outer_fold in outer:
+                        yield place, v, fname, fold(whole, v), outer_fold(at(m), v)
 
     def split(place, spec: IndexTypeSpec) -> str:
         whole, m, n = place
@@ -296,13 +299,11 @@ def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
 def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The fold-backed higher-order fold matches the literal recursion."""
     decl = ctx.group.decls[0]
-    halgs = [(halg, {}) for halg in halg_catalogue(ctx).values()]
+    halgs = [(halg, prepare_hfold(ctx, halg, decl, {})) for halg in halg_catalogue(ctx).values()]
     return _sweep("hfold-conformance", (
-        (idx, v, halg.name,
-         halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v, memo=memo)),
-         halg.finish(eval_hfold_direct(ctx, halg, v)))
+        (idx, v, halg.name, halg.finish(hfold(v)), halg.finish(eval_hfold_direct(ctx, halg, v)))
         for idx, v in _own_values(ctx, max_size)
-        for halg, memo in halgs
+        for halg, hfold in halgs
     ), ctx.spec)
 
 
@@ -321,11 +322,11 @@ def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
 
 def check_hmap_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The one-layer map derived from the fold matches the direct recursion."""
-    maps = [(fname, f, {0: f}, {}) for fname, f in MAP_FNS]
+    maps = [(fname, f, prepare_map(ctx, {0: f}, {})) for fname, f in MAP_FNS]
     return _sweep("hmap-agreement", (
-        (idx, v, fname, eval_map(ctx, fs, idx, v, memo=memo), eval_hmap_direct(ctx, f, v))
+        (idx, v, fname, hmap(idx, v), eval_hmap_direct(ctx, f, v))
         for idx, v in _own_values(ctx, max_size)
-        for fname, f, fs, memo in maps
+        for fname, f, hmap in maps
     ), ctx.spec)
 
 
@@ -337,31 +338,32 @@ def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
     idx = ctx.own_index(ctx.group.decls[0])
     maps = []
     for fname, f in MAP_FNS:
-        fs, memo = {0: f}, {}
-        maps.append((fname, f, fs, memo, {0: _mapper(ctx, fs, idx, memo)}, {}))
+        hmap = prepare_map(ctx, {0: f}, {})
+        maps.append((fname, f, hmap, prepare_map(ctx, {0: _mapper(hmap, idx)}, {})))
 
-    def unfolded(f, hmap_fs, hmap_memo, v: Value) -> Value:
+    def unfolded(f, hmap_hmap, v: Value) -> Value:
         if isinstance(v, VCon) and v.ctor == cons:
             x, xs = v.args
-            return VCon(cons, (f(x), eval_map(ctx, hmap_fs, idx, xs, memo=hmap_memo)))
+            return VCon(cons, (f(x), hmap_hmap(idx, xs)))
         return v
 
     return _sweep("hmap-cons-equation", (
-        (idx, v, fname, eval_map(ctx, fs, idx, v, memo=memo),
-         unfolded(f, hmap_fs, hmap_memo, v))
+        (idx, v, fname, hmap(idx, v), unfolded(f, hmap_hmap, v))
         for idx, v in _own_values(ctx, max_size)
-        for fname, f, fs, memo, hmap_fs, hmap_memo in maps
+        for fname, f, hmap, hmap_hmap in maps
     ), ctx.spec)
 
 
 def check_ind_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Induction with value-ignoring methods computes exactly the fold."""
-    algs = [(alg, {}, _ignore_values(alg), {}) for alg in catalogue(ctx).values()]
+    folds = [
+        (alg.name, prepare_ind(ctx, _ignore_values(alg), {}), prepare_nfold(ctx, alg, {}))
+        for alg in catalogue(ctx).values()
+    ]
     return _sweep("ind-agreement", (
-        (idx, v, alg.name, eval_ind(ctx, dep, idx, v, memo=dep_memo),
-         eval_nfold(ctx, alg, idx, v, memo=memo))
+        (idx, v, name, ind(idx, v), nfold(idx, v))
         for idx, v in _values(ctx, _suite_indices(ctx), max_size)
-        for alg, memo, dep, dep_memo in algs
+        for name, ind, nfold in folds
     ), ctx.spec)
 
 
@@ -382,24 +384,27 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
         "length": (0, lambda x, r: 1 + r),
     }
     algs = catalogue(ctx)
-    memos = {name: {} for name in oracles}
-    return _sweep("spine-fold-agreement", (
-        (idx, v, name, nat_of(eval_nfold(ctx, algs[name], idx, v, memo=memos[name])),
-         fold_list(base, step, v))
-        for idx, v in _own_values(ctx, max_size)
+    folds = [
+        (name, prepare_nfold(ctx, algs[name], {}), base, step)
         for name, (base, step) in oracles.items()
+    ]
+    return _sweep("spine-fold-agreement", (
+        (idx, v, name, nat_of(nfold(idx, v)), fold_list(base, step, v))
+        for idx, v in _own_values(ctx, max_size)
+        for name, nfold, base, step in folds
     ), ctx.spec)
 
 
 def _counted_runs(ctx: GroupContext, calls: list[int]):
-    """The (label, fold, algebra) of each evaluator call-counter-bound
-    counts; every algebra adds its method calls to calls[0]."""
+    """The (label, preparation, algebra) of each evaluator
+    call-counter-bound counts; every algebra adds its method calls to
+    calls[0]."""
     sum_alg = catalogue(ctx)["sum"]
     fs = {k: (lambda v: v) for k in range(ctx.spec.base_var_count)}
     return (
-        ("nfold", eval_nfold, _counted(sum_alg, calls)),
-        ("nmap", eval_nfold, _counted(map_algebra(ctx, fs), calls)),
-        ("ind", eval_ind, _counted(_ignore_values(sum_alg), calls)),
+        ("nfold", prepare_nfold, _counted(sum_alg, calls)),
+        ("nmap", prepare_nfold, _counted(map_algebra(ctx, fs), calls)),
+        ("ind", prepare_ind, _counted(_ignore_values(sum_alg), calls)),
     )
 
 
@@ -412,15 +417,18 @@ def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
     _ReplayMemo, so a sub-value shared by many values is folded once and
     its calls are counted at every occurrence, as if folded again."""
     calls = [0]
-    runs = [(*run, _ReplayMemo(calls)) for run in _counted_runs(ctx, calls)]
+    runs = []
+    for label, prepare, alg in _counted_runs(ctx, calls):
+        memo = _ReplayMemo(calls)
+        runs.append((label, prepare(ctx, alg, memo), memo))
 
     def cases():
         for idx, v in _values(ctx, _suite_indices(ctx), max_size):
             bound = value_size(v)
-            for label, fold, alg, memo in runs:
+            for label, fold, memo in runs:
                 calls[0] = 0
                 memo.starts.clear()
-                fold(ctx, alg, idx, v, memo=memo)
+                fold(idx, v)
                 yield idx, v, label, calls[0], bound
 
     return _sweep(

@@ -21,16 +21,28 @@ explicit-stack walk: it types every node and lists every (index, node) pair,
 base positions included, on a tape in left-to-right post-order.  fold_tape
 folds that tape in one loop over a result stack.  Neither recurses, so a
 literal as deep as a long list evaluates under the default recursion limit.
-The suite's folds (eval_nfold, eval_ind, eval_map) stay recursive: the
-values they fold are enumerated, so --max-size bounds their depth, and their
-memo folds a sub-value that many values share once, where a tape would list
-it, and fold it, at every occurrence.
+The suite's folds stay recursive: the values they fold are enumerated, so
+--max-size bounds their depth, and their memo folds a sub-value that many
+values share once, where a tape would list it, and fold it, at every
+occurrence.
 
-eval_nfold, eval_ind, eval_map and eval_hfold_via_nfold take an optional
-memo, so that a sub-value shared by many enumerated values is folded once.
-Its key is (index, id(sub-value)) and, in a plain dict, its entry is the
-bare result; base positions apply their base function directly.  The memo does not keep its
-sub-values alive, so its caller guarantees two things:
+The suite prepares each fold once per property, before its sweep.
+prepare_nfold, prepare_map, prepare_ind, prepare_hfold and
+prepare_nfold_prime check the algebra (and build the map or hfold algebra)
+once, and return a callable that folds one value at a time: nfold, nmap and
+hfold enter the module-level recursion _nfold, induction enters _ind, each
+through its global name.  eval_nfold, eval_map, eval_ind,
+eval_hfold_via_nfold and eval_nfold_prime prepare a fold and apply it once.
+A prepared fold refers to its algebra and its memo, and nothing it builds
+refers back to it, so dropping the fold frees its memo by reference counting
+alone, without waiting for the cyclic collector.
+
+Every fold but nfold' (prepared or through its eval_* wrapper) takes an
+optional memo, so that a sub-value shared by many enumerated values is
+folded once.  Its key is (index, id(sub-value)) and, in a plain dict, its
+entry is the bare result; base positions apply their base function
+directly.  The memo does not keep its sub-values alive, so its caller
+guarantees two things:
 
 - every value folded through a memo, and so every sub-value keyed in it,
   outlives the memo, so that no id in it is reused.  Enumerated values do:
@@ -265,11 +277,22 @@ def fold_tape(ctx: GroupContext, alg: Algebra, tape: Tape) -> RuntimeResult:
 # The dependently typed fold and its relatives
 
 
+#: A prepared fold: its algebra checked once, then (index, value) -> result.
+Fold = Callable[[IndexExpr, Value], RuntimeResult]
+
+
+def prepare_nfold(ctx: GroupContext, alg: Algebra, memo: Memo | None = None) -> Fold:
+    """nfold at alg through memo, for any number of (index, value) pairs.
+
+    The algebra is checked here, once, before any value is read."""
+    check_algebra(ctx, alg)
+    return lambda idx, v: _nfold(ctx, alg, idx, v, memo)
+
+
 def eval_nfold(
     ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value, memo: Memo | None = None
 ) -> RuntimeResult:
-    check_algebra(ctx, alg)
-    return _nfold(ctx, alg, idx, v, memo)
+    return prepare_nfold(ctx, alg, memo)(idx, v)
 
 
 def _nfold(ctx, alg, idx, v, memo):
@@ -303,6 +326,13 @@ def map_algebra(ctx: GroupContext, fs: dict[int, Callable[[Value], Value]]) -> A
     return Algebra("map", fs, ctx.rebuild_methods)
 
 
+def prepare_map(
+    ctx: GroupContext, fs: dict[int, Callable[[Value], Value]], memo: Memo | None = None
+) -> Fold:
+    """The derived map of fs, prepared: nfold at map_algebra(ctx, fs)."""
+    return prepare_nfold(ctx, map_algebra(ctx, fs), memo)
+
+
 def eval_map(
     ctx: GroupContext,
     fs: dict[int, Callable[[Value], Value]],
@@ -311,32 +341,37 @@ def eval_map(
     memo: Memo | None = None,
 ) -> Value:
     """The derived map: nfold at map_algebra(ctx, fs)."""
-    return eval_nfold(ctx, map_algebra(ctx, fs), idx, v, memo)
+    return prepare_map(ctx, fs, memo)(idx, v)
+
+
+def prepare_ind(ctx: GroupContext, alg: Algebra, memo: Memo | None = None) -> Fold:
+    """Induction at alg through memo, its algebra checked once (see prepare_nfold)."""
+    check_algebra(ctx, alg)
+    return lambda idx, v: _ind(ctx, alg, idx, v, memo)
 
 
 def eval_ind(
     ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value, memo: Memo | None = None
 ) -> RuntimeResult:
     """Induction: nfold whose methods also receive the examined sub-values."""
-    check_algebra(ctx, alg)
+    return prepare_ind(ctx, alg, memo)(idx, v)
 
-    def go(i: IndexExpr, w: Value) -> RuntimeResult:
-        if isinstance(i, IVar):
-            return alg.bases[i.k](w)
-        if memo is not None:
-            key = (i, id(w))
-            r = memo.get(key)
-            if r is not None:
-                return r
-        rs = []
-        for t, sub in zip(_args_at(ctx, i, w), w.args):
-            rs.append(go(t, sub))
-        r = alg.methods[w.ctor](i.args, w.args, tuple(rs))
-        if memo is not None:
-            memo[key] = r
-        return r
 
-    return go(idx, v)
+def _ind(ctx, alg, idx, v, memo):
+    if isinstance(idx, IVar):
+        return alg.bases[idx.k](v)
+    if memo is not None:
+        key = (idx, id(v))
+        r = memo.get(key)
+        if r is not None:
+            return r
+    rs = []
+    for t, sub in zip(_args_at(ctx, idx, v), v.args):
+        rs.append(_ind(ctx, alg, t, sub, memo))
+    r = alg.methods[v.ctor](idx.args, v.args, tuple(rs))
+    if memo is not None:
+        memo[key] = r
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +389,11 @@ def _bush(ctx: GroupContext, what: str) -> tuple[str, str]:
     return shape
 
 
-def eval_hfold_via_nfold(
-    ctx: GroupContext, halg: HAlgebra, decl_name: str, v: Value, memo: Memo | None = None
-) -> RuntimeResult:
-    """hfold as nfold at the declaration's own index with identity bases."""
+def prepare_hfold(
+    ctx: GroupContext, halg: HAlgebra, decl_name: str, memo: Memo | None = None
+) -> Callable[[Value], RuntimeResult]:
+    """hfold as nfold at the declaration's own index with identity bases,
+    its wrapped algebra built and checked once."""
     alg = Algebra(
         f"hfold-{halg.name}",
         bases={k: wrap for k in range(ctx.spec.base_var_count)},
@@ -366,7 +402,15 @@ def eval_hfold_via_nfold(
             for _, c in ctx.ctors()
         },
     )
-    return eval_nfold(ctx, alg, ctx.own_index(decl_name), v, memo=memo)
+    fold, idx = prepare_nfold(ctx, alg, memo), ctx.own_index(decl_name)
+    return lambda v: fold(idx, v)
+
+
+def eval_hfold_via_nfold(
+    ctx: GroupContext, halg: HAlgebra, decl_name: str, v: Value, memo: Memo | None = None
+) -> RuntimeResult:
+    """hfold as nfold at the declaration's own index with identity bases."""
+    return prepare_hfold(ctx, halg, decl_name, memo)(v)
 
 
 def eval_hfold_direct(ctx: GroupContext, halg: HAlgebra, v: Value) -> RuntimeResult:
@@ -420,6 +464,13 @@ def eval_hmap_direct(ctx: GroupContext, f: Callable[[Value], Value], v: Value) -
 # nfold' — the round trip through the function-space carrier
 
 
+def prepare_nfold_prime(ctx: GroupContext, alg: Algebra) -> Fold:
+    """nfold' at alg (see eval_nfold_prime), its algebra checked once."""
+    check_algebra(ctx, alg)
+    nil, cons = _bush(ctx, "the function-space route")
+    return lambda idx, v: _nfold_prime(ctx, alg, nil, cons, idx, v)
+
+
 def eval_nfold_prime(
     ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value
 ) -> RuntimeResult:
@@ -429,8 +480,10 @@ def eval_nfold_prime(
     number and a continuation for the level below.  Lifting maps fold-PS
     through every level of the value, and PS-to-P peels the levels off.
     """
-    check_algebra(ctx, alg)
-    nil, cons = _bush(ctx, "the function-space route")
+    return prepare_nfold_prime(ctx, alg)(idx, v)
+
+
+def _nfold_prime(ctx, alg, nil, cons, idx, v):
     depth = index_depth(idx)
     if idx != ctx.level(depth):
         raise EvalError("index must be an iterated application over the base slot")
@@ -543,7 +596,11 @@ def enumerate_values(
         memo[key] = tuple(out)
         return memo[key]
 
-    return [v for s in range(max_size + 1) for v in exact(idx, s)]
+    values = [v for s in range(max_size + 1) for v in exact(idx, s)]
+    # exact refers to itself; unbinding it lets reference counting free the
+    # closure, and its hold on ctx, without waiting for the cyclic collector.
+    del exact
+    return values
 
 
 def _splits(total: int, parts: int):

@@ -952,7 +952,9 @@ def test_test_max_size_zero_is_a_usage_error(capsys):
 def test_counterexample_is_printed_on_failure(capsys, monkeypatch):
     import nestfold.properties as properties
 
-    monkeypatch.setattr(properties, "eval_nfold_prime", lambda ctx, alg, idx, v: 10**9)
+    monkeypatch.setattr(
+        properties, "prepare_nfold_prime", lambda ctx, alg: lambda idx, v: 10**9
+    )
     code, out, err = run(capsys, "test", SAMPLES / "bush.ndt", "--max-size", "3")
     assert code == 1
     assert "nfold-vs-nfold-prime: FAIL" in out

@@ -6,6 +6,9 @@ lists of length <= 6 over a 3-element pool number 3^0+...+3^6 = 1093, and
 the bush sweep at size <= 7 across index depths 0..3 yields 74 values.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from nestfold.analysis import analyze
@@ -20,6 +23,7 @@ from nestfold.properties import (
     run_suite,
 )
 import nestfold.properties as properties
+import nestfold.runtime as runtime
 from nestfold.runtime import RFun
 
 from test_parser import BOBDYLAN, BUSH, LIST
@@ -224,7 +228,7 @@ def test_counterexample_lines_are_labelled():
 
 def test_broken_evaluator_yields_a_replayable_counterexample(bush, monkeypatch):
     monkeypatch.setattr(
-        properties, "eval_nfold_prime", lambda ctx, alg, idx, v: 10**9
+        properties, "prepare_nfold_prime", lambda ctx, alg: lambda idx, v: 10**9
     )
     r = check_equivalence(bush, 4)
     assert not r.ok
@@ -237,22 +241,22 @@ def test_broken_evaluator_yields_a_replayable_counterexample(bush, monkeypatch):
 
 
 def test_broken_map_is_caught(bush, monkeypatch):
-    real = properties.eval_map
+    real = properties.prepare_map
     monkeypatch.setattr(
         properties,
-        "eval_map",
-        lambda ctx, fs, idx, v, memo=None: VCon("leaf"),
+        "prepare_map",
+        lambda ctx, fs, memo=None: lambda idx, v: VCon("leaf"),
     )
     r = check_map_identity(bush, 4)
     assert not r.ok
     assert r.counterexample.lhs == "leaf"
-    monkeypatch.setattr(properties, "eval_map", real)
+    monkeypatch.setattr(properties, "prepare_map", real)
     assert check_map_identity(bush, 4).ok
 
 
 def test_failure_stops_the_sweep_early(bush, monkeypatch):
     monkeypatch.setattr(
-        properties, "eval_nfold_prime", lambda ctx, alg, idx, v: 10**9
+        properties, "prepare_nfold_prime", lambda ctx, alg: lambda idx, v: 10**9
     )
     r = check_equivalence(bush, 7)
     assert r.cases == 1
@@ -323,62 +327,73 @@ def test_reports_are_frozen_dataclasses(bush_report):
 
 def _leaf_instead(real):
     """Evaluate the empty bush wherever the value argument was a bush."""
-    return lambda ctx, alg, idx, v: real(
-        ctx, alg, idx, VCon("leaf") if isinstance(v, VCon) else v
-    )
+
+    def prepare(ctx, alg):
+        fold = real(ctx, alg)
+        return lambda idx, v: fold(idx, VCon("leaf") if isinstance(v, VCon) else v)
+
+    return prepare
 
 
 def _zero_bases(real):
     """A map that sends every base value to 0, whatever it was asked to do."""
-    return lambda ctx, fs, idx, v, memo=None: real(
-        ctx, {k: (lambda w: VBase(0)) for k in fs}, idx, v, memo
-    )
+    return lambda ctx, fs, memo=None: real(ctx, {k: (lambda w: VBase(0)) for k in fs}, memo)
 
 
 def _corrupt_inner_map(real):
     """A map that is right at the top level and off by one when nested."""
     depth = [0]
 
-    def fake(ctx, fs, idx, v, memo=None):
-        depth[0] += 1
-        try:
-            out = real(ctx, fs, idx, v, memo)
-        finally:
-            depth[0] -= 1
-        if depth[0] > 0 and isinstance(out, VBase):
-            return VBase(out.payload + 1)
-        return out
+    def prepare(ctx, fs, memo=None):
+        fold = real(ctx, fs, memo)
 
-    return fake
+        def fake(idx, v):
+            depth[0] += 1
+            try:
+                out = fold(idx, v)
+            finally:
+                depth[0] -= 1
+            if depth[0] > 0 and isinstance(out, VBase):
+                return VBase(out.payload + 1)
+            return out
+
+        return fake
+
+    return prepare
 
 
 def _refold_last_argument(real):
     """A fold that folds a node's last argument once more when it is a node."""
 
-    def fake(ctx, alg, idx, v, memo=None):
-        out = real(ctx, alg, idx, v, memo)
-        if isinstance(v, VCon) and v.args and isinstance(v.args[-1], VCon):
-            real(ctx, alg, ctx.ctors_at(idx, v.ctor)[-1], v.args[-1], memo)
-        return out
+    def prepare(ctx, alg, memo=None):
+        fold = real(ctx, alg, memo)
 
-    return fake
+        def fake(idx, v):
+            out = fold(idx, v)
+            if isinstance(v, VCon) and v.args and isinstance(v.args[-1], VCon):
+                fold(ctx.ctors_at(idx, v.ctor)[-1], v.args[-1])
+            return out
+
+        return fake
+
+    return prepare
 
 
 SABOTAGE = [
     pytest.param(
-        "bush", "check_equivalence", (5,), "eval_nfold_prime", _leaf_instead,
+        "bush", "check_equivalence", (5,), "prepare_nfold_prime", _leaf_instead,
         18, Counterexample(
             "nfold-vs-nfold-prime", "BushC varA", "cons 0 leaf", "depth", "1", "0"
         ),
         id="nfold-vs-nfold-prime",
     ),
     pytest.param(
-        "bobdylan", "check_map_identity", (4,), "eval_map", _zero_bases,
+        "bobdylan", "check_map_identity", (4,), "prepare_map", _zero_bases,
         2, Counterexample("map-identity", "varA", "1", "identity", "0", "1"),
         id="map-identity",
     ),
     pytest.param(
-        "bush", "check_map_composition", (5,), "eval_map", _corrupt_inner_map,
+        "bush", "check_map_composition", (5,), "prepare_map", _corrupt_inner_map,
         1, Counterexample("map-composition", "varA split 0+0", "0", "add1", "1", "2"),
         id="map-composition",
     ),
@@ -411,8 +426,8 @@ SABOTAGE = [
         id="hmap-agreement",
     ),
     pytest.param(
-        "bush", "check_hmap_cons", (5,), "eval_map",
-        lambda real: lambda ctx, fs, idx, v, memo=None: v,
+        "bush", "check_hmap_cons", (5,), "prepare_map",
+        lambda real: lambda ctx, fs, memo=None: lambda idx, v: v,
         3, Counterexample(
             "hmap-cons-equation", "BushC varA", "cons 0 leaf", "add1",
             "cons 0 leaf", "cons 1 leaf",
@@ -420,14 +435,14 @@ SABOTAGE = [
         id="hmap-cons-equation",
     ),
     pytest.param(
-        "bobdylan", "check_ind_agreement", (4,), "eval_ind",
-        lambda real: lambda ctx, alg, idx, v, memo=None: 0,
+        "bobdylan", "check_ind_agreement", (4,), "prepare_ind",
+        lambda real: lambda ctx, alg, memo=None: lambda idx, v: 0,
         3, Counterexample("ind-agreement", "varA", "0", "trace", "0", "@varA 0"),
         id="ind-agreement",
     ),
     pytest.param(
-        "lists", "check_spine_fold_agreement", (4,), "eval_nfold",
-        lambda real: lambda ctx, alg, idx, v, memo=None: 0,
+        "lists", "check_spine_fold_agreement", (4,), "prepare_nfold",
+        lambda real: lambda ctx, alg, memo=None: lambda idx, v: 0,
         4, Counterexample(
             "spine-fold-agreement", "ListC varA", "cc 0 nil", "length", "0", "1"
         ),
@@ -442,7 +457,7 @@ SABOTAGE = [
         id="call-counter-bound",
     ),
     pytest.param(
-        "lists", "check_call_counter", (4,), "eval_nfold", _refold_last_argument,
+        "lists", "check_call_counter", (4,), "prepare_nfold", _refold_last_argument,
         13, Counterexample(
             "call-counter-bound", "ListC varA", "cc 0 nil", "nfold", "3 calls", "size bound 2"
         ),
@@ -461,6 +476,46 @@ def test_every_property_reports_its_first_failure(
     monkeypatch.setattr(properties, name, sabotage(getattr(properties, name)))
     r = getattr(properties, check)(ctx, *args)
     assert (r.name, r.cases, r.counterexample) == (expected.prop, cases, expected)
+
+
+# ---------------------------------------------------------------------------
+# Prepared folds
+
+
+@pytest.mark.parametrize("group, sizes", [("lists", (4, 6)), ("bush", (6, 8))])
+def test_the_suite_checks_each_algebra_once_per_property(request, monkeypatch, group, sizes):
+    # Every property prepares its folds before its sweep, so the algebras
+    # checked do not depend on how many cases the sweep has.
+    ctx = request.getfixturevalue(group)
+    real = runtime.check_algebra
+    checked = []
+    monkeypatch.setattr(
+        runtime, "check_algebra", lambda ctx, alg: checked.append(alg.name) or real(ctx, alg)
+    )
+    runs = []
+    for size in sizes:
+        checked.clear()
+        report = run_suite(ctx, size)
+        assert report.ok
+        runs.append((list(checked), report.total_cases))
+    (small, small_cases), (large, large_cases) = runs
+    assert small == large
+    assert 0 < len(small) < small_cases < large_cases
+
+
+def test_a_finished_suite_leaves_its_context_to_reference_counting():
+    # The context holds every pool and interned value; were it kept in a
+    # reference cycle, it would outlive its command until the cyclic
+    # collector ran.
+    (ctx,) = analyze(parse_program(LIST))
+    watch = weakref.ref(ctx)
+    gc.disable()
+    try:
+        assert run_suite(ctx, 4).ok
+        del ctx
+        assert watch() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +539,16 @@ def test_the_replay_memo_counts_what_a_fold_without_one_counts(request, group, s
     ctx = request.getfixturevalue(group)
     calls = [0]
     over_bound = 0
-    for label, fold, alg in properties._counted_runs(ctx, calls):
+    for label, prepare, alg in properties._counted_runs(ctx, calls):
         if refold:
-            fold = _refold_last_argument(fold)
+            prepare = _refold_last_argument(prepare)
         memo = _HitCountingMemo(calls)
+        folds = (prepare(ctx, alg), prepare(ctx, alg, memo))
         for idx, v in properties._values(ctx, properties._suite_indices(ctx), size):
             counts = []
-            for m in (None, memo):
+            for fold in folds:
                 calls[0] = 0
-                fold(ctx, alg, idx, v, memo=m)
+                fold(idx, v)
                 counts.append(calls[0])
             assert counts[0] == counts[1], (label, render_value(v))
             assert memo.starts == []

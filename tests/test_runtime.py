@@ -7,7 +7,9 @@ when this suite was written.  The frozen copies keep silent oracle drift
 from going unnoticed.
 """
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,11 +44,15 @@ from nestfold.runtime import (
     halg_catalogue,
     nat_add,
     nat_of,
+    prepare_ind,
+    prepare_map,
+    prepare_nfold,
+    prepare_nfold_prime,
     typecheck_value,
     wrap,
 )
 import nestfold.runtime as runtime
-from nestfold.properties import _counted, _ignore_values
+from nestfold.properties import _counted, _ignore_values, _suite_indices, _values
 
 from test_parser import BOBDYLAN, BUSH, DEEP_BUSH, LIST, _bush_values
 
@@ -301,11 +307,25 @@ def test_an_incomplete_algebra_is_rejected_by_every_fold(bush, bush1, drop, mess
         lambda: eval_nfold(bush, alg, bushc(1), bush1),
         lambda: eval_ind(bush, _ignore_values(alg), bushc(1), bush1),
         lambda: fold_tape(bush, alg, tape),
+        # a prepared fold is refused before it is given any value
+        lambda: prepare_nfold(bush, alg, {}),
+        lambda: prepare_ind(bush, _ignore_values(alg), {}),
+        lambda: prepare_nfold_prime(bush, alg),
     ]
+    if drop == "base":
+        folds.append(lambda: prepare_map(bush, bases, {}))
     for fold in folds:
         with pytest.raises(EvalError) as raised:
             fold()
         assert str(raised.value) == message
+    prepared = [
+        prepare_nfold(bush, full),
+        prepare_ind(bush, _ignore_values(full)),
+        prepare_map(bush, {0: lambda w: w}),
+    ]
+    for fold in prepared:
+        with pytest.raises(EvalError, match="^value 4 does not inhabit a Bush index$"):
+            fold(bushc(1), VBase(4))
 
 
 def _render_reference(v, atom=False):
@@ -538,6 +558,37 @@ def test_a_fold_substitutes_only_the_constructors_it_meets(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Memoized folds
+
+
+class _WatchedMemo(dict):
+    """A plain memo that a weak reference can watch."""
+
+
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        lambda ctx, memo: prepare_nfold(ctx, catalogue(ctx)["trace"], memo),
+        lambda ctx, memo: prepare_ind(ctx, _ignore_values(catalogue(ctx)["sum"]), memo),
+        lambda ctx, memo: prepare_map(ctx, {0: lambda v: VBase(v.payload + 1)}, memo),
+    ],
+    ids=["nfold", "ind", "map"],
+)
+def test_a_dropped_prepared_fold_frees_its_memo_by_reference_counting(lists, prepare):
+    # A memo in a reference cycle would outlive its property until the
+    # cyclic collector ran, and every property's memo would pile up.
+    cases = list(_values(lists, _suite_indices(lists), 4))
+    memo = _WatchedMemo()
+    watch = weakref.ref(memo)
+    gc.disable()
+    try:
+        fold = prepare(lists, memo)
+        for idx, v in cases:
+            fold(idx, v)
+        assert len(memo) > 0
+        del fold, memo
+        assert watch() is None
+    finally:
+        gc.enable()
 
 
 def _ind(ctx, alg, idx, v, memo=None):
