@@ -129,6 +129,11 @@ class GroupContext:
         return frozenset(c.name for _, c in self.ctors())
 
     @cached_property
+    def bush(self) -> tuple[str, str] | None:
+        """bush_shape of this group, worked out once."""
+        return bush_shape(self)
+
+    @cached_property
     def base_slots(self) -> frozenset[int]:
         """The index variables' numbers, 0 .. base_var_count - 1."""
         return frozenset(range(self.spec.base_var_count))
@@ -244,22 +249,6 @@ def well_formed(program: Program) -> list[Diagnostic]:
             report(f"declaration name {d.name!r} is reserved for the base universe", d.pos)
         arity[d.name] = len(d.params)
 
-    def check_type(t: TypeExpr, decl: TypeDecl) -> None:
-        match t:
-            case TVar(name):
-                if name not in decl.params:
-                    report(f"unknown type parameter {name!r}", t.pos)
-            case TApp(head, args):
-                if head not in arity:
-                    report(f"unknown type constructor {head}", t.pos)
-                elif len(args) != arity[head]:
-                    report(
-                        f"{head} expects {arity[head]} argument(s), got {len(args)}",
-                        t.pos,
-                    )
-                for a in args:
-                    check_type(a, decl)
-
     ctor_owner: dict[str, str] = {}
     for d in program.decls:
         for p in sorted({p for p in d.params if d.params.count(p) > 1}):
@@ -274,8 +263,8 @@ def well_formed(program: Program) -> list[Diagnostic]:
             elif owner != d.name:
                 report(f"constructor {c.name!r} already declared by {owner}", c.pos)
             for t in c.args:
-                check_type(t, d)
-            check_type(c.result, d)
+                _check_type(t, d, arity, report)
+            _check_type(c.result, d, arity, report)
             if c.result != expected:
                 report(
                     "constructor result must be the declared head applied to "
@@ -284,6 +273,24 @@ def well_formed(program: Program) -> list[Diagnostic]:
                     c.pos,
                 )
     return out
+
+
+def _check_type(t: TypeExpr, decl: TypeDecl, arity: dict[str, int], report) -> None:
+    """Report t's unknown parameters and heads and its misapplied heads."""
+    match t:
+        case TVar(name):
+            if name not in decl.params:
+                report(f"unknown type parameter {name!r}", t.pos)
+        case TApp(head, args):
+            if head not in arity:
+                report(f"unknown type constructor {head}", t.pos)
+            elif len(args) != arity[head]:
+                report(
+                    f"{head} expects {arity[head]} argument(s), got {len(args)}",
+                    t.pos,
+                )
+            for a in args:
+                _check_type(a, decl, arity, report)
 
 
 def _render_expected(d: TypeDecl) -> str:
@@ -337,20 +344,21 @@ def _is_nested(decls: list[TypeDecl], members: set[str]) -> bool:
     """A group is nested iff some constructor argument applies a member to
     anything but exactly that member's own parameter list."""
     by_name = {d.name: d for d in decls}
+    return any(_irregular(t, by_name, members) for d in decls for c in d.ctors for t in c.args)
 
-    def irregular(t: TypeExpr) -> bool:
-        match t:
-            case TVar():
-                return False
-            case TApp(head, args):
-                if head in members:
-                    own = tuple(TVar(p) for p in by_name[head].params)
-                    if args != own:
-                        return True
-                return any(irregular(a) for a in args)
-        raise AssertionError
 
-    return any(irregular(t) for d in decls for c in d.ctors for t in c.args)
+def _irregular(t: TypeExpr, by_name: dict[str, TypeDecl], members: set[str]) -> bool:
+    """t applies a member to anything but its own parameter list."""
+    match t:
+        case TVar():
+            return False
+        case TApp(head, args):
+            if head in members:
+                own = tuple(TVar(p) for p in by_name[head].params)
+                if args != own:
+                    return True
+            return any(_irregular(a, by_name, members) for a in args)
+    raise AssertionError
 
 
 def _sccs(names: list[str], edges: dict[str, list[str]]) -> list[list[str]]:
@@ -385,6 +393,8 @@ def _sccs(names: list[str], edges: dict[str, list[str]]) -> list[list[str]]:
     for v in names:
         if v not in index:
             visit(v)
+    # visit refers to itself; unbinding it lets reference counting free it.
+    del visit
     return out
 
 

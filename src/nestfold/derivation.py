@@ -780,17 +780,15 @@ def derive_group(ctx: GroupContext, nat_index: bool = False) -> DerivedGroup:
 # Structural-recursion certificate
 
 
-def _pattern_depths(patterns: tuple[Pattern, ...], into: dict[str, int]) -> None:
-    def walk(p: Pattern, depth: int) -> None:
+def _pattern_depths(
+    patterns: tuple[Pattern, ...], into: dict[str, int], depth: int = 0
+) -> None:
+    for p in patterns:
         match p:
             case PVar(name, _):
                 into[name] = max(into.get(name, 0), depth)
             case PCon(_, args):
-                for a in args:
-                    walk(a, depth + 1)
-
-    for p in patterns:
-        walk(p, 0)
+                _pattern_depths(args, into, depth + 1)
 
 
 def recursion_witnesses(d: DerivedDef) -> tuple[str, ...]:
@@ -801,49 +799,51 @@ def recursion_witnesses(d: DerivedDef) -> tuple[str, ...]:
     if d.data is not None:
         return ()
     out: list[str] = []
-
-    def scan(t: Term, depths: dict[str, int]) -> None:
-        match t:
-            case Var():
-                return
-            case App(fn, args):
-                if isinstance(fn, Var) and fn.name == d.name:
-                    witnesses = [
-                        a.name
-                        for a in args
-                        if isinstance(a, Var) and depths.get(a.name, 0) >= 1
-                    ]
-                    if not witnesses:
-                        raise DerivationError(
-                            f"cannot certify termination of {d.name!r}: a recursive "
-                            "call passes no strict subterm of a constructor pattern"
-                        )
-                    if witnesses[-1] not in out:
-                        out.append(witnesses[-1])
-                else:
-                    scan(fn, depths)
-                for a in args:
-                    scan(a, depths)
-            case Lam(params, body):
-                scan(body, {k: v for k, v in depths.items() if k not in params})
-            case Pi(segments):
-                for s in segments:
-                    if isinstance(s, Binder):
-                        if s.type is not None:
-                            scan(s.type, depths)
-                    else:
-                        scan(s, depths)
-
     for cl in d.clauses:
         depths: dict[str, int] = {}
         _pattern_depths(cl.patterns, depths)
-        scan(cl.body, depths)
+        _scan_calls(cl.body, d.name, depths, out)
         for w in cl.wheres:
             for wcl in w.clauses:
                 wdepths = dict(depths)
                 _pattern_depths(wcl.patterns, wdepths)
-                scan(wcl.body, wdepths)
+                _scan_calls(wcl.body, d.name, wdepths, out)
     return tuple(out)
+
+
+def _scan_calls(t: Term, name: str, depths: dict[str, int], out: list[str]) -> None:
+    """Add to out the witness of each call of name in t; depths are the
+    pattern depths of the variables in scope."""
+    match t:
+        case Var():
+            return
+        case App(fn, args):
+            if isinstance(fn, Var) and fn.name == name:
+                witnesses = [
+                    a.name
+                    for a in args
+                    if isinstance(a, Var) and depths.get(a.name, 0) >= 1
+                ]
+                if not witnesses:
+                    raise DerivationError(
+                        f"cannot certify termination of {name!r}: a recursive "
+                        "call passes no strict subterm of a constructor pattern"
+                    )
+                if witnesses[-1] not in out:
+                    out.append(witnesses[-1])
+            else:
+                _scan_calls(fn, name, depths, out)
+            for a in args:
+                _scan_calls(a, name, depths, out)
+        case Lam(params, body):
+            _scan_calls(body, name, {k: v for k, v in depths.items() if k not in params}, out)
+        case Pi(segments):
+            for s in segments:
+                if isinstance(s, Binder):
+                    if s.type is not None:
+                        _scan_calls(s.type, name, depths, out)
+                else:
+                    _scan_calls(s, name, depths, out)
 
 
 # ---------------------------------------------------------------------------

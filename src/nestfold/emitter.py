@@ -266,10 +266,13 @@ def _free_vars(t: Term, bound: frozenset[str], out: set[str]) -> None:
                     _free_vars(seg, b, out)
 
 
-def _pattern_vars(patterns: tuple[Pattern, ...], ctors: set[str], where: str) -> list[str]:
-    out: list[str] = []
-
-    def walk(p: Pattern) -> None:
+def _pattern_vars(
+    patterns: tuple[Pattern, ...], ctors: set[str], where: str, out: list[str] | None = None
+) -> list[str]:
+    """The variables the patterns bind, left to right, appended to out."""
+    if out is None:
+        out = []
+    for p in patterns:
         match p:
             case PVar(name, _):
                 if name in ctors:  # Agda would read it as the constructor
@@ -281,11 +284,7 @@ def _pattern_vars(patterns: tuple[Pattern, ...], ctors: set[str], where: str) ->
             case PCon(head, args):
                 if head not in ctors:
                     raise EmitError(f"unknown constructor {head!r} in a pattern of {where!r}")
-                for a in args:
-                    walk(a)
-
-    for p in patterns:
-        walk(p)
+                _pattern_vars(args, ctors, where, out)
     return out
 
 

@@ -616,10 +616,17 @@ def render_value(v: object, atom: bool = False) -> str:
 
 
 def value_size(v: Value) -> int:
-    """Number of constructor nodes; base payloads weigh nothing."""
-    match v:
-        case VBase():
-            return 0
-        case VCon(_, args, _):
-            return 1 + sum(value_size(a) for a in args)
-    raise AssertionError
+    """Number of constructor nodes; base payloads weigh nothing.  One
+    explicit-stack loop, so a value as deep as a long list is measured
+    under the default recursion limit."""
+    n = 0
+    stack = [v]
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        w = pop()
+        if w.__class__ is VCon:
+            n += 1
+            extend(w.args)
+        elif w.__class__ is not VBase:
+            raise AssertionError
+    return n

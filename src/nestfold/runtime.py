@@ -73,6 +73,16 @@ up as GuardExceeded instead of a hang; default_guard, sized from the value
 nfold' runs as the PS bridge derives it: PS-to-P . liftNTimes hmap fold-PS,
 where fold-PS is the one direct hfold at the PS carrier and liftNTimes hmap
 is the one direct hmap.
+
+nfold' and the direct evaluators are not memoized: they are the independent
+references the derived routes are checked against, so they pay per node,
+and they keep that cost small without changing what they compute or in
+which order.  Each recursion reads a node's class, constructor and arity
+once and compares its depth with the guard inline; an RFun is a plain
+slotted object; the bush shape is worked out once per context
+(GroupContext.bush).  prepare_nfold_prime builds fold-PS's methods once,
+and they build each level's method-argument tuple once.  lift and PS-to-P
+are module-level functions, so a case leaves no reference cycle behind.
 """
 
 from __future__ import annotations
@@ -98,14 +108,22 @@ from .parser import NAT_MAX, Atom, Value, VBase, VCon, render_value, value_size
 # Results and naturals
 
 
-@dataclass(frozen=True, eq=False)
 class RFun:
-    fn: Callable
+    """A function result.  A plain slotted class: the PS carrier builds
+    several per node, without dataclass machinery."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
 
     def __eq__(self, other):
         raise EvalError("function results are only compared after application")
 
     __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RFun(fn={self.fn!r})"
 
     def __str__(self) -> str:
         return "<function>"
@@ -383,7 +401,7 @@ def default_guard(v: Value, idx_depth: int = 0) -> int:
 
 
 def _bush(ctx: GroupContext, what: str) -> tuple[str, str]:
-    shape = bush_shape(ctx)
+    shape = ctx.bush
     if shape is None:
         raise EvalError(f"{what} needs a bush-shaped declaration")
     return shape
@@ -423,35 +441,44 @@ def _hfold(leaf, node, t, nil, cons, depth, limit):
     """hfold l n (cons x xs) = n x (hfold l n (hmap (hfold l n) xs)).
 
     A payload slot of t holds a value or, once mapped, a carrier result;
-    wrap tells the two apart by type."""
-    _tick(depth, limit)
-    match t:
-        case VCon(c, ()) if c == nil:
+    wrap tells the two apart by type.  Each node is read once: its class,
+    its constructor and its arity, in that order."""
+    if depth > limit:
+        raise _runaway(limit)
+    if t.__class__ is VCon:
+        c, args = t.ctor, t.args
+        if not args and c == nil:
             return leaf()
-        case VCon(c, (x, xs)) if c == cons:
-            fold = lambda s: _hfold(leaf, node, s, nil, cons, depth + 1, limit)
-            mapped = _hybrid_map(fold, xs, nil, cons, depth + 1, limit)
-            return node(wrap(x), _hfold(leaf, node, mapped, nil, cons, depth + 1, limit))
+        if len(args) == 2 and c == cons:
+            x, xs = args
+            depth += 1
+            fold = lambda s: _hfold(leaf, node, s, nil, cons, depth, limit)
+            mapped = _hybrid_map(fold, xs, nil, cons, depth, limit)
+            return node(wrap(x), _hfold(leaf, node, mapped, nil, cons, depth, limit))
     raise EvalError(f"direct fold met a foreign node {t!r}")
 
 
 def _hybrid_map(f, t, nil, cons, depth, limit):
-    _tick(depth, limit)
-    match t:
-        case VCon(c, ()) if c == nil:
+    """hmap f (cons x xs) = cons (f x) (hmap (hmap f) xs), read as _hfold reads."""
+    if depth > limit:
+        raise _runaway(limit)
+    if t.__class__ is VCon:
+        c, args = t.ctor, t.args
+        if not args and c == nil:
             return t
-        case VCon(c, (x, xs)) if c == cons:
-            inner = lambda s: _hybrid_map(f, s, nil, cons, depth + 1, limit)
-            return VCon(cons, (f(x), _hybrid_map(inner, xs, nil, cons, depth + 1, limit)))
+        if len(args) == 2 and c == cons:
+            x, xs = args
+            depth += 1
+            inner = lambda s: _hybrid_map(f, s, nil, cons, depth, limit)
+            return VCon(cons, (f(x), _hybrid_map(inner, xs, nil, cons, depth, limit)))
     raise EvalError(f"direct map met a foreign node {t!r}")
 
 
-def _tick(depth: int, limit: int) -> None:
-    if depth > limit:
-        raise GuardExceeded(
-            f"direct-recursion depth exceeded {limit}; this is a bug in the "
-            "evaluator, not in the input"
-        )
+def _runaway(limit: int) -> GuardExceeded:
+    return GuardExceeded(
+        f"direct-recursion depth exceeded {limit}; this is a bug in the "
+        "evaluator, not in the input"
+    )
 
 
 def eval_hmap_direct(ctx: GroupContext, f: Callable[[Value], Value], v: Value) -> Value:
@@ -465,10 +492,12 @@ def eval_hmap_direct(ctx: GroupContext, f: Callable[[Value], Value], v: Value) -
 
 
 def prepare_nfold_prime(ctx: GroupContext, alg: Algebra) -> Fold:
-    """nfold' at alg (see eval_nfold_prime), its algebra checked once."""
+    """nfold' at alg (see eval_nfold_prime), its algebra checked and its
+    fold-PS methods built once."""
     check_algebra(ctx, alg)
     nil, cons = _bush(ctx, "the function-space route")
-    return lambda idx, v: _nfold_prime(ctx, alg, nil, cons, idx, v)
+    leaf, node = _ps_methods(ctx, alg, nil, cons)
+    return lambda idx, v: _nfold_prime(ctx, alg, leaf, node, nil, cons, idx, v)
 
 
 def eval_nfold_prime(
@@ -483,15 +512,25 @@ def eval_nfold_prime(
     return prepare_nfold_prime(ctx, alg)(idx, v)
 
 
-def _nfold_prime(ctx, alg, nil, cons, idx, v):
+def _nfold_prime(ctx, alg, leaf, node, nil, cons, idx, v):
     depth = index_depth(idx)
     if idx != ctx.level(depth):
         raise EvalError("index must be an iterated application over the base slot")
     limit = default_guard(v, depth)
+    return _ps_to_p(alg, depth, _lift(leaf, node, nil, cons, depth, v, limit))
+
+
+def _ps_methods(ctx: GroupContext, alg: Algebra, nil: str, cons: str):
+    """fold-PS's leaf and node methods at alg: results at the PS carrier."""
+    levels: dict[int, tuple[IndexExpr]] = {}
 
     def level(n: RuntimeResult) -> tuple[IndexExpr]:
-        """The index arguments of a method at level n."""
-        return (ctx.level(nat_of(n)),)
+        """The index arguments of a method at level n, built once per level."""
+        k = nat_of(n)
+        args = levels.get(k)
+        if args is None:
+            args = levels[k] = (ctx.level(k),)
+        return args
 
     def leaf() -> RuntimeResult:
         # λ i tr → leaf' i
@@ -512,20 +551,23 @@ def _nfold_prime(ctx, alg, nil, cons, idx, v):
 
         return RFun(at_level)
 
-    def lift(d: int, t):
-        if d == 0:
-            return t
-        mapped = _hybrid_map(lambda s: lift(d - 1, s), t, nil, cons, 1, limit)
-        return _hfold(leaf, node, mapped, nil, cons, 0, limit)
+    return leaf, node
 
-    def ps_to_p(m: int, x) -> RuntimeResult:
-        if m == 0:
-            return alg.bases[0](as_value(x))
-        return apply_result(
-            apply_result(x, m - 1), RFun(lambda r: ps_to_p(m - 1, r))
-        )
 
-    return ps_to_p(depth, lift(depth, v))
+def _lift(leaf, node, nil, cons, d, t, limit):
+    """liftNTimes hmap fold-PS at d levels: every entry of t lifted at
+    d - 1 levels, then t folded at the PS carrier."""
+    if d == 0:
+        return t
+    lift = lambda s: _lift(leaf, node, nil, cons, d - 1, s, limit)
+    return _hfold(leaf, node, _hybrid_map(lift, t, nil, cons, 1, limit), nil, cons, 0, limit)
+
+
+def _ps_to_p(alg, m, x) -> RuntimeResult:
+    """PS-to-P: peel m levels off a PS-carrier result x."""
+    if m == 0:
+        return alg.bases[0](as_value(x))
+    return apply_result(apply_result(x, m - 1), RFun(lambda r: _ps_to_p(alg, m - 1, r)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ load-bearing bodies (the fold's recursive calls, the bridge definitions)
 are written out in full so a drift in the builder shows up as a diff here.
 """
 
+import gc
 import re
 
 import pytest
@@ -35,11 +36,11 @@ from nestfold.derivation import (
     nat_index_eligible,
     recursion_witnesses,
 )
-from nestfold.diagnostics import DerivationError, PsBridgeError
+from nestfold.diagnostics import AnalysisError, DerivationError, PsBridgeError
 from nestfold.emitter import _validate, emit_agda, module_for_group
 from nestfold.parser import parse_program
 
-from test_parser import BOBDYLAN, BUSH, LIST
+from test_parser import BOBDYLAN, BUSH, LIST, SAMPLES
 
 
 # Declarations beyond the samples that every eligible mode must derive.
@@ -813,3 +814,28 @@ def test_interp_carriers_avoid_the_base_type_names():
         assert len(bound) == len(set(bound)), cl
     assert interp.clauses[0] == Clause((PVar("a'"), PVar("a"), PCon("varA")), Var("a"))
     assert "I a' a varA = a\n" in _module("data A (a : Set) : Set where\n  mk : a -> A a\n", False)
+
+
+def _derive_every_sample() -> None:
+    for path in sorted(SAMPLES.glob("*.ndt")):
+        try:
+            ctxs = analyze(parse_program(path.read_text()))
+        except AnalysisError:
+            continue
+        for ctx in ctxs:
+            for nat in {False, nat_index_eligible(ctx)}:
+                emit_agda(module_for_group(derive_group(ctx, nat_index=nat)))
+
+
+def test_deriving_every_sample_leaves_no_cyclic_garbage():
+    # A recursive local closure refers to itself, so each call of its
+    # enclosing function would leave a reference cycle, and every derived
+    # term it reached, for the cyclic collector.
+    _derive_every_sample()  # warm-up: first-use caches are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        _derive_every_sample()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

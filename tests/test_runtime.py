@@ -685,6 +685,44 @@ def test_guard_converts_runaway_recursion_into_an_error(bush, bush1, monkeypatch
         eval_hfold_direct(bush, halg, bush1)
     with pytest.raises(GuardExceeded):
         eval_hmap_direct(bush, add_one, bush1)
+    with pytest.raises(GuardExceeded):
+        eval_nfold_prime(bush, catalogue(bush)["sum"], bushc(1), bush1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        VCon("leaf", (VBase(1),)),
+        VCon("cons", (VBase(1), VCon("leaf"), VCon("leaf"))),
+        VBase(1),
+    ],
+    ids=["nil-with-arguments", "cons-with-three", "base-for-node"],
+)
+def test_the_direct_recursions_refuse_a_foreign_node(bush, bad):
+    halg = halg_catalogue(bush)["sum-naive"]
+    with pytest.raises(EvalError, match="direct fold met a foreign node"):
+        eval_hfold_direct(bush, halg, bad)
+    with pytest.raises(EvalError, match="direct map met a foreign node"):
+        eval_hmap_direct(bush, add_one, bad)
+    # below a cons, hfold maps the tail before it folds it, so the map meets
+    # the foreign node first
+    below = VCon("cons", (VBase(2), bad))
+    for evaluate in (
+        lambda: eval_hfold_direct(bush, halg, below),
+        lambda: eval_hmap_direct(bush, add_one, below),
+    ):
+        with pytest.raises(EvalError, match="direct map met a foreign node"):
+            evaluate()
+
+
+def test_value_size_and_the_guard_measure_a_deep_value():
+    # 100,000 list cells nest far deeper than the default recursion limit.
+    v = VCon("nil")
+    for _ in range(100_000):
+        v = VCon("cc", (VBase(1), v))
+    assert value_size(v) == 100_001
+    assert runtime.default_guard(v) == 10 * 100_001 + 100
+    assert runtime.default_guard(v, 3) == 10 * (100_001 + 3) + 100
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +767,54 @@ def test_nfold_prime_agrees_with_nfold_on_a_sample(bush):
                 assert eval_nfold_prime(bush, alg, idx, v) == eval_nfold(
                     bush, alg, idx, v
                 )
+
+
+def test_the_ps_carrier_refuses_a_non_natural_level(bush):
+    # Levels are looked up in a table keyed by naturals: a function result
+    # given as a level is refused as a non-natural, not hashed.
+    leaf, node = runtime._ps_methods(bush, catalogue(bush)["sum"], "leaf", "cons")
+    zero = RFun(lambda r: 0)
+    assert apply_result(apply_result(leaf(), 0), zero) == 0
+    for ps in (leaf(), node(1, leaf())):
+        with pytest.raises(EvalError, match="expected a natural"):
+            apply_result(apply_result(ps, RFun(lambda r: r)), zero)
+
+
+def _level_two_cases(ctx):
+    return list(_values(ctx, [ctx.level(2)], 6))
+
+
+def test_nfold_prime_leaves_no_cyclic_garbage(bush):
+    # A self-referencing local closure per case would leave a reference
+    # cycle behind every case, for the cyclic collector to find.
+    cases = _level_two_cases(bush)
+    algs = list(catalogue(bush).values())
+    assert cases
+    gc.collect()
+    gc.disable()
+    try:
+        for alg in algs:
+            for idx, v in cases:
+                eval_nfold_prime(bush, alg, idx, v)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_dropped_nfold_prime_fold_is_freed_by_reference_counting(bush):
+    cases = _level_two_cases(bush)
+    gc.collect()
+    gc.disable()
+    try:
+        fold = prepare_nfold_prime(bush, catalogue(bush)["trace"])
+        watch = weakref.ref(fold)
+        for idx, v in cases:
+            fold(idx, v)
+        del fold
+        assert watch() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
@@ -1022,6 +1108,11 @@ def test_functions_are_only_observed_by_application():
     assert apply_result(f, 4) == 5
     with pytest.raises(EvalError):
         as_value(f)
+    with pytest.raises(EvalError):
+        f == f
+    with pytest.raises(TypeError):
+        hash(f)
+    assert str(f) == "<function>"
 
 
 @given(st.integers(0, 3), st.integers(0, 100))
