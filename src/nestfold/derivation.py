@@ -11,6 +11,9 @@ derive_group decides once, in the one _Names it hands to every builder:
 
 Names are part of the derived contract: the same group always yields the
 same trees, and the erasure check below compares signatures syntactically.
+Every binder is drawn from a name supply (_Supply) that skips the module's
+top-level names and the names beside it, so no source name can capture or
+be captured by a derived binder; the emitter's scope checks stay as backstops.
 """
 
 from __future__ import annotations
@@ -125,14 +128,49 @@ def _arrow(tys: list[Term]) -> Term:
 # Naming and index-translation tables, per (group, mode)
 
 
-# short names the nat mode hands out elsewhere, so single-letter method
-# names must steer clear of them
-_NAT_TAKEN = frozenset("pabzfmnij") | {"x", "xs"}
+# the module's top-level names that are the same for every group
+_FIXED = frozenset(
+    "Set Nat zero succ NTimes I nfold nmap hmap ind hfold PS PS-to-P fold-PS liftNTimes nfold'".split()
+)
+
+
+class _Supply:
+    """The names taken in one scope.  fresh hands out a wanted name, primed
+    until it is free: the in-scope set of Peyton Jones & Marlow, JFP 2002."""
+
+    def __init__(self, taken: frozenset[str]):
+        self.taken = set(taken)
+
+    def fresh(self, want: str) -> str:
+        while want in self.taken:
+            want += "'"
+        self.taken.add(want)
+        return want
+
+
+def _ivar_wants(nat: bool, arity: int) -> tuple[str, ...]:
+    """The names the index variables of a declaration with arity parameters want."""
+    if nat:
+        return ("n",)
+    return ("i", "j")[:arity] if arity <= 2 else tuple(f"i{k + 1}" for k in range(arity))
+
+
+def _value_wants(nat: bool, m: int) -> tuple[str, ...]:
+    """The names the value variables of a constructor with m arguments want."""
+    if m == 1:
+        return ("x",)
+    return ("x", "xs") if nat and m == 2 else tuple(f"x{k + 1}" for k in range(m))
 
 
 class _Names:
     """Every name and index-rendering choice for one derivation run.  Built
-    once per group and mode; every builder reads the mode from here."""
+    once per group and mode; every builder reads the mode from here.
+
+    One supply hands out the names that several definitions share, skipping
+    the module's top-level names, in this order: base types, base functions,
+    the motive p, index and value variables, carriers, then methods.  A
+    builder takes its own binders from scope(<the other shared names it binds
+    or reads>), so no binder captures a name beside it."""
 
     def __init__(self, ctx: GroupContext, nat: bool):
         if nat and not nat_index_eligible(ctx):
@@ -143,41 +181,42 @@ class _Names:
             )
         self.ctx = ctx
         self.nat = nat
+        decls = ctx.group.decls
         self.index_name = "Nat" if nat else ctx.spec.name
         self.var_ctors = ("zero",) if nat else ctx.spec.var_ctors
-        self.base_types = tuple(vc[3:].lower() for vc in ctx.spec.var_ctors) if not nat else ("a",)
-        self.base_fns = ("z",) if nat else tuple("base" + vc[3:] for vc in ctx.spec.var_ctors)
-        # the type-operator variable standing for each declaration in I and
-        # hfold, primed off the base types and hfold's value variable x
-        taken = {*self.base_types, "x"}
-        self.carriers = {
-            dn: "b" if nat else dn.lower() + "'" * (dn.lower() in taken) for dn in ctx.group.decls
-        }
-        self.hfold = {dn: "hfold" if nat else "hfold-" + dn.lower() for dn in ctx.group.decls}
+        self.hfold = {dn: "hfold" if nat else "hfold-" + dn.lower() for dn in decls}
+        self.reserved = _FIXED.union(
+            decls, ctx.ctor_names, (ctx.spec.name,), ctx.spec.var_ctors, ctx.app_ctor.values(),
+            self.hfold.values(),
+        )
+        s = _Supply(self.reserved)
+        letters = [vc[3:] for vc in ctx.spec.var_ctors]
+        self.base_types = tuple(s.fresh(v.lower()) for v in letters)
+        self.base_fns = tuple(s.fresh("z" if nat else "base" + v) for v in letters)
+        self.p = s.fresh("p")
+        # the index and value variables, by the name each wants: i, j, x, ...
+        arities = sorted({1, *(len(ctx.decls[dn].params) for dn in decls)})
+        counts = sorted({1, 2 * nat, *(len(c.args) for _, c in ctx.ctors())})  # nat ind binds xs
+        wants = [w for k in arities for w in _ivar_wants(nat, k)]
+        wants += [w for m in counts for w in _value_wants(nat, m)]
+        self.vars = {w: s.fresh(w) for w in dict.fromkeys(wants)}
+        self.x = self.vars["x"]  # the value variable of nfold's base clauses and hfold
+        self.ivar = self.vars["n" if nat else "i"]  # the index variable of a one-parameter slot
+        # the type-operator variable standing for each declaration in I and hfold
+        self.carriers = {dn: s.fresh("b" if nat else dn.lower()) for dn in decls}
         self.method: dict[str, str] = {}
-        used = set(_NAT_TAKEN | ctx.ctor_names)
         for _, c in ctx.ctors():
-            if nat:
-                cand = c.name[0]
-                if cand in used:
-                    cand = c.name + "'"
-            else:
-                cand = c.name + "'"
-            used.add(cand)
-            self.method[c.name] = cand
+            # a nat method wants its constructor's first letter, else its name
+            want = c.name[0] if nat and c.name[0] not in s.taken else c.name
+            self.method[c.name] = s.fresh(want)
+
+    def scope(self, *names: str) -> _Supply:
+        """A supply for one builder's own binders, beside the index and value
+        variables and the other shared names it binds or reads."""
+        return _Supply(self.reserved.union(self.vars.values(), names))
 
     def ivars(self, arity: int) -> tuple[str, ...]:
-        if self.nat:
-            return ("n",)
-        if arity == 1:
-            return ("i",)
-        if arity == 2:
-            return ("i", "j")
-        return tuple(f"i{k + 1}" for k in range(arity))
-
-    @property
-    def ivar(self) -> str:
-        return self.ivars(1)[0]
+        return tuple(map(self.vars.__getitem__, _ivar_wants(self.nat, arity)))
 
     def index_env(self, d: TypeDecl) -> tuple[tuple[str, ...], dict[int, Term]]:
         """d's index variables, and the environment reading its k-th slot as the k-th."""
@@ -185,11 +224,7 @@ class _Names:
         return ivs, {k: Var(v) for k, v in enumerate(ivs)}
 
     def value_vars(self, m: int) -> tuple[str, ...]:
-        if m == 1:
-            return ("x",)
-        if self.nat and m == 2:
-            return ("x", "xs")
-        return tuple(f"x{k + 1}" for k in range(m))
+        return tuple(map(self.vars.__getitem__, _value_wants(self.nat, m)))
 
     def index_head(self, app_ctor: str) -> str:
         return "succ" if self.nat else app_ctor
@@ -272,19 +307,13 @@ def derive_data_decls(ctx: GroupContext) -> list[DerivedDef]:
 def derive_interp(nm: _Names) -> DerivedDef:
     ctx = nm.ctx
     if nm.nat:
-        sig = Pi(
-            (
-                Binder(("n",), Var("Nat")),
-                Binder(("b",), Pi((SET, SET))),
-                SET,
-                SET,
-            )
-        )
+        n, (b,), (a,) = nm.ivar, nm.carriers.values(), nm.base_types
+        sig = Pi((Binder((n,), Var("Nat")), Binder((b,), Pi((SET, SET))), SET, SET))
         clauses = (
-            Clause((PCon("zero"), PVar("b"), PVar("a")), Var("a")),
+            Clause((PCon("zero"), PVar(b), PVar(a)), Var(a)),
             Clause(
-                (PCon("succ", (PVar("n"),)), PVar("b"), PVar("a")),
-                _v("b", _v("NTimes", Var("n"), Var("b"), Var("a"))),
+                (PCon("succ", (PVar(n),)), PVar(b), PVar(a)),
+                _v(b, _v("NTimes", Var(n), Var(b), Var(a))),
             ),
         )
         role = "applies a type operator n times to a base type"
@@ -304,7 +333,8 @@ def derive_interp(nm: _Names) -> DerivedDef:
         clauses.append(Clause(lead + (PCon(vc),), bvars[k]))
     for dn in ctx.group.decls:
         arity = len(ctx.decls[dn].params)
-        evs = ("expr",) if arity == 1 else tuple(f"expr{k + 1}" for k in range(arity))
+        wants = ("expr",) if arity == 1 else [f"expr{k + 1}" for k in range(arity)]
+        evs = tuple(map(nm.scope(*carriers, *nm.base_types).fresh, wants))
         pat = PCon(ctx.app_ctor[dn], tuple(PVar(e) for e in evs))
         body = _v(carriers[ctx.group.decls.index(dn)], *(_v("I", *cvars, *bvars, Var(e)) for e in evs))
         clauses.append(Clause(lead + (pat,), body))
@@ -319,21 +349,21 @@ def _method_type(nm: _Names, d: TypeDecl, c: Constructor) -> Term:
     ivs, env = nm.index_env(d)
     segs: list[Binder | Term] = [Binder(ivs, Var(nm.index_name))]
     for tmpl in nm.ctx.arg_templates[c.name]:
-        segs.append(_v("p", nm.index_term(tmpl, env)))
-    segs.append(_v("p", nm.result_index(d, env)))
+        segs.append(_v(nm.p, nm.index_term(tmpl, env)))
+    segs.append(_v(nm.p, nm.result_index(d, env)))
     return Pi(tuple(segs))
 
 
 def _nfold_signature(nm: _Names) -> Pi:
-    segs: list[Binder | Term] = [Binder(("p",), Pi((Var(nm.index_name), SET)))]
+    segs: list[Binder | Term] = [Binder((nm.p,), Pi((Var(nm.index_name), SET)))]
     for d, c in nm.ctx.ctors():
         segs.append(Binder((nm.method[c.name],), _method_type(nm, d, c)))
     segs.append(Binder(nm.base_types, SET))
     for k, bf in enumerate(nm.base_fns):
-        segs.append(Binder((bf,), Pi((Var(nm.base_types[k]), _v("p", Var(nm.var_ctors[k]))))))
+        segs.append(Binder((bf,), Pi((Var(nm.base_types[k]), _v(nm.p, Var(nm.var_ctors[k]))))))
     segs.append(Binder((nm.ivar,), Var(nm.index_name)))
     segs.append(nm.own_interp(Var(nm.ivar)))
-    segs.append(_v("p", Var(nm.ivar)))
+    segs.append(_v(nm.p, Var(nm.ivar)))
     return Pi(tuple(segs))
 
 
@@ -372,13 +402,8 @@ def _fold_clauses(
 
 def derive_nfold(nm: _Names) -> DerivedDef:
     sig = _nfold_signature(nm)
-    lead_names = (
-        ["p"]
-        + [nm.method[c.name] for _, c in nm.ctx.ctors()]
-        + list(nm.base_types)
-        + list(nm.base_fns)
-    )
-    clauses = _fold_clauses(nm, "nfold", lead_names, nm.base_fns, "x", False)
+    lead_names = [nm.p, *nm.method.values(), *nm.base_types, *nm.base_fns]
+    clauses = _fold_clauses(nm, "nfold", lead_names, nm.base_fns, nm.x, False)
     role = "dependently typed fold over every indexed instance"
     return DerivedDef("nfold", role, sig, clauses)
 
@@ -388,17 +413,15 @@ def derive_nfold(nm: _Names) -> DerivedDef:
 
 
 def derive_ind(nm: _Names) -> DerivedDef:
-    idx = Var(nm.index_name)
-    base_fns = ("base",) if nm.nat else nm.base_fns
-    val = "xs" if nm.nat else "x"
+    idx, p, x = Var(nm.index_name), nm.p, nm.x
+    # nat mode's one base function is named apart from nfold's z
+    base_fns = (
+        (nm.scope(*nm.base_types, p, *nm.method.values()).fresh("base"),) if nm.nat else nm.base_fns
+    )
+    val = nm.value_vars(2)[1] if nm.nat else x
 
     def base_type(k: int) -> Term:
-        return Pi(
-            (
-                Binder(("x",), Var(nm.base_types[k])),
-                _v("p", Var(nm.var_ctors[k]), Var("x")),
-            )
-        )
+        return Pi((Binder((x,), Var(nm.base_types[k])), _v(p, Var(nm.var_ctors[k]), Var(x))))
 
     def method_type(d: TypeDecl, c: Constructor) -> Term:
         ivs, env = nm.index_env(d)
@@ -408,23 +431,23 @@ def derive_ind(nm: _Names) -> DerivedDef:
         for ix, v in zip(arg_ixs, vvs):
             segs.append(Binder((v,), nm.own_interp(ix)))
         for ix, v in zip(arg_ixs, vvs):
-            segs.append(_v("p", ix, Var(v)))
-        segs.append(_v("p", nm.result_index(d, env), _v(c.name, *(Var(v) for v in vvs))))
+            segs.append(_v(p, ix, Var(v)))
+        segs.append(_v(p, nm.result_index(d, env), _v(c.name, *(Var(v) for v in vvs))))
         return Pi(tuple(segs))
 
     # the methods and base functions, in argument order: bases first in nat mode
-    methods = [(nm.method[c.name], method_type(d, c)) for d, c in nm.ctx.ctors()]
+    typed = [(nm.method[c.name], method_type(d, c)) for d, c in nm.ctx.ctors()]
     bases = [(bf, base_type(k)) for k, bf in enumerate(base_fns)]
-    leads = bases + methods if nm.nat else methods + bases
+    leads = bases + typed if nm.nat else typed + bases
     p_type = Pi((Binder((nm.ivar,), idx), nm.own_interp(Var(nm.ivar)), SET))
     sig = Pi(
         (
             Binder(nm.base_types, SET, implicit=True),
-            Binder(("p",), p_type, implicit=True),
+            Binder((p,), p_type, implicit=True),
             *[Binder((name,), t) for name, t in leads],
             Binder((nm.ivar,), idx),
             Binder((val,), nm.own_interp(Var(nm.ivar))),
-            _v("p", Var(nm.ivar), Var(val)),
+            _v(p, Var(nm.ivar), Var(val)),
         )
     )
     clauses = _fold_clauses(nm, "ind", [name for name, _ in leads], base_fns, val, True)
@@ -437,14 +460,12 @@ def derive_ind(nm: _Names) -> DerivedDef:
 
 
 def derive_map(nm: _Names) -> DerivedDef:
-    src = nm.base_types
+    src, iv, fresh = nm.base_types, nm.ivar, nm.scope(*nm.base_types).fresh
     if len(src) == 1:
-        tgt = ("b",)
-        fns = ("f",)
+        tgt, fns = (fresh("b"),), (fresh("f"),)
     else:
-        tgt = tuple(s + "'" for s in src)
-        fns = tuple("fgh"[k] if k < 3 else f"f{k + 1}" for k in range(len(src)))
-    iv = nm.ivar
+        tgt = tuple(fresh(s + "'") for s in src)
+        fns = tuple(fresh("fgh"[k] if k < 3 else f"f{k + 1}") for k in range(len(src)))
     sig = Pi(
         (
             Binder(src + tgt, SET, implicit=True),
@@ -454,7 +475,7 @@ def derive_map(nm: _Names) -> DerivedDef:
             nm.own_interp(Var(iv), tgt),
         )
     )
-    val = "l" if nm.nat else "x"
+    val = fresh("l") if nm.nat else nm.x
     pats = (
         tuple(PVar(s, implicit=True) for s in src + tgt)
         + (PVar(iv),)
@@ -479,15 +500,11 @@ def derive_map(nm: _Names) -> DerivedDef:
 def _derive_hmap(nm: _Names) -> DerivedDef:
     dn = nm.ctx.group.decls[0]
     one = nm.index_term(nm.ctx.own_index(dn), {0: Var(nm.var_ctors[0])})
+    (a, b, f), x = map(nm.scope().fresh, "abf"), nm.x
     sig = Pi(
-        (
-            Binder(("a", "b"), SET, implicit=True),
-            Pi((Var("a"), Var("b"))),
-            _v(dn, Var("a")),
-            _v(dn, Var("b")),
-        )
+        (Binder((a, b), SET, implicit=True), Pi((Var(a), Var(b))), _v(dn, Var(a)), _v(dn, Var(b)))
     )
-    clause = Clause((PVar("f"), PVar("x")), _v("nmap", one, Var("f"), Var("x")))
+    clause = Clause((PVar(f), PVar(x)), _v("nmap", one, Var(f), Var(x)))
     return DerivedDef("hmap", "one-layer map, nmap at depth one", sig, (clause,))
 
 
@@ -496,7 +513,7 @@ def _derive_hmap(nm: _Names) -> DerivedDef:
 
 
 def derive_hfold(nm: _Names) -> list[DerivedDef]:
-    ctx, carrier = nm.ctx, nm.carriers
+    ctx, carrier, x = nm.ctx, nm.carriers, nm.x
     # a declaration's k-th type parameter is named like nfold's k-th base type
     params = {dn: dict(zip(ctx.decls[dn].params, nm.base_types)) for dn in ctx.group.decls}
 
@@ -543,15 +560,15 @@ def derive_hfold(nm: _Names) -> list[DerivedDef]:
             plam,
             *mlams,
             *insts,
-            *[Lam(("x",), Var("x")) for _ in nm.base_types],
+            *[Lam((x,), Var(x)) for _ in nm.base_types],
             nm.result_index(own, env),
-            Var("x"),
+            Var(x),
         )
         pats = (
             tuple(PVar(carrier[d2]) for d2 in ctx.group.decls)
             + tuple(PVar(nm.method[c2.name]) for _, c2 in ctx.ctors())
             + tuple(PVar(p) for p in ps)
-            + (PVar("x"),)
+            + (PVar(x),)
         )
         if nm.nat:
             role = "higher-order fold, defined from nfold"
@@ -574,89 +591,81 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
     dn = ctx.group.decls[0]
     own = ctx.decls[dn]
     idx = Var(nm.index_name)
-    iv = nm.ivar
+    p, a, bf, iv, x = nm.p, nm.base_types[0], nm.base_fns[0], nm.ivar, nm.x
+    vi, ps_p = Var(iv), _v("PS", Var(p))
     leaf_m, cons_m = nm.method[leaf_ctor], nm.method[cons_ctor]
-    bf = nm.base_fns[0]
     zero_t = Var(nm.var_ctors[0])
+    fresh = nm.scope(p, a, bf, *nm.method.values()).fresh
+    A, hyp, ih, tr, k, b, lift = map(fresh, "A hyp ih tr f b lift".split())
 
     def succ_t(e: Term) -> Term:
         return _v(nm.index_head(ctx.app_ctor[dn]), e)
 
     def interp(carrier: Term, ix: Term) -> Term:
-        return nm.interp([carrier], [Var("a")], ix)
+        return nm.interp([carrier], [Var(a)], ix)
 
-    ps_sig = Pi((Binder(("p",), Pi((idx, SET))), SET, SET))
-    ps_body = Pi(
-        (
-            Binder((iv,), idx),
-            Pi((Var("A"), _v("p", Var(iv)))),
-            _v("p", succ_t(Var(iv))),
-        )
-    )
+    p_binder = Binder((p,), Pi((idx, SET)))
+    ps_body = Pi((Binder((iv,), idx), Pi((Var(A), _v(p, vi))), _v(p, succ_t(vi))))
     ps = DerivedDef(
         "PS",
         "carrier transformer used to rebuild nfold from hfold",
-        ps_sig,
-        (Clause((PVar("p"), PVar("A")), ps_body),),
+        Pi((p_binder, SET, SET)),
+        (Clause((PVar(p), PVar(A)), ps_body),),
     )
 
     pstop_sig = Pi(
         (
-            Binder(("p",), Pi((idx, SET))),
-            Binder(("a",), SET),
-            Binder((bf,), Pi((Var("a"), _v("p", zero_t)))),
+            p_binder,
+            Binder((a,), SET),
+            Binder((bf,), Pi((Var(a), _v(p, zero_t)))),
             Binder((iv,), idx),
-            interp(_v("PS", Var("p")), Var(iv)),
-            _v("p", Var(iv)),
+            interp(ps_p, vi),
+            _v(p, vi),
         )
     )
-    ih = DerivedDef(
-        "ih",
+    ih_def = DerivedDef(
+        ih,
         "local helper",
-        Pi((interp(_v("PS", Var("p")), Var(iv)), _v("p", Var(iv)))),
-        (Clause((), _v("PS-to-P", Var("p"), Var("a"), Var(bf), Var(iv))),),
+        Pi((interp(ps_p, vi), _v(p, vi))),
+        (Clause((), _v("PS-to-P", Var(p), Var(a), Var(bf), vi)),),
     )
+    lead = (PVar(p), PVar(a), PVar(bf))
     pstop = DerivedDef(
         "PS-to-P",
         "collapses an iterated PS carrier into the result family",
         pstop_sig,
         (
+            Clause(lead + (nm.var_pattern(0), PVar(x)), _v(bf, Var(x))),
             Clause(
-                (PVar("p"), PVar("a"), PVar(bf), nm.var_pattern(0), PVar("x")),
-                _v(bf, Var("x")),
-            ),
-            Clause(
-                (PVar("p"), PVar("a"), PVar(bf), nm.index_pattern(dn, (iv,)), PVar("hyp")),
-                _v("hyp", Var(iv), Var("ih")),
-                wheres=(ih,),
+                lead + (nm.index_pattern(dn, (iv,)), PVar(hyp)),
+                _v(hyp, vi, Var(ih)),
+                wheres=(ih_def,),
             ),
         ),
     )
 
-    leaf_decl = own.ctor(leaf_ctor)
-    cons_decl = own.ctor(cons_ctor)
     x1, x2 = nm.value_vars(2)
     foldps_sig = Pi(
         (
-            Binder(("p",), Pi((idx, SET))),
-            Binder((leaf_m,), _method_type(nm, own, leaf_decl)),
-            Binder((cons_m,), _method_type(nm, own, cons_decl)),
-            Binder(("a",), SET),
-            _v(dn, Var("a")),
-            _v("PS", Var("p"), Var("a")),
+            p_binder,
+            Binder((leaf_m,), _method_type(nm, own, own.ctor(leaf_ctor))),
+            Binder((cons_m,), _method_type(nm, own, own.ctor(cons_ctor))),
+            Binder((a,), SET),
+            _v(dn, Var(a)),
+            _v("PS", Var(p), Var(a)),
         )
     )
     foldps_body = _v(
         nm.hfold[dn],
-        _v("PS", Var("p")),
-        Lam(("a", iv, "tr"), _v(leaf_m, Var(iv))),
+        ps_p,
+        Lam((a, iv, tr), _v(leaf_m, vi)),
         Lam(
-            ("a", x1, x2, iv, "tr"),
+            (a, x1, x2, iv, tr),
             _v(
                 cons_m,
-                Var(iv),
-                _v("tr", Var(x1)),
-                _v(x2, succ_t(Var(iv)), Lam(("f",), _v("f", Var(iv), Var("tr")))),
+                vi,
+                _v(tr, Var(x1)),
+                _v(x2, succ_t(vi), Lam((k,), _v(k, vi, Var(tr)))),
             ),
         ),
     )
@@ -664,76 +673,64 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
         "fold-PS",
         "hfold instantiated at the PS carrier",
         foldps_sig,
-        (Clause((PVar("p"), PVar(leaf_m), PVar(cons_m)), foldps_body),),
+        (Clause((PVar(p), PVar(leaf_m), PVar(cons_m)), foldps_body),),
     )
 
-    m_type = Pi(
-        (
-            Binder(("x", "y"), None),
-            Pi((Var("x"), Var("y"))),
-            Pi((_v("b", Var("x")), _v("b", Var("y")))),
-        )
-    )
-    f_type = Pi((Binder(("a",), None), _v("b", Var("a")), _v("c", Var("a"))))
+    # liftNTimes reads neither p nor the methods, so its binders have a scope of their own
+    lb, lc, m, f, y = map(nm.scope(a).fresh, "bcmfy")
+    m_type = Pi((Binder((x, y), None), Pi((Var(x), Var(y))), Pi((_v(lb, Var(x)), _v(lb, Var(y))))))
+    f_type = Pi((Binder((a,), None), _v(lb, Var(a)), _v(lc, Var(a))))
+    in_b, in_c = interp(Var(lb), vi), interp(Var(lc), vi)
     lift_sig = Pi(
         (
-            Binder(("b", "c"), Pi((SET, SET))),
+            Binder((lb, lc), Pi((SET, SET))),
             m_type,
             Binder((iv,), idx),
             f_type,
-            Binder(("a",), SET),
-            interp(Var("b"), Var(iv)),
-            interp(Var("c"), Var(iv)),
+            Binder((a,), SET),
+            in_b,
+            in_c,
         )
     )
-    lift_lead = (PVar("b"), PVar("c"), PVar("m"))
+    lift_lead = (PVar(lb), PVar(lc), PVar(m))
     lift_step_body = _v(
-        "f",
-        interp(Var("c"), Var(iv)),
+        f,
+        in_c,
         _v(
-            "m",
-            interp(Var("b"), Var(iv)),
-            interp(Var("c"), Var(iv)),
-            _v("liftNTimes", Var("b"), Var("c"), Var("m"), Var(iv), Var("f"), Var("a")),
-            Var("x"),
+            m,
+            in_b,
+            in_c,
+            _v("liftNTimes", Var(lb), Var(lc), Var(m), vi, Var(f), Var(a)),
+            Var(x),
         ),
     )
-    lift = DerivedDef(
+    lift_tail = (PVar(f), PVar(a), PVar(x))
+    lift_ntimes = DerivedDef(
         "liftNTimes",
         "lifts a pointwise function through an iterated operator",
         lift_sig,
         (
-            Clause(lift_lead + (nm.var_pattern(0), PVar("f"), PVar("a"), PVar("x")), Var("x")),
-            Clause(
-                lift_lead + (nm.index_pattern(dn, (iv,)), PVar("f"), PVar("a"), PVar("x")),
-                lift_step_body,
-            ),
+            Clause(lift_lead + (nm.var_pattern(0),) + lift_tail, Var(x)),
+            Clause(lift_lead + (nm.index_pattern(dn, (iv,)),) + lift_tail, lift_step_body),
         ),
     )
 
-    nfold_sig = _nfold_signature(nm)
     lift_where = DerivedDef(
-        "lift",
+        lift,
         "local helper",
-        Pi(
-            (
-                Binder((iv,), idx),
-                interp(Var(dn), Var(iv)),
-                interp(_v("PS", Var("p")), Var(iv)),
-            )
-        ),
+        Pi((Binder((iv,), idx), interp(Var(dn), vi), interp(ps_p, vi))),
         (
             Clause(
-                (PVar(iv), PVar("x")),
+                (PVar(iv), PVar(x)),
                 _v(
                     "liftNTimes",
                     Var(dn),
-                    _v("PS", Var("p")),
-                    Lam(("a", "b"), Var("hmap")),
-                    Var(iv),
-                    _v("fold-PS", Var("p"), Var(leaf_m), Var(cons_m)),
-                    Var("a"),
-                    Var("x"),
+                    ps_p,
+                    Lam((a, b), Var("hmap")),
+                    vi,
+                    _v("fold-PS", Var(p), Var(leaf_m), Var(cons_m)),
+                    Var(a),
+                    Var(x),
                 ),
             ),
         ),
@@ -741,16 +738,16 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
     nfoldp = DerivedDef(
         "nfold'",
         "nfold rebuilt from hfold; agrees with nfold everywhere",
-        nfold_sig,
+        _nfold_signature(nm),
         (
             Clause(
-                (PVar("p"), PVar(leaf_m), PVar(cons_m), PVar("a"), PVar(bf), PVar(iv), PVar("x")),
-                _v("PS-to-P", Var("p"), Var("a"), Var(bf), Var(iv), _v("lift", Var(iv), Var("x"))),
+                (PVar(p), PVar(leaf_m), PVar(cons_m), PVar(a), PVar(bf), PVar(iv), PVar(x)),
+                _v("PS-to-P", Var(p), Var(a), Var(bf), vi, _v(lift, vi, Var(x))),
                 wheres=(lift_where,),
             ),
         ),
     )
-    return [ps, pstop, foldps, lift, nfoldp]
+    return [ps, pstop, foldps, lift_ntimes, nfoldp]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ byte-identical across runs.  Layout is rule-driven, never heuristic:
 * a signature stays on one line when it fits; otherwise each named binder
   starts its own line (continuations align under the first segment) and
   anonymous segments glue onto the current line,
-* an oversized segment wraps at its own top-level arrows, two columns in,
+* an oversized segment wraps at its own top-level arrows or application
+  spine, two columns in, and a contents-header role wraps under its column,
 * a clause whose body overflows puts the body on following lines, packing
   application atoms greedily and recursing into atoms that still overflow.
 
@@ -105,28 +106,19 @@ def _piece(t: Term, atom: bool, tail: str = "") -> _Piece:
     return _Piece(o, _term_pieces(t), c)
 
 
-def _sig_pieces(t: Term) -> tuple[_Piece, ...]:
-    """A type's pieces: a function type breaks only at its own arrows."""
-    if isinstance(t, Pi):
-        return _segment_pieces(t.segments)
-    return (_Piece(render_term(t)),)
-
-
 def _segment_pieces(segments: tuple[Binder | Term, ...]) -> tuple[_Piece, ...]:
     out: list[_Piece] = []
     last = len(segments) - 1
     for k, seg in enumerate(segments):
         arrow = " ->" if k < last else ""
-        if isinstance(seg, Pi):
-            out.append(_piece(seg, True, arrow))
-        elif not isinstance(seg, Binder):
-            out.append(_Piece(render_term(seg, atom=isinstance(seg, Lam)) + arrow))
+        if not isinstance(seg, Binder):
+            out.append(_piece(seg, isinstance(seg, (Pi, Lam)), arrow))
         elif seg.type is None:
             out.append(_Piece("forall " + " ".join(seg.names) + arrow, named=True))
         else:
             o, c = ("{", "}") if seg.implicit else ("(", ")")
             head = o + " ".join(seg.names) + " : "
-            out.append(_Piece(head, _sig_pieces(seg.type), c + arrow, named=True))
+            out.append(_Piece(head, _term_pieces(seg.type), c + arrow, named=True))
     return tuple(out)
 
 
@@ -182,7 +174,7 @@ def _layout(pieces: list[_Piece], first: str, cont: int, break_named: bool = Fal
 
 def _sig_lines(name: str, sig: Term, base: int) -> list[str]:
     head = " " * base + name + " : "
-    pieces = _sig_pieces(sig)
+    pieces = _term_pieces(sig)
     one = head + " ".join([p.text for p in pieces])
     if len(one) <= WIDTH:
         return [one]
@@ -366,7 +358,11 @@ def _header(module: EmitModule) -> list[str]:
     ]
     width = max(len(d.name) for d in module.defs)
     for d in module.defs:
-        lines.append("--   " + d.name.ljust(width) + "  " + d.role)
+        lead = "--   " + d.name.ljust(width) + "  "  # a long role wraps under its column
+        role = textwrap.wrap(
+            d.role, max(WIDTH - len(lead), 20), break_long_words=False, break_on_hyphens=False
+        )
+        lines += [lead + role[0], *("--" + " " * (len(lead) - 2) + r for r in role[1:])]
     if module.notes:
         lines.append("--")
         lines.extend(f"-- {note}" for note in module.notes)

@@ -20,6 +20,8 @@ from nestfold.cli import main
 from nestfold.parser import Atom, VBase, parse_program, parse_type_context, render_value
 from nestfold.runtime import enumerate_values
 
+from test_derivation import _permuting
+
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
 GOLDEN = ROOT / "golden"
@@ -296,71 +298,67 @@ def test_derive_refuses_a_module_that_binds_a_name_twice(capsys, tmp_path, decls
     assert _assert_refused(capsys, tmp_path / "out", src, *flags) == message.format(src=src)
 
 
-def _permuting(n: int) -> str:
-    """A declaration with n parameters whose constructor reverses them."""
-    ps = " ".join("abcdefghi"[:n])
-    rev = " ".join(reversed(ps.split()))
-    return f"data M ({ps} : Set) : Set where\n  m0 : M {ps}\n  m1 : a -> M {rev} -> M {ps}\n"
-
-
 @pytest.mark.parametrize(
-    "n, message",
+    "n, line",
     [
-        (6, "error: definition 'nmap' binds 'f' twice in one clause"),
-        (9, "error: definition 'nfold' binds 'i' twice in its signature"),
+        (6, "nmap {a} {b} {c} {d} {e} {f} {a'} {b'} {c'} {d'} {e'} {f'} i f'' g h f4 f5 f6"),
+        (9, "        (i' : MIndex) -> I M a b c d e f g h i i' -> p i'"),
     ],
     ids=["six-parameters", "nine-parameters"],
 )
-def test_derive_refuses_a_definition_that_binds_a_name_twice(capsys, tmp_path, n, message):
+def test_derive_writes_a_group_with_six_or_more_parameters(capsys, tmp_path, n, line):
+    """The base types a, b, ... are taken first, so nmap's f and nfold's i are primed."""
     src = tmp_path / "many.ndt"
     src.write_text(_permuting(n))
-    assert _assert_refused(capsys, tmp_path / "out", src) == message
+    code, _, err = run(capsys, "derive", src, "-o", tmp_path)
+    assert (code, err) == (0, "")
+    assert line in (tmp_path / "M.agda").read_text().splitlines()
 
 
 # Agda reads a pattern variable named like a constructor in scope as that
-# constructor, so each of these modules would mean something else.
+# constructor, so every derived binder skips the constructor names.
 @pytest.mark.parametrize(
-    "decls, flags, message",
+    "decls, flags, line",
     [
         (
             "data T (a : Set) : Set where\n  b : T a\n  c : a -> T a -> T a\n",
             [],
-            "error: definition 'nmap' binds constructor name 'b' as a pattern variable",
+            "nmap {a} {b'} i f x = nfold (\\ i -> I T b' i) (\\ i -> b) (\\ i -> c) a f i x",
         ),
         (
             "data T (a : Set) : Set where\n  b : T a\n  c : a -> T a -> T a\n",
             ["--nat-index"],
-            "error: definition 'NTimes' binds constructor name 'b' as a pattern variable",
+            "NTimes zero b' a = a",
         ),
         (
             "data T (a : Set) : Set where\n  x : T a\n  y : a -> T (T a) -> T a\n",
             [],
-            "error: definition 'nfold' binds constructor name 'x' as a pattern variable",
+            "nfold p x'' y' a baseA varA x' = baseA x'",
         ),
         (
             "data T (a : Set) : Set where\n  x : T a\n  y : a -> T (T a) -> T a\n",
             ["--nat-index"],
-            "error: definition 'nfold' binds constructor name 'x' as a pattern variable",
+            "nfold p x'' y' a z zero x' = z x'",
         ),
         (
             "data T (a : Set) : Set where\n  p : T a\n  q : a -> T (T a) -> T a\n",
             [],
-            "error: definition 'nfold' binds constructor name 'p' as a pattern variable",
+            "nfold : (p' : TIndex -> Set) ->",
         ),
         (
             "data T (a : Set) : Set where\n  p : T a\n  q : a -> T (T a) -> T a\n",
             ["--nat-index"],
-            "error: definition 'nfold' binds constructor name 'p' as a pattern variable",
+            "nfold : (p' : Nat -> Set) ->",
         ),
     ],
     ids=["b-general", "b-nat", "x-general", "x-nat", "p-general", "p-nat"],
 )
-def test_derive_refuses_a_pattern_variable_named_like_a_constructor(
-    capsys, tmp_path, decls, flags, message
-):
+def test_derive_primes_a_binder_named_like_a_constructor(capsys, tmp_path, decls, flags, line):
     src = tmp_path / "shadow.ndt"
     src.write_text(decls)
-    assert _assert_refused(capsys, tmp_path / "out", src, *flags) == message
+    code, _, err = run(capsys, "derive", src, *flags, "-o", tmp_path)
+    assert (code, err) == (0, "")
+    assert line in (tmp_path / "T.agda").read_text().splitlines()
 
 
 _X = "data X (a : Set) : Set where\n  xn : X a\n  xk : a -> Y a -> X a\n\n"

@@ -37,13 +37,28 @@ from nestfold.derivation import (
     recursion_witnesses,
 )
 from nestfold.diagnostics import AnalysisError, DerivationError, PsBridgeError
-from nestfold.emitter import _validate, emit_agda, module_for_group
+from nestfold.emitter import emit_agda, module_for_group
 from nestfold.parser import parse_program
 
 from test_parser import BOBDYLAN, BUSH, LIST, SAMPLES
 
 
-# Declarations beyond the samples that every eligible mode must derive.
+def _permuting(n: int) -> str:
+    """A declaration with n parameters whose constructor reverses them."""
+    ps = " ".join("abcdefghi"[:n])
+    rev = " ".join(reversed(ps.split()))
+    return f"data M ({ps} : Set) : Set where\n  m0 : M {ps}\n  m1 : a -> M {rev} -> M {ps}\n"
+
+
+def _bush_like(leaf: str, cons: str, name: str = "T") -> str:
+    return (
+        f"data {name} (a : Set) : Set where\n  {leaf} : {name} a\n"
+        f"  {cons} : a -> {name} ({name} a) -> {name} a\n"
+    )
+
+
+# Declarations beyond the samples that every eligible mode must derive.  The
+# later ones are named like the binders a derivation would otherwise use.
 PROBES = {
     "two-params": (
         "data T (a b : Set) : Set where\n  tn : T a b\n"
@@ -66,6 +81,15 @@ PROBES = {
         "data X (a : Set) : Set where\n  xn : X a\n  xk : a -> Y a -> X a\n\n"
         "data Y (a : Set) : Set where\n  ym : Y a\n  yj : W a -> Y a\n\n"
         "data W (a : Set) : Set where\n  wm : W a\n  wj : X (W a) -> W a\n"
+    ),
+    "t-s": "data T (a : Set) : Set where\n  t : T a\n  s : a -> T a -> T a\n",
+    "six-params": _permuting(6),
+    "nine-params": _permuting(9),
+    **{f"bush-{l}-{c}": _bush_like(l, c) for l, c in ["bc", "xy", "pq", "nf", ("hyp", "tr")]},
+    "long-name": _bush_like("leaf", "cons", "Loooooooooooooooooooong"),
+    "XY-x0-x1-y": (
+        "data X (a : Set) : Set where\n  x0 : X a\n  x1 : a -> Y a -> X a\n\n"
+        "data Y (a : Set) : Set where\n  y : X a -> Y a\n"
     ),
 }
 SOURCES = {"bush": BUSH, "lists": LIST, "bobdylan": BOBDYLAN, **PROBES}
@@ -727,9 +751,57 @@ def test_every_emitted_def_is_certified():
                 recursion_witnesses(d)  # raises on failure
 
 
-@pytest.mark.parametrize("nat,which", _modes(PROBES))
+def _binders(t, out: set[str]) -> None:
+    """Add to out every name that t binds."""
+    match t:
+        case App(fn, args):
+            for s in (fn, *args):
+                _binders(s, out)
+        case Lam(params, body):
+            out.update(params)
+            _binders(body, out)
+        case Pi(segments):
+            for s in segments:
+                if isinstance(s, Binder):
+                    out.update(s.names)
+                    _binders(s.type, out)
+                else:
+                    _binders(s, out)
+
+
+def _def_binders(d: DerivedDef, out: set[str]) -> None:
+    _binders(d.signature, out)
+    for cl in d.clauses:
+        stack = list(cl.patterns)
+        while stack:
+            match stack.pop():
+                case PVar(name, _):
+                    out.add(name)
+                case PCon(_, args):
+                    stack.extend(args)
+        _binders(cl.body, out)
+        for w in cl.wheres:
+            out.add(w.name)
+            _def_binders(w, out)
+
+
+# Every sample and probe, in every mode its group accepts: the module passes
+# the emitter's scope checks, is ASCII within 80 columns (header included) and
+# is derived the same twice; test_ind_erases_to_nfold checks the erasure.
+@pytest.mark.parametrize("nat,which", _modes(SOURCES))
 def test_every_probe_derives_a_valid_module(which, nat):
-    _validate(module_for_group(derive_group(_ctx(which), nat_index=nat)))
+    group = derive_group(_ctx(which), nat_index=nat)
+    text = emit_agda(module_for_group(group))
+    assert text.isascii()
+    assert [line for line in text.splitlines() if len(line) > 80] == []
+    assert emit_agda(module_for_group(derive_group(_ctx(which), nat_index=nat))) == text
+    # no binder is named like a data type, constructor or definition of the module
+    top = {d.name for d in group.defs} | {c for d in group.defs if d.data for c, _ in d.data.ctors}
+    bound: set[str] = set()
+    for d in group.defs:
+        if d.data is None:
+            _def_binders(d, bound)
+    assert bound & top == set()
 
 
 @pytest.mark.parametrize("which", ["bush", "lists", "bobdylan"])
@@ -751,6 +823,35 @@ def test_nat_method_names_skip_the_constructor_names():
     nm = _Names(_ctx(src), True)
     assert nm.method == {"leaf": "l", "k": "k'"}
     assert "nfold p l k' a z (succ n) (k x xs) =" in _module(src, True).splitlines()
+
+
+def test_nat_methods_take_the_letters_no_shared_name_holds():
+    # f, m, i and j were once reserved for every nat method; no nat-mode
+    # definition binds them beside the methods, so mk and fo get m and f, and
+    # fold-PS's continuation variable steps aside to f'
+    src = "data T (a : Set) : Set where\n  mk : T a\n  fo : a -> T (T a) -> T a\n"
+    assert _Names(_ctx(src), True).method == {"mk": "m", "fo": "f"}
+    lines = _module(src, True).splitlines()
+    assert "fold-PS p m f =" in lines
+    assert "    (\\ a x xs n tr -> f n (tr x) (xs (succ n) (\\ f' -> f' n tr)))" in lines
+
+
+@pytest.mark.parametrize(
+    "src, line",
+    [
+        # the carrier j would capture hfold-a's second index variable
+        (
+            "data A (a b : Set) : Set where\n  an : A a b\n  ak : J a b -> A a b\n\n"
+            "data J (a b : Set) : Set where\n  jn : J a b\n  jk : A (J a b) b -> J a b\n",
+            "    (\\ i j -> ak' (I a' j' a b i) (I a' j' a b j))",
+        ),
+        # the carrier nfold would shadow the fold that hfold-nfold calls
+        (_bush_like("leaf", "cons", "Nfold"), "hfold-nfold nfold'' leaf' cons' a x ="),
+    ],
+    ids=["J", "Nfold"],
+)
+def test_a_carrier_steps_aside_for_index_variables_and_derived_names(src, line):
+    assert line in _module(src, False).splitlines()
 
 
 # ---------------------------------------------------------------------------

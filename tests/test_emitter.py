@@ -98,6 +98,16 @@ def test_paper_shaped_lines_survive_verbatim(bush_text):
     assert "  c n (nfold p l c a z n x) (nfold p l c a z (succ (succ n)) xs)" in bush_text
 
 
+def test_a_long_name_wraps_its_header_role_and_breaks_a_binder_at_its_spine():
+    long = "Loooooooooooooooooooong"
+    src = (ROOT / "samples" / "bush.ndt").read_text().replace("Bush", long)
+    lines = emit_agda(module_for_group(derive_group(analyze(parse_program(src))[0]))).splitlines()
+    k = lines.index(f"--   {long}Index   index universe (type expressions over")
+    assert lines[k + 1] == "--" + " " * 34 + f"{long})"
+    k = lines.index(f"        (x2 : I {long} a")
+    assert lines[k + 1] == f"          ({long}C ({long}C i))) ->"
+
+
 def test_mutual_group_emits_forward_declarations(bobdylan_text):
     lines = bobdylan_text.splitlines()
     k = lines.index("data Bob (a : Set) : Set")
