@@ -14,9 +14,8 @@ from importlib import import_module
 #: Every public name, per home module.
 _HOMES = {
     "analysis": (
-        "GroupContext", "IndexTypeSpec", "MutualGroup", "analyze", "bush_shape",
-        "classify", "enumerate_indices", "nat_index_eligible", "render_index",
-        "well_formed",
+        "GroupContext", "IndexTypeSpec", "MutualGroup", "analyze", "classify",
+        "enumerate_indices", "render_index", "well_formed",
     ),
     "derivation": (
         "DerivedDef", "DerivedGroup", "derive_group", "ind_erases_to_nfold",
@@ -24,7 +23,7 @@ _HOMES = {
     ),
     "diagnostics": (
         "AnalysisError", "DerivationError", "Diagnostic", "DiagnosticError", "EmitError",
-        "EvalError", "GuardExceeded", "NestfoldError", "ParseError", "PsBridgeError",
+        "EvalError", "GuardExceeded", "NestfoldError", "ParseError",
     ),
     "emitter": ("EmitModule", "emit_agda", "module_for_group"),
     "parser": (

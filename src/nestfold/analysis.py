@@ -25,7 +25,6 @@ from .parser import (
     TVar,
     TypeDecl,
     TypeExpr,
-    VCon,
     spine_shape,
 )
 
@@ -129,23 +128,37 @@ class GroupContext:
         return frozenset(c.name for _, c in self.ctors())
 
     @cached_property
-    def bush(self) -> tuple[str, str] | None:
-        """bush_shape of this group, worked out once."""
-        return bush_shape(self)
+    def nat_index_eligible(self) -> bool:
+        """Nat mode collapses the index algebra to depths; that needs one
+        declaration with one base slot."""
+        return len(self.group.decls) == 1 and self.group.base_var_count == 1
 
     @cached_property
-    def base_slots(self) -> frozenset[int]:
-        """The index variables' numbers, 0 .. base_var_count - 1."""
-        return frozenset(range(self.spec.base_var_count))
+    def spine_shape(self) -> tuple[str, str] | None:
+        """parser.spine_shape of the only declaration; None for larger groups."""
+        if len(self.group.decls) != 1:
+            return None
+        return spine_shape(self.decls[self.group.decls[0]])
 
     @cached_property
-    def rebuild_methods(self) -> dict:
-        """The derived map's methods, by constructor name: each rebuilds its
-        constructor from its arguments' results."""
-        return {
-            c.name: (lambda name: lambda iargs, rs: VCon(name, rs))(c.name)
-            for _, c in self.ctors()
-        }
+    def list_shape(self) -> tuple[str, str] | None:
+        """(nil ctor, cons ctor) when the group is a single list declaration: a
+        spine whose binary constructor takes a base value and the declaration
+        at its own index, in that order."""
+        shape = self.spine_shape
+        if shape is None:
+            return None
+        own = self.own_index(self.group.decls[0])
+        return shape if self.arg_templates[shape[1]] == (IVar(0), own) else None
+
+    @cached_property
+    def bush_shape(self) -> tuple[str, str] | None:
+        """(nullary ctor, cons ctor) when the group is a single self-nesting
+        list-of-bushes declaration: a spine whose cons takes a bush of bushes."""
+        shape = self.spine_shape
+        if shape is None or self.group.base_var_count != 1:
+            return None
+        return shape if self.arg_templates[shape[1]] == (IVar(0), self.level(2)) else None
 
     def ctors_at(self, idx: IApp, c: str) -> tuple[IndexExpr, ...] | None:
         """The typing rule: the indices of constructor c's arguments at idx,
@@ -522,43 +535,6 @@ def enumerate_indices(spec: IndexTypeSpec, max_depth: int) -> list[IndexExpr]:
                     tier.append(e)
         by_depth.append(tier)
     return [e for tier in by_depth for e in tier]
-
-
-def nat_index_eligible(ctx: GroupContext) -> bool:
-    """Nat mode collapses the index algebra to depths; that needs one
-    declaration with one base slot."""
-    return len(ctx.group.decls) == 1 and ctx.group.base_var_count == 1
-
-
-def group_spine_shape(ctx: GroupContext) -> tuple[str, str] | None:
-    """spine_shape of a group's only declaration; None for larger groups."""
-    if len(ctx.group.decls) != 1:
-        return None
-    return spine_shape(ctx.decls[ctx.group.decls[0]])
-
-
-def bush_shape(ctx: GroupContext) -> tuple[str, str] | None:
-    """(nullary ctor, cons ctor) when the group is a single self-nesting
-    list-of-bushes declaration: a spine whose cons takes a bush of bushes."""
-    shape = group_spine_shape(ctx)
-    if shape is None or ctx.group.base_var_count != 1:
-        return None
-    if ctx.arg_templates[shape[1]] != (IVar(0), ctx.level(2)):
-        return None
-    return shape
-
-
-def list_shape(ctx: GroupContext) -> tuple[str, str] | None:
-    """(nil ctor, cons ctor) when the group is a single list declaration: a
-    spine whose binary constructor takes a base value and the declaration
-    at its own index, in that order."""
-    shape = group_spine_shape(ctx)
-    if shape is None:
-        return None
-    own = ctx.own_index(ctx.group.decls[0])
-    if ctx.arg_templates[shape[1]] != (IVar(0), own):
-        return None
-    return shape
 
 
 def context_to_index(

@@ -24,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import GroupContext, analyze, context_to_index, nat_index_eligible
+from .analysis import GroupContext, analyze, context_to_index
 from .diagnostics import DiagnosticError, NestfoldError
 from .parser import (
     TApp,
@@ -56,7 +56,7 @@ def _describe_group(ctx: GroupContext) -> str:
     if len(ctx.group.decls) > 1:
         bits.append("mutual")
     if ctx.group.nested:
-        if nat_index_eligible(ctx):
+        if ctx.nat_index_eligible:
             bits.append("index ≅ Nat")
         else:
             bits.append(f"index universe {ctx.spec.name}")

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import GroupContext, IApp, IndexExpr, IVar, bush_shape, nat_index_eligible
-from .diagnostics import DerivationError, PsBridgeError
+from .analysis import GroupContext, IApp, IndexExpr, IVar
+from .diagnostics import DerivationError
 from .parser import Constructor, TApp, TVar, TypeDecl, TypeExpr
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ class _Names:
     or reads>), so no binder captures a name beside it."""
 
     def __init__(self, ctx: GroupContext, nat: bool):
-        if nat and not nat_index_eligible(ctx):
+        if nat and not ctx.nat_index_eligible:
             raise DerivationError(
                 "nat-index mode needs exactly one declaration with one parameter, "
                 f"but the {ctx.name} group has {len(ctx.group.decls)} declaration(s) "
@@ -583,11 +583,9 @@ def derive_hfold(nm: _Names) -> list[DerivedDef]:
 
 
 def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
+    """The PS bridge of a bush-shaped group (GroupContext.bush_shape)."""
     ctx = nm.ctx
-    shape = bush_shape(ctx)
-    if shape is None:
-        raise PsBridgeError("PS bridge not derivable for this shape")
-    leaf_ctor, cons_ctor = shape
+    leaf_ctor, cons_ctor = ctx.bush_shape
     dn = ctx.group.decls[0]
     own = ctx.decls[dn]
     idx = Var(nm.index_name)
@@ -758,15 +756,15 @@ def derive_group(ctx: GroupContext, nat_index: bool = False) -> DerivedGroup:
     nm = _Names(ctx, nat_index)  # rejects ineligible nat-index requests up front
     defs = [derive_index_decl(nm), *derive_data_decls(ctx), derive_interp(nm)]
     defs += [derive_nfold(nm), derive_map(nm)]
-    if nat_index_eligible(ctx):
+    if ctx.nat_index_eligible:
         defs.append(_derive_hmap(nm))
     defs.append(derive_ind(nm))
     defs.extend(derive_hfold(nm))
     notes: list[str] = []
-    try:
+    if ctx.bush_shape:
         defs.extend(derive_ps_bridge(nm))
-    except PsBridgeError as e:
-        notes.append(f"PS bridge: skipped ({e})")
+    else:
+        notes.append("PS bridge: skipped (PS bridge not derivable for this shape)")
     for d in defs:
         if d.data is None:
             recursion_witnesses(d)

@@ -50,10 +50,6 @@ class DerivationError(NestfoldError):
     """A derivation that is not defined for the given declaration shape."""
 
 
-class PsBridgeError(DerivationError):
-    """The PS bridge requires a single self-nesting declaration of the bush shape."""
-
-
 class EmitError(NestfoldError):
     """Internal invariant violation while rendering a module (unscoped term etc.)."""
 

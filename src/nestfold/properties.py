@@ -19,10 +19,7 @@ from .analysis import (
     GroupContext,
     IndexExpr,
     IndexTypeSpec,
-    bush_shape,
     enumerate_indices,
-    list_shape,
-    nat_index_eligible,
     render_index,
 )
 from .parser import VBase, VCon, Value, render_value, value_size
@@ -123,7 +120,7 @@ def _suite_indices(ctx: GroupContext) -> list[IndexExpr]:
     """The index family: depths up to 3 when the index universe is a copy of
     the naturals, up to 2 otherwise (multi-variable index universes grow too
     quickly for an exhaustive deeper sweep)."""
-    if nat_index_eligible(ctx):
+    if ctx.nat_index_eligible:
         return [ctx.level(d) for d in range(4)]
     return enumerate_indices(ctx.spec, 2)
 
@@ -310,7 +307,7 @@ def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
 def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
     """On the nullary constructor the higher-order fold is its nil method."""
     decl = ctx.group.decls[0]
-    nil, _ = bush_shape(ctx)
+    nil, _ = ctx.bush_shape
     idx, v = next(case for case in _own_values(ctx, 1) if case[1].ctor == nil)
     return _sweep("hfold-leaf-equation", (
         (idx, v, halg.name,
@@ -334,7 +331,7 @@ def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The one-layer map satisfies its defining equation on both constructors.
 
     hmap f has one memo, shared by both sides; hmap (hmap f) has its own."""
-    nil, cons = bush_shape(ctx)
+    nil, cons = ctx.bush_shape
     idx = ctx.own_index(ctx.group.decls[0])
     maps = []
     for fname, f in MAP_FNS:
@@ -369,7 +366,7 @@ def check_ind_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
 
 def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The derived fold on an ordinary list type matches a hand-written fold."""
-    nil, cons = list_shape(ctx)
+    nil, cons = ctx.list_shape
 
     def fold_list(base, step, v: Value):
         match v:
@@ -450,11 +447,11 @@ def run_suite(ctx: GroupContext, max_size: int) -> SuiteReport:
         raise ValueError("max_size must be at least 1")
 
     results: list[PropertyResult] = []
-    bushy = bush_shape(ctx) is not None
+    bushy = ctx.bush_shape is not None
     if bushy:
         results.append(check_equivalence(ctx, max_size))
     results.append(check_map_identity(ctx, max_size))
-    if nat_index_eligible(ctx):
+    if ctx.nat_index_eligible:
         results.append(check_map_composition(ctx, max_size))
     if bushy:
         results.append(check_hfold_conformance(ctx, max_size))
@@ -462,7 +459,7 @@ def run_suite(ctx: GroupContext, max_size: int) -> SuiteReport:
         results.append(check_hmap_agreement(ctx, max_size))
         results.append(check_hmap_cons(ctx, max_size))
     results.append(check_ind_agreement(ctx, max_size))
-    if list_shape(ctx) is not None:
+    if ctx.list_shape is not None:
         results.append(check_spine_fold_agreement(ctx, max_size))
     results.append(check_call_counter(ctx, max_size))
     return SuiteReport(ctx.name, max_size, tuple(results))

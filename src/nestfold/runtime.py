@@ -79,8 +79,8 @@ references the derived routes are checked against, so they pay per node,
 and they keep that cost small without changing what they compute or in
 which order.  Each recursion reads a node's class, constructor and arity
 once and compares its depth with the guard inline; an RFun is a plain
-slotted object; the bush shape is worked out once per context
-(GroupContext.bush).  prepare_nfold_prime builds fold-PS's methods once,
+slotted object; the bush shape is read from GroupContext.bush_shape, worked
+out once per context.  prepare_nfold_prime builds fold-PS's methods once,
 and they build each level's method-argument tuple once.  lift and PS-to-P
 are module-level functions, so a case leaves no reference cycle behind.
 """
@@ -96,8 +96,6 @@ from .analysis import (
     IApp,
     IndexExpr,
     IVar,
-    bush_shape,
-    group_spine_shape,
     index_depth,
 )
 from .diagnostics import Diagnostic, EvalError, GuardExceeded
@@ -200,8 +198,6 @@ class HAlgebra:
 
 
 def check_algebra(ctx: GroupContext, alg: Algebra) -> None:
-    if ctx.base_slots <= alg.bases.keys() and ctx.ctor_names <= alg.methods.keys():
-        return
     missing = [k for k in range(ctx.spec.base_var_count) if k not in alg.bases]
     if missing:
         raise EvalError(f"algebra is missing base functions for slots {missing}")
@@ -341,7 +337,10 @@ def _args_at(ctx: GroupContext, idx: IApp, v: Value) -> tuple[IndexExpr, ...]:
 
 def map_algebra(ctx: GroupContext, fs: dict[int, Callable[[Value], Value]]) -> Algebra:
     """The derived map of fs as a fold: its methods rebuild their constructor."""
-    return Algebra("map", fs, ctx.rebuild_methods)
+    methods = {
+        c.name: (lambda name: lambda iargs, rs: VCon(name, rs))(c.name) for _, c in ctx.ctors()
+    }
+    return Algebra("map", fs, methods)
 
 
 def prepare_map(
@@ -401,7 +400,7 @@ def default_guard(v: Value, idx_depth: int = 0) -> int:
 
 
 def _bush(ctx: GroupContext, what: str) -> tuple[str, str]:
-    shape = ctx.bush
+    shape = ctx.bush_shape
     if shape is None:
         raise EvalError(f"{what} needs a bush-shaped declaration")
     return shape
@@ -723,7 +722,7 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
         },
     )
 
-    spine = group_spine_shape(ctx)
+    spine = ctx.spine_shape
     if spine is not None:
         nil, two = spine
         algs["length"] = Algebra(
@@ -746,7 +745,7 @@ def _fold_nat_add(ns) -> int:
 
 def halg_catalogue(ctx: GroupContext) -> dict[str, HAlgebra]:
     """Higher-order algebras for the conformance checks (bush shape only)."""
-    shape = bush_shape(ctx)
+    shape = ctx.bush_shape
     if shape is None:
         return {}
     nil, cons = shape

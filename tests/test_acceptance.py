@@ -13,7 +13,7 @@ import pytest
 
 from nestfold.analysis import analyze
 from nestfold.cli import main
-from nestfold.derivation import derive_group, nat_index_eligible, recursion_witnesses
+from nestfold.derivation import derive_group, recursion_witnesses
 from nestfold.parser import parse_program, parse_value_literal
 from nestfold.properties import (
     check_call_counter,

@@ -30,6 +30,7 @@ from nestfold.parser import (
     parse_type_context,
 )
 
+from test_derivation import SHAPES, SOURCES
 from test_parser import BOBDYLAN, BUSH, LIST
 
 
@@ -413,3 +414,44 @@ def test_context_to_index_rejects_foreign_heads(bush_ctx):
     foreign = parse_type_context("List Nat", program)
     with pytest.raises(AnalysisError, match="does not belong to group"):
         context_to_index(foreign, bush)
+
+
+# ---------------------------------------------------------------------------
+# Shape facts
+
+#: (nat_index_eligible, spine_shape, list_shape, bush_shape) per source.
+SHAPE_FACTS = {
+    "bush": (True, ("leaf", "cons"), None, ("leaf", "cons")),
+    "bush-b-c": (True, ("b", "c"), None, ("b", "c")),
+    "bush-x-y": (True, ("x", "y"), None, ("x", "y")),
+    "bush-p-q": (True, ("p", "q"), None, ("p", "q")),
+    "bush-n-f": (True, ("n", "f"), None, ("n", "f")),
+    "bush-hyp-tr": (True, ("hyp", "tr"), None, ("hyp", "tr")),
+    "long-name": (True, ("leaf", "cons"), None, ("leaf", "cons")),
+    "lists": (True, ("nil", "cc"), ("nil", "cc"), None),
+    "t-s": (True, ("t", "s"), ("t", "s"), None),
+    "bobdylan": (False, None, None, None),
+    "two-params": (False, None, None, None),
+    "three-params": (False, None, None, None),
+    "four-params": (False, None, None, None),
+    "five-params": (False, None, None, None),
+    "six-params": (False, ("m0", "m1"), None, None),
+    "nine-params": (False, ("m0", "m1"), None, None),
+    "no-params": (False, None, None, None),
+    "XYW": (False, None, None, None),
+    "XY-x0-x1-y": (False, None, None, None),
+    "swapped-bush": (True, ("nil", "cons"), None, None),
+    "two-param-list": (False, ("nil", "cons"), ("nil", "cons"), None),
+    "tree": (True, None, None, None),
+}
+
+
+@pytest.mark.parametrize("which", SHAPE_FACTS)
+def test_shape_facts(which):
+    (ctx,) = analyze(parse_program({**SOURCES, **SHAPES}[which]))
+    facts = (ctx.nat_index_eligible, ctx.spine_shape, ctx.list_shape, ctx.bush_shape)
+    assert facts == SHAPE_FACTS[which]
+
+
+def test_shape_facts_cover_every_source():
+    assert SHAPE_FACTS.keys() == {**SOURCES, **SHAPES}.keys()

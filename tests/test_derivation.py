@@ -33,10 +33,9 @@ from nestfold.derivation import (
     derive_nfold,
     derive_ps_bridge,
     ind_erases_to_nfold,
-    nat_index_eligible,
     recursion_witnesses,
 )
-from nestfold.diagnostics import AnalysisError, DerivationError, PsBridgeError
+from nestfold.diagnostics import AnalysisError, DerivationError
 from nestfold.emitter import emit_agda, module_for_group
 from nestfold.parser import parse_program
 
@@ -93,6 +92,20 @@ PROBES = {
     ),
 }
 SOURCES = {"bush": BUSH, "lists": LIST, "bobdylan": BOBDYLAN, **PROBES}
+# The Bush-shaped ones among them.
+BUSHES = ["bush", "bush-b-c", "bush-x-y", "bush-p-q", "bush-n-f", "bush-hyp-tr", "long-name"]
+
+# Near misses of the bush and list shapes.
+SHAPES = {
+    "swapped-bush": "data B (a : Set) : Set where\n  nil : B a\n  cons : B (B a) -> a -> B a\n",
+    "two-param-list": (
+        "data L (a b : Set) : Set where\n  nil : L a b\n  cons : a -> L a b -> L a b\n"
+    ),
+    "tree": (
+        "data Tree (a : Set) : Set where\n  leaf : Tree a\n"
+        "  node : Tree a -> a -> Tree a -> Tree a\n"
+    ),
+}
 
 
 def _ctx(which: str):
@@ -107,7 +120,7 @@ def _modes(sources: dict[str, str]) -> list[tuple[bool, str]]:
         (nat, which)
         for which in sources
         for nat in (False, True)
-        if not nat or nat_index_eligible(_ctx(which))
+        if not nat or _ctx(which).nat_index_eligible
     ]
 
 
@@ -177,9 +190,9 @@ def test_index_decl_list(lists):
 
 
 def test_nat_index_eligibility(bush, lists, bobdylan):
-    assert nat_index_eligible(bush)
-    assert nat_index_eligible(lists)
-    assert not nat_index_eligible(bobdylan)
+    assert bush.nat_index_eligible
+    assert lists.nat_index_eligible
+    assert not bobdylan.nat_index_eligible
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +642,6 @@ def test_ps_bridge_general_mode_uses_index_constructors(bush):
     assert lift_def.clauses[0].body.args[4] == _ap("fold-PS", Var("p"), Var("leaf'"), Var("cons'"))
 
 
-@pytest.mark.parametrize("which", ["lists", "bobdylan"])
-def test_ps_bridge_rejects_other_shapes(which, request):
-    with pytest.raises(PsBridgeError, match="PS bridge not derivable for this shape"):
-        derive_ps_bridge(_Names(request.getfixturevalue(which), False))
-
-
 # ---------------------------------------------------------------------------
 # Structural-recursion certificate
 
@@ -924,7 +931,7 @@ def _derive_every_sample() -> None:
         except AnalysisError:
             continue
         for ctx in ctxs:
-            for nat in {False, nat_index_eligible(ctx)}:
+            for nat in {False, ctx.nat_index_eligible}:
                 emit_agda(module_for_group(derive_group(ctx, nat_index=nat)))
 
 

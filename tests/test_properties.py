@@ -26,6 +26,7 @@ import nestfold.properties as properties
 import nestfold.runtime as runtime
 from nestfold.runtime import RFun
 
+from test_derivation import BUSHES, SHAPES, SOURCES
 from test_parser import BOBDYLAN, BUSH, LIST
 
 
@@ -555,3 +556,48 @@ def test_the_replay_memo_counts_what_a_fold_without_one_counts(request, group, s
             over_bound += counts[0] > properties.value_size(v)
         assert memo.hits > 0, label
     assert (over_bound > 0) == refold
+
+
+# ---------------------------------------------------------------------------
+# The roster: which properties each shape of group runs
+
+_EVERY = ["map-identity", "ind-agreement", "call-counter-bound"]
+_NAT = ["map-identity", "map-composition", "ind-agreement", "call-counter-bound"]
+_LIST = [
+    "map-identity", "map-composition", "ind-agreement", "spine-fold-agreement",
+    "call-counter-bound",
+]
+_BUSH = [
+    "nfold-vs-nfold-prime", "map-identity", "map-composition", "hfold-conformance",
+    "hfold-leaf-equation", "hmap-agreement", "hmap-cons-equation", "ind-agreement",
+    "call-counter-bound",
+]
+
+#: The property names run_suite reports, per group of at most 3 parameters
+#: (wider index universes take too long to sweep; see ROADMAP item 3).
+ROSTERS = {
+    **{which: _BUSH for which in BUSHES},
+    "lists": _LIST,
+    "t-s": _LIST,
+    "swapped-bush": _NAT,
+    "tree": _NAT,
+    "two-param-list": [
+        "map-identity", "ind-agreement", "spine-fold-agreement", "call-counter-bound"
+    ],
+    **{which: _EVERY for which in ["bobdylan", "two-params", "three-params", "no-params",
+                                   "XYW", "XY-x0-x1-y"]},
+}
+
+
+@pytest.mark.parametrize("which", ROSTERS)
+def test_suite_roster(which):
+    (ctx,) = analyze(parse_program({**SOURCES, **SHAPES}[which]))
+    assert [r.name for r in run_suite(ctx, 2).results] == ROSTERS[which]
+
+
+def test_the_roster_covers_every_narrow_group():
+    narrow = {
+        which for which, src in {**SOURCES, **SHAPES}.items()
+        if analyze(parse_program(src))[0].spec.base_var_count <= 3
+    }
+    assert ROSTERS.keys() == narrow
