@@ -14,8 +14,8 @@ from importlib import import_module
 #: Every public name, per home module.
 _HOMES = {
     "analysis": (
-        "GroupContext", "IndexTypeSpec", "MutualGroup", "analyze", "classify",
-        "enumerate_indices", "render_index", "well_formed",
+        "GroupContext", "MutualGroup", "analyze", "classify", "enumerate_indices",
+        "render_index", "well_formed",
     ),
     "derivation": (
         "DerivedDef", "DerivedGroup", "derive_group", "ind_erases_to_nfold",

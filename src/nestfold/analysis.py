@@ -1,16 +1,16 @@
 """Program validation, nesting classification, and the index universe.
 
 Each strongly connected component of the type-reference graph becomes a
-group.  A group gets one index type: a free term algebra with a nullary
-variable constructor per base slot (varA, varB, ...) and one application
-constructor per declaration (BushC, BobC, ...).  Every constructor-argument
-type then translates to an index expression over that algebra, which is the
-data the derived folds dispatch on.
+group, and its GroupContext is the one record of the group and its index
+universe: a free term algebra (index_name) with a nullary constructor per
+base slot (var_ctors: varA, ...) and one per declaration (app_ctor: BushC,
+...) taking an index per parameter.  Every constructor-argument type then
+translates to an index expression over it (arg_templates), the data the
+derived folds dispatch on.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import string
 from dataclasses import dataclass, field
@@ -58,38 +58,20 @@ IndexExpr = IVar | IApp
 
 
 @dataclass(frozen=True)
-class IndexTypeSpec:
-    name: str
-    var_ctors: tuple[str, ...]
-    app_ctors: tuple[tuple[str, int], ...]  # (constructor name, arity) per decl
-
-    @property
-    def base_var_count(self) -> int:
-        return len(self.var_ctors)
-
-
-@dataclass(frozen=True)
 class MutualGroup:
-    decls: tuple[str, ...]
-    base_var_count: int
-    classification: str  # "ordinary" | "nested"
+    """A component's declarations, in source order, and whether it is nested."""
 
-    @property
-    def nested(self) -> bool:
-        return self.classification == "nested"
+    decls: tuple[str, ...]
+    nested: bool
 
 
 @dataclass(frozen=True)
 class GroupContext:
-    """Everything downstream passes need about one group, precomputed."""
+    """One group and its index universe, each fact computed once, on first
+    use; group_context builds it and refuses the groups it cannot index."""
 
     program: Program
     group: MutualGroup
-    spec: IndexTypeSpec
-    decls: dict[str, TypeDecl] = field(compare=False)
-    app_ctor: dict[str, str] = field(compare=False)  # decl name -> index ctor
-    decl_of_app: dict[str, str] = field(compare=False)  # index ctor -> decl name
-    arg_templates: dict[str, tuple[IndexExpr, ...]] = field(compare=False)
     _ctors_at: dict[IApp, dict[str, tuple[IndexExpr, ...]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -118,6 +100,46 @@ class GroupContext:
     def name(self) -> str:
         return "".join(self.group.decls)
 
+    @property
+    def index_name(self) -> str:
+        return self.name + "Index"
+
+    @cached_property
+    def decls(self) -> dict[str, TypeDecl]:
+        return {n: self.program.decl(n) for n in self.group.decls}
+
+    @cached_property
+    def base_var_count(self) -> int:
+        """The base slots: as many as the widest declaration has parameters."""
+        return max(len(d.params) for d in self.decls.values())
+
+    @cached_property
+    def slot_letters(self) -> str:
+        """One capital per base slot, A first: slot k's index constructor is
+        var + slot_letters[k], and derived names follow the letter too."""
+        return string.ascii_uppercase[: self.base_var_count]
+
+    @cached_property
+    def var_ctors(self) -> tuple[str, ...]:
+        return tuple("var" + c for c in self.slot_letters)
+
+    @cached_property
+    def app_ctor(self) -> dict[str, str]:
+        """Each declaration's index application constructor."""
+        return {n: n + "C" for n in self.group.decls}
+
+    @cached_property
+    def decl_of_app(self) -> dict[str, str]:
+        return {c: n for n, c in self.app_ctor.items()}
+
+    @cached_property
+    def arg_templates(self) -> dict[str, tuple[IndexExpr, ...]]:
+        """Each constructor's argument indices over its declaration's slots."""
+        return {
+            c.name: tuple(type_to_index(t, d.params, self.app_ctor) for t in c.args)
+            for d, c in self.ctors()
+        }
+
     def ctors(self) -> list[tuple[TypeDecl, Constructor]]:
         """All (decl, constructor) pairs, declaration order then source order."""
         return [(d, c) for n in self.group.decls for d in [self.decls[n]] for c in d.ctors]
@@ -131,7 +153,7 @@ class GroupContext:
     def nat_index_eligible(self) -> bool:
         """Nat mode collapses the index algebra to depths; that needs one
         declaration with one base slot."""
-        return len(self.group.decls) == 1 and self.group.base_var_count == 1
+        return len(self.group.decls) == 1 and self.base_var_count == 1
 
     @cached_property
     def spine_shape(self) -> tuple[str, str] | None:
@@ -156,7 +178,7 @@ class GroupContext:
         """(nullary ctor, cons ctor) when the group is a single self-nesting
         list-of-bushes declaration: a spine whose cons takes a bush of bushes."""
         shape = self.spine_shape
-        if shape is None or self.group.base_var_count != 1:
+        if shape is None or self.base_var_count != 1:
             return None
         return shape if self.arg_templates[shape[1]] == (IVar(0), self.level(2)) else None
 
@@ -322,7 +344,7 @@ def classify(program: Program) -> list[MutualGroup]:
         seen: set[str] = set()
         for c in d.ctors:
             for t in c.args:
-                for head in _heads(t):
+                for head in (a.head for a in _apps(t)):
                     if head in edges and head not in seen:
                         seen.add(head)
                         edges[d.name].append(head)
@@ -331,19 +353,13 @@ def classify(program: Program) -> list[MutualGroup]:
     for comp in _sccs(order, edges):
         members = tuple(sorted(comp, key=order.index))
         decls = [program.decl(n) for n in members]
-        base_vars = max((len(d.params) for d in decls), default=0)
-        cls = "nested" if _is_nested(decls, set(members)) else "ordinary"
-        groups.append(MutualGroup(members, base_vars, cls))
+        groups.append(MutualGroup(members, _is_nested(decls, set(members))))
     return groups
 
 
-def _heads(t: TypeExpr) -> list[str]:
-    match t:
-        case TVar():
-            return []
-        case TApp(head, args):
-            return [head] + [h for a in args for h in _heads(a)]
-    raise AssertionError
+def _apps(t: TypeExpr) -> list[TApp]:
+    """t's applications, each before those in its arguments."""
+    return [] if isinstance(t, TVar) else [t, *(a for x in t.args for a in _apps(x))]
 
 
 def _vars(t: TypeExpr) -> list[str]:
@@ -415,67 +431,45 @@ def _sccs(names: list[str], edges: dict[str, list[str]]) -> list[list[str]]:
 # The index universe
 
 
-def index_universe(program: Program, group: MutualGroup) -> IndexTypeSpec:
-    """The group's index universe; a group with more than 26 parameters is
-    refused at its first declaration."""
-    if group.base_var_count > 26:
-        msg = (
-            f"group {'/'.join(group.decls)} needs {group.base_var_count} index "
-            "variables; only varA..varZ are available"
-        )
-        line, col = program.decl(group.decls[0]).pos or (None, None)
-        raise AnalysisError(Diagnostic(msg, line, col, program.source))
-    var_ctors = tuple(
-        "var" + string.ascii_uppercase[i] for i in range(group.base_var_count)
-    )
-    app_ctors = []
-    for name in group.decls:
-        decl = program.decl(name)
-        assert decl is not None
-        app_ctors.append((name + "C", len(decl.params)))
-    return IndexTypeSpec("".join(group.decls) + "Index", var_ctors, tuple(app_ctors))
-
-
 def type_to_index(
     t: TypeExpr, params: tuple[str, ...], members: dict[str, str]
 ) -> IndexExpr:
     """Translate a constructor-argument type to an index expression.
 
     `params` is the owning declaration's parameter list (positional), and
-    `members` maps each group member to its index application constructor.
-    A head outside the group is refused at its position, with no file.
+    `members` maps each group member to its index application constructor;
+    every head of t is one (group_context refuses the other groups).
     """
     match t:
         case TVar(name):
             return IVar(params.index(name))
         case TApp(head, args):
-            if head not in members:
-                line, col = t.pos or (None, None)
-                msg = "cross-group nesting not supported in v1"
-                raise AnalysisError(Diagnostic(msg, line, col))
             return IApp(members[head], tuple(type_to_index(a, params, members) for a in args))
     raise AssertionError
 
 
 def group_context(program: Program, group: MutualGroup) -> GroupContext:
-    spec = index_universe(program, group)
-    decls = {}
-    for n in group.decls:
-        d = program.decl(n)
-        assert d is not None
-        decls[n] = d
-    app_ctor = {n: c for n, (c, _) in zip(group.decls, spec.app_ctors)}
-    decl_of_app = {v: k for k, v in app_ctor.items()}
-    try:
-        templates = {
-            c.name: tuple(type_to_index(t, d.params, app_ctor) for t in c.args)
-            for d in decls.values()
-            for c in d.ctors
-        }
-    except AnalysisError as e:
-        (d,) = e.diagnostics
-        raise AnalysisError(dataclasses.replace(d, file=program.source)) from None
-    return GroupContext(program, group, spec, decls, app_ctor, decl_of_app, templates)
+    """The group's context.  Two groups are refused, at a position in the
+    program's file: one with more than 26 parameters (varA..varZ), at its
+    first declaration, and one whose constructor argument names a
+    declaration of another group, at that name."""
+    ctx = GroupContext(program, group)
+
+    def refuse(msg: str, pos: tuple[int, int] | None) -> AnalysisError:
+        line, col = pos or (None, None)
+        return AnalysisError(Diagnostic(msg, line, col, program.source))
+
+    if ctx.base_var_count > 26:
+        msg = (
+            f"group {'/'.join(group.decls)} needs {ctx.base_var_count} index "
+            "variables; only varA..varZ are available"
+        )
+        raise refuse(msg, ctx.decls[group.decls[0]].pos)
+    for _, c in ctx.ctors():
+        for app in (a for t in c.args for a in _apps(t)):
+            if app.head not in ctx.app_ctor:
+                raise refuse("cross-group nesting not supported in v1", app.pos)
+    return ctx
 
 
 def analyze(program: Program) -> list[GroupContext]:
@@ -510,27 +504,28 @@ def index_depth(e: IndexExpr) -> int:
     raise AssertionError
 
 
-def render_index(e: IndexExpr, spec: IndexTypeSpec, atom: bool = False) -> str:
+def render_index(e: IndexExpr, ctx: GroupContext, atom: bool = False) -> str:
     match e:
         case IVar(k):
-            return spec.var_ctors[k]
+            return ctx.var_ctors[k]
         case IApp(ctor, ()):
             return ctor
         case IApp(ctor, args):
-            s = " ".join([ctor] + [render_index(a, spec, atom=True) for a in args])
+            s = " ".join([ctor] + [render_index(a, ctx, atom=True) for a in args])
             return f"({s})" if atom else s
     raise AssertionError
 
 
-def enumerate_indices(spec: IndexTypeSpec, max_depth: int) -> list[IndexExpr]:
-    """All index expressions of depth <= max_depth, depth-then-spec order."""
-    by_depth: list[list[IndexExpr]] = [[IVar(k) for k in range(spec.base_var_count)]]
+def enumerate_indices(ctx: GroupContext, max_depth: int) -> list[IndexExpr]:
+    """All index expressions of depth <= max_depth, by depth, then in the
+    order of the group's declarations."""
+    by_depth: list[list[IndexExpr]] = [[IVar(k) for k in range(ctx.base_var_count)]]
     for d in range(1, max_depth + 1):
         shallower = [e for tier in by_depth for e in tier]
         tier = []
-        for ctor, arity in spec.app_ctors:
-            for combo in itertools.product(shallower, repeat=arity):
-                e = IApp(ctor, combo)
+        for name in ctx.group.decls:
+            for combo in itertools.product(shallower, repeat=len(ctx.decls[name].params)):
+                e = IApp(ctx.app_ctor[name], combo)
                 if index_depth(e) == d:
                     tier.append(e)
         by_depth.append(tier)
@@ -549,11 +544,11 @@ def context_to_index(
     declaration has one parameter admits one leaf, and there are two
     universes.
     """
-    foreign = [h for h in _heads(t) if h not in group_ctx.app_ctor]
+    foreign = [a.head for a in _apps(t) if a.head not in group_ctx.app_ctor]
     if foreign:
         msg = f"type {foreign[0]} does not belong to group {group_ctx.name}"
         raise AnalysisError(Diagnostic(msg))
     kinds = tuple(dict.fromkeys(_vars(t)))
-    names = kinds + ("Nat",) * (group_ctx.spec.base_var_count - len(kinds))
+    names = kinds + ("Nat",) * (group_ctx.base_var_count - len(kinds))
     universes = {k: BASE_TYPES[name] for k, name in enumerate(names)}
     return type_to_index(t, kinds, group_ctx.app_ctor), universes

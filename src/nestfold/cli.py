@@ -52,14 +52,14 @@ def _load(path: Path) -> list[GroupContext]:
 
 def _describe_group(ctx: GroupContext) -> str:
     names = ", ".join(ctx.group.decls)
-    bits = [ctx.group.classification]
+    bits = ["nested" if ctx.group.nested else "ordinary"]
     if len(ctx.group.decls) > 1:
         bits.append("mutual")
     if ctx.group.nested:
         if ctx.nat_index_eligible:
             bits.append("index ≅ Nat")
         else:
-            bits.append(f"index universe {ctx.spec.name}")
+            bits.append(f"index universe {ctx.index_name}")
     return f"{names}: {', '.join(bits)}"
 
 

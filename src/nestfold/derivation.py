@@ -177,22 +177,21 @@ class _Names:
             raise DerivationError(
                 "nat-index mode needs exactly one declaration with one parameter, "
                 f"but the {ctx.name} group has {len(ctx.group.decls)} declaration(s) "
-                f"with {ctx.group.base_var_count} base slot(s)"
+                f"with {ctx.base_var_count} base slot(s)"
             )
         self.ctx = ctx
         self.nat = nat
         decls = ctx.group.decls
-        self.index_name = "Nat" if nat else ctx.spec.name
-        self.var_ctors = ("zero",) if nat else ctx.spec.var_ctors
+        self.index_name = "Nat" if nat else ctx.index_name
+        self.var_ctors = ("zero",) if nat else ctx.var_ctors
         self.hfold = {dn: "hfold" if nat else "hfold-" + dn.lower() for dn in decls}
         self.reserved = _FIXED.union(
-            decls, ctx.ctor_names, (ctx.spec.name,), ctx.spec.var_ctors, ctx.app_ctor.values(),
+            decls, ctx.ctor_names, (ctx.index_name,), ctx.var_ctors, ctx.app_ctor.values(),
             self.hfold.values(),
         )
         s = _Supply(self.reserved)
-        letters = [vc[3:] for vc in ctx.spec.var_ctors]
-        self.base_types = tuple(s.fresh(v.lower()) for v in letters)
-        self.base_fns = tuple(s.fresh("z" if nat else "base" + v) for v in letters)
+        self.base_types = tuple(s.fresh(v.lower()) for v in ctx.slot_letters)
+        self.base_fns = tuple(s.fresh("z" if nat else "base" + v) for v in ctx.slot_letters)
         self.p = s.fresh("p")
         # the index and value variables, by the name each wants: i, j, x, ...
         arities = sorted({1, *(len(ctx.decls[dn].params) for dn in decls)})
@@ -263,15 +262,16 @@ class _Names:
 
 
 def derive_index_decl(nm: _Names) -> DerivedDef:
-    decls = nm.ctx.group.decls
+    ctx, decls = nm.ctx, nm.ctx.group.decls
     idx = Var(nm.index_name)
-    apps = [("succ", 1)] if nm.nat else nm.ctx.spec.app_ctors
-    ctors = [(vc, idx) for vc in nm.var_ctors]
-    ctors += [(cname, Pi((idx,) * (arity + 1))) for cname, arity in apps]
     if nm.nat:
+        apps = [("succ", 1)]
         role = f"index universe (nesting depth of {decls[0]} applications)"
     else:
+        apps = [(ctx.app_ctor[n], len(ctx.decls[n].params)) for n in decls]
         role = f"index universe (type expressions over {'/'.join(decls)})"
+    ctors = [(vc, idx) for vc in nm.var_ctors]
+    ctors += [(cname, Pi((idx,) * (arity + 1))) for cname, arity in apps]
     return DerivedDef(name=nm.index_name, role=role, data=DataDecl((), tuple(ctors)))
 
 
@@ -765,9 +765,6 @@ def derive_group(ctx: GroupContext, nat_index: bool = False) -> DerivedGroup:
         defs.extend(derive_ps_bridge(nm))
     else:
         notes.append("PS bridge: skipped (PS bridge not derivable for this shape)")
-    for d in defs:
-        if d.data is None:
-            recursion_witnesses(d)
     return DerivedGroup(ctx.name, tuple(defs), tuple(notes))
 
 
@@ -879,7 +876,7 @@ def ind_erases_to_nfold(
     are part of the derived contract, so the comparison is syntactic.
     Returns a list of mismatch descriptions; empty means the check passed."""
     m = len(ctx.ctors())
-    v = 1 if nat_index else ctx.spec.base_var_count
+    v = 1 if nat_index else ctx.base_var_count
     nsegs = nfold_def.signature.segments
     isegs = ind_def.signature.segments
     n_methods = nsegs[1 : 1 + m]

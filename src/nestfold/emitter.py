@@ -9,17 +9,21 @@ byte-identical across runs.  Layout is rule-driven, never heuristic:
 * an oversized segment wraps at its own top-level arrows or application
   spine, two columns in, and a contents-header role wraps under its column,
 * a clause whose body overflows puts the body on following lines, packing
-  application atoms greedily and recursing into atoms that still overflow.
+  application atoms greedily and recursing into atoms that still overflow,
+* a pattern, a binder's name list and a lambda's parameters break between
+  their words like an application, when one alone overflows a fresh line.
 
-A term is printed once, as layout pieces; its one-line text is read off the
-pieces, so the flat and the broken rendering cannot disagree.
+A term or a pattern is printed once, as layout pieces; its one-line text is
+read off the pieces, so the flat and the broken rendering cannot disagree.
 
-Every definition is scope-checked before rendering; an unbound name is an
-internal error (EmitError), not something to quietly render anyway.  So is a
-top-level name bound twice, which a source name that collides with a derived
-one produces, a name that a signature's top-level binders or a clause's
-patterns bind twice, which Agda would reject, and a pattern variable named
-like a constructor, which Agda would read as that constructor.
+Every definition is certified here, once, before any text is returned (a
+recursive call recursion_witnesses cannot certify is a DerivationError), and
+scope-checked before rendering: an unbound name is an internal error
+(EmitError), not something to quietly render anyway.  So is a top-level name
+bound twice, which a source name that collides with a derived one produces,
+a name that a signature's top-level binders or a clause's patterns bind
+twice, which Agda would reject, and a pattern variable named like a
+constructor, which Agda would read as that constructor.
 """
 
 from __future__ import annotations
@@ -95,6 +99,11 @@ def _term_pieces(t: Term) -> tuple[_Piece, ...]:
     return (_piece(t, False),)
 
 
+def _names(names: tuple[str, ...]) -> tuple[_Piece, ...]:
+    """A piece per name; no names is one empty piece, as in `( : A)`."""
+    return tuple(map(_Piece, names or ("",)))
+
+
 def _piece(t: Term, atom: bool, tail: str = "") -> _Piece:
     """t as one piece followed by tail; an atom (an argument) is
     parenthesized unless it is a name."""
@@ -102,7 +111,7 @@ def _piece(t: Term, atom: bool, tail: str = "") -> _Piece:
         return _Piece(t.name + tail)
     o, c = ("(", ")" + tail) if atom else ("", tail)
     if isinstance(t, Lam):
-        return _Piece(o + "\\ " + " ".join(t.params) + " -> ", _term_pieces(t.body), c)
+        return _Piece(o + "\\ ", (*_names(t.params), _Piece("->"), *_term_pieces(t.body)), c)
     return _Piece(o, _term_pieces(t), c)
 
 
@@ -114,11 +123,11 @@ def _segment_pieces(segments: tuple[Binder | Term, ...]) -> tuple[_Piece, ...]:
         if not isinstance(seg, Binder):
             out.append(_piece(seg, isinstance(seg, (Pi, Lam)), arrow))
         elif seg.type is None:
-            out.append(_Piece("forall " + " ".join(seg.names) + arrow, named=True))
+            out.append(_Piece("forall ", _names(seg.names), arrow, named=True))
         else:
             o, c = ("{", "}") if seg.implicit else ("(", ")")
-            head = o + " ".join(seg.names) + " : "
-            out.append(_Piece(head, _term_pieces(seg.type), c + arrow, named=True))
+            inner = (*_names(seg.names), _Piece(":"), *_term_pieces(seg.type))
+            out.append(_Piece(o, inner, c + arrow, named=True))
     return tuple(out)
 
 
@@ -126,15 +135,19 @@ def render_term(t: Term, atom: bool = False) -> str:
     return _piece(t, atom).text
 
 
-def render_pattern(p: Pattern) -> str:
+def _pattern_piece(p: Pattern) -> _Piece:
     match p:
         case PVar(name, implicit):
-            return "{" + name + "}" if implicit else name
+            return _Piece("{" + name + "}" if implicit else name)
         case PCon(head, ()):
-            return head
+            return _Piece(head)
         case PCon(head, args):
-            return "(" + " ".join([head] + [render_pattern(a) for a in args]) + ")"
+            return _Piece("(", (_Piece(head), *map(_pattern_piece, args)), ")")
     raise AssertionError
+
+
+def render_pattern(p: Pattern) -> str:
+    return _pattern_piece(p).text
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +196,7 @@ def _sig_lines(name: str, sig: Term, base: int) -> list[str]:
 
 def _clause_lines(name: str, cl: Clause, base: int) -> list[str]:
     pad = " " * base
-    lhs = _Piece("", tuple(_Piece(a) for a in [name, *map(render_pattern, cl.patterns)]), " =")
+    lhs = _Piece("", (_Piece(name), *map(_pattern_piece, cl.patterns)), " =")
     body = _term_pieces(cl.body)
     one = pad + lhs.text + " " + " ".join([p.text for p in body])
     if len(one) <= WIDTH:

@@ -18,7 +18,6 @@ from typing import Callable, Iterable
 from .analysis import (
     GroupContext,
     IndexExpr,
-    IndexTypeSpec,
     enumerate_indices,
     render_index,
 )
@@ -117,18 +116,17 @@ MAP_FNS: tuple[tuple[str, Callable[[Value], Value]], ...] = (
 
 
 def _suite_indices(ctx: GroupContext) -> list[IndexExpr]:
-    """The index family: depths up to 3 when the index universe is a copy of
-    the naturals, up to 2 otherwise (multi-variable index universes grow too
-    quickly for an exhaustive deeper sweep)."""
-    if ctx.nat_index_eligible:
-        return [ctx.level(d) for d in range(4)]
-    return enumerate_indices(ctx.spec, 2)
+    """The index family: every index of depth up to 3 when the index universe
+    is a copy of the naturals (the levels 0..3), up to 2 otherwise
+    (multi-variable index universes grow too quickly for an exhaustive
+    deeper sweep)."""
+    return enumerate_indices(ctx, 3 if ctx.nat_index_eligible else 2)
 
 
 def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
     """Yield (idx, value) for every value at every index."""
     pool = {
-        k: tuple(VBase(n) for n in BASE_POOL) for k in range(ctx.spec.base_var_count)
+        k: tuple(VBase(n) for n in BASE_POOL) for k in range(ctx.base_var_count)
     }
     for idx in map(ctx.canonical, indices):
         for v in enumerate_values(ctx, idx, pool, max_size):
@@ -150,12 +148,12 @@ def _agree(lhs: object, rhs: object) -> bool:
 def _sweep(
     name: str,
     cases: Iterable[tuple[object, Value, str, object, object]],
-    spec: IndexTypeSpec,
+    ctx: GroupContext,
     agree: Callable[[object, object], bool] = _agree,
     show: Callable[[object, object], tuple[str, str]] = (
         lambda lhs, rhs: (render_value(lhs), render_value(rhs))
     ),
-    where: Callable[[object, IndexTypeSpec], str] = render_index,
+    where: Callable[[object, GroupContext], str] = render_index,
 ) -> PropertyResult:
     """Count the (place, value, label, lhs, rhs) cases up to the first disagreement.
 
@@ -172,7 +170,7 @@ def _sweep(
         seen.add((id(value), label))
         if not agree(lhs, rhs):
             ce = Counterexample(
-                name, where(place, spec), render_value(value), label, *show(lhs, rhs)
+                name, where(place, ctx), render_value(value), label, *show(lhs, rhs)
             )
             return PropertyResult(name, count, len(seen), ce)
     return PropertyResult(name, count, len(seen))
@@ -252,17 +250,17 @@ def check_equivalence(ctx: GroupContext, max_size: int) -> PropertyResult:
         (idx, v, name, nfold(idx, v), nfold_prime(idx, v))
         for idx, v in _values(ctx, _suite_indices(ctx), max_size)
         for name, nfold, nfold_prime in folds
-    ), ctx.spec)
+    ), ctx)
 
 
 def check_map_identity(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Mapping the identity over every slot returns the value unchanged."""
-    fs = {k: (lambda v: v) for k in range(ctx.spec.base_var_count)}
+    fs = {k: (lambda v: v) for k in range(ctx.base_var_count)}
     identity = prepare_map(ctx, fs, {})
     return _sweep("map-identity", (
         (idx, v, "identity", identity(idx, v), v)
         for idx, v in _values(ctx, _suite_indices(ctx), max_size)
-    ), ctx.spec)
+    ), ctx)
 
 
 def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -286,11 +284,11 @@ def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
                     for fname, fold, outer_fold in outer:
                         yield place, v, fname, fold(whole, v), outer_fold(at(m), v)
 
-    def split(place, spec: IndexTypeSpec) -> str:
+    def split(place, ctx: GroupContext) -> str:
         whole, m, n = place
-        return f"{render_index(whole, spec)} split {m}+{n}"
+        return f"{render_index(whole, ctx)} split {m}+{n}"
 
-    return _sweep("map-composition", cases(), ctx.spec, where=split)
+    return _sweep("map-composition", cases(), ctx, where=split)
 
 
 def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -301,7 +299,7 @@ def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
         (idx, v, halg.name, halg.finish(hfold(v)), halg.finish(eval_hfold_direct(ctx, halg, v)))
         for idx, v in _own_values(ctx, max_size)
         for halg, hfold in halgs
-    ), ctx.spec)
+    ), ctx)
 
 
 def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
@@ -314,7 +312,7 @@ def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
          halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v)),
          halg.finish(halg.methods[nil]()))
         for halg in halg_catalogue(ctx).values()
-    ), ctx.spec)
+    ), ctx)
 
 
 def check_hmap_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -324,7 +322,7 @@ def check_hmap_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
         (idx, v, fname, hmap(idx, v), eval_hmap_direct(ctx, f, v))
         for idx, v in _own_values(ctx, max_size)
         for fname, f, hmap in maps
-    ), ctx.spec)
+    ), ctx)
 
 
 def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -348,7 +346,7 @@ def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
         (idx, v, fname, hmap(idx, v), unfolded(f, hmap_hmap, v))
         for idx, v in _own_values(ctx, max_size)
         for fname, f, hmap, hmap_hmap in maps
-    ), ctx.spec)
+    ), ctx)
 
 
 def check_ind_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -361,7 +359,7 @@ def check_ind_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
         (idx, v, name, ind(idx, v), nfold(idx, v))
         for idx, v in _values(ctx, _suite_indices(ctx), max_size)
         for name, ind, nfold in folds
-    ), ctx.spec)
+    ), ctx)
 
 
 def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -389,7 +387,7 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
         (idx, v, name, nat_of(nfold(idx, v)), fold_list(base, step, v))
         for idx, v in _own_values(ctx, max_size)
         for name, nfold, base, step in folds
-    ), ctx.spec)
+    ), ctx)
 
 
 def _counted_runs(ctx: GroupContext, calls: list[int]):
@@ -397,7 +395,7 @@ def _counted_runs(ctx: GroupContext, calls: list[int]):
     call-counter-bound counts; every algebra adds its method calls to
     calls[0]."""
     sum_alg = catalogue(ctx)["sum"]
-    fs = {k: (lambda v: v) for k in range(ctx.spec.base_var_count)}
+    fs = {k: (lambda v: v) for k in range(ctx.base_var_count)}
     return (
         ("nfold", prepare_nfold, _counted(sum_alg, calls)),
         ("nmap", prepare_nfold, _counted(map_algebra(ctx, fs), calls)),
@@ -431,7 +429,7 @@ def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
     return _sweep(
         "call-counter-bound",
         cases(),
-        ctx.spec,
+        ctx,
         agree=lambda calls, bound: calls <= bound,
         show=lambda calls, bound: (f"{calls} calls", f"size bound {bound}"),
     )

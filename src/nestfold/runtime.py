@@ -198,7 +198,7 @@ class HAlgebra:
 
 
 def check_algebra(ctx: GroupContext, alg: Algebra) -> None:
-    missing = [k for k in range(ctx.spec.base_var_count) if k not in alg.bases]
+    missing = [k for k in range(ctx.base_var_count) if k not in alg.bases]
     if missing:
         raise EvalError(f"algebra is missing base functions for slots {missing}")
     for _, c in ctx.ctors():
@@ -413,7 +413,7 @@ def prepare_hfold(
     its wrapped algebra built and checked once."""
     alg = Algebra(
         f"hfold-{halg.name}",
-        bases={k: wrap for k in range(ctx.spec.base_var_count)},
+        bases={k: wrap for k in range(ctx.base_var_count)},
         methods={
             c.name: (lambda m: lambda iargs, rs: m(*rs))(halg.methods[c.name])
             for _, c in ctx.ctors()
@@ -662,7 +662,7 @@ def _splits(total: int, parts: int):
 def _encode_index(e: IndexExpr, ctx: GroupContext) -> Value:
     match e:
         case IVar(k):
-            return VBase(Atom(ctx.spec.var_ctors[k]))
+            return VBase(Atom(ctx.var_ctors[k]))
         case IApp(c, args):
             return VCon("@" + c, tuple(_encode_index(a, ctx) for a in args))
     raise AssertionError
@@ -671,7 +671,7 @@ def _encode_index(e: IndexExpr, ctx: GroupContext) -> Value:
 def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
     """The fixed algebras the property suite runs every theorem against."""
     algs: dict[str, Algebra] = {}
-    every_var = range(ctx.spec.base_var_count)
+    every_var = range(ctx.base_var_count)
 
     def nat_base(v: Value) -> RuntimeResult:
         if not (isinstance(v, VBase) and isinstance(v.payload, int)):
@@ -711,7 +711,7 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
     algs["trace"] = Algebra(
         "trace",
         bases={
-            k: (lambda k: lambda v: VCon("@" + ctx.spec.var_ctors[k], (v,)))(k)
+            k: (lambda k: lambda v: VCon("@" + ctx.var_ctors[k], (v,)))(k)
             for k in every_var
         },
         methods={

@@ -14,7 +14,6 @@ from nestfold.analysis import (
     enumerate_indices,
     group_context,
     index_depth,
-    index_universe,
     render_index,
     subst_index,
     type_to_index,
@@ -35,46 +34,46 @@ from test_parser import BOBDYLAN, BUSH, LIST
 
 
 def _single(src):
+    """The one group of src, and its context."""
     program = parse_program(src)
     (group,) = classify(program)
-    return program, group
+    return group, group_context(program, group)
 
 
 def test_bush_is_a_nested_singleton():
-    program, g = _single(BUSH)
+    g, ctx = _single(BUSH)
     assert g.decls == ("Bush",)
-    assert g.classification == "nested"
-    assert g.base_var_count == 1
-    spec = index_universe(program, g)
-    assert spec.name == "BushIndex"
-    assert spec.var_ctors == ("varA",)
-    assert spec.app_ctors == (("BushC", 1),)
+    assert g.nested
+    assert ctx.base_var_count == 1
+    assert ctx.index_name == "BushIndex"
+    assert ctx.var_ctors == ("varA",)
+    assert ctx.app_ctor == {"Bush": "BushC"}
 
 
 def test_list_is_ordinary():
-    program, g = _single(LIST)
-    assert g.classification == "ordinary"
-    assert index_universe(program, g).app_ctors == (("ListC", 1),)
+    g, ctx = _single(LIST)
+    assert not g.nested
+    assert ctx.app_ctor == {"List": "ListC"}
 
 
 def test_bobdylan_is_one_nested_group():
-    program, g = _single(BOBDYLAN)
+    g, ctx = _single(BOBDYLAN)
     assert g.decls == ("Bob", "Dylan")
-    assert g.classification == "nested"
-    assert g.base_var_count == 2
-    spec = index_universe(program, g)
-    assert spec.name == "BobDylanIndex"
-    assert spec.var_ctors == ("varA", "varB")
-    assert spec.app_ctors == (("BobC", 1), ("DylanC", 2))
+    assert g.nested
+    assert ctx.base_var_count == 2
+    assert ctx.index_name == "BobDylanIndex"
+    assert ctx.slot_letters == "AB"
+    assert ctx.var_ctors == ("varA", "varB")
+    assert ctx.app_ctor == {"Bob": "BobC", "Dylan": "DylanC"}
+    assert ctx.decl_of_app == {"BobC": "Bob", "DylanC": "Dylan"}
 
 
 def test_grouping_survives_declaration_reordering():
     flipped = BOBDYLAN.split("\n\n")
-    program = parse_program("\n\n".join(reversed(flipped)))
-    (g,) = classify(program)
+    g, ctx = _single("\n\n".join(reversed(flipped)))
     assert set(g.decls) == {"Bob", "Dylan"}
-    assert g.classification == "nested"
-    assert g.base_var_count == 2
+    assert g.nested
+    assert ctx.base_var_count == 2
 
 
 def test_independent_groups_with_dependency_come_out_dependencies_first():
@@ -248,7 +247,7 @@ def test_mutual_translation_of_a_deep_argument(bobdylan_ctx):
             IApp("BobC", (IVar(0),)),
         ),
     )
-    assert render_index(idx, bobdylan_ctx.spec) == (
+    assert render_index(idx, bobdylan_ctx) == (
         "DylanC (BobC (DylanC varA (BobC varA))) (BobC varA)"
     )
 
@@ -339,7 +338,7 @@ def test_bush_indices_biject_with_naturals(bush_ctx):
 
 
 def test_enumerate_bush_indices(bush_ctx):
-    got = enumerate_indices(bush_ctx.spec, 3)
+    got = enumerate_indices(bush_ctx, 3)
     expected = [IVar(0)]
     for _ in range(3):
         expected.append(IApp("BushC", (expected[-1],)))
@@ -348,15 +347,15 @@ def test_enumerate_bush_indices(bush_ctx):
 
 def test_enumerate_bobdylan_counts(bobdylan_ctx):
     # e(d) counts expressions of depth <= d: e(0) = 2, e(d) = 2 + e + e^2
-    assert len(enumerate_indices(bobdylan_ctx.spec, 0)) == 2
-    assert len(enumerate_indices(bobdylan_ctx.spec, 1)) == 8
-    assert len(enumerate_indices(bobdylan_ctx.spec, 2)) == 74
-    assert len(enumerate_indices(bobdylan_ctx.spec, 3)) == 5552
+    assert len(enumerate_indices(bobdylan_ctx, 0)) == 2
+    assert len(enumerate_indices(bobdylan_ctx, 1)) == 8
+    assert len(enumerate_indices(bobdylan_ctx, 2)) == 74
+    assert len(enumerate_indices(bobdylan_ctx, 3)) == 5552
 
 
 def test_enumeration_is_deterministic_and_depth_sorted(bobdylan_ctx):
-    xs = enumerate_indices(bobdylan_ctx.spec, 2)
-    assert xs == enumerate_indices(bobdylan_ctx.spec, 2)
+    xs = enumerate_indices(bobdylan_ctx, 2)
+    assert xs == enumerate_indices(bobdylan_ctx, 2)
     assert [index_depth(e) for e in xs] == sorted(index_depth(e) for e in xs)
     assert len(set(xs)) == len(xs)
 
@@ -437,6 +436,7 @@ SHAPE_FACTS = {
     "five-params": (False, None, None, None),
     "six-params": (False, ("m0", "m1"), None, None),
     "nine-params": (False, ("m0", "m1"), None, None),
+    "twenty-six-params": (False, ("m0", "m1"), None, None),
     "no-params": (False, None, None, None),
     "XYW": (False, None, None, None),
     "XY-x0-x1-y": (False, None, None, None),

@@ -5,13 +5,16 @@ renaming or deleting one of them would break `bench/run.py --trace 1`.
 bench/harness.py and bench/test_bench.py import names from the package and
 call `nestfold.<name>`; the package's name table must keep each of them.
 bench/harness.py names eval targets by string; each must stay a target the
-package accepts for its sample.
+package accepts for its sample.  bench/values.py and bench/harness.py read
+attributes of a group's context by name; each must resolve on a real one.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 LAYERS = BENCH / "layers.py"
 IMPORTERS = [BENCH / "harness.py", BENCH / "test_bench.py"]
+CONTEXT_READERS = [BENCH / "values.py", BENCH / "harness.py"]
 
 
 def test_every_traced_name_resolves():
@@ -101,3 +105,40 @@ def test_every_benchmark_target_translates_in_its_sample(sample, target):
     t = parse_type_context(target, program)
     (ctx,) = [c for c in analyze(program) if t.head in c.group.decls]
     context_to_index(t, ctx)
+
+
+def _context_reads(path: Path) -> set[str]:
+    """The dotted attribute paths one file reads off a group context: off a
+    name `ctx` or an attribute `.ctx`, so `self.ctx.group.decls` reads
+    "group" and "group.decls"."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            if node.attr == "ctx":
+                break
+            chain.append(node.attr)
+            node = node.value
+        if chain and (isinstance(node, ast.Attribute) or getattr(node, "id", None) == "ctx"):
+            reads.add(".".join(reversed(chain)))
+    return reads
+
+
+def _resolves_on(ctx, path: str) -> bool:
+    try:
+        functools.reduce(getattr, path.split("."), ctx)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_every_context_attribute_the_benchmark_reads_resolves():
+    reads = set().union(*map(_context_reads, CONTEXT_READERS))
+    assert reads >= {"decls", "decl_of_app", "arg_templates", "group.decls"}
+    for sample in ("list", "bush", "bobdylan"):
+        for ctx in analyze(parse_program((ROOT / "samples" / f"{sample}.ndt").read_text())):
+            assert sorted(path for path in reads if not _resolves_on(ctx, path)) == []
+
+
+def test_the_check_catches_a_context_attribute_that_moved():
+    assert not _resolves_on(SimpleNamespace(group=SimpleNamespace()), "group.decls")

@@ -678,7 +678,7 @@ def test_the_default_target_is_the_first_declaration_over_naturals(sample):
     (ctx,) = analyze(parse_program((SAMPLES / sample).read_text()))
     idx, universes = context_to_index(cli._default_target(ctx.program), ctx)
     assert idx == ctx.own_index(ctx.group.decls[0])
-    assert universes == {k: "nat" for k in range(ctx.spec.base_var_count)}
+    assert universes == {k: "nat" for k in range(ctx.base_var_count)}
 
 
 @pytest.mark.parametrize(

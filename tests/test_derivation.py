@@ -8,6 +8,7 @@ are written out in full so a drift in the builder shows up as a diff here.
 
 import gc
 import re
+import string
 
 import pytest
 
@@ -44,7 +45,7 @@ from test_parser import BOBDYLAN, BUSH, LIST, SAMPLES
 
 def _permuting(n: int) -> str:
     """A declaration with n parameters whose constructor reverses them."""
-    ps = " ".join("abcdefghi"[:n])
+    ps = " ".join(string.ascii_lowercase[:n])
     rev = " ".join(reversed(ps.split()))
     return f"data M ({ps} : Set) : Set where\n  m0 : M {ps}\n  m1 : a -> M {rev} -> M {ps}\n"
 
@@ -84,6 +85,9 @@ PROBES = {
     "t-s": "data T (a : Set) : Set where\n  t : T a\n  s : a -> T a -> T a\n",
     "six-params": _permuting(6),
     "nine-params": _permuting(9),
+    # as wide as the index universe goes; no test runs its suite, whose
+    # depth-2 index family does not finish enumerating
+    "twenty-six-params": _permuting(26),
     **{f"bush-{l}-{c}": _bush_like(l, c) for l, c in ["bc", "xy", "pq", "nf", ("hyp", "tr")]},
     "long-name": _bush_like("leaf", "cons", "Loooooooooooooooooooong"),
     "XY-x0-x1-y": (

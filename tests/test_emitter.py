@@ -137,7 +137,7 @@ def test_emitted_index_decl_reparses_as_ordinary(which, header, decl, request):
     block = _slice_data_block(request.getfixturevalue(which), header)
     (group,) = classify(parse_program(block))
     assert group.decls == (decl,)
-    assert group.classification == "ordinary"
+    assert not group.nested
 
 
 def test_skip_note_lands_in_header(list_text):

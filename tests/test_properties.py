@@ -598,6 +598,6 @@ def test_suite_roster(which):
 def test_the_roster_covers_every_narrow_group():
     narrow = {
         which for which, src in {**SOURCES, **SHAPES}.items()
-        if analyze(parse_program(src))[0].spec.base_var_count <= 3
+        if analyze(parse_program(src))[0].base_var_count <= 3
     }
     assert ROSTERS.keys() == narrow

@@ -274,7 +274,7 @@ def test_fold_tape_agrees_with_eval_nfold(src):
     from nestfold.properties import _suite_indices, _values
 
     (ctx,) = analyze(parse_program(src))
-    kinds = {k: "nat" for k in range(ctx.spec.base_var_count)}
+    kinds = {k: "nat" for k in range(ctx.base_var_count)}
     algs = catalogue(ctx).values()
     cases = 0
     for idx, v in _values(ctx, _suite_indices(ctx), 5):
@@ -618,7 +618,7 @@ def test_a_shared_memo_changes_no_result(src):
     from nestfold.properties import MAP_FNS, _suite_indices, _values
 
     (ctx,) = analyze(parse_program(src))
-    slots = range(ctx.spec.base_var_count)
+    slots = range(ctx.base_var_count)
     runs = [(fold, alg) for fold in FOLDS for alg in catalogue(ctx).values()]
     runs += [(eval_map, {k: f for k in slots}) for _, f in MAP_FNS]
     cases = list(_values(ctx, _suite_indices(ctx), 5))
