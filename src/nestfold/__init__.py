@@ -4,7 +4,7 @@ _HOMES is the one list of public names: each is listed once, under the
 module that defines it, and __all__ is computed from it.  Importing the
 package loads none of its modules; a name loads its home module on first
 access (PEP 562), so a caller that only parses and analyzes never imports
-the runtime, the derivation, the emitter or the properties.  Names are
+the runtime, the terms, the derivation, the emitter or the properties.  Names are
 looked up afresh on every access rather than cached here: a tool that
 rebinds a name in its home module is then seen through the package too.
 """
@@ -17,10 +17,7 @@ _HOMES = {
         "GroupContext", "MutualGroup", "analyze", "classify", "enumerate_indices",
         "render_index", "well_formed",
     ),
-    "derivation": (
-        "DerivedDef", "DerivedGroup", "derive_group", "ind_erases_to_nfold",
-        "recursion_witnesses",
-    ),
+    "derivation": ("derive_group",),
     "diagnostics": (
         "AnalysisError", "DerivationError", "Diagnostic", "DiagnosticError", "EmitError",
         "EvalError", "GuardExceeded", "NestfoldError", "ParseError",
@@ -36,6 +33,7 @@ _HOMES = {
         "eval_map", "eval_nfold", "eval_nfold_prime", "fold_tape", "halg_catalogue",
         "typecheck_value",
     ),
+    "terms": ("DerivedDef", "DerivedGroup", "ind_erases_to_nfold", "recursion_witnesses"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = sorted(_HOME)

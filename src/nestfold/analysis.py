@@ -18,6 +18,7 @@ from functools import cached_property
 
 from .diagnostics import AnalysisError, Diagnostic
 from .parser import (
+    AGDA_KEYWORDS,
     BASE_TYPES,
     Constructor,
     Program,
@@ -286,6 +287,10 @@ def well_formed(program: Program) -> list[Diagnostic]:
 
     ctor_owner: dict[str, str] = {}
     for d in program.decls:
+        named = [("declaration", d.name, d.pos), *(("type parameter", p, d.pos) for p in d.params)]
+        for role, name, pos in named + [("constructor", c.name, c.pos) for c in d.ctors]:
+            if name in AGDA_KEYWORDS:
+                report(f"{role} name {name!r} is an Agda keyword", pos)
         for p in sorted({p for p in d.params if d.params.count(p) > 1}):
             report(f"duplicate type parameter {p!r} in {d.name}", d.pos)
         if not d.ctors:

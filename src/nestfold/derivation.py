@@ -1,135 +1,51 @@
-"""Derive folds, induction principles, maps, and the PS bridge as ASTs.
+"""Build a group's derived definitions as terms (nestfold.terms).
 
-Every derived artifact is a small language-neutral term language (Term,
-Pattern, Clause) so the emitter can render it without re-deciding a single
-naming or shape question here.  Builders run in one of two modes, which
-derive_group decides once, in the one _Names it hands to every builder:
+The builders write the index universe, the restated source declarations,
+I (NTimes in nat mode), nfold, nmap, hmap, ind, hfold and the PS bridge.
+They run in one of two modes, which derive_group decides once, in the one
+_Names it hands to every builder:
 
 * general mode indexes a group by its own free term algebra (varA, BushC...),
 * nat mode specializes one-declaration one-parameter groups to a plain
   natural-number depth index (zero, succ).
 
 Names are part of the derived contract: the same group always yields the
-same trees, and the erasure check below compares signatures syntactically.
-Every binder is drawn from a name supply (_Supply) that skips the module's
-top-level names and the names beside it, so no source name can capture or
-be captured by a derived binder; the emitter's scope checks stay as backstops.
+same trees.  Every binder is drawn from a name supply (_Supply) that skips
+the module's top-level names, the names beside it and Agda's keywords, so
+no source name can capture or be captured by a derived binder.  A group
+with no parameters gets no binder and no lambda that binds nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analysis import GroupContext, IApp, IndexExpr, IVar
 from .diagnostics import DerivationError
-from .parser import Constructor, TApp, TVar, TypeDecl, TypeExpr
-
-# ---------------------------------------------------------------------------
-# Term and pattern language
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class App:
-    """Application with a flattened argument spine."""
-
-    fn: "Term"
-    args: tuple["Term", ...]
-
-
-@dataclass(frozen=True)
-class Lam:
-    params: tuple[str, ...]
-    body: "Term"
-
-
-@dataclass(frozen=True)
-class Binder:
-    """A named function-space segment; type None renders as a bare forall."""
-
-    names: tuple[str, ...]
-    type: "Term | None"
-    implicit: bool = False
-
-
-@dataclass(frozen=True)
-class Pi:
-    """A function type: binders and anonymous domains, last segment codomain."""
-
-    segments: tuple["Binder | Term", ...]
-
-
-Term = Var | App | Lam | Pi
-
-
-@dataclass(frozen=True)
-class PVar:
-    name: str
-    implicit: bool = False
-
-
-@dataclass(frozen=True)
-class PCon:
-    head: str
-    args: tuple["Pattern", ...] = ()
-
-
-Pattern = PVar | PCon
-
-
-@dataclass(frozen=True)
-class Clause:
-    patterns: tuple[Pattern, ...]
-    body: Term
-    wheres: tuple["DerivedDef", ...] = ()
-
-
-@dataclass(frozen=True)
-class DataDecl:
-    params: tuple[str, ...]
-    ctors: tuple[tuple[str, Term], ...]
-    forward: bool = False
-
-
-@dataclass(frozen=True)
-class DerivedDef:
-    """One emitted definition: a data declaration or a signature plus clauses."""
-
-    name: str
-    role: str
-    signature: Term | None = None
-    clauses: tuple[Clause, ...] = ()
-    data: DataDecl | None = None
-
-
-@dataclass(frozen=True)
-class DerivedGroup:
-    name: str
-    defs: tuple[DerivedDef, ...]
-    notes: tuple[str, ...] = ()
-
-
-SET = Var("Set")
-
-
-def _v(name: str, *args: Term) -> Term:
-    return App(Var(name), args) if args else Var(name)
-
-
-def _arrow(tys: list[Term]) -> Term:
-    return tys[0] if len(tys) == 1 else Pi(tuple(tys))
-
+from .parser import AGDA_KEYWORDS, Constructor, TApp, TVar, TypeDecl, TypeExpr
+from .terms import (
+    SET,
+    Binder,
+    Clause,
+    DataDecl,
+    DerivedDef,
+    DerivedGroup,
+    Lam,
+    PCon,
+    Pi,
+    PVar,
+    Term,
+    Var,
+    _arrow,
+    _binders,
+    _lam,
+    _v,
+)
 
 # ---------------------------------------------------------------------------
 # Naming and index-translation tables, per (group, mode)
 
 
-# the module's top-level names that are the same for every group
-_FIXED = frozenset(
+# the module's top-level names that are the same for every group, and Agda's keywords
+_FIXED = AGDA_KEYWORDS.union(
     "Set Nat zero succ NTimes I nfold nmap hmap ind hfold PS PS-to-P fold-PS liftNTimes nfold'".split()
 )
 
@@ -347,18 +263,18 @@ def derive_interp(nm: _Names) -> DerivedDef:
 
 def _method_type(nm: _Names, d: TypeDecl, c: Constructor) -> Term:
     ivs, env = nm.index_env(d)
-    segs: list[Binder | Term] = [Binder(ivs, Var(nm.index_name))]
+    segs: list[Binder | Term] = [*_binders(ivs, Var(nm.index_name))]
     for tmpl in nm.ctx.arg_templates[c.name]:
         segs.append(_v(nm.p, nm.index_term(tmpl, env)))
     segs.append(_v(nm.p, nm.result_index(d, env)))
-    return Pi(tuple(segs))
+    return _arrow(segs)
 
 
 def _nfold_signature(nm: _Names) -> Pi:
     segs: list[Binder | Term] = [Binder((nm.p,), Pi((Var(nm.index_name), SET)))]
     for d, c in nm.ctx.ctors():
         segs.append(Binder((nm.method[c.name],), _method_type(nm, d, c)))
-    segs.append(Binder(nm.base_types, SET))
+    segs.extend(_binders(nm.base_types, SET))
     for k, bf in enumerate(nm.base_fns):
         segs.append(Binder((bf,), Pi((Var(nm.base_types[k]), _v(nm.p, Var(nm.var_ctors[k]))))))
     segs.append(Binder((nm.ivar,), Var(nm.index_name)))
@@ -426,14 +342,14 @@ def derive_ind(nm: _Names) -> DerivedDef:
     def method_type(d: TypeDecl, c: Constructor) -> Term:
         ivs, env = nm.index_env(d)
         vvs = nm.value_vars(len(c.args))
-        segs: list[Binder | Term] = [Binder(ivs, idx)]
+        segs: list[Binder | Term] = [*_binders(ivs, idx)]
         arg_ixs = [nm.index_term(t, env) for t in nm.ctx.arg_templates[c.name]]
         for ix, v in zip(arg_ixs, vvs):
             segs.append(Binder((v,), nm.own_interp(ix)))
         for ix, v in zip(arg_ixs, vvs):
             segs.append(_v(p, ix, Var(v)))
         segs.append(_v(p, nm.result_index(d, env), _v(c.name, *(Var(v) for v in vvs))))
-        return Pi(tuple(segs))
+        return _arrow(segs)
 
     # the methods and base functions, in argument order: bases first in nat mode
     typed = [(nm.method[c.name], method_type(d, c)) for d, c in nm.ctx.ctors()]
@@ -442,7 +358,7 @@ def derive_ind(nm: _Names) -> DerivedDef:
     p_type = Pi((Binder((nm.ivar,), idx), nm.own_interp(Var(nm.ivar)), SET))
     sig = Pi(
         (
-            Binder(nm.base_types, SET, implicit=True),
+            *_binders(nm.base_types, SET, implicit=True),
             Binder((p,), p_type, implicit=True),
             *[Binder((name,), t) for name, t in leads],
             Binder((nm.ivar,), idx),
@@ -468,7 +384,7 @@ def derive_map(nm: _Names) -> DerivedDef:
         fns = tuple(fresh("fgh"[k] if k < 3 else f"f{k + 1}") for k in range(len(src)))
     sig = Pi(
         (
-            Binder(src + tgt, SET, implicit=True),
+            *_binders(src + tgt, SET, implicit=True),
             Binder((iv,), Var(nm.index_name)),
             *[Pi((Var(s), Var(t))) for s, t in zip(src, tgt)],
             nm.own_interp(Var(iv)),
@@ -483,7 +399,7 @@ def derive_map(nm: _Names) -> DerivedDef:
         + (PVar(val),)
     )
     plam = Lam((iv,), nm.own_interp(Var(iv), tgt))
-    mlams = [Lam(nm.ivars(len(d.params)), Var(c.name)) for d, c in nm.ctx.ctors()]
+    mlams = [_lam(nm.ivars(len(d.params)), Var(c.name)) for d, c in nm.ctx.ctors()]
     body = _v(
         "nfold",
         plam,
@@ -519,11 +435,9 @@ def derive_hfold(nm: _Names) -> list[DerivedDef]:
 
     def hmethod_type(d: TypeDecl, c: Constructor) -> Term:
         ps = params[d.name]
-        segs: list[Binder | Term] = []
-        if ps:
-            segs.append(Binder(tuple(ps.values()), SET if nm.nat else None))
+        segs: list[Binder | Term] = [*_binders(tuple(ps.values()), SET if nm.nat else None)]
         segs.extend(_carrier_type(a, carrier, ps) for a in c.args + (c.result,))
-        return _arrow(segs) if len(segs) == 1 else Pi(tuple(segs))
+        return _arrow(segs)
 
     carrier_binders: list[Binder] = []
     for dn in ctx.group.decls:
@@ -542,9 +456,7 @@ def derive_hfold(nm: _Names) -> list[DerivedDef]:
             Var(ps[k]) if k < len(ps) else (Var(ps[-1]) if ps else Var(carrier[dn]))
             for k in range(len(nm.base_types))
         ]
-        segs: list[Binder | Term] = list(carrier_binders) + list(method_binders)
-        if ps:
-            segs.append(Binder(ps, SET if nm.nat else None))
+        segs = [*carrier_binders, *method_binders, *_binders(ps, SET if nm.nat else None)]
         segs.append(_v(dn, *(Var(p) for p in ps)))
         segs.append(_v(carrier[dn], *(Var(p) for p in ps)))
         plam = Lam((nm.ivar,), nm.interp(cvars, insts, Var(nm.ivar)))
@@ -552,7 +464,7 @@ def derive_hfold(nm: _Names) -> list[DerivedDef]:
         for d2, c2 in ctx.ctors():
             ivs = nm.ivars(len(d2.params))
             mlams.append(
-                Lam(ivs, _v(nm.method[c2.name], *(nm.interp(cvars, insts, Var(v)) for v in ivs)))
+                _lam(ivs, _v(nm.method[c2.name], *(nm.interp(cvars, insts, Var(v)) for v in ivs)))
             )
         env = {k: Var(nm.var_ctors[k]) for k in range(len(ps))}
         body = _v(
@@ -766,139 +678,3 @@ def derive_group(ctx: GroupContext, nat_index: bool = False) -> DerivedGroup:
     else:
         notes.append("PS bridge: skipped (PS bridge not derivable for this shape)")
     return DerivedGroup(ctx.name, tuple(defs), tuple(notes))
-
-
-# ---------------------------------------------------------------------------
-# Structural-recursion certificate
-
-
-def _pattern_depths(
-    patterns: tuple[Pattern, ...], into: dict[str, int], depth: int = 0
-) -> None:
-    for p in patterns:
-        match p:
-            case PVar(name, _):
-                into[name] = max(into.get(name, 0), depth)
-            case PCon(_, args):
-                _pattern_depths(args, into, depth + 1)
-
-
-def recursion_witnesses(d: DerivedDef) -> tuple[str, ...]:
-    """Certify structural recursion: every self-call must pass at least one
-    variable bound strictly inside a constructor pattern.  Returns the
-    witnesses (last such argument per call site, deduplicated) and raises
-    DerivationError when a call has none."""
-    if d.data is not None:
-        return ()
-    out: list[str] = []
-    for cl in d.clauses:
-        depths: dict[str, int] = {}
-        _pattern_depths(cl.patterns, depths)
-        _scan_calls(cl.body, d.name, depths, out)
-        for w in cl.wheres:
-            for wcl in w.clauses:
-                wdepths = dict(depths)
-                _pattern_depths(wcl.patterns, wdepths)
-                _scan_calls(wcl.body, d.name, wdepths, out)
-    return tuple(out)
-
-
-def _scan_calls(t: Term, name: str, depths: dict[str, int], out: list[str]) -> None:
-    """Add to out the witness of each call of name in t; depths are the
-    pattern depths of the variables in scope."""
-    match t:
-        case Var():
-            return
-        case App(fn, args):
-            if isinstance(fn, Var) and fn.name == name:
-                witnesses = [
-                    a.name
-                    for a in args
-                    if isinstance(a, Var) and depths.get(a.name, 0) >= 1
-                ]
-                if not witnesses:
-                    raise DerivationError(
-                        f"cannot certify termination of {name!r}: a recursive "
-                        "call passes no strict subterm of a constructor pattern"
-                    )
-                if witnesses[-1] not in out:
-                    out.append(witnesses[-1])
-            else:
-                _scan_calls(fn, name, depths, out)
-            for a in args:
-                _scan_calls(a, name, depths, out)
-        case Lam(params, body):
-            _scan_calls(body, name, {k: v for k, v in depths.items() if k not in params}, out)
-        case Pi(segments):
-            for s in segments:
-                if isinstance(s, Binder):
-                    if s.type is not None:
-                        _scan_calls(s.type, name, depths, out)
-                else:
-                    _scan_calls(s, name, depths, out)
-
-
-# ---------------------------------------------------------------------------
-# Erasure check: ind collapses to nfold once value arguments are removed
-
-
-def _drop_value_arg(t: Term) -> Term:
-    if not isinstance(t, App):
-        raise DerivationError("erasure expected an application of the result family")
-    return App(t.fn, t.args[:1]) if len(t.args) > 1 else t
-
-
-def _erase_method(t: Term) -> Term:
-    segs = list(t.segments)
-    out: list[Binder | Term] = [segs[0]]
-    rest = segs[1:]
-    k = 0
-    while k < len(rest) and isinstance(rest[k], Binder):
-        k += 1  # value binders: dropped entirely
-    out.extend(_drop_value_arg(s) for s in rest[k:])
-    return Pi(tuple(out))
-
-
-def _erase_base(t: Term) -> Term:
-    first, cod = t.segments
-    domain = first.type if isinstance(first, Binder) else first
-    return Pi((domain, _drop_value_arg(cod)))
-
-
-def ind_erases_to_nfold(
-    ctx: GroupContext,
-    ind_def: DerivedDef,
-    nfold_def: DerivedDef,
-    nat_index: bool = False,
-) -> list[str]:
-    """Check, component by component, that deleting the value arguments from
-    the induction principle's signature yields the fold's signature.  Names
-    are part of the derived contract, so the comparison is syntactic.
-    Returns a list of mismatch descriptions; empty means the check passed."""
-    m = len(ctx.ctors())
-    v = 1 if nat_index else ctx.base_var_count
-    nsegs = nfold_def.signature.segments
-    isegs = ind_def.signature.segments
-    n_methods = nsegs[1 : 1 + m]
-    n_bases = nsegs[2 + m : 2 + m + v]
-    n_trailer = nsegs[-3:]
-    if nat_index:
-        i_bases = [isegs[2]]
-        i_methods = list(isegs[3 : 3 + m])
-    else:
-        i_methods = list(isegs[2 : 2 + m])
-        i_bases = list(isegs[2 + m : 2 + m + v])
-    i_trailer = isegs[-3:]
-
-    problems = []
-    for nb, ib in zip(n_methods, i_methods):
-        if _erase_method(ib.type) != nb.type:
-            problems.append(f"method {nb.names[0]}: erased type does not match")
-    for nb, ib in zip(n_bases, i_bases):
-        if _erase_base(ib.type) != nb.type:
-            problems.append(f"base {nb.names[0]}: erased type does not match")
-    ivb, vb, cod = i_trailer
-    erased_trailer = (ivb, vb.type, _drop_value_arg(cod))
-    if erased_trailer != tuple(n_trailer):
-        problems.append("trailer: erased type does not match")
-    return problems

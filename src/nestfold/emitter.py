@@ -15,29 +15,21 @@ byte-identical across runs.  Layout is rule-driven, never heuristic:
 
 A term or a pattern is printed once, as layout pieces; its one-line text is
 read off the pieces, so the flat and the broken rendering cannot disagree.
-
-Every definition is certified here, once, before any text is returned (a
-recursive call recursion_witnesses cannot certify is a DerivationError), and
-scope-checked before rendering: an unbound name is an internal error
-(EmitError), not something to quietly render anyway.  So is a top-level name
-bound twice, which a source name that collides with a derived one produces,
-a name that a signature's top-level binders or a clause's patterns bind
-twice, which Agda would reject, and a pattern variable named like a
-constructor, which Agda would read as that constructor.
+Each definition is headed by the termination certificate that
+terms.check_module gives it; a module that check refuses is never printed.
 """
 
 from __future__ import annotations
 
 import textwrap
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from itertools import groupby
 
-from .derivation import (
+from .diagnostics import EmitError
+from .terms import (
     App,
     Binder,
     Clause,
-    DataDecl,
     DerivedDef,
     DerivedGroup,
     Lam,
@@ -47,9 +39,8 @@ from .derivation import (
     Pi,
     Term,
     Var,
-    recursion_witnesses,
+    check_module,
 )
-from .diagnostics import EmitError
 
 WIDTH = 80
 
@@ -99,11 +90,6 @@ def _term_pieces(t: Term) -> tuple[_Piece, ...]:
     return (_piece(t, False),)
 
 
-def _names(names: tuple[str, ...]) -> tuple[_Piece, ...]:
-    """A piece per name; no names is one empty piece, as in `( : A)`."""
-    return tuple(map(_Piece, names or ("",)))
-
-
 def _piece(t: Term, atom: bool, tail: str = "") -> _Piece:
     """t as one piece followed by tail; an atom (an argument) is
     parenthesized unless it is a name."""
@@ -111,7 +97,8 @@ def _piece(t: Term, atom: bool, tail: str = "") -> _Piece:
         return _Piece(t.name + tail)
     o, c = ("(", ")" + tail) if atom else ("", tail)
     if isinstance(t, Lam):
-        return _Piece(o + "\\ ", (*_names(t.params), _Piece("->"), *_term_pieces(t.body)), c)
+        inner = (*map(_Piece, t.params), _Piece("->"), *_term_pieces(t.body))
+        return _Piece(o + "\\ ", inner, c)
     return _Piece(o, _term_pieces(t), c)
 
 
@@ -123,10 +110,10 @@ def _segment_pieces(segments: tuple[Binder | Term, ...]) -> tuple[_Piece, ...]:
         if not isinstance(seg, Binder):
             out.append(_piece(seg, isinstance(seg, (Pi, Lam)), arrow))
         elif seg.type is None:
-            out.append(_Piece("forall ", _names(seg.names), arrow, named=True))
+            out.append(_Piece("forall ", tuple(map(_Piece, seg.names)), arrow, named=True))
         else:
             o, c = ("{", "}") if seg.implicit else ("(", ")")
-            inner = (*_names(seg.names), _Piece(":"), *_term_pieces(seg.type))
+            inner = (*map(_Piece, seg.names), _Piece(":"), *_term_pieces(seg.type))
             out.append(_Piece(o, inner, c + arrow, named=True))
     return tuple(out)
 
@@ -233,8 +220,8 @@ def _data_lines(header: str, d: DerivedDef) -> list[str]:
     return lines
 
 
-def _certificate(d: DerivedDef) -> list[str]:
-    ws = recursion_witnesses(d)
+def _certificate(ws: tuple[str, ...]) -> list[str]:
+    """The comment certifying a definition by its recursion witnesses."""
     if ws:
         msg = (
             "Terminates: each recursive call consumes a strict subterm of a "
@@ -243,118 +230,6 @@ def _certificate(d: DerivedDef) -> list[str]:
     else:
         msg = "Terminates: no recursive calls."
     return ["-- " + line for line in textwrap.wrap(msg, WIDTH - 3)]
-
-
-# ---------------------------------------------------------------------------
-# Scope validation
-
-
-def _free_vars(t: Term, bound: frozenset[str], out: set[str]) -> None:
-    match t:
-        case Var(name):
-            if name not in bound:
-                out.add(name)
-        case App(fn, args):
-            _free_vars(fn, bound, out)
-            for a in args:
-                _free_vars(a, bound, out)
-        case Lam(params, body):
-            _free_vars(body, bound | frozenset(params), out)
-        case Pi(segments):
-            b = bound
-            for seg in segments:
-                if isinstance(seg, Binder):
-                    if seg.type is not None:
-                        _free_vars(seg.type, b, out)
-                    b = b | frozenset(seg.names)
-                else:
-                    _free_vars(seg, b, out)
-
-
-def _pattern_vars(
-    patterns: tuple[Pattern, ...], ctors: set[str], where: str, out: list[str] | None = None
-) -> list[str]:
-    """The variables the patterns bind, left to right, appended to out."""
-    if out is None:
-        out = []
-    for p in patterns:
-        match p:
-            case PVar(name, _):
-                if name in ctors:  # Agda would read it as the constructor
-                    raise EmitError(
-                        f"definition {where!r} binds constructor name {name!r} "
-                        "as a pattern variable"
-                    )
-                out.append(name)
-            case PCon(head, args):
-                if head not in ctors:
-                    raise EmitError(f"unknown constructor {head!r} in a pattern of {where!r}")
-                _pattern_vars(args, ctors, where, out)
-    return out
-
-
-def _bound_once(names: list[str], where: str, place: str) -> frozenset[str]:
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise EmitError(f"definition {where!r} binds {name!r} twice in {place}")
-        seen.add(name)
-    return frozenset(seen)
-
-
-def _check_term(t: Term, bound: frozenset[str], known: AbstractSet[str], where: str) -> None:
-    free: set[str] = set()
-    _free_vars(t, bound, free)
-    loose = sorted(free - known)
-    if loose:
-        raise EmitError(f"unscoped name {loose[0]!r} in definition {where!r}")
-
-
-def _check_def(
-    d: DerivedDef, bound: frozenset[str], known: AbstractSet[str], ctors: set[str]
-) -> None:
-    """d and its where definitions mention only names in scope, and bind
-    each top-level signature binder and each clause's pattern variable once."""
-    segs = d.signature.segments if isinstance(d.signature, Pi) else ()
-    binders = [n for seg in segs if isinstance(seg, Binder) for n in seg.names]
-    _bound_once(binders, d.name, "its signature")
-    _check_term(d.signature, bound, known, d.name)
-    for cl in d.clauses:
-        pv = bound | _bound_once(_pattern_vars(cl.patterns, ctors, d.name), d.name, "one clause")
-        scope = known | {w.name for w in cl.wheres}
-        _check_term(cl.body, pv, scope, d.name)
-        for w in cl.wheres:
-            _check_def(w, pv, scope, ctors)
-
-
-def _validate(module: EmitModule) -> None:
-    """Every top-level data type, constructor and definition name is bound
-    once, and every definition passes _check_def."""
-    roles: dict[str, str] = {"Set": "the universe"}
-
-    def bind(name: str, role: str) -> None:
-        if name in roles:
-            raise EmitError(
-                f"module {module.name} binds {name!r} twice: as {roles[name]} and as {role}"
-            )
-        roles[name] = role
-
-    known = roles.keys()  # every name bound so far
-    ctors: set[str] = set()
-    for d in module.defs:
-        if d.data is not None:
-            bind(d.name, "a data type")
-            for cn, _ in d.data.ctors:
-                bind(cn, f"a constructor of {d.name}")
-                ctors.add(cn)
-    for d in module.defs:
-        if d.data is not None:
-            env = frozenset(d.data.params)
-            for _, ct in d.data.ctors:
-                _check_term(ct, env, known, d.name)
-            continue
-        bind(d.name, "a definition")
-        _check_def(d, frozenset(), known, ctors)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +261,7 @@ def emit_agda(module: EmitModule) -> str:
     """Render a module to its one canonical text."""
     if not module.defs:
         raise EmitError("refusing to emit an empty module")
-    _validate(module)
+    witnesses = check_module(module.name, module.defs)
     blocks: list[list[str]] = [_header(module), [f"module {module.name} where"]]
     for forward, run in groupby(module.defs, lambda d: d.data is not None and d.data.forward):
         if forward:
@@ -398,7 +273,7 @@ def emit_agda(module: EmitModule) -> str:
             if d.data is not None:
                 blocks.append(_data_lines(_data_header(d), d))
             else:
-                blocks.append(_certificate(d) + _body_lines(d, 0))
+                blocks.append(_certificate(witnesses[d.name]) + _body_lines(d, 0))
     text = "\n\n".join("\n".join(b) for b in blocks) + "\n"
     for line in text.splitlines():
         if not line.isascii():

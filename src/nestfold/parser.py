@@ -29,6 +29,17 @@ NAT_MAX = 2**64 - 1
 
 KEYWORDS = frozenset({"data", "where"})
 
+#: The Agda keywords the lexer can read as a name (the user manual, Lexical
+#: structure, "Keywords and special symbols"; eta-equality and
+#: no-eta-equality cannot be lexed).  Set is left out: a name Set is refused
+#: as a second binding of the universe.
+AGDA_KEYWORDS = frozenset(
+    "abstract coinductive constructor data do field forall hiding import in inductive infix "
+    "infixl infixr instance interleaved let macro module mutual opaque open overlap pattern "
+    "postulate primitive private public quote quoteTerm record renaming rewrite syntax tactic "
+    "to unfolding unquote unquoteDecl unquoteDef using variable where with".split()
+)
+
 
 # ---------------------------------------------------------------------------
 # AST

@@ -13,7 +13,7 @@ import pytest
 
 from nestfold.analysis import analyze
 from nestfold.cli import main
-from nestfold.derivation import derive_group, recursion_witnesses
+from nestfold.derivation import derive_group
 from nestfold.parser import parse_program, parse_value_literal
 from nestfold.properties import (
     check_call_counter,
@@ -27,6 +27,7 @@ from nestfold.properties import (
     check_spine_fold_agreement,
 )
 from nestfold.runtime import eval_hfold_via_nfold, halg_catalogue
+from nestfold.terms import recursion_witnesses
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"

@@ -298,6 +298,54 @@ def test_derive_refuses_a_module_that_binds_a_name_twice(capsys, tmp_path, decls
     assert _assert_refused(capsys, tmp_path / "out", src, *flags) == message.format(src=src)
 
 
+# Agda reserves its keywords, so a source name that is one is refused where
+# it is read; the parser reads a type name only if it is capitalized.
+@pytest.mark.parametrize(
+    "decls, line",
+    [
+        (
+            "data module (a : Set) : Set where\n  k : module a\n",
+            "{src}:1:6: error: expected a capitalized type name, found 'module'",
+        ),
+        (
+            "data T (forall : Set) : Set where\n  k : T forall\n",
+            "{src}:1:1: error: type parameter name 'forall' is an Agda keyword",
+        ),
+        (
+            "data T (a : Set) : Set where\n  in : T a\n  k : a -> T a -> T a\n",
+            "{src}:2:3: error: constructor name 'in' is an Agda keyword",
+        ),
+    ],
+    ids=["type", "parameter", "constructor"],
+)
+def test_derive_refuses_an_agda_keyword_as_a_name(capsys, tmp_path, decls, line):
+    src = tmp_path / "keyword.ndt"
+    src.write_text(decls)
+    assert _assert_refused(capsys, tmp_path / "out", src) == line.format(src=src)
+
+
+def test_derive_primes_a_carrier_named_like_an_agda_keyword(capsys, tmp_path):
+    """A declaration's carrier is its lowercased name, so In's would be in."""
+    src = tmp_path / "in.ndt"
+    src.write_text("data In (a : Set) : Set where\n  k : In a\n  c : a -> In (In a) -> In a\n")
+    code, _, err = run(capsys, "derive", src, "-o", tmp_path)
+    assert (code, err) == (0, "")
+    lines = (tmp_path / "In.agda").read_text().splitlines()
+    assert "hfold-in in' k' c' a x =" in lines
+    assert [line for line in lines if " in " in f" {line} "] == []
+
+
+def test_derive_writes_no_empty_binder_for_a_group_without_parameters(capsys, tmp_path):
+    src = tmp_path / "n.ndt"
+    src.write_text("data N : Set where\n  z : N\n  s : N -> N\n")
+    code, _, err = run(capsys, "derive", src, "-o", tmp_path)
+    assert (code, err) == (0, "")
+    text = (tmp_path / "N.agda").read_text()
+    for line in ["        (s' : p NC -> p NC) ->", "nmap i x = nfold (\\ i -> I N i) z s i x"]:
+        assert line in text.splitlines()
+    assert [empty for empty in ["( :", "{ :", "\\  ->"] if empty in text] == []
+
+
 @pytest.mark.parametrize(
     "n, line",
     [

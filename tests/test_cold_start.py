@@ -97,7 +97,9 @@ def test_test_adds_the_runtime_and_the_properties():
 
 def test_derive_adds_the_derivation_and_the_emitter(tmp_path):
     loaded = _command("derive", SAMPLES / "list.ndt", "--out", tmp_path)
-    assert loaded == SURFACE | {"nestfold.cli", "nestfold.derivation", "nestfold.emitter"}
+    assert loaded == SURFACE | {
+        "nestfold.cli", "nestfold.derivation", "nestfold.emitter", "nestfold.terms"
+    }
 
 
 def test_each_public_name_is_its_home_modules_object():

@@ -14,15 +14,6 @@ import pytest
 
 from nestfold.analysis import analyze
 from nestfold.derivation import (
-    App,
-    Binder,
-    Clause,
-    DerivedDef,
-    Lam,
-    PCon,
-    PVar,
-    Pi,
-    Var,
     _Names,
     derive_data_decls,
     derive_group,
@@ -33,12 +24,23 @@ from nestfold.derivation import (
     derive_map,
     derive_nfold,
     derive_ps_bridge,
-    ind_erases_to_nfold,
-    recursion_witnesses,
 )
 from nestfold.diagnostics import AnalysisError, DerivationError
 from nestfold.emitter import emit_agda, module_for_group
 from nestfold.parser import parse_program
+from nestfold.terms import (
+    App,
+    Binder,
+    Clause,
+    DerivedDef,
+    Lam,
+    PCon,
+    Pi,
+    PVar,
+    Var,
+    ind_erases_to_nfold,
+    recursion_witnesses,
+)
 
 from test_parser import BOBDYLAN, BUSH, LIST, SAMPLES
 

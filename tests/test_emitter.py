@@ -5,19 +5,7 @@ from pathlib import Path
 import pytest
 
 from nestfold.analysis import analyze, classify
-from nestfold.derivation import (
-    App,
-    Binder,
-    Clause,
-    DataDecl,
-    DerivedDef,
-    Lam,
-    PCon,
-    Pi,
-    PVar,
-    Var,
-    derive_group,
-)
+from nestfold.derivation import derive_group
 from nestfold.diagnostics import EmitError
 from nestfold.emitter import (
     EmitModule,
@@ -27,6 +15,7 @@ from nestfold.emitter import (
     render_term,
 )
 from nestfold.parser import parse_program
+from nestfold.terms import App, Binder, Clause, DataDecl, DerivedDef, Lam, PCon, Pi, PVar, Var
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -201,6 +190,29 @@ def test_a_signature_that_binds_a_name_twice_is_rejected():
     bad = DerivedDef(name="f", role="should never render", signature=sig)
     with pytest.raises(EmitError, match="^definition 'f' binds 'x' twice in its signature$"):
         emit_agda(EmitModule("Twice", (_data("A"), _data("B"), _data("C"), bad)))
+
+
+@pytest.mark.parametrize(
+    "sig, clause, message",
+    [
+        (Pi((Binder(("in",), Var("T")), Var("T"))), None, "binds the Agda keyword 'in'"),
+        (None, Clause((PVar("let"),), Var("let")), "binds the Agda keyword 'let'"),
+        (None, Clause((PVar("x"),), Lam(("open",), Var("x"))), "binds the Agda keyword 'open'"),
+        (Pi((Binder((), Var("T")), Var("T"))), None, "has a binder that binds no name"),
+        (None, Clause((PVar("x"),), Lam((), Var("x"))), "has a lambda that binds no name"),
+    ],
+    ids=["binder", "pattern", "lambda", "empty-binder", "empty-lambda"],
+)
+def test_a_keyword_or_an_empty_binder_is_rejected(sig, clause, message):
+    t = DerivedDef(name="T", role="a type", data=DataDecl((), (("k", Var("T")),)))
+    bad = DerivedDef(
+        name="f",
+        role="should never render",
+        signature=sig or Pi((Var("T"), Var("T"))),
+        clauses=(clause,) if clause else (),
+    )
+    with pytest.raises(EmitError, match=f"^definition 'f' {message}"):
+        emit_agda(EmitModule("Keyword", (t, bad)))
 
 
 def test_empty_module_is_rejected():
