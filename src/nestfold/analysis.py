@@ -12,11 +12,9 @@ derived folds dispatch on.
 from __future__ import annotations
 
 import itertools
-import string
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .diagnostics import AnalysisError, Diagnostic
+from .diagnostics import AnalysisError, Diagnostic, Record, _set
 from .parser import (
     AGDA_KEYWORDS,
     BASE_TYPES,
@@ -30,72 +28,92 @@ from .parser import (
 )
 
 
-@dataclass(frozen=True)
-class IVar:
+# IVar and IApp are built, compared and hashed throughout enumeration and
+# evaluation: each sets its fields through its slot descriptors and compares
+# them itself.
+
+
+class IVar(Record):
     """The k-th index variable (a base slot)."""
 
-    k: int
+    __slots__ = __match_args__ = ("k",)
+
+    def __init__(self, k: int):
+        _ivar_k(self, k)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is IVar:
+            return self.k == other.k
+        return NotImplemented
+
+    __hash__ = Record.__hash__
 
 
-@dataclass(frozen=True)
-class IApp:
+class IApp(Record):
     """An index application constructor, e.g. BushC i or DylanC i j.
 
     The hash is computed once, at construction, from the arguments' own
-    (cached) hashes, so hashing never walks the expression."""
+    (cached) hashes, so hashing never walks the expression.  It is kept in
+    the _hash slot, which is not a positional field."""
 
-    ctor: str
-    args: tuple["IndexExpr", ...] = ()
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("ctor", "args", "_hash")
+    __match_args__ = ("ctor", "args")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.ctor, self.args)))
+    def __init__(self, ctor: str, args: tuple[IndexExpr, ...] = ()):
+        _iapp_ctor(self, ctor)
+        _iapp_args(self, args)
+        _iapp_hash(self, hash((ctor, args)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is IApp:
+            return self.ctor == other.ctor and self.args == other.args
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
 
 
+_ivar_k = IVar.k.__set__
+_iapp_ctor, _iapp_args, _iapp_hash = IApp.ctor.__set__, IApp.args.__set__, IApp._hash.__set__
+
 IndexExpr = IVar | IApp
 
 
-@dataclass(frozen=True)
-class MutualGroup:
+class MutualGroup(Record):
     """A component's declarations, in source order, and whether it is nested."""
 
-    decls: tuple[str, ...]
-    nested: bool
+    __slots__ = __match_args__ = ("decls", "nested")
+
+    def __init__(self, decls: tuple[str, ...], nested: bool):
+        _set(self, "decls", decls)
+        _set(self, "nested", nested)
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class GroupContext(Record):
     """One group and its index universe, each fact computed once, on first
-    use; group_context builds it and refuses the groups it cannot index."""
+    use; group_context builds it and refuses the groups it cannot index.
 
-    program: Program
-    group: MutualGroup
-    _ctors_at: dict[IApp, dict[str, tuple[IndexExpr, ...]]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    #: Each index canonical has been asked about, as its own key.
-    _canonical: dict[IndexExpr, IndexExpr] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    #: The canonical indices of level(0), level(1), ...
-    _levels: list[IndexExpr] = field(
-        default_factory=list, init=False, compare=False, repr=False
-    )
-    #: Least sizes per (index constructor, argument least sizes, cap); see least_at.
-    _least: dict[tuple[str, tuple[int, ...], int], int] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    #: Exact-size value pools per base pool and (index, size); see enumerate_values.
-    pools: dict[tuple, dict[tuple[IndexExpr, int], tuple]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    #: The one object of every enumerated value; see enumerate_values.
-    interned: dict[tuple, object] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    It has a __dict__, for its cached properties; equality and hash are
+    over (program, group) alone."""
+
+    __match_args__ = ("program", "group")
+
+    def __init__(self, program: Program, group: MutualGroup):
+        vars(self).update(
+            program=program,
+            group=group,
+            _ctors_at={},
+            # Each index canonical has been asked about, as its own key.
+            _canonical={},
+            # The canonical indices of level(0), level(1), ...
+            _levels=[],
+            # Least sizes per (index constructor, argument least sizes, cap); see least_at.
+            _least={},
+            # Exact-size value pools per base pool and (index, size); see enumerate_values.
+            pools={},
+            # The one object of every enumerated value; see enumerate_values.
+            interned={},
+        )
 
     @property
     def name(self) -> str:
@@ -118,7 +136,7 @@ class GroupContext:
     def slot_letters(self) -> str:
         """One capital per base slot, A first: slot k's index constructor is
         var + slot_letters[k], and derived names follow the letter too."""
-        return string.ascii_uppercase[: self.base_var_count]
+        return "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[: self.base_var_count]
 
     @cached_property
     def var_ctors(self) -> tuple[str, ...]:
@@ -287,12 +305,18 @@ def well_formed(program: Program) -> list[Diagnostic]:
 
     ctor_owner: dict[str, str] = {}
     for d in program.decls:
-        named = [("declaration", d.name, d.pos), *(("type parameter", p, d.pos) for p in d.params)]
+        params = list(zip(d.params, d.param_pos or [d.pos] * len(d.params)))
+        named = [("declaration", d.name, d.pos), *(("type parameter", *p) for p in params)]
         for role, name, pos in named + [("constructor", c.name, c.pos) for c in d.ctors]:
             if name in AGDA_KEYWORDS:
                 report(f"{role} name {name!r} is an Agda keyword", pos)
-        for p in sorted({p for p in d.params if d.params.count(p) > 1}):
-            report(f"duplicate type parameter {p!r} in {d.name}", d.pos)
+            elif name == "Set":
+                report(f"{role} name 'Set' is reserved for the universe", pos)
+        seen: dict[str, int] = {}
+        for p, pos in params:
+            seen[p] = seen.get(p, 0) + 1
+            if seen[p] == 2:
+                report(f"duplicate type parameter {p!r} in {d.name}", pos)
         if not d.ctors:
             report(f"declaration {d.name} has no constructors", d.pos)
         expected = TApp(d.name, tuple(TVar(p) for p in d.params))

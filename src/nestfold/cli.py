@@ -18,14 +18,13 @@ target's head declaration to parse_value_literal.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
 from pathlib import Path
 
 from .analysis import GroupContext, analyze, context_to_index
-from .diagnostics import DiagnosticError, NestfoldError
+from .diagnostics import Diagnostic, DiagnosticError, NestfoldError
 from .parser import (
     TApp,
     check_type_context,
@@ -154,7 +153,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     diags, tape = typecheck_value(ctx, idx, universes, v)
     if diags:
         for d in diags:
-            print(dataclasses.replace(d, file=source).render(), file=sys.stderr)
+            print(Diagnostic(d.message, d.line, d.col, source).render(), file=sys.stderr)
         return 1
     print(render_value(fold_tape(ctx, algs[args.algebra], tape)))
     return 0

@@ -1,18 +1,77 @@
-"""Positioned diagnostics and the error types shared across the package."""
+"""Positioned diagnostics, the error types shared across the package, and
+Record, the immutable base of every record the package builds.
+
+This module imports nothing from the package, so every other module can
+build on it; and it imports only operator, so that no command pays for
+dataclasses (and the inspect, ast and re it loads) at start-up.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Record:
+    """An immutable record with value equality.
+
+    A subclass lists its fields in __slots__, its positional fields in
+    __match_args__ (which class patterns read), and writes its __init__.
+    repr shows each positional field but pos; == and hash compare the same
+    fields, or those the class names in _compared, through one attrgetter
+    per class.  Fields outside __match_args__ (a cached hash, the positions
+    of parts) are neither shown nor compared.  Every assignment raises
+    AttributeError, so __init__ sets fields with object.__setattr__ or, on
+    a hot record, through its slot descriptors.  A class that writes its
+    own __eq__ keeps a hash with __hash__ = Record.__hash__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._shown = tuple(n for n in cls.__match_args__ if n != "pos")
+        cls._key = attrgetter(*cls.__dict__.get("_compared", cls._shown))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{n}={getattr(self, n)!r}" for n in self._shown])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+#: Sets a field of a record, in its __init__.
+_set = object.__setattr__
+
+
+class Diagnostic(Record):
     """A single `file:line:col: error: message` report."""
 
-    message: str
-    line: int | None = None
-    col: int | None = None
-    file: str | None = None
+    __slots__ = __match_args__ = ("message", "line", "col", "file")
+
+    def __init__(
+        self,
+        message: str,
+        line: int | None = None,
+        col: int | None = None,
+        file: str | None = None,
+    ):
+        _set(self, "message", message)
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "file", file)
 
     def render(self) -> str:
         if self.line is not None:

@@ -22,10 +22,9 @@ terms.check_module gives it; a module that check refuses is never printed.
 from __future__ import annotations
 
 import textwrap
-from dataclasses import dataclass
 from itertools import groupby
 
-from .diagnostics import EmitError
+from .diagnostics import EmitError, Record, _set
 from .terms import (
     App,
     Binder,
@@ -45,11 +44,13 @@ from .terms import (
 WIDTH = 80
 
 
-@dataclass(frozen=True)
-class EmitModule:
-    name: str
-    defs: tuple[DerivedDef, ...]
-    notes: tuple[str, ...] = ()
+class EmitModule(Record):
+    __slots__ = __match_args__ = ("name", "defs", "notes")
+
+    def __init__(self, name: str, defs: tuple[DerivedDef, ...], notes: tuple[str, ...] = ()):
+        _set(self, "name", name)
+        _set(self, "defs", defs)
+        _set(self, "notes", notes)
 
 
 def module_for_group(group: DerivedGroup) -> EmitModule:

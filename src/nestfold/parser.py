@@ -20,10 +20,7 @@ same parser, whose base universes ``Nat`` and ``Atom`` become type variables:
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass, field
-
-from .diagnostics import ParseError
+from .diagnostics import ParseError, Record, _set
 
 NAT_MAX = 2**64 - 1
 
@@ -31,8 +28,8 @@ KEYWORDS = frozenset({"data", "where"})
 
 #: The Agda keywords the lexer can read as a name (the user manual, Lexical
 #: structure, "Keywords and special symbols"; eta-equality and
-#: no-eta-equality cannot be lexed).  Set is left out: a name Set is refused
-#: as a second binding of the universe.
+#: no-eta-equality cannot be lexed).  Set is left out: analysis.well_formed
+#: refuses a name Set as a second binding of the universe.
 AGDA_KEYWORDS = frozenset(
     "abstract coinductive constructor data do field forall hiding import in inductive infix "
     "infixl infixr instance interleaved let macro module mutual opaque open overlap pattern "
@@ -45,40 +42,68 @@ AGDA_KEYWORDS = frozenset(
 # AST
 
 
-@dataclass(frozen=True)
-class TVar:
+class TVar(Record):
     """A type-parameter occurrence."""
 
-    name: str
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+    __slots__ = __match_args__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: tuple[int, int] | None = None):
+        _set(self, "name", name)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class TApp:
+class TApp(Record):
     """A declared type constructor applied to zero or more arguments."""
 
-    head: str
-    args: tuple["TypeExpr", ...] = ()
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+    __slots__ = __match_args__ = ("head", "args", "pos")
+
+    def __init__(
+        self, head: str, args: tuple[TypeExpr, ...] = (), pos: tuple[int, int] | None = None
+    ):
+        _set(self, "head", head)
+        _set(self, "args", args)
+        _set(self, "pos", pos)
 
 
 TypeExpr = TVar | TApp
 
 
-@dataclass(frozen=True)
-class Constructor:
-    name: str
-    args: tuple[TypeExpr, ...]
-    result: TypeExpr
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+class Constructor(Record):
+    __slots__ = __match_args__ = ("name", "args", "result", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        args: tuple[TypeExpr, ...],
+        result: TypeExpr,
+        pos: tuple[int, int] | None = None,
+    ):
+        _set(self, "name", name)
+        _set(self, "args", args)
+        _set(self, "result", result)
+        _set(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class TypeDecl:
-    name: str
-    params: tuple[str, ...]
-    ctors: tuple[Constructor, ...]
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+class TypeDecl(Record):
+    """A declaration.  param_pos holds each parameter's position, or is
+    empty; like pos, it is neither compared nor shown."""
+
+    __slots__ = ("name", "params", "ctors", "pos", "param_pos")
+    __match_args__ = ("name", "params", "ctors", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[str, ...],
+        ctors: tuple[Constructor, ...],
+        pos: tuple[int, int] | None = None,
+        param_pos: tuple[tuple[int, int], ...] = (),
+    ):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "ctors", ctors)
+        _set(self, "pos", pos)
+        _set(self, "param_pos", param_pos)
 
     def ctor(self, name: str) -> Constructor | None:
         for c in self.ctors:
@@ -97,10 +122,12 @@ def spine_shape(decl: TypeDecl) -> tuple[str, str] | None:
     return None
 
 
-@dataclass(frozen=True)
-class Program:
-    decls: tuple[TypeDecl, ...]
-    source: str = "<input>"
+class Program(Record):
+    __slots__ = __match_args__ = ("decls", "source")
+
+    def __init__(self, decls: tuple[TypeDecl, ...], source: str = "<input>"):
+        _set(self, "decls", decls)
+        _set(self, "source", source)
 
     def decl(self, name: str) -> TypeDecl | None:
         for d in self.decls:
@@ -109,11 +136,13 @@ class Program:
         return None
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     """A named base payload, written 'name in value literals."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return f"'{self.name}"
@@ -122,18 +151,45 @@ class Atom:
 Payload = int | Atom
 
 
-@dataclass(frozen=True)
-class VBase:
-    payload: Payload
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+# VBase and VCon are built and compared once per node of every value: each
+# sets its fields through its slot descriptors and compares them itself.
 
 
-@dataclass(frozen=True)
-class VCon:
-    ctor: str
-    args: tuple["Value", ...] = ()
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+class VBase(Record):
+    __slots__ = __match_args__ = ("payload", "pos")
 
+    def __init__(self, payload: Payload, pos: tuple[int, int] | None = None):
+        _vbase_payload(self, payload)
+        _vbase_pos(self, pos)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is VBase:
+            return self.payload == other.payload
+        return NotImplemented
+
+    __hash__ = Record.__hash__
+
+
+class VCon(Record):
+    __slots__ = __match_args__ = ("ctor", "args", "pos")
+
+    def __init__(
+        self, ctor: str, args: tuple[Value, ...] = (), pos: tuple[int, int] | None = None
+    ):
+        _vcon_ctor(self, ctor)
+        _vcon_args(self, args)
+        _vcon_pos(self, pos)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is VCon:
+            return self.ctor == other.ctor and self.args == other.args
+        return NotImplemented
+
+    __hash__ = Record.__hash__
+
+
+_vbase_payload, _vbase_pos = VBase.payload.__set__, VBase.pos.__set__
+_vcon_ctor, _vcon_args, _vcon_pos = VCon.ctor.__set__, VCon.args.__set__, VCon.pos.__set__
 
 Value = VBase | VCon
 
@@ -143,9 +199,9 @@ Value = VBase | VCon
 
 
 class Token:
-    """One lexeme at its 1-based line and column.  A plain slotted class: a
-    literal of thousands of tokens builds each one without dataclass
-    machinery."""
+    """One lexeme at its 1-based line and column.  A plain slotted class, not
+    a Record: a literal of thousands of tokens builds each one with plain
+    assignments, and nothing compares or hashes a token."""
 
     __slots__ = ("kind", "text", "line", "col")
 
@@ -166,7 +222,7 @@ _NAT_MAX_LEN = len(str(NAT_MAX))
 
 #: A name is ASCII, as the emitted module is: a letter or "_", then letters,
 #: digits, "_" and "'".  An atom is a quote and the name's characters.
-_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _NAME_CHARS = _NAME_START | _DIGITS | {"'"}
 
 #: An out-of-range literal longer than this is named by its first digits and
@@ -318,18 +374,18 @@ def parse_program(text: str, source: str = "<input>") -> Program:
 def _parse_decl(cur: _Cursor) -> TypeDecl:
     start = cur.expect("ident", "data", what="'data'")
     name_tok = cur.expect("uident", what="a capitalized type name")
-    params: list[str] = []
+    params: list[Token] = []
     while True:
         if cur.at("ident"):
             if cur.tok.text in KEYWORDS:
                 break
-            params.append(cur.advance().text)
+            params.append(cur.advance())
         elif cur.at("punct", "("):
             # A parenthesized parameter group with a kind annotation: (a b : Set)
             cur.advance()
             group = []
             while cur.at("ident") and cur.tok.text not in KEYWORDS:
-                group.append(cur.advance().text)
+                group.append(cur.advance())
             if not group:
                 raise cur.error("expected parameter names inside parentheses")
             cur.expect("punct", ":")
@@ -351,7 +407,11 @@ def _parse_decl(cur: _Cursor) -> TypeDecl:
         ctors.append(_parse_ctor(cur))
         cur.skip_newlines()
     return TypeDecl(
-        name_tok.text, tuple(params), tuple(ctors), (start.line, start.col)
+        name_tok.text,
+        tuple(t.text for t in params),
+        tuple(ctors),
+        (start.line, start.col),
+        tuple((t.line, t.col) for t in params),
     )
 
 

@@ -12,8 +12,7 @@ algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .analysis import (
     GroupContext,
@@ -21,6 +20,7 @@ from .analysis import (
     enumerate_indices,
     render_index,
 )
+from .diagnostics import Record, _set
 from .parser import VBase, VCon, Value, render_value, value_size
 from .runtime import (
     Algebra,
@@ -46,16 +46,20 @@ from .runtime import (
 # Reports
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """First failing case of a property, replayable through cmd_eval."""
 
-    prop: str
-    index: str
-    value: str  # re-parseable literal
-    algebra: str
-    lhs: str
-    rhs: str
+    __slots__ = __match_args__ = ("prop", "index", "value", "algebra", "lhs", "rhs")
+
+    def __init__(
+        self, prop: str, index: str, value: str, algebra: str, lhs: str, rhs: str
+    ):
+        _set(self, "prop", prop)
+        _set(self, "index", index)
+        _set(self, "value", value)  # re-parseable literal
+        _set(self, "algebra", algebra)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     def lines(self) -> list[str]:
         return [
@@ -68,23 +72,33 @@ class Counterexample:
         ]
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    cases: int  # comparisons performed
-    distinct: int  # distinct (value, label) pairs exercised
-    counterexample: Counterexample | None = None
+class PropertyResult(Record):
+    __slots__ = __match_args__ = ("name", "cases", "distinct", "counterexample")
+
+    def __init__(
+        self,
+        name: str,
+        cases: int,
+        distinct: int,
+        counterexample: Counterexample | None = None,
+    ):
+        _set(self, "name", name)
+        _set(self, "cases", cases)  # comparisons performed
+        _set(self, "distinct", distinct)  # distinct (value, label) pairs exercised
+        _set(self, "counterexample", counterexample)
 
     @property
     def ok(self) -> bool:
         return self.counterexample is None
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    group: str
-    max_size: int
-    results: tuple[PropertyResult, ...]
+class SuiteReport(Record):
+    __slots__ = __match_args__ = ("group", "max_size", "results")
+
+    def __init__(self, group: str, max_size: int, results: tuple[PropertyResult, ...]):
+        _set(self, "group", group)
+        _set(self, "max_size", max_size)
+        _set(self, "results", results)
 
     @property
     def ok(self) -> bool:

@@ -88,8 +88,7 @@ are module-level functions, so a case leaves no reference cycle behind.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from .analysis import (
     GroupContext,
@@ -98,7 +97,7 @@ from .analysis import (
     IVar,
     index_depth,
 )
-from .diagnostics import Diagnostic, EvalError, GuardExceeded
+from .diagnostics import Diagnostic, EvalError, GuardExceeded, Record, _set
 from .parser import NAT_MAX, Atom, Value, VBase, VCon, render_value, value_size
 
 
@@ -107,8 +106,9 @@ from .parser import NAT_MAX, Atom, Value, VBase, VCon, render_value, value_size
 
 
 class RFun:
-    """A function result.  A plain slotted class: the PS carrier builds
-    several per node, without dataclass machinery."""
+    """A function result.  A plain slotted class, not a Record: the PS
+    carrier builds several per node with one plain assignment each, and a
+    function result is never compared."""
 
     __slots__ = ("fn",)
 
@@ -176,25 +176,42 @@ def nat_of(r: RuntimeResult) -> int:
 # Algebras
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     """Methods receive (index arguments, folded argument results).  The
     methods of an induction algebra (eval_ind) also receive the examined
-    sub-values, between the two."""
+    sub-values, between the two.  Algebras compare by name."""
 
-    name: str
-    bases: dict[int, Callable[[Value], RuntimeResult]] = field(compare=False)
-    methods: dict[str, Callable[..., RuntimeResult]] = field(compare=False)
+    __slots__ = __match_args__ = ("name", "bases", "methods")
+    _compared = ("name",)
+
+    def __init__(
+        self,
+        name: str,
+        bases: dict[int, Callable[[Value], RuntimeResult]],
+        methods: dict[str, Callable[..., RuntimeResult]],
+    ):
+        _set(self, "name", name)
+        _set(self, "bases", bases)
+        _set(self, "methods", methods)
 
 
-@dataclass(frozen=True)
-class HAlgebra:
-    """A higher-order fold algebra plus the driver that makes its results
-    first-order for comparisons (identity except for function carriers)."""
+class HAlgebra(Record):
+    """A higher-order fold algebra plus finish, which makes its results
+    first-order for comparisons (identity except for function carriers).
+    Algebras compare by name."""
 
-    name: str
-    methods: dict[str, Callable] = field(compare=False)
-    finish: Callable[[RuntimeResult], RuntimeResult] = field(compare=False)
+    __slots__ = __match_args__ = ("name", "methods", "finish")
+    _compared = ("name",)
+
+    def __init__(
+        self,
+        name: str,
+        methods: dict[str, Callable],
+        finish: Callable[[RuntimeResult], RuntimeResult],
+    ):
+        _set(self, "name", name)
+        _set(self, "methods", methods)
+        _set(self, "finish", finish)
 
 
 def check_algebra(ctx: GroupContext, alg: Algebra) -> None:

@@ -22,99 +22,131 @@ and one walk per clause's patterns:
 from __future__ import annotations
 
 from collections.abc import Iterable, Set as AbstractSet
-from dataclasses import dataclass
 
 from .analysis import GroupContext
-from .diagnostics import DerivationError, EmitError
+from .diagnostics import DerivationError, EmitError, Record, _set
 from .parser import AGDA_KEYWORDS
 
 # ---------------------------------------------------------------------------
 # Term and pattern language
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class App:
+class App(Record):
     """Application with a flattened argument spine."""
 
-    fn: "Term"
-    args: tuple["Term", ...]
+    __slots__ = __match_args__ = ("fn", "args")
+
+    def __init__(self, fn: Term, args: tuple[Term, ...]):
+        _set(self, "fn", fn)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Lam:
-    params: tuple[str, ...]
-    body: "Term"
+class Lam(Record):
+    __slots__ = __match_args__ = ("params", "body")
+
+    def __init__(self, params: tuple[str, ...], body: Term):
+        _set(self, "params", params)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Binder:
+class Binder(Record):
     """A named function-space segment; type None renders as a bare forall."""
 
-    names: tuple[str, ...]
-    type: "Term | None"
-    implicit: bool = False
+    __slots__ = __match_args__ = ("names", "type", "implicit")
+
+    def __init__(self, names: tuple[str, ...], type: Term | None, implicit: bool = False):
+        _set(self, "names", names)
+        _set(self, "type", type)
+        _set(self, "implicit", implicit)
 
 
-@dataclass(frozen=True)
-class Pi:
+class Pi(Record):
     """A function type: binders and anonymous domains, last segment codomain."""
 
-    segments: tuple["Binder | Term", ...]
+    __slots__ = __match_args__ = ("segments",)
+
+    def __init__(self, segments: tuple[Binder | Term, ...]):
+        _set(self, "segments", segments)
 
 
 Term = Var | App | Lam | Pi
 
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
-    implicit: bool = False
+class PVar(Record):
+    __slots__ = __match_args__ = ("name", "implicit")
+
+    def __init__(self, name: str, implicit: bool = False):
+        _set(self, "name", name)
+        _set(self, "implicit", implicit)
 
 
-@dataclass(frozen=True)
-class PCon:
-    head: str
-    args: tuple["Pattern", ...] = ()
+class PCon(Record):
+    __slots__ = __match_args__ = ("head", "args")
+
+    def __init__(self, head: str, args: tuple[Pattern, ...] = ()):
+        _set(self, "head", head)
+        _set(self, "args", args)
 
 
 Pattern = PVar | PCon
 
 
-@dataclass(frozen=True)
-class Clause:
-    patterns: tuple[Pattern, ...]
-    body: Term
-    wheres: tuple["DerivedDef", ...] = ()
+class Clause(Record):
+    __slots__ = __match_args__ = ("patterns", "body", "wheres")
+
+    def __init__(
+        self, patterns: tuple[Pattern, ...], body: Term, wheres: tuple[DerivedDef, ...] = ()
+    ):
+        _set(self, "patterns", patterns)
+        _set(self, "body", body)
+        _set(self, "wheres", wheres)
 
 
-@dataclass(frozen=True)
-class DataDecl:
-    params: tuple[str, ...]
-    ctors: tuple[tuple[str, Term], ...]
-    forward: bool = False
+class DataDecl(Record):
+    __slots__ = __match_args__ = ("params", "ctors", "forward")
+
+    def __init__(
+        self, params: tuple[str, ...], ctors: tuple[tuple[str, Term], ...], forward: bool = False
+    ):
+        _set(self, "params", params)
+        _set(self, "ctors", ctors)
+        _set(self, "forward", forward)
 
 
-@dataclass(frozen=True)
-class DerivedDef:
+class DerivedDef(Record):
     """One emitted definition: a data declaration or a signature plus clauses."""
 
-    name: str
-    role: str
-    signature: Term | None = None
-    clauses: tuple[Clause, ...] = ()
-    data: DataDecl | None = None
+    __slots__ = __match_args__ = ("name", "role", "signature", "clauses", "data")
+
+    def __init__(
+        self,
+        name: str,
+        role: str,
+        signature: Term | None = None,
+        clauses: tuple[Clause, ...] = (),
+        data: DataDecl | None = None,
+    ):
+        _set(self, "name", name)
+        _set(self, "role", role)
+        _set(self, "signature", signature)
+        _set(self, "clauses", clauses)
+        _set(self, "data", data)
 
 
-@dataclass(frozen=True)
-class DerivedGroup:
-    name: str
-    defs: tuple[DerivedDef, ...]
-    notes: tuple[str, ...] = ()
+class DerivedGroup(Record):
+    __slots__ = __match_args__ = ("name", "defs", "notes")
+
+    def __init__(self, name: str, defs: tuple[DerivedDef, ...], notes: tuple[str, ...] = ()):
+        _set(self, "name", name)
+        _set(self, "defs", defs)
+        _set(self, "notes", notes)
 
 
 SET = Var("Set")

@@ -154,7 +154,7 @@ def test_examples_are_well_formed():
         pytest.param(
             "data T a a where\n  k : T a a\n",
             "duplicate type parameter 'a' in T",
-            (1, 1),
+            (1, 10),
             id="duplicate-type-parameter",
         ),
     ],

@@ -158,6 +158,57 @@ def test_check_refuses_a_declaration_named_after_a_base_universe(capsys, tmp_pat
     ]
 
 
+@pytest.mark.parametrize(
+    "decls, line",
+    [
+        (
+            "data T (a : Set) : Set where\n  k : T a\n  Set : T a\n",
+            "{src}:3:3: error: constructor name 'Set' is reserved for the universe",
+        ),
+        (
+            "data Set (a : Set) : Set where\n  k : Set a\n",
+            "{src}:1:1: error: declaration name 'Set' is reserved for the universe",
+        ),
+    ],
+    ids=["constructor", "declaration"],
+)
+def test_check_refuses_a_name_set(capsys, tmp_path, decls, line):
+    src = tmp_path / "set.ndt"
+    src.write_text(decls)
+    code, out, err = run(capsys, "check", src)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [line.format(src=src)]
+
+
+@pytest.mark.parametrize(
+    "decls, line",
+    [
+        (
+            "data T (forall : Set) : Set where\n  k : T forall\n",
+            "{src}:1:9: error: type parameter name 'forall' is an Agda keyword",
+        ),
+        (
+            "data T (a a : Set) : Set where\n  k : T a a\n",
+            "{src}:1:11: error: duplicate type parameter 'a' in T",
+        ),
+        (
+            "data T (a b : Set) c b a : Set where\n  k : T a b c b a\n",
+            "{src}:1:22: error: duplicate type parameter 'b' in T\n"
+            "{src}:1:24: error: duplicate type parameter 'a' in T",
+        ),
+    ],
+    ids=["keyword", "duplicate", "two-duplicates"],
+)
+def test_check_positions_a_type_parameter_diagnostic_at_the_parameter(
+    capsys, tmp_path, decls, line
+):
+    src = tmp_path / "params.ndt"
+    src.write_text(decls)
+    code, out, err = run(capsys, "check", src)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == line.format(src=src).splitlines()
+
+
 def test_check_positions_the_index_variable_refusal(capsys, tmp_path):
     params = " ".join(f"p{i}" for i in range(27))
     src = tmp_path / "wide.ndt"
@@ -284,7 +335,7 @@ def test_derive_refuses_two_groups_with_one_file_name(capsys, tmp_path):
         (
             "data L (a : Set) : Set where\n  z : L a\n  Set : a -> L a -> L a\n",
             [],
-            "error: module L binds 'Set' twice: as the universe and as a constructor of L",
+            "{src}:3:3: error: constructor name 'Set' is reserved for the universe",
         ),
     ],
     ids=[
@@ -309,7 +360,7 @@ def test_derive_refuses_a_module_that_binds_a_name_twice(capsys, tmp_path, decls
         ),
         (
             "data T (forall : Set) : Set where\n  k : T forall\n",
-            "{src}:1:1: error: type parameter name 'forall' is an Agda keyword",
+            "{src}:1:9: error: type parameter name 'forall' is an Agda keyword",
         ),
         (
             "data T (a : Set) : Set where\n  in : T a\n  k : a -> T a -> T a\n",

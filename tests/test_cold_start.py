@@ -126,3 +126,56 @@ def test_an_unknown_name_is_an_attribute_error():
         nestfold.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         from nestfold import no_such_name  # noqa: F401
+
+
+#: Standard-library modules that nothing nestfold runs needs: dataclasses
+#: alone loads inspect, ast, dis, tokenize, enum, re and copy.
+UNUSED_STDLIB = ("dataclasses", "inspect", "string", "typing")
+
+_LIST_UNUSED = (
+    "import sys\n"
+    f"print(' '.join(m for m in {UNUSED_STDLIB!r} if m in sys.modules))\n"
+)
+
+
+def _unused_loaded(code: str, *argv) -> list[str]:
+    """The UNUSED_STDLIB modules loaded after running code, with argv as
+    sys.argv[1:], in a fresh interpreter started with -S."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code + "\n" + _LIST_UNUSED, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_the_surface_loads_no_unused_stdlib_module():
+    code = (
+        "import sys\n"
+        "from nestfold import NestfoldError, analyze, parse_program\n"
+        "for f in sys.argv[1:]:\n"
+        "    try:\n"
+        "        analyze(parse_program(open(f).read(), source=f))\n"
+        "    except NestfoldError:\n"
+        "        pass\n"
+    )
+    assert _unused_loaded(code, *sorted(SAMPLES.glob("*.ndt"))) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", SAMPLES / "bush.ndt"],
+        ["eval", SAMPLES / "bush.ndt", SAMPLES / "bush1.ndv", "--algebra", "sum"],
+        ["test", SAMPLES / "bobdylan.ndt", "--max-size", "2"],
+        ["derive", SAMPLES / "bush.ndt", "--out", "{tmp}"],
+    ],
+    ids=["check", "eval", "test", "derive"],
+)
+def test_no_command_loads_an_unused_stdlib_module(tmp_path, argv):
+    args = [str(a).format(tmp=tmp_path) for a in argv]
+    code = f"from nestfold.cli import main\nassert main({args!r}) == 0\n"
+    assert _unused_loaded(code) == []

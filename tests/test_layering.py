@@ -78,3 +78,15 @@ def test_each_module_stays_under_the_parser_token_limit(path):
         "0.5 MB more peak RSS (CHANGES.md, the FOUND on compiling derivation.py past "
         f"{TOKEN_LIMIT} parser tokens): split or trim the module"
     )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses_string_or_typing(path):
+    """Each costs start-up time (tests/test_cold_start.py checks what loads)."""
+    imported = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported.isdisjoint({"dataclasses", "string", "typing"})
