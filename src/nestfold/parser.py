@@ -8,10 +8,12 @@ The surface syntax is a small Agda-like language:
 
 Declarations may reference each other in any order.  Parsing checks syntax
 only; names, arities and the result-shape rule are checked by
-``analysis.well_formed``.  Value literals are either
-explicit constructor applications (``cons 4 leaf``), naturals, quoted atoms
-(``'x``), or bracket lists ``[ 4, [ 8 ] ]`` which desugar to the target
-declaration's nil/cons-style constructors.
+``analysis.well_formed``.  Value literals are either explicit constructor
+applications (``cons 4 leaf``), naturals, quoted atoms (``'x``), or bracket
+lists ``[ 4, [ 8 ] ]`` which desugar to the target declaration's
+nil/cons-style constructors.  One loop reads a literal's characters over an
+explicit stack, building no token and not recursing; only a refused literal
+is lexed, so that a lexical error anywhere is the one reported.
 
 An eval target (``Bush (Bush Nat)``) is a type expression parsed by the
 same parser, whose base universes ``Nat`` and ``Atom`` become type variables:
@@ -199,9 +201,8 @@ Value = VBase | VCon
 
 
 class Token:
-    """One lexeme at its 1-based line and column.  A plain slotted class, not
-    a Record: a literal of thousands of tokens builds each one with plain
-    assignments, and nothing compares or hashes a token."""
+    """One lexeme at its 1-based line and column: a plain slotted class, not a
+    Record, as nothing compares or hashes a token."""
 
     __slots__ = ("kind", "text", "line", "col")
 
@@ -230,10 +231,17 @@ _NAME_CHARS = _NAME_START | _DIGITS | {"'"}
 _SHOWN_DIGITS = 24
 
 
+def _end(s: str, j: int, chars: frozenset[str] = _NAME_CHARS) -> int:
+    """Where the run of chars that starts at s[j] ends; s ends in a "\\0"."""
+    while s[j] in chars:
+        j += 1
+    return j
+
+
 def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
     toks: list[Token] = []
     line, col = 1, 1
-    i, n = 0, len(text)
+    text, i, n = text + "\0", 0, len(text)  # _end stops at the "\0"
 
     def err(msg: str, l: int, c: int) -> ParseError:
         return ParseError(msg, l, c, file)
@@ -268,9 +276,7 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
             col += 1
             continue
         if ch == "'":
-            j = i + 1
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
+            j = _end(text, i + 1)
             if j == i + 1:
                 raise err("expected a name after the atom quote '", line, col)
             toks.append(Token("atom", text[i + 1 : j], line, col))
@@ -278,9 +284,7 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
             i = j
             continue
         if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
+            j = _end(text, i, _DIGITS)
             lit = text[i:j]
             digits = lit.lstrip("0") or "0"
             if len(digits) > _NAT_MAX_LEN or int(digits) > NAT_MAX:
@@ -292,9 +296,7 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
             i = j
             continue
         if ch in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
+            j = _end(text, i)
             word = text[i:j]
             kind = "uident" if word[0].isupper() else "ident"
             toks.append(Token(kind, word, line, col))
@@ -486,6 +488,14 @@ def _parse_type_atom(cur: _Cursor) -> TypeExpr:
 # Value literals
 
 
+#: parse_value_literal's frame of an open parenthesis; a blank, a line break
+#: or a comment's "-"; and what starts a constructor argument, but a keyword.
+_PAREN = object()
+_BLANK = frozenset(" \t\r\n-")
+_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_ARG_START = (_NAME_START - _UPPER) | _DIGITS | {"'", "(", "["}
+
+
 def parse_value_literal(
     text: str, program: Program, decl: TypeDecl, source: str = "<value>"
 ) -> Value:
@@ -497,83 +507,108 @@ def parse_value_literal(
     against the full target is the runtime's job.
     """
     arities = {c.name: len(c.args) for d in program.decls for c in d.ctors}
-    cur = _Cursor(_lex(text, source, keep_newlines=False), source)
-    v = _parse_value(cur, arities, decl, spine_shape(decl), allow_args=True)
-    cur.expect("eof", what="end of input")
-    return v
-
-
-#: Token kinds that can start a constructor argument, besides "(" and "[".
-_ARG_KINDS = frozenset({"nat", "atom", "ident"})
-
-
-def _parse_value(
-    cur: _Cursor,
-    arities: dict[str, int],
-    decl: TypeDecl,
-    shape: tuple[str, str] | None,
-    allow_args: bool,
-) -> Value:
-    # Reads cur.toks directly: a literal has one call here per node.  Only
-    # punctuation tokens have punctuation text, so text alone tells them.
-    toks = cur.toks
-    t = toks[cur.i]
-    kind, text = t.kind, t.text
-    if kind == "nat":
-        cur.i += 1
-        return VBase(int(text), (t.line, t.col))
-    if kind == "atom":
-        cur.i += 1
-        return VBase(Atom(text), (t.line, t.col))
-    if text == "[":
-        cur.i += 1
-        if shape is None:
-            raise cur.error(
-                f"bracket sugar needs {decl.name} to have exactly one nullary and "
-                "one binary constructor",
-                t,
-            )
-        nil_name, cons_name = shape
-        elems: list[Value] = []
-        if toks[cur.i].text != "]":
-            elems.append(_parse_value(cur, arities, decl, shape, allow_args=True))
-            while toks[cur.i].text == ",":
-                cur.i += 1
-                elems.append(_parse_value(cur, arities, decl, shape, allow_args=True))
-        cur.expect("punct", "]")
-        pos = (t.line, t.col)
-        spine: Value = VCon(nil_name, (), pos)
-        for e in reversed(elems):
-            spine = VCon(cons_name, (e, spine), pos)
-        return spine
-    if text == "(":
-        cur.i += 1
-        v = _parse_value(cur, arities, decl, shape, allow_args=True)
-        cur.expect("punct", ")")
-        return v
-    if kind == "ident" and text not in KEYWORDS:
-        cur.i += 1
-        arity = arities.get(text)
-        if arity is None:
-            raise cur.error(f"unknown constructor {text!r}", t)
-        args: list[Value] = []
-        if allow_args:
-            while True:
-                a = toks[cur.i]
-                if a.kind == "ident" and a.text in KEYWORDS:
+    shape, n, s = spine_shape(decl), len(text), text + "\n\0"  # a comment ends at the "\n"
+    i, line, bol = 0, 1, 0  # offset, its line, and that line's first offset
+    frames: list = []  # _PAREN, [pos, elements] or (ctor, arity, pos, args)
+    push, pop = frames.append, frames.pop
+    want, allow, v = True, True, None  # want a value (with arguments if allow), or have v
+    while True:
+        c = s[i]
+        while c in _BLANK and (c != "-" or s[i + 1] == "-"):  # blanks and comments
+            if c == "\n":
+                line, bol = line + 1, i + 1
+            i = s.find("\n", i) if c == "-" else i + 1
+            c = s[i]
+        if want:
+            if c == "(":
+                push(_PAREN)
+                i, allow = i + 1, True
+                continue
+            want, pos = False, (line, i - bol + 1)
+            if c in _NAME_START:
+                j = i + 1
+                while s[j] in _NAME_CHARS:
+                    j += 1
+                name = s[i:j]
+                arity = arities.get(name)
+                if arity is None or c in _UPPER:  # a capitalized name is a type's
+                    if c in _UPPER or name in KEYWORDS:
+                        raise _refused(text, source, "expected a value", pos)
+                    raise _refused(text, source, f"unknown constructor {name!r}", pos, False)
+                if allow:
+                    push((name, arity, pos, []))
+                    v = None
+                elif arity:
+                    msg = f"{name} takes {arity} argument(s), got 0"
+                    raise _refused(text, source, msg, pos, False)
+                else:
+                    v = VCon(name, (), pos)
+                i = j
+            elif c in _DIGITS:
+                j = _end(s, i, _DIGITS)
+                lit = s[i:j].lstrip("0") or "0"
+                if len(lit) > _NAT_MAX_LEN or int(lit) > NAT_MAX:
+                    raise _refused(text, source, "expected a value", pos)
+                i, v = j, VBase(int(lit), pos)
+            elif c == "'" and s[i + 1] in _NAME_CHARS:
+                j = _end(s, i + 1)
+                i, v = j, VBase(Atom(s[i + 1 : j]), pos)
+            elif c == "[" and shape is not None:
+                push([pos, []])
+                i, v = i + 1, None
+            elif c == "[":
+                msg = f"bracket sugar needs {decl.name} to have exactly one nullary and one"
+                raise _refused(text, source, f"{msg} binary constructor", pos, False)
+            else:
+                raise _refused(text, source, "expected a value", pos)
+            continue
+        while True:  # v has been read (or a frame opened, v None) and c follows
+            if not frames:
+                if i > n:  # past the sentinel "\n"
+                    return v
+                raise _refused(text, source, "expected end of input", (line, i - bol + 1))
+            f = frames[-1]
+            if f.__class__ is tuple:  # a constructor taking arguments
+                if v is not None:
+                    f[3].append(v)
+                if c in _ARG_START and not (c in "dw" and s[i : _end(s, i)] in KEYWORDS):
+                    want, allow = True, False
                     break
-                if a.kind not in _ARG_KINDS and a.text != "(" and a.text != "[":
+                name, arity, at, args = pop()
+                if len(args) != arity:
+                    msg = f"{name} takes {arity} argument(s), got {len(args)}"
+                    raise _refused(text, source, msg, at, False)
+                v = VCon(name, tuple(args), at)
+                continue
+            if f is _PAREN:
+                if c != ")":
+                    raise _refused(text, source, "expected )", (line, i - bol + 1))
+            else:  # a bracket list
+                at, elems = f
+                if v is not None:
+                    elems.append(v)
+                if c != "]":
+                    if v is not None and c != ",":
+                        raise _refused(text, source, "expected ]", (line, i - bol + 1))
+                    i += v is not None  # past the "," before the next element
+                    want, allow = True, True
                     break
-                args.append(_parse_value(cur, arities, decl, shape, allow_args=False))
-        if len(args) != arity:
-            raise ParseError(
-                f"{text} takes {arity} argument(s), got {len(args)}",
-                t.line,
-                t.col,
-                cur.file,
-            )
-        return VCon(text, tuple(args), (t.line, t.col))
-    raise cur.error(f"expected a value, found {_Cursor._describe(t)}")
+                v = VCon(shape[0], (), at)
+                for e in reversed(elems):
+                    v = VCon(shape[1], (e, v), at)
+            pop()
+            i += 1
+            break
+
+
+def _refused(text: str, source: str, msg: str, at: tuple, found: bool = True) -> ParseError:
+    """The error of a literal refused at line:col `at`: the first lexical
+    error in text, else msg at the token that starts at `at` (end of input
+    if none does), saying what that token is if found."""
+    toks = _lex(text, source, keep_newlines=False)
+    t = next((t for t in toks if (t.line, t.col) == at), toks[-1])
+    msg = f"{msg}, found {_Cursor._describe(t)}" if found else msg
+    return ParseError(msg, t.line, t.col, source)
 
 
 # ---------------------------------------------------------------------------

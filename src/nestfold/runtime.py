@@ -18,9 +18,13 @@ must drive them to a first-order result first.
 
 `nestfold eval` places each node of its value once.  typecheck_value is one
 explicit-stack walk: it types every node and lists every (index, node) pair,
-base positions included, on a tape in left-to-right post-order.  fold_tape
-folds that tape in one loop over a result stack.  Neither recurses, so a
-literal as deep as a long list evaluates under the default recursion limit.
+base positions included, on a tape in left-to-right post-order.  It pairs a
+node's arguments with their indices by position, last first, and a node
+whose arity is not its constructor's (one built by hand: the parser refuses
+such a literal) is one diagnostic in the parser's words, with nothing below
+it placed.  fold_tape folds the tape in one loop over a result stack.
+Neither recurses, so a literal as deep as a long list evaluates under the
+default recursion limit.
 The suite's folds stay recursive: the values they fold are enumerated, so
 --max-size bounds their depth, and their memo folds a sub-value that many
 values share once, where a tape would list it, and fold it, at every
@@ -249,7 +253,7 @@ def typecheck_value(
     tape: Tape = []
     place = tape.append
     stack: list = [(idx, v)]
-    pop, push, extend = stack.pop, stack.append, stack.extend
+    pop, push = stack.pop, stack.append
     ctors_at = ctx.ctors_at
 
     def report(msg: str, at: Value) -> None:
@@ -273,8 +277,15 @@ def typecheck_value(
             if at is None:
                 report(f"expected a {ctx.decl_of_app[i.ctor]} constructor, found {w.ctor!r}", w)
             else:
+                args = w.args
+                k = len(args)
+                if len(at) != k:
+                    report(f"{w.ctor} takes {len(at)} argument(s), got {k}", w)
+                    continue
                 push((entry, _PLACED))
-                extend(zip(reversed(at), reversed(w.args), strict=True))
+                while k:
+                    k -= 1
+                    push((at[k], args[k]))
         else:
             report(
                 f"expected a {ctx.decl_of_app[i.ctor]} constructor, found base value {w.payload}", w

@@ -17,7 +17,7 @@ import nestfold.parser as parser
 import nestfold.runtime as runtime
 from nestfold.analysis import analyze, context_to_index
 from nestfold.cli import main
-from nestfold.parser import Atom, VBase, parse_program, parse_type_context, render_value
+from nestfold.parser import Atom, VBase, VCon, parse_program, parse_type_context, render_value
 from nestfold.runtime import enumerate_values
 
 from test_derivation import _permuting
@@ -866,12 +866,34 @@ def test_eval_folds_a_20000_element_list(capsys, tmp_path, default_recursion_lim
     assert len(out) == len(cell) * n + len("(@nil 'varA)") + 2 * (n - 1) + 1
 
 
-def test_eval_too_deeply_parenthesized_value(capsys, tmp_path, default_recursion_limit):
-    # Parentheses nest through the value parser's recursion, so this literal
-    # is still refused, in one line.
+def test_eval_reads_a_deeply_parenthesized_value(capsys, tmp_path, default_recursion_limit):
     lit = tmp_path / "deep.ndv"
     lit.write_text("(" * 3000 + "[ 1 ]" + ")" * 3000 + "\n")
     code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit, "--type", "List Nat")
+    assert (code, out, err) == (0, "1\n", "")
+
+
+def test_eval_reads_what_render_value_writes(capsys, tmp_path, default_recursion_limit):
+    # A 3000-element list as render_value writes it: cc 1 (cc 1 (... nil)).
+    v = VCon("nil")
+    for _ in range(3000):
+        v = VCon("cc", (VBase(1), v))
+    lit = tmp_path / "rendered.ndv"
+    lit.write_text(render_value(v) + "\n")
+    code, out, err = run(
+        capsys, "eval", SAMPLES / "list.ndt", lit, "--type", "List Nat", "--algebra", "sum"
+    )
+    assert (code, out, err) == (0, "3000\n", "")
+
+
+def test_a_too_deeply_parenthesized_target_is_one_error_line(
+    capsys, tmp_path, default_recursion_limit
+):
+    # Type expressions still nest through the declaration parser's recursion.
+    lit = tmp_path / "v.ndv"
+    lit.write_text("[ 1 ]\n")
+    target = "(" * 3000 + "List Nat" + ")" * 3000
+    code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit, "--type", target)
     assert (code, out) == (1, "")
     assert "too deeply" in _one_error_line(err)
 

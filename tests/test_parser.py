@@ -1,6 +1,7 @@
 """Parser tests: declarations, value literals, type contexts, round-trips."""
 
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
@@ -420,8 +421,34 @@ def test_parser_totality_on_noise(text):
 
 @given(st.text(alphabet="consleaf()[],'0123456789\u00b9\u00b2\u0663 \n-", max_size=40))
 def test_value_parser_totality_on_noise(text):
+    # Only a ParseError may escape, and whatever is accepted reads back.
     program = parse_program(BUSH)
     try:
-        parse_value_literal(text, program, program.decl("Bush"))
+        v = parse_value_literal(text, program, program.decl("Bush"))
     except ParseError:
-        pass
+        return
+    assert parse_value_literal(render_value(v), program, program.decl("Bush")) == v
+
+
+def test_render_value_of_a_3000_element_list_reads_back():
+    # render_value writes one parenthesis per cell, cc 1 (cc 1 (... nil)),
+    # and the reader does not recurse on them: under the default recursion
+    # limit, the text reads back to the value it was rendered from.
+    program = parse_program(LIST)
+    v = VCon("nil")
+    for _ in range(3000):
+        v = VCon("cc", (VBase(1), v))
+    text = render_value(v)
+    assert text.startswith("cc 1 (cc 1 (") and text.endswith(" nil" + ")" * 2999)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        w = parse_value_literal(text, program, program.decl("List"))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert value_size(w) == 3001
+    sys.setrecursionlimit(10_000)  # == compares the two values recursively
+    try:
+        assert w == v
+    finally:
+        sys.setrecursionlimit(saved)

@@ -181,6 +181,25 @@ def test_typecheck_walks_every_slot(bush):
     assert len(diags) == 2
 
 
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        (VCon("cons", (VBase(1),), (2, 5)), "cons takes 2 argument(s), got 1"),
+        (VCon("leaf", (VBase(1),), (2, 5)), "leaf takes 0 argument(s), got 1"),
+    ],
+)
+def test_typecheck_refuses_a_node_of_the_wrong_arity(bush, v, message):
+    # A hand-built node that no literal could give: one positioned
+    # diagnostic in the parser's wording, and nothing placed below it.
+    diags, tape = typecheck_value(bush, bushc(1), NAT_KINDS, v)
+    assert [(d.message, d.line, d.col) for d in diags] == [(message, 2, 5)]
+    assert tape == []
+    wrapped = VCon("cons", (VBase(7), VCon("cons", (v, VCon("leaf")))))
+    diags, tape = typecheck_value(bush, bushc(1), NAT_KINDS, wrapped)
+    assert [d.message for d in diags] == [message]
+    assert all(w is not v for _, w in tape) and (IVar(0), VBase(7)) in tape
+
+
 def test_typecheck_mutual(bobdylan):
     v = parse_value_literal(
         "duluth (robert 1) (robert 'x)", bobdylan.program, bobdylan.decls["Dylan"]
