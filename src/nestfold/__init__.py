@@ -4,12 +4,14 @@ _HOMES is the one list of public names: each is listed once, under the
 module that defines it, and __all__ is computed from it.  Importing the
 package loads none of its modules; a name loads its home module on first
 access (PEP 562), so a caller that only parses and analyzes never imports
-the runtime, the terms, the derivation, the emitter or the properties.  Names are
+the value literals, the runtime, the terms, the derivation, the emitter or
+the properties.  The home module is loaded by __import__ and read from
+sys.modules, so that the package itself imports no importlib.  Names are
 looked up afresh on every access rather than cached here: a tool that
 rebinds a name in its home module is then seen through the package too.
 """
 
-from importlib import import_module
+import sys
 
 #: Every public name, per home module.
 _HOMES = {
@@ -24,8 +26,8 @@ _HOMES = {
     ),
     "emitter": ("EmitModule", "emit_agda", "module_for_group"),
     "parser": (
-        "Atom", "Constructor", "Program", "TypeDecl", "VBase", "VCon", "parse_program",
-        "parse_type_context", "parse_value_literal", "render_program", "render_value",
+        "Constructor", "Program", "TypeDecl", "parse_program", "parse_type_context",
+        "render_program",
     ),
     "properties": ("Counterexample", "PropertyResult", "SuiteReport", "run_suite"),
     "runtime": (
@@ -34,6 +36,7 @@ _HOMES = {
         "typecheck_value",
     ),
     "terms": ("DerivedDef", "DerivedGroup", "ind_erases_to_nfold", "recursion_witnesses"),
+    "values": ("Atom", "VBase", "VCon", "parse_value_literal", "render_value"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = sorted(_HOME)
@@ -43,7 +46,9 @@ def __getattr__(name: str):
     home = _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{home}"), name)
+    module = f"{__name__}.{home}"
+    __import__(module)
+    return getattr(sys.modules[module], name)
 
 
 def __dir__() -> list[str]:

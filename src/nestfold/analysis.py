@@ -12,7 +12,6 @@ derived folds dispatch on.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 from .diagnostics import AnalysisError, Diagnostic, Record, _set
 from .parser import (
@@ -26,6 +25,23 @@ from .parser import (
     TypeExpr,
     spine_shape,
 )
+
+
+class cached_property:
+    """A fact computed on first access and kept in the instance's __dict__,
+    where it shadows this non-data descriptor: functools.cached_property,
+    without importing functools."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = vars(instance)[self.name] = self.func(instance)
+        return value
 
 
 # IVar and IApp are built, compared and hashed throughout enumeration and

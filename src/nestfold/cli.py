@@ -8,11 +8,12 @@ Every command loads its declarations through analysis.analyze, the one
 path from a program to its groups, and the diagnostics of a ParseError or
 AnalysisError are printed as they are, one line each.  So parsing, analysis
 and diagnostics load with this module.  Each command imports the rest of what it runs when
-it runs: eval the runtime, derive the derivation and the emitter, test the
-property suite, and the agda hook subprocess.  `check` loads nothing more.
+it runs: eval the runtime and the value reader, derive the derivation and
+the emitter, test the property suite (which loads the runtime and values),
+and the agda hook subprocess.  `check` loads nothing more.
 
 eval reads its --type target once, with parse_type_context, and hands the
-target's head declaration to parse_value_literal.
+target's head declaration to values.parse_value_literal.
 """
 
 from __future__ import annotations
@@ -25,20 +26,14 @@ from pathlib import Path
 
 from .analysis import GroupContext, analyze, context_to_index
 from .diagnostics import Diagnostic, DiagnosticError, NestfoldError
-from .parser import (
-    TApp,
-    check_type_context,
-    parse_program,
-    parse_type_context,
-    parse_value_literal,
-    render_value,
-)
+from .parser import TApp, check_type_context, parse_program, parse_type_context
 
 
 def _read(path: Path) -> str:
-    """An input file's text; bytes that are not UTF-8 are an I/O error."""
+    """An input file's text without a leading byte-order mark; bytes that are
+    not UTF-8 are an I/O error, named by their offset in the file."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise OSError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
 
@@ -131,6 +126,7 @@ def _default_target(program) -> TApp:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from .runtime import catalogue, fold_tape, typecheck_value
+    from .values import parse_value_literal, render_value
 
     ctxs = _load(args.decls)
     program = ctxs[0].program

@@ -21,7 +21,6 @@ from .analysis import (
     render_index,
 )
 from .diagnostics import Record, _set
-from .parser import VBase, VCon, Value, render_value, value_size
 from .runtime import (
     Algebra,
     Fold,
@@ -40,6 +39,7 @@ from .runtime import (
     prepare_nfold,
     prepare_nfold_prime,
 )
+from .values import VBase, VCon, Value, render_value, value_size
 
 
 # ---------------------------------------------------------------------------

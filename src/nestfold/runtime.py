@@ -16,12 +16,13 @@ natural is a Python int, a value tree is the Value itself, and a function is
 an RFun.  Functions are only ever observed by application — equality checks
 must drive them to a first-order result first.
 
-`nestfold eval` places each node of its value once.  typecheck_value is one
+`nestfold eval` places each node of its value (a values.Value, as
+values.parse_value_literal reads it) once.  typecheck_value is one
 explicit-stack walk: it types every node and lists every (index, node) pair,
 base positions included, on a tape in left-to-right post-order.  It pairs a
 node's arguments with their indices by position, last first, and a node
-whose arity is not its constructor's (one built by hand: the parser refuses
-such a literal) is one diagnostic in the parser's words, with nothing below
+whose arity is not its constructor's (one built by hand: the reader refuses
+such a literal) is one diagnostic in the reader's words, with nothing below
 it placed.  fold_tape folds the tape in one loop over a result stack.
 Neither recurses, so a literal as deep as a long list evaluates under the
 default recursion limit.
@@ -102,7 +103,8 @@ from .analysis import (
     index_depth,
 )
 from .diagnostics import Diagnostic, EvalError, GuardExceeded, Record, _set
-from .parser import NAT_MAX, Atom, Value, VBase, VCon, render_value, value_size
+from .parser import NAT_MAX
+from .values import Atom, Value, VBase, VCon, render_value, value_size
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import pytest
 from nestfold.analysis import analyze
 from nestfold.cli import main
 from nestfold.derivation import derive_group
-from nestfold.parser import parse_program, parse_value_literal
+from nestfold.parser import parse_program
+from nestfold.values import parse_value_literal
 from nestfold.properties import (
     check_call_counter,
     check_equivalence,

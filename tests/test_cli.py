@@ -17,8 +17,9 @@ import nestfold.parser as parser
 import nestfold.runtime as runtime
 from nestfold.analysis import analyze, context_to_index
 from nestfold.cli import main
-from nestfold.parser import Atom, VBase, VCon, parse_program, parse_type_context, render_value
+from nestfold.parser import parse_program, parse_type_context
 from nestfold.runtime import enumerate_values
+from nestfold.values import Atom, VBase, VCon, render_value
 
 from test_derivation import _permuting
 
@@ -825,6 +826,35 @@ def test_eval_non_utf8_value(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert str(lit) in _one_error_line(err)
+
+
+BOM = "\ufeff".encode()
+
+
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path):
+    decls = tmp_path / "list.ndt"
+    decls.write_bytes(BOM + (SAMPLES / "list.ndt").read_bytes())
+    assert run(capsys, "check", decls) == run(capsys, "check", SAMPLES / "list.ndt")
+    plain, marked = tmp_path / "plain.ndv", tmp_path / "marked.ndv"
+    plain.write_bytes(b"[1, 2]\n")
+    marked.write_bytes(BOM + b"[1, 2]\n")
+    expected = run(capsys, "eval", SAMPLES / "list.ndt", plain)
+    assert run(capsys, "eval", SAMPLES / "list.ndt", marked) == expected == (0, "3\n", "")
+
+
+def test_a_byte_order_mark_past_the_start_is_refused(capsys, tmp_path):
+    lit = tmp_path / "v.ndv"
+    lit.write_bytes(b"[1, " + BOM + b"2]\n")
+    code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit)
+    assert (code, out, err) == (1, "", f"{lit}:1:5: error: unexpected character '\\ufeff'\n")
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named_by_its_file_offset(capsys, tmp_path):
+    lit = tmp_path / "bad.ndv"
+    lit.write_bytes(BOM + b"[ 1 \xff ]")
+    code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit)
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) == f"error: {lit}: not UTF-8 text (byte 7: invalid start byte)"
 
 
 @pytest.fixture

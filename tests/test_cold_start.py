@@ -26,10 +26,11 @@ _LIST_LOADED = (
 )
 
 
-def _loaded(code: str) -> set[str]:
-    """The nestfold modules loaded after running code in a fresh interpreter."""
+def _loaded(code: str, *argv) -> set[str]:
+    """The nestfold modules loaded after running code, with argv as
+    sys.argv[1:], in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code + "\n" + _LIST_LOADED],
+        [sys.executable, "-S", "-c", code + "\n" + _LIST_LOADED, *map(str, argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -47,28 +48,18 @@ def test_parse_and_analyze_load_only_the_surface():
     assert _loaded("from nestfold import analyze, parse_program") == SURFACE
 
 
-def test_parse_and_analyze_do_not_load_typing():
-    # typing costs a few milliseconds of every command's start-up.
-    samples = [str(SAMPLES / f"{s}.ndt") for s in ("list", "bush", "bobdylan")]
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-S",
-            "-c",
-            "import sys\n"
-            "from nestfold import analyze, parse_program\n"
-            "for f in sys.argv[1:]:\n"
-            "    analyze(parse_program(open(f).read(), source=f))\n"
-            "print('typing' in sys.modules)\n",
-            *samples,
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+def test_the_parser_alone_does_not_load_the_value_literals():
+    assert "nestfold.values" not in _loaded("import nestfold.parser")
+
+
+def test_the_parser_reads_the_value_functions_from_values():
+    import nestfold.parser as parser
+    import nestfold.values as values
+
+    for name in ("parse_value_literal", "render_value", "value_size"):
+        assert getattr(parser, name) is getattr(values, name), name
+    with pytest.raises(AttributeError, match="no attribute 'VCon'"):
+        parser.VCon  # noqa: B018
 
 
 def _command(*argv) -> set[str]:
@@ -87,12 +78,14 @@ def test_eval_adds_the_runtime(tmp_path):
     value = tmp_path / "v.ndv"
     value.write_text("[1, 2]\n")
     loaded = _command("eval", SAMPLES / "list.ndt", value)
-    assert loaded == SURFACE | {"nestfold.cli", "nestfold.runtime"}
+    assert loaded == SURFACE | {"nestfold.cli", "nestfold.runtime", "nestfold.values"}
 
 
 def test_test_adds_the_runtime_and_the_properties():
     loaded = _command("test", SAMPLES / "list.ndt", "--max-size", "2")
-    assert loaded == SURFACE | {"nestfold.cli", "nestfold.runtime", "nestfold.properties"}
+    assert loaded == SURFACE | {
+        "nestfold.cli", "nestfold.runtime", "nestfold.properties", "nestfold.values"
+    }
 
 
 def test_derive_adds_the_derivation_and_the_emitter(tmp_path):
@@ -132,17 +125,17 @@ def test_an_unknown_name_is_an_attribute_error():
 #: alone loads inspect, ast, dis, tokenize, enum, re and copy.
 UNUSED_STDLIB = ("dataclasses", "inspect", "string", "typing")
 
-_LIST_UNUSED = (
-    "import sys\n"
-    f"print(' '.join(m for m in {UNUSED_STDLIB!r} if m in sys.modules))\n"
-)
+#: Standard-library modules that parsing and analyzing do not need, though
+#: every command loads functools (and collections) through argparse.
+SETUP_UNUSED_STDLIB = ("functools", "collections", "importlib", "warnings")
 
 
-def _unused_loaded(code: str, *argv) -> list[str]:
-    """The UNUSED_STDLIB modules loaded after running code, with argv as
+def _unused_loaded(code: str, *argv, unused: tuple[str, ...] = UNUSED_STDLIB) -> list[str]:
+    """The `unused` modules loaded after running code, with argv as
     sys.argv[1:], in a fresh interpreter started with -S."""
+    listed = f"import sys\nprint(' '.join(m for m in {unused!r} if m in sys.modules))\n"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code + "\n" + _LIST_UNUSED, *map(str, argv)],
+        [sys.executable, "-S", "-c", code + "\n" + listed, *map(str, argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -162,7 +155,10 @@ def test_the_surface_loads_no_unused_stdlib_module():
         "    except NestfoldError:\n"
         "        pass\n"
     )
-    assert _unused_loaded(code, *sorted(SAMPLES.glob("*.ndt"))) == []
+    samples = sorted(SAMPLES.glob("*.ndt"))
+    unused = UNUSED_STDLIB + SETUP_UNUSED_STDLIB
+    assert _unused_loaded(code, *samples, unused=unused) == []
+    assert _loaded(code, *samples) == SURFACE
 
 
 @pytest.mark.parametrize(

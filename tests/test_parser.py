@@ -8,22 +8,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nestfold.parser import (
-    Atom,
     BASE_TYPES,
     NAT_MAX,
     ParseError,
     TApp,
     TVar,
-    VBase,
-    VCon,
     parse_program,
     parse_type_context,
-    parse_value_literal,
     render_program,
     render_type_expr,
-    render_value,
-    value_size,
 )
+from nestfold.values import Atom, VBase, VCon, parse_value_literal, render_value, value_size
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -118,6 +113,19 @@ def test_comments_and_blank_lines_ignored():
 def test_declaration_errors(src, msg):
     with pytest.raises(ParseError, match=msg):
         parse_program(src)
+
+
+@pytest.mark.parametrize(
+    "src, rendered",
+    [
+        ("data T a where\n  k : -- c\n", "<input>:2:11: error: expected a type, found end of line"),
+        ("data T a -- c\n  k : T a\n", "<input>:1:14: error: expected 'where', found end of line"),
+    ],
+)
+def test_the_end_of_a_line_that_ends_in_a_comment_is_past_it(src, rendered):
+    with pytest.raises(ParseError) as e:
+        parse_program(src)
+    assert [d.render() for d in e.value.diagnostics] == [rendered]
 
 
 @pytest.mark.parametrize(
@@ -301,6 +309,7 @@ def test_type_context_errors(bush_and_list, text, msg):
         ("Bush (List b)", "<target>:1:12: error: expected a type context, found 'b'"),
         ("Bush (Nat -> Nat)", "<target>:1:6: error: function types are not permitted inside a type"),
         ("Bush Nat -> Nat", "<target>:1:10: error: expected end of target type, found '->'"),
+        ("Bush (Bush Nat -- c", "<target>:1:20: error: expected ), found end of input"),
     ],
 )
 def test_a_target_error_points_at_what_is_wrong(bush_and_list, text, rendered):

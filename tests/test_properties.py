@@ -12,7 +12,8 @@ import weakref
 import pytest
 
 from nestfold.analysis import analyze
-from nestfold.parser import VBase, VCon, parse_program, parse_value_literal, render_value
+from nestfold.parser import parse_program
+from nestfold.values import VBase, VCon, parse_value_literal, render_value
 from nestfold.properties import (
     Counterexample,
     PropertyResult,

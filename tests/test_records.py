@@ -9,17 +9,7 @@ import pytest
 from nestfold.analysis import GroupContext, IApp, IVar, MutualGroup, analyze
 from nestfold.diagnostics import Diagnostic, Record
 from nestfold.emitter import EmitModule
-from nestfold.parser import (
-    Atom,
-    Constructor,
-    Program,
-    TApp,
-    TVar,
-    TypeDecl,
-    VBase,
-    VCon,
-    parse_program,
-)
+from nestfold.parser import Constructor, Program, TApp, TVar, TypeDecl, parse_program
 from nestfold.properties import Counterexample, PropertyResult, SuiteReport
 from nestfold.runtime import Algebra, HAlgebra
 from nestfold.terms import (
@@ -35,6 +25,7 @@ from nestfold.terms import (
     PVar,
     Var,
 )
+from nestfold.values import Atom, VBase, VCon
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -131,7 +122,7 @@ def _samples(pos):
 
 
 def test_every_record_class_is_listed():
-    for m in ("analysis", "emitter", "parser", "properties", "runtime", "terms"):
+    for m in ("analysis", "emitter", "parser", "properties", "runtime", "terms", "values"):
         importlib.import_module(f"nestfold.{m}")
     assert set(Record.__subclasses__()) == set(MATCH_ARGS)
     assert [type(r) for r in _samples(None)] == list(MATCH_ARGS)

@@ -16,15 +16,8 @@ from hypothesis import given, strategies as st
 
 from nestfold.analysis import IApp, IVar, analyze, index_depth, subst_index
 from nestfold.diagnostics import EvalError, GuardExceeded
-from nestfold.parser import (
-    Atom,
-    VBase,
-    VCon,
-    parse_program,
-    parse_value_literal,
-    render_value,
-    value_size,
-)
+from nestfold.parser import parse_program
+from nestfold.values import Atom, VBase, VCon, parse_value_literal, render_value, value_size
 from nestfold.runtime import (
     NAT_MAX,
     Algebra,

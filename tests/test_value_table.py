@@ -20,14 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from nestfold.parser import (
-    NAT_MAX,
-    ParseError,
-    VCon,
-    parse_program,
-    parse_value_literal,
-    render_value,
-)
+from nestfold.parser import NAT_MAX, ParseError, parse_program
+from nestfold.values import VCon, parse_value_literal, render_value
 
 TABLE = Path(__file__).resolve().parent / "value_table.json"
 
