@@ -298,6 +298,12 @@ class GroupContext(Record):
 # ---------------------------------------------------------------------------
 # Validation
 
+#: The definitions that every derived module has, whatever its group and
+#: mode, so that a constructor of the same name would be bound twice.  The
+#: module's other fixed names (derivation._FIXED) are defined only for some
+#: groups or in one mode, and derive refuses a constructor named like one.
+DERIVED_NAMES = frozenset({"nfold", "nmap", "ind"})
+
 
 def well_formed(program: Program) -> list[Diagnostic]:
     """Check names, arities and the result-shape rule, collecting all errors.
@@ -328,6 +334,8 @@ def well_formed(program: Program) -> list[Diagnostic]:
                 report(f"{role} name {name!r} is an Agda keyword", pos)
             elif name == "Set":
                 report(f"{role} name 'Set' is reserved for the universe", pos)
+            elif name in DERIVED_NAMES and role == "constructor":
+                report(f"constructor name {name!r} is reserved for a derived definition", pos)
         seen: dict[str, int] = {}
         for p, pos in params:
             seen[p] = seen.get(p, 0) + 1

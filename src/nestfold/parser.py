@@ -14,9 +14,17 @@ An eval target (``Bush (Bush Nat)``) is a type expression parsed by the
 same parser, whose base universes ``Nat`` and ``Atom`` become type variables:
 ``Bush (Bush a)`` with ``a := Nat``.  Names are ASCII, as the emitted module is.
 
+One loop, _read, reads declarations and targets alike: it steps over the
+characters, building no token and keeping its open parentheses on an
+explicit stack, so that it does not recurse however deep a type nests.
+Only a refused text is lexed, by _lex, and _refused words the refusal: the
+text's first lexical error if it has one anywhere, else the refusal at the
+token found where the loop stopped.  So the first error reported is the
+one a lexer followed by a parser would report.
+
 Value literals (.ndv) are read, rendered and measured by ``values``, which
 parsing and analyzing declarations do not load.  It shares this module's
-lexer, NAT_MAX, KEYWORDS and spine_shape.  parse_value_literal,
+lexer and refusals, NAT_MAX, KEYWORDS and spine_shape.  parse_value_literal,
 render_value and value_size also read as attributes of this module, loading
 ``values`` on first use: the benchmark's tracer names them parser layers.
 """
@@ -51,8 +59,8 @@ class TVar(Record):
     __slots__ = __match_args__ = ("name", "pos")
 
     def __init__(self, name: str, pos: tuple[int, int] | None = None):
-        _set(self, "name", name)
-        _set(self, "pos", pos)
+        _tvar_name(self, name)
+        _tvar_pos(self, pos)
 
 
 class TApp(Record):
@@ -63,10 +71,15 @@ class TApp(Record):
     def __init__(
         self, head: str, args: tuple[TypeExpr, ...] = (), pos: tuple[int, int] | None = None
     ):
-        _set(self, "head", head)
-        _set(self, "args", args)
-        _set(self, "pos", pos)
+        _tapp_head(self, head)
+        _tapp_args(self, args)
+        _tapp_pos(self, pos)
 
+
+# TVar and TApp are built once per type node read: each sets its fields
+# through its slot descriptors.
+_tvar_name, _tvar_pos = TVar.name.__set__, TVar.pos.__set__
+_tapp_head, _tapp_args, _tapp_pos = TApp.head.__set__, TApp.args.__set__, TApp.pos.__set__
 
 TypeExpr = TVar | TApp
 
@@ -156,7 +169,7 @@ class Token:
         self.col = col
 
 
-_PUNCT = {"(": "(", ")": ")", "[": "[", "]": "]", ",": ",", ":": ":"}
+_PUNCT = frozenset("()[],:")
 
 #: A natural literal is a run of ASCII digits.  Past its leading zeros, a
 #: run longer than NAT_MAX's digits is out of range without int() reading it
@@ -185,10 +198,6 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
     toks: list[Token] = []
     line, col = 1, 1
     text, i, n = text + "\0", 0, len(text)  # _end stops at the "\0"
-
-    def err(msg: str, l: int, c: int) -> ParseError:
-        return ParseError(msg, l, c, file)
-
     while i < n:
         ch = text[i]
         if ch == "\n":
@@ -213,7 +222,7 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
                 i += 2
                 col += 2
                 continue
-            raise err("stray '-' (expected '->' or a '--' comment)", line, col)
+            raise ParseError("stray '-' (expected '->' or a '--' comment)", line, col, file)
         if ch in _PUNCT:
             toks.append(Token("punct", ch, line, col))
             i += 1
@@ -222,7 +231,7 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
         if ch == "'":
             j = _end(text, i + 1)
             if j == i + 1:
-                raise err("expected a name after the atom quote '", line, col)
+                raise ParseError("expected a name after the atom quote '", line, col, file)
             toks.append(Token("atom", text[i + 1 : j], line, col))
             col += j - i
             i = j
@@ -234,7 +243,8 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
             if len(digits) > _NAT_MAX_LEN or int(digits) > NAT_MAX:
                 if len(lit) > _SHOWN_DIGITS:
                     lit = f"{lit[:_SHOWN_DIGITS]}... ({len(lit)} digits)"
-                raise err(f"natural literal {lit} exceeds the 64-bit range", line, col)
+                msg = f"natural literal {lit} exceeds the 64-bit range"
+                raise ParseError(msg, line, col, file)
             toks.append(Token("nat", digits, line, col))
             col += j - i
             i = j
@@ -247,7 +257,7 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
             col += j - i
             i = j
             continue
-        raise err(f"unexpected character {ch!r}", line, col)
+        raise ParseError(f"unexpected character {ch!r}", line, col, file)
 
     if keep_newlines and toks and toks[-1].kind != "newline":
         toks.append(Token("newline", "\n", line, col))
@@ -255,177 +265,173 @@ def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
     return toks
 
 
-class _Cursor:
-    """A token stream with one-token lookahead."""
-
-    def __init__(self, toks: list[Token], file: str):
-        self.toks = toks
-        self.i = 0
-        self.file = file
-
-    @property
-    def tok(self) -> Token:
-        return self.toks[self.i]
-
-    def advance(self) -> Token:
-        t = self.tok
-        if t.kind != "eof":
-            self.i += 1
-        return t
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.tok
-        return t.kind == kind and (text is None or t.text == text)
-
-    def expect(self, kind: str, text: str | None = None, what: str = "") -> Token:
-        if not self.at(kind, text):
-            want = what or (text if text is not None else kind)
-            raise self.error(f"expected {want}, found {self._describe(self.tok)}")
-        return self.advance()
-
-    def error(self, msg: str, tok: Token | None = None) -> ParseError:
-        t = tok or self.tok
-        return ParseError(msg, t.line, t.col, self.file)
-
-    @staticmethod
-    def _describe(t: Token) -> str:
-        if t.kind == "eof":
-            return "end of input"
-        if t.kind == "newline":
-            return "end of line"
-        return repr(t.text)
-
-    def skip_newlines(self) -> None:
-        while self.at("newline"):
-            self.advance()
+def _refused(
+    text: str, source: str, msg: str, at: tuple | None, found: bool = True, lines: bool = False
+) -> ParseError:
+    """The error of a text refused at line:col `at`: the first lexical error
+    in text, else msg at the token that starts at `at` (end of input if none
+    does), saying what that token is if found.  With lines, text is
+    declarations, whose line breaks are tokens."""
+    toks = _lex(text, source, lines)
+    t = next((t for t in toks if (t.line, t.col) == at), toks[-1])
+    if found:
+        what = {"eof": "end of input", "newline": "end of line"}.get(t.kind, repr(t.text))
+        msg = f"{msg}, found {what}"
+    return ParseError(msg, t.line, t.col, source)
 
 
 # ---------------------------------------------------------------------------
-# Declaration parsing
+# Reading declarations and targets
+
+#: What _read skips: blanks and comments (a "-" that a "-" follows), and in
+#: a target line breaks too.
+_BLANK = frozenset(" \t\r-")
+_BLANK_LINES = _BLANK | {"\n"}
+_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+#: _read's states.  _TYPE wants a type, and _MORE has read one and takes an
+#: argument or what ends the sequence; _LINE is between lines, wanting a
+#: constructor or 'data'; _PARAMS and _GROUP read parameters, outside and
+#: inside parentheses, after _NAME.  Each later state wants the one token
+#: _STEP names, then goes on to the state it names.  _WANT words what each
+#: state wants, as its refusal says (_MORE words its own).
+_TYPE, _MORE, _LINE, _PARAMS, _GROUP, _NAME, _GSET, _GEND, _SET, _WHERE, _BREAK, _COLON = range(12)
+_STEP = {
+    _GSET: ("Set", _GEND),
+    _GEND: (")", _PARAMS),
+    _SET: ("Set", _WHERE),
+    _WHERE: ("where", _BREAK),
+    _BREAK: ("\n", _LINE),
+    _COLON: (":", _TYPE),
+}
+_WANT = (
+    "a type", "", "'data'", "'where'", ":", "a capitalized type name", "'Set'", ")", "'Set'",
+    "'where'", "a line break after 'where'", ":",
+)
+
+
+def _read(text: str, source: str, target: bool):
+    """The Program that text declares, or with target the one type it is."""
+    # a comment ends at the "\n", which is also the last line's break if text has none
+    s, n = text + "\n\0", len(text)
+    i, line, bol = 0, 1, 0  # offset, its line, and that line's first offset
+    skip, state, lines = _BLANK_LINES if target else _BLANK, _TYPE if target else _LINE, not target
+    decls: list[TypeDecl] = []
+    name = None  # the declaration being read
+    frames: list[list] = [[None]]  # the sequence, and one per "(": [its pos, head, arg, ...]
+    while True:
+        c = s[i]
+        while c in skip and (c != "-" or s[i + 1] == "-"):
+            if c == "\n":
+                line, bol = line + 1, i + 1
+            i = s.find("\n", i) if c == "-" else i + 1
+            c = s[i]
+        pos = (line, i - bol + 1)
+        if c in _NAME_START:  # kind is "A" capitalized, "k" a keyword or "a"
+            j = i + 1
+            while s[j] in _NAME_CHARS:
+                j += 1
+            word = s[i:j]
+            kind = "A" if c in _UPPER else "k" if word in KEYWORDS else "a"
+        else:  # kind is the text: punctuation, a line break, what no state takes, "" at the end
+            j = i + 2 if c == "-" and s[i + 1] == ">" else i + 1
+            kind = word = s[i:j] if i <= n else ""
+            if c == "\n":
+                line, bol = line + 1, j
+        if state <= _MORE:
+            if kind == "A" or kind == "a":
+                frames[-1].append(TApp(word, (), pos) if kind == "A" else TVar(word, pos))
+                i, state = j, _MORE
+                continue
+            if kind == "(":
+                frames.append([pos])
+                i, state = j, _TYPE
+                continue
+            if state == _MORE:  # the sequence ends
+                opened, t, *args = frames.pop()
+                if args:
+                    if t.__class__ is TVar:
+                        msg = "a type parameter cannot be applied to arguments"
+                        raise _refused(text, source, msg, t.pos, False, lines)
+                    _tapp_args(t, t.args + tuple(args))  # t is not shared yet
+                if opened:
+                    if kind == "->":
+                        msg = "function types are not permitted inside a type"
+                        raise _refused(text, source, msg, opened, False, lines)
+                    if kind == ")":
+                        frames[-1].append(t)
+                        i = j
+                        continue
+                    msg = "expected )"
+                elif target:
+                    if not kind:
+                        return t
+                    msg = "expected end of target type"
+                else:
+                    segments.append(t)
+                    frames.append([None])
+                    if kind == "->":
+                        i, state = j, _TYPE
+                        continue
+                    if kind == "\n":
+                        ctors.append(Constructor(ctor, tuple(segments[:-1]), t, at))
+                        i, state = j, _LINE
+                        continue
+                    msg = "expected a line break after the constructor type"
+                raise _refused(text, source, msg, pos, True, lines)
+        elif state == _LINE:
+            if kind == "\n":
+                i = j
+                continue
+            if name is not None and c in _NAME_START and word != "data":
+                if word == "where":
+                    msg = "'where' cannot name a constructor"
+                    raise _refused(text, source, msg, pos, False, True)
+                ctor, at, segments = word, pos, []
+                i, state = j, _COLON
+                continue
+            if name is not None:
+                decls.append(TypeDecl(name, tuple(params), tuple(ctors), start, tuple(param_pos)))
+            if word == "data":
+                i, state, start = j, _NAME, pos
+                continue
+            if not kind:
+                if decls:
+                    return Program(tuple(decls), source)
+                msg = "expected at least one data declaration"
+                raise _refused(text, source, msg, None, False, True)
+        elif state == _PARAMS or state == _GROUP:
+            if kind == "a":
+                params.append(word)
+                param_pos.append(pos)
+                i = j
+                continue
+            if state == _GROUP and len(params) == group:
+                msg = "expected parameter names inside parentheses"
+                raise _refused(text, source, msg, pos, False, True)
+            if kind == "(" and state == _PARAMS:
+                i, state, group = j, _GROUP, len(params)
+                continue
+            if kind == ":":
+                i, state = j, _GSET if state == _GROUP else _SET
+                continue
+            if word == "where" and state == _PARAMS:
+                i, state = j, _BREAK
+                continue
+        elif state == _NAME:
+            if kind == "A":
+                name, params, param_pos, ctors = word, [], [], []
+                i, state = j, _PARAMS
+                continue
+        elif word == _STEP[state][0]:
+            i, state = j, _STEP[state][1]
+            continue
+        raise _refused(text, source, f"expected {_WANT[state]}", pos, True, lines)
 
 
 def parse_program(text: str, source: str = "<input>") -> Program:
     """Parse a full .ndt file; names and arities are left unchecked."""
-    cur = _Cursor(_lex(text, source, keep_newlines=True), source)
-    decls: list[TypeDecl] = []
-    cur.skip_newlines()
-    while not cur.at("eof"):
-        decls.append(_parse_decl(cur))
-        cur.skip_newlines()
-    if not decls:
-        raise cur.error("expected at least one data declaration")
-    return Program(tuple(decls), source)
-
-
-def _parse_decl(cur: _Cursor) -> TypeDecl:
-    start = cur.expect("ident", "data", what="'data'")
-    name_tok = cur.expect("uident", what="a capitalized type name")
-    params: list[Token] = []
-    while True:
-        if cur.at("ident"):
-            if cur.tok.text in KEYWORDS:
-                break
-            params.append(cur.advance())
-        elif cur.at("punct", "("):
-            # A parenthesized parameter group with a kind annotation: (a b : Set)
-            cur.advance()
-            group = []
-            while cur.at("ident") and cur.tok.text not in KEYWORDS:
-                group.append(cur.advance())
-            if not group:
-                raise cur.error("expected parameter names inside parentheses")
-            cur.expect("punct", ":")
-            cur.expect("uident", "Set", what="'Set'")
-            cur.expect("punct", ")")
-            params.extend(group)
-        else:
-            break
-    if cur.at("punct", ":"):
-        cur.advance()
-        cur.expect("uident", "Set", what="'Set'")
-    cur.expect("ident", "where", what="'where'")
-    cur.expect("newline", what="a line break after 'where'")
-    cur.skip_newlines()
-
-    ctors: list[Constructor] = []
-    # constructor lines run until the next 'data' keyword or end of file
-    while (cur.at("ident") or cur.at("uident")) and cur.tok.text != "data":
-        ctors.append(_parse_ctor(cur))
-        cur.skip_newlines()
-    return TypeDecl(
-        name_tok.text,
-        tuple(t.text for t in params),
-        tuple(ctors),
-        (start.line, start.col),
-        tuple((t.line, t.col) for t in params),
-    )
-
-
-def _parse_ctor(cur: _Cursor) -> Constructor:
-    if not (cur.at("ident") or cur.at("uident")):
-        raise cur.error(f"expected a constructor name, found {cur._describe(cur.tok)}")
-    name_tok = cur.advance()
-    if name_tok.text in KEYWORDS:
-        raise cur.error(f"{name_tok.text!r} cannot name a constructor", name_tok)
-    cur.expect("punct", ":")
-    segments = [_parse_atom_seq(cur)]
-    while cur.at("punct", "->"):
-        cur.advance()
-        segments.append(_parse_atom_seq(cur))
-    cur.expect("newline", what="a line break after the constructor type")
-    return Constructor(
-        name_tok.text,
-        tuple(segments[:-1]),
-        segments[-1],
-        (name_tok.line, name_tok.col),
-    )
-
-
-def _parse_atom_seq(cur: _Cursor) -> TypeExpr:
-    head = _parse_type_atom(cur)
-    args: list[TypeExpr] = []
-    while (
-        cur.at("uident")
-        or (cur.at("ident") and cur.tok.text not in KEYWORDS)
-        or cur.at("punct", "(")
-    ):
-        args.append(_parse_type_atom(cur))
-    if not args:
-        return head
-    match head:
-        case TApp(h, existing, _):
-            return TApp(h, existing + tuple(args), head.pos)
-        case TVar():
-            raise ParseError(
-                "a type parameter cannot be applied to arguments",
-                head.pos[0],
-                head.pos[1],
-                cur.file,
-            )
-    raise AssertionError
-
-
-def _parse_type_atom(cur: _Cursor) -> TypeExpr:
-    t = cur.tok
-    if t.kind == "uident":
-        cur.advance()
-        return TApp(t.text, (), (t.line, t.col))
-    if t.kind == "ident" and t.text not in KEYWORDS:
-        cur.advance()
-        return TVar(t.text, (t.line, t.col))
-    if cur.at("punct", "("):
-        open_tok = cur.advance()
-        inner = _parse_atom_seq(cur)
-        if cur.at("punct", "->"):
-            raise ParseError(
-                "function types are not permitted inside a type",
-                open_tok.line,
-                open_tok.col,
-                cur.file,
-            )
-        cur.expect("punct", ")")
-        return inner
-    raise cur.error(f"expected a type, found {_Cursor._describe(t)}")
+    return _read(text, source, False)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +444,7 @@ BASE_TYPES = {"Nat": "nat", "Atom": "atom"}
 def parse_type_context(text: str, program: Program) -> TApp:
     """Parse an eval target: a declaration applied to type expressions over
     the declarations and BASE_TYPES, each base universe a TVar of its name."""
-    cur = _Cursor(_lex(text, "<target>", keep_newlines=False), "<target>")
-    t = _parse_atom_seq(cur)
-    cur.expect("eof", what="end of target type")
-    return check_type_context(t, program)
+    return check_type_context(_read(text, "<target>", True), program)
 
 
 def check_type_context(t: TypeExpr, program: Program) -> TApp:

@@ -4,8 +4,9 @@ A value literal is an explicit constructor application (``cons 4 leaf``),
 a natural, a quoted atom (``'x``), or a bracket list ``[ 4, [ 8 ] ]``, which
 desugars to the target declaration's nil/cons-style constructors.  One loop
 reads a literal's characters over an explicit stack, building no token and
-not recursing; only a refused literal is lexed, by the declaration parser's
-lexer, so that a lexical error anywhere is the one reported.
+not recursing; only a refused literal is lexed, by the declaration reader's
+refusal (parser._refused), so that a lexical error anywhere is the one
+reported.
 
 Only `eval` and `test` load this module (through the runtime, the property
 suite and the CLI's eval command): parsing and analyzing declarations never
@@ -14,7 +15,7 @@ compile it.
 
 from __future__ import annotations
 
-from .diagnostics import ParseError, Record, _set
+from .diagnostics import Record, _set
 from .parser import (
     KEYWORDS,
     NAT_MAX,
@@ -24,9 +25,10 @@ from .parser import (
     _NAT_MAX_LEN,
     Program,
     TypeDecl,
-    _Cursor,
+    _BLANK_LINES,
+    _UPPER,
     _end,
-    _lex,
+    _refused,
     spine_shape,
 )
 
@@ -93,11 +95,9 @@ Value = VBase | VCon
 # Reading
 
 
-#: parse_value_literal's frame of an open parenthesis; a blank, a line break
-#: or a comment's "-"; and what starts a constructor argument, but a keyword.
+#: parse_value_literal's frame of an open parenthesis, and what starts a
+#: constructor argument, but a keyword.  It skips parser._BLANK_LINES.
 _PAREN = object()
-_BLANK = frozenset(" \t\r\n-")
-_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _ARG_START = (_NAME_START - _UPPER) | _DIGITS | {"'", "(", "["}
 
 
@@ -119,7 +119,7 @@ def parse_value_literal(
     want, allow, v = True, True, None  # want a value (with arguments if allow), or have v
     while True:
         c = s[i]
-        while c in _BLANK and (c != "-" or s[i + 1] == "-"):  # blanks and comments
+        while c in _BLANK_LINES and (c != "-" or s[i + 1] == "-"):  # blanks and comments
             if c == "\n":
                 line, bol = line + 1, i + 1
             i = s.find("\n", i) if c == "-" else i + 1
@@ -204,16 +204,6 @@ def parse_value_literal(
             pop()
             i += 1
             break
-
-
-def _refused(text: str, source: str, msg: str, at: tuple, found: bool = True) -> ParseError:
-    """The error of a literal refused at line:col `at`: the first lexical
-    error in text, else msg at the token that starts at `at` (end of input
-    if none does), saying what that token is if found."""
-    toks = _lex(text, source, keep_newlines=False)
-    t = next((t for t in toks if (t.line, t.col) == at), toks[-1])
-    msg = f"{msg}, found {_Cursor._describe(t)}" if found else msg
-    return ParseError(msg, t.line, t.col, source)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import nestfold.analysis as analysis
 import nestfold.cli as cli
+import nestfold.derivation as derivation
 import nestfold.parser as parser
 import nestfold.runtime as runtime
 from nestfold.analysis import analyze, context_to_index
@@ -318,9 +319,9 @@ def test_derive_refuses_two_groups_with_one_file_name(capsys, tmp_path):
             "error: module L binds 'zero' twice: as a constructor of Nat and as a constructor of L",
         ),
         (
-            "data L (a : Set) : Set where\n  z : L a\n  nfold : a -> L a -> L a\n",
+            "data L (a : Set) : Set where\n  z : L a\n  I : a -> L a -> L a\n",
             [],
-            "error: module L binds 'nfold' twice: as a constructor of L and as a definition",
+            "error: module L binds 'I' twice: as a constructor of L and as a definition",
         ),
         (
             "data T (a : Set) : Set where\n  t0 : T a\n  t1 : TC a -> T (T a) -> T a\n"
@@ -348,6 +349,45 @@ def test_derive_refuses_a_module_that_binds_a_name_twice(capsys, tmp_path, decls
     src = tmp_path / "clash.ndt"
     src.write_text(decls)
     assert _assert_refused(capsys, tmp_path / "out", src, *flags) == message.format(src=src)
+
+
+#: Groups of each shape a derivation tells apart, with a constructor {c}.
+_CLASH_SHAPES = [
+    "data L (a : Set) : Set where\n  z : L a\n  {c} : a -> L a -> L a\n",
+    "data B (a : Set) : Set where\n  z : B a\n  {c} : a -> B (B a) -> B a\n",
+    "data X (a : Set) : Set where\n  xn : X a\n  {c} : a -> Y a -> X a\n\n"
+    "data Y (a : Set) : Set where\n  y : X (Y a) -> Y a\n",
+    "data T (a b : Set) : Set where\n  tn : T a b\n  {c} : a -> T b a -> T a b\n",
+]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in derivation._FIXED if parser._end(n + "\0", 0) == len(n))
+)
+def test_check_refuses_a_constructor_name_that_derive_refuses_in_both_modes(
+    capsys, tmp_path, monkeypatch, name
+):
+    # Each of the derived module's fixed names that can name a constructor:
+    # check refuses it, at the name, exactly when derive, without that rule,
+    # refuses it for every group in both modes (nat-index mode where the
+    # group is eligible).
+    src = tmp_path / "c.ndt"
+    everywhere = True
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "DERIVED_NAMES", frozenset())
+        for shape in _CLASH_SHAPES:
+            (ctx,) = analyze(parse_program(shape.format(c="c")))
+            src.write_text(shape.format(c=name))
+            for flags in ([], ["--nat-index"])[: 1 + ctx.nat_index_eligible]:
+                code, _, _ = run(capsys, "derive", src, "-o", tmp_path / "out", *flags)
+                everywhere &= code == 1
+    src.write_text(_CLASH_SHAPES[0].format(c=name))
+    code, _, err = run(capsys, "check", src)
+    assert code == (1 if everywhere else 0), err
+    if name in analysis.DERIVED_NAMES:
+        assert err.splitlines() == [
+            f"{src}:3:3: error: constructor name {name!r} is reserved for a derived definition"
+        ]
 
 
 # Agda reserves its keywords, so a source name that is one is refused where
@@ -756,16 +796,16 @@ def test_eval_rejects_a_malformed_target_in_one_line(capsys, tmp_path, target, l
     assert (code, out, err.splitlines()) == (1, "", [line])
 
 
-def test_eval_lexes_its_target_once(capsys, tmp_path, monkeypatch):
-    real = parser._lex
+def test_eval_reads_its_target_once(capsys, tmp_path, monkeypatch):
+    real = parser._read
     targets = []
 
-    def counted(text, file, keep_newlines):
-        if file == "<target>":
+    def counted(text, source, target):
+        if target:
             targets.append(text)
-        return real(text, file, keep_newlines)
+        return real(text, source, target)
 
-    monkeypatch.setattr(parser, "_lex", counted)
+    monkeypatch.setattr(parser, "_read", counted)
     lit = tmp_path / "v.ndv"
     lit.write_text("[1, 2]\n")
     code, out, _ = run(capsys, "eval", SAMPLES / "list.ndt", lit, "--type", "List Nat")
@@ -916,16 +956,33 @@ def test_eval_reads_what_render_value_writes(capsys, tmp_path, default_recursion
     assert (code, out, err) == (0, "3000\n", "")
 
 
-def test_a_too_deeply_parenthesized_target_is_one_error_line(
-    capsys, tmp_path, default_recursion_limit
-):
-    # Type expressions still nest through the declaration parser's recursion.
+def test_a_deeply_parenthesized_target_evaluates(capsys, tmp_path, default_recursion_limit):
+    # The declaration reader keeps its open parentheses on a stack of its own.
     lit = tmp_path / "v.ndv"
     lit.write_text("[ 1 ]\n")
     target = "(" * 3000 + "List Nat" + ")" * 3000
     code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit, "--type", target)
+    assert (code, out, err) == (0, "1\n", "")
+
+
+def test_a_too_deeply_applied_target_is_one_error_line(capsys, tmp_path, default_recursion_limit):
+    # A target nested by application is checked and indexed recursively.
+    lit = tmp_path / "v.ndv"
+    lit.write_text("[ 1 ]\n")
+    target = "List (" * 3000 + "Nat" + ")" * 3000
+    code, out, err = run(capsys, "eval", SAMPLES / "list.ndt", lit, "--type", target)
     assert (code, out) == (1, "")
     assert "too deeply" in _one_error_line(err)
+
+
+def test_check_reads_a_deeply_parenthesized_constructor_argument(
+    capsys, tmp_path, default_recursion_limit
+):
+    src = tmp_path / "deep.ndt"
+    deep = "(" * 3000 + "T a" + ")" * 3000
+    src.write_text(f"data T a where\n  k : T a\n  j : {deep} -> T a\n")
+    code, out, err = run(capsys, "check", src)
+    assert (code, out, err) == (0, "T: ordinary\n", "")
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from nestfold.parser import (
     BASE_TYPES,
     NAT_MAX,
     ParseError,
+    Program,
     TApp,
     TVar,
     parse_program,
@@ -426,6 +427,43 @@ def test_parser_totality_on_noise(text):
         parse_program(text)
     except ParseError:
         pass
+
+
+_HEADERS = ["data T a where", "data L (a b : Set) : Set where", "data T : Set where", "data T a"]
+_TYPE_WORDS = ["T", "T", "L", "a", "a", "b", "(", ")", "->", "where", "'x", "-- c", "\n"]
+
+
+@st.composite
+def _declaration_noise(draw) -> str:
+    """Declarations whose headers and constructor types are drawn from a
+    few words each, spaced at random: near misses, and some accepted."""
+    gap = st.sampled_from([" ", " ", "  ", "\t", " -- c\n "])
+    chunks = []
+    for _ in range(draw(st.integers(1, 2))):
+        lines = [draw(st.sampled_from(_HEADERS))]
+        for _ in range(draw(st.integers(0, 3))):
+            words = draw(st.lists(st.sampled_from(_TYPE_WORDS), min_size=1, max_size=6))
+            name = draw(st.sampled_from(["k", "j", "K", "_k'", "where"]))
+            lines.append(f"  {name} :" + "".join(draw(gap) + w for w in words))
+        chunks.append("\n".join(lines))
+    end = draw(st.sampled_from(["\n", "", " -- c"]))
+    return draw(st.sampled_from(["\n", "\r\n", "\n\n"])).join(chunks) + end
+
+
+@given(
+    st.one_of(
+        _declaration_noise(),
+        st.text(alphabet="datawhere:->()[],'0123456789²ab \n-_\t", max_size=80),
+    )
+)
+def test_declaration_reader_totality_on_noise(text):
+    # Only a Program or a ParseError comes out, and what is accepted reads back.
+    try:
+        p = parse_program(text)
+    except ParseError:
+        return
+    assert p.__class__ is Program
+    assert parse_program(render_program(p)).decls == p.decls
 
 
 @given(st.text(alphabet="consleaf()[],'0123456789\u00b9\u00b2\u0663 \n-", max_size=40))
