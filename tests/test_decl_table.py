@@ -242,9 +242,9 @@ def inputs() -> list[tuple[str, str]]:
     return rows
 
 
-def _type_positions(t, out: list) -> list:
+def _type_positions(t) -> list:
     """Every node's pos in t, in pre-order."""
-    stack = [t]
+    out, stack = [], [t]
     while stack:
         w = stack.pop()
         out.append(list(w.pos))
@@ -258,8 +258,7 @@ def _program_positions(p) -> list:
         [
             list(d.pos),
             [list(q) for q in d.param_pos],
-            [[list(c.pos), *(_type_positions(t, []) for t in (*c.args, c.result))]
-             for c in d.ctors],
+            [[list(c.pos), *map(_type_positions, (*c.args, c.result))] for c in d.ctors],
         ]
         for d in p.decls
     ]
@@ -271,7 +270,7 @@ def outcome(kind: str, text: str) -> dict:
             p = parse_program(text)
             return {"program": render_program(p), "pos": _program_positions(p)}
         t = parse_type_context(text, parse_program(TARGET_PROGRAM))
-        return {"type": render_type_expr(t), "pos": _type_positions(t, [])}
+        return {"type": render_type_expr(t), "pos": _type_positions(t)}
     except ParseError as e:
         (d,) = e.diagnostics
         return {"error": [d.message, d.line, d.col]}
