@@ -7,6 +7,12 @@ base slot (var_ctors: varA, ...) and one per declaration (app_ctor: BushC,
 ...) taking an index per parameter.  Every constructor-argument type then
 translates to an index expression over it (arg_templates), the data the
 derived folds dispatch on.
+
+Validation, classification and the target check read a type through one
+walk, _nodes, which lists its nodes from an explicit stack; the grouping
+(_sccs) keeps its own stack too.  The index translation and the printers
+recurse once per application level, which the reader bounds
+(parser.MAX_APPLICATIONS).
 """
 
 from __future__ import annotations
@@ -350,9 +356,15 @@ def well_formed(program: Program) -> list[Diagnostic]:
                 report(f"duplicate constructor {c.name!r} in {d.name}", c.pos)
             elif owner != d.name:
                 report(f"constructor {c.name!r} already declared by {owner}", c.pos)
-            for t in c.args:
-                _check_type(t, d, arity, report)
-            _check_type(c.result, d, arity, report)
+            for x in (x for t in (*c.args, c.result) for x in _nodes(t)):
+                if x.__class__ is TVar:
+                    if x.name not in d.params:
+                        report(f"unknown type parameter {x.name!r}", x.pos)
+                elif x.head not in arity:
+                    report(f"unknown type constructor {x.head}", x.pos)
+                elif len(x.args) != arity[x.head]:
+                    msg = f"{x.head} expects {arity[x.head]} argument(s), got {len(x.args)}"
+                    report(msg, x.pos)
             if c.result != expected:
                 report(
                     "constructor result must be the declared head applied to "
@@ -363,22 +375,17 @@ def well_formed(program: Program) -> list[Diagnostic]:
     return out
 
 
-def _check_type(t: TypeExpr, decl: TypeDecl, arity: dict[str, int], report) -> None:
-    """Report t's unknown parameters and heads and its misapplied heads."""
-    match t:
-        case TVar(name):
-            if name not in decl.params:
-                report(f"unknown type parameter {name!r}", t.pos)
-        case TApp(head, args):
-            if head not in arity:
-                report(f"unknown type constructor {head}", t.pos)
-            elif len(args) != arity[head]:
-                report(
-                    f"{head} expects {arity[head]} argument(s), got {len(args)}",
-                    t.pos,
-                )
-            for a in args:
-                _check_type(a, decl, arity, report)
+def _nodes(t: TypeExpr) -> list[TypeExpr]:
+    """t's nodes in pre-order: each before its arguments, these left to
+    right.  The one walk over a type here, from an explicit stack; the
+    reader bounds how deep a type nests (parser.MAX_APPLICATIONS)."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        out.append(t)
+        if t.__class__ is TApp:
+            todo += reversed(t.args)
+    return out
 
 
 def _render_expected(d: TypeDecl) -> str:
@@ -394,89 +401,66 @@ def classify(program: Program) -> list[MutualGroup]:
     order = [d.name for d in program.decls]
     edges: dict[str, list[str]] = {n: [] for n in order}
     for d in program.decls:
-        seen: set[str] = set()
-        for c in d.ctors:
-            for t in c.args:
-                for head in (a.head for a in _apps(t)):
-                    if head in edges and head not in seen:
-                        seen.add(head)
-                        edges[d.name].append(head)
+        heads = (x.head for c in d.ctors for t in c.args for x in _nodes(t) if x.__class__ is TApp)
+        edges[d.name] += dict.fromkeys(h for h in heads if h in edges)
 
     groups = []
     for comp in _sccs(order, edges):
         members = tuple(sorted(comp, key=order.index))
-        decls = [program.decl(n) for n in members]
-        groups.append(MutualGroup(members, _is_nested(decls, set(members))))
+        # Nested iff some constructor argument applies a member to anything
+        # but exactly that member's own parameter list.
+        own = {n: tuple(TVar(p) for p in program.decl(n).params) for n in members}
+        nested = any(
+            x.__class__ is TApp and x.head in own and x.args != own[x.head]
+            for n in members
+            for c in program.decl(n).ctors
+            for t in c.args
+            for x in _nodes(t)
+        )
+        groups.append(MutualGroup(members, nested))
     return groups
 
 
-def _apps(t: TypeExpr) -> list[TApp]:
-    """t's applications, each before those in its arguments."""
-    return [] if isinstance(t, TVar) else [t, *(a for x in t.args for a in _apps(x))]
-
-
-def _vars(t: TypeExpr) -> list[str]:
-    """t's type variables, left to right, repeats included."""
-    if isinstance(t, TVar):
-        return [t.name]
-    return [v for a in t.args for v in _vars(a)]
-
-
-def _is_nested(decls: list[TypeDecl], members: set[str]) -> bool:
-    """A group is nested iff some constructor argument applies a member to
-    anything but exactly that member's own parameter list."""
-    by_name = {d.name: d for d in decls}
-    return any(_irregular(t, by_name, members) for d in decls for c in d.ctors for t in c.args)
-
-
-def _irregular(t: TypeExpr, by_name: dict[str, TypeDecl], members: set[str]) -> bool:
-    """t applies a member to anything but its own parameter list."""
-    match t:
-        case TVar():
-            return False
-        case TApp(head, args):
-            if head in members:
-                own = tuple(TVar(p) for p in by_name[head].params)
-                if args != own:
-                    return True
-            return any(_irregular(a, by_name, members) for a in args)
-    raise AssertionError
-
-
 def _sccs(names: list[str], edges: dict[str, list[str]]) -> list[list[str]]:
-    """Tarjan's algorithm; components come out dependencies-first."""
-    counter = itertools.count()
+    """Tarjan's algorithm over an explicit stack of (name, its edges not yet
+    followed); components come out dependencies-first."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     stack: list[str] = []
     on_stack: set[str] = set()
     out: list[list[str]] = []
-
-    def visit(v: str) -> None:
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        on_stack.add(v)
-        for w in edges[v]:
-            if w not in index:
-                visit(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
+    for root in names:
+        if root in index:
+            continue
+        todo = [(root, iter(edges[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while todo:
+            v, rest = todo[-1]
+            for w in rest:
+                if w not in index:  # visit w, then come back to v's rest
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    todo.append((w, iter(edges[w])))
                     break
-            out.append(comp)
-
-    for v in names:
-        if v not in index:
-            visit(v)
-    # visit refers to itself; unbinding it lets reference counting free it.
-    del visit
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:  # v is done
+                todo.pop()
+                if todo:
+                    u = todo[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
     return out
 
 
@@ -519,9 +503,9 @@ def group_context(program: Program, group: MutualGroup) -> GroupContext:
         )
         raise refuse(msg, ctx.decls[group.decls[0]].pos)
     for _, c in ctx.ctors():
-        for app in (a for t in c.args for a in _apps(t)):
-            if app.head not in ctx.app_ctor:
-                raise refuse("cross-group nesting not supported in v1", app.pos)
+        for x in (x for t in c.args for x in _nodes(t)):
+            if x.__class__ is TApp and x.head not in ctx.app_ctor:
+                raise refuse("cross-group nesting not supported in v1", x.pos)
     return ctx
 
 
@@ -597,11 +581,12 @@ def context_to_index(
     declaration has one parameter admits one leaf, and there are two
     universes.
     """
-    foreign = [a.head for a in _apps(t) if a.head not in group_ctx.app_ctor]
+    nodes = _nodes(t)
+    foreign = [x.head for x in nodes if x.__class__ is TApp and x.head not in group_ctx.app_ctor]
     if foreign:
         msg = f"type {foreign[0]} does not belong to group {group_ctx.name}"
         raise AnalysisError(Diagnostic(msg))
-    kinds = tuple(dict.fromkeys(_vars(t)))
+    kinds = tuple(dict.fromkeys(x.name for x in nodes if x.__class__ is TVar))
     names = kinds + ("Nat",) * (group_ctx.base_var_count - len(kinds))
     universes = {k: BASE_TYPES[name] for k, name in enumerate(names)}
     return type_to_index(t, kinds, group_ctx.app_ctor), universes

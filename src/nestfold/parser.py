@@ -16,17 +16,21 @@ same parser, whose base universes ``Nat`` and ``Atom`` become type variables:
 
 One loop, _read, reads declarations and targets alike: it steps over the
 characters, building no token and keeping its open parentheses on an
-explicit stack, so that it does not recurse however deep a type nests.
-Only a refused text is lexed, by _lex, and _refused words the refusal: the
-text's first lexical error if it has one anywhere, else the refusal at the
-token found where the loop stopped.  So the first error reported is the
-one a lexer followed by a parser would report.
+explicit stack, so that it does not recurse however deep parentheses nest.
+Application nests at most MAX_APPLICATIONS deep: _read works out each
+application's depth as it closes and refuses a deeper one, so every later
+walk over a type is bounded.  _refused words a refusal in one more pass
+over the characters, with the same character classes: the text's first
+lexical error if it has one anywhere, else the refusal at the token found
+where the loop stopped.  So the first error reported is the one a lexer
+followed by a parser would report.
 
 Value literals (.ndv) are read, rendered and measured by ``values``, which
 parsing and analyzing declarations do not load.  It shares this module's
-lexer and refusals, NAT_MAX, KEYWORDS and spine_shape.  parse_value_literal,
-render_value and value_size also read as attributes of this module, loading
-``values`` on first use: the benchmark's tracer names them parser layers.
+character classes and refusals, NAT_MAX, KEYWORDS and spine_shape.
+parse_value_literal, render_value and value_size also read as attributes of
+this module, loading ``values`` on first use: the benchmark's tracer names
+them parser layers.
 """
 
 from __future__ import annotations
@@ -35,11 +39,16 @@ from .diagnostics import ParseError, Record, _set
 
 NAT_MAX = 2**64 - 1
 
+#: The deepest a type may nest by application (a parenthesis alone does not
+#: count): T (T a) is 2 deep.  _read refuses a deeper one, so that every
+#: later walk over a type is bounded.
+MAX_APPLICATIONS = 128
+
 KEYWORDS = frozenset({"data", "where"})
 
-#: The Agda keywords the lexer can read as a name (the user manual, Lexical
+#: The Agda keywords the readers can read as a name (the user manual, Lexical
 #: structure, "Keywords and special symbols"; eta-equality and
-#: no-eta-equality cannot be lexed).  Set is left out: analysis.well_formed
+#: no-eta-equality cannot be read).  Set is left out: analysis.well_formed
 #: refuses a name Set as a second binding of the universe.
 AGDA_KEYWORDS = frozenset(
     "abstract coinductive constructor data do field forall hiding import in inductive infix "
@@ -153,20 +162,7 @@ class Program(Record):
 
 
 # ---------------------------------------------------------------------------
-# Lexer
-
-
-class Token:
-    """One lexeme at its 1-based line and column: a plain slotted class, not a
-    Record, as nothing compares or hashes a token."""
-
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # one of: ident, uident, nat, atom, punct, newline, eof
-        self.text = text
-        self.line = line
-        self.col = col
+# Characters, and the wording of a refusal
 
 
 _PUNCT = frozenset("()[],:")
@@ -194,90 +190,58 @@ def _end(s: str, j: int, chars: frozenset[str] = _NAME_CHARS) -> int:
     return j
 
 
-def _lex(text: str, file: str, keep_newlines: bool) -> list[Token]:
-    toks: list[Token] = []
-    line, col = 1, 1
-    text, i, n = text + "\0", 0, len(text)  # _end stops at the "\0"
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            if keep_newlines and toks and toks[-1].kind != "newline":
-                toks.append(Token("newline", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "-":
-            if text.startswith("--", i):
-                while i < n and text[i] != "\n":
-                    i += 1
-                    col += 1
-                continue
-            if text.startswith("->", i):
-                toks.append(Token("punct", "->", line, col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("stray '-' (expected '->' or a '--' comment)", line, col, file)
-        if ch in _PUNCT:
-            toks.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "'":
-            j = _end(text, i + 1)
-            if j == i + 1:
-                raise ParseError("expected a name after the atom quote '", line, col, file)
-            toks.append(Token("atom", text[i + 1 : j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _DIGITS:
-            j = _end(text, i, _DIGITS)
-            lit = text[i:j]
-            digits = lit.lstrip("0") or "0"
-            if len(digits) > _NAT_MAX_LEN or int(digits) > NAT_MAX:
-                if len(lit) > _SHOWN_DIGITS:
-                    lit = f"{lit[:_SHOWN_DIGITS]}... ({len(lit)} digits)"
-                msg = f"natural literal {lit} exceeds the 64-bit range"
-                raise ParseError(msg, line, col, file)
-            toks.append(Token("nat", digits, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _NAME_START:
-            j = _end(text, i)
-            word = text[i:j]
-            kind = "uident" if word[0].isupper() else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col, file)
-
-    if keep_newlines and toks and toks[-1].kind != "newline":
-        toks.append(Token("newline", "\n", line, col))
-    toks.append(Token("eof", "", line, col))
-    return toks
-
-
 def _refused(
     text: str, source: str, msg: str, at: tuple | None, found: bool = True, lines: bool = False
 ) -> ParseError:
     """The error of a text refused at line:col `at`: the first lexical error
     in text, else msg at the token that starts at `at` (end of input if none
     does), saying what that token is if found.  With lines, text is
-    declarations, whose line breaks are tokens."""
-    toks = _lex(text, source, lines)
-    t = next((t for t in toks if (t.line, t.col) == at), toks[-1])
+    declarations, whose line breaks are tokens: a refusal at the end of a
+    text that ends without one is at the end of its last line.  One pass
+    over the characters, building no token."""
+    s, n = text + "\n\0", len(text)  # a comment ends at the "\n"; _end stops at the "\0"
+    i, line, bol, word = 0, 1, 0, None  # word: the text of the token at `at`, once passed
+    while i < n:
+        c, j = s[i], i + 1
+        here = (line, j - bol)
+        if c == "\n":
+            line, bol = line + 1, j
+        elif c == "-":
+            if s[j] == "-":
+                j = s.find("\n", i)
+            elif s[j] == ">":
+                j += 1
+            else:
+                raise ParseError("stray '-' (expected '->' or a '--' comment)", *here, source)
+        elif c == "'":
+            j = _end(s, j)
+            if j == i + 1:
+                raise ParseError("expected a name after the atom quote '", *here, source)
+            i += 1  # the atom's text is its name
+        elif c in _DIGITS:
+            j = _end(s, j, _DIGITS)
+            lit = s[i:j]
+            digits = lit.lstrip("0") or "0"
+            if len(digits) > _NAT_MAX_LEN or int(digits) > NAT_MAX:
+                if len(lit) > _SHOWN_DIGITS:
+                    lit = f"{lit[:_SHOWN_DIGITS]}... ({len(lit)} digits)"
+                raise ParseError(f"natural literal {lit} exceeds the 64-bit range", *here, source)
+            i = j - len(digits)  # the literal's text is its digits past the leading zeros
+        elif c in _NAME_START:
+            j = _end(s, j)
+        elif c not in _PUNCT and c not in " \t\r":
+            raise ParseError(f"unexpected character {c!r}", *here, source)
+        if here == at:
+            word = s[i:j]
+        i = j
+    if word is None:
+        end = (line, n - bol + 1)
+        word = "\n" if lines and at == end else ""
+        at = end
     if found:
-        what = {"eof": "end of input", "newline": "end of line"}.get(t.kind, repr(t.text))
+        what = {"": "end of input", "\n": "end of line"}.get(word, repr(word))
         msg = f"{msg}, found {what}"
-    return ParseError(msg, t.line, t.col, source)
+    return ParseError(msg, *at, source)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +282,10 @@ def _read(text: str, source: str, target: bool):
     skip, state, lines = _BLANK_LINES if target else _BLANK, _TYPE if target else _LINE, not target
     decls: list[TypeDecl] = []
     name = None  # the declaration being read
-    frames: list[list] = [[None]]  # the sequence, and one per "(": [its pos, head, arg, ...]
+    # The sequence, and one per "(": [its pos, its depth so far, head, arg, ...].  A
+    # sequence is as deep as its deepest parenthesized head, or as one more than
+    # its deepest argument: 1 if that is a name.
+    frames: list[list] = [[None, 0]]
     while True:
         c = s[i]
         while c in skip and (c != "-" or s[i + 1] == "-"):
@@ -344,22 +311,30 @@ def _read(text: str, source: str, target: bool):
                 i, state = j, _MORE
                 continue
             if kind == "(":
-                frames.append([pos])
+                frames.append([pos, 0])
                 i, state = j, _TYPE
                 continue
             if state == _MORE:  # the sequence ends
-                opened, t, *args = frames.pop()
+                opened, d, t, *args = frames.pop()
                 if args:
                     if t.__class__ is TVar:
                         msg = "a type parameter cannot be applied to arguments"
                         raise _refused(text, source, msg, t.pos, False, lines)
                     _tapp_args(t, t.args + tuple(args))  # t is not shared yet
+                    d = d or 1
+                    if d > MAX_APPLICATIONS:
+                        msg = f"type nests too deeply: {d} applications, at most {MAX_APPLICATIONS}"
+                        raise _refused(text, source, msg, t.pos, False, lines)
                 if opened:
                     if kind == "->":
                         msg = "function types are not permitted inside a type"
                         raise _refused(text, source, msg, opened, False, lines)
                     if kind == ")":
-                        frames[-1].append(t)
+                        f = frames[-1]
+                        f.append(t)
+                        d += len(f) > 3  # t is an argument
+                        if d > f[1]:
+                            f[1] = d
                         i = j
                         continue
                     msg = "expected )"
@@ -369,7 +344,7 @@ def _read(text: str, source: str, target: bool):
                     msg = "expected end of target type"
                 else:
                     segments.append(t)
-                    frames.append([None])
+                    frames.append([None, 0])
                     if kind == "->":
                         i, state = j, _TYPE
                         continue

@@ -126,9 +126,6 @@ class RFun:
 
     __hash__ = None
 
-    def __repr__(self) -> str:
-        return f"RFun(fn={self.fn!r})"
-
     def __str__(self) -> str:
         return "<function>"
 

@@ -4,7 +4,7 @@ A value literal is an explicit constructor application (``cons 4 leaf``),
 a natural, a quoted atom (``'x``), or a bracket list ``[ 4, [ 8 ] ]``, which
 desugars to the target declaration's nil/cons-style constructors.  One loop
 reads a literal's characters over an explicit stack, building no token and
-not recursing; only a refused literal is lexed, by the declaration reader's
+not recursing; a refused literal is worded by the declaration reader's
 refusal (parser._refused), so that a lexical error anywhere is the one
 reported.
 

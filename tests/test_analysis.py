@@ -8,6 +8,7 @@ from nestfold.analysis import (
     GroupContext,
     IApp,
     IVar,
+    _sccs,
     analyze,
     classify,
     context_to_index,
@@ -89,6 +90,38 @@ def test_independent_groups_with_dependency_come_out_dependencies_first():
 def test_classify_is_idempotent():
     program = parse_program(BOBDYLAN)
     assert classify(program) == classify(program)
+
+
+def _recursive_sccs(names, edges):
+    """Tarjan's algorithm as one recursion per node, the order _sccs keeps."""
+    index, low, stack, out = {}, {}, [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in edges[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = [stack.pop()]
+            while comp[-1] != v:
+                comp.append(stack.pop())
+            out.append(comp)
+
+    for v in names:
+        if v not in index:
+            visit(v)
+    return out
+
+
+@given(st.lists(st.lists(st.integers(0, 7), max_size=4), min_size=1, max_size=8))
+def test_sccs_come_out_as_the_recursion_orders_them(successors):
+    names = [f"T{i}" for i in range(len(successors))]
+    edges = {n: [names[w % len(names)] for w in ws] for n, ws in zip(names, successors)}
+    assert _sccs(names, edges) == _recursive_sccs(names, edges)
 
 
 # ---------------------------------------------------------------------------

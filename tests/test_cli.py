@@ -966,7 +966,7 @@ def test_a_deeply_parenthesized_target_evaluates(capsys, tmp_path, default_recur
 
 
 def test_a_too_deeply_applied_target_is_one_error_line(capsys, tmp_path, default_recursion_limit):
-    # A target nested by application is checked and indexed recursively.
+    # A target nested past parser.MAX_APPLICATIONS is refused as it is read.
     lit = tmp_path / "v.ndv"
     lit.write_text("[ 1 ]\n")
     target = "List (" * 3000 + "Nat" + ")" * 3000
@@ -983,6 +983,67 @@ def test_check_reads_a_deeply_parenthesized_constructor_argument(
     src.write_text(f"data T a where\n  k : T a\n  j : {deep} -> T a\n")
     code, out, err = run(capsys, "check", src)
     assert (code, out, err) == (0, "T: ordinary\n", "")
+
+
+def _nested(tmp_path, depth: int, command: str) -> tuple[list, str]:
+    """command's arguments on a type nested depth applications deep, and
+    where a refusal of that type is positioned.  check, derive and test read
+    a declaration whose constructor argument nests that deep; eval reads
+    list.ndt, a --type target that nests that deep and a literal that fits
+    it, one natural depth brackets down."""
+    src = tmp_path / "deep.ndt"
+    deep = "T (" * (depth - 1) + "T a" + ")" * (depth - 1)
+    src.write_text(f"data T (a : Set) : Set where\n  k : T a\n  j : {deep} -> T a\n")
+    if command == "eval":
+        lit = tmp_path / "deep.ndv"
+        lit.write_text("[ " * depth + "1" + " ]" * depth + "\n")
+        target = "List (" * (depth - 1) + "List Nat" + ")" * (depth - 1)
+        return ["eval", SAMPLES / "list.ndt", lit, "--type", target], "<target>:1:1"
+    name, *mode = command.split()
+    flags = {"check": [], "derive": ["-o", tmp_path], "test": ["--max-size", "2"]}
+    return [name, src, *flags[name], *mode], f"{src}:3:7"
+
+
+NESTED_COMMANDS = ["check", "derive", "derive --nat-index", "eval", "test"]
+
+
+@pytest.mark.parametrize("limit", [1000, 600])
+@pytest.mark.parametrize("command", NESTED_COMMANDS)
+def test_every_command_accepts_a_type_nested_128_applications_deep(
+    capsys, tmp_path, command, limit
+):
+    # Every walk over a type is bounded by the reader's nesting bound, with
+    # room to spare: a walker that spends more frames per level than today's
+    # fails here under the lowered limit before it fails a user.
+    argv, _ = _nested(tmp_path, 128, command)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert (code, err) == (0, "")
+    if command == "eval":
+        assert out == "1\n"
+
+
+@pytest.mark.parametrize("command", NESTED_COMMANDS)
+def test_every_command_refuses_a_type_nested_129_applications_deep_in_one_line(
+    capsys, tmp_path, command, default_recursion_limit
+):
+    argv, at = _nested(tmp_path, 129, command)
+    line = f"{at}: error: type nests too deeply: 129 applications, at most 128\n"
+    assert run(capsys, *argv) == (1, "", line)
+
+
+def test_check_accepts_a_mutual_cycle_of_1000_declarations(
+    capsys, tmp_path, default_recursion_limit
+):
+    src = tmp_path / "cycle.ndt"
+    decls = [f"data T{i} where\n  c{i} : T{(i + 1) % 1000} -> T{i}\n" for i in range(1000)]
+    src.write_text("".join(decls))
+    names = ", ".join(f"T{i}" for i in range(1000))
+    assert run(capsys, "check", src) == (0, f"{names}: ordinary, mutual\n", "")
 
 
 @pytest.mark.parametrize(
