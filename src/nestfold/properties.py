@@ -5,14 +5,18 @@ report is reproducible from the declaration file and the size bound alone —
 nothing here is randomized.  A property stops at its first failing case and
 reports it as a replayable counterexample.
 
-Every property prepares its folds (runtime.prepare_*) before its sweep, once
-per algebra or map function and its memo, so no case checks or builds an
-algebra.
+A case carries its value's row in the row table of the suite's base pool.
+Every property prepares its folds (runtime.prepare_*) on that table before
+its sweep, once per algebra or map function, so no case checks or builds an
+algebra and a case reads each fold's result at its row.  Only
+call-counter-bound folds each value by recursion (runtime.walk_*): it counts
+the calls of a per-value evaluator.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from itertools import repeat
 
 from .analysis import (
     GroupContext,
@@ -23,7 +27,6 @@ from .analysis import (
 from .diagnostics import Record, _set
 from .runtime import (
     Algebra,
-    Fold,
     RFun,
     catalogue,
     enumerate_values,
@@ -31,13 +34,17 @@ from .runtime import (
     eval_hfold_via_nfold,
     eval_hmap_direct,
     halg_catalogue,
+    hfold_algebra,
     map_algebra,
     nat_of,
-    prepare_hfold,
+    pool_set,
     prepare_ind,
     prepare_map,
+    prepare_map_over,
     prepare_nfold,
     prepare_nfold_prime,
+    walk_ind,
+    walk_nfold,
 )
 from .values import VBase, VCon, Value, render_value, value_size
 
@@ -137,14 +144,25 @@ def _suite_indices(ctx: GroupContext) -> list[IndexExpr]:
     return enumerate_indices(ctx, 3 if ctx.nat_index_eligible else 2)
 
 
+def _pool(ctx: GroupContext) -> dict[int, tuple[Value, ...]]:
+    return {k: tuple(VBase(n) for n in BASE_POOL) for k in range(ctx.base_var_count)}
+
+
+def _table(ctx: GroupContext) -> list:
+    """The row table of the suite's base pool."""
+    return pool_set(ctx, _pool(ctx))[1]
+
+
 def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
-    """Yield (idx, value) for every value at every index."""
-    pool = {
-        k: tuple(VBase(n) for n in BASE_POOL) for k in range(ctx.base_var_count)
-    }
+    """Yield (idx, value, row in _table(ctx)) for every value at every index."""
+    pool = _pool(ctx)
+    pools = pool_set(ctx, pool)[0]
     for idx in map(ctx.canonical, indices):
-        for v in enumerate_values(ctx, idx, pool, max_size):
-            yield idx, v
+        enumerate_values(ctx, idx, pool, max_size)
+        for size in range(max_size + 1):
+            values, rows = pools[idx, size]
+            if values:
+                yield from zip(repeat(idx), values, rows)
 
 
 def _own_values(ctx: GroupContext, max_size: int):
@@ -156,7 +174,7 @@ def _agree(lhs: object, rhs: object) -> bool:
     """Naturals, trees and values agree when equal; functions never do."""
     if isinstance(lhs, RFun) or isinstance(rhs, RFun):
         return False
-    return lhs == rhs
+    return lhs is rhs or lhs == rhs
 
 
 def _sweep(
@@ -188,11 +206,6 @@ def _sweep(
             )
             return PropertyResult(name, count, len(seen), ce)
     return PropertyResult(name, count, len(seen))
-
-
-def _mapper(fold: Fold, idx: IndexExpr) -> Callable[[Value], Value]:
-    """The prepared map fold at idx, as a base function."""
-    return lambda v: fold(idx, v)
 
 
 def _ignore_values(alg: Algebra) -> Algebra:
@@ -256,13 +269,14 @@ class _ReplayMemo(dict):
 
 def check_equivalence(ctx: GroupContext, max_size: int) -> PropertyResult:
     """nfold and the function-space route agree on every case."""
+    table = _table(ctx)
     folds = [
-        (alg.name, prepare_nfold(ctx, alg, {}), prepare_nfold_prime(ctx, alg))
+        (alg.name, prepare_nfold(ctx, alg, table), prepare_nfold_prime(ctx, alg))
         for alg in catalogue(ctx).values()
     ]
     return _sweep("nfold-vs-nfold-prime", (
-        (idx, v, name, nfold(idx, v), nfold_prime(idx, v))
-        for idx, v in _values(ctx, _suite_indices(ctx), max_size)
+        (idx, v, name, nfold(r), nfold_prime(idx, v))
+        for idx, v, r in _values(ctx, _suite_indices(ctx), max_size)
         for name, nfold, nfold_prime in folds
     ), ctx)
 
@@ -270,33 +284,30 @@ def check_equivalence(ctx: GroupContext, max_size: int) -> PropertyResult:
 def check_map_identity(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Mapping the identity over every slot returns the value unchanged."""
     fs = {k: (lambda v: v) for k in range(ctx.base_var_count)}
-    identity = prepare_map(ctx, fs, {})
+    identity = prepare_map(ctx, fs, _table(ctx))
     return _sweep("map-identity", (
-        (idx, v, "identity", identity(idx, v), v)
-        for idx, v in _values(ctx, _suite_indices(ctx), max_size)
+        (idx, v, "identity", identity(r), v)
+        for idx, v, r in _values(ctx, _suite_indices(ctx), max_size)
     ), ctx)
 
 
 def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
-    """Mapping once at depth m+n equals mapping at m with an inner depth-n map.
-
-    The map of f is prepared once, with one memo, and its inner maps are
-    that map at depth n.  The outer map's base is the inner map, so it is
-    prepared once per (f, split), with its own memo."""
-    at = ctx.level
-    maps = [(fname, prepare_map(ctx, {0: f}, {})) for fname, f in MAP_FNS]
+    """Mapping once at depth m+n equals mapping at m with an inner depth-n map:
+    the map of f, whose rows at level n the outer map, one per (f, n), reads."""
+    at, table = ctx.level, _table(ctx)
+    maps = [(fname, prepare_map(ctx, {0: f}, table)) for fname, f in MAP_FNS]
+    outers = [
+        [(fname, fold, prepare_map_over(ctx, fold, n, table)) for fname, fold in maps]
+        for n in range(5)
+    ]
 
     def cases():
         for m in range(5):
             for n in range(5 - m):
-                outer = [
-                    (fname, fold, prepare_map(ctx, {0: _mapper(fold, at(n))}, {}))
-                    for fname, fold in maps
-                ]
                 place = (at(m + n), m, n)
-                for whole, v in _values(ctx, [at(m + n)], max_size):
-                    for fname, fold, outer_fold in outer:
-                        yield place, v, fname, fold(whole, v), outer_fold(at(m), v)
+                for _, v, r in _values(ctx, [at(m + n)], max_size):
+                    for fname, fold, outer in outers[n]:
+                        yield place, v, fname, fold(r), outer(r)
 
     def split(place, ctx: GroupContext) -> str:
         whole, m, n = place
@@ -307,11 +318,14 @@ def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
 
 def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The fold-backed higher-order fold matches the literal recursion."""
-    decl = ctx.group.decls[0]
-    halgs = [(halg, prepare_hfold(ctx, halg, decl, {})) for halg in halg_catalogue(ctx).values()]
+    table = _table(ctx)
+    halgs = [
+        (halg, prepare_nfold(ctx, hfold_algebra(ctx, halg), table))
+        for halg in halg_catalogue(ctx).values()
+    ]
     return _sweep("hfold-conformance", (
-        (idx, v, halg.name, halg.finish(hfold(v)), halg.finish(eval_hfold_direct(ctx, halg, v)))
-        for idx, v in _own_values(ctx, max_size)
+        (idx, v, halg.name, halg.finish(hfold(r)), halg.finish(eval_hfold_direct(ctx, halg, v)))
+        for idx, v, r in _own_values(ctx, max_size)
         for halg, hfold in halgs
     ), ctx)
 
@@ -320,7 +334,7 @@ def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
     """On the nullary constructor the higher-order fold is its nil method."""
     decl = ctx.group.decls[0]
     nil, _ = ctx.bush_shape
-    idx, v = next(case for case in _own_values(ctx, 1) if case[1].ctor == nil)
+    idx, v, _ = next(case for case in _own_values(ctx, 1) if case[1].ctor == nil)
     return _sweep("hfold-leaf-equation", (
         (idx, v, halg.name,
          halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v)),
@@ -331,47 +345,48 @@ def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
 
 def check_hmap_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The one-layer map derived from the fold matches the direct recursion."""
-    maps = [(fname, f, prepare_map(ctx, {0: f}, {})) for fname, f in MAP_FNS]
+    table = _table(ctx)
+    maps = [(fname, f, prepare_map(ctx, {0: f}, table)) for fname, f in MAP_FNS]
     return _sweep("hmap-agreement", (
-        (idx, v, fname, hmap(idx, v), eval_hmap_direct(ctx, f, v))
-        for idx, v in _own_values(ctx, max_size)
+        (idx, v, fname, hmap(r), eval_hmap_direct(ctx, f, v))
+        for idx, v, r in _own_values(ctx, max_size)
         for fname, f, hmap in maps
     ), ctx)
 
 
 def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
-    """The one-layer map satisfies its defining equation on both constructors.
-
-    hmap f has one memo, shared by both sides; hmap (hmap f) has its own."""
+    """The one-layer map satisfies its defining equation on both constructors;
+    hmap (hmap f) is the map at level 1 whose base is hmap f at level 1."""
     nil, cons = ctx.bush_shape
-    idx = ctx.own_index(ctx.group.decls[0])
+    table = _table(ctx)
     maps = []
     for fname, f in MAP_FNS:
-        hmap = prepare_map(ctx, {0: f}, {})
-        maps.append((fname, f, hmap, prepare_map(ctx, {0: _mapper(hmap, idx)}, {})))
+        hmap = prepare_map(ctx, {0: f}, table)
+        maps.append((fname, f, hmap, prepare_map_over(ctx, hmap, 1, table)))
 
-    def unfolded(f, hmap_hmap, v: Value) -> Value:
+    def unfolded(f, hmap_hmap, v: Value, r: int) -> Value:
         if isinstance(v, VCon) and v.ctor == cons:
-            x, xs = v.args
-            return VCon(cons, (f(x), hmap_hmap(idx, xs)))
+            x, _ = v.args
+            return VCon(cons, (f(x), hmap_hmap(table[r][2][1])))
         return v
 
     return _sweep("hmap-cons-equation", (
-        (idx, v, fname, hmap(idx, v), unfolded(f, hmap_hmap, v))
-        for idx, v in _own_values(ctx, max_size)
+        (idx, v, fname, hmap(r), unfolded(f, hmap_hmap, v, r))
+        for idx, v, r in _own_values(ctx, max_size)
         for fname, f, hmap, hmap_hmap in maps
     ), ctx)
 
 
 def check_ind_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Induction with value-ignoring methods computes exactly the fold."""
+    table = _table(ctx)
     folds = [
-        (alg.name, prepare_ind(ctx, _ignore_values(alg), {}), prepare_nfold(ctx, alg, {}))
+        (alg.name, prepare_ind(ctx, _ignore_values(alg), table), prepare_nfold(ctx, alg, table))
         for alg in catalogue(ctx).values()
     ]
     return _sweep("ind-agreement", (
-        (idx, v, name, ind(idx, v), nfold(idx, v))
-        for idx, v in _values(ctx, _suite_indices(ctx), max_size)
+        (idx, v, name, ind(r), nfold(r))
+        for idx, v, r in _values(ctx, _suite_indices(ctx), max_size)
         for name, ind, nfold in folds
     ), ctx)
 
@@ -392,28 +407,27 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
         "sum": (0, lambda x, r: x + r),
         "length": (0, lambda x, r: 1 + r),
     }
-    algs = catalogue(ctx)
+    algs, table = catalogue(ctx), _table(ctx)
     folds = [
-        (name, prepare_nfold(ctx, algs[name], {}), base, step)
+        (name, prepare_nfold(ctx, algs[name], table), base, step)
         for name, (base, step) in oracles.items()
     ]
     return _sweep("spine-fold-agreement", (
-        (idx, v, name, nat_of(nfold(idx, v)), fold_list(base, step, v))
-        for idx, v in _own_values(ctx, max_size)
+        (idx, v, name, nat_of(nfold(r)), fold_list(base, step, v))
+        for idx, v, r in _own_values(ctx, max_size)
         for name, nfold, base, step in folds
     ), ctx)
 
 
 def _counted_runs(ctx: GroupContext, calls: list[int]):
-    """The (label, preparation, algebra) of each evaluator
-    call-counter-bound counts; every algebra adds its method calls to
-    calls[0]."""
+    """The (label, walk, algebra) of each evaluator call-counter-bound counts;
+    every algebra adds its method calls to calls[0]."""
     sum_alg = catalogue(ctx)["sum"]
     fs = {k: (lambda v: v) for k in range(ctx.base_var_count)}
     return (
-        ("nfold", prepare_nfold, _counted(sum_alg, calls)),
-        ("nmap", prepare_nfold, _counted(map_algebra(ctx, fs), calls)),
-        ("ind", prepare_ind, _counted(_ignore_values(sum_alg), calls)),
+        ("nfold", walk_nfold, _counted(sum_alg, calls)),
+        ("nmap", walk_nfold, _counted(map_algebra(ctx, fs), calls)),
+        ("ind", walk_ind, _counted(_ignore_values(sum_alg), calls)),
     )
 
 
@@ -427,12 +441,12 @@ def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
     its calls are counted at every occurrence, as if folded again."""
     calls = [0]
     runs = []
-    for label, prepare, alg in _counted_runs(ctx, calls):
+    for label, walk, alg in _counted_runs(ctx, calls):
         memo = _ReplayMemo(calls)
-        runs.append((label, prepare(ctx, alg, memo), memo))
+        runs.append((label, walk(ctx, alg, memo), memo))
 
     def cases():
-        for idx, v in _values(ctx, _suite_indices(ctx), max_size):
+        for idx, v, _ in _values(ctx, _suite_indices(ctx), max_size):
             bound = value_size(v)
             for label, fold, memo in runs:
                 calls[0] = 0

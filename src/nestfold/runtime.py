@@ -26,43 +26,19 @@ such a literal) is one diagnostic in the reader's words, with nothing below
 it placed.  fold_tape folds the tape in one loop over a result stack.
 Neither recurses, so a literal as deep as a long list evaluates under the
 default recursion limit.
-The suite's folds stay recursive: the values they fold are enumerated, so
---max-size bounds their depth, and their memo folds a sub-value that many
-values share once, where a tape would list it, and fold it, at every
-occurrence.
 
-The suite prepares each fold once per property, before its sweep.
-prepare_nfold, prepare_map, prepare_ind, prepare_hfold and
-prepare_nfold_prime check the algebra (and build the map or hfold algebra)
-once, and return a callable that folds one value at a time: nfold, nmap and
-hfold enter the module-level recursion _nfold, induction enters _ind, each
-through its global name.  eval_nfold, eval_map, eval_ind,
-eval_hfold_via_nfold and eval_nfold_prime prepare a fold and apply it once.
-A prepared fold refers to its algebra and its memo, and nothing it builds
-refers back to it, so dropping the fold frees its memo by reference counting
-alone, without waiting for the cyclic collector.
-
-Every fold but nfold' (prepared or through its eval_* wrapper) takes an
-optional memo, so that a sub-value shared by many enumerated values is
-folded once.  Its key is (index, id(sub-value)) and, in a plain dict, its
-entry is the bare result; base positions apply their base function
-directly.  The memo does not keep its sub-values alive, so its caller
-guarantees two things:
-
-- every value folded through a memo, and so every sub-value keyed in it,
-  outlives the memo, so that no id in it is reused.  Enumerated values do:
-  the intern table of their context (see enumerate_values) holds them for
-  the context's life, and a memo lives for one property;
-- the memo serves one algebra whose bases and methods are pure: two
-  different algebras, or two maps of different functions, must not share
-  one.
-
-A memo may also be a dict subclass whose entries are not bare results.  A
-fold calls memo.get(key) once before it recurses (None means a miss) and
-sets memo[key] once after the method runs, so such a memo keeps the Memo
-contract as long as its get returns what its __setitem__ was given; the
-call counter's memo (properties.py) stores each result with the method
-calls that computed it.
+The suite folds the pool, not each value.  Each (index, value) pair that
+enumerate_values builds is a row of its base pool's row table (pool_set):
+(index, node, the rows of its arguments), or (index, base value, None), in
+build order, so a row's arguments come first.  prepare_nfold, prepare_ind,
+prepare_map and prepare_map_over check or build their algebra once and
+return a row fold: one loop that fills a result list in row order, up to
+the highest row asked for, so a shared sub-value is folded once and a
+case's result is one list read.  Map results are interned too, so equal
+ones are one object.  Nothing a row fold builds refers back to it, so
+dropping it frees its results by reference counting alone.  eval_nfold,
+eval_ind, eval_map and eval_hfold_via_nfold fold one value by recursion
+(walk_nfold, walk_ind).
 
 The two *direct* evaluators (eval_hfold_direct, eval_hmap_direct) transcribe
 the non-structural recursions verbatim and serve as oracles for the derived
@@ -92,7 +68,7 @@ are module-level functions, so a case leaves no reference cycle behind.
 
 from __future__ import annotations
 
-import itertools
+from itertools import product
 from collections.abc import Callable
 
 from .analysis import (
@@ -132,8 +108,11 @@ class RFun:
 
 RuntimeResult = int | Value | RFun
 
-#: A fold's memo: (index, id(sub-value)) -> result.  See the module
-#: docstring for what its caller guarantees.
+#: A recursive fold's memo: (index, id(sub-value)) -> result.  It does not
+#: keep its sub-values alive, so they must outlive it, and it serves one pure
+#: algebra.  A fold calls memo.get(key) once before it recurses (None is a
+#: miss) and sets memo[key] once after the method runs, so the call counter
+#: (properties.py) can replay the method calls behind each entry.
 Memo = dict[tuple[IndexExpr, int], RuntimeResult]
 
 
@@ -318,25 +297,71 @@ def fold_tape(ctx: GroupContext, alg: Algebra, tape: Tape) -> RuntimeResult:
 # The dependently typed fold and its relatives
 
 
-#: A prepared fold: its algebra checked once, then (index, value) -> result.
+#: A fold on one value at a time: (index, value) -> result.
 Fold = Callable[[IndexExpr, Value], RuntimeResult]
 
+#: A fold on a row table (see Row): row number -> result.
+RowFold = Callable[[int], RuntimeResult]
 
-def prepare_nfold(ctx: GroupContext, alg: Algebra, memo: Memo | None = None) -> Fold:
-    """nfold at alg through memo, for any number of (index, value) pairs.
 
-    The algebra is checked here, once, before any value is read."""
+def prepare_nfold(ctx: GroupContext, alg: Algebra, table: list[Row]) -> RowFold:
+    """nfold at alg on the rows of table, its algebra checked once."""
     check_algebra(ctx, alg)
-    return lambda idx, v: _nfold(ctx, alg, idx, v, memo)
+    return _row_fold(table, alg, False)
+
+
+def prepare_ind(ctx: GroupContext, alg: Algebra, table: list[Row]) -> RowFold:
+    """Induction at alg on the rows of table, its algebra checked once."""
+    check_algebra(ctx, alg)
+    return _row_fold(table, alg, True)
+
+
+def _row_fold(table: list[Row], alg: Algebra, ind: bool) -> RowFold:
+    """Asked for a row, fill the results of every row up to it, in row order."""
+    bases, methods = alg.bases, alg.methods
+    rs: list[RuntimeResult] = []
+    push, get = rs.append, rs.__getitem__
+
+    def fold(row: int) -> RuntimeResult:
+        if row >= len(rs):
+            for i, v, args in table[len(rs) : row + 1]:
+                if args is None:
+                    push(bases[i.k](v))
+                elif ind:
+                    push(methods[v.ctor](i.args, v.args, tuple(map(get, args))))
+                else:
+                    push(methods[v.ctor](i.args, tuple(map(get, args))))
+        return rs[row]
+
+    return fold
+
+
+def walk_nfold(ctx: GroupContext, alg: Algebra, memo: Memo | None = None) -> Fold:
+    """nfold at alg one value at a time, through memo, its algebra checked once."""
+    check_algebra(ctx, alg)
+    return lambda idx, v: _walk(ctx, alg, idx, v, memo, False)
+
+
+def walk_ind(ctx: GroupContext, alg: Algebra, memo: Memo | None = None) -> Fold:
+    """Induction at alg one value at a time (see walk_nfold)."""
+    check_algebra(ctx, alg)
+    return lambda idx, v: _walk(ctx, alg, idx, v, memo, True)
 
 
 def eval_nfold(
     ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value, memo: Memo | None = None
 ) -> RuntimeResult:
-    return prepare_nfold(ctx, alg, memo)(idx, v)
+    return walk_nfold(ctx, alg, memo)(idx, v)
 
 
-def _nfold(ctx, alg, idx, v, memo):
+def eval_ind(
+    ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value, memo: Memo | None = None
+) -> RuntimeResult:
+    """Induction: nfold whose methods also receive the examined sub-values."""
+    return walk_ind(ctx, alg, memo)(idx, v)
+
+
+def _walk(ctx, alg, idx, v, memo, ind):
     if isinstance(idx, IVar):
         return alg.bases[idx.k](v)
     if memo is not None:
@@ -344,37 +369,29 @@ def _nfold(ctx, alg, idx, v, memo):
         r = memo.get(key)
         if r is not None:
             return r
-    rs = []
-    for t, sub in zip(_args_at(ctx, idx, v), v.args):
-        rs.append(_nfold(ctx, alg, t, sub, memo))
-    r = alg.methods[v.ctor](idx.args, tuple(rs))
+    at = ctx.ctors_at(idx, v.ctor) if isinstance(v, VCon) else None
+    if at is None:
+        decl = ctx.decl_of_app[idx.ctor]
+        raise EvalError(f"value {render_value(v)} does not inhabit a {decl} index")
+    rs = tuple([_walk(ctx, alg, t, sub, memo, ind) for t, sub in zip(at, v.args)])
+    r = alg.methods[v.ctor](idx.args, v.args, rs) if ind else alg.methods[v.ctor](idx.args, rs)
     if memo is not None:
         memo[key] = r
     return r
 
 
-def _args_at(ctx: GroupContext, idx: IApp, v: Value) -> tuple[IndexExpr, ...]:
-    """The indices of v's arguments at idx, or the error that v is not there."""
-    at = ctx.ctors_at(idx, v.ctor) if isinstance(v, VCon) else None
-    if at is None:
-        decl = ctx.decl_of_app[idx.ctor]
-        raise EvalError(f"value {render_value(v)} does not inhabit a {decl} index")
-    return at
-
-
 def map_algebra(ctx: GroupContext, fs: dict[int, Callable[[Value], Value]]) -> Algebra:
-    """The derived map of fs as a fold: its methods rebuild their constructor."""
+    """The derived map of fs as a fold: its methods rebuild their constructor.
+    What it builds is interned (see enumerate_values), the base values fs
+    returns too, so two equal results built from interned parts are one
+    object."""
+    interned = ctx.interned
+    bases = {k: (lambda f: lambda v: _intern(interned, f(v)))(f) for k, f in fs.items()}
     methods = {
-        c.name: (lambda name: lambda iargs, rs: VCon(name, rs))(c.name) for _, c in ctx.ctors()
+        c.name: (lambda name: lambda iargs, rs: _intern(interned, VCon(name, rs)))(c.name)
+        for _, c in ctx.ctors()
     }
-    return Algebra("map", fs, methods)
-
-
-def prepare_map(
-    ctx: GroupContext, fs: dict[int, Callable[[Value], Value]], memo: Memo | None = None
-) -> Fold:
-    """The derived map of fs, prepared: nfold at map_algebra(ctx, fs)."""
-    return prepare_nfold(ctx, map_algebra(ctx, fs), memo)
+    return Algebra("map", bases, methods)
 
 
 def eval_map(
@@ -385,37 +402,42 @@ def eval_map(
     memo: Memo | None = None,
 ) -> Value:
     """The derived map: nfold at map_algebra(ctx, fs)."""
-    return prepare_map(ctx, fs, memo)(idx, v)
+    return eval_nfold(ctx, map_algebra(ctx, fs), idx, v, memo)
 
 
-def prepare_ind(ctx: GroupContext, alg: Algebra, memo: Memo | None = None) -> Fold:
-    """Induction at alg through memo, its algebra checked once (see prepare_nfold)."""
-    check_algebra(ctx, alg)
-    return lambda idx, v: _ind(ctx, alg, idx, v, memo)
+def prepare_map(
+    ctx: GroupContext, fs: dict[int, Callable[[Value], Value]], table: list[Row]
+) -> RowFold:
+    """The derived map of fs on the rows of table."""
+    return prepare_nfold(ctx, map_algebra(ctx, fs), table)
 
 
-def eval_ind(
-    ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value, memo: Memo | None = None
-) -> RuntimeResult:
-    """Induction: nfold whose methods also receive the examined sub-values."""
-    return prepare_ind(ctx, alg, memo)(idx, v)
+def prepare_map_over(ctx: GroupContext, inner: RowFold, n: int, table: list[Row]) -> RowFold:
+    """The map at any level m whose base is the row fold inner at level n, on
+    rows at level m + n, where indices are levels: a row at level n reads
+    inner, a row above rebuilds its node as prepare_map does.  A node's
+    arguments sit at most one level below it, so rows below n get None."""
+    at_n, below, interned = ctx.level(n), {ctx.level(j) for j in range(n)}, ctx.interned
+    rs: list[Value | None] = []
+    push, get = rs.append, rs.__getitem__
+
+    def fold(row: int) -> Value:
+        for r in range(len(rs), row + 1):
+            i, v, args = table[r]
+            if i is at_n or i in below:
+                push(inner(r) if i is at_n else None)
+            else:
+                push(_intern(interned, VCon(v.ctor, tuple(map(get, args)))))
+        return rs[row]
+
+    return fold
 
 
-def _ind(ctx, alg, idx, v, memo):
-    if isinstance(idx, IVar):
-        return alg.bases[idx.k](v)
-    if memo is not None:
-        key = (idx, id(v))
-        r = memo.get(key)
-        if r is not None:
-            return r
-    rs = []
-    for t, sub in zip(_args_at(ctx, idx, v), v.args):
-        rs.append(_ind(ctx, alg, t, sub, memo))
-    r = alg.methods[v.ctor](idx.args, v.args, tuple(rs))
-    if memo is not None:
-        memo[key] = r
-    return r
+def _intern(interned: dict, w: Value) -> Value:
+    """The one object of w in interned (see enumerate_values); the arguments
+    of a node must be their own already."""
+    key = (type(w.payload), w.payload) if w.__class__ is VBase else (w.ctor, *map(id, w.args))
+    return interned.setdefault(key, w)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +455,9 @@ def _bush(ctx: GroupContext, what: str) -> tuple[str, str]:
     return shape
 
 
-def prepare_hfold(
-    ctx: GroupContext, halg: HAlgebra, decl_name: str, memo: Memo | None = None
-) -> Callable[[Value], RuntimeResult]:
-    """hfold as nfold at the declaration's own index with identity bases,
-    its wrapped algebra built and checked once."""
-    alg = Algebra(
+def hfold_algebra(ctx: GroupContext, halg: HAlgebra) -> Algebra:
+    """hfold as an nfold algebra: identity bases, halg's methods on results."""
+    return Algebra(
         f"hfold-{halg.name}",
         bases={k: wrap for k in range(ctx.base_var_count)},
         methods={
@@ -446,15 +465,13 @@ def prepare_hfold(
             for _, c in ctx.ctors()
         },
     )
-    fold, idx = prepare_nfold(ctx, alg, memo), ctx.own_index(decl_name)
-    return lambda v: fold(idx, v)
 
 
 def eval_hfold_via_nfold(
     ctx: GroupContext, halg: HAlgebra, decl_name: str, v: Value, memo: Memo | None = None
 ) -> RuntimeResult:
     """hfold as nfold at the declaration's own index with identity bases."""
-    return prepare_hfold(ctx, halg, decl_name, memo)(v)
+    return eval_nfold(ctx, hfold_algebra(ctx, halg), ctx.own_index(decl_name), v, memo)
 
 
 def eval_hfold_direct(ctx: GroupContext, halg: HAlgebra, v: Value) -> RuntimeResult:
@@ -600,6 +617,11 @@ def _ps_to_p(alg, m, x) -> RuntimeResult:
 # Exhaustive enumeration
 
 
+#: One row per (index, value) pair enumerated over one base pool:
+#: (index, node, the rows of its arguments), or (index, base value, None).
+Row = tuple[IndexExpr, Value, tuple[int, ...] | None]
+
+
 def enumerate_values(
     ctx: GroupContext,
     idx: IndexExpr,
@@ -608,7 +630,9 @@ def enumerate_values(
 ) -> list[Value]:
     """Every value of idx with at most max_size constructor nodes,
     sizes ascending, then constructor order, then argument order.  The
-    exact-size pools are kept on ctx, one set per base pool.
+    exact-size pools are kept on ctx, one set per base pool (pool_set); a
+    pool, once built, appends a row per value to the set's row table, after
+    its arguments' rows, and keeps the range of rows it appended.
 
     Every value is built through ctx.interned (hash-consing): a base value
     is keyed by its payload's type and the payload, a constructor node by
@@ -624,23 +648,24 @@ def enumerate_values(
     is empty.  The bound is a lower bound, so each skip removes only an
     empty product: the values, their order and their interning are those of
     the full product, also when a base pool is empty."""
-    memo = ctx.pools.setdefault(tuple(sorted(pool.items())), {})
+    memo, table = pool_set(ctx, pool)
     interned = ctx.interned
     least_size, least_at = ctx.least_size, ctx.least_at
 
-    def exact(i: IndexExpr, size: int) -> tuple[Value, ...]:
+    def exact(i: IndexExpr, size: int) -> tuple[tuple[Value, ...], range]:
         key = (i, size)
         if key in memo:
             return memo[key]
         out: list[Value] = []
+        rows: list[Row] = []
         if i.__class__ is IVar:
             if size == 0:
-                out.extend(
-                    interned.setdefault((type(b.payload), b.payload), b) for b in pool[i.k]
-                )
+                out.extend(_intern(interned, b) for b in pool[i.k])
+                rows.extend((i, b, None) for b in out)
         else:
             slots = tuple(least_size(a, size - 1) for a in i.args)
             if least_at(i.ctor, slots, size) <= size:
+                add = rows.append
                 for c in ctx.decls[ctx.decl_of_app[i.ctor]].ctors:
                     name = c.name
                     bounds = [least_size(t, size - 1, slots) for t in ctx.arg_templates[name]]
@@ -648,27 +673,40 @@ def enumerate_values(
                         continue
                     at = ctx.ctors_at(i, name)
                     for split in _splits(size - 1, len(at)):
-                        pools = []
+                        pools, ranges = [], []
                         for t, s, b in zip(at, split, bounds):
-                            p = exact(t, s) if s >= b else ()
+                            p, r = exact(t, s) if s >= b else ((), ())
                             if not p:
                                 break
                             pools.append(p)
+                            ranges.append(r)
                         else:
-                            for combo in itertools.product(*pools):
+                            for combo, args in zip(product(*pools), product(*ranges)):
                                 node = (name, *map(id, combo))
                                 v = interned.get(node)
                                 if v is None:
                                     v = interned[node] = VCon(name, combo)
                                 out.append(v)
-        memo[key] = tuple(out)
-        return memo[key]
+                                add((i, v, args))
+        start = len(table)
+        table.extend(rows)
+        memo[key] = entry = (tuple(out), range(start, len(table)))
+        return entry
 
-    values = [v for s in range(max_size + 1) for v in exact(idx, s)]
+    # Argument indices come canonical from ctx.ctors_at; so does idx, and
+    # so every row's index is its canonical object.
+    idx = ctx.canonical(idx)
+    values = [v for s in range(max_size + 1) for v in exact(idx, s)[0]]
     # exact refers to itself; unbinding it lets reference counting free the
     # closure, and its hold on ctx, without waiting for the cyclic collector.
     del exact
     return values
+
+
+def pool_set(ctx: GroupContext, pool: dict[int, tuple[Value, ...]]) -> tuple[dict, list[Row]]:
+    """The pools enumerate_values has built over pool, by (index, size), each
+    its values and the range of their rows, and the pools' row table."""
+    return ctx.pools.setdefault(tuple(sorted(pool.items())), ({}, []))
 
 
 def _splits(total: int, parts: int):

@@ -1229,17 +1229,21 @@ def test_counterexample_is_printed_on_failure(capsys, monkeypatch):
     assert "algebra:" in err
 
 
-def _reversed_nfold(ctx, alg, idx, v, memo):
-    """A broken _nfold: every node's method gets its argument results reversed."""
-    if isinstance(idx, analysis.IVar):
-        return alg.bases[idx.k](v)
-    at = runtime._args_at(ctx, idx, v)
-    rs = [runtime._nfold(ctx, alg, t, sub, None) for t, sub in zip(at, v.args)]
-    return alg.methods[v.ctor](idx.args, tuple(reversed(rs)))
+def _reversed_row_fold(real):
+    """A broken row fold: every node's method gets its argument results reversed."""
+
+    def row_fold(table, alg, ind):
+        methods = {
+            name: (lambda m: lambda *args: m(*args[:-1], args[-1][::-1]))(m)
+            for name, m in alg.methods.items()
+        }
+        return real(table, runtime.Algebra(alg.name, alg.bases, methods), ind)
+
+    return row_fold
 
 
 def test_a_counterexample_with_results_in_its_slots_is_rendered(capsys, monkeypatch):
-    monkeypatch.setattr(runtime, "_nfold", _reversed_nfold)
+    monkeypatch.setattr(runtime, "_row_fold", _reversed_row_fold(runtime._row_fold))
     code, out, err = run(capsys, "test", SAMPLES / "bush.ndt", "--max-size", "6")
     assert code == 1
     assert "hfold-conformance: FAIL" in out

@@ -247,7 +247,7 @@ def test_broken_map_is_caught(bush, monkeypatch):
     monkeypatch.setattr(
         properties,
         "prepare_map",
-        lambda ctx, fs, memo=None: lambda idx, v: VCon("leaf"),
+        lambda ctx, fs, table: lambda row: VCon("leaf"),
     )
     r = check_map_identity(bush, 4)
     assert not r.ok
@@ -339,27 +339,18 @@ def _leaf_instead(real):
 
 def _zero_bases(real):
     """A map that sends every base value to 0, whatever it was asked to do."""
-    return lambda ctx, fs, memo=None: real(ctx, {k: (lambda w: VBase(0)) for k in fs}, memo)
+    return lambda ctx, fs, table: real(ctx, {k: (lambda w: VBase(0)) for k in fs}, table)
 
 
 def _corrupt_inner_map(real):
-    """A map that is right at the top level and off by one when nested."""
-    depth = [0]
+    """An outer map that reads each base value of the inner map off by one."""
 
-    def prepare(ctx, fs, memo=None):
-        fold = real(ctx, fs, memo)
+    def prepare(ctx, inner, n, table):
+        def off_by_one(row):
+            out = inner(row)
+            return VBase(out.payload + 1) if isinstance(out, VBase) else out
 
-        def fake(idx, v):
-            depth[0] += 1
-            try:
-                out = fold(idx, v)
-            finally:
-                depth[0] -= 1
-            if depth[0] > 0 and isinstance(out, VBase):
-                return VBase(out.payload + 1)
-            return out
-
-        return fake
+        return real(ctx, off_by_one, n, table)
 
     return prepare
 
@@ -367,7 +358,7 @@ def _corrupt_inner_map(real):
 def _refold_last_argument(real):
     """A fold that folds a node's last argument once more when it is a node."""
 
-    def prepare(ctx, alg, memo=None):
+    def walk(ctx, alg, memo=None):
         fold = real(ctx, alg, memo)
 
         def fake(idx, v):
@@ -378,7 +369,7 @@ def _refold_last_argument(real):
 
         return fake
 
-    return prepare
+    return walk
 
 
 SABOTAGE = [
@@ -395,7 +386,7 @@ SABOTAGE = [
         id="map-identity",
     ),
     pytest.param(
-        "bush", "check_map_composition", (5,), "prepare_map", _corrupt_inner_map,
+        "bush", "check_map_composition", (5,), "prepare_map_over", _corrupt_inner_map,
         1, Counterexample("map-composition", "varA split 0+0", "0", "add1", "1", "2"),
         id="map-composition",
     ),
@@ -429,7 +420,7 @@ SABOTAGE = [
     ),
     pytest.param(
         "bush", "check_hmap_cons", (5,), "prepare_map",
-        lambda real: lambda ctx, fs, memo=None: lambda idx, v: v,
+        lambda real: lambda ctx, fs, table: lambda row: table[row][1],
         3, Counterexample(
             "hmap-cons-equation", "BushC varA", "cons 0 leaf", "add1",
             "cons 0 leaf", "cons 1 leaf",
@@ -438,13 +429,13 @@ SABOTAGE = [
     ),
     pytest.param(
         "bobdylan", "check_ind_agreement", (4,), "prepare_ind",
-        lambda real: lambda ctx, alg, memo=None: lambda idx, v: 0,
+        lambda real: lambda ctx, alg, table: lambda row: 0,
         3, Counterexample("ind-agreement", "varA", "0", "trace", "0", "@varA 0"),
         id="ind-agreement",
     ),
     pytest.param(
         "lists", "check_spine_fold_agreement", (4,), "prepare_nfold",
-        lambda real: lambda ctx, alg, memo=None: lambda idx, v: 0,
+        lambda real: lambda ctx, alg, table: lambda row: 0,
         4, Counterexample(
             "spine-fold-agreement", "ListC varA", "cc 0 nil", "length", "0", "1"
         ),
@@ -459,7 +450,7 @@ SABOTAGE = [
         id="call-counter-bound",
     ),
     pytest.param(
-        "lists", "check_call_counter", (4,), "prepare_nfold", _refold_last_argument,
+        "lists", "check_call_counter", (4,), "walk_nfold", _refold_last_argument,
         13, Counterexample(
             "call-counter-bound", "ListC varA", "cc 0 nil", "nfold", "3 calls", "size bound 2"
         ),
@@ -541,12 +532,12 @@ def test_the_replay_memo_counts_what_a_fold_without_one_counts(request, group, s
     ctx = request.getfixturevalue(group)
     calls = [0]
     over_bound = 0
-    for label, prepare, alg in properties._counted_runs(ctx, calls):
+    for label, walk, alg in properties._counted_runs(ctx, calls):
         if refold:
-            prepare = _refold_last_argument(prepare)
+            walk = _refold_last_argument(walk)
         memo = _HitCountingMemo(calls)
-        folds = (prepare(ctx, alg), prepare(ctx, alg, memo))
-        for idx, v in properties._values(ctx, properties._suite_indices(ctx), size):
+        folds = (walk(ctx, alg), walk(ctx, alg, memo))
+        for idx, v, _ in properties._values(ctx, properties._suite_indices(ctx), size):
             counts = []
             for fold in folds:
                 calls[0] = 0

@@ -37,17 +37,22 @@ from nestfold.runtime import (
     halg_catalogue,
     nat_add,
     nat_of,
+    pool_set,
     prepare_ind,
     prepare_map,
+    prepare_map_over,
     prepare_nfold,
     prepare_nfold_prime,
     typecheck_value,
+    walk_ind,
+    walk_nfold,
     wrap,
 )
 import nestfold.runtime as runtime
-from nestfold.properties import _counted, _ignore_values, _suite_indices, _values
+from nestfold.properties import _counted, _ignore_values, _pool, _suite_indices, _table, _values
 
-from test_parser import BOBDYLAN, BUSH, DEEP_BUSH, LIST, _bush_values
+from test_derivation import PROBES
+from test_parser import BOBDYLAN, BUSH, DEEP_BUSH, LIST, SAMPLES, _bush_values
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +294,7 @@ def test_fold_tape_agrees_with_eval_nfold(src):
     kinds = {k: "nat" for k in range(ctx.base_var_count)}
     algs = catalogue(ctx).values()
     cases = 0
-    for idx, v in _values(ctx, _suite_indices(ctx), 5):
+    for idx, v, _ in _values(ctx, _suite_indices(ctx), 5):
         diags, tape = typecheck_value(ctx, idx, kinds, v)
         assert diags == []
         for alg in algs:
@@ -319,21 +324,23 @@ def test_an_incomplete_algebra_is_rejected_by_every_fold(bush, bush1, drop, mess
         lambda: eval_nfold(bush, alg, bushc(1), bush1),
         lambda: eval_ind(bush, _ignore_values(alg), bushc(1), bush1),
         lambda: fold_tape(bush, alg, tape),
-        # a prepared fold is refused before it is given any value
-        lambda: prepare_nfold(bush, alg, {}),
-        lambda: prepare_ind(bush, _ignore_values(alg), {}),
+        # a prepared fold is refused before it is given any value or row
+        lambda: walk_nfold(bush, alg),
+        lambda: walk_ind(bush, _ignore_values(alg)),
+        lambda: prepare_nfold(bush, alg, []),
+        lambda: prepare_ind(bush, _ignore_values(alg), []),
         lambda: prepare_nfold_prime(bush, alg),
     ]
     if drop == "base":
-        folds.append(lambda: prepare_map(bush, bases, {}))
+        folds.append(lambda: prepare_map(bush, bases, []))
     for fold in folds:
         with pytest.raises(EvalError) as raised:
             fold()
         assert str(raised.value) == message
     prepared = [
-        prepare_nfold(bush, full),
-        prepare_ind(bush, _ignore_values(full)),
-        prepare_map(bush, {0: lambda w: w}),
+        walk_nfold(bush, full),
+        walk_ind(bush, _ignore_values(full)),
+        walk_nfold(bush, runtime.map_algebra(bush, {0: lambda w: w})),
     ]
     for fold in prepared:
         with pytest.raises(EvalError, match="^value 4 does not inhabit a Bush index$"):
@@ -569,6 +576,69 @@ def test_a_fold_substitutes_only_the_constructors_it_meets(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Row folds
+
+ROW_GROUPS = {
+    **{name: (SAMPLES / f"{name}.ndt").read_text() for name in ("bush", "list", "bobdylan")},
+    **PROBES,
+}
+
+
+def _row_table(src):
+    """A fresh context of src and its row table after enumerating, at size
+    3, every declaration's own index, and the levels 0..3 where the indices
+    are levels."""
+    (ctx,) = analyze(parse_program(src))
+    pool = _pool(ctx)
+    indices = [ctx.own_index(d) for d in ctx.group.decls]
+    if ctx.nat_index_eligible:
+        indices += [ctx.level(n) for n in range(4)]
+    for idx in map(ctx.canonical, indices):
+        enumerate_values(ctx, idx, pool, 3)
+    return ctx, pool_set(ctx, pool)[1]
+
+
+@pytest.mark.parametrize("which", ROW_GROUPS)
+def test_row_folds_agree_with_the_recursion_and_the_tape(which):
+    # Every row is an enumerated (index, value) pair, sub-values included.
+    ctx, table = _row_table(ROW_GROUPS[which])
+    slots = range(ctx.base_var_count)
+    kinds = {k: "nat" for k in slots}
+    folds = [
+        (alg, prepare_nfold(ctx, alg, table), prepare_ind(ctx, _ignore_values(alg), table))
+        for alg in catalogue(ctx).values()
+    ]
+    fss = [{k: (lambda v: v) for k in slots}, {k: add_one for k in slots}]
+    maps = [(fs, prepare_map(ctx, fs, table)) for fs in fss]
+    assert len(table) >= 3
+    for r, (idx, v, _) in enumerate(table):
+        diags, tape = typecheck_value(ctx, idx, kinds, v)
+        assert diags == []
+        for alg, nfold, ind in folds:
+            want = fold_tape(ctx, alg, tape)
+            assert nfold(r) == want == eval_nfold(ctx, alg, idx, v)
+            assert ind(r) == want == eval_ind(ctx, _ignore_values(alg), idx, v)
+        for fs, nmap in maps:
+            want = fold_tape(ctx, runtime.map_algebra(ctx, fs), tape)
+            assert nmap(r) == want == eval_map(ctx, fs, idx, v)
+        # the identity map rebuilds every value as the interned value itself
+        assert maps[0][1](r) is v
+
+
+@pytest.mark.parametrize("which", ["bush", "list", "t-s"])
+def test_a_map_over_rows_is_the_recursive_map_of_the_inner_map(which):
+    ctx, table = _row_table(ROW_GROUPS[which])
+    inner = prepare_map(ctx, {0: add_one}, table)
+    for n in range(4):
+        outer = prepare_map_over(ctx, inner, n, table)
+        base = lambda w: eval_map(ctx, {0: add_one}, ctx.level(n), w)
+        for r, (idx, v, _) in enumerate(table):
+            m = index_depth(idx) - n
+            want = eval_map(ctx, {0: base}, ctx.level(m), v) if m >= 0 else None
+            assert outer(r) == want
+
+
+# ---------------------------------------------------------------------------
 # Memoized folds
 
 
@@ -577,15 +647,17 @@ class _WatchedMemo(dict):
 
 
 @pytest.mark.parametrize(
-    "prepare",
+    "walk",
     [
-        lambda ctx, memo: prepare_nfold(ctx, catalogue(ctx)["trace"], memo),
-        lambda ctx, memo: prepare_ind(ctx, _ignore_values(catalogue(ctx)["sum"]), memo),
-        lambda ctx, memo: prepare_map(ctx, {0: lambda v: VBase(v.payload + 1)}, memo),
+        lambda ctx, memo: walk_nfold(ctx, catalogue(ctx)["trace"], memo),
+        lambda ctx, memo: walk_ind(ctx, _ignore_values(catalogue(ctx)["sum"]), memo),
+        lambda ctx, memo: walk_nfold(
+            ctx, runtime.map_algebra(ctx, {0: lambda v: VBase(v.payload + 1)}), memo
+        ),
     ],
     ids=["nfold", "ind", "map"],
 )
-def test_a_dropped_prepared_fold_frees_its_memo_by_reference_counting(lists, prepare):
+def test_a_dropped_prepared_fold_frees_its_memo_by_reference_counting(lists, walk):
     # A memo in a reference cycle would outlive its property until the
     # cyclic collector ran, and every property's memo would pile up.
     cases = list(_values(lists, _suite_indices(lists), 4))
@@ -593,12 +665,43 @@ def test_a_dropped_prepared_fold_frees_its_memo_by_reference_counting(lists, pre
     watch = weakref.ref(memo)
     gc.disable()
     try:
-        fold = prepare(lists, memo)
-        for idx, v in cases:
+        fold = walk(lists, memo)
+        for idx, v, _ in cases:
             fold(idx, v)
         assert len(memo) > 0
         del fold, memo
         assert watch() is None
+    finally:
+        gc.enable()
+
+
+class _Watched:
+    """A fold result that a weak reference can watch."""
+
+
+def _watching(ctx):
+    """An algebra, for nfold or induction, whose every result is a fresh _Watched."""
+    fresh = lambda *args: _Watched()
+    return Algebra(
+        "watching",
+        {k: fresh for k in range(ctx.base_var_count)},
+        {c.name: fresh for _, c in ctx.ctors()},
+    )
+
+
+@pytest.mark.parametrize("prepare", [prepare_nfold, prepare_ind], ids=["nfold", "ind"])
+def test_a_dropped_row_fold_frees_its_results_by_reference_counting(lists, prepare):
+    # The result list of a row fold in a reference cycle would outlive its
+    # property until the cyclic collector ran, and every property's results
+    # would pile up.
+    cases = list(_values(lists, _suite_indices(lists), 4))
+    gc.disable()
+    try:
+        fold = prepare(lists, _watching(lists), _table(lists))
+        watch = [weakref.ref(fold(r)) for _, _, r in cases]
+        assert all(w() is not None for w in watch)
+        del fold
+        assert all(w() is None for w in watch)
     finally:
         gc.enable()
 
@@ -636,7 +739,7 @@ def test_a_shared_memo_changes_no_result(src):
     cases = list(_values(ctx, _suite_indices(ctx), 5))
     for fold, alg in runs:
         memo = {}
-        for idx, v in cases:
+        for idx, v, _ in cases:
             assert fold(ctx, alg, idx, v, memo=memo) == fold(ctx, alg, idx, v)
         assert memo
         # an entry is the bare result; the pools, not the memo, pin the value
@@ -793,7 +896,7 @@ def test_the_ps_carrier_refuses_a_non_natural_level(bush):
 
 
 def _level_two_cases(ctx):
-    return list(_values(ctx, [ctx.level(2)], 6))
+    return [(idx, v) for idx, v, _ in _values(ctx, [ctx.level(2)], 6)]
 
 
 def test_nfold_prime_leaves_no_cyclic_garbage(bush):
@@ -933,7 +1036,7 @@ def test_enumerated_values_are_equal_exactly_when_identical(src):
 
     (ctx,) = analyze(parse_program(src))
     reachable = {}
-    todo = [v for _, v in _values(ctx, _suite_indices(ctx), 5)]
+    todo = [v for _, v, _ in _values(ctx, _suite_indices(ctx), 5)]
     while todo:
         v = todo.pop()
         if id(v) not in reachable:
@@ -1081,7 +1184,7 @@ def test_a_bobdylan_suite_places_few_indices(monkeypatch, size, substitutions):
     assert run_suite(ctx, size).ok
     assert len(ctx._ctors_at) <= 40
     assert len(calls) < substitutions
-    (pools,) = ctx.pools.values()
+    ((pools, _),) = ctx.pools.values()
     assert len(pools) == len(_suite_indices(ctx)) * (size + 1)
 
 
