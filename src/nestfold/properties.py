@@ -8,9 +8,9 @@ reports it as a replayable counterexample.
 A case carries its value's row in the row table of the suite's base pool.
 Every property prepares its folds (runtime.prepare_*) on that table before
 its sweep, once per algebra or map function, so no case checks or builds an
-algebra and a case reads each fold's result at its row.  Only
-call-counter-bound folds each value by recursion (runtime.walk_*): it counts
-the calls of a per-value evaluator.
+algebra and a case reads each fold's result at its row.  Every property runs
+on rows: call-counter-bound counts the method calls of the row folds it
+shares with the others.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from .runtime import (
     prepare_map_over,
     prepare_nfold,
     prepare_nfold_prime,
-    walk_ind,
-    walk_nfold,
 )
 from .values import VBase, VCon, Value, render_value, value_size
 
@@ -235,34 +233,6 @@ def _counted(alg: Algebra, calls: list[int]) -> Algebra:
     )
 
 
-class _ReplayMemo(dict):
-    """A fold memo that replays the method calls of each memoized sub-fold.
-
-    An entry holds the sub-fold's result and the calls it added to calls[0];
-    a hit adds them again, so a deterministic fold counts through this memo
-    exactly what it counts without one.  A miss pushes the count the
-    sub-fold starts from, and storing its result pops it.  A fold that
-    raises leaves its start counts behind: clear starts whenever calls[0] is
-    reset."""
-
-    def __init__(self, calls: list[int]):
-        super().__init__()
-        self.calls = calls
-        self.starts: list[int] = []
-
-    def get(self, key):
-        entry = dict.get(self, key)
-        if entry is None:
-            self.starts.append(self.calls[0])
-            return None
-        r, n = entry
-        self.calls[0] += n
-        return r
-
-    def __setitem__(self, key, r):
-        dict.__setitem__(self, key, (r, self.calls[0] - self.starts.pop()))
-
-
 # ---------------------------------------------------------------------------
 # The properties
 
@@ -420,14 +390,14 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
 
 
 def _counted_runs(ctx: GroupContext, calls: list[int]):
-    """The (label, walk, algebra) of each evaluator call-counter-bound counts;
-    every algebra adds its method calls to calls[0]."""
+    """The (label, prepare, algebra) of each evaluator call-counter-bound
+    counts; every algebra adds its method calls to calls[0]."""
     sum_alg = catalogue(ctx)["sum"]
     fs = {k: (lambda v: v) for k in range(ctx.base_var_count)}
     return (
-        ("nfold", walk_nfold, _counted(sum_alg, calls)),
-        ("nmap", walk_nfold, _counted(map_algebra(ctx, fs), calls)),
-        ("ind", walk_ind, _counted(_ignore_values(sum_alg), calls)),
+        ("nfold", prepare_nfold, _counted(sum_alg, calls)),
+        ("nmap", prepare_nfold, _counted(map_algebra(ctx, fs), calls)),
+        ("ind", prepare_ind, _counted(_ignore_values(sum_alg), calls)),
     )
 
 
@@ -436,23 +406,25 @@ def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
 
     A fold calls one method per constructor node it descends into, so each
     evaluator folds a counted copy of its algebra, and the count of method
-    calls is its count of recursive calls.  Each evaluator has one
-    _ReplayMemo, so a sub-value shared by many values is folded once and
-    its calls are counted at every occurrence, as if folded again."""
-    calls = [0]
-    runs = []
-    for label, walk, alg in _counted_runs(ctx, calls):
-        memo = _ReplayMemo(calls)
-        runs.append((label, walk(ctx, alg, memo), memo))
+    calls is its count of recursive calls.  Each evaluator is a row fold,
+    filled one row at a time in row order, so the calls fold(row) makes are
+    that row's own.  A fold of one value folds each argument afresh, so a
+    row's count adds its argument rows' counts to its own calls."""
+    calls, table = [0], _table(ctx)
+    runs = [
+        (label, prepare(ctx, alg, table), [])
+        for label, prepare, alg in _counted_runs(ctx, calls)
+    ]
 
     def cases():
-        for idx, v, _ in _values(ctx, _suite_indices(ctx), max_size):
+        for idx, v, row in _values(ctx, _suite_indices(ctx), max_size):
             bound = value_size(v)
-            for label, fold, memo in runs:
-                calls[0] = 0
-                memo.starts.clear()
-                fold(idx, v)
-                yield idx, v, label, calls[0], bound
+            for label, fold, counts in runs:
+                for r in range(len(counts), row + 1):
+                    calls[0] = 0
+                    fold(r)
+                    counts.append(calls[0] + sum([counts[a] for a in table[r][2] or ()]))
+                yield idx, v, label, counts[row], bound
 
     return _sweep(
         "call-counter-bound",

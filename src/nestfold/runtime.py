@@ -37,8 +37,8 @@ the highest row asked for, so a shared sub-value is folded once and a
 case's result is one list read.  Map results are interned too, so equal
 ones are one object.  Nothing a row fold builds refers back to it, so
 dropping it frees its results by reference counting alone.  eval_nfold,
-eval_ind, eval_map and eval_hfold_via_nfold fold one value by recursion
-(walk_nfold, walk_ind).
+eval_ind, eval_map and eval_hfold_via_nfold fold one value by plain
+recursion: the reference the row folds are checked against.
 
 The two *direct* evaluators (eval_hfold_direct, eval_hmap_direct) transcribe
 the non-structural recursions verbatim and serve as oracles for the derived
@@ -107,13 +107,6 @@ class RFun:
 
 
 RuntimeResult = int | Value | RFun
-
-#: A recursive fold's memo: (index, id(sub-value)) -> result.  It does not
-#: keep its sub-values alive, so they must outlive it, and it serves one pure
-#: algebra.  A fold calls memo.get(key) once before it recurses (None is a
-#: miss) and sets memo[key] once after the method runs, so the call counter
-#: (properties.py) can replay the method calls behind each entry.
-Memo = dict[tuple[IndexExpr, int], RuntimeResult]
 
 
 def nat_add(m: int, n: int) -> int:
@@ -336,48 +329,27 @@ def _row_fold(table: list[Row], alg: Algebra, ind: bool) -> RowFold:
     return fold
 
 
-def walk_nfold(ctx: GroupContext, alg: Algebra, memo: Memo | None = None) -> Fold:
-    """nfold at alg one value at a time, through memo, its algebra checked once."""
+def eval_nfold(ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value) -> RuntimeResult:
     check_algebra(ctx, alg)
-    return lambda idx, v: _walk(ctx, alg, idx, v, memo, False)
+    return _walk(ctx, alg, idx, v, False)
 
 
-def walk_ind(ctx: GroupContext, alg: Algebra, memo: Memo | None = None) -> Fold:
-    """Induction at alg one value at a time (see walk_nfold)."""
-    check_algebra(ctx, alg)
-    return lambda idx, v: _walk(ctx, alg, idx, v, memo, True)
-
-
-def eval_nfold(
-    ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value, memo: Memo | None = None
-) -> RuntimeResult:
-    return walk_nfold(ctx, alg, memo)(idx, v)
-
-
-def eval_ind(
-    ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value, memo: Memo | None = None
-) -> RuntimeResult:
+def eval_ind(ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value) -> RuntimeResult:
     """Induction: nfold whose methods also receive the examined sub-values."""
-    return walk_ind(ctx, alg, memo)(idx, v)
+    check_algebra(ctx, alg)
+    return _walk(ctx, alg, idx, v, True)
 
 
-def _walk(ctx, alg, idx, v, memo, ind):
+def _walk(ctx, alg, idx, v, ind):
+    """nfold, or induction when ind, at alg on v: one recursion per node."""
     if isinstance(idx, IVar):
         return alg.bases[idx.k](v)
-    if memo is not None:
-        key = (idx, id(v))
-        r = memo.get(key)
-        if r is not None:
-            return r
     at = ctx.ctors_at(idx, v.ctor) if isinstance(v, VCon) else None
     if at is None:
         decl = ctx.decl_of_app[idx.ctor]
         raise EvalError(f"value {render_value(v)} does not inhabit a {decl} index")
-    rs = tuple([_walk(ctx, alg, t, sub, memo, ind) for t, sub in zip(at, v.args)])
-    r = alg.methods[v.ctor](idx.args, v.args, rs) if ind else alg.methods[v.ctor](idx.args, rs)
-    if memo is not None:
-        memo[key] = r
-    return r
+    rs = tuple([_walk(ctx, alg, t, sub, ind) for t, sub in zip(at, v.args)])
+    return alg.methods[v.ctor](idx.args, v.args, rs) if ind else alg.methods[v.ctor](idx.args, rs)
 
 
 def map_algebra(ctx: GroupContext, fs: dict[int, Callable[[Value], Value]]) -> Algebra:
@@ -395,14 +367,10 @@ def map_algebra(ctx: GroupContext, fs: dict[int, Callable[[Value], Value]]) -> A
 
 
 def eval_map(
-    ctx: GroupContext,
-    fs: dict[int, Callable[[Value], Value]],
-    idx: IndexExpr,
-    v: Value,
-    memo: Memo | None = None,
+    ctx: GroupContext, fs: dict[int, Callable[[Value], Value]], idx: IndexExpr, v: Value
 ) -> Value:
     """The derived map: nfold at map_algebra(ctx, fs)."""
-    return eval_nfold(ctx, map_algebra(ctx, fs), idx, v, memo)
+    return eval_nfold(ctx, map_algebra(ctx, fs), idx, v)
 
 
 def prepare_map(
@@ -468,10 +436,10 @@ def hfold_algebra(ctx: GroupContext, halg: HAlgebra) -> Algebra:
 
 
 def eval_hfold_via_nfold(
-    ctx: GroupContext, halg: HAlgebra, decl_name: str, v: Value, memo: Memo | None = None
+    ctx: GroupContext, halg: HAlgebra, decl_name: str, v: Value
 ) -> RuntimeResult:
     """hfold as nfold at the declaration's own index with identity bases."""
-    return eval_nfold(ctx, hfold_algebra(ctx, halg), ctx.own_index(decl_name), v, memo)
+    return eval_nfold(ctx, hfold_algebra(ctx, halg), ctx.own_index(decl_name), v)
 
 
 def eval_hfold_direct(ctx: GroupContext, halg: HAlgebra, v: Value) -> RuntimeResult:

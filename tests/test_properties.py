@@ -27,7 +27,7 @@ import nestfold.properties as properties
 import nestfold.runtime as runtime
 from nestfold.runtime import RFun
 
-from test_derivation import BUSHES, SHAPES, SOURCES
+from test_derivation import BUSHES, PROBES, SHAPES, SOURCES
 from test_parser import BOBDYLAN, BUSH, LIST
 
 
@@ -356,20 +356,23 @@ def _corrupt_inner_map(real):
 
 
 def _refold_last_argument(real):
-    """A fold that folds a node's last argument once more when it is a node."""
+    """A row fold that runs the method of a node's last argument row once
+    more when that row is a node."""
 
-    def walk(ctx, alg, memo=None):
-        fold = real(ctx, alg, memo)
+    def prepare(ctx, alg, table):
+        fold = real(ctx, alg, table)
 
-        def fake(idx, v):
-            out = fold(idx, v)
-            if isinstance(v, VCon) and v.args and isinstance(v.args[-1], VCon):
-                fold(ctx.ctors_at(idx, v.ctor)[-1], v.args[-1])
+        def fake(row):
+            out = fold(row)
+            args = table[row][2]
+            if args and table[args[-1]][2] is not None:
+                i, v, sub = table[args[-1]]
+                alg.methods[v.ctor](i.args, tuple(map(fold, sub)))
             return out
 
         return fake
 
-    return walk
+    return prepare
 
 
 SABOTAGE = [
@@ -450,7 +453,7 @@ SABOTAGE = [
         id="call-counter-bound",
     ),
     pytest.param(
-        "lists", "check_call_counter", (4,), "walk_nfold", _refold_last_argument,
+        "lists", "check_call_counter", (4,), "prepare_nfold", _refold_last_argument,
         13, Counterexample(
             "call-counter-bound", "ListC varA", "cc 0 nil", "nfold", "3 calls", "size bound 2"
         ),
@@ -512,45 +515,6 @@ def test_a_finished_suite_leaves_its_context_to_reference_counting():
 
 
 # ---------------------------------------------------------------------------
-# The call counter's replay memo
-
-
-class _HitCountingMemo(properties._ReplayMemo):
-    hits = 0
-
-    def get(self, key):
-        r = super().get(key)
-        self.hits += r is not None
-        return r
-
-
-@pytest.mark.parametrize("refold", [False, True], ids=["fold", "refold-last-argument"])
-@pytest.mark.parametrize("group, size", [("lists", 5), ("bush", 6), ("bobdylan", 3)])
-def test_the_replay_memo_counts_what_a_fold_without_one_counts(request, group, size, refold):
-    # Over-recursion (a node's last argument folded once more) must be
-    # replayed, not hidden, and the memo must hit to be worth having.
-    ctx = request.getfixturevalue(group)
-    calls = [0]
-    over_bound = 0
-    for label, walk, alg in properties._counted_runs(ctx, calls):
-        if refold:
-            walk = _refold_last_argument(walk)
-        memo = _HitCountingMemo(calls)
-        folds = (walk(ctx, alg), walk(ctx, alg, memo))
-        for idx, v, _ in properties._values(ctx, properties._suite_indices(ctx), size):
-            counts = []
-            for fold in folds:
-                calls[0] = 0
-                fold(idx, v)
-                counts.append(calls[0])
-            assert counts[0] == counts[1], (label, render_value(v))
-            assert memo.starts == []
-            over_bound += counts[0] > properties.value_size(v)
-        assert memo.hits > 0, label
-    assert (over_bound > 0) == refold
-
-
-# ---------------------------------------------------------------------------
 # The roster: which properties each shape of group runs
 
 _EVERY = ["map-identity", "ind-agreement", "call-counter-bound"]
@@ -593,3 +557,59 @@ def test_the_roster_covers_every_narrow_group():
         if analyze(parse_program(src))[0].base_var_count <= 3
     }
     assert ROSTERS.keys() == narrow
+
+
+# ---------------------------------------------------------------------------
+# The call counter's row counts
+
+
+def _counted_cases(monkeypatch, ctx, size):
+    """The (index, value, label, count, bound) cases call-counter-bound compares."""
+    with monkeypatch.context() as patch:
+        patch.setattr(properties, "_sweep", lambda name, cases, ctx, **kw: list(cases))
+        return properties.check_call_counter(ctx, size)
+
+
+#: Every narrow group (see ROSTERS) with the size its counts are checked at.
+_COUNTED = {
+    "lists": 5, "bush": 6, "bobdylan": 3,
+    **{which: 3 for which in PROBES if which in ROSTERS},
+}
+
+
+@pytest.mark.parametrize("which", _COUNTED)
+def test_a_row_count_is_what_a_fold_of_the_value_alone_counts(monkeypatch, which):
+    (ctx,) = analyze(parse_program(SOURCES[which]))
+    cases = _counted_cases(monkeypatch, ctx, _COUNTED[which])
+    calls = [0]
+    algs = {label: alg for label, _, alg in properties._counted_runs(ctx, calls)}
+    # eval_map builds its algebra through map_algebra: count that one
+    real = runtime.map_algebra
+    monkeypatch.setattr(
+        runtime, "map_algebra", lambda c, fs: properties._counted(real(c, fs), calls)
+    )
+    identity = {k: (lambda v: v) for k in range(ctx.base_var_count)}
+    folds = {
+        "nfold": lambda idx, v: runtime.eval_nfold(ctx, algs["nfold"], idx, v),
+        "nmap": lambda idx, v: runtime.eval_map(ctx, identity, idx, v),
+        "ind": lambda idx, v: runtime.eval_ind(ctx, algs["ind"], idx, v),
+    }
+    assert {label for _, _, label, _, _ in cases} == folds.keys()
+    for idx, v, label, count, bound in cases:
+        calls[0] = 0
+        folds[label](idx, v)
+        assert (count, count <= bound) == (calls[0], True), (label, render_value(v))
+
+
+@pytest.mark.parametrize("which", ["lists", "bush", "bobdylan"])
+def test_a_refolded_last_argument_exceeds_the_bound(request, monkeypatch, which):
+    # Over-recursion, a node's last argument folded once more, must show in
+    # the row counts, not be hidden by counting each row once.
+    ctx = request.getfixturevalue(which)
+    size = _COUNTED[which]
+    monkeypatch.setattr(
+        properties, "prepare_nfold", _refold_last_argument(properties.prepare_nfold)
+    )
+    over = [label for _, _, label, count, bound in _counted_cases(monkeypatch, ctx, size)
+            if count > bound]
+    assert over and set(over) <= {"nfold", "nmap"}

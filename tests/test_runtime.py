@@ -44,8 +44,6 @@ from nestfold.runtime import (
     prepare_nfold,
     prepare_nfold_prime,
     typecheck_value,
-    walk_ind,
-    walk_nfold,
     wrap,
 )
 import nestfold.runtime as runtime
@@ -324,9 +322,7 @@ def test_an_incomplete_algebra_is_rejected_by_every_fold(bush, bush1, drop, mess
         lambda: eval_nfold(bush, alg, bushc(1), bush1),
         lambda: eval_ind(bush, _ignore_values(alg), bushc(1), bush1),
         lambda: fold_tape(bush, alg, tape),
-        # a prepared fold is refused before it is given any value or row
-        lambda: walk_nfold(bush, alg),
-        lambda: walk_ind(bush, _ignore_values(alg)),
+        # a prepared fold is refused before it is given any row
         lambda: prepare_nfold(bush, alg, []),
         lambda: prepare_ind(bush, _ignore_values(alg), []),
         lambda: prepare_nfold_prime(bush, alg),
@@ -337,14 +333,14 @@ def test_an_incomplete_algebra_is_rejected_by_every_fold(bush, bush1, drop, mess
         with pytest.raises(EvalError) as raised:
             fold()
         assert str(raised.value) == message
-    prepared = [
-        walk_nfold(bush, full),
-        walk_ind(bush, _ignore_values(full)),
-        walk_nfold(bush, runtime.map_algebra(bush, {0: lambda w: w})),
+    recursive = [
+        lambda v: eval_nfold(bush, full, bushc(1), v),
+        lambda v: eval_ind(bush, _ignore_values(full), bushc(1), v),
+        lambda v: eval_map(bush, {0: lambda w: w}, bushc(1), v),
     ]
-    for fold in prepared:
+    for fold in recursive:
         with pytest.raises(EvalError, match="^value 4 does not inhabit a Bush index$"):
-            fold(bushc(1), VBase(4))
+            fold(VBase(4))
 
 
 def _render_reference(v, atom=False):
@@ -448,6 +444,14 @@ def test_overflow_is_an_error_not_a_wrap(bush):
         eval_nfold(bush, catalogue(bush)["sum"], bushc(1), big)
     with pytest.raises(EvalError, match="overflow"):
         nat_add(NAT_MAX, 1)
+
+
+def _ind(ctx, alg, idx, v):
+    """eval_ind with alg's methods, blind to the sub-values."""
+    return eval_ind(ctx, _ignore_values(alg), idx, v)
+
+
+FOLDS = [eval_nfold, _ind]
 
 
 def test_call_counter_is_bounded_by_size(bush, bush1):
@@ -639,40 +643,7 @@ def test_a_map_over_rows_is_the_recursive_map_of_the_inner_map(which):
 
 
 # ---------------------------------------------------------------------------
-# Memoized folds
-
-
-class _WatchedMemo(dict):
-    """A plain memo that a weak reference can watch."""
-
-
-@pytest.mark.parametrize(
-    "walk",
-    [
-        lambda ctx, memo: walk_nfold(ctx, catalogue(ctx)["trace"], memo),
-        lambda ctx, memo: walk_ind(ctx, _ignore_values(catalogue(ctx)["sum"]), memo),
-        lambda ctx, memo: walk_nfold(
-            ctx, runtime.map_algebra(ctx, {0: lambda v: VBase(v.payload + 1)}), memo
-        ),
-    ],
-    ids=["nfold", "ind", "map"],
-)
-def test_a_dropped_prepared_fold_frees_its_memo_by_reference_counting(lists, walk):
-    # A memo in a reference cycle would outlive its property until the
-    # cyclic collector ran, and every property's memo would pile up.
-    cases = list(_values(lists, _suite_indices(lists), 4))
-    memo = _WatchedMemo()
-    watch = weakref.ref(memo)
-    gc.disable()
-    try:
-        fold = walk(lists, memo)
-        for idx, v, _ in cases:
-            fold(idx, v)
-        assert len(memo) > 0
-        del fold, memo
-        assert watch() is None
-    finally:
-        gc.enable()
+# Dropped row folds
 
 
 class _Watched:
@@ -704,46 +675,6 @@ def test_a_dropped_row_fold_frees_its_results_by_reference_counting(lists, prepa
         assert all(w() is None for w in watch)
     finally:
         gc.enable()
-
-
-def _ind(ctx, alg, idx, v, memo=None):
-    """eval_ind with alg's methods, blind to the sub-values."""
-    return eval_ind(ctx, _ignore_values(alg), idx, v, memo)
-
-
-FOLDS = [eval_nfold, _ind]
-
-
-@pytest.mark.parametrize("fold", FOLDS, ids=["eval_nfold", "eval_ind"])
-def test_the_memo_is_keyed_by_index(lists, fold):
-    # trace records the index it met, so one nil differs at each index
-    trace = catalogue(lists)["trace"]
-    nil = VCon("nil")
-    one = IApp("ListC", (IVar(0),))
-    two = IApp("ListC", (one,))
-    memo = {}
-    got = [fold(lists, trace, idx, nil, memo=memo) for idx in (one, two, one)]
-    want = [fold(lists, trace, idx, nil) for idx in (one, two, one)]
-    assert got == want
-    assert want[0] != want[1]
-
-
-@pytest.mark.parametrize("src", [BUSH, LIST, BOBDYLAN], ids=["bush", "list", "bobdylan"])
-def test_a_shared_memo_changes_no_result(src):
-    from nestfold.properties import MAP_FNS, _suite_indices, _values
-
-    (ctx,) = analyze(parse_program(src))
-    slots = range(ctx.base_var_count)
-    runs = [(fold, alg) for fold in FOLDS for alg in catalogue(ctx).values()]
-    runs += [(eval_map, {k: f for k in slots}) for _, f in MAP_FNS]
-    cases = list(_values(ctx, _suite_indices(ctx), 5))
-    for fold, alg in runs:
-        memo = {}
-        for idx, v, _ in cases:
-            assert fold(ctx, alg, idx, v, memo=memo) == fold(ctx, alg, idx, v)
-        assert memo
-        # an entry is the bare result; the pools, not the memo, pin the value
-        assert all(isinstance(r, (int, VBase, VCon)) for r in memo.values())
 
 
 # ---------------------------------------------------------------------------
