@@ -15,6 +15,7 @@ shares with the others.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable, Iterable
 from itertools import repeat
 
@@ -155,9 +156,13 @@ def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
     """Yield (idx, value, row in _table(ctx)) for every value at every index."""
     pool = _pool(ctx)
     pools = pool_set(ctx, pool)[0]
+    sizes = range(max_size + 1)
     for idx in map(ctx.canonical, indices):
-        enumerate_values(ctx, idx, pool, max_size)
-        for size in range(max_size + 1):
+        # A pool built as a constructor argument can stand without the
+        # smaller pools of its index, so every size is looked up.
+        if not all((idx, size) in pools for size in sizes):
+            enumerate_values(ctx, idx, pool, max_size)
+        for size in sizes:
             values, rows = pools[idx, size]
             if values:
                 yield from zip(repeat(idx), values, rows)
@@ -191,19 +196,19 @@ def _sweep(
     passing cases are told apart by identity.
     Every case value comes from enumerate_values (the pools outlive the
     sweep), and two enumerated values are equal exactly when they are one
-    object, so counting ids counts distinct values.
+    object, so counting ids counts distinct values: one set of ids per label.
     """
-    count = 0
-    seen: set[tuple[int, str]] = set()
+    count, ce = 0, None
+    seen: defaultdict[str, set[int]] = defaultdict(set)
     for place, value, label, lhs, rhs in cases:
         count += 1
-        seen.add((id(value), label))
+        seen[label].add(id(value))
         if not agree(lhs, rhs):
             ce = Counterexample(
                 name, where(place, ctx), render_value(value), label, *show(lhs, rhs)
             )
-            return PropertyResult(name, count, len(seen), ce)
-    return PropertyResult(name, count, len(seen))
+            break
+    return PropertyResult(name, count, sum(map(len, seen.values())), ce)
 
 
 def _ignore_values(alg: Algebra) -> Algebra:
@@ -366,12 +371,16 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
     nil, cons = ctx.list_shape
 
     def fold_list(base, step, v: Value):
-        match v:
-            case VCon(c, ()) if c == nil:
-                return base
-            case VCon(c, (x, xs)) if c == cons:
-                return step(x.payload, fold_list(base, step, xs))
-        raise AssertionError(f"not a list value: {render_value(v)}")
+        """Walk the spine, then apply step to its payloads right to left."""
+        payloads = []
+        while v.__class__ is VCon and v.ctor == cons and len(v.args) == 2:
+            x, v = v.args
+            payloads.append(x.payload)
+        if not (v.__class__ is VCon and v.ctor == nil and not v.args):
+            raise AssertionError(f"not a list value: {render_value(v)}")
+        for x in reversed(payloads):
+            base = step(x, base)
+        return base
 
     oracles = {
         "sum": (0, lambda x, r: x + r),

@@ -702,7 +702,15 @@ def _encode_index(e: IndexExpr, ctx: GroupContext) -> Value:
 
 
 def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
-    """The fixed algebras the property suite runs every theorem against."""
+    """The fixed algebras the property suite runs every theorem against.
+
+    The natural-valued methods of sum, depth and length run once per row of
+    every fold at them, so each computes in a plain loop over its results
+    while every one is an int (not a bool) and no step passes NAT_MAX.  On
+    anything else it hands its results to the checked path (nat_of, nat_add,
+    nat_succ), which refuses them with the same error at the same operand:
+    the fast path accepts nothing the checked one refuses and returns what
+    it returns."""
     algs: dict[str, Algebra] = {}
     every_var = range(ctx.base_var_count)
 
@@ -714,21 +722,13 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
     algs["sum"] = Algebra(
         "sum",
         bases={k: nat_base for k in every_var},
-        methods={
-            c.name: lambda iargs, rs: _fold_nat_add(nat_of(r) for r in rs)
-            for _, c in ctx.ctors()
-        },
+        methods={c.name: _sum_method for _, c in ctx.ctors()},
     )
 
     algs["depth"] = Algebra(
         "depth",
         bases={k: (lambda v: 0) for k in every_var},
-        methods={
-            c.name: lambda iargs, rs: (
-                nat_succ(max((nat_of(r) for r in rs), default=0)) if rs else 0
-            )
-            for _, c in ctx.ctors()
-        },
+        methods={c.name: _depth_method for _, c in ctx.ctors()},
     )
 
     # Every node at one index shares its index-argument tuple, so each tuple
@@ -763,17 +763,48 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
             bases={k: (lambda v: 0) for k in every_var},
             methods={
                 nil: lambda iargs, rs: 0,
-                two: lambda iargs, rs: nat_succ(nat_of(rs[1])),
+                two: _length_method,
             },
         )
     return algs
 
 
-def _fold_nat_add(ns) -> int:
+def _sum_method(iargs, rs) -> int:
     total = 0
-    for n in ns:
-        total = nat_add(total, n)
+    for r in rs:
+        if r.__class__ is not int:
+            break
+        total += r
+        if total > NAT_MAX:
+            break
+    else:
+        return total
+    total = 0
+    for r in rs:
+        total = nat_add(total, nat_of(r))
     return total
+
+
+def _depth_method(iargs, rs) -> int:
+    if not rs:
+        return 0
+    top = rs[0]
+    for r in rs:
+        if r.__class__ is not int:
+            break
+        if r > top:
+            top = r
+    else:
+        if top < NAT_MAX:
+            return top + 1
+    return nat_succ(max(nat_of(r) for r in rs))
+
+
+def _length_method(iargs, rs) -> int:
+    n = rs[1]
+    if n.__class__ is int and n < NAT_MAX:
+        return n + 1
+    return nat_succ(nat_of(n))
 
 
 def halg_catalogue(ctx: GroupContext) -> dict[str, HAlgebra]:

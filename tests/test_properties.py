@@ -172,10 +172,87 @@ def test_a_second_suite_builds_no_pool(monkeypatch, src, size):
     assert calls == []
 
 
+def _stream(cases):
+    """A (idx, value, row) stream by the identity of its objects."""
+    return [(id(idx), id(v), row) for idx, v, row in cases]
+
+
+@pytest.mark.parametrize(
+    "src, size", [(BUSH, 5), (LIST, 4), (BOBDYLAN, 3)], ids=["bush", "list", "bobdylan"]
+)
+def test_a_warm_sweep_enumerates_nothing(monkeypatch, src, size):
+    (ctx,) = analyze(parse_program(src))
+    indices = properties._suite_indices(ctx)
+    first = _stream(properties._values(ctx, indices, size))
+    calls = []
+    real = properties.enumerate_values
+    monkeypatch.setattr(properties, "enumerate_values", lambda *a: calls.append(a) or real(*a))
+    assert _stream(properties._values(ctx, indices, size)) == first
+    assert calls == []
+
+
+def test_a_sweep_enumerates_an_index_built_only_as_an_argument(monkeypatch, lists):
+    # Enumerating lists of lists builds the pools of a list at sizes 1..3 as
+    # arguments, but never its size-0 pool (a list has at least one node),
+    # so a sweep over lists up to size 3 still enumerates them.
+    (ctx,) = analyze(parse_program(LIST))
+    inner, outer = ctx.level(1), ctx.level(2)
+    pools = runtime.pool_set(ctx, properties._pool(ctx))[0]
+    runtime.enumerate_values(ctx, outer, properties._pool(ctx), 4)
+    assert (inner, 0) not in pools and (inner, 3) in pools
+    calls = []
+    real = properties.enumerate_values
+    monkeypatch.setattr(properties, "enumerate_values", lambda *a: calls.append(a) or real(*a))
+    swept = [(render_value(v), row) for _, v, row in properties._values(ctx, [inner], 3)]
+    assert len(calls) == 1
+    expected = [render_value(v) for _, v, _ in properties._values(lists, [inner], 3)]
+    assert [text for text, _ in swept] == expected
+    table = properties._table(ctx)
+    assert [render_value(table[row][1]) for _, row in swept] == expected
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [
+        (VCon("cc", (VBase(1), VCon("leaf"))), "leaf"),
+        # Matches cc's shape but not its name: the tail is not taken.
+        (VCon("cc", (VBase(1), VCon("nil", (VBase(2), VCon("nil"))))), "nil 2 nil"),
+    ],
+    ids=["foreign-tail", "nil-with-arguments"],
+)
+def test_the_list_oracle_refuses_a_non_list_value(monkeypatch, lists, bad, shown):
+    real = properties._own_values
+
+    def with_bad(ctx, max_size):
+        idx, _, row = next(real(ctx, max_size))
+        yield idx, bad, row
+
+    monkeypatch.setattr(properties, "_own_values", with_bad)
+    with pytest.raises(AssertionError, match=f"^not a list value: {shown}$"):
+        check_spine_fold_agreement(lists, 2)
+
+
+def test_the_list_oracle_folds_a_long_list(monkeypatch, lists):
+    # The oracle walks the spine in a loop, so a list far deeper than the
+    # recursion limit folds; its derived side reads a real row.
+    long = VCon("nil")
+    for _ in range(5000):
+        long = VCon("cc", (VBase(2), long))
+    real = properties._own_values
+    monkeypatch.setattr(
+        properties, "_own_values",
+        lambda ctx, max_size: ((idx, long, row) for idx, _, row in real(ctx, max_size)),
+    )
+    r = check_spine_fold_agreement(lists, 1)
+    assert r.counterexample.lhs == "0"
+    assert r.counterexample.rhs == "10000"
+
+
 @pytest.mark.parametrize("src", [BUSH, LIST, BOBDYLAN], ids=["bush", "list", "bobdylan"])
 def test_distinct_by_identity_is_distinct_by_value(monkeypatch, src):
-    # _sweep counts (id(value), label) pairs; recount the same case stream by
-    # value equality, and check that every case value is an interned one.
+    # _sweep counts each label's distinct value ids; recount the same case
+    # stream by (value, label) equality, and check that every case value is
+    # an interned one.
     (ctx,) = analyze(parse_program(src))
     real = properties._sweep
     recounts = {}

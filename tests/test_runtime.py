@@ -12,7 +12,7 @@ import itertools
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nestfold.analysis import IApp, IVar, analyze, index_depth, subst_index
 from nestfold.diagnostics import EvalError, GuardExceeded
@@ -37,6 +37,7 @@ from nestfold.runtime import (
     halg_catalogue,
     nat_add,
     nat_of,
+    nat_succ,
     pool_set,
     prepare_ind,
     prepare_map,
@@ -430,6 +431,64 @@ def test_derived_fold_on_lists_agrees_with_foldlist(lists):
     for v in enumerate_values(lists, idx, POOL3, 6):
         expected = fold_list(0, lambda x, r: x.payload + r, v)
         assert eval_nfold(lists, alg, idx, v) == expected
+
+
+def _checked_method(name, rs):
+    """sum, depth and length as the checked path computes them: every entry
+    read through nat_of, every step through nat_add or nat_succ."""
+    if name == "sum":
+        total = 0
+        for r in rs:
+            total = nat_add(total, nat_of(r))
+        return total
+    if name == "depth":
+        return nat_succ(max((nat_of(r) for r in rs), default=0)) if rs else 0
+    return nat_succ(nat_of(rs[1]))
+
+
+def _outcome(f, *args):
+    """A call's result and its type, or its exception's type and words."""
+    try:
+        r = f(*args)
+    except Exception as e:
+        return "raised", type(e), str(e)
+    return "returned", type(r), r
+
+
+_RESULT_ENTRIES = st.one_of(
+    st.sampled_from([0, 1, NAT_MAX - 2, NAT_MAX - 1, NAT_MAX, NAT_MAX + 1, NAT_MAX + 2, -1]),
+    st.integers(min_value=-3, max_value=NAT_MAX + 3),
+    st.booleans(),
+    st.sampled_from([VCon("nil"), VBase(2), RFun(abs)]),
+)
+
+
+@given(st.sampled_from(["sum", "depth", "length"]), st.lists(_RESULT_ENTRIES, max_size=4))
+@example("sum", [NAT_MAX, 1])
+@example("sum", [NAT_MAX - 1, 1])
+@example("sum", [NAT_MAX, 1, -5])
+@example("sum", [NAT_MAX, True])
+@example("sum", [NAT_MAX, 1, VCon("nil")])
+@example("sum", [1, RFun(abs), NAT_MAX])
+@example("depth", [NAT_MAX - 1, 3])
+@example("depth", [3, NAT_MAX])
+@example("depth", [True, 1])
+@example("depth", [NAT_MAX, VCon("nil")])
+@example("length", [VBase(2), NAT_MAX - 1])
+@example("length", [VBase(2), NAT_MAX])
+@example("length", [VBase(2), True])
+@example("length", [VBase(2), RFun(abs)])
+def test_the_natural_methods_return_what_the_checked_path_returns(lists, name, rs):
+    # Every sum and depth method, and length's at the binary constructor (at
+    # nil it is the constant 0), on any entries: the same result, or the same
+    # EvalError at the same operand (or the same IndexError, for a length
+    # method short of arguments).
+    rs = tuple(rs)
+    methods = catalogue(lists)[name].methods
+    if name == "length":
+        methods = {"cc": methods["cc"]}
+    for method in methods.values():
+        assert _outcome(method, (), rs) == _outcome(_checked_method, name, rs)
 
 
 def test_overflow_is_an_error_not_a_wrap(bush):
