@@ -5,35 +5,34 @@ report is reproducible from the declaration file and the size bound alone —
 nothing here is randomized.  A property stops at its first failing case and
 reports it as a replayable counterexample.
 
-A case carries its value's row in the row table of the suite's base pool.
-Every property prepares its folds (runtime.prepare_*) on that table before
-its sweep, once per algebra or map function, so no case checks or builds an
-algebra and a case reads each fold's result at its row.  Every property runs
-on rows: call-counter-bound counts the method calls of the row folds it
-shares with the others.
+A property sweeps chunks, not cases: a chunk is one non-empty (index, size)
+pool, and the property hands _sweep one pair of columns per label, its two
+sides' results over the chunk's values.  A side on rows is a slice of a row
+fold (runtime.prepare_*, prepared once per algebra or map function before
+the sweep); a per-value oracle (nfold', the direct hfold and hmap, the list
+oracle, unfolded, finish) is mapped over the values.  call-counter-bound
+counts the method calls of the row folds it shares with the others, and
+bounds them by the chunk's size.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable, Iterable
-from itertools import repeat
+from functools import partial
+from operator import le
 
-from .analysis import (
-    GroupContext,
-    IndexExpr,
-    enumerate_indices,
-    render_index,
-)
+from .analysis import GroupContext, IndexExpr, enumerate_indices, render_index
 from .diagnostics import Record, _set
 from .runtime import (
     Algebra,
     RFun,
+    RowFold,
     catalogue,
     enumerate_values,
     eval_hfold_direct,
     eval_hfold_via_nfold,
     eval_hmap_direct,
+    guard,
     halg_catalogue,
     hfold_algebra,
     map_algebra,
@@ -45,7 +44,7 @@ from .runtime import (
     prepare_nfold,
     prepare_nfold_prime,
 )
-from .values import VBase, VCon, Value, render_value, value_size
+from .values import VBase, VCon, Value, render_value
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +56,7 @@ class Counterexample(Record):
 
     __slots__ = __match_args__ = ("prop", "index", "value", "algebra", "lhs", "rhs")
 
-    def __init__(
-        self, prop: str, index: str, value: str, algebra: str, lhs: str, rhs: str
-    ):
+    def __init__(self, prop: str, index: str, value: str, algebra: str, lhs: str, rhs: str):
         _set(self, "prop", prop)
         _set(self, "index", index)
         _set(self, "value", value)  # re-parseable literal
@@ -82,11 +79,7 @@ class PropertyResult(Record):
     __slots__ = __match_args__ = ("name", "cases", "distinct", "counterexample")
 
     def __init__(
-        self,
-        name: str,
-        cases: int,
-        distinct: int,
-        counterexample: Counterexample | None = None,
+        self, name: str, cases: int, distinct: int, counterexample: Counterexample | None = None
     ):
         _set(self, "name", name)
         _set(self, "cases", cases)  # comparisons performed
@@ -153,7 +146,8 @@ def _table(ctx: GroupContext) -> list:
 
 
 def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
-    """Yield (idx, value, row in _table(ctx)) for every value at every index."""
+    """Yield the chunk (idx, values, rows, size) of every non-empty (index,
+    size) pool, rows being the range of the values' rows in _table(ctx)."""
     pool = _pool(ctx)
     pools = pool_set(ctx, pool)[0]
     sizes = range(max_size + 1)
@@ -165,7 +159,7 @@ def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
         for size in sizes:
             values, rows = pools[idx, size]
             if values:
-                yield from zip(repeat(idx), values, rows)
+                yield idx, values, rows, size
 
 
 def _own_values(ctx: GroupContext, max_size: int):
@@ -173,54 +167,83 @@ def _own_values(ctx: GroupContext, max_size: int):
     return _values(ctx, [ctx.own_index(ctx.group.decls[0])], max_size)
 
 
-def _agree(lhs: object, rhs: object) -> bool:
-    """Naturals, trees and values agree when equal; functions never do."""
-    if isinstance(lhs, RFun) or isinstance(rhs, RFun):
-        return False
-    return lhs is rhs or lhs == rhs
+Column = tuple[list, Exception | None]  # results over a chunk, and what ended them short
+
+
+def _rows(fold: RowFold, rows: range) -> Column:
+    """A row fold's column over a chunk's rows."""
+    return fold.fill(rows.stop)[rows.start : rows.stop], fold.error
+
+
+def _map(f: Callable, xs: Iterable, error: Exception | None = None) -> Column:
+    """The column of f over xs: f's results in order, and the exception that
+    ends them short, which is f's first raise or else error (xs may itself
+    be a column short by error)."""
+    out: list = []
+    try:
+        out.extend(map(f, xs))
+    except Exception as e:
+        return out, e
+    return out, error
+
+
+def _agree(lhs: list, rhs: list) -> bool:
+    """Naturals, trees and values agree when equal; functions never do, not
+    even one function with itself.  Compares two columns pairwise."""
+    kinds = {*map(type, lhs), *map(type, rhs)}
+    return not any(issubclass(k, RFun) for k in kinds) and lhs == rhs
 
 
 def _sweep(
     name: str,
-    cases: Iterable[tuple[object, Value, str, object, object]],
+    chunks: Iterable[tuple[object, tuple[Value, ...], list]],
     ctx: GroupContext,
-    agree: Callable[[object, object], bool] = _agree,
-    show: Callable[[object, object], tuple[str, str]] = (
-        lambda lhs, rhs: (render_value(lhs), render_value(rhs))
-    ),
+    agree: Callable[[list, list], bool] = _agree,
+    show: Callable[[object, object], tuple] = lambda a, b: (render_value(a), render_value(b)),
     where: Callable[[object, GroupContext], str] = render_index,
 ) -> PropertyResult:
-    """Count the (place, value, label, lhs, rhs) cases up to the first disagreement.
+    """Count the cases of the (place, values, [(label, lhs, rhs)]) chunks,
+    value-major, up to the first disagreement.
 
-    Only that case is rendered, its place by where (an index by default);
-    passing cases are told apart by identity.
-    Every case value comes from enumerate_values (the pools outlive the
-    sweep), and two enumerated values are equal exactly when they are one
-    object, so counting ids counts distinct values: one set of ids per label.
-    """
-    count, ce = 0, None
-    seen: defaultdict[str, set[int]] = defaultdict(set)
-    for place, value, label, lhs, rhs in cases:
-        count += 1
-        seen[label].add(id(value))
-        if not agree(lhs, rhs):
-            ce = Counterexample(
-                name, where(place, ctx), render_value(value), label, *show(lhs, rhs)
-            )
-            break
-    return PropertyResult(name, count, sum(map(len, seen.values())), ce)
+    A chunk whose columns are whole and agree counts at once.  Otherwise
+    its cases are walked in order, lhs before rhs: a missing result raises
+    its column's exception, and the first pair agree refuses is the
+    counterexample (its place rendered by where), so a raise at a later case
+    cannot hide an earlier counterexample, nor the reverse.  Enumerated
+    values are equal exactly when they are one object (the pools outlive
+    the sweep): one set of value ids per label counts the distinct cases."""
+    count, seen = 0, {}
+    for place, values, cols in chunks:
+        n = len(values)
+        try:
+            whole = all(len(xs) == n == len(ys) and agree(xs, ys) for _, (xs, _), (ys, _) in cols)
+        except Exception:  # the walk meets it again, at its case
+            whole = False
+        if whole:
+            count += n * len(cols)
+            for label, _, _ in cols:
+                seen.setdefault(label, set()).update(map(id, values))
+            continue
+        for j, v in enumerate(values):
+            for label, (lhs, lhs_error), (rhs, rhs_error) in cols:
+                if j >= len(lhs):
+                    raise lhs_error
+                if j >= len(rhs):
+                    raise rhs_error
+                count += 1
+                seen.setdefault(label, set()).add(id(v))
+                if not agree(lhs[j : j + 1], rhs[j : j + 1]):
+                    ce = Counterexample(
+                        name, where(place, ctx), render_value(v), label, *show(lhs[j], rhs[j])
+                    )
+                    return PropertyResult(name, count, sum(map(len, seen.values())), ce)
+    return PropertyResult(name, count, sum(map(len, seen.values())))
 
 
 def _ignore_values(alg: Algebra) -> Algebra:
     """alg as an induction algebra whose methods drop the sub-values."""
-    return Algebra(
-        alg.name,
-        bases=alg.bases,
-        methods={
-            name: (lambda m: lambda iargs, vals, rs: m(iargs, rs))(m)
-            for name, m in alg.methods.items()
-        },
-    )
+    drop = lambda m: lambda iargs, vals, rs: m(iargs, rs)
+    return Algebra(alg.name, alg.bases, {name: drop(m) for name, m in alg.methods.items()})
 
 
 def _counted(alg: Algebra, calls: list[int]) -> Algebra:
@@ -230,12 +253,9 @@ def _counted(alg: Algebra, calls: list[int]) -> Algebra:
         def counted(*args):
             calls[0] += 1
             return m(*args)
-
         return counted
 
-    return Algebra(
-        alg.name, alg.bases, {name: count(m) for name, m in alg.methods.items()}
-    )
+    return Algebra(alg.name, alg.bases, {name: count(m) for name, m in alg.methods.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +270,12 @@ def check_equivalence(ctx: GroupContext, max_size: int) -> PropertyResult:
         for alg in catalogue(ctx).values()
     ]
     return _sweep("nfold-vs-nfold-prime", (
-        (idx, v, name, nfold(r), nfold_prime(idx, v))
-        for idx, v, r in _values(ctx, _suite_indices(ctx), max_size)
-        for name, nfold, nfold_prime in folds
+        (idx, values, [
+            (name, _rows(nfold, rows), _map(partial(fold, limit=guard(size, depth)), values))
+            for name, nfold, nfold_prime in folds
+            for depth, fold in [nfold_prime(idx)]
+        ])
+        for idx, values, rows, size in _values(ctx, _suite_indices(ctx), max_size)
     ), ctx)
 
 
@@ -261,8 +284,8 @@ def check_map_identity(ctx: GroupContext, max_size: int) -> PropertyResult:
     fs = {k: (lambda v: v) for k in range(ctx.base_var_count)}
     identity = prepare_map(ctx, fs, _table(ctx))
     return _sweep("map-identity", (
-        (idx, v, "identity", identity(r), v)
-        for idx, v, r in _values(ctx, _suite_indices(ctx), max_size)
+        (idx, values, [("identity", _rows(identity, rows), (list(values), None))])
+        for idx, values, rows, _ in _values(ctx, _suite_indices(ctx), max_size)
     ), ctx)
 
 
@@ -276,32 +299,33 @@ def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
         for n in range(5)
     ]
 
-    def cases():
+    def chunks():
         for m in range(5):
             for n in range(5 - m):
-                place = (at(m + n), m, n)
-                for _, v, r in _values(ctx, [at(m + n)], max_size):
-                    for fname, fold, outer in outers[n]:
-                        yield place, v, fname, fold(r), outer(r)
+                for _, values, rows, _ in _values(ctx, [at(m + n)], max_size):
+                    yield (at(m + n), m, n), values, [
+                        (fname, _rows(fold, rows), _rows(outer, rows))
+                        for fname, fold, outer in outers[n]
+                    ]
 
-    def split(place, ctx: GroupContext) -> str:
-        whole, m, n = place
-        return f"{render_index(whole, ctx)} split {m}+{n}"
-
-    return _sweep("map-composition", cases(), ctx, where=split)
+    return _sweep("map-composition", chunks(), ctx, where=lambda place, ctx: (
+        f"{render_index(place[0], ctx)} split {place[1]}+{place[2]}"
+    ))
 
 
 def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
     """The fold-backed higher-order fold matches the literal recursion."""
     table = _table(ctx)
-    halgs = [
-        (halg, prepare_nfold(ctx, hfold_algebra(ctx, halg), table))
-        for halg in halg_catalogue(ctx).values()
-    ]
+    halgs = halg_catalogue(ctx).values()
+    halgs = [(h, prepare_nfold(ctx, hfold_algebra(ctx, h), table)) for h in halgs]
     return _sweep("hfold-conformance", (
-        (idx, v, halg.name, halg.finish(hfold(r)), halg.finish(eval_hfold_direct(ctx, halg, v)))
-        for idx, v, r in _own_values(ctx, max_size)
-        for halg, hfold in halgs
+        (idx, values, [
+            (halg.name, _map(halg.finish, *_rows(hfold, rows)), _map(
+                halg.finish, map(partial(eval_hfold_direct, ctx, halg, limit=guard(size)), values)
+            ))
+            for halg, hfold in halgs
+        ])
+        for idx, values, rows, size in _own_values(ctx, max_size)
     ), ctx)
 
 
@@ -309,13 +333,13 @@ def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
     """On the nullary constructor the higher-order fold is its nil method."""
     decl = ctx.group.decls[0]
     nil, _ = ctx.bush_shape
-    idx, v, _ = next(case for case in _own_values(ctx, 1) if case[1].ctor == nil)
-    return _sweep("hfold-leaf-equation", (
-        (idx, v, halg.name,
-         halg.finish(eval_hfold_via_nfold(ctx, halg, decl, v)),
-         halg.finish(halg.methods[nil]()))
+    idx, v = next((i, v) for i, vs, _, _ in _own_values(ctx, 1) for v in vs if v.ctor == nil)
+    return _sweep("hfold-leaf-equation", [(idx, (v,), [
+        (halg.name,
+         _map(halg.finish, map(partial(eval_hfold_via_nfold, ctx, halg, decl), [v])),
+         _map(lambda _, halg=halg: halg.finish(halg.methods[nil]()), [v]))
         for halg in halg_catalogue(ctx).values()
-    ), ctx)
+    ])], ctx)
 
 
 def check_hmap_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
@@ -323,9 +347,12 @@ def check_hmap_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
     table = _table(ctx)
     maps = [(fname, f, prepare_map(ctx, {0: f}, table)) for fname, f in MAP_FNS]
     return _sweep("hmap-agreement", (
-        (idx, v, fname, hmap(r), eval_hmap_direct(ctx, f, v))
-        for idx, v, r in _own_values(ctx, max_size)
-        for fname, f, hmap in maps
+        (idx, values, [
+            (fname, _rows(hmap, rows),
+             _map(partial(eval_hmap_direct, ctx, f, limit=guard(size)), values))
+            for fname, f, hmap in maps
+        ])
+        for idx, values, rows, size in _own_values(ctx, max_size)
     ), ctx)
 
 
@@ -334,21 +361,22 @@ def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
     hmap (hmap f) is the map at level 1 whose base is hmap f at level 1."""
     nil, cons = ctx.bush_shape
     table = _table(ctx)
-    maps = []
-    for fname, f in MAP_FNS:
-        hmap = prepare_map(ctx, {0: f}, table)
-        maps.append((fname, f, hmap, prepare_map_over(ctx, hmap, 1, table)))
+    hmaps = [(fname, f, prepare_map(ctx, {0: f}, table)) for fname, f in MAP_FNS]
+    maps = [(fname, f, hmap, prepare_map_over(ctx, hmap, 1, table)) for fname, f, hmap in hmaps]
 
-    def unfolded(f, hmap_hmap, v: Value, r: int) -> Value:
+    def unfolded(f, hmap_hmap: RowFold, case: tuple[Value, int]) -> Value:
+        v, r = case
         if isinstance(v, VCon) and v.ctor == cons:
             x, _ = v.args
             return VCon(cons, (f(x), hmap_hmap(table[r][2][1])))
         return v
 
     return _sweep("hmap-cons-equation", (
-        (idx, v, fname, hmap(r), unfolded(f, hmap_hmap, v, r))
-        for idx, v, r in _own_values(ctx, max_size)
-        for fname, f, hmap, hmap_hmap in maps
+        (idx, values, [
+            (fname, _rows(hmap, rows), _map(partial(unfolded, f, hmap_hmap), zip(values, rows)))
+            for fname, f, hmap, hmap_hmap in maps
+        ])
+        for idx, values, rows, _ in _own_values(ctx, max_size)
     ), ctx)
 
 
@@ -360,9 +388,8 @@ def check_ind_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
         for alg in catalogue(ctx).values()
     ]
     return _sweep("ind-agreement", (
-        (idx, v, name, ind(r), nfold(r))
-        for idx, v, r in _values(ctx, _suite_indices(ctx), max_size)
-        for name, ind, nfold in folds
+        (idx, values, [(name, _rows(ind, rows), _rows(nfold, rows)) for name, ind, nfold in folds])
+        for idx, values, rows, _ in _values(ctx, _suite_indices(ctx), max_size)
     ), ctx)
 
 
@@ -382,19 +409,18 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
             base = step(x, base)
         return base
 
-    oracles = {
-        "sum": (0, lambda x, r: x + r),
-        "length": (0, lambda x, r: 1 + r),
-    }
+    oracles = {"sum": (0, lambda x, r: x + r), "length": (0, lambda x, r: 1 + r)}
     algs, table = catalogue(ctx), _table(ctx)
     folds = [
-        (name, prepare_nfold(ctx, algs[name], table), base, step)
+        (name, prepare_nfold(ctx, algs[name], table), partial(fold_list, base, step))
         for name, (base, step) in oracles.items()
     ]
     return _sweep("spine-fold-agreement", (
-        (idx, v, name, nat_of(nfold(r)), fold_list(base, step, v))
-        for idx, v, r in _own_values(ctx, max_size)
-        for name, nfold, base, step in folds
+        (idx, values, [
+            (name, _map(nat_of, *_rows(nfold, rows)), _map(oracle, values))
+            for name, nfold, oracle in folds
+        ])
+        for idx, values, rows, _ in _own_values(ctx, max_size)
     ), ctx)
 
 
@@ -414,32 +440,31 @@ def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
     """Every evaluator makes at most size(v) recursive calls on values.
 
     A fold calls one method per constructor node it descends into, so each
-    evaluator folds a counted copy of its algebra, and the count of method
-    calls is its count of recursive calls.  Each evaluator is a row fold,
-    filled one row at a time in row order, so the calls fold(row) makes are
-    that row's own.  A fold of one value folds each argument afresh, so a
-    row's count adds its argument rows' counts to its own calls."""
+    evaluator folds a counted copy of its algebra: the calls made while its
+    row fold fills one row are that row's own.  A fold of one value folds
+    each argument afresh, so a row's count adds its argument rows' counts
+    to its own calls.  Every value of a chunk has the chunk's size."""
     calls, table = [0], _table(ctx)
-    runs = [
-        (label, prepare(ctx, alg, table), [])
-        for label, prepare, alg in _counted_runs(ctx, calls)
-    ]
+    runs = [(label, prep(ctx, alg, table), []) for label, prep, alg in _counted_runs(ctx, calls)]
 
-    def cases():
-        for idx, v, row in _values(ctx, _suite_indices(ctx), max_size):
-            bound = value_size(v)
-            for label, fold, counts in runs:
-                for r in range(len(counts), row + 1):
-                    calls[0] = 0
-                    fold(r)
-                    counts.append(calls[0] + sum([counts[a] for a in table[r][2] or ()]))
-                yield idx, v, label, counts[row], bound
+    def counted(fold: RowFold, counts: list[int], rows: range) -> Column:
+        for r in range(len(counts), rows.stop):
+            calls[0] = 0
+            if len(fold.fill(r + 1)) <= r:
+                break
+            counts.append(calls[0] + sum([counts[a] for a in table[r][2] or ()]))
+        return counts[rows.start : rows.stop], fold.error
+
+    def chunks():
+        for idx, values, rows, size in _values(ctx, _suite_indices(ctx), max_size):
+            bounds = ([size] * len(values), None)
+            yield idx, values, [
+                (label, counted(fold, counts, rows), bounds) for label, fold, counts in runs
+            ]
 
     return _sweep(
-        "call-counter-bound",
-        cases(),
-        ctx,
-        agree=lambda calls, bound: calls <= bound,
+        "call-counter-bound", chunks(), ctx,
+        agree=lambda calls, bounds: all(map(le, calls, bounds)),
         show=lambda calls, bound: (f"{calls} calls", f"size bound {bound}"),
     )
 

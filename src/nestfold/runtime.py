@@ -2,68 +2,42 @@
 
 Typing, nfold, ind and enumeration place constructor arguments at their
 indices by one rule, GroupContext.ctors_at, which substitutes each (index,
-constructor) pair once, when it is first met.  Enumeration keeps its
-exact-size pools on the GroupContext, so each (index, size) pool of a base
-pool is built once per context.  Before it places an index it consults
-GroupContext.least_size, a lower bound on the size of any value there,
-computed from the constructor templates: an index, a constructor or an
-argument whose bound exceeds the size left is skipped unplaced.  A lower
-bound only ever skips pools that are empty, so the values and their order
-are what the full product over every split gives.
+constructor) pair once, when it is first met.  A fold result
+(RuntimeResult) has one representation per carrier: a natural is a Python
+int, a value tree is the Value itself, and a function is an RFun, which is
+only ever observed by application.
 
-A fold result (RuntimeResult) has one representation per carrier: a
-natural is a Python int, a value tree is the Value itself, and a function is
-an RFun.  Functions are only ever observed by application — equality checks
-must drive them to a first-order result first.
-
-`nestfold eval` places each node of its value (a values.Value, as
-values.parse_value_literal reads it) once.  typecheck_value is one
-explicit-stack walk: it types every node and lists every (index, node) pair,
-base positions included, on a tape in left-to-right post-order.  It pairs a
-node's arguments with their indices by position, last first, and a node
-whose arity is not its constructor's (one built by hand: the reader refuses
-such a literal) is one diagnostic in the reader's words, with nothing below
-it placed.  fold_tape folds the tape in one loop over a result stack.
+`nestfold eval` places each node of its value once: typecheck_value types
+the value in one explicit-stack walk and lists its (index, node) pairs on a
+tape in left-to-right post-order, and fold_tape folds the tape in one loop.
 Neither recurses, so a literal as deep as a long list evaluates under the
 default recursion limit.
 
 The suite folds the pool, not each value.  Each (index, value) pair that
-enumerate_values builds is a row of its base pool's row table (pool_set):
-(index, node, the rows of its arguments), or (index, base value, None), in
-build order, so a row's arguments come first.  prepare_nfold, prepare_ind,
-prepare_map and prepare_map_over check or build their algebra once and
-return a row fold: one loop that fills a result list in row order, up to
-the highest row asked for, so a shared sub-value is folded once and a
-case's result is one list read.  Map results are interned too, so equal
-ones are one object.  Nothing a row fold builds refers back to it, so
-dropping it frees its results by reference counting alone.  eval_nfold,
-eval_ind, eval_map and eval_hfold_via_nfold fold one value by plain
-recursion: the reference the row folds are checked against.
+enumerate_values builds is a row of its base pool's row table (pool_set),
+in build order, so a row's arguments come first.  prepare_nfold,
+prepare_ind, prepare_map and prepare_map_over check or build their algebra
+once and return a RowFold, a result list that one loop fills in row order:
+a shared sub-value is folded once, the results over a pool are one slice,
+and the first row that raises ends the filling and keeps its exception.
+Map results are interned, so equal ones are one object.  Nothing a row fold
+builds refers back to it, so dropping it frees its results by reference
+counting alone.  eval_nfold, eval_ind, eval_map and eval_hfold_via_nfold
+fold one value by plain recursion: the reference the row folds are checked
+against.
 
-The two *direct* evaluators (eval_hfold_direct, eval_hmap_direct) transcribe
-the non-structural recursions verbatim and serve as oracles for the derived
-routes.  Each recursion exists once (_hfold, _hybrid_map) and works on hybrid
-trees: a payload slot holds either a value or a carrier result, and wrap
-turns either into a result.  A natural base value VBase(n) in a slot reads
-as the natural n; every other slot content is its own result.  No shipped
-algebra puts a VBase tree result into a hybrid slot, so the reading is
-unambiguous.  Both carry a depth guard so that an implementation bug shows
-up as GuardExceeded instead of a hang; default_guard, sized from the value
-(and the index depth, for nfold'), is the one budget of every guarded walk.
-
-nfold' runs as the PS bridge derives it: PS-to-P . liftNTimes hmap fold-PS,
-where fold-PS is the one direct hfold at the PS carrier and liftNTimes hmap
-is the one direct hmap.
-
-nfold' and the direct evaluators are not memoized: they are the independent
-references the derived routes are checked against, so they pay per node,
-and they keep that cost small without changing what they compute or in
-which order.  Each recursion reads a node's class, constructor and arity
-once and compares its depth with the guard inline; an RFun is a plain
-slotted object; the bush shape is read from GroupContext.bush_shape, worked
-out once per context.  prepare_nfold_prime builds fold-PS's methods once,
-and they build each level's method-argument tuple once.  lift and PS-to-P
-are module-level functions, so a case leaves no reference cycle behind.
+The direct evaluators (eval_hfold_direct, eval_hmap_direct) and nfold'
+(PS-to-P . liftNTimes hmap fold-PS, as the PS bridge derives it) transcribe
+the non-structural recursions verbatim.  They are the oracles of the
+derived routes, so they are not memoized and pay per node, reading a node's
+class, constructor and arity once.  Each recursion exists once (_hfold,
+_hybrid_map), over hybrid trees whose payload slots hold a value or a
+carrier result: wrap reads a natural VBase(n) as n and anything else as
+itself.  _lift and _ps_to_p are module-level functions, so an evaluation
+leaves no reference cycle behind.  A depth guard turns an evaluator bug into
+GuardExceeded instead of a hang; its budget is guard(size, index depth), the
+size measured by default_guard for a value evaluated alone and known from
+the enumeration in the suite.
 """
 
 from __future__ import annotations
@@ -159,12 +133,7 @@ class Algebra(Record):
     __slots__ = __match_args__ = ("name", "bases", "methods")
     _compared = ("name",)
 
-    def __init__(
-        self,
-        name: str,
-        bases: dict[int, Callable[[Value], RuntimeResult]],
-        methods: dict[str, Callable[..., RuntimeResult]],
-    ):
+    def __init__(self, name: str, bases: dict[int, Callable], methods: dict[str, Callable]):
         _set(self, "name", name)
         _set(self, "bases", bases)
         _set(self, "methods", methods)
@@ -178,12 +147,7 @@ class HAlgebra(Record):
     __slots__ = __match_args__ = ("name", "methods", "finish")
     _compared = ("name",)
 
-    def __init__(
-        self,
-        name: str,
-        methods: dict[str, Callable],
-        finish: Callable[[RuntimeResult], RuntimeResult],
-    ):
+    def __init__(self, name: str, methods: dict[str, Callable], finish: Callable):
         _set(self, "name", name)
         _set(self, "methods", methods)
         _set(self, "finish", finish)
@@ -290,11 +254,32 @@ def fold_tape(ctx: GroupContext, alg: Algebra, tape: Tape) -> RuntimeResult:
 # The dependently typed fold and its relatives
 
 
-#: A fold on one value at a time: (index, value) -> result.
-Fold = Callable[[IndexExpr, Value], RuntimeResult]
+class RowFold:
+    """A fold on the rows of a row table (see Row): fill(stop) extends the
+    list results, in row order, through row stop - 1 with fill_rows.  The
+    first row whose base or method raises ends the filling for good: results
+    stop below it, and error keeps its exception (None until then)."""
 
-#: A fold on a row table (see Row): row number -> result.
-RowFold = Callable[[int], RuntimeResult]
+    __slots__ = ("results", "error", "_fill_rows")
+
+    def __init__(self, fill_rows: Callable[[list, int], None]):
+        self.results, self.error, self._fill_rows = [], None, fill_rows
+
+    def fill(self, stop: int) -> list[RuntimeResult]:
+        rs = self.results
+        if len(rs) < stop and self.error is None:
+            try:
+                self._fill_rows(rs, stop)
+            except Exception as e:
+                self.error = e
+        return rs
+
+    def __call__(self, row: int) -> RuntimeResult:
+        """The result at row, or the error that ended the filling below it."""
+        rs = self.fill(row + 1)
+        if row < len(rs):
+            return rs[row]
+        raise self.error
 
 
 def prepare_nfold(ctx: GroupContext, alg: Algebra, table: list[Row]) -> RowFold:
@@ -310,23 +295,20 @@ def prepare_ind(ctx: GroupContext, alg: Algebra, table: list[Row]) -> RowFold:
 
 
 def _row_fold(table: list[Row], alg: Algebra, ind: bool) -> RowFold:
-    """Asked for a row, fill the results of every row up to it, in row order."""
+    """nfold, or induction when ind, filling one row after another."""
     bases, methods = alg.bases, alg.methods
-    rs: list[RuntimeResult] = []
-    push, get = rs.append, rs.__getitem__
 
-    def fold(row: int) -> RuntimeResult:
-        if row >= len(rs):
-            for i, v, args in table[len(rs) : row + 1]:
-                if args is None:
-                    push(bases[i.k](v))
-                elif ind:
-                    push(methods[v.ctor](i.args, v.args, tuple(map(get, args))))
-                else:
-                    push(methods[v.ctor](i.args, tuple(map(get, args))))
-        return rs[row]
+    def fill_rows(rs: list, stop: int) -> None:
+        push, get = rs.append, rs.__getitem__
+        for i, v, args in table[len(rs) : stop]:
+            if args is None:
+                push(bases[i.k](v))
+            elif ind:
+                push(methods[v.ctor](i.args, v.args, tuple(map(get, args))))
+            else:
+                push(methods[v.ctor](i.args, tuple(map(get, args))))
 
-    return fold
+    return RowFold(fill_rows)
 
 
 def eval_nfold(ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value) -> RuntimeResult:
@@ -366,16 +348,12 @@ def map_algebra(ctx: GroupContext, fs: dict[int, Callable[[Value], Value]]) -> A
     return Algebra("map", bases, methods)
 
 
-def eval_map(
-    ctx: GroupContext, fs: dict[int, Callable[[Value], Value]], idx: IndexExpr, v: Value
-) -> Value:
+def eval_map(ctx: GroupContext, fs: dict[int, Callable], idx: IndexExpr, v: Value) -> Value:
     """The derived map: nfold at map_algebra(ctx, fs)."""
     return eval_nfold(ctx, map_algebra(ctx, fs), idx, v)
 
 
-def prepare_map(
-    ctx: GroupContext, fs: dict[int, Callable[[Value], Value]], table: list[Row]
-) -> RowFold:
+def prepare_map(ctx: GroupContext, fs: dict[int, Callable], table: list[Row]) -> RowFold:
     """The derived map of fs on the rows of table."""
     return prepare_nfold(ctx, map_algebra(ctx, fs), table)
 
@@ -386,19 +364,17 @@ def prepare_map_over(ctx: GroupContext, inner: RowFold, n: int, table: list[Row]
     inner, a row above rebuilds its node as prepare_map does.  A node's
     arguments sit at most one level below it, so rows below n get None."""
     at_n, below, interned = ctx.level(n), {ctx.level(j) for j in range(n)}, ctx.interned
-    rs: list[Value | None] = []
-    push, get = rs.append, rs.__getitem__
 
-    def fold(row: int) -> Value:
-        for r in range(len(rs), row + 1):
+    def fill_rows(rs: list, stop: int) -> None:
+        push, get = rs.append, rs.__getitem__
+        for r in range(len(rs), stop):
             i, v, args = table[r]
             if i is at_n or i in below:
                 push(inner(r) if i is at_n else None)
             else:
                 push(_intern(interned, VCon(v.ctor, tuple(map(get, args)))))
-        return rs[row]
 
-    return fold
+    return RowFold(fill_rows)
 
 
 def _intern(interned: dict, w: Value) -> Value:
@@ -412,8 +388,14 @@ def _intern(interned: dict, w: Value) -> Value:
 # Higher-order folds: the derived route and the direct oracles
 
 
+def guard(size: int, idx_depth: int = 0) -> int:
+    """The depth budget of a guarded walk over a value of size constructor
+    nodes at an index idx_depth deep."""
+    return 10 * (size + idx_depth) + 100
+
+
 def default_guard(v: Value, idx_depth: int = 0) -> int:
-    return 10 * (value_size(v) + idx_depth) + 100
+    return guard(value_size(v), idx_depth)
 
 
 def _bush(ctx: GroupContext, what: str) -> tuple[str, str]:
@@ -425,14 +407,9 @@ def _bush(ctx: GroupContext, what: str) -> tuple[str, str]:
 
 def hfold_algebra(ctx: GroupContext, halg: HAlgebra) -> Algebra:
     """hfold as an nfold algebra: identity bases, halg's methods on results."""
-    return Algebra(
-        f"hfold-{halg.name}",
-        bases={k: wrap for k in range(ctx.base_var_count)},
-        methods={
-            c.name: (lambda m: lambda iargs, rs: m(*rs))(halg.methods[c.name])
-            for _, c in ctx.ctors()
-        },
-    )
+    spread = lambda m: lambda iargs, rs: m(*rs)
+    methods = {c.name: spread(halg.methods[c.name]) for _, c in ctx.ctors()}
+    return Algebra(f"hfold-{halg.name}", {k: wrap for k in range(ctx.base_var_count)}, methods)
 
 
 def eval_hfold_via_nfold(
@@ -442,10 +419,12 @@ def eval_hfold_via_nfold(
     return eval_nfold(ctx, hfold_algebra(ctx, halg), ctx.own_index(decl_name), v)
 
 
-def eval_hfold_direct(ctx: GroupContext, halg: HAlgebra, v: Value) -> RuntimeResult:
-    """The introduction's non-structural recursion, transcribed literally."""
+def eval_hfold_direct(ctx: GroupContext, halg: HAlgebra, v: Value, limit: int | None = None):
+    """The introduction's non-structural recursion, transcribed literally,
+    within a depth guard of limit (by default, default_guard(v))."""
     nil, cons = _bush(ctx, "the direct higher-order fold")
-    return _hfold(halg.methods[nil], halg.methods[cons], v, nil, cons, 0, default_guard(v))
+    limit = default_guard(v) if limit is None else limit
+    return _hfold(halg.methods[nil], halg.methods[cons], v, nil, cons, 0, limit)
 
 
 def _hfold(leaf, node, t, nil, cons, depth, limit):
@@ -492,43 +471,47 @@ def _runaway(limit: int) -> GuardExceeded:
     )
 
 
-def eval_hmap_direct(ctx: GroupContext, f: Callable[[Value], Value], v: Value) -> Value:
-    """First-order direct map: hmap f (cons x xs) = cons (f x) (hmap (hmap f) xs)."""
+def eval_hmap_direct(ctx: GroupContext, f: Callable, v: Value, limit: int | None = None) -> Value:
+    """First-order direct map: hmap f (cons x xs) = cons (f x) (hmap (hmap f) xs),
+    within a depth guard of limit (by default, default_guard(v))."""
     nil, cons = _bush(ctx, "the direct map")
-    return _hybrid_map(f, v, nil, cons, 0, default_guard(v))
+    limit = default_guard(v) if limit is None else limit
+    return _hybrid_map(f, v, nil, cons, 0, limit)
 
 
 # ---------------------------------------------------------------------------
 # nfold' — the round trip through the function-space carrier
 
 
-def prepare_nfold_prime(ctx: GroupContext, alg: Algebra) -> Fold:
+def prepare_nfold_prime(ctx: GroupContext, alg: Algebra):
     """nfold' at alg (see eval_nfold_prime), its algebra checked and its
-    fold-PS methods built once."""
+    fold-PS methods built once.  Given a level index, it returns the index's
+    depth and the fold (value, guard limit) -> result there."""
     check_algebra(ctx, alg)
     nil, cons = _bush(ctx, "the function-space route")
     leaf, node = _ps_methods(ctx, alg, nil, cons)
-    return lambda idx, v: _nfold_prime(ctx, alg, leaf, node, nil, cons, idx, v)
+
+    def at(idx: IndexExpr):
+        depth = index_depth(idx)
+        if idx != ctx.level(depth):
+            raise EvalError("index must be an iterated application over the base slot")
+        def fold(v: Value, limit: int) -> RuntimeResult:
+            return _ps_to_p(alg, depth, _lift(leaf, node, nil, cons, depth, v, limit))
+
+        return depth, fold
+
+    return at
 
 
-def eval_nfold_prime(
-    ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value
-) -> RuntimeResult:
+def eval_nfold_prime(ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value) -> RuntimeResult:
     """nfold' = PS-to-P . liftNTimes hmap fold-PS, as the PS bridge derives it.
 
     fold-PS is the direct hfold at the PS carrier: a function taking a level
     number and a continuation for the level below.  Lifting maps fold-PS
     through every level of the value, and PS-to-P peels the levels off.
     """
-    return prepare_nfold_prime(ctx, alg)(idx, v)
-
-
-def _nfold_prime(ctx, alg, leaf, node, nil, cons, idx, v):
-    depth = index_depth(idx)
-    if idx != ctx.level(depth):
-        raise EvalError("index must be an iterated application over the base slot")
-    limit = default_guard(v, depth)
-    return _ps_to_p(alg, depth, _lift(leaf, node, nil, cons, depth, v, limit))
+    depth, fold = prepare_nfold_prime(ctx, alg)(idx)
+    return fold(v, default_guard(v, depth))
 
 
 def _ps_methods(ctx: GroupContext, alg: Algebra, nil: str, cons: str):
@@ -591,10 +574,7 @@ Row = tuple[IndexExpr, Value, tuple[int, ...] | None]
 
 
 def enumerate_values(
-    ctx: GroupContext,
-    idx: IndexExpr,
-    pool: dict[int, tuple[Value, ...]],
-    max_size: int,
+    ctx: GroupContext, idx: IndexExpr, pool: dict[int, tuple[Value, ...]], max_size: int
 ) -> list[Value]:
     """Every value of idx with at most max_size constructor nodes,
     sizes ascending, then constructor order, then argument order.  The
@@ -741,18 +721,12 @@ def catalogue(ctx: GroupContext) -> dict[str, Algebra]:
             enc = encoded[iargs] = tuple(_encode_index(i, ctx) for i in iargs)
         return enc
 
+    tag_base = lambda tag: lambda v: VCon(tag, (v,))
+    tag_node = lambda tag: lambda iargs, rs: VCon(tag, encode(iargs) + rs)
     algs["trace"] = Algebra(
         "trace",
-        bases={
-            k: (lambda k: lambda v: VCon("@" + ctx.var_ctors[k], (v,)))(k)
-            for k in every_var
-        },
-        methods={
-            c.name: (lambda tag: lambda iargs, rs: VCon(tag, encode(iargs) + rs))(
-                "@" + c.name
-            )
-            for _, c in ctx.ctors()
-        },
+        bases={k: tag_base("@" + ctx.var_ctors[k]) for k in every_var},
+        methods={c.name: tag_node("@" + c.name) for _, c in ctx.ctors()},
     )
 
     spine = ctx.spine_shape

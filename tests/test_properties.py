@@ -8,8 +8,10 @@ the bush sweep at size <= 7 across index depths 0..3 yields 74 values.
 
 import gc
 import weakref
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nestfold.analysis import analyze
 from nestfold.parser import parse_program
@@ -19,16 +21,28 @@ from nestfold.properties import (
     PropertyResult,
     SuiteReport,
     check_equivalence,
+    check_ind_agreement,
     check_map_identity,
     check_spine_fold_agreement,
     run_suite,
 )
 import nestfold.properties as properties
 import nestfold.runtime as runtime
+from nestfold.diagnostics import EvalError
 from nestfold.runtime import RFun
 
 from test_derivation import BUSHES, PROBES, SHAPES, SOURCES
 from test_parser import BOBDYLAN, BUSH, LIST
+from test_runtime import _cases
+
+
+def _row_fold_of(f):
+    """A row fold whose result at row r is f(r)."""
+    return runtime.RowFold(lambda rs, stop: rs.extend(map(f, range(len(rs), stop))))
+
+
+#: A prepared nfold' that answers 10**9 on every value.
+_BILLION = lambda ctx, alg: lambda idx: (0, lambda v, limit: 10**9)
 
 
 @pytest.fixture(scope="module")
@@ -172,9 +186,13 @@ def test_a_second_suite_builds_no_pool(monkeypatch, src, size):
     assert calls == []
 
 
-def _stream(cases):
-    """A (idx, value, row) stream by the identity of its objects."""
-    return [(id(idx), id(v), row) for idx, v, row in cases]
+def _stream(chunks):
+    """A chunk stream's (idx, value, row, size) by the identity of its objects."""
+    return [
+        (id(idx), id(v), row, size)
+        for idx, values, rows, size in chunks
+        for v, row in zip(values, rows)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -203,9 +221,9 @@ def test_a_sweep_enumerates_an_index_built_only_as_an_argument(monkeypatch, list
     calls = []
     real = properties.enumerate_values
     monkeypatch.setattr(properties, "enumerate_values", lambda *a: calls.append(a) or real(*a))
-    swept = [(render_value(v), row) for _, v, row in properties._values(ctx, [inner], 3)]
+    swept = [(render_value(v), row) for _, v, row in _cases(ctx, [inner], 3)]
     assert len(calls) == 1
-    expected = [render_value(v) for _, v, _ in properties._values(lists, [inner], 3)]
+    expected = [render_value(v) for _, v, _ in _cases(lists, [inner], 3)]
     assert [text for text, _ in swept] == expected
     table = properties._table(ctx)
     assert [render_value(table[row][1]) for _, row in swept] == expected
@@ -224,8 +242,8 @@ def test_the_list_oracle_refuses_a_non_list_value(monkeypatch, lists, bad, shown
     real = properties._own_values
 
     def with_bad(ctx, max_size):
-        idx, _, row = next(real(ctx, max_size))
-        yield idx, bad, row
+        idx, _, rows, size = next(real(ctx, max_size))
+        yield idx, (bad,), rows[:1], size
 
     monkeypatch.setattr(properties, "_own_values", with_bad)
     with pytest.raises(AssertionError, match=f"^not a list value: {shown}$"):
@@ -241,7 +259,10 @@ def test_the_list_oracle_folds_a_long_list(monkeypatch, lists):
     real = properties._own_values
     monkeypatch.setattr(
         properties, "_own_values",
-        lambda ctx, max_size: ((idx, long, row) for idx, _, row in real(ctx, max_size)),
+        lambda ctx, max_size: (
+            (idx, (long,) * len(values), rows, size)
+            for idx, values, rows, size in real(ctx, max_size)
+        ),
     )
     r = check_spine_fold_agreement(lists, 1)
     assert r.counterexample.lhs == "0"
@@ -250,21 +271,24 @@ def test_the_list_oracle_folds_a_long_list(monkeypatch, lists):
 
 @pytest.mark.parametrize("src", [BUSH, LIST, BOBDYLAN], ids=["bush", "list", "bobdylan"])
 def test_distinct_by_identity_is_distinct_by_value(monkeypatch, src):
-    # _sweep counts each label's distinct value ids; recount the same case
-    # stream by (value, label) equality, and check that every case value is
-    # an interned one.
+    # _sweep counts each label's distinct value ids; recount the cases of
+    # the same chunk stream by (value, label) equality, and check that every
+    # case value is an interned one.
     (ctx,) = analyze(parse_program(src))
     real = properties._sweep
     recounts = {}
 
-    def recounting(name, cases, *args, **kwargs):
+    def recounting(name, chunks, *args, **kwargs):
         values = []
 
         def tee():
-            for case in cases:
-                values.append(case[1])
-                recounts[name].add((case[1], case[2]))
-                yield case
+            for chunk in chunks:
+                _, chunk_values, columns = chunk
+                values.extend(chunk_values)
+                recounts[name].update(
+                    (v, label) for v in chunk_values for label, _, _ in columns
+                )
+                yield chunk
 
         recounts[name] = set()
         result = real(name, tee(), *args, **kwargs)
@@ -306,9 +330,7 @@ def test_counterexample_lines_are_labelled():
 
 
 def test_broken_evaluator_yields_a_replayable_counterexample(bush, monkeypatch):
-    monkeypatch.setattr(
-        properties, "prepare_nfold_prime", lambda ctx, alg: lambda idx, v: 10**9
-    )
+    monkeypatch.setattr(properties, "prepare_nfold_prime", _BILLION)
     r = check_equivalence(bush, 4)
     assert not r.ok
     ce = r.counterexample
@@ -324,7 +346,7 @@ def test_broken_map_is_caught(bush, monkeypatch):
     monkeypatch.setattr(
         properties,
         "prepare_map",
-        lambda ctx, fs, table: lambda row: VCon("leaf"),
+        lambda ctx, fs, table: _row_fold_of(lambda row: VCon("leaf")),
     )
     r = check_map_identity(bush, 4)
     assert not r.ok
@@ -334,9 +356,7 @@ def test_broken_map_is_caught(bush, monkeypatch):
 
 
 def test_failure_stops_the_sweep_early(bush, monkeypatch):
-    monkeypatch.setattr(
-        properties, "prepare_nfold_prime", lambda ctx, alg: lambda idx, v: 10**9
-    )
+    monkeypatch.setattr(properties, "prepare_nfold_prime", _BILLION)
     r = check_equivalence(bush, 7)
     assert r.cases == 1
 
@@ -408,8 +428,13 @@ def _leaf_instead(real):
     """Evaluate the empty bush wherever the value argument was a bush."""
 
     def prepare(ctx, alg):
-        fold = real(ctx, alg)
-        return lambda idx, v: fold(idx, VCon("leaf") if isinstance(v, VCon) else v)
+        at = real(ctx, alg)
+
+        def leaf_at(idx):
+            depth, fold = at(idx)
+            return depth, lambda v, limit: fold(VCon("leaf") if isinstance(v, VCon) else v, limit)
+
+        return leaf_at
 
     return prepare
 
@@ -447,7 +472,7 @@ def _refold_last_argument(real):
                 alg.methods[v.ctor](i.args, tuple(map(fold, sub)))
             return out
 
-        return fake
+        return _row_fold_of(fake)
 
     return prepare
 
@@ -472,7 +497,7 @@ SABOTAGE = [
     ),
     pytest.param(
         "bush", "check_hfold_conformance", (5,), "eval_hfold_direct",
-        lambda real: lambda ctx, halg, v: real(ctx, halg, VCon("leaf")),
+        lambda real: lambda ctx, halg, v, limit=None: real(ctx, halg, VCon("leaf"), limit),
         5, Counterexample(
             "hfold-conformance", "BushC varA", "cons 0 leaf", "rebuild",
             "cons 0 leaf", "leaf",
@@ -491,7 +516,7 @@ SABOTAGE = [
     ),
     pytest.param(
         "bush", "check_hmap_agreement", (5,), "eval_hmap_direct",
-        lambda real: lambda ctx, f, v: real(ctx, lambda x: x, v),
+        lambda real: lambda ctx, f, v, limit=None: real(ctx, lambda x: x, v, limit),
         3, Counterexample(
             "hmap-agreement", "BushC varA", "cons 0 leaf", "add1",
             "cons 1 leaf", "cons 0 leaf",
@@ -500,7 +525,7 @@ SABOTAGE = [
     ),
     pytest.param(
         "bush", "check_hmap_cons", (5,), "prepare_map",
-        lambda real: lambda ctx, fs, table: lambda row: table[row][1],
+        lambda real: lambda ctx, fs, table: _row_fold_of(lambda row: table[row][1]),
         3, Counterexample(
             "hmap-cons-equation", "BushC varA", "cons 0 leaf", "add1",
             "cons 0 leaf", "cons 1 leaf",
@@ -509,21 +534,23 @@ SABOTAGE = [
     ),
     pytest.param(
         "bobdylan", "check_ind_agreement", (4,), "prepare_ind",
-        lambda real: lambda ctx, alg, table: lambda row: 0,
+        lambda real: lambda ctx, alg, table: _row_fold_of(lambda row: 0),
         3, Counterexample("ind-agreement", "varA", "0", "trace", "0", "@varA 0"),
         id="ind-agreement",
     ),
     pytest.param(
         "lists", "check_spine_fold_agreement", (4,), "prepare_nfold",
-        lambda real: lambda ctx, alg, table: lambda row: 0,
+        lambda real: lambda ctx, alg, table: _row_fold_of(lambda row: 0),
         4, Counterexample(
             "spine-fold-agreement", "ListC varA", "cc 0 nil", "length", "0", "1"
         ),
         id="spine-fold-agreement",
     ),
     pytest.param(
-        "lists", "check_call_counter", (4,), "value_size",
-        lambda real: lambda v: -1,
+        "lists", "check_call_counter", (4,), "_values",
+        lambda real: lambda *args: (
+            (idx, values, rows, -1) for idx, values, rows, _ in real(*args)
+        ),
         1, Counterexample(
             "call-counter-bound", "varA", "0", "nfold", "0 calls", "size bound -1"
         ),
@@ -640,10 +667,21 @@ def test_the_roster_covers_every_narrow_group():
 # The call counter's row counts
 
 
+def _flat(chunks):
+    """The (place, value, label, lhs, rhs) cases of a chunk stream whose
+    columns are whole."""
+    return [
+        (place, v, label, lhs[j], rhs[j])
+        for place, values, columns in chunks
+        for j, v in enumerate(values)
+        for label, (lhs, _), (rhs, _) in columns
+    ]
+
+
 def _counted_cases(monkeypatch, ctx, size):
     """The (index, value, label, count, bound) cases call-counter-bound compares."""
     with monkeypatch.context() as patch:
-        patch.setattr(properties, "_sweep", lambda name, cases, ctx, **kw: list(cases))
+        patch.setattr(properties, "_sweep", lambda name, chunks, ctx, **kw: _flat(chunks))
         return properties.check_call_counter(ctx, size)
 
 
@@ -690,3 +728,142 @@ def test_a_refolded_last_argument_exceeds_the_bound(request, monkeypatch, which)
     over = [label for _, _, label, count, bound in _counted_cases(monkeypatch, ctx, size)
             if count > bound]
     assert over and set(over) <= {"nfold", "nmap"}
+
+
+# ---------------------------------------------------------------------------
+# The chunk sweep against a per-case loop
+
+
+#: The one function result the generated columns hold, on both sides.
+_FUN = RFun(abs)
+
+
+@st.composite
+def _sweep_plans(draw):
+    """Chunk sizes, labels and, per (label, side), a column plan: read off a
+    row fold or mapped over the values, its result at each position, and
+    the positions (rows) where it raises.  The rhs differs from the lhs at
+    a few chosen positions, and both sides hold _FUN at a few others."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    total = sum(sizes)
+    positions = st.integers(0, total - 1)
+    plans = {}
+    for label in ["a", "b", "c"][: draw(st.integers(1, 3))]:
+        lhs = draw(st.lists(st.integers(0, 2), min_size=total, max_size=total))
+        for k in draw(st.sets(positions, max_size=1)):
+            lhs[k] = _FUN
+        rhs = list(lhs)
+        for k in draw(st.sets(positions, max_size=2)):
+            rhs[k] = 3
+        for side, results in (("lhs", lhs), ("rhs", rhs)):
+            kind = draw(st.sampled_from(["rows", "values"]))
+            plans[label, side] = kind, results, draw(st.sets(positions, max_size=2))
+    return sizes, plans, draw(st.booleans())
+
+
+def _raise_at(label, side, k):
+    raise EvalError(f"{label} {side} raised at {k}")
+
+
+def _chunk_stream(sizes, plans, values):
+    """The chunks _sweep reads: each row-fold column a slice of one RowFold
+    over every position, each value column its oracle mapped over values."""
+    folds = {}
+    for (label, side), (kind, results, raises) in plans.items():
+        if kind == "rows":
+            def fill(rs, stop, label=label, side=side, results=results, raises=raises):
+                for r in range(len(rs), stop):
+                    if r in raises:
+                        _raise_at(label, side, r)
+                    rs.append(results[r])
+
+            folds[label, side] = runtime.RowFold(fill)
+    labels = list(dict.fromkeys(label for label, _ in plans))
+    start = 0
+    for c, size in enumerate(sizes):
+        rows = range(start, start + size)
+        start += size
+        columns = []
+        for label in labels:
+            pair = []
+            for side in ("lhs", "rhs"):
+                kind, results, raises = plans[label, side]
+                if kind == "rows":
+                    pair.append(properties._rows(folds[label, side], rows))
+                else:
+                    oracle = lambda v, label=label, side=side, results=results, raises=raises: (
+                        _raise_at(label, side, v.payload) if v.payload in raises
+                        else results[v.payload]
+                    )
+                    pair.append(properties._map(oracle, values[rows.start : rows.stop]))
+            columns.append((label, *pair))
+        yield c, tuple(values[rows.start : rows.stop]), columns
+
+
+def _per_case(sizes, plans, values):
+    """The same cases one at a time: a row fold at position k raises at the
+    first raising row up to k, a value oracle at k raises if k does."""
+
+    def side_at(label, side, k):
+        kind, results, raises = plans[label, side]
+        below = [r for r in raises if r <= k] if kind == "rows" else [k] if k in raises else []
+        return _raise_at(label, side, min(below)) if below else results[k]
+
+    labels = list(dict.fromkeys(label for label, _ in plans))
+    start = 0
+    for c, size in enumerate(sizes):
+        for k in range(start, start + size):
+            for label in labels:
+                yield c, values[k], label, side_at(label, "lhs", k), side_at(label, "rhs", k)
+        start += size
+
+
+def _reference_sweep(cases, agree):
+    """The per-case loop: count each case, stop at the first disagreement."""
+    count, seen = 0, defaultdict(set)
+    for place, value, label, lhs, rhs in cases:
+        count += 1
+        seen[label].add(id(value))
+        if not agree(lhs, rhs):
+            ce = Counterexample(
+                "p", f"chunk {place}", render_value(value), label, render_value(lhs), render_value(rhs)
+            )
+            return PropertyResult("p", count, sum(map(len, seen.values())), ce)
+    return PropertyResult("p", count, sum(map(len, seen.values())))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except EvalError as e:
+        return type(e), str(e)
+
+
+@given(_sweep_plans())
+def test_the_chunk_sweep_is_the_per_case_sweep(plan):
+    # A raise at a later case cannot hide an earlier counterexample, nor the
+    # reverse, whether a column is read off a row fold or mapped over values.
+    sizes, plans, bounded = plan
+    values = [VBase(k) for k in range(sum(sizes))]
+    if bounded:
+        one = lambda lhs, rhs: lhs is not _FUN and rhs is not _FUN and lhs <= rhs
+        agree = lambda lhs, rhs: all(map(one, lhs, rhs))
+        kw = {"agree": agree}
+    else:
+        one = lambda lhs, rhs: not (isinstance(lhs, RFun) or isinstance(rhs, RFun)) and lhs == rhs
+        kw = {}
+    got = _outcome(lambda: properties._sweep(
+        "p", _chunk_stream(sizes, plans, values), None,
+        where=lambda place, ctx: f"chunk {place}", **kw,
+    ))
+    want = _outcome(lambda: _reference_sweep(_per_case(sizes, plans, values), one))
+    assert got == want
+
+
+def test_a_function_result_agrees_with_nothing_not_even_itself(monkeypatch, lists):
+    # A list comparison takes one object for equal to itself; the sweep must not.
+    shared = _row_fold_of(lambda row: _FUN)
+    for name in ("prepare_ind", "prepare_nfold"):
+        monkeypatch.setattr(properties, name, lambda ctx, alg, table: shared)
+    ce = check_ind_agreement(lists, 3).counterexample
+    assert (ce.lhs, ce.rhs, ce.value) == ("<function>", "<function>", "0")

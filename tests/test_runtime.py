@@ -14,7 +14,7 @@ import weakref
 import pytest
 from hypothesis import example, given, strategies as st
 
-from nestfold.analysis import IApp, IVar, analyze, index_depth, subst_index
+from nestfold.analysis import IApp, IVar, analyze, index_depth, render_index, subst_index
 from nestfold.diagnostics import EvalError, GuardExceeded
 from nestfold.parser import parse_program
 from nestfold.values import Atom, VBase, VCon, parse_value_literal, render_value, value_size
@@ -52,6 +52,15 @@ from nestfold.properties import _counted, _ignore_values, _pool, _suite_indices,
 
 from test_derivation import PROBES
 from test_parser import BOBDYLAN, BUSH, DEEP_BUSH, LIST, SAMPLES, _bush_values
+
+
+def _cases(ctx, indices, max_size):
+    """The (idx, value, row) of every value of the suite's chunks (_values)."""
+    return [
+        (idx, v, row)
+        for idx, values, rows, _ in _values(ctx, indices, max_size)
+        for v, row in zip(values, rows)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -287,13 +296,11 @@ def test_fold_tape_reports_the_leftmost_overflow_first(lists):
 
 @pytest.mark.parametrize("src", [BUSH, LIST, BOBDYLAN], ids=["bush", "list", "bobdylan"])
 def test_fold_tape_agrees_with_eval_nfold(src):
-    from nestfold.properties import _suite_indices, _values
-
     (ctx,) = analyze(parse_program(src))
     kinds = {k: "nat" for k in range(ctx.base_var_count)}
     algs = catalogue(ctx).values()
     cases = 0
-    for idx, v, _ in _values(ctx, _suite_indices(ctx), 5):
+    for idx, v, _ in _cases(ctx, _suite_indices(ctx), 5):
         diags, tape = typecheck_value(ctx, idx, kinds, v)
         assert diags == []
         for alg in algs:
@@ -647,18 +654,30 @@ ROW_GROUPS = {
 }
 
 
-def _row_table(src):
-    """A fresh context of src and its row table after enumerating, at size
-    3, every declaration's own index, and the levels 0..3 where the indices
-    are levels."""
+def _row_table(src, size=3):
+    """A fresh context of src and its row table after enumerating, up to
+    size, every declaration's own index, and the levels 0..3 where the
+    indices are levels."""
     (ctx,) = analyze(parse_program(src))
     pool = _pool(ctx)
     indices = [ctx.own_index(d) for d in ctx.group.decls]
     if ctx.nat_index_eligible:
         indices += [ctx.level(n) for n in range(4)]
     for idx in map(ctx.canonical, indices):
-        enumerate_values(ctx, idx, pool, 3)
+        enumerate_values(ctx, idx, pool, size)
     return ctx, pool_set(ctx, pool)[1]
+
+
+@pytest.mark.parametrize("which", ROW_GROUPS)
+def test_every_value_of_a_pool_has_the_pool_size(which):
+    # The suite bounds call counts, and guards the direct recursions, by the
+    # size of a value's pool instead of measuring the value.
+    ctx, table = _row_table(ROW_GROUPS[which], 4)
+    pools = pool_set(ctx, _pool(ctx))[0]
+    assert any(values for values, _ in pools.values())
+    for (idx, size), (values, rows) in pools.items():
+        assert [value_size(v) for v in values] == [size] * len(values), render_index(idx, ctx)
+        assert [table[r][1] for r in rows] == list(values)
 
 
 @pytest.mark.parametrize("which", ROW_GROUPS)
@@ -701,6 +720,24 @@ def test_a_map_over_rows_is_the_recursive_map_of_the_inner_map(which):
             assert outer(r) == want
 
 
+def test_a_row_fold_keeps_the_first_error_and_the_rows_below_it(lists):
+    ctx, table = _row_table(LIST)
+    alg = catalogue(ctx)["sum"]
+    bad = next(r for r, (_, v, args) in enumerate(table) if args and v.args[0].payload == 2)
+    broken = Algebra("broken", alg.bases, {
+        name: (lambda m: lambda iargs, rs: m(iargs, rs) if rs[:1] != (2,) else 1 // 0)(m)
+        for name, m in alg.methods.items()
+    })
+    fold, whole = prepare_nfold(ctx, broken, table), prepare_nfold(ctx, alg, table)
+    assert fold.fill(len(table)) == whole.fill(len(table))[:bad]
+    assert isinstance(fold.error, ZeroDivisionError) and whole.error is None
+    # the filling stays ended: no row is folded again, and a row above reads the error
+    assert fold.fill(len(table)) is fold.results and len(fold.results) == bad
+    assert fold(bad - 1) == whole(bad - 1)
+    with pytest.raises(ZeroDivisionError):
+        fold(bad)
+
+
 # ---------------------------------------------------------------------------
 # Dropped row folds
 
@@ -724,7 +761,7 @@ def test_a_dropped_row_fold_frees_its_results_by_reference_counting(lists, prepa
     # The result list of a row fold in a reference cycle would outlive its
     # property until the cyclic collector ran, and every property's results
     # would pile up.
-    cases = list(_values(lists, _suite_indices(lists), 4))
+    cases = _cases(lists, _suite_indices(lists), 4)
     gc.disable()
     try:
         fold = prepare(lists, _watching(lists), _table(lists))
@@ -886,7 +923,7 @@ def test_the_ps_carrier_refuses_a_non_natural_level(bush):
 
 
 def _level_two_cases(ctx):
-    return [(idx, v) for idx, v, _ in _values(ctx, [ctx.level(2)], 6)]
+    return [(idx, v) for idx, v, _ in _cases(ctx, [ctx.level(2)], 6)]
 
 
 def test_nfold_prime_leaves_no_cyclic_garbage(bush):
@@ -911,11 +948,12 @@ def test_a_dropped_nfold_prime_fold_is_freed_by_reference_counting(bush):
     gc.collect()
     gc.disable()
     try:
-        fold = prepare_nfold_prime(bush, catalogue(bush)["trace"])
-        watch = weakref.ref(fold)
+        at = prepare_nfold_prime(bush, catalogue(bush)["trace"])
+        watch = weakref.ref(at)
         for idx, v in cases:
-            fold(idx, v)
-        del fold
+            depth, fold = at(idx)
+            fold(v, runtime.default_guard(v, depth))
+        del at, fold
         assert watch() is None
         assert gc.collect() == 0
     finally:
@@ -1022,11 +1060,9 @@ def test_enumeration_mutual_group(bobdylan):
 def test_enumerated_values_are_equal_exactly_when_identical(src):
     # Every value reachable from the suite's enumeration, sub-values and base
     # values included, once per object, compared pairwise.
-    from nestfold.properties import _suite_indices, _values
-
     (ctx,) = analyze(parse_program(src))
     reachable = {}
-    todo = [v for _, v, _ in _values(ctx, _suite_indices(ctx), 5)]
+    todo = [v for _, v, _ in _cases(ctx, _suite_indices(ctx), 5)]
     while todo:
         v = todo.pop()
         if id(v) not in reachable:
