@@ -8,11 +8,12 @@ reports it as a replayable counterexample.
 A property sweeps chunks, not cases: a chunk is one non-empty (index, size)
 pool, and the property hands _sweep one pair of columns per label, its two
 sides' results over the chunk's values.  A side on rows is a slice of a row
-fold (runtime.prepare_*, prepared once per algebra or map function before
-the sweep); a per-value oracle (nfold', the direct hfold and hmap, the list
-oracle, unfolded, finish) is mapped over the values.  call-counter-bound
-counts the method calls of the row folds it shares with the others, and
-bounds them by the chunk's size.
+fold from the suite's fold store (Folds), which prepares each fold once per
+suite, on first use, so each is filled once however many properties read
+it; a per-value oracle (nfold', the direct hfold and hmap, the list oracle,
+unfolded, finish) is mapped over the values.  call-counter-bound counts the
+method calls of the row folds it shares with the others, which count their
+calls per row, and bounds them by the chunk's size.
 """
 
 from __future__ import annotations
@@ -140,14 +141,9 @@ def _pool(ctx: GroupContext) -> dict[int, tuple[Value, ...]]:
     return {k: tuple(VBase(n) for n in BASE_POOL) for k in range(ctx.base_var_count)}
 
 
-def _table(ctx: GroupContext) -> list:
-    """The row table of the suite's base pool."""
-    return pool_set(ctx, _pool(ctx))[1]
-
-
 def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
     """Yield the chunk (idx, values, rows, size) of every non-empty (index,
-    size) pool, rows being the range of the values' rows in _table(ctx)."""
+    size) pool, rows being the range of the values' rows in the row table."""
     pool = _pool(ctx)
     pools = pool_set(ctx, pool)[0]
     sizes = range(max_size + 1)
@@ -246,66 +242,107 @@ def _ignore_values(alg: Algebra) -> Algebra:
     return Algebra(alg.name, alg.bases, {name: drop(m) for name, m in alg.methods.items()})
 
 
-def _counted(alg: Algebra, calls: list[int]) -> Algebra:
-    """alg with every method adding one to calls[0] each time it runs."""
+def _counted(alg: Algebra, own: list[int], results: list) -> Algebra:
+    """alg with every method first adding one to own[r], r = len(results[0])
+    being the length of its fold's results at the call: the row it fills."""
 
     def count(m):
         def counted(*args):
-            calls[0] += 1
+            r = len(results[0])
+            if r >= len(own):
+                own.extend([0] * (r + 1 - len(own)))
+            own[r] += 1
             return m(*args)
         return counted
 
     return Algebra(alg.name, alg.bases, {name: count(m) for name, m in alg.methods.items()})
 
 
+#: The folds call-counter-bound counts, by store key, and their labels.
+_COUNTED = {("nfold", "sum"): "nfold", ("map", "identity"): "nmap", ("ind", "sum"): "ind"}
+
+
+class Folds(dict):
+    """The row folds of one suite by key, each prepared on first use, so
+    each is filled once however many properties read it: ("nfold", alg) and
+    ("ind", alg) at a catalogue algebra, ("map", fname) at identity or a
+    MAP_FNS function, ("over", fname, n) the map whose base is ("map",
+    fname) at level n, and ("hfold", halg).  A _COUNTED key folds its
+    algebra _counted: own[key] counts the method calls made at each row."""
+
+    def __init__(self, ctx: GroupContext):
+        self.ctx, self.table, self.own = ctx, pool_set(ctx, _pool(ctx))[1], {}
+        self.algs, self.halgs = catalogue(ctx), halg_catalogue(ctx)
+
+    def __missing__(self, key: tuple) -> RowFold:
+        ctx, table, (kind, name, *n) = self.ctx, self.table, key
+        if kind == "over":
+            fold = prepare_map_over(ctx, self["map", name], *n, table)
+        elif kind == "map" and name != "identity":
+            fold = prepare_map(ctx, {0: dict(MAP_FNS)[name]}, table)
+        else:
+            if kind == "map":  # the identity, counted
+                alg = map_algebra(ctx, {k: (lambda v: v) for k in range(ctx.base_var_count)})
+            elif kind == "hfold":
+                alg = hfold_algebra(ctx, self.halgs[name])
+            else:
+                alg = self.algs[name] if kind == "nfold" else _ignore_values(self.algs[name])
+            results: list = []  # the fold's, once it is prepared
+            if key in _COUNTED:
+                alg = _counted(alg, self.own.setdefault(key, []), results)
+            fold = (prepare_ind if kind == "ind" else prepare_nfold)(ctx, alg, table)
+            results.append(fold.results)
+        self[key] = fold
+        return fold
+
+
 # ---------------------------------------------------------------------------
 # The properties
 
 
-def check_equivalence(ctx: GroupContext, max_size: int) -> PropertyResult:
+def check_equivalence(
+    ctx: GroupContext, max_size: int, folds: Folds | None = None
+) -> PropertyResult:
     """nfold and the function-space route agree on every case."""
-    table = _table(ctx)
-    folds = [
-        (alg.name, prepare_nfold(ctx, alg, table), prepare_nfold_prime(ctx, alg))
-        for alg in catalogue(ctx).values()
-    ]
+    folds = Folds(ctx) if folds is None else folds
+    primes = {name: prepare_nfold_prime(ctx, alg) for name, alg in folds.algs.items()}
     return _sweep("nfold-vs-nfold-prime", (
         (idx, values, [
-            (name, _rows(nfold, rows), _map(partial(fold, limit=guard(size, depth)), values))
-            for name, nfold, nfold_prime in folds
+            (name, _rows(folds["nfold", name], rows),
+             _map(partial(fold, limit=guard(size, depth)), values))
+            for name, nfold_prime in primes.items()
             for depth, fold in [nfold_prime(idx)]
         ])
         for idx, values, rows, size in _values(ctx, _suite_indices(ctx), max_size)
     ), ctx)
 
 
-def check_map_identity(ctx: GroupContext, max_size: int) -> PropertyResult:
+def check_map_identity(
+    ctx: GroupContext, max_size: int, folds: Folds | None = None
+) -> PropertyResult:
     """Mapping the identity over every slot returns the value unchanged."""
-    fs = {k: (lambda v: v) for k in range(ctx.base_var_count)}
-    identity = prepare_map(ctx, fs, _table(ctx))
+    identity = (Folds(ctx) if folds is None else folds)["map", "identity"]
     return _sweep("map-identity", (
         (idx, values, [("identity", _rows(identity, rows), (list(values), None))])
         for idx, values, rows, _ in _values(ctx, _suite_indices(ctx), max_size)
     ), ctx)
 
 
-def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
+def check_map_composition(
+    ctx: GroupContext, max_size: int, folds: Folds | None = None
+) -> PropertyResult:
     """Mapping once at depth m+n equals mapping at m with an inner depth-n map:
     the map of f, whose rows at level n the outer map, one per (f, n), reads."""
-    at, table = ctx.level, _table(ctx)
-    maps = [(fname, prepare_map(ctx, {0: f}, table)) for fname, f in MAP_FNS]
-    outers = [
-        [(fname, fold, prepare_map_over(ctx, fold, n, table)) for fname, fold in maps]
-        for n in range(5)
-    ]
+    at, folds = ctx.level, Folds(ctx) if folds is None else folds
 
     def chunks():
         for m in range(5):
             for n in range(5 - m):
                 for _, values, rows, _ in _values(ctx, [at(m + n)], max_size):
                     yield (at(m + n), m, n), values, [
-                        (fname, _rows(fold, rows), _rows(outer, rows))
-                        for fname, fold, outer in outers[n]
+                        (fname, _rows(folds["map", fname], rows),
+                         _rows(folds["over", fname, n], rows))
+                        for fname, _ in MAP_FNS
                     ]
 
     return _sweep("map-composition", chunks(), ctx, where=lambda place, ctx: (
@@ -313,17 +350,17 @@ def check_map_composition(ctx: GroupContext, max_size: int) -> PropertyResult:
     ))
 
 
-def check_hfold_conformance(ctx: GroupContext, max_size: int) -> PropertyResult:
+def check_hfold_conformance(
+    ctx: GroupContext, max_size: int, folds: Folds | None = None
+) -> PropertyResult:
     """The fold-backed higher-order fold matches the literal recursion."""
-    table = _table(ctx)
-    halgs = halg_catalogue(ctx).values()
-    halgs = [(h, prepare_nfold(ctx, hfold_algebra(ctx, h), table)) for h in halgs]
+    folds = Folds(ctx) if folds is None else folds
     return _sweep("hfold-conformance", (
         (idx, values, [
-            (halg.name, _map(halg.finish, *_rows(hfold, rows)), _map(
+            (halg.name, _map(halg.finish, *_rows(folds["hfold", halg.name], rows)), _map(
                 halg.finish, map(partial(eval_hfold_direct, ctx, halg, limit=guard(size)), values)
             ))
-            for halg, hfold in halgs
+            for halg in folds.halgs.values()
         ])
         for idx, values, rows, size in _own_values(ctx, max_size)
     ), ctx)
@@ -342,27 +379,27 @@ def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
     ])], ctx)
 
 
-def check_hmap_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
+def check_hmap_agreement(
+    ctx: GroupContext, max_size: int, folds: Folds | None = None
+) -> PropertyResult:
     """The one-layer map derived from the fold matches the direct recursion."""
-    table = _table(ctx)
-    maps = [(fname, f, prepare_map(ctx, {0: f}, table)) for fname, f in MAP_FNS]
+    folds = Folds(ctx) if folds is None else folds
     return _sweep("hmap-agreement", (
         (idx, values, [
-            (fname, _rows(hmap, rows),
+            (fname, _rows(folds["map", fname], rows),
              _map(partial(eval_hmap_direct, ctx, f, limit=guard(size)), values))
-            for fname, f, hmap in maps
+            for fname, f in MAP_FNS
         ])
         for idx, values, rows, size in _own_values(ctx, max_size)
     ), ctx)
 
 
-def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
+def check_hmap_cons(ctx: GroupContext, max_size: int, folds: Folds | None = None) -> PropertyResult:
     """The one-layer map satisfies its defining equation on both constructors;
     hmap (hmap f) is the map at level 1 whose base is hmap f at level 1."""
     nil, cons = ctx.bush_shape
-    table = _table(ctx)
-    hmaps = [(fname, f, prepare_map(ctx, {0: f}, table)) for fname, f in MAP_FNS]
-    maps = [(fname, f, hmap, prepare_map_over(ctx, hmap, 1, table)) for fname, f, hmap in hmaps]
+    folds = Folds(ctx) if folds is None else folds
+    table = folds.table
 
     def unfolded(f, hmap_hmap: RowFold, case: tuple[Value, int]) -> Value:
         v, r = case
@@ -373,27 +410,29 @@ def check_hmap_cons(ctx: GroupContext, max_size: int) -> PropertyResult:
 
     return _sweep("hmap-cons-equation", (
         (idx, values, [
-            (fname, _rows(hmap, rows), _map(partial(unfolded, f, hmap_hmap), zip(values, rows)))
-            for fname, f, hmap, hmap_hmap in maps
+            (fname, _rows(folds["map", fname], rows),
+             _map(partial(unfolded, f, folds["over", fname, 1]), zip(values, rows)))
+            for fname, f in MAP_FNS
         ])
         for idx, values, rows, _ in _own_values(ctx, max_size)
     ), ctx)
 
 
-def check_ind_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
+def check_ind_agreement(
+    ctx: GroupContext, max_size: int, folds: Folds | None = None
+) -> PropertyResult:
     """Induction with value-ignoring methods computes exactly the fold."""
-    table = _table(ctx)
-    folds = [
-        (alg.name, prepare_ind(ctx, _ignore_values(alg), table), prepare_nfold(ctx, alg, table))
-        for alg in catalogue(ctx).values()
-    ]
+    folds = Folds(ctx) if folds is None else folds
+    runs = [(name, folds["ind", name], folds["nfold", name]) for name in folds.algs]
     return _sweep("ind-agreement", (
-        (idx, values, [(name, _rows(ind, rows), _rows(nfold, rows)) for name, ind, nfold in folds])
+        (idx, values, [(name, _rows(ind, rows), _rows(nfold, rows)) for name, ind, nfold in runs])
         for idx, values, rows, _ in _values(ctx, _suite_indices(ctx), max_size)
     ), ctx)
 
 
-def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResult:
+def check_spine_fold_agreement(
+    ctx: GroupContext, max_size: int, folds: Folds | None = None
+) -> PropertyResult:
     """The derived fold on an ordinary list type matches a hand-written fold."""
     nil, cons = ctx.list_shape
 
@@ -410,56 +449,46 @@ def check_spine_fold_agreement(ctx: GroupContext, max_size: int) -> PropertyResu
         return base
 
     oracles = {"sum": (0, lambda x, r: x + r), "length": (0, lambda x, r: 1 + r)}
-    algs, table = catalogue(ctx), _table(ctx)
-    folds = [
-        (name, prepare_nfold(ctx, algs[name], table), partial(fold_list, base, step))
-        for name, (base, step) in oracles.items()
-    ]
+    folds = Folds(ctx) if folds is None else folds
     return _sweep("spine-fold-agreement", (
         (idx, values, [
-            (name, _map(nat_of, *_rows(nfold, rows)), _map(oracle, values))
-            for name, nfold, oracle in folds
+            (name, _map(nat_of, *_rows(folds["nfold", name], rows)),
+             _map(partial(fold_list, *oracle), values))
+            for name, oracle in oracles.items()
         ])
         for idx, values, rows, _ in _own_values(ctx, max_size)
     ), ctx)
 
 
-def _counted_runs(ctx: GroupContext, calls: list[int]):
-    """The (label, prepare, algebra) of each evaluator call-counter-bound
-    counts; every algebra adds its method calls to calls[0]."""
-    sum_alg = catalogue(ctx)["sum"]
-    fs = {k: (lambda v: v) for k in range(ctx.base_var_count)}
-    return (
-        ("nfold", prepare_nfold, _counted(sum_alg, calls)),
-        ("nmap", prepare_nfold, _counted(map_algebra(ctx, fs), calls)),
-        ("ind", prepare_ind, _counted(_ignore_values(sum_alg), calls)),
-    )
-
-
-def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
+def check_call_counter(
+    ctx: GroupContext, max_size: int, folds: Folds | None = None
+) -> PropertyResult:
     """Every evaluator makes at most size(v) recursive calls on values.
 
-    A fold calls one method per constructor node it descends into, so each
-    evaluator folds a counted copy of its algebra: the calls made while its
-    row fold fills one row are that row's own.  A fold of one value folds
-    each argument afresh, so a row's count adds its argument rows' counts
-    to its own calls.  Every value of a chunk has the chunk's size."""
-    calls, table = [0], _table(ctx)
-    runs = [(label, prep(ctx, alg, table), []) for label, prep, alg in _counted_runs(ctx, calls)]
+    A fold calls one method per constructor node it descends into.  The
+    store's _COUNTED folds, which the other properties read and so fill in
+    a suite, count those calls per row.  A fold of one value folds each
+    argument afresh, so a row's count is its own calls plus its argument
+    rows' counts.  Every value of a chunk has the chunk's size."""
+    folds = Folds(ctx) if folds is None else folds
+    table = folds.table
+    runs = [(label, folds[key], folds.own[key], []) for key, label in _COUNTED.items()]
 
-    def counted(fold: RowFold, counts: list[int], rows: range) -> Column:
-        for r in range(len(counts), rows.stop):
-            calls[0] = 0
-            if len(fold.fill(r + 1)) <= r:
-                break
-            counts.append(calls[0] + sum([counts[a] for a in table[r][2] or ()]))
+    def counted(fold: RowFold, own: list[int], counts: list[int], rows: range) -> Column:
+        if len(fold.results) < rows.stop:
+            fold.fill(rows.stop)
+        start, stop, get = len(counts), min(rows.stop, len(fold.results)), counts.__getitem__
+        own.extend([0] * (stop - len(own)))  # the rows whose fill made no call
+        for r, (_, _, args) in enumerate(table[start:stop], start):
+            counts.append(own[r] + sum(map(get, args or ())))
         return counts[rows.start : rows.stop], fold.error
 
     def chunks():
         for idx, values, rows, size in _values(ctx, _suite_indices(ctx), max_size):
             bounds = ([size] * len(values), None)
             yield idx, values, [
-                (label, counted(fold, counts, rows), bounds) for label, fold, counts in runs
+                (label, counted(fold, own, counts, rows), bounds)
+                for label, fold, own, counts in runs
             ]
 
     return _sweep(
@@ -474,24 +503,29 @@ def check_call_counter(ctx: GroupContext, max_size: int) -> PropertyResult:
 
 
 def run_suite(ctx: GroupContext, max_size: int) -> SuiteReport:
-    """Run every property applicable to the group, deterministically."""
+    """Run every property applicable to the group, deterministically, over
+    one fold store."""
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
 
     results: list[PropertyResult] = []
+    folds = Folds(ctx)
     bushy = ctx.bush_shape is not None
     if bushy:
-        results.append(check_equivalence(ctx, max_size))
-    results.append(check_map_identity(ctx, max_size))
+        results.append(check_equivalence(ctx, max_size, folds))
+    results.append(check_map_identity(ctx, max_size, folds))
     if ctx.nat_index_eligible:
-        results.append(check_map_composition(ctx, max_size))
+        results.append(check_map_composition(ctx, max_size, folds))
     if bushy:
-        results.append(check_hfold_conformance(ctx, max_size))
+        results.append(check_hfold_conformance(ctx, max_size, folds))
         results.append(check_hfold_leaf(ctx))
-        results.append(check_hmap_agreement(ctx, max_size))
-        results.append(check_hmap_cons(ctx, max_size))
-    results.append(check_ind_agreement(ctx, max_size))
+        results.append(check_hmap_agreement(ctx, max_size, folds))
+        results.append(check_hmap_cons(ctx, max_size, folds))
+    # The properties left read only nfold, ind and the identity map.
+    for key in [k for k in folds if k[0] not in ("nfold", "ind") and k not in _COUNTED]:
+        del folds[key]
+    results.append(check_ind_agreement(ctx, max_size, folds))
     if ctx.list_shape is not None:
-        results.append(check_spine_fold_agreement(ctx, max_size))
-    results.append(check_call_counter(ctx, max_size))
+        results.append(check_spine_fold_agreement(ctx, max_size, folds))
+    results.append(check_call_counter(ctx, max_size, folds))
     return SuiteReport(ctx.name, max_size, tuple(results))

@@ -8,7 +8,7 @@ the bush sweep at size <= 7 across index depths 0..3 yields 74 values.
 
 import gc
 import weakref
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,7 +33,7 @@ from nestfold.runtime import RFun
 
 from test_derivation import BUSHES, PROBES, SHAPES, SOURCES
 from test_parser import BOBDYLAN, BUSH, LIST
-from test_runtime import _cases
+from test_runtime import _cases, _counted
 
 
 def _row_fold_of(f):
@@ -225,7 +225,7 @@ def test_a_sweep_enumerates_an_index_built_only_as_an_argument(monkeypatch, list
     assert len(calls) == 1
     expected = [render_value(v) for _, v, _ in _cases(lists, [inner], 3)]
     assert [text for text, _ in swept] == expected
-    table = properties._table(ctx)
+    table = properties.Folds(ctx).table
     assert [render_value(table[row][1]) for _, row in swept] == expected
 
 
@@ -342,16 +342,17 @@ def test_broken_evaluator_yields_a_replayable_counterexample(bush, monkeypatch):
 
 
 def test_broken_map_is_caught(bush, monkeypatch):
-    real = properties.prepare_map
+    # map-identity folds map_algebra's identity map with prepare_nfold.
+    real = properties.prepare_nfold
     monkeypatch.setattr(
         properties,
-        "prepare_map",
-        lambda ctx, fs, table: _row_fold_of(lambda row: VCon("leaf")),
+        "prepare_nfold",
+        lambda ctx, alg, table: _row_fold_of(lambda row: VCon("leaf")),
     )
     r = check_map_identity(bush, 4)
     assert not r.ok
     assert r.counterexample.lhs == "leaf"
-    monkeypatch.setattr(properties, "prepare_map", real)
+    monkeypatch.setattr(properties, "prepare_nfold", real)
     assert check_map_identity(bush, 4).ok
 
 
@@ -440,8 +441,9 @@ def _leaf_instead(real):
 
 
 def _zero_bases(real):
-    """A map that sends every base value to 0, whatever it was asked to do."""
-    return lambda ctx, fs, table: real(ctx, {k: (lambda w: VBase(0)) for k in fs}, table)
+    """A map algebra that sends every base value to 0, whatever it was asked
+    to do."""
+    return lambda ctx, fs: real(ctx, {k: (lambda w: VBase(0)) for k in fs})
 
 
 def _corrupt_inner_map(real):
@@ -486,7 +488,7 @@ SABOTAGE = [
         id="nfold-vs-nfold-prime",
     ),
     pytest.param(
-        "bobdylan", "check_map_identity", (4,), "prepare_map", _zero_bases,
+        "bobdylan", "check_map_identity", (4,), "map_algebra", _zero_bases,
         2, Counterexample("map-identity", "varA", "1", "identity", "0", "1"),
         id="map-identity",
     ),
@@ -584,8 +586,8 @@ def test_every_property_reports_its_first_failure(
 
 @pytest.mark.parametrize("group, sizes", [("lists", (4, 6)), ("bush", (6, 8))])
 def test_the_suite_checks_each_algebra_once_per_property(request, monkeypatch, group, sizes):
-    # Every property prepares its folds before its sweep, so the algebras
-    # checked do not depend on how many cases the sweep has.
+    # The fold store prepares each fold once per suite, at its first use,
+    # so the algebras checked do not depend on how many cases the sweeps have.
     ctx = request.getfixturevalue(group)
     real = runtime.check_algebra
     checked = []
@@ -697,12 +699,14 @@ def test_a_row_count_is_what_a_fold_of_the_value_alone_counts(monkeypatch, which
     (ctx,) = analyze(parse_program(SOURCES[which]))
     cases = _counted_cases(monkeypatch, ctx, _COUNTED[which])
     calls = [0]
-    algs = {label: alg for label, _, alg in properties._counted_runs(ctx, calls)}
+    total = runtime.catalogue(ctx)["sum"]
+    algs = {
+        "nfold": _counted(total, calls),
+        "ind": _counted(properties._ignore_values(total), calls),
+    }
     # eval_map builds its algebra through map_algebra: count that one
     real = runtime.map_algebra
-    monkeypatch.setattr(
-        runtime, "map_algebra", lambda c, fs: properties._counted(real(c, fs), calls)
-    )
+    monkeypatch.setattr(runtime, "map_algebra", lambda c, fs: _counted(real(c, fs), calls))
     identity = {k: (lambda v: v) for k in range(ctx.base_var_count)}
     folds = {
         "nfold": lambda idx, v: runtime.eval_nfold(ctx, algs["nfold"], idx, v),
@@ -728,6 +732,147 @@ def test_a_refolded_last_argument_exceeds_the_bound(request, monkeypatch, which)
     over = [label for _, _, label, count, bound in _counted_cases(monkeypatch, ctx, size)
             if count > bound]
     assert over and set(over) <= {"nfold", "nmap"}
+
+
+# ---------------------------------------------------------------------------
+# One fold store per suite
+
+#: Every sample and narrow PROBES group (see ROSTERS), at a size in 3..4.
+_STORED = {
+    "lists": 4, "bush": 4, "bobdylan": 4,
+    **{which: 3 for which in PROBES if which in ROSTERS},
+}
+
+#: The prepare_* function each kind of store key is prepared by.
+_PREPARED_BY = {
+    "nfold": "prepare_nfold", "hfold": "prepare_nfold", "map": "prepare_map",
+    "ind": "prepare_ind", "over": "prepare_map_over",
+}
+
+
+def _prepared_by(key):
+    # The identity map is counted, so it is nfold at its map algebra.
+    return "prepare_nfold" if key == ("map", "identity") else _PREPARED_BY[key[0]]
+
+#: The check_* function of each property.
+_CHECK_OF = {
+    "nfold-vs-nfold-prime": "check_equivalence",
+    "map-identity": "check_map_identity",
+    "map-composition": "check_map_composition",
+    "hfold-conformance": "check_hfold_conformance",
+    "hmap-agreement": "check_hmap_agreement",
+    "hmap-cons-equation": "check_hmap_cons",
+    "ind-agreement": "check_ind_agreement",
+    "spine-fold-agreement": "check_spine_fold_agreement",
+    "call-counter-bound": "check_call_counter",
+}
+
+
+@pytest.fixture(scope="module", params=_STORED)
+def watched_suite(request):
+    """One suite on a fresh context, with what it prepared: each prepare_*
+    call by name (and its algebra's name, for nfold'), each key its fold
+    store filled in, and the RowFold.fill calls made inside
+    call-counter-bound."""
+    (ctx,) = analyze(parse_program(SOURCES[request.param]))
+    prepared, keys, fills = [], [], []
+
+    class Recording(properties.Folds):
+        def __setitem__(self, key, fold):
+            keys.append(key)
+            super().__setitem__(key, fold)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(properties, "Folds", Recording)
+        for name in {*_PREPARED_BY.values(), "prepare_nfold_prime"}:
+            real = getattr(properties, name)
+            patch.setattr(properties, name, lambda *a, name=name, real=real: (
+                prepared.append((name, a[1].name if name == "prepare_nfold_prime" else None))
+                or real(*a)
+            ))
+        real_counter, real_fill = properties.check_call_counter, runtime.RowFold.fill
+
+        def counter(ctx, max_size, folds):
+            with pytest.MonkeyPatch.context() as inside:
+                inside.setattr(runtime.RowFold, "fill", lambda *a: fills.append(a) or real_fill(*a))
+                return real_counter(ctx, max_size, folds)
+
+        patch.setattr(properties, "check_call_counter", counter)
+        report = run_suite(ctx, _STORED[request.param])
+    return ctx, report, prepared, keys, fills
+
+
+def test_a_suite_prepares_each_fold_once(watched_suite):
+    ctx, report, prepared, keys, fills = watched_suite
+    assert report.ok
+    # Each key is filled in once, by one prepare_* call, and no fold is
+    # prepared outside the store.
+    assert len(keys) == len(set(keys))
+    assert Counter(name for name, _ in prepared if name != "prepare_nfold_prime") == Counter(
+        map(_prepared_by, keys)
+    )
+    # nfold' is prepared once per algebra, by nfold-vs-nfold-prime alone.
+    primes = [alg for name, alg in prepared if name == "prepare_nfold_prime"]
+    bushy = "nfold-vs-nfold-prime" in [r.name for r in report.results]
+    assert sorted(primes) == (sorted(runtime.catalogue(ctx)) if bushy else [])
+    # call-counter-bound counts the folds the other properties filled.
+    assert {("nfold", "sum"), ("ind", "sum"), ("map", "identity")} <= set(keys)
+    assert fills == []
+
+
+def test_a_check_alone_reports_what_it_reports_in_the_suite(watched_suite):
+    ctx, report, *_ = watched_suite
+    for r in report.results:
+        if r.name == "hfold-leaf-equation":
+            assert properties.check_hfold_leaf(ctx) == r
+        else:
+            assert getattr(properties, _CHECK_OF[r.name])(ctx, report.max_size) == r
+
+
+def test_an_over_recursing_fold_fails_only_the_call_counter_in_the_suite(lists, monkeypatch):
+    (row,) = [p for p in SABOTAGE if p.id == "call-counter-bound-over-recursion"]
+    _, _, (size,), name, sabotage, cases, expected = row.values
+    monkeypatch.setattr(properties, name, sabotage(getattr(properties, name)))
+    report = run_suite(lists, size)
+    assert [(r.name, r.cases, r.counterexample) for r in report.results if not r.ok] == [
+        ("call-counter-bound", cases, expected)
+    ]
+
+
+def test_a_finished_suite_frees_its_fold_store_by_reference_counting(bush, monkeypatch):
+    # The store and every fold's results live until run_suite returns at the
+    # latest, and a fold that ind-agreement and the properties after it do
+    # not read is freed before it.  A VCon takes no weak reference, so the
+    # function of a cps-sum result is watched, and the store itself.
+    watch, freed_before_ind = [], []
+    conformance, counter = properties.check_hfold_conformance, properties.check_call_counter
+    ind = properties.check_ind_agreement
+
+    def watching_conformance(ctx, max_size, folds):
+        result = conformance(ctx, max_size, folds)
+        cps = next(r for r in folds["hfold", "cps-sum"].results if isinstance(r, RFun))
+        watch.append(weakref.ref(cps.fn))
+        return result
+
+    def watching_counter(ctx, max_size, folds):
+        watch.append(weakref.ref(folds))
+        return counter(ctx, max_size, folds)
+
+    def watching_ind(ctx, max_size, folds):
+        freed_before_ind.append(watch[0]() is None)
+        return ind(ctx, max_size, folds)
+
+    monkeypatch.setattr(properties, "check_hfold_conformance", watching_conformance)
+    monkeypatch.setattr(properties, "check_ind_agreement", watching_ind)
+    monkeypatch.setattr(properties, "check_call_counter", watching_counter)
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_suite(bush, 4).ok
+        assert freed_before_ind == [True]
+        assert len(watch) == 2 and [w() for w in watch] == [None, None]
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

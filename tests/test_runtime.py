@@ -48,7 +48,7 @@ from nestfold.runtime import (
     wrap,
 )
 import nestfold.runtime as runtime
-from nestfold.properties import _counted, _ignore_values, _pool, _suite_indices, _table, _values
+from nestfold.properties import Folds, _ignore_values, _pool, _suite_indices, _values
 
 from test_derivation import PROBES
 from test_parser import BOBDYLAN, BUSH, DEEP_BUSH, LIST, SAMPLES, _bush_values
@@ -520,6 +520,18 @@ def _ind(ctx, alg, idx, v):
 FOLDS = [eval_nfold, _ind]
 
 
+def _counted(alg, calls):
+    """alg with every method adding one to calls[0] each time it runs."""
+
+    def count(m):
+        def counted(*args):
+            calls[0] += 1
+            return m(*args)
+        return counted
+
+    return Algebra(alg.name, alg.bases, {name: count(m) for name, m in alg.methods.items()})
+
+
 def test_call_counter_is_bounded_by_size(bush, bush1):
     """A fold calls one method per constructor node, so a counted algebra
     counts exactly size(v) calls."""
@@ -764,7 +776,7 @@ def test_a_dropped_row_fold_frees_its_results_by_reference_counting(lists, prepa
     cases = _cases(lists, _suite_indices(lists), 4)
     gc.disable()
     try:
-        fold = prepare(lists, _watching(lists), _table(lists))
+        fold = prepare(lists, _watching(lists), Folds(lists).table)
         watch = [weakref.ref(fold(r)) for _, _, r in cases]
         assert all(w() is not None for w in watch)
         del fold
