@@ -5,15 +5,16 @@ report is reproducible from the declaration file and the size bound alone —
 nothing here is randomized.  A property stops at its first failing case and
 reports it as a replayable counterexample.
 
+Each property is a check(folds, max_size) over the fold store (Folds) it is
+handed; run_suite builds one store per suite and walks one roster of checks.
 A property sweeps chunks, not cases: a chunk is one non-empty (index, size)
 pool, and the property hands _sweep one pair of columns per label, its two
 sides' results over the chunk's values.  A side on rows is a slice of a row
-fold from the suite's fold store (Folds), which prepares each fold once per
-suite, on first use, so each is filled once however many properties read
-it; a per-value oracle (nfold', the direct hfold and hmap, the list oracle,
-unfolded, finish) is mapped over the values.  call-counter-bound counts the
-method calls of the row folds it shares with the others, which count their
-calls per row, and bounds them by the chunk's size.
+fold read off the store; a per-value oracle (nfold', the direct hfold and
+hmap, the list oracle, unfolded, finish) is mapped over the values.
+call-counter-bound counts the method calls of the row folds it shares with
+the others, which count their calls per row, and bounds them by the chunk's
+size.
 """
 
 from __future__ import annotations
@@ -264,11 +265,11 @@ _COUNTED = {("nfold", "sum"): "nfold", ("map", "identity"): "nmap", ("ind", "sum
 
 class Folds(dict):
     """The row folds of one suite by key, each prepared on first use, so
-    each is filled once however many properties read it: ("nfold", alg) and
-    ("ind", alg) at a catalogue algebra, ("map", fname) at identity or a
-    MAP_FNS function, ("over", fname, n) the map whose base is ("map",
-    fname) at level n, and ("hfold", halg).  A _COUNTED key folds its
-    algebra _counted: own[key] counts the method calls made at each row."""
+    each is filled once however many checks read it: ("nfold", alg) and
+    ("ind", alg) at a catalogue algebra (algs), ("map", fname) at identity
+    or a MAP_FNS function, ("over", fname, n) the map whose base is ("map",
+    fname) at level n, and ("hfold", halg) at a halgs algebra.  A _COUNTED
+    key folds its algebra _counted: own[key] counts its calls at each row."""
 
     def __init__(self, ctx: GroupContext):
         self.ctx, self.table, self.own = ctx, pool_set(ctx, _pool(ctx))[1], {}
@@ -300,11 +301,9 @@ class Folds(dict):
 # The properties
 
 
-def check_equivalence(
-    ctx: GroupContext, max_size: int, folds: Folds | None = None
-) -> PropertyResult:
+def check_equivalence(folds: Folds, max_size: int) -> PropertyResult:
     """nfold and the function-space route agree on every case."""
-    folds = Folds(ctx) if folds is None else folds
+    ctx = folds.ctx
     primes = {name: prepare_nfold_prime(ctx, alg) for name, alg in folds.algs.items()}
     return _sweep("nfold-vs-nfold-prime", (
         (idx, values, [
@@ -317,23 +316,19 @@ def check_equivalence(
     ), ctx)
 
 
-def check_map_identity(
-    ctx: GroupContext, max_size: int, folds: Folds | None = None
-) -> PropertyResult:
+def check_map_identity(folds: Folds, max_size: int) -> PropertyResult:
     """Mapping the identity over every slot returns the value unchanged."""
-    identity = (Folds(ctx) if folds is None else folds)["map", "identity"]
+    ctx, identity = folds.ctx, folds["map", "identity"]
     return _sweep("map-identity", (
         (idx, values, [("identity", _rows(identity, rows), (list(values), None))])
         for idx, values, rows, _ in _values(ctx, _suite_indices(ctx), max_size)
     ), ctx)
 
 
-def check_map_composition(
-    ctx: GroupContext, max_size: int, folds: Folds | None = None
-) -> PropertyResult:
+def check_map_composition(folds: Folds, max_size: int) -> PropertyResult:
     """Mapping once at depth m+n equals mapping at m with an inner depth-n map:
     the map of f, whose rows at level n the outer map, one per (f, n), reads."""
-    at, folds = ctx.level, Folds(ctx) if folds is None else folds
+    ctx, at = folds.ctx, folds.ctx.level
 
     def chunks():
         for m in range(5):
@@ -350,11 +345,9 @@ def check_map_composition(
     ))
 
 
-def check_hfold_conformance(
-    ctx: GroupContext, max_size: int, folds: Folds | None = None
-) -> PropertyResult:
+def check_hfold_conformance(folds: Folds, max_size: int) -> PropertyResult:
     """The fold-backed higher-order fold matches the literal recursion."""
-    folds = Folds(ctx) if folds is None else folds
+    ctx = folds.ctx
     return _sweep("hfold-conformance", (
         (idx, values, [
             (halg.name, _map(halg.finish, *_rows(folds["hfold", halg.name], rows)), _map(
@@ -366,24 +359,21 @@ def check_hfold_conformance(
     ), ctx)
 
 
-def check_hfold_leaf(ctx: GroupContext) -> PropertyResult:
+def check_hfold_leaf(folds: Folds, max_size: int) -> PropertyResult:
     """On the nullary constructor the higher-order fold is its nil method."""
-    decl = ctx.group.decls[0]
-    nil, _ = ctx.bush_shape
+    ctx, (nil, _) = folds.ctx, folds.ctx.bush_shape
     idx, v = next((i, v) for i, vs, _, _ in _own_values(ctx, 1) for v in vs if v.ctor == nil)
     return _sweep("hfold-leaf-equation", [(idx, (v,), [
         (halg.name,
-         _map(halg.finish, map(partial(eval_hfold_via_nfold, ctx, halg, decl), [v])),
+         _map(halg.finish, map(partial(eval_hfold_via_nfold, ctx, halg, ctx.group.decls[0]), [v])),
          _map(lambda _, halg=halg: halg.finish(halg.methods[nil]()), [v]))
-        for halg in halg_catalogue(ctx).values()
+        for halg in folds.halgs.values()
     ])], ctx)
 
 
-def check_hmap_agreement(
-    ctx: GroupContext, max_size: int, folds: Folds | None = None
-) -> PropertyResult:
+def check_hmap_agreement(folds: Folds, max_size: int) -> PropertyResult:
     """The one-layer map derived from the fold matches the direct recursion."""
-    folds = Folds(ctx) if folds is None else folds
+    ctx = folds.ctx
     return _sweep("hmap-agreement", (
         (idx, values, [
             (fname, _rows(folds["map", fname], rows),
@@ -394,12 +384,10 @@ def check_hmap_agreement(
     ), ctx)
 
 
-def check_hmap_cons(ctx: GroupContext, max_size: int, folds: Folds | None = None) -> PropertyResult:
+def check_hmap_cons(folds: Folds, max_size: int) -> PropertyResult:
     """The one-layer map satisfies its defining equation on both constructors;
     hmap (hmap f) is the map at level 1 whose base is hmap f at level 1."""
-    nil, cons = ctx.bush_shape
-    folds = Folds(ctx) if folds is None else folds
-    table = folds.table
+    ctx, table, cons = folds.ctx, folds.table, folds.ctx.bush_shape[1]
 
     def unfolded(f, hmap_hmap: RowFold, case: tuple[Value, int]) -> Value:
         v, r = case
@@ -418,11 +406,9 @@ def check_hmap_cons(ctx: GroupContext, max_size: int, folds: Folds | None = None
     ), ctx)
 
 
-def check_ind_agreement(
-    ctx: GroupContext, max_size: int, folds: Folds | None = None
-) -> PropertyResult:
+def check_ind_agreement(folds: Folds, max_size: int) -> PropertyResult:
     """Induction with value-ignoring methods computes exactly the fold."""
-    folds = Folds(ctx) if folds is None else folds
+    ctx = folds.ctx
     runs = [(name, folds["ind", name], folds["nfold", name]) for name in folds.algs]
     return _sweep("ind-agreement", (
         (idx, values, [(name, _rows(ind, rows), _rows(nfold, rows)) for name, ind, nfold in runs])
@@ -430,11 +416,9 @@ def check_ind_agreement(
     ), ctx)
 
 
-def check_spine_fold_agreement(
-    ctx: GroupContext, max_size: int, folds: Folds | None = None
-) -> PropertyResult:
+def check_spine_fold_agreement(folds: Folds, max_size: int) -> PropertyResult:
     """The derived fold on an ordinary list type matches a hand-written fold."""
-    nil, cons = ctx.list_shape
+    ctx, (nil, cons) = folds.ctx, folds.ctx.list_shape
 
     def fold_list(base, step, v: Value):
         """Walk the spine, then apply step to its payloads right to left."""
@@ -449,7 +433,6 @@ def check_spine_fold_agreement(
         return base
 
     oracles = {"sum": (0, lambda x, r: x + r), "length": (0, lambda x, r: 1 + r)}
-    folds = Folds(ctx) if folds is None else folds
     return _sweep("spine-fold-agreement", (
         (idx, values, [
             (name, _map(nat_of, *_rows(folds["nfold", name], rows)),
@@ -460,9 +443,7 @@ def check_spine_fold_agreement(
     ), ctx)
 
 
-def check_call_counter(
-    ctx: GroupContext, max_size: int, folds: Folds | None = None
-) -> PropertyResult:
+def check_call_counter(folds: Folds, max_size: int) -> PropertyResult:
     """Every evaluator makes at most size(v) recursive calls on values.
 
     A fold calls one method per constructor node it descends into.  The
@@ -470,8 +451,7 @@ def check_call_counter(
     a suite, count those calls per row.  A fold of one value folds each
     argument afresh, so a row's count is its own calls plus its argument
     rows' counts.  Every value of a chunk has the chunk's size."""
-    folds = Folds(ctx) if folds is None else folds
-    table = folds.table
+    ctx, table = folds.ctx, folds.table
     runs = [(label, folds[key], folds.own[key], []) for key, label in _COUNTED.items()]
 
     def counted(fold: RowFold, own: list[int], counts: list[int], rows: range) -> Column:
@@ -503,29 +483,28 @@ def check_call_counter(
 
 
 def run_suite(ctx: GroupContext, max_size: int) -> SuiteReport:
-    """Run every property applicable to the group, deterministically, over
-    one fold store."""
+    """Run, in report order, each property that applies to the group on one store."""
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-
-    results: list[PropertyResult] = []
-    folds = Folds(ctx)
-    bushy = ctx.bush_shape is not None
-    if bushy:
-        results.append(check_equivalence(ctx, max_size, folds))
-    results.append(check_map_identity(ctx, max_size, folds))
-    if ctx.nat_index_eligible:
-        results.append(check_map_composition(ctx, max_size, folds))
-    if bushy:
-        results.append(check_hfold_conformance(ctx, max_size, folds))
-        results.append(check_hfold_leaf(ctx))
-        results.append(check_hmap_agreement(ctx, max_size, folds))
-        results.append(check_hmap_cons(ctx, max_size, folds))
-    # The properties left read only nfold, ind and the identity map.
-    for key in [k for k in folds if k[0] not in ("nfold", "ind") and k not in _COUNTED]:
-        del folds[key]
-    results.append(check_ind_agreement(ctx, max_size, folds))
-    if ctx.list_shape is not None:
-        results.append(check_spine_fold_agreement(ctx, max_size, folds))
-    results.append(check_call_counter(ctx, max_size, folds))
+    folds, bushy = Folds(ctx), ctx.bush_shape is not None
+    # Built per call, so each check is looked up by its module name as the suite
+    # runs, and a rebinding of properties.check_* (a tracer's span) sees it.
+    roster = [check for applies, check in [
+        (bushy, check_equivalence),
+        (True, check_map_identity),
+        (ctx.nat_index_eligible, check_map_composition),
+        (bushy, check_hfold_conformance),
+        (bushy, check_hfold_leaf),
+        (bushy, check_hmap_agreement),
+        (bushy, check_hmap_cons),
+        (True, check_ind_agreement),
+        (ctx.list_shape is not None, check_spine_fold_agreement),
+        (True, check_call_counter),
+    ] if applies]
+    results = []
+    for check in roster:
+        if check is check_ind_agreement:  # the rest read only nfold, ind and the identity map
+            for key in [k for k in folds if k[0] not in ("nfold", "ind") and k not in _COUNTED]:
+                del folds[key]
+        results.append(check(folds, max_size))
     return SuiteReport(ctx.name, max_size, tuple(results))

@@ -17,6 +17,7 @@ from nestfold.derivation import derive_group
 from nestfold.parser import parse_program
 from nestfold.values import parse_value_literal
 from nestfold.properties import (
+    Folds,
     check_call_counter,
     check_equivalence,
     check_hfold_conformance,
@@ -97,7 +98,7 @@ def test_criterion_2_golden_bobdylan_emission(tmp_path, capsys):
 
 def test_criterion_3_equivalence_theorem(bush):
     t0 = time.perf_counter()
-    r = check_equivalence(bush, 8)  # size 8 covers the documented size-7 bound
+    r = check_equivalence(Folds(bush), 8)  # size 8 covers the documented size-7 bound
     elapsed = time.perf_counter() - t0
     _verdict(
         3,
@@ -109,8 +110,8 @@ def test_criterion_3_equivalence_theorem(bush):
 
 def test_criterion_4_map_laws(bush):
     t0 = time.perf_counter()
-    ident = check_map_identity(bush, 8)
-    comp = check_map_composition(bush, 8)
+    ident = check_map_identity(Folds(bush), 8)
+    comp = check_map_composition(Folds(bush), 8)
     elapsed = time.perf_counter() - t0
     _verdict(
         4,
@@ -121,10 +122,10 @@ def test_criterion_4_map_laws(bush):
 
 
 def test_criterion_5_hfold_conformance(bush):
-    conf = check_hfold_conformance(bush, 8)
-    leaf = check_hfold_leaf(bush)
-    agree = check_hmap_agreement(bush, 8)
-    cons = check_hmap_cons(bush, 8)
+    conf = check_hfold_conformance(Folds(bush), 8)
+    leaf = check_hfold_leaf(Folds(bush), 8)
+    agree = check_hmap_agreement(Folds(bush), 8)
+    cons = check_hmap_cons(Folds(bush), 8)
     _verdict(
         5,
         "higher-order fold matches its oracle and its defining equations",
@@ -161,7 +162,7 @@ def test_criterion_6_concrete_figures(bush, capsys):
 
 
 def test_criterion_7_ordinary_list_fold(lists):
-    r = check_spine_fold_agreement(lists, 7)  # lists of length <= 6
+    r = check_spine_fold_agreement(Folds(lists), 7)  # lists of length <= 6
     _verdict(
         7,
         "derived fold agrees with the hand-written list fold",
@@ -184,9 +185,9 @@ def test_criterion_8_termination_certificates(bush, lists, bobdylan):
                 recursion_witnesses(d)  # raises if a call lacks a witness
                 certified += 1
     counters = [
-        check_call_counter(bush, 7),
-        check_call_counter(lists, 6),
-        check_call_counter(bobdylan, 5),
+        check_call_counter(Folds(bush), 7),
+        check_call_counter(Folds(lists), 6),
+        check_call_counter(Folds(bobdylan), 5),
     ]
     _verdict(
         8,

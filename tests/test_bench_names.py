@@ -1,7 +1,8 @@
 """The benchmark names functions of nestfold by string and by import.
 
 bench/layers.py rebinds every (module, function) pair in TIMED and COUNTED;
-renaming or deleting one of them would break `bench/run.py --trace 1`.
+renaming or deleting one of them would break `bench/run.py --trace 1`, and
+run_suite must call each check through its rebindable module name.
 bench/harness.py and bench/test_bench.py import names from the package and
 call `nestfold.<name>`; the package's name table must keep each of them.
 bench/harness.py names eval targets by string; each must stay a target the
@@ -19,6 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 import nestfold
+import nestfold.properties as properties
 from nestfold.analysis import analyze, context_to_index
 from nestfold.parser import parse_program, parse_type_context
 
@@ -29,16 +31,38 @@ IMPORTERS = [BENCH / "harness.py", BENCH / "test_bench.py"]
 CONTEXT_READERS = [BENCH / "values.py", BENCH / "harness.py"]
 
 
-def test_every_traced_name_resolves():
+def _layers():
     spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_every_traced_name_resolves():
+    layers = _layers()
     missing = [
         f"nestfold.{module}.{fn}"
         for module, fn in layers.TIMED + layers.COUNTED
         if not callable(getattr(importlib.import_module(f"nestfold.{module}"), fn, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("sample, size", [("bush", 4), ("list", 4), ("bobdylan", 3)])
+def test_the_tracer_books_every_property_of_a_suite(sample, size):
+    # The tracer times each property by rebinding properties.check_*, so a
+    # suite that called checks captured at import would book none of them.
+    (ctx,) = analyze(parse_program((ROOT / "samples" / f"{sample}.ndt").read_text()))
+    tracer = _layers().Tracer()
+    tracer.install()
+    try:
+        report = properties.run_suite(ctx, size)
+    finally:
+        tracer.uninstall()
+    assert report.ok
+    for r in report.results:
+        assert tracer.counts[f"properties.{r.name}_cases"] == r.cases, r.name
+        assert tracer.calls[f"properties.{r.name}"] == 1, r.name
 
 
 def _package_names(path: Path) -> set[tuple[str, str]]:

@@ -18,6 +18,7 @@ from nestfold.parser import parse_program
 from nestfold.values import VBase, VCon, parse_value_literal, render_value
 from nestfold.properties import (
     Counterexample,
+    Folds,
     PropertyResult,
     SuiteReport,
     check_equivalence,
@@ -151,7 +152,7 @@ def test_list_spine_agreement_counts(list_report):
 
 def test_equivalence_distinct_cases_scale_with_size(bush):
     # The acceptance sweep at size 8 must clear 500 distinct pairs.
-    r = check_equivalence(bush, 8)
+    r = check_equivalence(Folds(bush), 8)
     assert r.ok
     assert r.cases == 524
     assert r.distinct >= 500
@@ -247,7 +248,7 @@ def test_the_list_oracle_refuses_a_non_list_value(monkeypatch, lists, bad, shown
 
     monkeypatch.setattr(properties, "_own_values", with_bad)
     with pytest.raises(AssertionError, match=f"^not a list value: {shown}$"):
-        check_spine_fold_agreement(lists, 2)
+        check_spine_fold_agreement(Folds(lists), 2)
 
 
 def test_the_list_oracle_folds_a_long_list(monkeypatch, lists):
@@ -264,7 +265,7 @@ def test_the_list_oracle_folds_a_long_list(monkeypatch, lists):
             for idx, values, rows, size in real(ctx, max_size)
         ),
     )
-    r = check_spine_fold_agreement(lists, 1)
+    r = check_spine_fold_agreement(Folds(lists), 1)
     assert r.counterexample.lhs == "0"
     assert r.counterexample.rhs == "10000"
 
@@ -331,7 +332,7 @@ def test_counterexample_lines_are_labelled():
 
 def test_broken_evaluator_yields_a_replayable_counterexample(bush, monkeypatch):
     monkeypatch.setattr(properties, "prepare_nfold_prime", _BILLION)
-    r = check_equivalence(bush, 4)
+    r = check_equivalence(Folds(bush), 4)
     assert not r.ok
     ce = r.counterexample
     assert ce.prop == "nfold-vs-nfold-prime"
@@ -349,16 +350,16 @@ def test_broken_map_is_caught(bush, monkeypatch):
         "prepare_nfold",
         lambda ctx, alg, table: _row_fold_of(lambda row: VCon("leaf")),
     )
-    r = check_map_identity(bush, 4)
+    r = check_map_identity(Folds(bush), 4)
     assert not r.ok
     assert r.counterexample.lhs == "leaf"
     monkeypatch.setattr(properties, "prepare_nfold", real)
-    assert check_map_identity(bush, 4).ok
+    assert check_map_identity(Folds(bush), 4).ok
 
 
 def test_failure_stops_the_sweep_early(bush, monkeypatch):
     monkeypatch.setattr(properties, "prepare_nfold_prime", _BILLION)
-    r = check_equivalence(bush, 7)
+    r = check_equivalence(Folds(bush), 7)
     assert r.cases == 1
 
 
@@ -410,7 +411,7 @@ def test_a_counterexample_side_renders_whatever_its_slots_hold(side, shown):
 
 
 def test_spine_fold_matches_a_worked_example(lists, bush_report):
-    r = check_spine_fold_agreement(lists, 4)
+    r = check_spine_fold_agreement(Folds(lists), 4)
     assert r.ok
     # size <= 4 means lists of length <= 3: 1 + 3 + 9 + 27 values
     assert r.cases == 40 * 2
@@ -481,24 +482,24 @@ def _refold_last_argument(real):
 
 SABOTAGE = [
     pytest.param(
-        "bush", "check_equivalence", (5,), "prepare_nfold_prime", _leaf_instead,
+        "bush", "check_equivalence", 5, "prepare_nfold_prime", _leaf_instead,
         18, Counterexample(
             "nfold-vs-nfold-prime", "BushC varA", "cons 0 leaf", "depth", "1", "0"
         ),
         id="nfold-vs-nfold-prime",
     ),
     pytest.param(
-        "bobdylan", "check_map_identity", (4,), "map_algebra", _zero_bases,
+        "bobdylan", "check_map_identity", 4, "map_algebra", _zero_bases,
         2, Counterexample("map-identity", "varA", "1", "identity", "0", "1"),
         id="map-identity",
     ),
     pytest.param(
-        "bush", "check_map_composition", (5,), "prepare_map_over", _corrupt_inner_map,
+        "bush", "check_map_composition", 5, "prepare_map_over", _corrupt_inner_map,
         1, Counterexample("map-composition", "varA split 0+0", "0", "add1", "1", "2"),
         id="map-composition",
     ),
     pytest.param(
-        "bush", "check_hfold_conformance", (5,), "eval_hfold_direct",
+        "bush", "check_hfold_conformance", 5, "eval_hfold_direct",
         lambda real: lambda ctx, halg, v, limit=None: real(ctx, halg, VCon("leaf"), limit),
         5, Counterexample(
             "hfold-conformance", "BushC varA", "cons 0 leaf", "rebuild",
@@ -507,7 +508,7 @@ SABOTAGE = [
         id="hfold-conformance",
     ),
     pytest.param(
-        "bush", "check_hfold_leaf", (), "eval_hfold_via_nfold",
+        "bush", "check_hfold_leaf", 5, "eval_hfold_via_nfold",
         lambda real: lambda ctx, halg, decl, v: real(
             ctx, halg, decl, VCon("cons", (VBase(1), VCon("leaf")))
         ),
@@ -517,7 +518,7 @@ SABOTAGE = [
         id="hfold-leaf-equation",
     ),
     pytest.param(
-        "bush", "check_hmap_agreement", (5,), "eval_hmap_direct",
+        "bush", "check_hmap_agreement", 5, "eval_hmap_direct",
         lambda real: lambda ctx, f, v, limit=None: real(ctx, lambda x: x, v, limit),
         3, Counterexample(
             "hmap-agreement", "BushC varA", "cons 0 leaf", "add1",
@@ -526,7 +527,7 @@ SABOTAGE = [
         id="hmap-agreement",
     ),
     pytest.param(
-        "bush", "check_hmap_cons", (5,), "prepare_map",
+        "bush", "check_hmap_cons", 5, "prepare_map",
         lambda real: lambda ctx, fs, table: _row_fold_of(lambda row: table[row][1]),
         3, Counterexample(
             "hmap-cons-equation", "BushC varA", "cons 0 leaf", "add1",
@@ -535,13 +536,13 @@ SABOTAGE = [
         id="hmap-cons-equation",
     ),
     pytest.param(
-        "bobdylan", "check_ind_agreement", (4,), "prepare_ind",
+        "bobdylan", "check_ind_agreement", 4, "prepare_ind",
         lambda real: lambda ctx, alg, table: _row_fold_of(lambda row: 0),
         3, Counterexample("ind-agreement", "varA", "0", "trace", "0", "@varA 0"),
         id="ind-agreement",
     ),
     pytest.param(
-        "lists", "check_spine_fold_agreement", (4,), "prepare_nfold",
+        "lists", "check_spine_fold_agreement", 4, "prepare_nfold",
         lambda real: lambda ctx, alg, table: _row_fold_of(lambda row: 0),
         4, Counterexample(
             "spine-fold-agreement", "ListC varA", "cc 0 nil", "length", "0", "1"
@@ -549,7 +550,7 @@ SABOTAGE = [
         id="spine-fold-agreement",
     ),
     pytest.param(
-        "lists", "check_call_counter", (4,), "_values",
+        "lists", "check_call_counter", 4, "_values",
         lambda real: lambda *args: (
             (idx, values, rows, -1) for idx, values, rows, _ in real(*args)
         ),
@@ -559,7 +560,7 @@ SABOTAGE = [
         id="call-counter-bound",
     ),
     pytest.param(
-        "lists", "check_call_counter", (4,), "prepare_nfold", _refold_last_argument,
+        "lists", "check_call_counter", 4, "prepare_nfold", _refold_last_argument,
         13, Counterexample(
             "call-counter-bound", "ListC varA", "cc 0 nil", "nfold", "3 calls", "size bound 2"
         ),
@@ -569,14 +570,14 @@ SABOTAGE = [
 
 
 @pytest.mark.parametrize(
-    "group, check, args, name, sabotage, cases, expected", SABOTAGE
+    "group, check, size, name, sabotage, cases, expected", SABOTAGE
 )
 def test_every_property_reports_its_first_failure(
-    request, monkeypatch, group, check, args, name, sabotage, cases, expected
+    request, monkeypatch, group, check, size, name, sabotage, cases, expected
 ):
     ctx = request.getfixturevalue(group)
     monkeypatch.setattr(properties, name, sabotage(getattr(properties, name)))
-    r = getattr(properties, check)(ctx, *args)
+    r = getattr(properties, check)(Folds(ctx), size)
     assert (r.name, r.cases, r.counterexample) == (expected.prop, cases, expected)
 
 
@@ -684,7 +685,7 @@ def _counted_cases(monkeypatch, ctx, size):
     """The (index, value, label, count, bound) cases call-counter-bound compares."""
     with monkeypatch.context() as patch:
         patch.setattr(properties, "_sweep", lambda name, chunks, ctx, **kw: _flat(chunks))
-        return properties.check_call_counter(ctx, size)
+        return properties.check_call_counter(Folds(ctx), size)
 
 
 #: Every narrow group (see ROSTERS) with the size its counts are checked at.
@@ -760,6 +761,7 @@ _CHECK_OF = {
     "map-identity": "check_map_identity",
     "map-composition": "check_map_composition",
     "hfold-conformance": "check_hfold_conformance",
+    "hfold-leaf-equation": "check_hfold_leaf",
     "hmap-agreement": "check_hmap_agreement",
     "hmap-cons-equation": "check_hmap_cons",
     "ind-agreement": "check_ind_agreement",
@@ -771,11 +773,11 @@ _CHECK_OF = {
 @pytest.fixture(scope="module", params=_STORED)
 def watched_suite(request):
     """One suite on a fresh context, with what it prepared: each prepare_*
-    call by name (and its algebra's name, for nfold'), each key its fold
-    store filled in, and the RowFold.fill calls made inside
-    call-counter-bound."""
+    call by name (and its algebra's name, for nfold'), each catalogue built,
+    each key its fold store filled in, and the RowFold.fill calls made
+    inside call-counter-bound."""
     (ctx,) = analyze(parse_program(SOURCES[request.param]))
-    prepared, keys, fills = [], [], []
+    prepared, catalogues, keys, fills = [], [], [], []
 
     class Recording(properties.Folds):
         def __setitem__(self, key, fold):
@@ -790,20 +792,25 @@ def watched_suite(request):
                 prepared.append((name, a[1].name if name == "prepare_nfold_prime" else None))
                 or real(*a)
             ))
+        for name in ("catalogue", "halg_catalogue"):
+            real = getattr(properties, name)
+            patch.setattr(properties, name, lambda ctx, name=name, real=real: (
+                catalogues.append(name) or real(ctx)
+            ))
         real_counter, real_fill = properties.check_call_counter, runtime.RowFold.fill
 
-        def counter(ctx, max_size, folds):
+        def counter(folds, max_size):
             with pytest.MonkeyPatch.context() as inside:
                 inside.setattr(runtime.RowFold, "fill", lambda *a: fills.append(a) or real_fill(*a))
-                return real_counter(ctx, max_size, folds)
+                return real_counter(folds, max_size)
 
         patch.setattr(properties, "check_call_counter", counter)
         report = run_suite(ctx, _STORED[request.param])
-    return ctx, report, prepared, keys, fills
+    return ctx, report, prepared, catalogues, keys, fills
 
 
 def test_a_suite_prepares_each_fold_once(watched_suite):
-    ctx, report, prepared, keys, fills = watched_suite
+    ctx, report, prepared, catalogues, keys, fills = watched_suite
     assert report.ok
     # Each key is filled in once, by one prepare_* call, and no fold is
     # prepared outside the store.
@@ -815,6 +822,8 @@ def test_a_suite_prepares_each_fold_once(watched_suite):
     primes = [alg for name, alg in prepared if name == "prepare_nfold_prime"]
     bushy = "nfold-vs-nfold-prime" in [r.name for r in report.results]
     assert sorted(primes) == (sorted(runtime.catalogue(ctx)) if bushy else [])
+    # Each catalogue is built once, with the store, and every check reads it there.
+    assert sorted(catalogues) == ["catalogue", "halg_catalogue"]
     # call-counter-bound counts the folds the other properties filled.
     assert {("nfold", "sum"), ("ind", "sum"), ("map", "identity")} <= set(keys)
     assert fills == []
@@ -823,15 +832,12 @@ def test_a_suite_prepares_each_fold_once(watched_suite):
 def test_a_check_alone_reports_what_it_reports_in_the_suite(watched_suite):
     ctx, report, *_ = watched_suite
     for r in report.results:
-        if r.name == "hfold-leaf-equation":
-            assert properties.check_hfold_leaf(ctx) == r
-        else:
-            assert getattr(properties, _CHECK_OF[r.name])(ctx, report.max_size) == r
+        assert getattr(properties, _CHECK_OF[r.name])(Folds(ctx), report.max_size) == r
 
 
 def test_an_over_recursing_fold_fails_only_the_call_counter_in_the_suite(lists, monkeypatch):
     (row,) = [p for p in SABOTAGE if p.id == "call-counter-bound-over-recursion"]
-    _, _, (size,), name, sabotage, cases, expected = row.values
+    _, _, size, name, sabotage, cases, expected = row.values
     monkeypatch.setattr(properties, name, sabotage(getattr(properties, name)))
     report = run_suite(lists, size)
     assert [(r.name, r.cases, r.counterexample) for r in report.results if not r.ok] == [
@@ -848,19 +854,19 @@ def test_a_finished_suite_frees_its_fold_store_by_reference_counting(bush, monke
     conformance, counter = properties.check_hfold_conformance, properties.check_call_counter
     ind = properties.check_ind_agreement
 
-    def watching_conformance(ctx, max_size, folds):
-        result = conformance(ctx, max_size, folds)
+    def watching_conformance(folds, max_size):
+        result = conformance(folds, max_size)
         cps = next(r for r in folds["hfold", "cps-sum"].results if isinstance(r, RFun))
         watch.append(weakref.ref(cps.fn))
         return result
 
-    def watching_counter(ctx, max_size, folds):
+    def watching_counter(folds, max_size):
         watch.append(weakref.ref(folds))
-        return counter(ctx, max_size, folds)
+        return counter(folds, max_size)
 
-    def watching_ind(ctx, max_size, folds):
+    def watching_ind(folds, max_size):
         freed_before_ind.append(watch[0]() is None)
-        return ind(ctx, max_size, folds)
+        return ind(folds, max_size)
 
     monkeypatch.setattr(properties, "check_hfold_conformance", watching_conformance)
     monkeypatch.setattr(properties, "check_ind_agreement", watching_ind)
@@ -1010,5 +1016,5 @@ def test_a_function_result_agrees_with_nothing_not_even_itself(monkeypatch, list
     shared = _row_fold_of(lambda row: _FUN)
     for name in ("prepare_ind", "prepare_nfold"):
         monkeypatch.setattr(properties, name, lambda ctx, alg, table: shared)
-    ce = check_ind_agreement(lists, 3).counterexample
+    ce = check_ind_agreement(Folds(lists), 3).counterexample
     assert (ce.lhs, ce.rhs, ce.value) == ("<function>", "<function>", "0")
