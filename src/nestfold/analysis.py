@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .diagnostics import AnalysisError, Diagnostic, Record, _set
+from .diagnostics import AnalysisError, Diagnostic, Record
 from .parser import (
     AGDA_KEYWORDS,
     BASE_TYPES,
@@ -60,9 +60,6 @@ class IVar(Record):
 
     __slots__ = __match_args__ = ("k",)
 
-    def __init__(self, k: int):
-        _ivar_k(self, k)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is IVar:
             return self.k == other.k
@@ -95,7 +92,6 @@ class IApp(Record):
         return self._hash
 
 
-_ivar_k = IVar.k.__set__
 _iapp_ctor, _iapp_args, _iapp_hash = IApp.ctor.__set__, IApp.args.__set__, IApp._hash.__set__
 
 IndexExpr = IVar | IApp
@@ -105,10 +101,6 @@ class MutualGroup(Record):
     """A component's declarations, in source order, and whether it is nested."""
 
     __slots__ = __match_args__ = ("decls", "nested")
-
-    def __init__(self, decls: tuple[str, ...], nested: bool):
-        _set(self, "decls", decls)
-        _set(self, "nested", nested)
 
 
 class GroupContext(Record):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import textwrap
 from itertools import groupby
 
-from .diagnostics import EmitError, Record, _set
+from .diagnostics import EmitError, Record
 from .terms import (
     App,
     Binder,
@@ -46,11 +46,7 @@ WIDTH = 80
 
 class EmitModule(Record):
     __slots__ = __match_args__ = ("name", "defs", "notes")
-
-    def __init__(self, name: str, defs: tuple[DerivedDef, ...], notes: tuple[str, ...] = ()):
-        _set(self, "name", name)
-        _set(self, "defs", defs)
-        _set(self, "notes", notes)
+    _defaults = ((),)
 
 
 def module_for_group(group: DerivedGroup) -> EmitModule:

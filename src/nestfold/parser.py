@@ -35,7 +35,7 @@ them parser layers.
 
 from __future__ import annotations
 
-from .diagnostics import ParseError, Record, _set
+from .diagnostics import ParseError, Record
 
 NAT_MAX = 2**64 - 1
 
@@ -66,47 +66,22 @@ class TVar(Record):
     """A type-parameter occurrence."""
 
     __slots__ = __match_args__ = ("name", "pos")
-
-    def __init__(self, name: str, pos: tuple[int, int] | None = None):
-        _tvar_name(self, name)
-        _tvar_pos(self, pos)
+    _defaults = (None,)
 
 
 class TApp(Record):
     """A declared type constructor applied to zero or more arguments."""
 
     __slots__ = __match_args__ = ("head", "args", "pos")
+    _defaults = ((), None)
 
-    def __init__(
-        self, head: str, args: tuple[TypeExpr, ...] = (), pos: tuple[int, int] | None = None
-    ):
-        _tapp_head(self, head)
-        _tapp_args(self, args)
-        _tapp_pos(self, pos)
-
-
-# TVar and TApp are built once per type node read: each sets its fields
-# through its slot descriptors.
-_tvar_name, _tvar_pos = TVar.name.__set__, TVar.pos.__set__
-_tapp_head, _tapp_args, _tapp_pos = TApp.head.__set__, TApp.args.__set__, TApp.pos.__set__
 
 TypeExpr = TVar | TApp
 
 
 class Constructor(Record):
     __slots__ = __match_args__ = ("name", "args", "result", "pos")
-
-    def __init__(
-        self,
-        name: str,
-        args: tuple[TypeExpr, ...],
-        result: TypeExpr,
-        pos: tuple[int, int] | None = None,
-    ):
-        _set(self, "name", name)
-        _set(self, "args", args)
-        _set(self, "result", result)
-        _set(self, "pos", pos)
+    _defaults = (None,)
 
 
 class TypeDecl(Record):
@@ -115,20 +90,7 @@ class TypeDecl(Record):
 
     __slots__ = ("name", "params", "ctors", "pos", "param_pos")
     __match_args__ = ("name", "params", "ctors", "pos")
-
-    def __init__(
-        self,
-        name: str,
-        params: tuple[str, ...],
-        ctors: tuple[Constructor, ...],
-        pos: tuple[int, int] | None = None,
-        param_pos: tuple[tuple[int, int], ...] = (),
-    ):
-        _set(self, "name", name)
-        _set(self, "params", params)
-        _set(self, "ctors", ctors)
-        _set(self, "pos", pos)
-        _set(self, "param_pos", param_pos)
+    _defaults = (None, ())
 
     def ctor(self, name: str) -> Constructor | None:
         for c in self.ctors:
@@ -149,10 +111,7 @@ def spine_shape(decl: TypeDecl) -> tuple[str, str] | None:
 
 class Program(Record):
     __slots__ = __match_args__ = ("decls", "source")
-
-    def __init__(self, decls: tuple[TypeDecl, ...], source: str = "<input>"):
-        _set(self, "decls", decls)
-        _set(self, "source", source)
+    _defaults = ("<input>",)
 
     def decl(self, name: str) -> TypeDecl | None:
         for d in self.decls:
@@ -320,7 +279,7 @@ def _read(text: str, source: str, target: bool):
                     if t.__class__ is TVar:
                         msg = "a type parameter cannot be applied to arguments"
                         raise _refused(text, source, msg, t.pos, False, lines)
-                    _tapp_args(t, t.args + tuple(args))  # t is not shared yet
+                    t = TApp(t.head, t.args + tuple(args), t.pos)
                     d = d or 1
                     if d > MAX_APPLICATIONS:
                         msg = f"type nests too deeply: {d} applications, at most {MAX_APPLICATIONS}"

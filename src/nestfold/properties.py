@@ -24,7 +24,7 @@ from functools import partial
 from operator import le
 
 from .analysis import GroupContext, IndexExpr, enumerate_indices, render_index
-from .diagnostics import Record, _set
+from .diagnostics import Record
 from .runtime import (
     Algebra,
     RFun,
@@ -54,17 +54,11 @@ from .values import VBase, VCon, Value, render_value
 
 
 class Counterexample(Record):
-    """First failing case of a property, replayable through cmd_eval."""
+    """First failing case of a property, replayable through cmd_eval: value
+    is the failing value as a re-parseable literal, lhs and rhs the two
+    sides' results on it."""
 
     __slots__ = __match_args__ = ("prop", "index", "value", "algebra", "lhs", "rhs")
-
-    def __init__(self, prop: str, index: str, value: str, algebra: str, lhs: str, rhs: str):
-        _set(self, "prop", prop)
-        _set(self, "index", index)
-        _set(self, "value", value)  # re-parseable literal
-        _set(self, "algebra", algebra)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
 
     def lines(self) -> list[str]:
         return [
@@ -78,15 +72,12 @@ class Counterexample(Record):
 
 
 class PropertyResult(Record):
-    __slots__ = __match_args__ = ("name", "cases", "distinct", "counterexample")
+    """One property's outcome: cases counts the comparisons performed,
+    distinct the distinct (value, label) pairs exercised, and counterexample
+    is the first failure, or None."""
 
-    def __init__(
-        self, name: str, cases: int, distinct: int, counterexample: Counterexample | None = None
-    ):
-        _set(self, "name", name)
-        _set(self, "cases", cases)  # comparisons performed
-        _set(self, "distinct", distinct)  # distinct (value, label) pairs exercised
-        _set(self, "counterexample", counterexample)
+    __slots__ = __match_args__ = ("name", "cases", "distinct", "counterexample")
+    _defaults = (None,)
 
     @property
     def ok(self) -> bool:
@@ -95,11 +86,6 @@ class PropertyResult(Record):
 
 class SuiteReport(Record):
     __slots__ = __match_args__ = ("group", "max_size", "results")
-
-    def __init__(self, group: str, max_size: int, results: tuple[PropertyResult, ...]):
-        _set(self, "group", group)
-        _set(self, "max_size", max_size)
-        _set(self, "results", results)
 
     @property
     def ok(self) -> bool:
@@ -269,11 +255,14 @@ class Folds(dict):
     ("ind", alg) at a catalogue algebra (algs), ("map", fname) at identity
     or a MAP_FNS function, ("over", fname, n) the map whose base is ("map",
     fname) at level n, and ("hfold", halg) at a halgs algebra.  A _COUNTED
-    key folds its algebra _counted: own[key] counts its calls at each row."""
+    key folds its algebra _counted: own[key] counts its calls at each row.
+    indices is the suite's index family (_suite_indices), enumerated once
+    for every check that sweeps it."""
 
     def __init__(self, ctx: GroupContext):
         self.ctx, self.table, self.own = ctx, pool_set(ctx, _pool(ctx))[1], {}
         self.algs, self.halgs = catalogue(ctx), halg_catalogue(ctx)
+        self.indices = _suite_indices(ctx)
 
     def __missing__(self, key: tuple) -> RowFold:
         ctx, table, (kind, name, *n) = self.ctx, self.table, key
@@ -312,7 +301,7 @@ def check_equivalence(folds: Folds, max_size: int) -> PropertyResult:
             for name, nfold_prime in primes.items()
             for depth, fold in [nfold_prime(idx)]
         ])
-        for idx, values, rows, size in _values(ctx, _suite_indices(ctx), max_size)
+        for idx, values, rows, size in _values(ctx, folds.indices, max_size)
     ), ctx)
 
 
@@ -321,7 +310,7 @@ def check_map_identity(folds: Folds, max_size: int) -> PropertyResult:
     ctx, identity = folds.ctx, folds["map", "identity"]
     return _sweep("map-identity", (
         (idx, values, [("identity", _rows(identity, rows), (list(values), None))])
-        for idx, values, rows, _ in _values(ctx, _suite_indices(ctx), max_size)
+        for idx, values, rows, _ in _values(ctx, folds.indices, max_size)
     ), ctx)
 
 
@@ -412,7 +401,7 @@ def check_ind_agreement(folds: Folds, max_size: int) -> PropertyResult:
     runs = [(name, folds["ind", name], folds["nfold", name]) for name in folds.algs]
     return _sweep("ind-agreement", (
         (idx, values, [(name, _rows(ind, rows), _rows(nfold, rows)) for name, ind, nfold in runs])
-        for idx, values, rows, _ in _values(ctx, _suite_indices(ctx), max_size)
+        for idx, values, rows, _ in _values(ctx, folds.indices, max_size)
     ), ctx)
 
 
@@ -464,7 +453,7 @@ def check_call_counter(folds: Folds, max_size: int) -> PropertyResult:
         return counts[rows.start : rows.stop], fold.error
 
     def chunks():
-        for idx, values, rows, size in _values(ctx, _suite_indices(ctx), max_size):
+        for idx, values, rows, size in _values(ctx, folds.indices, max_size):
             bounds = ([size] * len(values), None)
             yield idx, values, [
                 (label, counted(fold, own, counts, rows), bounds)

@@ -52,7 +52,7 @@ from .analysis import (
     IVar,
     index_depth,
 )
-from .diagnostics import Diagnostic, EvalError, GuardExceeded, Record, _set
+from .diagnostics import Diagnostic, EvalError, GuardExceeded, Record
 from .parser import NAT_MAX
 from .values import Atom, Value, VBase, VCon, render_value, value_size
 
@@ -133,11 +133,6 @@ class Algebra(Record):
     __slots__ = __match_args__ = ("name", "bases", "methods")
     _compared = ("name",)
 
-    def __init__(self, name: str, bases: dict[int, Callable], methods: dict[str, Callable]):
-        _set(self, "name", name)
-        _set(self, "bases", bases)
-        _set(self, "methods", methods)
-
 
 class HAlgebra(Record):
     """A higher-order fold algebra plus finish, which makes its results
@@ -146,11 +141,6 @@ class HAlgebra(Record):
 
     __slots__ = __match_args__ = ("name", "methods", "finish")
     _compared = ("name",)
-
-    def __init__(self, name: str, methods: dict[str, Callable], finish: Callable):
-        _set(self, "name", name)
-        _set(self, "methods", methods)
-        _set(self, "finish", finish)
 
 
 def check_algebra(ctx: GroupContext, alg: Algebra) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Set as AbstractSet
 
 from .analysis import GroupContext
-from .diagnostics import DerivationError, EmitError, Record, _set
+from .diagnostics import DerivationError, EmitError, Record
 from .parser import AGDA_KEYWORDS
 
 # ---------------------------------------------------------------------------
@@ -34,37 +34,22 @@ from .parser import AGDA_KEYWORDS
 class Var(Record):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
 
 class App(Record):
     """Application with a flattened argument spine."""
 
     __slots__ = __match_args__ = ("fn", "args")
 
-    def __init__(self, fn: Term, args: tuple[Term, ...]):
-        _set(self, "fn", fn)
-        _set(self, "args", args)
-
 
 class Lam(Record):
     __slots__ = __match_args__ = ("params", "body")
-
-    def __init__(self, params: tuple[str, ...], body: Term):
-        _set(self, "params", params)
-        _set(self, "body", body)
 
 
 class Binder(Record):
     """A named function-space segment; type None renders as a bare forall."""
 
     __slots__ = __match_args__ = ("names", "type", "implicit")
-
-    def __init__(self, names: tuple[str, ...], type: Term | None, implicit: bool = False):
-        _set(self, "names", names)
-        _set(self, "type", type)
-        _set(self, "implicit", implicit)
+    _defaults = (False,)
 
 
 class Pi(Record):
@@ -72,27 +57,18 @@ class Pi(Record):
 
     __slots__ = __match_args__ = ("segments",)
 
-    def __init__(self, segments: tuple[Binder | Term, ...]):
-        _set(self, "segments", segments)
-
 
 Term = Var | App | Lam | Pi
 
 
 class PVar(Record):
     __slots__ = __match_args__ = ("name", "implicit")
-
-    def __init__(self, name: str, implicit: bool = False):
-        _set(self, "name", name)
-        _set(self, "implicit", implicit)
+    _defaults = (False,)
 
 
 class PCon(Record):
     __slots__ = __match_args__ = ("head", "args")
-
-    def __init__(self, head: str, args: tuple[Pattern, ...] = ()):
-        _set(self, "head", head)
-        _set(self, "args", args)
+    _defaults = ((),)
 
 
 Pattern = PVar | PCon
@@ -100,53 +76,24 @@ Pattern = PVar | PCon
 
 class Clause(Record):
     __slots__ = __match_args__ = ("patterns", "body", "wheres")
-
-    def __init__(
-        self, patterns: tuple[Pattern, ...], body: Term, wheres: tuple[DerivedDef, ...] = ()
-    ):
-        _set(self, "patterns", patterns)
-        _set(self, "body", body)
-        _set(self, "wheres", wheres)
+    _defaults = ((),)
 
 
 class DataDecl(Record):
     __slots__ = __match_args__ = ("params", "ctors", "forward")
-
-    def __init__(
-        self, params: tuple[str, ...], ctors: tuple[tuple[str, Term], ...], forward: bool = False
-    ):
-        _set(self, "params", params)
-        _set(self, "ctors", ctors)
-        _set(self, "forward", forward)
+    _defaults = (False,)
 
 
 class DerivedDef(Record):
     """One emitted definition: a data declaration or a signature plus clauses."""
 
     __slots__ = __match_args__ = ("name", "role", "signature", "clauses", "data")
-
-    def __init__(
-        self,
-        name: str,
-        role: str,
-        signature: Term | None = None,
-        clauses: tuple[Clause, ...] = (),
-        data: DataDecl | None = None,
-    ):
-        _set(self, "name", name)
-        _set(self, "role", role)
-        _set(self, "signature", signature)
-        _set(self, "clauses", clauses)
-        _set(self, "data", data)
+    _defaults = (None, (), None)
 
 
 class DerivedGroup(Record):
     __slots__ = __match_args__ = ("name", "defs", "notes")
-
-    def __init__(self, name: str, defs: tuple[DerivedDef, ...], notes: tuple[str, ...] = ()):
-        _set(self, "name", name)
-        _set(self, "defs", defs)
-        _set(self, "notes", notes)
+    _defaults = ((),)
 
 
 SET = Var("Set")

@@ -15,7 +15,7 @@ compile it.
 
 from __future__ import annotations
 
-from .diagnostics import Record, _set
+from .diagnostics import Record
 from .parser import (
     KEYWORDS,
     NAT_MAX,
@@ -38,9 +38,6 @@ class Atom(Record):
 
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
     def __str__(self) -> str:
         return f"'{self.name}"
 
@@ -54,10 +51,7 @@ Payload = int | Atom
 
 class VBase(Record):
     __slots__ = __match_args__ = ("payload", "pos")
-
-    def __init__(self, payload: Payload, pos: tuple[int, int] | None = None):
-        _vbase_payload(self, payload)
-        _vbase_pos(self, pos)
+    _defaults = (None,)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is VBase:
@@ -69,13 +63,7 @@ class VBase(Record):
 
 class VCon(Record):
     __slots__ = __match_args__ = ("ctor", "args", "pos")
-
-    def __init__(
-        self, ctor: str, args: tuple[Value, ...] = (), pos: tuple[int, int] | None = None
-    ):
-        _vcon_ctor(self, ctor)
-        _vcon_args(self, args)
-        _vcon_pos(self, pos)
+    _defaults = ((), None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is VCon:
@@ -84,9 +72,6 @@ class VCon(Record):
 
     __hash__ = Record.__hash__
 
-
-_vbase_payload, _vbase_pos = VBase.payload.__set__, VBase.pos.__set__
-_vcon_ctor, _vcon_args, _vcon_pos = VCon.ctor.__set__, VCon.args.__set__, VCon.pos.__set__
 
 Value = VBase | VCon
 

@@ -2,6 +2,7 @@
 that it cannot be changed."""
 
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -224,3 +225,62 @@ def test_reprs_are_unchanged():
         "))), body=App(fn=Var(name='f'), args=(Lam(params=('z',), body=Var(name='z')),)), "
         "wheres=()),), data=None)"
     )
+
+
+#: The records that write their own __init__: IApp computes its hash, and
+#: GroupContext has no slots.
+HAND_WRITTEN = {IApp, GroupContext}
+
+_BUILT = [r for r in _samples((1, 1)) if type(r) not in HAND_WRITTEN]
+
+
+def _fields(r):
+    return {n: getattr(r, n) for n in type(r).__slots__}
+
+
+@pytest.mark.parametrize("r", _BUILT, ids=lambda r: type(r).__name__)
+def test_positional_and_keyword_construction_agree(r):
+    cls, fields = type(r), _fields(r)
+    by_position, by_keyword = cls(*fields.values()), cls(**fields)
+    assert by_position == by_keyword == r
+    assert _fields(by_position) == _fields(by_keyword) == fields
+
+
+@pytest.mark.parametrize("r", _BUILT, ids=lambda r: type(r).__name__)
+def test_left_out_fields_read_back_their_defaults(r):
+    cls, values = type(r), list(_fields(r).values())
+    required = len(values) - len(cls._defaults)
+    built = cls(*values[:required])
+    assert tuple(_fields(built).values())[required:] == cls._defaults
+    assert tuple(_fields(built).values())[:required] == tuple(values[:required])
+
+
+@pytest.mark.parametrize("r", _BUILT, ids=lambda r: type(r).__name__)
+def test_a_wrong_argument_count_is_refused(r):
+    cls, values = type(r), list(_fields(r).values())
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values[: len(values) - len(cls._defaults) - 1])
+    with pytest.raises(TypeError):
+        cls(*values, **{cls.__slots__[0]: values[0]})
+
+
+@pytest.mark.parametrize("cls", MATCH_ARGS, ids=lambda c: c.__name__)
+def test_the_constructor_is_named_for_its_class(cls):
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+def test_only_two_records_write_their_own_constructor():
+    """Record builds every other __init__ from source it compiles, not in a
+    module file; and no module keeps a field setter for one."""
+    written = {c for c in MATCH_ARGS if c.__init__.__code__.co_filename.endswith(".py")}
+    assert written == HAND_WRITTEN
+    for path in sorted((ROOT / "src" / "nestfold").glob("*.py")):
+        module = importlib.import_module(f"nestfold.{path.stem}".removesuffix(".__init__"))
+        assert not hasattr(module, "_set"), path.name
+        text = path.read_text()
+        assert not re.search(r"\b_set\b", text), path.name
+        aliases = [ln for ln in text.splitlines() if ".__set__" in ln and not ln.startswith(" ")]
+        assert all(ln.startswith("_iapp_") for ln in aliases), aliases
