@@ -10,8 +10,10 @@ handed; run_suite builds one store per suite and walks one roster of checks.
 A property sweeps chunks, not cases: a chunk is one non-empty (index, size)
 pool, and the property hands _sweep one pair of columns per label, its two
 sides' results over the chunk's values.  A side on rows is a slice of a row
-fold read off the store; a per-value oracle (nfold', the direct hfold and
-hmap, the list oracle, unfolded, finish) is mapped over the values.
+fold read off the store; a per-value oracle (the direct hfold and hmap, the
+list oracle, unfolded, finish) is mapped over the values.  nfold' is mapped
+in two steps: its lift, which takes no algebra, over a chunk's values once,
+and each algebra's PS-to-P over the lifted column.
 call-counter-bound counts the method calls of the row folds it shares with
 the others, which count their calls per row, and bounds them by the chunk's
 size.
@@ -27,6 +29,7 @@ from .analysis import GroupContext, IndexExpr, enumerate_indices, render_index
 from .diagnostics import Record
 from .runtime import (
     Algebra,
+    PS,
     RFun,
     RowFold,
     catalogue,
@@ -41,10 +44,11 @@ from .runtime import (
     nat_of,
     pool_set,
     prepare_ind,
+    prepare_lift,
     prepare_map,
     prepare_map_over,
     prepare_nfold,
-    prepare_nfold_prime,
+    prepare_ps_to_p,
 )
 from .values import VBase, VCon, Value, render_value
 
@@ -171,10 +175,11 @@ def _map(f: Callable, xs: Iterable, error: Exception | None = None) -> Column:
 
 
 def _agree(lhs: list, rhs: list) -> bool:
-    """Naturals, trees and values agree when equal; functions never do, not
-    even one function with itself.  Compares two columns pairwise."""
+    """Naturals, trees and values agree when equal; functions (an RFun, or a
+    PS node unapplied) never do, not even one function with itself.
+    Compares two columns pairwise."""
     kinds = {*map(type, lhs), *map(type, rhs)}
-    return not any(issubclass(k, RFun) for k in kinds) and lhs == rhs
+    return not any(issubclass(k, (RFun, PS)) for k in kinds) and lhs == rhs
 
 
 def _sweep(
@@ -291,17 +296,19 @@ class Folds(dict):
 
 
 def check_equivalence(folds: Folds, max_size: int) -> PropertyResult:
-    """nfold and the function-space route agree on every case."""
-    ctx = folds.ctx
-    primes = {name: prepare_nfold_prime(ctx, alg) for name, alg in folds.algs.items()}
+    """nfold and the function-space route agree on every case.  The lift
+    takes no algebra, so each chunk's values are lifted once, into one
+    column, and every algebra's PS-to-P peels that column."""
+    ctx, lift_at = folds.ctx, prepare_lift(folds.ctx)
+    peels = {name: prepare_ps_to_p(ctx, alg) for name, alg in folds.algs.items()}
     return _sweep("nfold-vs-nfold-prime", (
         (idx, values, [
-            (name, _rows(folds["nfold", name], rows),
-             _map(partial(fold, limit=guard(size, depth)), values))
-            for name, nfold_prime in primes.items()
-            for depth, fold in [nfold_prime(idx)]
+            (name, _rows(folds["nfold", name], rows), _map(partial(peel, depth), *lifted))
+            for name, peel in peels.items()
         ])
         for idx, values, rows, size in _values(ctx, folds.indices, max_size)
+        for depth, lift in [lift_at(idx)]
+        for lifted in [_map(partial(lift, limit=guard(size, depth)), values)]
     ), ctx)
 
 

@@ -4,8 +4,8 @@ Typing, nfold, ind and enumeration place constructor arguments at their
 indices by one rule, GroupContext.ctors_at, which substitutes each (index,
 constructor) pair once, when it is first met.  A fold result
 (RuntimeResult) has one representation per carrier: a natural is a Python
-int, a value tree is the Value itself, and a function is an RFun, which is
-only ever observed by application.
+int, a value tree is the Value itself, and a function is an RFun or, at
+fold-PS's carrier, a PS node; each is only ever observed by application.
 
 `nestfold eval` places each node of its value once: typecheck_value types
 the value in one explicit-stack walk and lists its (index, node) pairs on a
@@ -33,8 +33,11 @@ derived routes, so they are not memoized and pay per node, reading a node's
 class, constructor and arity once.  Each recursion exists once (_hfold,
 _hybrid_map), over hybrid trees whose payload slots hold a value or a
 carrier result: wrap reads a natural VBase(n) as n and anything else as
-itself.  _lift and _ps_to_p are module-level functions, so an evaluation
-leaves no reference cycle behind.  A depth guard turns an evaluator bug into
+itself.  The PS carrier is defunctionalised: fold-PS builds first-order PS
+nodes, which one interpreter, _run_ps, applies at a level and a continuation
+frame, so the lift (prepare_lift) takes no algebra; PS-to-P does.  _lift,
+_ps_to_p and _run_ps are module-level functions, so an evaluation leaves no
+reference cycle behind.  A depth guard turns an evaluator bug into
 GuardExceeded instead of a hang; its budget is guard(size, index depth), the
 size measured by default_guard for a value evaluated alone and known from
 the enumeration in the suite.
@@ -42,6 +45,7 @@ the enumeration in the suite.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from collections.abc import Callable
 
@@ -62,9 +66,9 @@ from .values import Atom, Value, VBase, VCon, render_value, value_size
 
 
 class RFun:
-    """A function result.  A plain slotted class, not a Record: the PS
-    carrier builds several per node with one plain assignment each, and a
-    function result is never compared."""
+    """A function result, such as cps-sum's.  A plain slotted class, not a
+    Record: it is built with one plain assignment, and a function result is
+    never compared."""
 
     __slots__ = ("fn",)
 
@@ -80,7 +84,19 @@ class RFun:
         return "<function>"
 
 
-RuntimeResult = int | Value | RFun
+class PS:
+    """A fold-PS result, cons x xs or (xs None) leaf: a function of a level and
+    a continuation that only _run_ps applies, never compared, like an RFun."""
+
+    __slots__ = ("x", "xs")
+
+    def __init__(self, x=None, xs=None):
+        self.x, self.xs = x, xs
+
+    __eq__, __hash__, __str__ = RFun.__eq__, None, RFun.__str__
+
+
+RuntimeResult = int | Value | RFun | PS
 
 
 def nat_add(m: int, n: int) -> int:
@@ -104,7 +120,7 @@ def wrap(x: Value | RuntimeResult) -> RuntimeResult:
 def as_value(r: RuntimeResult) -> Value:
     if isinstance(r, int):
         return VBase(r)
-    if isinstance(r, RFun):
+    if isinstance(r, (RFun, PS)):
         raise EvalError("a function result has no value form; apply it first")
     return r
 
@@ -473,85 +489,78 @@ def eval_hmap_direct(ctx: GroupContext, f: Callable, v: Value, limit: int | None
 # nfold' — the round trip through the function-space carrier
 
 
-def prepare_nfold_prime(ctx: GroupContext, alg: Algebra):
-    """nfold' at alg (see eval_nfold_prime), its algebra checked and its
-    fold-PS methods built once.  Given a level index, it returns the index's
-    depth and the fold (value, guard limit) -> result there."""
-    check_algebra(ctx, alg)
+def prepare_lift(ctx: GroupContext):
+    """liftNTimes hmap fold-PS, the part of nfold' that takes no algebra.
+    Given a level index, it returns the index's depth d and the lift
+    (value, guard limit) -> the value lifted d levels."""
     nil, cons = _bush(ctx, "the function-space route")
-    leaf, node = _ps_methods(ctx, alg, nil, cons)
 
     def at(idx: IndexExpr):
         depth = index_depth(idx)
         if idx != ctx.level(depth):
             raise EvalError("index must be an iterated application over the base slot")
-        def fold(v: Value, limit: int) -> RuntimeResult:
-            return _ps_to_p(alg, depth, _lift(leaf, node, nil, cons, depth, v, limit))
-
-        return depth, fold
+        return depth, partial(_lift, nil, cons, depth)
 
     return at
 
 
-def eval_nfold_prime(ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value) -> RuntimeResult:
-    """nfold' = PS-to-P . liftNTimes hmap fold-PS, as the PS bridge derives it.
-
-    fold-PS is the direct hfold at the PS carrier: a function taking a level
-    number and a continuation for the level below.  Lifting maps fold-PS
-    through every level of the value, and PS-to-P peels the levels off.
-    """
-    depth, fold = prepare_nfold_prime(ctx, alg)(idx)
-    return fold(v, default_guard(v, depth))
-
-
-def _ps_methods(ctx: GroupContext, alg: Algebra, nil: str, cons: str):
-    """fold-PS's leaf and node methods at alg: results at the PS carrier."""
-    levels: dict[int, tuple[IndexExpr]] = {}
+def prepare_ps_to_p(ctx: GroupContext, alg: Algebra):
+    """PS-to-P at alg, its algebra checked once: (m, lifted) -> the result of
+    peeling m levels off a value lifted m levels (see prepare_lift)."""
+    check_algebra(ctx, alg)
+    nil, cons = _bush(ctx, "the function-space route")
+    levels: dict[int, tuple[IndexExpr]] = {}  # a method's index arguments, by level
 
     def level(n: RuntimeResult) -> tuple[IndexExpr]:
-        """The index arguments of a method at level n, built once per level."""
         k = nat_of(n)
         args = levels.get(k)
         if args is None:
             args = levels[k] = (ctx.level(k),)
         return args
 
-    def leaf() -> RuntimeResult:
-        # λ i tr → leaf' i
-        return RFun(lambda n: RFun(lambda tr: alg.methods[nil](level(n), ())))
-
-    def node(x: RuntimeResult, xs: RuntimeResult) -> RuntimeResult:
-        # λ x xs i tr → cons' i (tr x) (xs (succ i) (λ f → f i tr))
-        def at_level(n):
-            def with_continuation(tr):
-                r1 = apply_result(tr, x)
-                deeper = apply_result(
-                    apply_result(xs, nat_succ(nat_of(n))),
-                    RFun(lambda f: apply_result(apply_result(f, n), tr)),
-                )
-                return alg.methods[cons](level(n), (r1, deeper))
-
-            return RFun(with_continuation)
-
-        return RFun(at_level)
-
-    return leaf, node
+    return partial(_ps_to_p, (alg.methods[nil], alg.methods[cons], alg.bases[0], level))
 
 
-def _lift(leaf, node, nil, cons, d, t, limit):
+def eval_nfold_prime(ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value) -> RuntimeResult:
+    """nfold' = PS-to-P . liftNTimes hmap fold-PS, as the PS bridge derives it:
+    fold-PS is the direct hfold at the PS carrier (a function of a level and
+    a continuation for the level below), lifting maps it through every level
+    of v, and PS-to-P, the one step that takes alg, peels the levels off."""
+    ps_to_p = prepare_ps_to_p(ctx, alg)
+    depth, lift = prepare_lift(ctx)(idx)
+    return ps_to_p(depth, lift(v, default_guard(v, depth)))
+
+
+def _lift(nil, cons, d, t, limit):
     """liftNTimes hmap fold-PS at d levels: every entry of t lifted at
-    d - 1 levels, then t folded at the PS carrier."""
+    d - 1 levels, then t folded at the PS carrier into PS nodes."""
     if d == 0:
         return t
-    lift = lambda s: _lift(leaf, node, nil, cons, d - 1, s, limit)
-    return _hfold(leaf, node, _hybrid_map(lift, t, nil, cons, 1, limit), nil, cons, 0, limit)
+    lift = lambda s: _lift(nil, cons, d - 1, s, limit)
+    return _hfold(PS, PS, _hybrid_map(lift, t, nil, cons, 1, limit), nil, cons, 0, limit)
 
 
-def _ps_to_p(alg, m, x) -> RuntimeResult:
-    """PS-to-P: peel m levels off a PS-carrier result x."""
+def _ps_to_p(methods: tuple, m: int, x) -> RuntimeResult:
+    """PS-to-P at methods, a (leaf method, cons method, base function, level)
+    tuple: peel m levels off a PS-carrier result x."""
     if m == 0:
-        return alg.bases[0](as_value(x))
-    return apply_result(apply_result(x, m - 1), RFun(lambda r: _ps_to_p(alg, m - 1, r)))
+        return methods[2](as_value(x))
+    return _run_ps(methods, x, m - 1, m - 1)
+
+
+def _run_ps(methods: tuple, p: PS, n: RuntimeResult, tr) -> RuntimeResult:
+    """Apply p at level n to the continuation tr, by fold-PS's clauses:
+    leaf n tr = l n, and cons x xs n tr = c n (tr x) (xs (succ n) (λ f → f n tr)).
+    A continuation is a frame: a down frame (n, tr) is λ f → f n tr, and a
+    natural m is PS-to-P's peel of m levels."""
+    if p.__class__ is not PS:
+        raise EvalError("applied a non-function result")
+    leaf, cons, _, level = methods
+    if p.xs is None:
+        return leaf(level(n), ())
+    r1 = _run_ps(methods, p.x, *tr) if tr.__class__ is tuple else _ps_to_p(methods, tr, p.x)
+    deeper = _run_ps(methods, p.xs, nat_succ(nat_of(n)), (n, tr))
+    return cons(level(n), (r1, deeper))
 
 
 # ---------------------------------------------------------------------------

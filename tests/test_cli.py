@@ -1220,7 +1220,7 @@ def test_counterexample_is_printed_on_failure(capsys, monkeypatch):
     import nestfold.properties as properties
 
     monkeypatch.setattr(
-        properties, "prepare_nfold_prime", lambda ctx, alg: lambda idx: (0, lambda v, limit: 10**9)
+        properties, "prepare_ps_to_p", lambda ctx, alg: lambda depth, lifted: 10**9
     )
     code, out, err = run(capsys, "test", SAMPLES / "bush.ndt", "--max-size", "3")
     assert code == 1

@@ -29,11 +29,12 @@ from nestfold.properties import (
 )
 import nestfold.properties as properties
 import nestfold.runtime as runtime
-from nestfold.diagnostics import EvalError
+from nestfold import cli
+from nestfold.diagnostics import EvalError, GuardExceeded
 from nestfold.runtime import RFun
 
 from test_derivation import BUSHES, PROBES, SHAPES, SOURCES
-from test_parser import BOBDYLAN, BUSH, LIST
+from test_parser import BOBDYLAN, BUSH, LIST, SAMPLES
 from test_runtime import _cases, _counted
 
 
@@ -42,8 +43,8 @@ def _row_fold_of(f):
     return runtime.RowFold(lambda rs, stop: rs.extend(map(f, range(len(rs), stop))))
 
 
-#: A prepared nfold' that answers 10**9 on every value.
-_BILLION = lambda ctx, alg: lambda idx: (0, lambda v, limit: 10**9)
+#: A prepared PS-to-P, the last step of nfold', that answers 10**9 on every value.
+_BILLION = lambda ctx, alg: lambda depth, lifted: 10**9
 
 
 @pytest.fixture(scope="module")
@@ -331,7 +332,7 @@ def test_counterexample_lines_are_labelled():
 
 
 def test_broken_evaluator_yields_a_replayable_counterexample(bush, monkeypatch):
-    monkeypatch.setattr(properties, "prepare_nfold_prime", _BILLION)
+    monkeypatch.setattr(properties, "prepare_ps_to_p", _BILLION)
     r = check_equivalence(Folds(bush), 4)
     assert not r.ok
     ce = r.counterexample
@@ -358,9 +359,25 @@ def test_broken_map_is_caught(bush, monkeypatch):
 
 
 def test_failure_stops_the_sweep_early(bush, monkeypatch):
-    monkeypatch.setattr(properties, "prepare_nfold_prime", _BILLION)
+    monkeypatch.setattr(properties, "prepare_ps_to_p", _BILLION)
     r = check_equivalence(Folds(bush), 7)
     assert r.cases == 1
+
+
+def test_an_unapplied_lift_agrees_with_nothing(bush, monkeypatch):
+    # A PS node is a function of a level and a continuation: a PS-to-P that
+    # hands back the lifted value without applying it returns a function,
+    # which is reported, not compared structurally and not raised.
+    real = properties.prepare_ps_to_p
+    monkeypatch.setattr(properties, "prepare_ps_to_p", lambda ctx, alg: (
+        lambda ps_to_p: lambda depth, lifted: lifted if depth else ps_to_p(depth, lifted)
+    )(real(ctx, alg)))
+    r = check_equivalence(Folds(bush), 4)
+    assert (r.cases, r.counterexample) == (13, Counterexample(
+        "nfold-vs-nfold-prime", "BushC varA", "leaf", "sum", "0", "<function>"
+    ))
+    node = runtime.PS()
+    assert not properties._agree([node], [node])
 
 
 def test_passing_suites_render_nothing(bush, lists, bobdylan, monkeypatch):
@@ -427,14 +444,14 @@ def test_reports_are_frozen_dataclasses(bush_report):
 
 
 def _leaf_instead(real):
-    """Evaluate the empty bush wherever the value argument was a bush."""
+    """Lift the empty bush wherever the value argument was a bush."""
 
-    def prepare(ctx, alg):
-        at = real(ctx, alg)
+    def prepare(ctx):
+        at = real(ctx)
 
         def leaf_at(idx):
-            depth, fold = at(idx)
-            return depth, lambda v, limit: fold(VCon("leaf") if isinstance(v, VCon) else v, limit)
+            depth, lift = at(idx)
+            return depth, lambda v, limit: lift(VCon("leaf") if isinstance(v, VCon) else v, limit)
 
         return leaf_at
 
@@ -482,7 +499,7 @@ def _refold_last_argument(real):
 
 SABOTAGE = [
     pytest.param(
-        "bush", "check_equivalence", 5, "prepare_nfold_prime", _leaf_instead,
+        "bush", "check_equivalence", 5, "prepare_lift", _leaf_instead,
         18, Counterexample(
             "nfold-vs-nfold-prime", "BushC varA", "cons 0 leaf", "depth", "1", "0"
         ),
@@ -750,6 +767,9 @@ _PREPARED_BY = {
     "ind": "prepare_ind", "over": "prepare_map_over",
 }
 
+#: The two halves of nfold', which nfold-vs-nfold-prime prepares outside the store.
+_NFOLD_PRIME = ("prepare_lift", "prepare_ps_to_p")
+
 
 def _prepared_by(key):
     # The identity map is counted, so it is nfold at its map algebra.
@@ -773,7 +793,7 @@ _CHECK_OF = {
 @pytest.fixture(scope="module", params=_STORED)
 def watched_suite(request):
     """One suite on a fresh context, with what it prepared: each prepare_*
-    call by name (and its algebra's name, for nfold'), each catalogue built,
+    call by name (and its algebra's name, for PS-to-P), each catalogue built,
     each key its fold store filled in, and the RowFold.fill calls made
     inside call-counter-bound."""
     (ctx,) = analyze(parse_program(SOURCES[request.param]))
@@ -786,10 +806,10 @@ def watched_suite(request):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(properties, "Folds", Recording)
-        for name in {*_PREPARED_BY.values(), "prepare_nfold_prime"}:
+        for name in {*_PREPARED_BY.values(), *_NFOLD_PRIME}:
             real = getattr(properties, name)
             patch.setattr(properties, name, lambda *a, name=name, real=real: (
-                prepared.append((name, a[1].name if name == "prepare_nfold_prime" else None))
+                prepared.append((name, a[1].name if name == "prepare_ps_to_p" else None))
                 or real(*a)
             ))
         for name in ("catalogue", "halg_catalogue"):
@@ -815,18 +835,77 @@ def test_a_suite_prepares_each_fold_once(watched_suite):
     # Each key is filled in once, by one prepare_* call, and no fold is
     # prepared outside the store.
     assert len(keys) == len(set(keys))
-    assert Counter(name for name, _ in prepared if name != "prepare_nfold_prime") == Counter(
+    assert Counter(name for name, _ in prepared if name not in _NFOLD_PRIME) == Counter(
         map(_prepared_by, keys)
     )
-    # nfold' is prepared once per algebra, by nfold-vs-nfold-prime alone.
-    primes = [alg for name, alg in prepared if name == "prepare_nfold_prime"]
+    # nfold' is prepared by nfold-vs-nfold-prime alone: its lift, which takes
+    # no algebra, once, and its PS-to-P once per algebra.
+    lifts = [name for name, _ in prepared if name == "prepare_lift"]
+    primes = [alg for name, alg in prepared if name == "prepare_ps_to_p"]
     bushy = "nfold-vs-nfold-prime" in [r.name for r in report.results]
+    assert len(lifts) == bushy
     assert sorted(primes) == (sorted(runtime.catalogue(ctx)) if bushy else [])
     # Each catalogue is built once, with the store, and every check reads it there.
     assert sorted(catalogues) == ["catalogue", "halg_catalogue"]
     # call-counter-bound counts the folds the other properties filled.
     assert {("nfold", "sum"), ("ind", "sum"), ("map", "identity")} <= set(keys)
     assert fills == []
+
+
+def test_the_suite_lifts_each_swept_value_once(bush, monkeypatch):
+    # The lift takes no algebra, so nfold-vs-nfold-prime lifts a value once
+    # and peels it at every algebra.
+    real, lifted = properties.prepare_lift, []
+
+    def counted(ctx):
+        at = real(ctx)
+
+        def counted_at(idx):
+            depth, lift = at(idx)
+            return depth, lambda v, limit: lifted.append((idx, id(v))) or lift(v, limit)
+
+        return counted_at
+
+    monkeypatch.setattr(properties, "prepare_lift", counted)
+    r = run_suite(bush, 8).result("nfold-vs-nfold-prime")
+    algs = len(runtime.catalogue(bush))
+    # one lift per (index, value) case, and the cases and distinct counts of bush@8
+    assert (len(lifted), len(set(lifted))) == (131, 131)
+    assert (r.cases, r.distinct) == (131 * algs, 125 * algs)
+
+
+def test_a_raising_lift_ends_every_algebras_column_at_its_value(bush, capsys, monkeypatch):
+    # With a guard of 0 the first lift below the base level raises; every
+    # algebra's column ends there with that one exception, and the check,
+    # the suite and the command raise and report it as they did when each
+    # algebra lifted the value itself.
+    columns = []
+    real_sweep = properties._sweep
+
+    def watched(name, chunks, ctx, **kw):
+        def seen():
+            for place, values, cols in chunks:
+                columns.append((place, len(values), [(label, rhs) for label, _, rhs in cols]))
+                yield place, values, cols
+
+        return real_sweep(name, seen(), ctx, **kw)
+
+    monkeypatch.setattr(properties, "_sweep", watched)
+    monkeypatch.setattr(properties, "guard", lambda size, idx_depth=0: 0)
+    with pytest.raises(GuardExceeded, match="depth exceeded 0; this is a bug") as raised:
+        check_equivalence(Folds(bush), 5)
+    place, n, rhs = columns[-1]
+    assert (place, n) == (bush.level(1), 1)
+    assert [(label, results, error) for label, (results, error) in rhs] == [
+        (label, [], raised.value) for label in runtime.catalogue(bush)
+    ]
+    # the chunks before it, at the base level, are whole
+    assert all(len(col[0]) == m for _, m, cols in columns[:-1] for _, col in cols)
+    code = cli.main(["test", str(SAMPLES / "bush.ndt"), "--max-size", "5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: {raised.value}\n"
+    assert str(raised.value).startswith("direct-recursion depth exceeded 0;")
 
 
 def test_a_check_alone_reports_what_it_reports_in_the_suite(watched_suite):

@@ -9,7 +9,9 @@ from going unnoticed.
 
 import gc
 import itertools
+import json
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -40,15 +42,24 @@ from nestfold.runtime import (
     nat_succ,
     pool_set,
     prepare_ind,
+    prepare_lift,
     prepare_map,
     prepare_map_over,
     prepare_nfold,
-    prepare_nfold_prime,
+    prepare_ps_to_p,
     typecheck_value,
     wrap,
 )
+import nestfold.properties as properties
 import nestfold.runtime as runtime
-from nestfold.properties import Folds, _ignore_values, _pool, _suite_indices, _values
+from nestfold.properties import (
+    Folds,
+    _ignore_values,
+    _pool,
+    _suite_indices,
+    _values,
+    check_equivalence,
+)
 
 from test_derivation import PROBES
 from test_parser import BOBDYLAN, BUSH, DEEP_BUSH, LIST, SAMPLES, _bush_values
@@ -333,7 +344,7 @@ def test_an_incomplete_algebra_is_rejected_by_every_fold(bush, bush1, drop, mess
         # a prepared fold is refused before it is given any row
         lambda: prepare_nfold(bush, alg, []),
         lambda: prepare_ind(bush, _ignore_values(alg), []),
-        lambda: prepare_nfold_prime(bush, alg),
+        lambda: prepare_ps_to_p(bush, alg),
     ]
     if drop == "base":
         folds.append(lambda: prepare_map(bush, bases, []))
@@ -914,24 +925,52 @@ def test_nfold_prime_at_base_index_equals_nfold(bush):
 
 
 def test_nfold_prime_agrees_with_nfold_on_a_sample(bush):
-    for d in range(3):
+    algs, cases = catalogue(bush).values(), 0
+    for d in range(4):
         idx = bushc(d)
-        for alg in catalogue(bush).values():
-            for v in enumerate_values(bush, idx, POOL3, 3):
-                assert eval_nfold_prime(bush, alg, idx, v) == eval_nfold(
-                    bush, alg, idx, v
-                )
+        for alg in algs:
+            for v in enumerate_values(bush, idx, POOL3, 5):
+                assert eval_nfold_prime(bush, alg, idx, v) == eval_nfold(bush, alg, idx, v)
+                cases += 1
+    # the values of nfold-vs-nfold-prime at size 5, at sum, depth, trace and length
+    assert (cases, len(algs)) == (29 * 4, 4)
+
+
+#: The (constructor, level, rendered arguments) of every method call, and
+#: ("base", None, [rendered value]) of every base call, that each catalogue
+#: algebra received from nfold' on a few values at levels 1 to 3, frozen
+#: from the closure-built PS carrier this one replaced.
+NFOLD_PRIME_TRACE = json.loads((Path(__file__).parent / "nfold_prime_trace.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(NFOLD_PRIME_TRACE["traces"]))
+def test_nfold_prime_calls_each_method_as_the_closure_carrier_did(bush, name):
+    alg = catalogue(bush)[name]
+    for key, frozen in NFOLD_PRIME_TRACE["traces"][name].items():
+        depth, literal = key.split(":", 1)
+        calls = []
+        spy = Algebra(name, bases={
+            k: (lambda b: lambda w: calls.append(["base", None, [render_value(w)]]) or b(w))(b)
+            for k, b in alg.bases.items()
+        }, methods={
+            c: (lambda c, m: lambda iargs, rs: calls.append(
+                [c, index_depth(iargs[0]), [render_value(r) for r in rs]]
+            ) or m(iargs, rs))(c, m)
+            for c, m in alg.methods.items()
+        })
+        v = parse_value_literal(literal, bush.program, bush.decls["Bush"])
+        result = eval_nfold_prime(bush, spy, bush.level(int(depth)), v)
+        assert (render_value(result), calls) == (frozen["result"], frozen["calls"]), key
 
 
 def test_the_ps_carrier_refuses_a_non_natural_level(bush):
     # Levels are looked up in a table keyed by naturals: a function result
     # given as a level is refused as a non-natural, not hashed.
-    leaf, node = runtime._ps_methods(bush, catalogue(bush)["sum"], "leaf", "cons")
-    zero = RFun(lambda r: 0)
-    assert apply_result(apply_result(leaf(), 0), zero) == 0
-    for ps in (leaf(), node(1, leaf())):
+    methods = prepare_ps_to_p(bush, catalogue(bush)["sum"]).args[0]
+    assert runtime._run_ps(methods, runtime.PS(), 0, 0) == 0
+    for ps in (runtime.PS(), runtime.PS(1, runtime.PS())):
         with pytest.raises(EvalError, match="expected a natural"):
-            apply_result(apply_result(ps, RFun(lambda r: r)), zero)
+            runtime._run_ps(methods, ps, RFun(lambda r: r), 0)
 
 
 def _level_two_cases(ctx):
@@ -944,6 +983,7 @@ def test_nfold_prime_leaves_no_cyclic_garbage(bush):
     cases = _level_two_cases(bush)
     algs = list(catalogue(bush).values())
     assert cases
+    check_equivalence(Folds(bush), 6)  # the pools, which live with the context
     gc.collect()
     gc.disable()
     try:
@@ -951,22 +991,36 @@ def test_nfold_prime_leaves_no_cyclic_garbage(bush):
             for idx, v in cases:
                 eval_nfold_prime(bush, alg, idx, v)
         assert gc.collect() == 0
+        assert check_equivalence(Folds(bush), 6).ok
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_a_dropped_nfold_prime_fold_is_freed_by_reference_counting(bush):
     cases = _level_two_cases(bush)
+    check_equivalence(Folds(bush), 6)  # the pools, which live with the context
     gc.collect()
     gc.disable()
     try:
-        at = prepare_nfold_prime(bush, catalogue(bush)["trace"])
-        watch = weakref.ref(at)
+        lift_at, ps_to_p = prepare_lift(bush), prepare_ps_to_p(bush, catalogue(bush)["trace"])
+        watch = [weakref.ref(lift_at), weakref.ref(ps_to_p)]
         for idx, v in cases:
-            depth, fold = at(idx)
-            fold(v, runtime.default_guard(v, depth))
-        del at, fold
-        assert watch() is None
+            depth, lift = lift_at(idx)
+            ps_to_p(depth, lift(v, runtime.default_guard(v, depth)))
+        del lift_at, lift, ps_to_p
+        # one whole sweep: its store, its lifts and its PS-to-Ps go with it
+        seen = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("prepare_lift", "prepare_ps_to_p"):
+                real = getattr(properties, name)
+                patch.setattr(properties, name, lambda *a, f=real: seen.append(f(*a)) or seen[-1])
+            folds = Folds(bush)
+            assert check_equivalence(folds, 6).ok
+        watch += [weakref.ref(folds), *map(weakref.ref, seen)]
+        del folds, seen
+        assert len(watch) == 2 + 1 + 1 + len(catalogue(bush))
+        assert [w() for w in watch] == [None] * len(watch)
         assert gc.collect() == 0
     finally:
         gc.enable()
