@@ -547,18 +547,23 @@ def render_index(e: IndexExpr, ctx: GroupContext, atom: bool = False) -> str:
 
 def enumerate_indices(ctx: GroupContext, max_depth: int) -> list[IndexExpr]:
     """All index expressions of depth <= max_depth, by depth, then in the
-    order of the group's declarations."""
-    by_depth: list[list[IndexExpr]] = [[IVar(k) for k in range(ctx.base_var_count)]]
+    order of the group's declarations.  Tier d applies each declaration's
+    index constructor to every tuple of shallower indices, in product order,
+    whose deepest member is at depth d - 1 (a nullary one only at d = 1).
+    The depth of each index built is kept, so none is recomputed."""
+    out: list[IndexExpr] = [IVar(k) for k in range(ctx.base_var_count)]
+    depths = [0] * len(out)
     for d in range(1, max_depth + 1):
-        shallower = [e for tier in by_depth for e in tier]
         tier = []
         for name in ctx.group.decls:
-            for combo in itertools.product(shallower, repeat=len(ctx.decls[name].params)):
-                e = IApp(ctx.app_ctor[name], combo)
-                if index_depth(e) == d:
-                    tier.append(e)
-        by_depth.append(tier)
-    return [e for tier in by_depth for e in tier]
+            app, arity = ctx.app_ctor[name], len(ctx.decls[name].params)
+            deepest = (d - 1 in ds for ds in itertools.product(depths, repeat=arity))
+            keep = deepest if arity else [d == 1]
+            combos = itertools.compress(itertools.product(out, repeat=arity), keep)
+            tier.extend(IApp(app, combo) for combo in combos)
+        out += tier
+        depths += [d] * len(tier)
+    return out
 
 
 def context_to_index(

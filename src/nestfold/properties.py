@@ -9,11 +9,15 @@ Each property is a check(folds, max_size) over the fold store (Folds) it is
 handed; run_suite builds one store per suite and walks one roster of checks.
 A property sweeps chunks, not cases: a chunk is one non-empty (index, size)
 pool, and the property hands _sweep one pair of columns per label, its two
-sides' results over the chunk's values.  A side on rows is a slice of a row
-fold read off the store; a per-value oracle (the direct hfold and hmap, the
-list oracle, unfolded, finish) is mapped over the values.  nfold' is mapped
-in two steps: its lift, which takes no algebra, over a chunk's values once,
-and each algebra's PS-to-P over the lifted column.
+sides' results over the chunk's values.  The store enumerates the index
+family's chunks once, skipping every index that no value within the bound
+fits; a check over the family reads that list, a check at the group's own
+index filters it, and only map-composition enumerates more, its levels.  A
+side on rows is a slice of a row fold read off the store; a per-value oracle
+(the direct hfold and hmap, the list oracle, unfolded, finish) is mapped
+over the values.  nfold' is mapped in two steps: its lift, which takes no
+algebra, over a chunk's values once, and each algebra's PS-to-P over the
+lifted column.
 call-counter-bound counts the method calls of the row folds it shares with
 the others, which count their calls per row, and bounds them by the chunk's
 size.
@@ -134,11 +138,15 @@ def _pool(ctx: GroupContext) -> dict[int, tuple[Value, ...]]:
 
 def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
     """Yield the chunk (idx, values, rows, size) of every non-empty (index,
-    size) pool, rows being the range of the values' rows in the row table."""
+    size) pool, rows being the range of the values' rows in the row table.
+    An index whose least size exceeds max_size holds no such pool, and is
+    skipped before anything is built for it."""
     pool = _pool(ctx)
     pools = pool_set(ctx, pool)[0]
     sizes = range(max_size + 1)
     for idx in map(ctx.canonical, indices):
+        if ctx.least_size(idx, max_size) > max_size:
+            continue
         # A pool built as a constructor argument can stand without the
         # smaller pools of its index, so every size is looked up.
         if not all((idx, size) in pools for size in sizes):
@@ -149,9 +157,11 @@ def _values(ctx: GroupContext, indices: Iterable[IndexExpr], max_size: int):
                 yield idx, values, rows, size
 
 
-def _own_values(ctx: GroupContext, max_size: int):
-    """_values at the single declaration applied to its own parameter."""
-    return _values(ctx, [ctx.own_index(ctx.group.decls[0])], max_size)
+def _own_values(folds: Folds, max_size: int):
+    """The store's chunks at the first declaration applied to its own
+    parameters."""
+    own = folds.ctx.own_index(folds.ctx.group.decls[0])
+    return (chunk for chunk in folds.chunks(max_size) if chunk[0] is own)
 
 
 Column = tuple[list, Exception | None]  # results over a chunk, and what ended them short
@@ -261,13 +271,24 @@ class Folds(dict):
     or a MAP_FNS function, ("over", fname, n) the map whose base is ("map",
     fname) at level n, and ("hfold", halg) at a halgs algebra.  A _COUNTED
     key folds its algebra _counted: own[key] counts its calls at each row.
-    indices is the suite's index family (_suite_indices), enumerated once
-    for every check that sweeps it."""
+
+    chunks(max_size) is the list of the index family's chunks (_values over
+    _suite_indices), enumerated once per bound for every check that sweeps
+    the family; an index that no value of at most max_size nodes fits has
+    none, and nothing is built for it."""
 
     def __init__(self, ctx: GroupContext):
         self.ctx, self.table, self.own = ctx, pool_set(ctx, _pool(ctx))[1], {}
         self.algs, self.halgs = catalogue(ctx), halg_catalogue(ctx)
-        self.indices = _suite_indices(ctx)
+        self._chunks: dict[int, list] = {}
+
+    def chunks(self, max_size: int) -> list:
+        got = self._chunks.get(max_size)
+        if got is None:
+            got = self._chunks[max_size] = list(
+                _values(self.ctx, _suite_indices(self.ctx), max_size)
+            )
+        return got
 
     def __missing__(self, key: tuple) -> RowFold:
         ctx, table, (kind, name, *n) = self.ctx, self.table, key
@@ -306,7 +327,7 @@ def check_equivalence(folds: Folds, max_size: int) -> PropertyResult:
             (name, _rows(folds["nfold", name], rows), _map(partial(peel, depth), *lifted))
             for name, peel in peels.items()
         ])
-        for idx, values, rows, size in _values(ctx, folds.indices, max_size)
+        for idx, values, rows, size in folds.chunks(max_size)
         for depth, lift in [lift_at(idx)]
         for lifted in [_map(partial(lift, limit=guard(size, depth)), values)]
     ), ctx)
@@ -317,7 +338,7 @@ def check_map_identity(folds: Folds, max_size: int) -> PropertyResult:
     ctx, identity = folds.ctx, folds["map", "identity"]
     return _sweep("map-identity", (
         (idx, values, [("identity", _rows(identity, rows), (list(values), None))])
-        for idx, values, rows, _ in _values(ctx, folds.indices, max_size)
+        for idx, values, rows, _ in folds.chunks(max_size)
     ), ctx)
 
 
@@ -351,14 +372,15 @@ def check_hfold_conformance(folds: Folds, max_size: int) -> PropertyResult:
             ))
             for halg in folds.halgs.values()
         ])
-        for idx, values, rows, size in _own_values(ctx, max_size)
+        for idx, values, rows, size in _own_values(folds, max_size)
     ), ctx)
 
 
 def check_hfold_leaf(folds: Folds, max_size: int) -> PropertyResult:
     """On the nullary constructor the higher-order fold is its nil method."""
     ctx, (nil, _) = folds.ctx, folds.ctx.bush_shape
-    idx, v = next((i, v) for i, vs, _, _ in _own_values(ctx, 1) for v in vs if v.ctor == nil)
+    own = _own_values(folds, max_size)
+    idx, v = next((i, v) for i, vs, _, _ in own for v in vs if v.ctor == nil)
     return _sweep("hfold-leaf-equation", [(idx, (v,), [
         (halg.name,
          _map(halg.finish, map(partial(eval_hfold_via_nfold, ctx, halg, ctx.group.decls[0]), [v])),
@@ -376,7 +398,7 @@ def check_hmap_agreement(folds: Folds, max_size: int) -> PropertyResult:
              _map(partial(eval_hmap_direct, ctx, f, limit=guard(size)), values))
             for fname, f in MAP_FNS
         ])
-        for idx, values, rows, size in _own_values(ctx, max_size)
+        for idx, values, rows, size in _own_values(folds, max_size)
     ), ctx)
 
 
@@ -398,7 +420,7 @@ def check_hmap_cons(folds: Folds, max_size: int) -> PropertyResult:
              _map(partial(unfolded, f, folds["over", fname, 1]), zip(values, rows)))
             for fname, f in MAP_FNS
         ])
-        for idx, values, rows, _ in _own_values(ctx, max_size)
+        for idx, values, rows, _ in _own_values(folds, max_size)
     ), ctx)
 
 
@@ -408,7 +430,7 @@ def check_ind_agreement(folds: Folds, max_size: int) -> PropertyResult:
     runs = [(name, folds["ind", name], folds["nfold", name]) for name in folds.algs]
     return _sweep("ind-agreement", (
         (idx, values, [(name, _rows(ind, rows), _rows(nfold, rows)) for name, ind, nfold in runs])
-        for idx, values, rows, _ in _values(ctx, folds.indices, max_size)
+        for idx, values, rows, _ in folds.chunks(max_size)
     ), ctx)
 
 
@@ -435,7 +457,7 @@ def check_spine_fold_agreement(folds: Folds, max_size: int) -> PropertyResult:
              _map(partial(fold_list, *oracle), values))
             for name, oracle in oracles.items()
         ])
-        for idx, values, rows, _ in _own_values(ctx, max_size)
+        for idx, values, rows, _ in _own_values(folds, max_size)
     ), ctx)
 
 
@@ -460,7 +482,7 @@ def check_call_counter(folds: Folds, max_size: int) -> PropertyResult:
         return counts[rows.start : rows.stop], fold.error
 
     def chunks():
-        for idx, values, rows, size in _values(ctx, folds.indices, max_size):
+        for idx, values, rows, size in folds.chunks(max_size):
             bounds = ([size] * len(values), None)
             yield idx, values, [
                 (label, counted(fold, own, counts, rows), bounds)

@@ -1,5 +1,7 @@
 """Analysis tests: validation, grouping, classification, index translation."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,8 +32,8 @@ from nestfold.parser import (
     parse_type_context,
 )
 
-from test_derivation import SHAPES, SOURCES
-from test_parser import BOBDYLAN, BUSH, LIST
+from test_derivation import PROBES, SHAPES, SOURCES
+from test_parser import BOBDYLAN, BUSH, LIST, SAMPLES
 
 
 def _single(src):
@@ -391,6 +393,56 @@ def test_enumeration_is_deterministic_and_depth_sorted(bobdylan_ctx):
     assert xs == enumerate_indices(bobdylan_ctx, 2)
     assert [index_depth(e) for e in xs] == sorted(index_depth(e) for e in xs)
     assert len(set(xs)) == len(xs)
+
+
+def _reference_indices(ctx, max_depth):
+    """enumerate_indices by its first definition: tier d is the product over
+    every shallower tier, filtered by index_depth == d."""
+    by_depth = [[IVar(k) for k in range(ctx.base_var_count)]]
+    for d in range(1, max_depth + 1):
+        shallower = [e for tier in by_depth for e in tier]
+        tier = []
+        for name in ctx.group.decls:
+            for combo in itertools.product(shallower, repeat=len(ctx.decls[name].params)):
+                e = IApp(ctx.app_ctor[name], combo)
+                if index_depth(e) == d:
+                    tier.append(e)
+        by_depth.append(tier)
+    return [e for tier in by_depth for e in tier]
+
+
+def _every_group():
+    """(id, context) of every group of every sample that analyzes, and of
+    every probe."""
+    sources = {p.stem: p.read_text() for p in sorted(SAMPLES.glob("*.ndt"))}
+    for name, src in {**sources, **PROBES}.items():
+        try:
+            ctxs = analyze(parse_program(src))
+        except AnalysisError:
+            continue
+        yield from ((f"{name}:{ctx.name}", ctx) for ctx in ctxs)
+
+
+#: The most candidate tuples a pinned tier may try: three-params at depth 2
+#: tries 31^3 = 29,791.
+_TIER_BUDGET = 30_000
+
+
+#: The pinned depth of the shipped samples and of three-params.
+_PINNED_DEPTHS = {"bush:Bush": 3, "list:List": 3, "bobdylan:BobDylan": 3, "three-params:T": 2}
+
+
+@pytest.mark.parametrize("name, ctx", list(_every_group()), ids=[n for n, _ in _every_group()])
+def test_enumerate_indices_is_the_filtered_product(name, ctx):
+    # Pinned, order included, at the deepest depth up to 3 whose last tier
+    # tries at most _TIER_BUDGET tuples (depth 0 at least).
+    depth, known = 0, ctx.base_var_count
+    arities = [len(ctx.decls[d].params) for d in ctx.group.decls]
+    while depth < 3 and sum(known**a for a in arities) <= _TIER_BUDGET:
+        depth += 1
+        known = len(_reference_indices(ctx, depth))
+    assert depth == _PINNED_DEPTHS.get(name, depth)
+    assert enumerate_indices(ctx, depth) == _reference_indices(ctx, depth)
 
 
 def test_subst_index():

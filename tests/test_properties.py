@@ -6,9 +6,11 @@ lists of length <= 6 over a 3-element pool number 3^0+...+3^6 = 1093, and
 the bush sweep at size <= 7 across index depths 0..3 yields 74 values.
 """
 
+import ast
 import gc
 import weakref
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -958,6 +960,88 @@ def test_a_finished_suite_frees_its_fold_store_by_reference_counting(bush, monke
         assert len(watch) == 2 and [w() for w in watch] == [None, None]
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The chunk store: the family's chunks, enumerated once per fold store
+
+#: Groups whose suites the chunk store is checked on, at their size.
+_CHUNKED = {"lists": 4, "bush": 5, "bobdylan": 4, "two-params": 3, "XYW": 3}
+
+
+def _family(ctx):
+    return list(map(ctx.canonical, properties._suite_indices(ctx)))
+
+
+@pytest.mark.parametrize("which", _CHUNKED)
+def test_a_suite_enumerates_each_family_index_at_most_once(monkeypatch, which):
+    # The store enumerates the family once for every check, and an index
+    # that no value within the bound fits is never enumerated.
+    (ctx,) = analyze(parse_program(SOURCES[which]))
+    size, calls, real = _CHUNKED[which], [], properties.enumerate_values
+    monkeypatch.setattr(
+        properties, "enumerate_values",
+        lambda ctx, idx, *a: calls.append(idx) or real(ctx, idx, *a),
+    )
+    assert run_suite(ctx, size).ok
+    family, counts = _family(ctx), Counter(calls)
+    unfit = {idx for idx in family if ctx.least_size(idx, size) > size}
+    assert all(counts[idx] <= 1 for idx in family)
+    assert not unfit & counts.keys()
+    if which == "bobdylan":  # 22 of the 74 indices at depth <= 2 hold a value
+        assert (len(family), len(family) - len(unfit)) == (74, 22)
+
+
+def _every_index_chunks(ctx, max_size):
+    """The family's chunks as built when every family index is enumerated,
+    whether any value fits it or not."""
+    pool = properties._pool(ctx)
+    pools = runtime.pool_set(ctx, pool)[0]
+    for idx in _family(ctx):
+        runtime.enumerate_values(ctx, idx, pool, max_size)
+    return [
+        (idx, *pools[idx, size], size)
+        for idx in _family(ctx)
+        for size in range(max_size + 1)
+        if pools[idx, size][0]
+    ]
+
+
+@pytest.mark.parametrize("which", _CHUNKED)
+def test_the_chunk_store_builds_what_enumerating_every_index_builds(which):
+    # Skipping the indices no value fits leaves the chunk stream, the row
+    # table and the intern table as they are, order included.
+    size = _CHUNKED[which]
+    (skipping,), (every,) = (analyze(parse_program(SOURCES[which])) for _ in range(2))
+    folds = Folds(skipping)
+    chunks = folds.chunks(size)
+    assert folds.chunks(size) is chunks
+    assert chunks == _every_index_chunks(every, size)
+    assert folds.table == runtime.pool_set(every, properties._pool(every))[1]
+    assert list(skipping.interned.values()) == list(every.interned.values())
+
+
+def test_no_check_enumerates_the_family_itself():
+    # The store enumerates the family's chunks (Folds.chunks), and every
+    # check reads them there.  Only map-composition calls _values, on a
+    # list of levels, the deepest of which lies outside the family.
+    tree = ast.parse(Path(properties.__file__).read_text())
+    users = defaultdict(set)
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                users[node.id].add(getattr(top, "name", None))
+    assert users["_values"] == {"Folds", "check_map_composition"}
+    assert users["_suite_indices"] == {"Folds"}
+    assert users["enumerate_indices"] == {"_suite_indices"}
+    (composition,) = [
+        top for top in tree.body if getattr(top, "name", None) == "check_map_composition"
+    ]
+    calls = [
+        node for node in ast.walk(composition)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_values"
+    ]
+    assert calls and all(isinstance(call.args[1], ast.List) for call in calls)
 
 
 # ---------------------------------------------------------------------------
