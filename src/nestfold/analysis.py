@@ -12,7 +12,8 @@ Validation, classification and the target check read a type through one
 walk, _nodes, which lists its nodes from an explicit stack; the grouping
 (_sccs) keeps its own stack too.  The index translation and the printers
 recurse once per application level, which the reader bounds
-(parser.MAX_APPLICATIONS).
+(parser.MAX_APPLICATIONS) and well_formed bounds alike for a hand-built
+program.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .diagnostics import AnalysisError, Diagnostic, Record
 from .parser import (
     AGDA_KEYWORDS,
     BASE_TYPES,
+    MAX_APPLICATIONS,
     Constructor,
     Program,
     TApp,
@@ -348,15 +350,21 @@ def well_formed(program: Program) -> list[Diagnostic]:
                 report(f"duplicate constructor {c.name!r} in {d.name}", c.pos)
             elif owner != d.name:
                 report(f"constructor {c.name!r} already declared by {owner}", c.pos)
-            for x in (x for t in (*c.args, c.result) for x in _nodes(t)):
-                if x.__class__ is TVar:
-                    if x.name not in d.params:
-                        report(f"unknown type parameter {x.name!r}", x.pos)
-                elif x.head not in arity:
-                    report(f"unknown type constructor {x.head}", x.pos)
-                elif len(x.args) != arity[x.head]:
-                    msg = f"{x.head} expects {arity[x.head]} argument(s), got {len(x.args)}"
-                    report(msg, x.pos)
+            for t in (*c.args, c.result):
+                nodes = _nodes(t)
+                # a type of at most MAX_APPLICATIONS nodes nests no deeper
+                if len(nodes) > MAX_APPLICATIONS and (n := _nesting(t)) > MAX_APPLICATIONS:
+                    msg = f"type nests too deeply: {n} applications, at most {MAX_APPLICATIONS}"
+                    report(msg, t.pos)
+                for x in nodes:
+                    if x.__class__ is TVar:
+                        if x.name not in d.params:
+                            report(f"unknown type parameter {x.name!r}", x.pos)
+                    elif x.head not in arity:
+                        report(f"unknown type constructor {x.head}", x.pos)
+                    elif len(x.args) != arity[x.head]:
+                        msg = f"{x.head} expects {arity[x.head]} argument(s), got {len(x.args)}"
+                        report(msg, x.pos)
             if c.result != expected:
                 report(
                     "constructor result must be the declared head applied to "
@@ -378,6 +386,20 @@ def _nodes(t: TypeExpr) -> list[TypeExpr]:
         if t.__class__ is TApp:
             todo += reversed(t.args)
     return out
+
+
+def _nesting(t: TypeExpr) -> int:
+    """How many applications nest in t, counted as the reader counts them
+    (parser.MAX_APPLICATIONS), from an explicit stack, so that well_formed
+    can refuse a hand-built type too deep for the recursive walks after it."""
+    deepest, todo = 0, [(t, 0)]
+    while todo:
+        t, depth = todo.pop()
+        if t.__class__ is TApp and t.args:
+            depth += 1
+            deepest = max(deepest, depth)
+            todo += [(a, depth) for a in t.args]
+    return deepest
 
 
 def _render_expected(d: TypeDecl) -> str:

@@ -2,8 +2,9 @@
 
 Every property sweeps enumerate_values over a fixed family of indices, so a
 report is reproducible from the declaration file and the size bound alone —
-nothing here is randomized.  A property stops at its first failing case and
-reports it as a replayable counterexample.
+nothing here is randomized.  A property stops at its first failing case, one
+whose sides disagree or one of whose sides raises, and reports it as a
+replayable counterexample, so one raising oracle fails only its property.
 
 Each property is a check(folds, max_size) over the fold store (Folds) it is
 handed; run_suite builds one store per suite and walks one roster of checks.
@@ -64,7 +65,7 @@ from .values import VBase, VCon, Value, render_value
 class Counterexample(Record):
     """First failing case of a property, replayable through cmd_eval: value
     is the failing value as a re-parseable literal, lhs and rhs the two
-    sides' results on it."""
+    sides' results on it, or the exception a side raised."""
 
     __slots__ = __match_args__ = ("prop", "index", "value", "algebra", "lhs", "rhs")
 
@@ -192,24 +193,31 @@ def _agree(lhs: list, rhs: list) -> bool:
     return not any(issubclass(k, (RFun, PS)) for k in kinds) and lhs == rhs
 
 
+def _shown(col: Column, j: int, render: Callable[[object], str]) -> str:
+    """A column's result j by render, or the exception that ended it short."""
+    results, error = col
+    return render(results[j]) if j < len(results) else f"raised {type(error).__name__}: {error}"
+
+
 def _sweep(
     name: str,
     chunks: Iterable[tuple[object, tuple[Value, ...], list]],
     ctx: GroupContext,
     agree: Callable[[list, list], bool] = _agree,
-    show: Callable[[object, object], tuple] = lambda a, b: (render_value(a), render_value(b)),
+    show: tuple[Callable[[object], str], Callable[[object], str]] = (render_value, render_value),
     where: Callable[[object, GroupContext], str] = render_index,
 ) -> PropertyResult:
     """Count the cases of the (place, values, [(label, lhs, rhs)]) chunks,
-    value-major, up to the first disagreement.
+    value-major, up to the first failing case.
 
     A chunk whose columns are whole and agree counts at once.  Otherwise
-    its cases are walked in order, lhs before rhs: a missing result raises
-    its column's exception, and the first pair agree refuses is the
-    counterexample (its place rendered by where), so a raise at a later case
-    cannot hide an earlier counterexample, nor the reverse.  Enumerated
-    values are equal exactly when they are one object (the pools outlive
-    the sweep): one set of value ids per label counts the distinct cases."""
+    its cases are walked in order, and the first case that a column ends
+    short of, or whose pair agree refuses, is the counterexample (its place
+    rendered by where, each side by show, a missing result as the
+    exception that ended its column), so a raise at a later case cannot
+    hide an earlier counterexample, nor the reverse.  Enumerated values are
+    equal exactly when they are one object (the pools outlive the sweep):
+    one set of value ids per label counts the distinct cases."""
     count, seen = 0, {}
     for place, values, cols in chunks:
         n = len(values)
@@ -223,17 +231,13 @@ def _sweep(
                 seen.setdefault(label, set()).update(map(id, values))
             continue
         for j, v in enumerate(values):
-            for label, (lhs, lhs_error), (rhs, rhs_error) in cols:
-                if j >= len(lhs):
-                    raise lhs_error
-                if j >= len(rhs):
-                    raise rhs_error
+            for label, lhs, rhs in cols:
                 count += 1
                 seen.setdefault(label, set()).add(id(v))
-                if not agree(lhs[j : j + 1], rhs[j : j + 1]):
-                    ce = Counterexample(
-                        name, where(place, ctx), render_value(v), label, *show(lhs[j], rhs[j])
-                    )
+                (xs, _), (ys, _) = lhs, rhs
+                if j >= len(xs) or j >= len(ys) or not agree(xs[j : j + 1], ys[j : j + 1]):
+                    shown = _shown(lhs, j, show[0]), _shown(rhs, j, show[1])
+                    ce = Counterexample(name, where(place, ctx), render_value(v), label, *shown)
                     return PropertyResult(name, count, sum(map(len, seen.values())), ce)
     return PropertyResult(name, count, sum(map(len, seen.values())))
 
@@ -492,7 +496,7 @@ def check_call_counter(folds: Folds, max_size: int) -> PropertyResult:
     return _sweep(
         "call-counter-bound", chunks(), ctx,
         agree=lambda calls, bounds: all(map(le, calls, bounds)),
-        show=lambda calls, bound: (f"{calls} calls", f"size bound {bound}"),
+        show=(lambda calls: f"{calls} calls", lambda bound: f"size bound {bound}"),
     )
 
 

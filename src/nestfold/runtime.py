@@ -27,20 +27,23 @@ fold one value by plain recursion: the reference the row folds are checked
 against.
 
 The direct evaluators (eval_hfold_direct, eval_hmap_direct) and nfold'
-(PS-to-P . liftNTimes hmap fold-PS, as the PS bridge derives it) transcribe
-the non-structural recursions verbatim.  They are the oracles of the
-derived routes, so they are not memoized and pay per node, reading a node's
-class, constructor and arity once.  Each recursion exists once (_hfold,
-_hybrid_map), over hybrid trees whose payload slots hold a value or a
-carrier result: wrap reads a natural VBase(n) as n and anything else as
-itself.  The PS carrier is defunctionalised: fold-PS builds first-order PS
-nodes, which one interpreter, _run_ps, applies at a level and a continuation
+(PS-to-P . liftNTimes hmap fold-PS, as the PS bridge derives it)
+transcribe the non-structural recursions verbatim.  They are the oracles of
+the derived routes, so they are not memoized and pay per node, reading a
+node's class, constructor and arity once.  Each recursion exists once
+(_hfold, _hybrid_map), over hybrid trees whose payload slots hold a value
+or a carrier result: wrap reads a natural VBase(n) as n and anything else
+as itself.  Both are first-order: the function hmap maps is a Python
+function or a frame, (g, d) for hmap g and (l, n, d) for hfold l n, made at
+depth d, so neither builds a closure per node.  The PS carrier is
+defunctionalised too: fold-PS builds first-order PS nodes, which one
+interpreter, _run_ps, applies at a level, a plain int, and a continuation
 frame, so the lift (prepare_lift) takes no algebra; PS-to-P does.  _lift,
 _ps_to_p and _run_ps are module-level functions, so an evaluation leaves no
 reference cycle behind.  A depth guard turns an evaluator bug into
-GuardExceeded instead of a hang; its budget is guard(size, index depth), the
-size measured by default_guard for a value evaluated alone and known from
-the enumeration in the suite.
+GuardExceeded instead of a hang; its budget is guard(size, index depth),
+the size measured by default_guard for a value evaluated alone and known
+from the enumeration in the suite.
 """
 
 from __future__ import annotations
@@ -438,7 +441,8 @@ def _hfold(leaf, node, t, nil, cons, depth, limit):
 
     A payload slot of t holds a value or, once mapped, a carrier result;
     wrap tells the two apart by type.  Each node is read once: its class,
-    its constructor and its arity, in that order."""
+    its constructor and its arity, in that order.  hfold l n is handed to
+    hmap as the frame (l, n, depth) (see _hybrid_map)."""
     if depth > limit:
         raise _runaway(limit)
     if t.__class__ is VCon:
@@ -448,14 +452,17 @@ def _hfold(leaf, node, t, nil, cons, depth, limit):
         if len(args) == 2 and c == cons:
             x, xs = args
             depth += 1
-            fold = lambda s: _hfold(leaf, node, s, nil, cons, depth, limit)
-            mapped = _hybrid_map(fold, xs, nil, cons, depth, limit)
+            mapped = _hybrid_map((leaf, node, depth), xs, nil, cons, depth, limit)
             return node(wrap(x), _hfold(leaf, node, mapped, nil, cons, depth, limit))
     raise EvalError(f"direct fold met a foreign node {t!r}")
 
 
 def _hybrid_map(f, t, nil, cons, depth, limit):
-    """hmap f (cons x xs) = cons (f x) (hmap (hmap f) xs), read as _hfold reads."""
+    """hmap f (cons x xs) = cons (f x) (hmap (hmap f) xs), read as _hfold reads.
+
+    The payload function f is first-order data: a Python function, a frame
+    (g, d) for hmap g, or a frame (l, n, d) for hfold l n, d being the depth
+    at which the frame was made, where each recursion starts when applied."""
     if depth > limit:
         raise _runaway(limit)
     if t.__class__ is VCon:
@@ -464,9 +471,14 @@ def _hybrid_map(f, t, nil, cons, depth, limit):
             return t
         if len(args) == 2 and c == cons:
             x, xs = args
+            if f.__class__ is not tuple:
+                y = f(x)
+            elif len(f) == 2:
+                y = _hybrid_map(f[0], x, nil, cons, f[1], limit)
+            else:
+                y = _hfold(f[0], f[1], x, nil, cons, f[2], limit)
             depth += 1
-            inner = lambda s: _hybrid_map(f, s, nil, cons, depth, limit)
-            return VCon(cons, (f(x), _hybrid_map(inner, xs, nil, cons, depth, limit)))
+            return VCon(cons, (y, _hybrid_map((f, depth), xs, nil, cons, depth, limit)))
     raise EvalError(f"direct map met a foreign node {t!r}")
 
 
@@ -509,16 +521,9 @@ def prepare_ps_to_p(ctx: GroupContext, alg: Algebra):
     peeling m levels off a value lifted m levels (see prepare_lift)."""
     check_algebra(ctx, alg)
     nil, cons = _bush(ctx, "the function-space route")
-    levels: dict[int, tuple[IndexExpr]] = {}  # a method's index arguments, by level
-
-    def level(n: RuntimeResult) -> tuple[IndexExpr]:
-        k = nat_of(n)
-        args = levels.get(k)
-        if args is None:
-            args = levels[k] = (ctx.level(k),)
-        return args
-
-    return partial(_ps_to_p, (alg.methods[nil], alg.methods[cons], alg.bases[0], level))
+    # a method's index arguments at each level, filled as the peels climb
+    levels: list[tuple[IndexExpr]] = []
+    return partial(_ps_to_p, (alg.methods[nil], alg.methods[cons], alg.bases[0], levels, ctx.level))
 
 
 def eval_nfold_prime(ctx: GroupContext, alg: Algebra, idx: IndexExpr, v: Value) -> RuntimeResult:
@@ -541,26 +546,37 @@ def _lift(nil, cons, d, t, limit):
 
 
 def _ps_to_p(methods: tuple, m: int, x) -> RuntimeResult:
-    """PS-to-P at methods, a (leaf method, cons method, base function, level)
-    tuple: peel m levels off a PS-carrier result x."""
+    """PS-to-P at methods, a (leaf method, cons method, base function, level
+    list, level builder) tuple: peel m levels off a PS-carrier result x."""
     if m == 0:
         return methods[2](as_value(x))
     return _run_ps(methods, x, m - 1, m - 1)
 
 
-def _run_ps(methods: tuple, p: PS, n: RuntimeResult, tr) -> RuntimeResult:
+def _run_ps(methods: tuple, p: PS, n: int, tr) -> RuntimeResult:
     """Apply p at level n to the continuation tr, by fold-PS's clauses:
     leaf n tr = l n, and cons x xs n tr = c n (tr x) (xs (succ n) (λ f → f n tr)).
     A continuation is a frame: a down frame (n, tr) is λ f → f n tr, and a
-    natural m is PS-to-P's peel of m levels."""
+    natural m is PS-to-P's peel of m levels.  A level is a plain int, whose
+    index arguments the level list holds from its first use on."""
     if p.__class__ is not PS:
         raise EvalError("applied a non-function result")
-    leaf, cons, _, level = methods
+    leaf, cons, _, levels, level = methods
+    try:
+        at = levels[n]
+    except IndexError:
+        levels.extend((level(k),) for k in range(len(levels), n + 1))
+        at = levels[n]
+    except TypeError:  # a level that is not an int, refused as nat_of refuses it
+        raise EvalError("expected a natural-valued result") from None
     if p.xs is None:
-        return leaf(level(n), ())
-    r1 = _run_ps(methods, p.x, *tr) if tr.__class__ is tuple else _ps_to_p(methods, tr, p.x)
-    deeper = _run_ps(methods, p.xs, nat_succ(nat_of(n)), (n, tr))
-    return cons(level(n), (r1, deeper))
+        return leaf(at, ())
+    r1 = _run_ps(methods, p.x, tr[0], tr[1]) if tr.__class__ is tuple else _ps_to_p(methods, tr, p.x)
+    # n + 1 cannot pass NAT_MAX: a peel starts at m - 1, m the depth of an
+    # index held in memory, and each step up is one more nested call here,
+    # so the recursion limit keeps n far below 2**64.
+    deeper = _run_ps(methods, p.xs, n + 1, (n, tr))
+    return cons(at, (r1, deeper))
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,34 @@ def test_analyze_raises_on_ill_formed():
         analyze(Program((t,)))
 
 
+def _nested_program(depth):
+    """data T a with k : T a and s : T (T (... (T a))) -> T a, the argument
+    type nesting depth applications, built by hand, past the reader."""
+    arg = TVar("a")
+    for _ in range(depth):
+        arg = TApp("T", (arg,))
+    own = TApp("T", (TVar("a"),))
+    ctors = (Constructor("k", (), own), Constructor("s", (arg,), own))
+    return Program((TypeDecl("T", ("a",), ctors),))
+
+
+def test_analyze_refuses_a_hand_built_type_nested_past_the_readers_bound():
+    # Unbounded, it would pass analyze and then overflow the recursion of
+    # arg_templates and derive_group.
+    with pytest.raises(AnalysisError) as refused:
+        analyze(_nested_program(5000))
+    assert [d.message for d in refused.value.diagnostics] == [
+        "type nests too deeply: 5000 applications, at most 128"
+    ]
+
+
+def test_analyze_accepts_a_type_nested_as_deep_as_the_reader_reads():
+    (ctx,) = analyze(_nested_program(128))
+    assert index_depth(ctx.arg_templates["s"][0]) == 128
+    text = "data T a where\n  k : T a\n  s : " + "T (" * 127 + "T a" + ")" * 127 + " -> T a\n"
+    assert parse_program(text) == _nested_program(128)
+
+
 # ---------------------------------------------------------------------------
 # type_to_index
 

@@ -1251,6 +1251,27 @@ def test_a_counterexample_with_results_in_its_slots_is_rendered(capsys, monkeypa
     assert "Traceback" not in err
 
 
+def test_a_raising_oracle_fails_its_property_and_the_rest_still_run(capsys, monkeypatch):
+    # With no depth budget every direct recursion below a leaf raises: the
+    # properties that run one fail, with the raise as their counterexample,
+    # and every other property still reports.
+    import nestfold.properties as properties
+
+    monkeypatch.setattr(properties, "guard", lambda size, idx_depth=0: 0)
+    code, out, err = run(capsys, "test", SAMPLES / "bush.ndt", "--max-size", "5")
+    assert code == 1
+    passing = (ROOT / "bench" / "reference" / "bush@6.txt").read_text()
+    names = [line.split(":")[0].strip() for line in passing.splitlines()[1:]]
+    lines = out.splitlines()
+    assert lines[0] == "Bush: property suite at max size 5"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == names
+    failing = {line.split(":")[0].strip() for line in lines[1:] if ": FAIL," in line}
+    assert failing == {"nfold-vs-nfold-prime", "hfold-conformance", "hmap-agreement"}
+    assert err.startswith("counterexample for nfold-vs-nfold-prime:\n")
+    assert "  rhs:     raised GuardExceeded: direct-recursion depth exceeded 0;" in err
+    assert "error:" not in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # usage plumbing
 

@@ -90,3 +90,15 @@ def test_no_module_imports_dataclasses_string_or_typing(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert imported.isdisjoint({"dataclasses", "string", "typing"})
+
+
+@pytest.mark.parametrize("name", ["_hfold", "_hybrid_map", "_ps_to_p", "_run_ps"])
+def test_the_bush_oracles_build_no_closure_per_node(name):
+    # The direct hfold and hmap hand their payload functions on as frames,
+    # and the PS peel its continuations: none makes a function per node.
+    (fn,) = [n for n in _tree(SRC / "runtime.py").body if getattr(n, "name", None) == name]
+    inner = [
+        node for node in ast.walk(fn)
+        if node is not fn and isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert inner == []

@@ -31,12 +31,11 @@ from nestfold.properties import (
 )
 import nestfold.properties as properties
 import nestfold.runtime as runtime
-from nestfold import cli
 from nestfold.diagnostics import EvalError, GuardExceeded
 from nestfold.runtime import RFun
 
 from test_derivation import BUSHES, PROBES, SHAPES, SOURCES
-from test_parser import BOBDYLAN, BUSH, LIST, SAMPLES
+from test_parser import BOBDYLAN, BUSH, LIST
 from test_runtime import _cases, _counted
 
 
@@ -250,8 +249,12 @@ def test_the_list_oracle_refuses_a_non_list_value(monkeypatch, lists, bad, shown
         yield idx, (bad,), rows[:1], size
 
     monkeypatch.setattr(properties, "_own_values", with_bad)
-    with pytest.raises(AssertionError, match=f"^not a list value: {shown}$"):
-        check_spine_fold_agreement(Folds(lists), 2)
+    # the oracle's raise is the first algebra's counterexample, on the bad value
+    r = check_spine_fold_agreement(Folds(lists), 2)
+    assert (r.cases, r.distinct) == (1, 1)
+    ce = r.counterexample
+    assert (ce.value, ce.algebra) == (render_value(bad), "sum")
+    assert ce.rhs == f"raised AssertionError: not a list value: {shown}"
 
 
 def test_the_list_oracle_folds_a_long_list(monkeypatch, lists):
@@ -876,11 +879,10 @@ def test_the_suite_lifts_each_swept_value_once(bush, monkeypatch):
     assert (r.cases, r.distinct) == (131 * algs, 125 * algs)
 
 
-def test_a_raising_lift_ends_every_algebras_column_at_its_value(bush, capsys, monkeypatch):
+def test_a_raising_lift_ends_every_algebras_column_at_its_value(bush, monkeypatch):
     # With a guard of 0 the first lift below the base level raises; every
-    # algebra's column ends there with that one exception, and the check,
-    # the suite and the command raise and report it as they did when each
-    # algebra lifted the value itself.
+    # algebra's column ends there with that one exception, and the first
+    # algebra's case at that value is the counterexample, its rhs the raise.
     columns = []
     real_sweep = properties._sweep
 
@@ -894,20 +896,22 @@ def test_a_raising_lift_ends_every_algebras_column_at_its_value(bush, capsys, mo
 
     monkeypatch.setattr(properties, "_sweep", watched)
     monkeypatch.setattr(properties, "guard", lambda size, idx_depth=0: 0)
-    with pytest.raises(GuardExceeded, match="depth exceeded 0; this is a bug") as raised:
-        check_equivalence(Folds(bush), 5)
+    r = check_equivalence(Folds(bush), 5)
     place, n, rhs = columns[-1]
     assert (place, n) == (bush.level(1), 1)
+    ((_, (_, raised)), *_) = rhs
+    assert isinstance(raised, GuardExceeded)
     assert [(label, results, error) for label, (results, error) in rhs] == [
-        (label, [], raised.value) for label in runtime.catalogue(bush)
+        (label, [], raised) for label in runtime.catalogue(bush)
     ]
     # the chunks before it, at the base level, are whole
     assert all(len(col[0]) == m for _, m, cols in columns[:-1] for _, col in cols)
-    code = cli.main(["test", str(SAMPLES / "bush.ndt"), "--max-size", "5"])
-    out, err = capsys.readouterr()
-    assert (code, out) == (1, "")
-    assert err == f"error: {raised.value}\n"
-    assert str(raised.value).startswith("direct-recursion depth exceeded 0;")
+    assert str(raised).startswith("direct-recursion depth exceeded 0;")
+    base = sum(m for _, m, _ in columns[:-1]) * len(rhs)
+    assert (r.cases, r.distinct) == (base + 1, base + 1)
+    ce = r.counterexample
+    assert (ce.index, ce.value, ce.algebra, ce.lhs) == ("BushC varA", "leaf", "sum", "0")
+    assert ce.rhs == f"raised GuardExceeded: {raised}"
 
 
 def test_a_check_alone_reports_what_it_reports_in_the_suite(watched_suite):
@@ -1075,8 +1079,12 @@ def _sweep_plans(draw):
     return sizes, plans, draw(st.booleans())
 
 
+def _raised_at(label, side, k):
+    return EvalError(f"{label} {side} raised at {k}")
+
+
 def _raise_at(label, side, k):
-    raise EvalError(f"{label} {side} raised at {k}")
+    raise _raised_at(label, side, k)
 
 
 def _chunk_stream(sizes, plans, values):
@@ -1115,13 +1123,14 @@ def _chunk_stream(sizes, plans, values):
 
 
 def _per_case(sizes, plans, values):
-    """The same cases one at a time: a row fold at position k raises at the
-    first raising row up to k, a value oracle at k raises if k does."""
+    """The same cases one at a time, each side its result or the exception it
+    raises: a row fold at position k raises at the first raising row up to
+    k, a value oracle at k raises if k does."""
 
     def side_at(label, side, k):
         kind, results, raises = plans[label, side]
         below = [r for r in raises if r <= k] if kind == "rows" else [k] if k in raises else []
-        return _raise_at(label, side, min(below)) if below else results[k]
+        return _raised_at(label, side, min(below)) if below else results[k]
 
     labels = list(dict.fromkeys(label for label, _ in plans))
     start = 0
@@ -1133,30 +1142,28 @@ def _per_case(sizes, plans, values):
 
 
 def _reference_sweep(cases, agree):
-    """The per-case loop: count each case, stop at the first disagreement."""
+    """The per-case loop: count each case, stop at the first that raises on
+    a side or disagrees."""
     count, seen = 0, defaultdict(set)
+    shown = lambda side: (
+        f"raised {type(side).__name__}: {side}"
+        if isinstance(side, Exception) else render_value(side)
+    )
     for place, value, label, lhs, rhs in cases:
         count += 1
         seen[label].add(id(value))
-        if not agree(lhs, rhs):
-            ce = Counterexample(
-                "p", f"chunk {place}", render_value(value), label, render_value(lhs), render_value(rhs)
-            )
+        if isinstance(lhs, Exception) or isinstance(rhs, Exception) or not agree(lhs, rhs):
+            sides = shown(lhs), shown(rhs)
+            ce = Counterexample("p", f"chunk {place}", render_value(value), label, *sides)
             return PropertyResult("p", count, sum(map(len, seen.values())), ce)
     return PropertyResult("p", count, sum(map(len, seen.values())))
-
-
-def _outcome(run):
-    try:
-        return run()
-    except EvalError as e:
-        return type(e), str(e)
 
 
 @given(_sweep_plans())
 def test_the_chunk_sweep_is_the_per_case_sweep(plan):
     # A raise at a later case cannot hide an earlier counterexample, nor the
-    # reverse, whether a column is read off a row fold or mapped over values.
+    # reverse, whether a column is read off a row fold or mapped over values;
+    # a raise is its case's counterexample.
     sizes, plans, bounded = plan
     values = [VBase(k) for k in range(sum(sizes))]
     if bounded:
@@ -1166,12 +1173,11 @@ def test_the_chunk_sweep_is_the_per_case_sweep(plan):
     else:
         one = lambda lhs, rhs: not (isinstance(lhs, RFun) or isinstance(rhs, RFun)) and lhs == rhs
         kw = {}
-    got = _outcome(lambda: properties._sweep(
+    got = properties._sweep(
         "p", _chunk_stream(sizes, plans, values), None,
         where=lambda place, ctx: f"chunk {place}", **kw,
-    ))
-    want = _outcome(lambda: _reference_sweep(_per_case(sizes, plans, values), one))
-    assert got == want
+    )
+    assert got == _reference_sweep(_per_case(sizes, plans, values), one)
 
 
 def test_a_function_result_agrees_with_nothing_not_even_itself(monkeypatch, lists):

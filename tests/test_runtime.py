@@ -11,6 +11,7 @@ import gc
 import itertools
 import json
 import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -852,6 +853,71 @@ def test_guard_converts_runaway_recursion_into_an_error(bush, bush1, monkeypatch
         eval_hmap_direct(bush, add_one, bush1)
     with pytest.raises(GuardExceeded):
         eval_nfold_prime(bush, catalogue(bush)["sum"], bushc(1), bush1)
+
+
+#: For every value of the bush@5 family chunks, and for a few deeper values
+#: ("deep", at their levels), the least guard limit at which each direct
+#: recursion raises no GuardExceeded, and what it then does ("ok", or the
+#: exception it raises): frozen from the closure-built recursions that the
+#: payload frames replaced.
+GUARD_DEPTHS = json.loads((Path(__file__).parent / "guard_depth.json").read_text())
+
+
+def _least_limit(run, high):
+    """The least limit in [0, high] at which run(limit) raises no
+    GuardExceeded (by bisection), and "ok" or the exception it raises there."""
+
+    def outcome(limit):
+        try:
+            run(limit)
+        except GuardExceeded:
+            return None
+        except Exception as e:
+            return type(e).__name__
+        return "ok"
+
+    assert outcome(high) is not None
+    lo, hi = 0, high
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if outcome(mid) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return [lo, outcome(lo)]
+
+
+def _guard_depths(ctx, max_size, deep):
+    """GUARD_DEPTHS' rows, [index, value, {recursion: [least limit, outcome]}],
+    recomputed: the direct hfold at every halg_catalogue algebra, the
+    direct hmap at every MAP_FNS function and the lift, each searched up to
+    the suite's budget for the value."""
+    cases = [(idx, v, size) for idx, values, _, size in Folds(ctx).chunks(max_size) for v in values]
+    for level, literal in deep:
+        v = parse_value_literal(literal, ctx.program, ctx.decls["Bush"])
+        cases.append((ctx.level(level), v, value_size(v)))
+    runs = {
+        **{f"hfold {name}": partial(eval_hfold_direct, ctx, halg)
+           for name, halg in halg_catalogue(ctx).items()},
+        **{f"hmap {name}": partial(eval_hmap_direct, ctx, f) for name, f in properties.MAP_FNS},
+    }
+    rows = []
+    for idx, v, size in cases:
+        depth, lift = prepare_lift(ctx)(idx)
+        high = properties.guard(size, depth)
+        least = {name: _least_limit(partial(run, v), high) for name, run in runs.items()}
+        least["lift"] = _least_limit(partial(lift, v), high)
+        rows.append([render_index(idx, ctx), render_value(v), least])
+    return rows
+
+
+def test_the_direct_recursions_trip_their_guards_at_the_frozen_depths(bush):
+    # A payload frame carries the depth at which it was made.  No bush@5
+    # value tells that depth from the depth of the node where the frame is
+    # applied; the deep values, of size 11, do: at the wrong one the direct
+    # hfold, the direct hmap or the lift needs one more level of budget.
+    rows = _guard_depths(bush, GUARD_DEPTHS["max_size"], GUARD_DEPTHS["deep"])
+    assert rows == GUARD_DEPTHS["rows"]
 
 
 @pytest.mark.parametrize(
