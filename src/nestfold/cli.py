@@ -176,7 +176,6 @@ def cmd_test(args: argparse.Namespace) -> int:
                 failed = True
                 for line in r.counterexample.lines():
                     print(line, file=sys.stderr)
-                break
     return 1 if failed else 0
 
 

@@ -258,29 +258,56 @@ def derive_interp(nm: _Names) -> DerivedDef:
 
 
 # ---------------------------------------------------------------------------
-# nfold
+# nfold, and the pieces of every fold-family signature
 
 
-def _method_type(nm: _Names, d: TypeDecl, c: Constructor) -> Term:
+def _method_type(nm: _Names, d: TypeDecl, c: Constructor, values: bool = False) -> Term:
+    """The type of nfold's method for c: p at each argument's index, then at
+    the result's.  With values it is ind's: the method also binds the
+    examined values, and every application of p reads its value, as
+    _fold_clauses' pass_values passes them."""
     ivs, env = nm.index_env(d)
+    ixs = [nm.index_term(t, env) for t in nm.ctx.arg_templates[c.name]]
+    res = nm.result_index(d, env)
     segs: list[Binder | Term] = [*_binders(ivs, Var(nm.index_name))]
-    for tmpl in nm.ctx.arg_templates[c.name]:
-        segs.append(_v(nm.p, nm.index_term(tmpl, env)))
-    segs.append(_v(nm.p, nm.result_index(d, env)))
+    if not values:
+        return _arrow(segs + [_v(nm.p, ix) for ix in (*ixs, res)])
+    vvs = [Var(v) for v in nm.value_vars(len(c.args))]
+    segs += [Binder((v.name,), nm.own_interp(ix)) for ix, v in zip(ixs, vvs)]
+    segs += [_v(nm.p, ix, v) for ix, v in zip(ixs, vvs)]
+    segs.append(_v(nm.p, res, _v(c.name, *vvs)))
     return _arrow(segs)
 
 
-def _nfold_signature(nm: _Names) -> Pi:
-    segs: list[Binder | Term] = [Binder((nm.p,), Pi((Var(nm.index_name), SET)))]
-    for d, c in nm.ctx.ctors():
-        segs.append(Binder((nm.method[c.name],), _method_type(nm, d, c)))
-    segs.extend(_binders(nm.base_types, SET))
-    for k, bf in enumerate(nm.base_fns):
-        segs.append(Binder((bf,), Pi((Var(nm.base_types[k]), _v(nm.p, Var(nm.var_ctors[k]))))))
-    segs.append(Binder((nm.ivar,), Var(nm.index_name)))
-    segs.append(nm.own_interp(Var(nm.ivar)))
-    segs.append(_v(nm.p, Var(nm.ivar)))
-    return Pi(tuple(segs))
+def _base_type(nm: _Names, k: int, values: bool = False) -> Pi:
+    """The type of nfold's k-th base function, a -> p var; with values,
+    ind's, (x : a) -> p var x."""
+    a, var = Var(nm.base_types[k]), Var(nm.var_ctors[k])
+    if not values:
+        return Pi((a, _v(nm.p, var)))
+    return Pi((Binder((nm.x,), a), _v(nm.p, var, Var(nm.x))))
+
+
+def _head(nm: _Names, ctors: list[tuple[TypeDecl, Constructor]]) -> list[Binder]:
+    """The motive binder (p : Index -> Set), then the method of each of ctors."""
+    segs = [Binder((nm.p,), Pi((Var(nm.index_name), SET)))]
+    return segs + [Binder((nm.method[c.name],), _method_type(nm, d, c)) for d, c in ctors]
+
+
+def _scrutinee(nm: _Names, interp: Term, val: str | None = None) -> list[Binder | Term]:
+    """(i : Index) -> interp -> p i; with val, (i : Index) -> (val : interp) -> p i val."""
+    i = Binder((nm.ivar,), Var(nm.index_name))
+    if val is None:
+        return [i, interp, _v(nm.p, Var(nm.ivar))]
+    return [i, Binder((val,), interp), _v(nm.p, Var(nm.ivar), Var(val))]
+
+
+def _nfold_signature(nm: _Names, ctors: list[tuple[TypeDecl, Constructor]], interp: Term) -> Pi:
+    """nfold's signature over the methods of ctors and interp, the
+    interpretation of i: PS-to-P's is nfold's with none at the PS carrier."""
+    segs = [*_head(nm, ctors), *_binders(nm.base_types, SET)]
+    segs += [Binder((bf,), _base_type(nm, k)) for k, bf in enumerate(nm.base_fns)]
+    return Pi((*segs, *_scrutinee(nm, interp)))
 
 
 def _fold_clauses(
@@ -317,7 +344,7 @@ def _fold_clauses(
 
 
 def derive_nfold(nm: _Names) -> DerivedDef:
-    sig = _nfold_signature(nm)
+    sig = _nfold_signature(nm, nm.ctx.ctors(), nm.own_interp(Var(nm.ivar)))
     lead_names = [nm.p, *nm.method.values(), *nm.base_types, *nm.base_fns]
     clauses = _fold_clauses(nm, "nfold", lead_names, nm.base_fns, nm.x, False)
     role = "dependently typed fold over every indexed instance"
@@ -336,37 +363,20 @@ def derive_ind(nm: _Names) -> DerivedDef:
     )
     val = nm.value_vars(2)[1] if nm.nat else x
 
-    def base_type(k: int) -> Term:
-        return Pi((Binder((x,), Var(nm.base_types[k])), _v(p, Var(nm.var_ctors[k]), Var(x))))
-
-    def method_type(d: TypeDecl, c: Constructor) -> Term:
-        ivs, env = nm.index_env(d)
-        vvs = nm.value_vars(len(c.args))
-        segs: list[Binder | Term] = [*_binders(ivs, idx)]
-        arg_ixs = [nm.index_term(t, env) for t in nm.ctx.arg_templates[c.name]]
-        for ix, v in zip(arg_ixs, vvs):
-            segs.append(Binder((v,), nm.own_interp(ix)))
-        for ix, v in zip(arg_ixs, vvs):
-            segs.append(_v(p, ix, Var(v)))
-        segs.append(_v(p, nm.result_index(d, env), _v(c.name, *(Var(v) for v in vvs))))
-        return _arrow(segs)
-
     # the methods and base functions, in argument order: bases first in nat mode
-    typed = [(nm.method[c.name], method_type(d, c)) for d, c in nm.ctx.ctors()]
-    bases = [(bf, base_type(k)) for k, bf in enumerate(base_fns)]
+    typed = [Binder((nm.method[c.name],), _method_type(nm, d, c, True)) for d, c in nm.ctx.ctors()]
+    bases = [Binder((bf,), _base_type(nm, k, True)) for k, bf in enumerate(base_fns)]
     leads = bases + typed if nm.nat else typed + bases
-    p_type = Pi((Binder((nm.ivar,), idx), nm.own_interp(Var(nm.ivar)), SET))
+    scrutinee = nm.own_interp(Var(nm.ivar))
     sig = Pi(
         (
             *_binders(nm.base_types, SET, implicit=True),
-            Binder((p,), p_type, implicit=True),
-            *[Binder((name,), t) for name, t in leads],
-            Binder((nm.ivar,), idx),
-            Binder((val,), nm.own_interp(Var(nm.ivar))),
-            _v(p, Var(nm.ivar), Var(val)),
+            Binder((p,), Pi((Binder((nm.ivar,), idx), scrutinee, SET)), implicit=True),
+            *leads,
+            *_scrutinee(nm, scrutinee, val),
         )
     )
-    clauses = _fold_clauses(nm, "ind", [name for name, _ in leads], base_fns, val, True)
+    clauses = _fold_clauses(nm, "ind", [b.names[0] for b in leads], base_fns, val, True)
     role = "induction principle generalizing nfold"
     return DerivedDef("ind", role, sig, clauses)
 
@@ -499,12 +509,10 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
     ctx = nm.ctx
     leaf_ctor, cons_ctor = ctx.bush_shape
     dn = ctx.group.decls[0]
-    own = ctx.decls[dn]
     idx = Var(nm.index_name)
     p, a, bf, iv, x = nm.p, nm.base_types[0], nm.base_fns[0], nm.ivar, nm.x
     vi, ps_p = Var(iv), _v("PS", Var(p))
     leaf_m, cons_m = nm.method[leaf_ctor], nm.method[cons_ctor]
-    zero_t = Var(nm.var_ctors[0])
     fresh = nm.scope(p, a, bf, *nm.method.values()).fresh
     A, hyp, ih, tr, k, b, lift = map(fresh, "A hyp ih tr f b lift".split())
 
@@ -514,25 +522,14 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
     def interp(carrier: Term, ix: Term) -> Term:
         return nm.interp([carrier], [Var(a)], ix)
 
-    p_binder = Binder((p,), Pi((idx, SET)))
     ps_body = Pi((Binder((iv,), idx), Pi((Var(A), _v(p, vi))), _v(p, succ_t(vi))))
     ps = DerivedDef(
         "PS",
         "carrier transformer used to rebuild nfold from hfold",
-        Pi((p_binder, SET, SET)),
+        Pi((*_head(nm, []), SET, SET)),
         (Clause((PVar(p), PVar(A)), ps_body),),
     )
 
-    pstop_sig = Pi(
-        (
-            p_binder,
-            Binder((a,), SET),
-            Binder((bf,), Pi((Var(a), _v(p, zero_t)))),
-            Binder((iv,), idx),
-            interp(ps_p, vi),
-            _v(p, vi),
-        )
-    )
     ih_def = DerivedDef(
         ih,
         "local helper",
@@ -543,7 +540,7 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
     pstop = DerivedDef(
         "PS-to-P",
         "collapses an iterated PS carrier into the result family",
-        pstop_sig,
+        _nfold_signature(nm, [], interp(ps_p, vi)),
         (
             Clause(lead + (nm.var_pattern(0), PVar(x)), _v(bf, Var(x))),
             Clause(
@@ -555,16 +552,6 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
     )
 
     x1, x2 = nm.value_vars(2)
-    foldps_sig = Pi(
-        (
-            p_binder,
-            Binder((leaf_m,), _method_type(nm, own, own.ctor(leaf_ctor))),
-            Binder((cons_m,), _method_type(nm, own, own.ctor(cons_ctor))),
-            Binder((a,), SET),
-            _v(dn, Var(a)),
-            _v("PS", Var(p), Var(a)),
-        )
-    )
     foldps_body = _v(
         nm.hfold[dn],
         ps_p,
@@ -582,7 +569,7 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
     foldps = DerivedDef(
         "fold-PS",
         "hfold instantiated at the PS carrier",
-        foldps_sig,
+        Pi((*_head(nm, ctx.ctors()), Binder((a,), SET), _v(dn, Var(a)), _v("PS", Var(p), Var(a)))),
         (Clause((PVar(p), PVar(leaf_m), PVar(cons_m)), foldps_body),),
     )
 
@@ -648,7 +635,7 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
     nfoldp = DerivedDef(
         "nfold'",
         "nfold rebuilt from hfold; agrees with nfold everywhere",
-        _nfold_signature(nm),
+        _nfold_signature(nm, ctx.ctors(), nm.own_interp(vi)),
         (
             Clause(
                 (PVar(p), PVar(leaf_m), PVar(cons_m), PVar(a), PVar(bf), PVar(iv), PVar(x)),

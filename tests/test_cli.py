@@ -1267,6 +1267,9 @@ def test_a_raising_oracle_fails_its_property_and_the_rest_still_run(capsys, monk
     assert [line.split(":")[0].strip() for line in lines[1:]] == names
     failing = {line.split(":")[0].strip() for line in lines[1:] if ": FAIL," in line}
     assert failing == {"nfold-vs-nfold-prime", "hfold-conformance", "hmap-agreement"}
+    # every failing property's counterexample, in report order
+    heads = [line for line in err.splitlines() if line.startswith("counterexample for ")]
+    assert heads == [f"counterexample for {n}:" for n in names if n in failing]
     assert err.startswith("counterexample for nfold-vs-nfold-prime:\n")
     assert "  rhs:     raised GuardExceeded: direct-recursion depth exceeded 0;" in err
     assert "error:" not in err and "Traceback" not in err

@@ -92,13 +92,23 @@ def test_no_module_imports_dataclasses_string_or_typing(path):
     assert imported.isdisjoint({"dataclasses", "string", "typing"})
 
 
+def _nested_functions(module: str, name: str) -> list[ast.AST]:
+    """The lambdas and functions defined inside the top-level function name."""
+    (fn,) = [n for n in _tree(SRC / module).body if getattr(n, "name", None) == name]
+    return [
+        node for node in ast.walk(fn)
+        if node is not fn and isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
 @pytest.mark.parametrize("name", ["_hfold", "_hybrid_map", "_ps_to_p", "_run_ps"])
 def test_the_bush_oracles_build_no_closure_per_node(name):
     # The direct hfold and hmap hand their payload functions on as frames,
     # and the PS peel its continuations: none makes a function per node.
-    (fn,) = [n for n in _tree(SRC / "runtime.py").body if getattr(n, "name", None) == name]
-    inner = [
-        node for node in ast.walk(fn)
-        if node is not fn and isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    assert inner == []
+    assert _nested_functions("runtime.py", name) == []
+
+
+def test_derive_ind_builds_its_types_with_nfolds_builders():
+    # ind's method and base types are nfold's with the values threaded
+    # through (derivation._method_type and _base_type): one builder each.
+    assert _nested_functions("derivation.py", "derive_ind") == []

@@ -714,8 +714,15 @@ def test_row_folds_agree_with_the_recursion_and_the_tape(which):
         (alg, prepare_nfold(ctx, alg, table), prepare_ind(ctx, _ignore_values(alg), table))
         for alg in catalogue(ctx).values()
     ]
+    # the last map gives variable k its own function, adding k + 1, and every
+    # map is checked against one built here: a fold whose base k applies
+    # fs[k] and whose methods rebuild their node
     fss = [{k: (lambda v: v) for k in slots}, {k: add_one for k in slots}]
+    fss.append({k: partial(lambda n, v: VBase(v.payload + n), k + 1) for k in slots})
     maps = [(fs, prepare_map(ctx, fs, table)) for fs in fss]
+    rebuild = {
+        c.name: partial(lambda name, iargs, rs: VCon(name, rs), c.name) for _, c in ctx.ctors()
+    }
     assert len(table) >= 3
     for r, (idx, v, _) in enumerate(table):
         diags, tape = typecheck_value(ctx, idx, kinds, v)
@@ -725,7 +732,7 @@ def test_row_folds_agree_with_the_recursion_and_the_tape(which):
             assert nfold(r) == want == eval_nfold(ctx, alg, idx, v)
             assert ind(r) == want == eval_ind(ctx, _ignore_values(alg), idx, v)
         for fs, nmap in maps:
-            want = fold_tape(ctx, runtime.map_algebra(ctx, fs), tape)
+            want = fold_tape(ctx, Algebra("map", fs, rebuild), tape)
             assert nmap(r) == want == eval_map(ctx, fs, idx, v)
         # the identity map rebuilds every value as the interned value itself
         assert maps[0][1](r) is v
