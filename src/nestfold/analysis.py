@@ -10,10 +10,13 @@ derived folds dispatch on.
 
 Validation, classification and the target check read a type through one
 walk, _nodes, which lists its nodes from an explicit stack; the grouping
-(_sccs) keeps its own stack too.  The index translation and the printers
-recurse once per application level, which the reader bounds
-(parser.MAX_APPLICATIONS) and well_formed bounds alike for a hand-built
-program.
+(_sccs) keeps its own stack too.  The index universe is a free term
+algebra, and fold_index is its one structural recursion, as
+parser.fold_type is a type's: the index translation (type_to_index),
+substitution, depth and the printer are each one of these folds at one
+algebra.  A fold recurses once per application level, which the reader
+bounds (parser.MAX_APPLICATIONS) and well_formed bounds alike for a
+hand-built program.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .parser import (
     TVar,
     TypeDecl,
     TypeExpr,
+    fold_type,
+    render_app,
     spine_shape,
 )
 
@@ -242,7 +247,9 @@ class GroupContext(Record):
 
         A value at D i... is a D-structure whose slots hold values at i...,
         so its least size depends only on D and the least sizes of i...:
-        see least_at.  Nothing here substitutes an index."""
+        see least_at.  Nothing here substitutes an index.  It is not a
+        fold_index: the cap shrinks at each level, so a node's result is
+        not a function of its arguments' results alone."""
         if e.__class__ is IVar:
             return slots[e.k] if slots else 0
         if cap < 1:
@@ -377,8 +384,9 @@ def well_formed(program: Program) -> list[Diagnostic]:
 
 def _nodes(t: TypeExpr) -> list[TypeExpr]:
     """t's nodes in pre-order: each before its arguments, these left to
-    right.  The one walk over a type here, from an explicit stack; the
-    reader bounds how deep a type nests (parser.MAX_APPLICATIONS)."""
+    right.  The walk that validation, classification and the target check
+    share, from an explicit stack, so that it reads a hand-built type of
+    any depth before a fold_type recurses through it."""
     out, todo = [], [t]
     while todo:
         t = todo.pop()
@@ -491,12 +499,7 @@ def type_to_index(
     `members` maps each group member to its index application constructor;
     every head of t is one (group_context refuses the other groups).
     """
-    match t:
-        case TVar(name):
-            return IVar(params.index(name))
-        case TApp(head, args):
-            return IApp(members[head], tuple(type_to_index(a, params, members) for a in args))
-    raise AssertionError
+    return fold_type(t, lambda name: IVar(params.index(name)), lambda h, a: IApp(members[h], a))
 
 
 def group_context(program: Program, group: MutualGroup) -> GroupContext:
@@ -537,34 +540,25 @@ def analyze(program: Program) -> list[GroupContext]:
 # Working with index expressions
 
 
+def fold_index(e: IndexExpr, var, app):
+    """The one structural recursion over an index expression: var(k) at
+    IVar(k), and app(ctor, the folded args) at an IApp.  Each function
+    below over an index is this fold at one algebra."""
+    if e.__class__ is IVar:
+        return var(e.k)
+    return app(e.ctor, tuple(fold_index(a, var, app) for a in e.args))
+
+
 def subst_index(e: IndexExpr, iargs: tuple[IndexExpr, ...]) -> IndexExpr:
-    match e:
-        case IVar(k):
-            return iargs[k]
-        case IApp(ctor, args):
-            return IApp(ctor, tuple(subst_index(a, iargs) for a in args))
-    raise AssertionError
+    return fold_index(e, iargs.__getitem__, IApp)
 
 
 def index_depth(e: IndexExpr) -> int:
-    match e:
-        case IVar():
-            return 0
-        case IApp(_, args):
-            return 1 + max((index_depth(a) for a in args), default=0)
-    raise AssertionError
+    return fold_index(e, lambda k: 0, lambda _, ds: 1 + max(ds, default=0))
 
 
-def render_index(e: IndexExpr, ctx: GroupContext, atom: bool = False) -> str:
-    match e:
-        case IVar(k):
-            return ctx.var_ctors[k]
-        case IApp(ctor, ()):
-            return ctor
-        case IApp(ctor, args):
-            s = " ".join([ctor] + [render_index(a, ctx, atom=True) for a in args])
-            return f"({s})" if atom else s
-    raise AssertionError
+def render_index(e: IndexExpr, ctx: GroupContext) -> str:
+    return fold_index(e, ctx.var_ctors.__getitem__, render_app)
 
 
 def enumerate_indices(ctx: GroupContext, max_depth: int) -> list[IndexExpr]:

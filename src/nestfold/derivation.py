@@ -18,9 +18,9 @@ with no parameters gets no binder and no lambda that binds nothing.
 
 from __future__ import annotations
 
-from .analysis import GroupContext, IApp, IndexExpr, IVar
+from .analysis import GroupContext, IndexExpr, fold_index
 from .diagnostics import DerivationError
-from .parser import AGDA_KEYWORDS, Constructor, TApp, TVar, TypeDecl, TypeExpr
+from .parser import AGDA_KEYWORDS, Constructor, TypeDecl, TypeExpr, fold_type
 from .terms import (
     SET,
     Binder,
@@ -145,12 +145,7 @@ class _Names:
         return "succ" if self.nat else app_ctor
 
     def index_term(self, e: IndexExpr, env: dict[int, Term]) -> Term:
-        match e:
-            case IVar(k):
-                return env[k]
-            case IApp(ctor, args):
-                return _v(self.index_head(ctor), *(self.index_term(a, env) for a in args))
-        raise AssertionError
+        return fold_index(e, env.__getitem__, lambda ctor, args: _v(self.index_head(ctor), *args))
 
     def index_pattern(self, decl: str, ivs: tuple[str, ...]) -> PCon:
         return PCon(self.index_head(self.ctx.app_ctor[decl]), tuple(PVar(v) for v in ivs))
@@ -193,12 +188,9 @@ def derive_index_decl(nm: _Names) -> DerivedDef:
 
 def _carrier_type(t: TypeExpr, carrier: dict[str, str], params: dict[str, str]) -> Term:
     """t with its declaration heads renamed by carrier and its parameters by params."""
-    match t:
-        case TVar(name):
-            return Var(params.get(name, name))
-        case TApp(head, args):
-            return _v(carrier.get(head, head), *(_carrier_type(a, carrier, params) for a in args))
-    raise AssertionError
+    return fold_type(
+        t, lambda name: Var(params.get(name, name)), lambda h, args: _v(carrier.get(h, h), *args)
+    )
 
 
 def _ctor_type(c: Constructor) -> Term:
@@ -513,7 +505,10 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
     p, a, bf, iv, x = nm.p, nm.base_types[0], nm.base_fns[0], nm.ivar, nm.x
     vi, ps_p = Var(iv), _v("PS", Var(p))
     leaf_m, cons_m = nm.method[leaf_ctor], nm.method[cons_ctor]
-    fresh = nm.scope(p, a, bf, *nm.method.values()).fresh
+    # the methods in the order every signature binds them (ctx.ctors()), which
+    # puts cons first when the declaration does
+    methods = tuple(nm.method.values())
+    fresh = nm.scope(p, a, bf, *methods).fresh
     A, hyp, ih, tr, k, b, lift = map(fresh, "A hyp ih tr f b lift".split())
 
     def succ_t(e: Term) -> Term:
@@ -552,11 +547,9 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
     )
 
     x1, x2 = nm.value_vars(2)
-    foldps_body = _v(
-        nm.hfold[dn],
-        ps_p,
-        Lam((a, iv, tr), _v(leaf_m, vi)),
-        Lam(
+    hmethods = {
+        leaf_m: Lam((a, iv, tr), _v(leaf_m, vi)),
+        cons_m: Lam(
             (a, x1, x2, iv, tr),
             _v(
                 cons_m,
@@ -565,12 +558,13 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
                 _v(x2, succ_t(vi), Lam((k,), _v(k, vi, Var(tr)))),
             ),
         ),
-    )
+    }
+    foldps_body = _v(nm.hfold[dn], ps_p, *(hmethods[m] for m in methods))
     foldps = DerivedDef(
         "fold-PS",
         "hfold instantiated at the PS carrier",
         Pi((*_head(nm, ctx.ctors()), Binder((a,), SET), _v(dn, Var(a)), _v("PS", Var(p), Var(a)))),
-        (Clause((PVar(p), PVar(leaf_m), PVar(cons_m)), foldps_body),),
+        (Clause((PVar(p), *map(PVar, methods)), foldps_body),),
     )
 
     # liftNTimes reads neither p nor the methods, so its binders have a scope of their own
@@ -625,7 +619,7 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
                     ps_p,
                     Lam((a, b), Var("hmap")),
                     vi,
-                    _v("fold-PS", Var(p), Var(leaf_m), Var(cons_m)),
+                    _v("fold-PS", Var(p), *map(Var, methods)),
                     Var(a),
                     Var(x),
                 ),
@@ -638,7 +632,7 @@ def derive_ps_bridge(nm: _Names) -> list[DerivedDef]:
         _nfold_signature(nm, ctx.ctors(), nm.own_interp(vi)),
         (
             Clause(
-                (PVar(p), PVar(leaf_m), PVar(cons_m), PVar(a), PVar(bf), PVar(iv), PVar(x)),
+                (PVar(p), *map(PVar, methods), PVar(a), PVar(bf), PVar(iv), PVar(x)),
                 _v("PS-to-P", Var(p), Var(a), Var(bf), vi, _v(lift, vi, Var(x))),
                 wheres=(lift_where,),
             ),

@@ -392,7 +392,9 @@ def check_type_context(t: TypeExpr, program: Program) -> TApp:
 
 
 def _check_target(t: TypeExpr, arity: dict[str, int]) -> TypeExpr:
-    """t with its base universes made variables, or its first error."""
+    """t with its base universes made variables, or its first error.  Not a
+    fold_type: it checks each node before its arguments, so the outermost
+    error is the one reported, where a fold would report the innermost."""
     if isinstance(t, TVar):
         msg = f"expected a type context, found {t.name!r}"
     elif t.head not in arity:
@@ -410,16 +412,23 @@ def _check_target(t: TypeExpr, arity: dict[str, int]) -> TypeExpr:
 # Pretty-printers (inverse of the parsers, used for round-trips and reports)
 
 
-def render_type_expr(t: TypeExpr, atom: bool = False) -> str:
-    match t:
-        case TVar(name, _):
-            return name
-        case TApp(head, (), _):
-            return head
-        case TApp(head, args, _):
-            s = " ".join([head] + [render_type_expr(a, atom=True) for a in args])
-            return f"({s})" if atom else s
-    raise AssertionError
+def fold_type(t: TypeExpr, var, app):
+    """The one structural recursion over a type: var(name) at a TVar, and
+    app(head, the folded args) at a TApp.  It recurses once per application
+    level, which _read and analysis.well_formed bound (MAX_APPLICATIONS)."""
+    if t.__class__ is TVar:
+        return var(t.name)
+    return app(t.head, tuple(fold_type(a, var, app) for a in t.args))
+
+
+def render_app(head: str, args) -> str:
+    """head applied to the rendered args.  A name has no space, so an
+    argument with one is an application, and it is parenthesized."""
+    return " ".join([head, *(f"({a})" if " " in a else a for a in args)])
+
+
+def render_type_expr(t: TypeExpr) -> str:
+    return fold_type(t, str, render_app)
 
 
 def render_program(program: Program) -> str:

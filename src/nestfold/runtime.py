@@ -52,13 +52,7 @@ from functools import partial
 from itertools import product
 from collections.abc import Callable
 
-from .analysis import (
-    GroupContext,
-    IApp,
-    IndexExpr,
-    IVar,
-    index_depth,
-)
+from .analysis import GroupContext, IndexExpr, IVar, fold_index, index_depth
 from .diagnostics import Diagnostic, EvalError, GuardExceeded, Record
 from .parser import NAT_MAX
 from .values import Atom, Value, VBase, VCon, render_value, value_size
@@ -688,12 +682,7 @@ def _splits(total: int, parts: int):
 
 
 def _encode_index(e: IndexExpr, ctx: GroupContext) -> Value:
-    match e:
-        case IVar(k):
-            return VBase(Atom(ctx.var_ctors[k]))
-        case IApp(c, args):
-            return VCon("@" + c, tuple(_encode_index(a, ctx) for a in args))
-    raise AssertionError
+    return fold_index(e, lambda k: VBase(Atom(ctx.var_ctors[k])), lambda c, a: VCon("@" + c, a))
 
 
 def catalogue(ctx: GroupContext) -> dict[str, Algebra]:

@@ -295,24 +295,21 @@ def _erase_base(t: Term) -> Term:
     return Pi((domain, _drop_value_arg(cod)))
 
 
-def ind_erases_to_nfold(
-    ctx: GroupContext,
-    ind_def: DerivedDef,
-    nfold_def: DerivedDef,
-    nat_index: bool = False,
-) -> list[str]:
+def ind_erases_to_nfold(ctx: GroupContext, ind_def: DerivedDef, nfold_def: DerivedDef) -> list[str]:
     """Check, component by component, that deleting the value arguments from
     the induction principle's signature yields the fold's signature.  Names
     are part of the derived contract, so the comparison is syntactic.
     Returns a list of mismatch descriptions; empty means the check passed."""
-    m = len(ctx.ctors())
-    v = 1 if nat_index else ctx.base_var_count
-    idx = Var("Nat" if nat_index else ctx.index_name)
+    m, v = len(ctx.ctors()), ctx.base_var_count
     # Both signatures end in their base functions (ind: methods and base
     # functions) and a three-segment trailer; a group with no base types
     # has no base-type binder before them.
     nsegs = nfold_def.signature.segments
     isegs = ind_def.signature.segments
+    # nfold's motive is (p : Index -> Set), and its Index is Nat only in nat
+    # mode: well_formed refuses a declaration named Nat
+    idx = nsegs[0].type.segments[0]
+    nat_index = idx == Var("Nat")
     n_methods = nsegs[1 : 1 + m]
     n_bases = nsegs[-3 - v : -3]
     leads = isegs[-3 - m - v : -3]

@@ -22,6 +22,7 @@ from nestfold.analysis import (
     type_to_index,
     well_formed,
 )
+from nestfold.derivation import _carrier_type, _Names
 from nestfold.parser import (
     Constructor,
     Program,
@@ -30,7 +31,11 @@ from nestfold.parser import (
     TypeDecl,
     parse_program,
     parse_type_context,
+    render_type_expr,
 )
+from nestfold.runtime import _encode_index
+from nestfold.terms import Var, _v
+from nestfold.values import Atom, VBase, VCon
 
 from test_derivation import PROBES, SHAPES, SOURCES
 from test_parser import BOBDYLAN, BUSH, LIST, SAMPLES
@@ -441,9 +446,9 @@ def _reference_indices(ctx, max_depth):
 
 def _every_group():
     """(id, context) of every group of every sample that analyzes, and of
-    every probe."""
+    every probe and near-miss shape."""
     sources = {p.stem: p.read_text() for p in sorted(SAMPLES.glob("*.ndt"))}
-    for name, src in {**sources, **PROBES}.items():
+    for name, src in {**sources, **PROBES, **SHAPES}.items():
         try:
             ctxs = analyze(parse_program(src))
         except AnalysisError:
@@ -460,17 +465,136 @@ _TIER_BUDGET = 30_000
 _PINNED_DEPTHS = {"bush:Bush": 3, "list:List": 3, "bobdylan:BobDylan": 3, "three-params:T": 2}
 
 
-@pytest.mark.parametrize("name, ctx", list(_every_group()), ids=[n for n, _ in _every_group()])
-def test_enumerate_indices_is_the_filtered_product(name, ctx):
-    # Pinned, order included, at the deepest depth up to 3 whose last tier
-    # tries at most _TIER_BUDGET tuples (depth 0 at least).
+def _pinned_depth(ctx):
+    """The deepest depth up to 3 whose last tier tries at most _TIER_BUDGET
+    tuples (depth 0 at least)."""
     depth, known = 0, ctx.base_var_count
     arities = [len(ctx.decls[d].params) for d in ctx.group.decls]
     while depth < 3 and sum(known**a for a in arities) <= _TIER_BUDGET:
         depth += 1
         known = len(_reference_indices(ctx, depth))
+    return depth
+
+
+EVERY_GROUP = list(_every_group())
+GROUP_IDS = [n for n, _ in EVERY_GROUP]
+
+
+@pytest.mark.parametrize("name, ctx", EVERY_GROUP, ids=GROUP_IDS)
+def test_enumerate_indices_is_the_filtered_product(name, ctx):
+    # Pinned, order included, at _pinned_depth.
+    depth = _pinned_depth(ctx)
     assert depth == _PINNED_DEPTHS.get(name, depth)
     assert enumerate_indices(ctx, depth) == _reference_indices(ctx, depth)
+
+
+# The eight recursions over index and type expressions by their first
+# definitions, each a match on the node classes.  Each is now one algebra of
+# fold_index or fold_type.
+
+
+def _ref_subst_index(e, iargs):
+    match e:
+        case IVar(k):
+            return iargs[k]
+        case IApp(ctor, args):
+            return IApp(ctor, tuple(_ref_subst_index(a, iargs) for a in args))
+    raise AssertionError
+
+
+def _ref_index_depth(e):
+    match e:
+        case IVar():
+            return 0
+        case IApp(_, args):
+            return 1 + max((_ref_index_depth(a) for a in args), default=0)
+    raise AssertionError
+
+
+def _ref_render_index(e, ctx, atom=False):
+    match e:
+        case IVar(k):
+            return ctx.var_ctors[k]
+        case IApp(ctor, ()):
+            return ctor
+        case IApp(ctor, args):
+            s = " ".join([ctor] + [_ref_render_index(a, ctx, atom=True) for a in args])
+            return f"({s})" if atom else s
+    raise AssertionError
+
+
+def _ref_encode_index(e, ctx):
+    match e:
+        case IVar(k):
+            return VBase(Atom(ctx.var_ctors[k]))
+        case IApp(c, args):
+            return VCon("@" + c, tuple(_ref_encode_index(a, ctx) for a in args))
+    raise AssertionError
+
+
+def _ref_index_term(nm, e, env):
+    match e:
+        case IVar(k):
+            return env[k]
+        case IApp(ctor, args):
+            return _v(nm.index_head(ctor), *(_ref_index_term(nm, a, env) for a in args))
+    raise AssertionError
+
+
+def _ref_type_to_index(t, params, members):
+    match t:
+        case TVar(name):
+            return IVar(params.index(name))
+        case TApp(head, args):
+            return IApp(members[head], tuple(_ref_type_to_index(a, params, members) for a in args))
+    raise AssertionError
+
+
+def _ref_carrier_type(t, carrier, params):
+    match t:
+        case TVar(name):
+            return Var(params.get(name, name))
+        case TApp(head, args):
+            args = (_ref_carrier_type(a, carrier, params) for a in args)
+            return _v(carrier.get(head, head), *args)
+    raise AssertionError
+
+
+def _ref_render_type_expr(t, atom=False):
+    match t:
+        case TVar(name, _):
+            return name
+        case TApp(head, (), _):
+            return head
+        case TApp(head, args, _):
+            s = " ".join([head] + [_ref_render_type_expr(a, atom=True) for a in args])
+            return f"({s})" if atom else s
+    raise AssertionError
+
+
+@pytest.mark.parametrize("name, ctx", EVERY_GROUP, ids=GROUP_IDS)
+def test_the_folds_compute_the_recursions_they_replace(name, ctx):
+    names = [_Names(ctx, nat) for nat in (False, True) if not nat or ctx.nat_index_eligible]
+    for e in enumerate_indices(ctx, _pinned_depth(ctx)):
+        assert index_depth(e) == _ref_index_depth(e)
+        assert render_index(e, ctx) == _ref_render_index(e, ctx)
+        assert _encode_index(e, ctx) == _ref_encode_index(e, ctx)
+        for nm in names:
+            env = {k: Var(f"s{k}") for k in range(ctx.base_var_count)}
+            assert nm.index_term(e, env) == _ref_index_term(nm, e, env)
+        if e.__class__ is IApp:
+            for c in ctx.decls[ctx.decl_of_app[e.ctor]].ctors:
+                for t in ctx.arg_templates[c.name]:
+                    assert subst_index(t, e.args) == _ref_subst_index(t, e.args)
+    for d, c in ctx.ctors():
+        for t in (*c.args, c.result):
+            assert type_to_index(t, d.params, ctx.app_ctor) == _ref_type_to_index(
+                t, d.params, ctx.app_ctor
+            )
+            assert render_type_expr(t) == _ref_render_type_expr(t)
+            for nm in names:
+                renames = (nm.carriers, dict(zip(d.params, nm.base_types)))
+                assert _carrier_type(t, *renames) == _ref_carrier_type(t, *renames)
 
 
 def test_subst_index():

@@ -437,7 +437,7 @@ def test_ind_erases_to_nfold(which, nat):
     ctx = _ctx(which)
     ind = derive_ind(_Names(ctx, nat))
     nfold = derive_nfold(_Names(ctx, nat))
-    assert ind_erases_to_nfold(ctx, ind, nfold, nat_index=nat) == []
+    assert ind_erases_to_nfold(ctx, ind, nfold) == []
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +646,62 @@ def test_ps_bridge_general_mode_uses_index_constructors(bush):
     nfoldp = defs[4]
     (lift_def,) = nfoldp.clauses[0].wheres
     assert lift_def.clauses[0].body.args[4] == _ap("fold-PS", Var("p"), Var("leaf'"), Var("cons'"))
+
+
+#: A bush that declares cons before leaf: every signature binds its methods
+#: in declaration order, so cons's comes first.
+CONS_FIRST = "data B (a : Set) : Set where\n  cons : a -> B (B a) -> B a\n  leaf : B a\n"
+
+
+def _params(sig):
+    """The name each argument position of sig binds, None where it binds none."""
+    *doms, _ = sig.segments
+    return [n for s in doms for n in (s.names if isinstance(s, Binder) else [None])]
+
+
+def _calls(t, name):
+    """Every application of name in the term t."""
+    if isinstance(t, App):
+        if t.fn == Var(name):
+            yield t
+        for u in (t.fn, *t.args):
+            yield from _calls(u, name)
+    elif isinstance(t, Lam):
+        yield from _calls(t.body, name)
+
+
+def _with_wheres(d):
+    """d, then the definitions of its where blocks."""
+    yield d
+    for cl in d.clauses:
+        for w in cl.wheres:
+            yield from _with_wheres(w)
+
+
+@pytest.mark.parametrize("nat", [False, True], ids=["general", "nat"])
+@pytest.mark.parametrize("src", [BUSH, CONS_FIRST], ids=["leaf-first", "cons-first"])
+def test_the_bridge_follows_its_signatures_method_order(src, nat):
+    ctx = _ctx(src)
+    nm = _Names(ctx, nat)
+    defs = {d.name: d for d in derive_group(ctx, nat).defs}
+    methods = [nm.method[c.name] for _, c in ctx.ctors()]
+    hfold = defs[nm.hfold[ctx.group.decls[0]]]
+    assert _params(defs["fold-PS"].signature)[1:3] == methods == _params(hfold.signature)[1:3]
+    calls = []
+    for top in ("PS", "PS-to-P", "fold-PS", "liftNTimes", "nfold'"):
+        for d in _with_wheres(defs[top]):
+            params = _params(d.signature)
+            for cl in d.clauses:
+                # a pattern variable binds the name its signature binds there
+                for q, want in zip(cl.patterns, params):
+                    assert not isinstance(q, PVar) or want in (None, q.name), (d.name, q)
+                calls += [("fold-PS", [a.name for a in c.args]) for c in _calls(cl.body, "fold-PS")]
+                # each lambda hfold is handed calls the method hfold binds there
+                calls += [
+                    ("hfold", [lam.body.fn.name for lam in c.args[1:]])
+                    for c in _calls(cl.body, hfold.name)
+                ]
+    assert calls == [("hfold", methods), ("fold-PS", [nm.p, *methods])]
 
 
 # ---------------------------------------------------------------------------

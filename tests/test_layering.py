@@ -112,3 +112,29 @@ def test_derive_ind_builds_its_types_with_nfolds_builders():
     # ind's method and base types are nfold's with the values threaded
     # through (derivation._method_type and _base_type): one builder each.
     assert _nested_functions("derivation.py", "derive_ind") == []
+
+
+#: The node classes of the two tree types, index and type expressions.
+TREE_NODES = {"IVar", "IApp", "TVar", "TApp"}
+
+
+def _tree_matches(path: Path) -> list[int]:
+    """The lines of the match statements in path with a class pattern on a
+    node of TREE_NODES."""
+    return [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Match)
+        and any(
+            isinstance(p, ast.MatchClass) and getattr(p.cls, "id", None) in TREE_NODES
+            for case in node.cases
+            for p in ast.walk(case.pattern)
+        )
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_index_and_type_expressions_are_walked_by_their_folds(path):
+    # analysis.fold_index and parser.fold_type are each tree type's one
+    # structural recursion; a function over one is an algebra of its fold.
+    assert _tree_matches(path) == []
