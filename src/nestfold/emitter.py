@@ -15,6 +15,13 @@ byte-identical across runs.  Layout is rule-driven, never heuristic:
 
 A term or a pattern is printed once, as layout pieces; its one-line text is
 read off the pieces, so the flat and the broken rendering cannot disagree.
+A piece is a plain tuple (text, open, inner, close, named): `text` is
+`open`, the inner pieces separated by single spaces, then `close`.  A piece
+that does not fit breaks between its inner pieces, and one with none never
+breaks; a named piece (a binder) starts its own line when a signature
+breaks.  The walks that build pieces run once per node of every derived
+term, so a piece has no constructor to call and they dispatch on a node's
+exact class, not on class patterns.
 Each definition is headed by the termination certificate that
 terms.check_module gives it; a module that check refuses is never printed.
 """
@@ -57,46 +64,40 @@ def module_for_group(group: DerivedGroup) -> EmitModule:
 # Terms as layout pieces: the one printer
 
 
-class _Piece:
-    """One unit of layout: `open`, the inner pieces separated by single
-    spaces, then `close`.  That concatenation is the piece's one-line text.
-    A piece that does not fit breaks between its inner pieces; a piece with
-    none never breaks.  A named piece (a binder) starts its own line when a
-    signature breaks."""
+_Piece = tuple  # (text, open, inner, close, named), as the module docstring says
+_ARROW = ("->", "->", (), "", False)
+_COLON = (":", ":", (), "", False)
 
-    __slots__ = ("open", "inner", "close", "named", "text")
 
-    def __init__(
-        self, open: str, inner: tuple["_Piece", ...] = (), close: str = "", named: bool = False
-    ):
-        self.open = open
-        self.inner = inner
-        self.close = close
-        self.named = named
-        self.text = open + " ".join([p.text for p in inner]) + close
+def _words(names: tuple[str, ...]) -> list[_Piece]:
+    return [(n, n, (), "", False) for n in names]
 
 
 def _term_pieces(t: Term) -> tuple[_Piece, ...]:
     """t's top-level pieces: an application's atoms, a function type's
     segments, or else t as one piece."""
-    match t:
-        case App(fn, args):
-            return (_piece(fn, True), *[_piece(a, True) for a in args])
-        case Pi(segments):
-            return _segment_pieces(segments)
+    cls = t.__class__
+    if cls is App:
+        return (_piece(t.fn, True), *[_piece(a, True) for a in t.args])
+    if cls is Pi:
+        return _segment_pieces(t.segments)
     return (_piece(t, False),)
 
 
 def _piece(t: Term, atom: bool, tail: str = "") -> _Piece:
     """t as one piece followed by tail; an atom (an argument) is
     parenthesized unless it is a name."""
-    if isinstance(t, Var):
-        return _Piece(t.name + tail)
+    cls = t.__class__
+    if cls is Var:
+        text = t.name + tail
+        return (text, text, (), "", False)
     o, c = ("(", ")" + tail) if atom else ("", tail)
-    if isinstance(t, Lam):
-        inner = (*map(_Piece, t.params), _Piece("->"), *_term_pieces(t.body))
-        return _Piece(o + "\\ ", inner, c)
-    return _Piece(o, _term_pieces(t), c)
+    if cls is Lam:
+        o += "\\ "
+        inner = (*_words(t.params), _ARROW, *_term_pieces(t.body))
+    else:
+        inner = _term_pieces(t)
+    return (o + " ".join([p[0] for p in inner]) + c, o, inner, c, False)
 
 
 def _segment_pieces(segments: tuple[Binder | Term, ...]) -> tuple[_Piece, ...]:
@@ -104,34 +105,35 @@ def _segment_pieces(segments: tuple[Binder | Term, ...]) -> tuple[_Piece, ...]:
     last = len(segments) - 1
     for k, seg in enumerate(segments):
         arrow = " ->" if k < last else ""
-        if not isinstance(seg, Binder):
-            out.append(_piece(seg, isinstance(seg, (Pi, Lam)), arrow))
-        elif seg.type is None:
-            out.append(_Piece("forall ", tuple(map(_Piece, seg.names)), arrow, named=True))
+        cls = seg.__class__
+        if cls is not Binder:
+            out.append(_piece(seg, cls is Pi or cls is Lam, arrow))
+            continue
+        if seg.type is None:
+            o, c, inner = "forall ", arrow, _words(seg.names)
         else:
-            o, c = ("{", "}") if seg.implicit else ("(", ")")
-            inner = (*map(_Piece, seg.names), _Piece(":"), *_term_pieces(seg.type))
-            out.append(_Piece(o, inner, c + arrow, named=True))
+            o, c = ("{", "}" + arrow) if seg.implicit else ("(", ")" + arrow)
+            inner = (*_words(seg.names), _COLON, *_term_pieces(seg.type))
+        out.append((o + " ".join([p[0] for p in inner]) + c, o, tuple(inner), c, True))
     return tuple(out)
 
 
 def render_term(t: Term, atom: bool = False) -> str:
-    return _piece(t, atom).text
+    return _piece(t, atom)[0]
 
 
 def _pattern_piece(p: Pattern) -> _Piece:
-    match p:
-        case PVar(name, implicit):
-            return _Piece("{" + name + "}" if implicit else name)
-        case PCon(head, ()):
-            return _Piece(head)
-        case PCon(head, args):
-            return _Piece("(", (_Piece(head), *map(_pattern_piece, args)), ")")
-    raise AssertionError
+    if p.__class__ is PVar:
+        text = "{" + p.name + "}" if p.implicit else p.name
+        return (text, text, (), "", False)
+    if not p.args:
+        return (p.head, p.head, (), "", False)
+    inner = ((p.head, p.head, (), "", False), *map(_pattern_piece, p.args))
+    return ("(" + " ".join([q[0] for q in inner]) + ")", "(", inner, ")", False)
 
 
 def render_pattern(p: Pattern) -> str:
-    return _pattern_piece(p).text
+    return _pattern_piece(p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +144,23 @@ def _layout(pieces: list[_Piece], first: str, cont: int, break_named: bool = Fal
     lines: list[str] = []
     cur = first
     placed = 0
-    for p in pieces:
-        if placed and ((break_named and p.named) or len(cur) + 1 + len(p.text) > WIDTH):
+    for text, opening, inner, close, named in pieces:
+        if placed and ((break_named and named) or len(cur) + 1 + len(text) > WIDTH):
             lines.append(cur)
             cur = " " * cont
             placed = 0
         if placed:
-            cur += " " + p.text
+            cur += " " + text
             placed += 1
             continue
-        if len(cur) + len(p.text) <= WIDTH or not p.inner:
-            cur += p.text
+        if len(cur) + len(text) <= WIDTH or not inner:
+            cur += text
             placed = 1
             continue
-        *rest, last = p.inner  # the piece's close follows its last inner piece
-        inner = [*rest, _Piece(last.open, last.inner, last.close + p.close, last.named)]
-        lines.extend(_layout(inner, cur + p.open, cont + 2))
+        *rest, (ltext, lopen, linner, lclose, lnamed) = inner
+        # the piece's close follows its last inner piece
+        rest.append((ltext + close, lopen, linner, lclose + close, lnamed))
+        lines.extend(_layout(rest, cur + opening, cont + 2))
         cur = " " * cont
         placed = 0
     if placed:
@@ -172,7 +175,7 @@ def _layout(pieces: list[_Piece], first: str, cont: int, break_named: bool = Fal
 def _sig_lines(name: str, sig: Term, base: int) -> list[str]:
     head = " " * base + name + " : "
     pieces = _term_pieces(sig)
-    one = head + " ".join([p.text for p in pieces])
+    one = head + " ".join([p[0] for p in pieces])
     if len(one) <= WIDTH:
         return [one]
     return _layout(list(pieces), head, base + len(name) + 3, break_named=True)
@@ -180,9 +183,10 @@ def _sig_lines(name: str, sig: Term, base: int) -> list[str]:
 
 def _clause_lines(name: str, cl: Clause, base: int) -> list[str]:
     pad = " " * base
-    lhs = _Piece("", (_Piece(name), *map(_pattern_piece, cl.patterns)), " =")
+    inner = ((name, name, (), "", False), *map(_pattern_piece, cl.patterns))
+    lhs = (" ".join([p[0] for p in inner]) + " =", "", inner, " =", False)
     body = _term_pieces(cl.body)
-    one = pad + lhs.text + " " + " ".join([p.text for p in body])
+    one = pad + lhs[0] + " " + " ".join([p[0] for p in body])
     if len(one) <= WIDTH:
         lines = [one]
     else:
@@ -272,7 +276,6 @@ def emit_agda(module: EmitModule) -> str:
             else:
                 blocks.append(_certificate(witnesses[d.name]) + _body_lines(d, 0))
     text = "\n\n".join("\n".join(b) for b in blocks) + "\n"
-    for line in text.splitlines():
-        if not line.isascii():
-            raise EmitError("emitted a non-ASCII line")
+    if not text.isascii():
+        raise EmitError("emitted a non-ASCII line")
     return text

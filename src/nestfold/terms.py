@@ -9,7 +9,8 @@ The checks run on finished definitions, in one scoped walk per definition
 and one walk per clause's patterns:
 
 * recursion_witnesses certifies structural recursion: every self-call
-  passes a variable bound strictly inside a constructor pattern;
+  passes a variable bound strictly inside a constructor pattern of the
+  called definition, a where definition's included;
 * check_module also scope-checks a whole module.  An unbound name, a name
   bound twice at the top level, by one signature's binders or by one
   clause's patterns, a pattern variable named like a constructor, a binder
@@ -136,23 +137,27 @@ def _bind(names: tuple[str, ...], scope: dict[str, int], where: str, what: str) 
 
 
 class _Walk:
-    """One walk over a definition, its where blocks included.  A scope maps
-    each bound name to the depth of the constructor patterns around it (0
-    outside one).  Each call of `call` is certified by its last argument of
-    depth at least 1, the call's witness.  With known and ctors None, names
-    from outside the definition are not checked."""
+    """One walk over a definition, its where blocks included.  Each where
+    definition is walked as a definition of its own, one level deeper: a
+    top-level definition is at level 1.  A scope maps each bound name to
+    the level of the definition strictly inside whose constructor pattern
+    it is bound, or to 0.  `calls` maps the definitions being walked to
+    their levels: each call of one is certified by its last argument bound
+    at that level, the call's witness.  With known and ctors None, names
+    from outside the definition are not checked.  The walks dispatch on a
+    node's exact class: they are derive's per-node walks."""
 
-    __slots__ = ("call", "known", "ctors", "witnesses")
+    __slots__ = ("calls", "known", "ctors", "witnesses")
 
     def __init__(
         self, call: str | None, known: AbstractSet[str] | None, ctors: AbstractSet[str] | None
     ):
-        self.call = call
+        self.calls = {} if call is None else {call: 1}
         self.known = known
         self.ctors = ctors
         self.witnesses: list[str] = []
 
-    def definition(self, d: DerivedDef, scope: dict[str, int]) -> None:
+    def definition(self, d: DerivedDef, scope: dict[str, int], level: int = 1) -> None:
         where = f"definition {d.name!r}"
         seen: set[str] = set()
         for s in d.signature.segments if isinstance(d.signature, Pi) else ():
@@ -163,58 +168,69 @@ class _Walk:
         self.term(d.signature, scope, where)
         for cl in d.clauses:
             binds: dict[str, int] = {}
-            self.patterns(cl.patterns, 0, binds, where)
-            binds.update(dict.fromkeys([w.name for w in cl.wheres], 0))
-            _no_keyword(binds, where)
+            self.patterns(cl.patterns, level, 0, binds, where)
+            helpers = dict.fromkeys([w.name for w in cl.wheres], 0)
+            _no_keyword({**binds, **helpers}, where)
             inner = {**scope, **binds}
-            self.term(cl.body, inner, where)
+            self.term(cl.body, {**inner, **helpers}, where)
+            # like a top-level definition, a where definition sees itself
+            # and the ones before it
+            calls = self.calls
             for w in cl.wheres:
-                self.definition(w, inner)
+                inner = {**inner, w.name: 0}
+                self.calls = {**calls, w.name: level + 1}
+                self.definition(w, inner, level + 1)
+            self.calls = calls
 
     def patterns(
-        self, ps: tuple[Pattern, ...], depth: int, binds: dict[str, int], where: str
+        self, ps: tuple[Pattern, ...], level: int, mark: int, binds: dict[str, int], where: str
     ) -> None:
-        """Add to binds each variable of ps, at its depth; a clause binds each once."""
+        """Add to binds each variable of ps, marked with level when a
+        constructor pattern of the definition at level encloses it; a clause
+        binds each once."""
         for p in ps:
-            if isinstance(p, PCon):
+            if p.__class__ is PCon:
                 if self.ctors is not None and p.head not in self.ctors:
                     raise EmitError(f"unknown constructor {p.head!r} in a pattern of {where}")
-                self.patterns(p.args, depth + 1, binds, where)
+                self.patterns(p.args, level, level, binds, where)
             elif self.ctors is not None and p.name in self.ctors:  # Agda would read the constructor
                 raise EmitError(f"{where} binds constructor name {p.name!r} as a pattern variable")
             elif p.name in binds:
                 raise EmitError(f"{where} binds {p.name!r} twice in one clause")
             else:
-                binds[p.name] = depth
+                binds[p.name] = mark
 
     def term(self, t: Term, scope: dict[str, int], where: str) -> None:
-        match t:
-            case Var(name):
-                if name not in scope and self.known is not None and name not in self.known:
-                    raise EmitError(f"unscoped name {name!r} in {where}")
-            case App(fn, args):
-                if isinstance(fn, Var) and fn.name == self.call:
-                    ws = [a.name for a in args if isinstance(a, Var) and scope.get(a.name, 0) >= 1]
-                    if not ws:
-                        raise DerivationError(
-                            f"cannot certify termination of {fn.name!r}: a recursive "
-                            "call passes no strict subterm of a constructor pattern"
-                        )
-                    if ws[-1] not in self.witnesses:
-                        self.witnesses.append(ws[-1])
-                self.term(fn, scope, where)
-                for a in args:
-                    self.term(a, scope, where)
-            case Lam(params, body):
-                self.term(body, _bind(params, scope, where, "a lambda"), where)
-            case Pi(segments):
-                for s in segments:
-                    if not isinstance(s, Binder):
-                        self.term(s, scope, where)
-                        continue
-                    if s.type is not None:
-                        self.term(s.type, scope, where)
-                    scope = _bind(s.names, scope, where, "a binder")
+        cls = t.__class__
+        if cls is Var:
+            name = t.name
+            if name not in scope and self.known is not None and name not in self.known:
+                raise EmitError(f"unscoped name {name!r} in {where}")
+        elif cls is App:
+            fn, args = t.fn, t.args
+            if fn.__class__ is Var and fn.name in self.calls:
+                level = self.calls[fn.name]
+                ws = [a.name for a in args if a.__class__ is Var and scope.get(a.name) == level]
+                if not ws:
+                    raise DerivationError(
+                        f"cannot certify termination of {fn.name!r}: a recursive "
+                        "call passes no strict subterm of a constructor pattern"
+                    )
+                if ws[-1] not in self.witnesses:
+                    self.witnesses.append(ws[-1])
+            self.term(fn, scope, where)
+            for a in args:
+                self.term(a, scope, where)
+        elif cls is Lam:
+            self.term(t.body, _bind(t.params, scope, where, "a lambda"), where)
+        elif cls is Pi:
+            for s in t.segments:
+                if s.__class__ is not Binder:
+                    self.term(s, scope, where)
+                    continue
+                if s.type is not None:
+                    self.term(s.type, scope, where)
+                scope = _bind(s.names, scope, where, "a binder")
 
 
 def recursion_witnesses(d: DerivedDef) -> tuple[str, ...]:

@@ -6,7 +6,7 @@ import pytest
 
 from nestfold.analysis import analyze, classify
 from nestfold.derivation import derive_group
-from nestfold.diagnostics import EmitError
+from nestfold.diagnostics import DerivationError, EmitError
 from nestfold.emitter import (
     EmitModule,
     emit_agda,
@@ -213,6 +213,63 @@ def test_a_keyword_or_an_empty_binder_is_rejected(sig, clause, message):
     )
     with pytest.raises(EmitError, match=f"^definition 'f' {message}"):
         emit_agda(EmitModule("Keyword", (t, bad)))
+
+
+NAT = DerivedDef(
+    name="Nat",
+    role="naturals",
+    data=DataDecl((), (("zero", Var("Nat")), ("suc", Pi((Var("Nat"), Var("Nat")))))),
+)
+NAT_TO_NAT = Pi((Var("Nat"), Var("Nat")))
+
+
+def _with_helpers(lhs: PCon | PVar, body, *helpers: DerivedDef) -> DerivedDef:
+    """f : Nat -> Nat, one clause f lhs = body, with helpers as its where block."""
+    return DerivedDef("f", "a function", NAT_TO_NAT, (Clause((lhs,), body, helpers),))
+
+
+def _helper(name: str, lhs: PCon | PVar, body) -> DerivedDef:
+    return DerivedDef(name, "local helper", NAT_TO_NAT, (Clause((lhs,), body),))
+
+
+def test_a_where_helper_that_calls_itself_needs_a_witness():
+    # f m = go m where go n = go n: the same loop at the top level is refused
+    loop = _helper("go", PVar("n"), App(Var("go"), (Var("n"),)))
+    f = _with_helpers(PVar("m"), App(Var("go"), (Var("m"),)), loop)
+    with pytest.raises(DerivationError, match="^cannot certify termination of 'go'"):
+        emit_agda(EmitModule("Loop", (NAT, f)))
+    step = _helper("go", PCon("suc", (PVar("n"),)), App(Var("go"), (Var("n"),)))
+    f = _with_helpers(PVar("m"), App(Var("go"), (Var("m"),)), step)
+    text = emit_agda(EmitModule("Step", (NAT, f)))
+    assert "-- pattern (witnesses: n).\nf : Nat -> Nat\n" in text
+
+
+def test_a_helpers_own_pattern_does_not_witness_a_call_of_its_definition():
+    # f (suc m) = go (suc (suc m)) where go (suc n) = f n calls f (suc m) again
+    back = _helper("go", PCon("suc", (PVar("n"),)), App(Var("f"), (Var("n"),)))
+    grow = App(Var("suc"), (App(Var("suc"), (Var("m"),)),))
+    f = _with_helpers(PCon("suc", (PVar("m"),)), App(Var("go"), (grow,)), back)
+    with pytest.raises(DerivationError, match="^cannot certify termination of 'f'"):
+        emit_agda(EmitModule("Back", (NAT, f)))
+    # the enclosing clause's own subterm does
+    back = _helper("go", PVar("n"), App(Var("f"), (Var("m"),)))
+    f = _with_helpers(PCon("suc", (PVar("m"),)), App(Var("go"), (Var("m"),)), back)
+    assert "(witnesses: m)." in emit_agda(EmitModule("Back", (NAT, f)))
+
+
+def test_a_where_helper_sees_itself_and_the_helpers_before_it():
+    first = _helper("h1", PVar("n"), App(Var("h2"), (Var("n"),)))
+    second = _helper("h2", PVar("n"), Var("n"))
+    f = _with_helpers(PVar("m"), App(Var("h1"), (Var("m"),)), first, second)
+    with pytest.raises(EmitError, match="^unscoped name 'h2' in definition 'h1'$"):
+        emit_agda(EmitModule("Order", (NAT, f)))
+    f = _with_helpers(PVar("m"), App(Var("h2"), (Var("m"),)), second, first)
+    assert "    h1 n = h2 n\n" in emit_agda(EmitModule("Order", (NAT, f)))
+
+
+def test_a_non_ascii_module_is_rejected():
+    with pytest.raises(EmitError, match="^emitted a non-ASCII line$"):
+        emit_agda(EmitModule("Accent", (DerivedDef("T", "caf\u00e9", data=DataDecl((), ())),)))
 
 
 def test_empty_module_is_rejected():

@@ -117,16 +117,19 @@ def test_derive_ind_builds_its_types_with_nfolds_builders():
 #: The node classes of the two tree types, index and type expressions.
 TREE_NODES = {"IVar", "IApp", "TVar", "TApp"}
 
+#: The node classes of the term and pattern language.
+TERM_NODES = {"Var", "App", "Lam", "Pi", "Binder", "PVar", "PCon"}
 
-def _tree_matches(path: Path) -> list[int]:
+
+def _tree_matches(path: Path, classes: set[str] = TREE_NODES) -> list[int]:
     """The lines of the match statements in path with a class pattern on a
-    node of TREE_NODES."""
+    node of classes."""
     return [
         node.lineno
         for node in ast.walk(_tree(path))
         if isinstance(node, ast.Match)
         and any(
-            isinstance(p, ast.MatchClass) and getattr(p.cls, "id", None) in TREE_NODES
+            isinstance(p, ast.MatchClass) and getattr(p.cls, "id", None) in classes
             for case in node.cases
             for p in ast.walk(case.pattern)
         )
@@ -138,3 +141,11 @@ def test_index_and_type_expressions_are_walked_by_their_folds(path):
     # analysis.fold_index and parser.fold_type are each tree type's one
     # structural recursion; a function over one is an algebra of its fold.
     assert _tree_matches(path) == []
+
+
+@pytest.mark.parametrize("path", [SRC / "emitter.py", TERMS], ids=lambda p: p.name)
+def test_the_printer_and_the_module_check_dispatch_on_the_exact_class(path):
+    # The printer's pieces and the module check's walk are derive's per-node
+    # walks: a class pattern costs an isinstance and a __match_args__ lookup
+    # per case tried, where `t.__class__ is Var` costs one comparison.
+    assert _tree_matches(path, TERM_NODES) == []

@@ -1,11 +1,12 @@
 """Every derived module's bytes, pinned as a table.
 
 module_table.json holds, for every SOURCES and SHAPES group of the
-derivation tests in every mode its group accepts, the byte length and the
-sha256 of emit_agda(module_for_group(derive_group(ctx, nat))) when the table
-was recorded.  The goldens pin four modules' text; this table pins the rest,
-so a refactor of the derivation that moves any emitted byte shows up here,
-named by group and mode.
+derivation tests and for every CYCLES group, in every mode its group
+accepts, the byte length and the sha256 of
+emit_agda(module_for_group(derive_group(ctx, nat))) when the table was
+recorded.  The goldens pin four modules' text; this table pins the rest,
+so a refactor of the derivation or the emitter that moves any emitted byte
+shows up here, named by group and mode.
 
 Re-record it (only when a change of the emitted text is intended) with
 
@@ -26,10 +27,24 @@ from test_derivation import SHAPES, SOURCES
 TABLE = Path(__file__).resolve().parent / "module_table.json"
 
 
+def _cycle(n: int) -> str:
+    """A mutual cycle of n parameterized declarations.  Its hfolds bind every
+    carrier and method, so the emitter wraps signatures, clause heads and
+    bodies at widths that no sample reaches."""
+    return "".join(
+        f"data T{i} (a : Set) : Set where\n  c{i} : a -> T{(i + 1) % n} a -> T{i} a\n"
+        f"  e{i} : T{i} a\n"
+        for i in range(n)
+    )
+
+
+CYCLES = {f"cycle-{n}": _cycle(n) for n in (3, 8)}
+
+
 def table() -> dict[str, dict]:
     """{"<group>/<mode>": {"bytes": ..., "sha256": ...}} for every accepted mode."""
     out = {}
-    for which, src in {**SOURCES, **SHAPES}.items():
+    for which, src in {**SOURCES, **SHAPES, **CYCLES}.items():
         (ctx,) = analyze(parse_program(src))
         for nat in (False, True)[: 1 + ctx.nat_index_eligible]:
             data = emit_agda(module_for_group(derive_group(ctx, nat))).encode()
